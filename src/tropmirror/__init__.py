@@ -12,7 +12,7 @@ Everything is exact: lattice geometry over Python ints, homology via
 Hermite/Smith normal forms, F2 via bit-packed rows.
 """
 
-from .lattice import Cone, Fan, LatticePolytope, dual_polytope, is_reflexive
+from .lattice import LatticePolytope, dual_polytope, is_reflexive
 from .triangulate import CentralTriangulation, generate_central, validate
 from .pairs import MirrorPair, Side, hodge_table
 from .mirror import (
@@ -31,8 +31,6 @@ from .patchwork import (
 )
 
 __all__ = [
-    "Cone",
-    "Fan",
     "LatticePolytope",
     "dual_polytope",
     "is_reflexive",

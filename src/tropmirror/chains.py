@@ -55,12 +55,6 @@ class HomologySummary:
             and self.data == other.data
         )
 
-    def to_dict(self):
-        return {
-            str(q): {"rank": r, "torsion": list(t)}
-            for q, (r, t) in sorted(self.data.items())
-        }
-
     def __repr__(self):
         parts = []
         for q in self.degrees:
@@ -145,9 +139,6 @@ class ChainComplex:
 
     def dim(self, q):
         return self.dim_q.get(q, 0)
-
-    def boundary_rows(self, q):
-        return self.D.get(q, [])
 
     # -- ranks and homology ------------------------------------------------------
     def rank_boundary(self, q, ring):

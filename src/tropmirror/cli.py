@@ -361,7 +361,6 @@ def build_parser():
     ap.add_argument("--out", choices=("json", "text"), default="json")
     ap.add_argument("--ring", choices=("z", "q", "f2"), default=None)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--jobs", type=int, default=1, help="accepted; sweeps run serially")
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("dual", help="dual polytope")

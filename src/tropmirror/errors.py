@@ -29,14 +29,6 @@ class FaceNotFound(InputError):
     pass
 
 
-class NotContained(InputError):
-    pass
-
-
-class NotInFan(InputError):
-    pass
-
-
 # exact linear algebra
 class DimensionMismatch(InputError):
     pass
@@ -54,15 +46,6 @@ class FreenessError(InternalCheckError):
     """A cosheaf value that must be a free module has torsion."""
 
 
-# exterior algebra
-class DegreeOverflow(InputError):
-    pass
-
-
-class RankMismatch(InputError):
-    pass
-
-
 # triangulations
 class RankUnsupported(InputError):
     pass
@@ -74,10 +57,6 @@ class NotInTriangulation(InputError):
 
 # posets
 class NotDualPair(InputError):
-    pass
-
-
-class NotAtInfinity(InputError):
     pass
 
 

@@ -17,9 +17,7 @@ Sign conventions (they matter for the mirror round trip):
 from functools import lru_cache
 from itertools import combinations
 
-from .errors import DegreeOverflow, RankMismatch
-from .intlinalg import det, left_kernel
-from .modules import PresentedModule
+from .intlinalg import det
 
 
 @lru_cache(maxsize=None)
@@ -149,121 +147,3 @@ def contract_multivector(w, m, coeffs):
 def top_form(m):
     """The volume form: coefficient +1 on {0..m-1} in the standard basis."""
     return {tuple(range(m)): 1}
-
-
-class Multivector:
-    """Degree-p element of Lambda^p Z^m with sparse integer coefficients."""
-
-    __slots__ = ("rank", "degree", "coeffs")
-
-    def __init__(self, rank, degree, coeffs=None):
-        self.rank = rank
-        self.degree = degree
-        self.coeffs = {}
-        for I, c in (coeffs or {}).items():
-            I = tuple(I)
-            if list(I) != sorted(set(I)):
-                raise ValueError(f"index set {I} is not strictly increasing")
-            if any(i < 0 or i >= rank for i in I):
-                raise RankMismatch(f"index out of range in {I}")
-            if len(I) != degree:
-                raise ValueError(f"index set {I} has wrong degree")
-            if c:
-                self.coeffs[I] = c
-
-    @classmethod
-    def from_vector(cls, row):
-        return cls(len(row), 1, {(i,): c for i, c in enumerate(row) if c})
-
-    @classmethod
-    def basis(cls, rank, I):
-        return cls(rank, len(I), {tuple(I): 1})
-
-    @classmethod
-    def volume_form(cls, rank):
-        return cls(rank, rank, top_form(rank))
-
-    def wedge(self, other):
-        if self.rank != other.rank:
-            raise RankMismatch("wedge of multivectors of different rank")
-        if self.degree + other.degree > self.rank:
-            raise DegreeOverflow(
-                f"degree {self.degree}+{other.degree} exceeds rank {self.rank}"
-            )
-        return Multivector(
-            self.rank, self.degree + other.degree, wedge_coeffs(self.coeffs, other.coeffs)
-        )
-
-    def contract(self, form):
-        """iota_self(form) for self on the dual side of form's lattice."""
-        if self.rank != form.rank:
-            raise RankMismatch("contraction across different ranks")
-        if self.degree > form.degree:
-            raise DegreeOverflow("contraction degree exceeds form degree")
-        return Multivector(
-            self.rank,
-            form.degree - self.degree,
-            contract_multivector(self.coeffs, self.rank, form.coeffs),
-        )
-
-    def vector(self):
-        return coeffs_to_vector(self.coeffs, self.rank, self.degree)
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def scalar(self):
-        if self.degree != 0:
-            raise ValueError("not a degree-0 element")
-        return self.coeffs.get((), 0)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Multivector)
-            and self.rank == other.rank
-            and self.degree == other.degree
-            and self.coeffs == other.coeffs
-        )
-
-    def __neg__(self):
-        return Multivector(self.rank, self.degree, {I: -c for I, c in self.coeffs.items()})
-
-    def __add__(self, other):
-        if (self.rank, self.degree) != (other.rank, other.degree):
-            raise RankMismatch("sum of incompatible multivectors")
-        out = dict(self.coeffs)
-        for I, c in other.coeffs.items():
-            v = out.get(I, 0) + c
-            if v:
-                out[I] = v
-            else:
-                out.pop(I, None)
-        return Multivector(self.rank, self.degree, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __repr__(self):
-        return f"Multivector(rank={self.rank}, degree={self.degree}, {self.coeffs})"
-
-
-def annihilator_wedge(vectors, p, ambient_rank):
-    """Lambda^p of the integral annihilator of the given dual-side vectors.
-
-    Returns the span of the degree-p part of the exterior algebra on
-    {x : <x, v> = 0 for all v}, as a PresentedModule inside the rank
-    C(ambient_rank, p) Pluecker ambient.
-    """
-    if vectors:
-        A = [list(col) for col in zip(*vectors)]  # ambient_rank x len(vectors)
-        ker = left_kernel(A)
-    else:
-        ker = [
-            [1 if i == j else 0 for j in range(ambient_rank)]
-            for i in range(ambient_rank)
-        ]
-    if p == 0:
-        rows = [[1]]
-    else:
-        rows = [wedge_rows(list(sub), ambient_rank) for sub in combinations(ker, p)]
-    return PresentedModule(dim_wedge(ambient_rank, p), rows, ring="z")

@@ -58,14 +58,6 @@ def vec_mat(v, A):
     return acc
 
 
-def mat_transpose(A):
-    return [list(col) for col in zip(*A)] if A else []
-
-
-def is_zero_matrix(A):
-    return all(not any(row) for row in A)
-
-
 def dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
@@ -347,72 +339,6 @@ def smith(A):
     return S, U, V
 
 
-def smith_diagonal(A):
-    """Diagonal of the Smith form of a dense matrix (no transforms)."""
-    S, _, _ = smith(A)
-    return [S[i][i] for i in range(min(len(S), len(S[0]) if S else 0)) if S[i][i]]
-
-
-def hermite_smith(A):
-    """Row Hermite form and Smith decomposition in one call.
-
-    Returns (H, S, U, V) with H the row Hermite normal form of A and
-    U*A*V = S diagonal with d1 | d2 | ..., det U, det V = +-1.
-    """
-    H = row_hermite(A)
-    S, U, V = smith(A)
-    return H, S, U, V
-
-
-def solve(A, b, ring="z"):
-    """Some x with A.x = b over the given ring, or None if inconsistent.
-
-    Column convention (the operation contract); over Z solvability is
-    decided through the Smith/Hermite machinery so integral solvability is
-    exact, over Q a rational witness is returned as Fractions, over F2 any
-    0/1 witness.
-    """
-    from fractions import Fraction
-
-    m = len(A)
-    n = len(A[0]) if A else 0
-    if len(b) != m:
-        raise DimensionMismatch(f"vector length {len(b)} != row count {m}")
-    AT = [[A[i][j] for i in range(m)] for j in range(n)]
-    if ring == "z":
-        return solve_left(AT, list(b)) if n else (None if any(b) else [])
-    if ring == "f2":
-        if not n:
-            return None if any(a & 1 for a in b) else []
-        return f2_solve_rows([f2_pack(r) for r in AT], f2_pack(b))
-    if ring == "q":
-        M = [[Fraction(a) for a in row] + [Fraction(v)] for row, v in zip(A, b)]
-        piv = []
-        r = 0
-        for col in range(n):
-            p = next((i for i in range(r, m) if M[i][col]), None)
-            if p is None:
-                continue
-            M[r], M[p] = M[p], M[r]
-            M[r] = [a / M[r][col] for a in M[r]]
-            for i in range(m):
-                if i != r and M[i][col]:
-                    f = M[i][col]
-                    M[i] = [a - f * c for a, c in zip(M[i], M[r])]
-            piv.append(col)
-            r += 1
-            if r == m:
-                break
-        for i in range(r, m):
-            if M[i][n]:
-                return None
-        x = [Fraction(0)] * n
-        for i, col in enumerate(piv):
-            x[col] = M[i][n]
-        return x
-    raise ValueError(f"unknown ring {ring!r}")
-
-
 # ---------------------------------------------------------------------------
 # sparse routines for boundary matrices
 
@@ -516,62 +442,12 @@ def sparse_elementary_divisors(rows):
 # ---------------------------------------------------------------------------
 # F2 (bit-packed rows)
 
-IntMatrix = list  # list of row lists of Python ints (arbitrary precision)
-
-
-class F2Matrix:
-    """Matrix over F2 with rows packed into ints (bit j = column j)."""
-
-    __slots__ = ("rows", "ncols")
-
-    def __init__(self, rows, ncols):
-        self.rows = [int(r) for r in rows]
-        self.ncols = ncols
-        for r in self.rows:
-            if r < 0 or r.bit_length() > ncols:
-                raise DimensionMismatch(
-                    f"packed row {bin(r)} does not fit in {ncols} columns"
-                )
-
-    @classmethod
-    def from_dense(cls, dense):
-        ncols = len(dense[0]) if dense else 0
-        return cls([f2_pack(row) for row in dense], ncols)
-
-    @property
-    def nrows(self):
-        return len(self.rows)
-
-    def to_dense(self):
-        return [list(f2_unpack(r, self.ncols)) for r in self.rows]
-
-    def rank(self):
-        return f2_rank(list(self.rows))
-
-    def row_space(self):
-        return F2Space(self.rows)
-
-    def solve(self, target):
-        """Coefficients over the rows reproducing ``target``, or None."""
-        return f2_solve_rows(self.rows, target)
-
-    def left_kernel(self):
-        return f2_left_kernel(self.rows)
-
-    def __repr__(self):
-        return f"F2Matrix({self.nrows}x{self.ncols})"
-
-
 def f2_pack(row):
     x = 0
     for j, a in enumerate(row):
         if a & 1:
             x |= 1 << j
     return x
-
-
-def f2_unpack(x, n):
-    return tuple((x >> j) & 1 for j in range(n))
 
 
 def f2_rank(rows):

@@ -1,25 +1,20 @@
-"""Exact lattice-polytope, face, cone and fan calculus for reflexive pairs.
+"""Exact lattice-polytope and face calculus for reflexive pairs.
 
-Points are tuples of ints ("LatticeVector"); a polytope stores its vertices,
-all lattice points, and the full face lattice built by closing vertex/facet
-incidence under intersection.  Facets are found by exhaustive enumeration of
+Points are tuples of ints; a polytope stores its vertices, all lattice
+points, and the full face lattice built by closing vertex/facet incidence
+under intersection.  Facets are found by exhaustive enumeration of
 rank-subsets of the defining points, which is cheap at desk scale (rank <= 4,
 a few dozen points) and has no floating point anywhere.
 
 For a reflexive polytope every facet inequality normalizes to <v, x> <= 1
 with v integral; the dual polytope is the convex hull of those facet
-normals.  Normal fans store one cone per face, generated by the primitive
-normals of the facets containing it; face fans of reflexive polytopes are
-materialized as the normal fan of the dual, which is the same fan on the
-nose and keeps cone identities canonical.
+normals.
 """
 
 from itertools import combinations
 
-from .errors import FaceNotFound, NotContained, NotInFan, NotReflexive
-from .intlinalg import dot, left_kernel, primitive, rank_int, solve_left
-
-LatticeVector = tuple  # tuple of ints, length = rank
+from .errors import FaceNotFound, NotReflexive
+from .intlinalg import dot, left_kernel, primitive, rank_int
 
 
 def _as_point(p):
@@ -197,10 +192,6 @@ class LatticePolytope:
     def faces_of_dim(self, d):
         return [f for f in self.faces if f.dim == d]
 
-    @property
-    def whole_face(self):
-        return self._face_by_vertex_lookup(self.vertices)
-
     def _face_by_vertex_lookup(self, verts):
         if self._faces is None:
             self._build_faces()
@@ -244,23 +235,6 @@ class LatticePolytope:
             raise NotReflexive(f"{self} is not reflexive")
         return LatticePolytope([v for (v, _) in self._facets], rank=self.rank)
 
-    # -- fans ------------------------------------------------------------------
-    def normal_fan(self):
-        """One cone per face, generated by the normals of incident facets."""
-        cones = []
-        face_to_cone = {}
-        for f in self.faces:
-            gens = tuple(sorted(self._facets[i][0] for i in f.facet_indices))
-            cone = Cone(gens)
-            cones.append(cone)
-            face_to_cone[f.vertices] = cone
-        return Fan(cones, polytope=self, face_to_cone=face_to_cone, complete=True)
-
-    def face_fan(self):
-        """Cones over the proper faces; for reflexive polytopes this equals
-        the normal fan of the dual, which is how it is materialized."""
-        return self.dual().normal_fan()
-
     def __eq__(self, other):
         return (
             isinstance(other, LatticePolytope)
@@ -275,115 +249,6 @@ class LatticePolytope:
         return f"LatticePolytope(rank={self.rank}, vertices={list(self.vertices)})"
 
 
-class Cone:
-    """Strongly convex rational cone, canonically keyed by its primitive rays."""
-
-    __slots__ = ("generators", "dim")
-
-    def __init__(self, generators):
-        gens = tuple(sorted({primitive(g) for g in generators if any(g)}))
-        self.generators = gens
-        self.dim = rank_int([list(g) for g in gens]) if gens else 0
-
-    def is_zero(self):
-        return not self.generators
-
-    def __eq__(self, other):
-        return isinstance(other, Cone) and self.generators == other.generators
-
-    def __hash__(self):
-        return hash(self.generators)
-
-    def __repr__(self):
-        return f"Cone(dim={self.dim}, rays={list(self.generators)})"
-
-
-class Fan:
-    """A fan as a set of cones with canonical ray-set lookup.
-
-    Fans produced by ``normal_fan`` know their polytope, which gives exact
-    membership tests via maximizing faces; simplicial fans (cones over
-    unimodular simplices) fall back to coordinate solving.
-    """
-
-    def __init__(self, cones, polytope=None, face_to_cone=None, complete=False):
-        self.cones = list(cones)
-        self.lookup = {c.generators: c for c in self.cones}
-        self.polytope = polytope
-        self._face_to_cone = face_to_cone or {}
-        self._cone_to_face = {
-            cone.generators: verts for verts, cone in self._face_to_cone.items()
-        }
-        self.complete = complete
-
-    def __contains__(self, cone):
-        return cone.generators in self.lookup
-
-    def cone_of_face(self, face):
-        try:
-            return self._face_to_cone[face.vertices]
-        except KeyError:
-            raise NotInFan(f"no cone for face {face}") from None
-
-    def face_of_cone(self, cone):
-        """Inverse of the face -> cone map of a normal fan."""
-        if cone.generators not in self._cone_to_face:
-            raise NotInFan(f"{cone} is not a cone of this fan")
-        return self.polytope._face_by_vertex_lookup(self._cone_to_face[cone.generators])
-
-    def member(self, cone, x):
-        """Exact membership of a lattice point in a cone of this fan."""
-        if self.polytope is not None:
-            face = self.face_of_cone(cone)
-            maxface = self.polytope.face_maximizing(x)
-            return face.point_set <= maxface.point_set
-        sol = solve_left([list(g) for g in cone.generators], list(x)) if cone.generators else None
-        if not any(x):
-            return True
-        return sol is not None and all(c >= 0 for c in sol)
-
-    def min_cone(self, rho):
-        """Smallest cone of this fan containing the cone rho."""
-        if self.polytope is not None:
-            face = None
-            for u in rho.generators:
-                fu = self.polytope.face_maximizing(u)
-                face = fu if face is None else self._intersect_faces(face, fu)
-                if face is None:
-                    raise NotContained(f"{rho} is not contained in any cone")
-            if face is None:  # rho is the zero cone
-                face = self.polytope.whole_face
-            return self.cone_of_face(face)
-        containing = [c for c in self.cones if all(self.member(c, g) for g in rho.generators)]
-        if not containing:
-            raise NotContained(f"{rho} is not contained in any cone")
-        best = min(containing, key=lambda c: (c.dim, c.generators))
-        for c in containing:
-            assert all(self.member(c, g) for g in best.generators), (
-                "containing cones are not nested; fan intersections broken"
-            )
-        return best
-
-    def _intersect_faces(self, f1, f2):
-        pts = f1.point_set & f2.point_set
-        if not pts:
-            return None
-        return self.polytope.min_face_containing(pts)
-
-    def normal_face(self, rho):
-        """The face of the fan's polytope on which every generator of rho is
-        maximized; requires rho to be a cone of the fan."""
-        if rho.generators not in self.lookup:
-            raise NotInFan(f"{rho} is not a cone of this fan")
-        return self.face_of_cone(self.lookup[rho.generators])
-
-    def same_cones(self, other):
-        return set(self.lookup) == set(other.lookup)
-
-    def __repr__(self):
-        return f"Fan({len(self.cones)} cones, complete={self.complete})"
-
-
 def dual_polytope(P):
     return P.dual()
 
@@ -391,10 +256,3 @@ def dual_polytope(P):
 def is_reflexive(P):
     return P.is_reflexive()
 
-
-def min_cone(rho, fan):
-    return fan.min_cone(rho)
-
-
-def normal_face(rho, P):
-    return P.normal_fan().normal_face(rho)

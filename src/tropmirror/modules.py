@@ -1,28 +1,18 @@
-"""Presented modules: submodules of Z^m and their free quotients.
+"""Free quotients of submodules of Z^m.
 
-A PresentedModule is a span of rows inside a fixed free ambient module,
-optionally modulo a second span that must sit inside the first.  Over Z the
-row spans are exact submodules (never saturated), so membership means
-integral membership.  FreeQuotient is the computational form used by the
-cosheaf machinery: it fixes a canonical basis of sub/quo once and turns
-"reduce an ambient vector to quotient coordinates" into fast exact
-back-substitution.  Quotients with torsion raise FreenessError; every
-cosheaf value in this artifact is free, and that fact is load-bearing
-(tensoring with any ring preserves the presentations), so it is checked
-rather than assumed.
+A FreeQuotient is a span of rows inside a fixed free ambient module, modulo
+a second span that must sit inside the first.  The row spans are exact
+submodules (never saturated), so membership means integral membership.  It
+is the computational form used by the cosheaf machinery: it fixes a
+canonical basis of sub/quo once and turns "reduce an ambient vector to
+quotient coordinates" into fast exact back-substitution.  Quotients with
+torsion raise FreenessError; every cosheaf value in this artifact is free,
+and that fact is load-bearing (tensoring with any ring preserves the
+presentations), so it is checked rather than assumed.
 """
 
 from .errors import FreenessError, MembershipViolation
-from .intlinalg import (
-    F2Space,
-    _pivots,
-    f2_pack,
-    hnf_basis,
-    left_kernel,
-    rank_int,
-    smith_diagonal,
-    solve_hnf,
-)
+from .intlinalg import _pivots, hnf_basis, inverse_unimodular, smith, solve_hnf
 
 
 class FreeQuotient:
@@ -39,8 +29,6 @@ class FreeQuotient:
     __slots__ = ("ambient", "sub", "sub_pivots", "rank", "_V", "_reps_sub")
 
     def __init__(self, ambient, sub_rows, quo_rows=()):
-        from .intlinalg import inverse_unimodular, smith
-
         self.ambient = ambient
         self.sub = hnf_basis(list(sub_rows))
         self.sub_pivots = _pivots(self.sub)
@@ -71,9 +59,6 @@ class FreeQuotient:
         self._reps_sub = W[s:]
         self.rank = r - s
 
-    def contains(self, vec):
-        return solve_hnf(self.sub, self.sub_pivots, vec) is not None
-
     def _sub_coords(self, vec):
         c = solve_hnf(self.sub, self.sub_pivots, vec)
         if c is None:
@@ -99,122 +84,3 @@ class FreeQuotient:
                 for t in range(self.ambient):
                     out[t] += a * row[t]
         return tuple(out)
-
-    def reps(self):
-        return [self.rep(i) for i in range(self.rank)]
-
-    def zero(self):
-        return (0,) * self.rank
-
-
-class PresentedModule:
-    """Submodule-or-quotient presentation over Z, Q or F2.
-
-    ``ring`` is one of 'z', 'q', 'f2'.  Over Z all spans are exact
-    submodules.  Over Q the same integral rows are read as a Q-span.  Over
-    F2 rows are reduced mod 2.
-    """
-
-    def __init__(self, ambient_rank, sub_basis, quo_basis=None, ring="z"):
-        if ring not in ("z", "q", "f2"):
-            raise ValueError(f"unknown ring {ring!r}")
-        self.ambient_rank = ambient_rank
-        self.ring = ring
-        self.sub_basis = [tuple(r) for r in sub_basis]
-        self.quo_basis = [tuple(r) for r in quo_basis] if quo_basis else []
-        for r in self.sub_basis + self.quo_basis:
-            if len(r) != ambient_rank:
-                raise MembershipViolation("span row has wrong length")
-        if self.quo_basis:
-            for r in self.quo_basis:
-                if not self._span_contains(self.sub_basis, r):
-                    raise MembershipViolation("quotient span escapes the submodule")
-
-    # -- helpers -----------------------------------------------------------
-    def _span_contains(self, rows, vec):
-        if self.ring == "z":
-            H = hnf_basis(list(rows))
-            return solve_hnf(H, _pivots(H), vec) is not None
-        if self.ring == "q":
-            return rank_int(list(rows)) == rank_int(list(rows) + [list(vec)])
-        space = F2Space(f2_pack(r) for r in rows)
-        return space.contains(f2_pack(vec))
-
-    def _rank_of(self, rows):
-        if self.ring == "f2":
-            space = F2Space(f2_pack(r) for r in rows)
-            return space.rank
-        return rank_int(list(rows))
-
-    # -- operations --------------------------------------------------------
-    def contains(self, vec):
-        return self._span_contains(self.sub_basis, vec)
-
-    def canonical_basis(self):
-        if self.ring == "f2":
-            space = F2Space()
-            out = []
-            for r in self.sub_basis:
-                if space.add(f2_pack(r)):
-                    out.append(tuple(a & 1 for a in r))
-            return out
-        return [tuple(r) for r in hnf_basis(list(self.sub_basis))]
-
-    def sum(self, other):
-        self._check_compatible(other)
-        return PresentedModule(
-            self.ambient_rank, self.sub_basis + other.sub_basis, ring=self.ring
-        )
-
-    def intersection(self, other):
-        self._check_compatible(other)
-        if self.ring == "f2":
-            raise NotImplementedError("intersection over F2 is not needed")
-        A = [list(r) for r in self.sub_basis]
-        B = [list(r) for r in other.sub_basis]
-        stacked = A + B
-        ker = left_kernel(stacked)
-        rows = []
-        for k in ker:
-            v = [0] * self.ambient_rank
-            for i, c in enumerate(k[: len(A)]):
-                if c:
-                    for j in range(self.ambient_rank):
-                        v[j] += c * A[i][j]
-            rows.append(v)
-        return PresentedModule(self.ambient_rank, hnf_basis(rows), ring=self.ring)
-
-    def quotient_by(self, rows):
-        return PresentedModule(self.ambient_rank, self.sub_basis, rows, ring=self.ring)
-
-    def normalized(self):
-        """(free_rank, torsion invariants d1 | d2 | ...) of the presentation."""
-        basis = hnf_basis(list(self.sub_basis))
-        if not self.quo_basis:
-            if self.ring == "f2":
-                return self._rank_of(self.sub_basis), []
-            return len(basis), []
-        if self.ring == "f2":
-            return self._rank_of(self.sub_basis) - self._rank_of(self.quo_basis), []
-        piv = _pivots(basis)
-        coords = [solve_hnf(basis, piv, r) for r in self.quo_basis]
-        divisors = smith_diagonal(coords)
-        free_rank = len(basis) - len(divisors)
-        torsion = [d for d in divisors if d not in (0, 1)]
-        if self.ring == "q":
-            return free_rank, []
-        return free_rank, torsion
-
-    def rank(self):
-        return self.normalized()[0]
-
-    def _check_compatible(self, other):
-        if self.ambient_rank != other.ambient_rank or self.ring != other.ring:
-            raise MembershipViolation("incompatible presentations")
-
-    def __repr__(self):
-        tag = f" / {len(self.quo_basis)} relations" if self.quo_basis else ""
-        return (
-            f"PresentedModule(ambient={self.ambient_rank}, "
-            f"span={len(self.sub_basis)}{tag}, ring={self.ring})"
-        )

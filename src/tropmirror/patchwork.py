@@ -583,21 +583,18 @@ def sweep_rows(side, masks, with_betti=True):
         rays = mask_to_rays(side, mask)
         eps = signs_from_divisor(side, rays)
         verdict = connectedness_verdict(side, rays)
-        chain = divisor_restriction(side, rays)
-        nonzero = bool(chain) and not is_null_class(
-            side.mirror, chain, side.n - 1
-        )
-        pd = PhaseData(side, side.base_poset, eps)
-        rc = RealComplex(pd)
-        b0 = rc.component_count()
         row = {
             "divisor": [list(v) for v in rays],
-            "class_nonzero": nonzero,
-            "b0": b0,
+            "class_nonzero": verdict == "connected",
             "verdict": verdict,
         }
         if with_betti:
+            # real_betti checks the component count against b0
             row["betti"] = real_betti(side, eps)
+            row["b0"] = row["betti"][0]
+        else:
+            pd = PhaseData(side, side.base_poset, eps)
+            row["b0"] = RealComplex(pd).component_count()
         rows.append(row)
     return rows
 

@@ -20,7 +20,7 @@ thinness.  balanced_signature solves the diamond system afresh over F2 when
 an independent solution is wanted.
 """
 
-from .errors import NotAtInfinity, NotDualPair, NotInJ, PosetInvalid, Unsolvable
+from .errors import NotDualPair, NotInJ, PosetInvalid, Unsolvable
 
 
 class Cell:
@@ -302,14 +302,6 @@ def _check_dual_pair(ambient_tri, newton_tri):
 
 # ---------------------------------------------------------------------------
 # mirror cell maps
-
-def mirror_cell_base(poset, cell_key):
-    """(tau, sigma) -> (sigma_hat, tau_inf) on the part at infinity."""
-    tau, sigma = cell_key
-    if tau == (poset._origin_a,):
-        raise NotAtInfinity(f"{cell_key} is not at infinity")
-    return (poset.newton.sigma_hat(sigma), poset.ambient.sigma_infty(tau))
-
 
 def mirror_cell_refined(poset, cell_key):
     """The three-case mirror map on the refined poset."""

@@ -16,11 +16,9 @@ not exist there and cannot be silently fabricated.
 Simplices are sorted tuples of lattice points.
 """
 
-import json
-
 from .errors import NotInTriangulation, RankUnsupported
 from .intlinalg import det, dot, left_kernel, solve_left
-from .lattice import Cone, Fan, LatticePolytope
+from .lattice import LatticePolytope
 
 
 def simplex(points):
@@ -95,15 +93,8 @@ class CentralTriangulation:
                     f = s[:i] + s[i + 1 :]
                     self.cofaces[f].add(s)
         self.vertices = sorted(s[0] for s in self.by_dim.get(0, ()))
-        self._fan = None
 
     # -- simplex calculus ----------------------------------------------------
-    def contains_origin(self, s):
-        return self.origin in s
-
-    def in_boundary(self, s):
-        return self.origin not in s
-
     def sigma_hat(self, s):
         """conv(0, s), the simplex cut out of the polytope by the cone over s."""
         return simplex(set(s) | {self.origin})
@@ -115,32 +106,6 @@ class CentralTriangulation:
         if self.origin in s:
             return tuple(p for p in s if p != self.origin)
         return s
-
-    def cone_over(self, s):
-        return Cone([p for p in s if p != self.origin])
-
-    def has(self, s):
-        return simplex(s) in self.simplices
-
-    def require(self, s):
-        if not self.has(s):
-            raise NotInTriangulation(f"{s} is not a simplex of this triangulation")
-
-    def fan(self):
-        """The fan of cones over the simplices (refines the face fan)."""
-        if self._fan is None:
-            cones = {Cone([]).generators: Cone([])}
-            for s in self.simplices:
-                c = self.cone_over(s)
-                cones[c.generators] = c
-            self._fan = Fan(list(cones.values()), complete=True)
-        return self._fan
-
-    def simplex_of_cone(self, cone):
-        """S(rho) = rho intersected with the polytope, for rho in the fan."""
-        if cone.generators not in self.fan().lookup:
-            raise NotInTriangulation(f"{cone} is not a cone of this triangulation")
-        return self.sigma_hat(simplex(cone.generators)) if cone.generators else (self.origin,)
 
     def rays(self):
         """Primitive ray generators = boundary lattice points, sorted."""
@@ -157,9 +122,6 @@ class CentralTriangulation:
                 [list(p) for p in s] for s in self.boundary_simplices
             ],
         }
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod
     def from_dict(cls, data):

@@ -1,0 +1,105 @@
+"""Every public name in the package is reached by something other than tests.
+
+A public module-level function or class, or a public method, must be used
+somewhere in ``src/tropmirror`` outside its own definition, be exported in
+``tropmirror.__all__``, or be listed in ORACLES with the check it serves.
+Use is decided by name: a module-level name counts where its module, or a
+module importing it, reads it; a method counts wherever an attribute of that
+name is read.  Imports alone do not count.
+"""
+
+import ast
+from pathlib import Path
+
+import tropmirror
+
+SRC = Path(tropmirror.__file__).parent
+
+# Names only tests reach, each an independent oracle for a named check.
+ORACLES = {
+    "chains.HomologySummary.has_torsion":
+        "acceptance criterion 3: acyclic complexes carry no torsion",
+    "chains.ChainComplex.euler_characteristic":
+        "acceptance criterion 10: the Euler characteristic identity",
+    "chains.ChainComplex.f2_homology_generators":
+        "test_mirror: the transfer involution on every homology generator",
+    "lattice.LatticePolytope.faces_of_dim":
+        "test_lattice: face counts of dual polytopes and Euler's relation",
+    "mirror.contraction_sign":
+        "acceptance criterion 5: the sign of the contraction round trip",
+    "pairs.MirrorPair.sides":
+        "acceptance criteria 1-5 and 10: every check runs on both sides",
+    "patchwork.PhaseData.filtration_space":
+        "acceptance criterion 10: filtration levels nest and maps respect them",
+    "posets.CellPoset.phi":
+        "test_cosheaves: the refined-to-base collapse map preserves order",
+    "posets.CellPoset.to_debug_dict":
+        "test_posets: the poset dump against a brute-force membership oracle",
+    "posets.balanced_signature":
+        "acceptance criterion 10: the default signature equals a solved one",
+    "posets.gauge_twist":
+        "acceptance criterion 10: homology is invariant under gauge changes",
+}
+
+
+def _trees():
+    return {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+
+
+def _definitions(trees):
+    """(module, qualified name, node, is method) for every public definition."""
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_"):
+                yield mod, node.name, node, False
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield mod, f"{node.name}.{item.name}", item, True
+
+
+def unreached_names():
+    trees = _trees()
+    names = {}  # (module, identifier) -> line numbers where it is read
+    attrs = {}  # attribute name -> (module, line number) where it is read
+    imported = {}  # (source module, name) -> [(importing module, local name)]
+    for mod, tree in trees.items():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name):
+                names.setdefault((mod, n.id), []).append(n.lineno)
+            elif isinstance(n, ast.Attribute):
+                attrs.setdefault(n.attr, []).append((mod, n.lineno))
+            elif isinstance(n, ast.ImportFrom) and n.level == 1:
+                for a in n.names:
+                    imported.setdefault((n.module, a.name), []).append(
+                        (mod, a.asname or a.name)
+                    )
+    out = []
+    for mod, qual, node, is_method in _definitions(trees):
+        if is_method:
+            uses = attrs.get(node.name, [])
+        elif qual in tropmirror.__all__:
+            continue
+        else:
+            uses = [(mod, line) for line in names.get((mod, qual), [])]
+            for other, local in imported.get((mod, qual), []):
+                uses += [(other, line) for line in names.get((other, local), [])]
+        outside = [
+            (m, line)
+            for m, line in uses
+            if m != mod or not node.lineno <= line <= node.end_lineno
+        ]
+        if not outside and f"{mod}.{qual}" not in ORACLES:
+            out.append(f"{mod}.{qual}")
+    return out
+
+
+def test_every_public_name_is_reached():
+    assert unreached_names() == []
+
+
+def test_oracles_name_existing_definitions():
+    defined = {f"{mod}.{qual}" for mod, qual, _, _ in _definitions(_trees())}
+    assert set(ORACLES) <= defined

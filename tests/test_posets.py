@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from tropmirror.errors import NotAtInfinity, NotDualPair
+from tropmirror.errors import NotDualPair
 from tropmirror.intlinalg import dot
 from tropmirror.lattice import LatticePolytope
 from tropmirror.posets import (
@@ -10,7 +10,6 @@ from tropmirror.posets import (
     build_base_poset,
     gauge_twist,
     is_balanced,
-    mirror_cell_base,
     mirror_cell_refined,
 )
 from tropmirror.triangulate import generate_central
@@ -206,20 +205,25 @@ def test_pairing_identity_on_sphere_cells(cubic_pair, k3_pair):
 
 
 def test_base_mirror_map_is_dim_preserving_order_iso(cubic_pair):
+    # on the part at infinity the refined map is the base map
+    # (tau, sigma) -> (sigma_hat, tau_inf)
     side_a, side_b = cubic_pair.sides
     pa = side_a.base_poset
     pb = side_b.base_poset
+    ja = side_a.refined_poset
+    jb = side_b.refined_poset
     inf_a = [c for c in pa.cells if pa.at_infinity(c)]
     image = {}
     for c in inf_a:
-        key = mirror_cell_base(pa, c.key)
+        key = mirror_cell_refined(ja, c.key)
+        assert key == (pa.newton.sigma_hat(c.sigma), pa.ambient.sigma_infty(c.tau))
         assert key in pb.cell_index
         target = pb.cells[pb.cell_index[key]]
         assert pb.at_infinity(target)
         assert target.dim == c.dim
         image[c.key] = key
         # involution
-        assert mirror_cell_base(pb, key) == c.key
+        assert mirror_cell_refined(jb, key) == c.key
     # order preservation, checked exhaustively on comparable pairs
     for c in inf_a:
         for d in inf_a:
@@ -227,9 +231,6 @@ def test_base_mirror_map_is_dim_preserving_order_iso(cubic_pair):
             ic, id_ = image[c.key], image[d.key]
             le_img = set(id_[0]) <= set(ic[0]) and set(id_[1]) <= set(ic[1])
             assert le == le_img
-    with pytest.raises(NotAtInfinity):
-        interior = next(c for c in pa.cells if not pa.at_infinity(c))
-        mirror_cell_base(pa, interior.key)
 
 
 def test_refined_mirror_map(cubic_pair, k3_pair):
