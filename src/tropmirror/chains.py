@@ -6,17 +6,17 @@ relations times the signature signs into one sparse integer matrix per
 degree.  Chains are row vectors acting on the left (boundary of v is v.D),
 so ranks and kernels of the boundary matrices are row-space computations.
 
-The same integer matrices serve all rings: Q uses their ranks, Z adds the
-elementary divisors of the next boundary for torsion, F2 reduces them to
-packed bit rows.  The square of the boundary is verified to vanish over Z
-at construction (hence over every ring).
+The same integer matrices serve all rings: Q uses their ranks, F2 reduces
+them to packed bit rows, Z reads both the ranks and the torsion off one
+elimination per boundary, its elementary divisors, and checks them against
+any Q or F2 rank already computed.  The square of the boundary is verified
+to vanish over Z at construction (hence over every ring).
 """
 
-from .errors import BoundarySquareNonzero, NotAClosedChain
+from .errors import BoundarySquareNonzero, InternalCheckError, NotAClosedChain
 from .intlinalg import (
     F2Space,
-    f2_left_kernel,
-    f2_pack,
+    f2_combine,
     sparse_elementary_divisors,
     sparse_rank,
 )
@@ -149,27 +149,44 @@ class ChainComplex:
             if ring == "f2":
                 self._rank_cache[key] = self._f2_image_space(q).rank
             else:
-                rows = [dict(r) for r in self.D[q]]
-                self._rank_cache[key] = sparse_rank(rows)
+                self._rank_cache[key] = sparse_rank(self.D[q])
+        return self._rank_cache[key]
+
+    def _elementary_divisors(self, q):
+        """Nonzero elementary divisors of D_q, from one elimination.
+
+        Stores the Q rank they give (their count) and checks the ranks
+        already cached against them: rank over Q = number of divisors, rank
+        over F2 = number of odd divisors.
+        """
+        key = (q, "z")
+        if key not in self._rank_cache:
+            divisors = sparse_elementary_divisors(self.D[q])
+            self._rank_cache.setdefault((q, "q"), len(divisors))
+            odd = sum(d & 1 for d in divisors)
+            for ring, rank in (("q", len(divisors)), ("f2", odd)):
+                cached = self._rank_cache.get((q, ring), rank)
+                if cached != rank:
+                    raise InternalCheckError(
+                        f"rank of D_{q} over {ring} is {cached}, "
+                        f"but its elementary divisors give {rank}"
+                    )
+            self._rank_cache[key] = divisors
         return self._rank_cache[key]
 
     def homology(self, ring):
         if ring not in RINGS:
             raise ValueError(f"unknown ring {ring!r}")
+        torsion = {}
+        if ring == "z":
+            for q in self.D:
+                torsion[q - 1] = tuple(d for d in self._elementary_divisors(q) if d > 1)
         data = {}
         for q in self.degrees:
             rank = self.dim(q) - self.rank_boundary(q, ring) - self.rank_boundary(
                 q + 1, ring
             )
-            torsion = ()
-            if ring == "z" and (q + 1) in self.D:
-                key = (q + 1, "tor")
-                if key not in self._rank_cache:
-                    rows = [dict(r) for r in self.D[q + 1]]
-                    divisors = sparse_elementary_divisors(rows)
-                    self._rank_cache[key] = tuple(d for d in divisors if d > 1)
-                torsion = self._rank_cache[key]
-            data[q] = (rank, torsion)
+            data[q] = (rank, torsion.get(q, ()))
         return HomologySummary(data, ring)
 
     def euler_characteristic(self):
@@ -179,7 +196,7 @@ class ChainComplex:
     def f2_rows(self, q):
         if q not in self._f2_cache:
             self._f2_cache[q] = [
-                f2_pack([row.get(j, 0) for j in range(self.dim(q - 1))])
+                sum(1 << j for j, v in row.items() if v & 1)
                 for row in self.D.get(q, [])
             ]
         return self._f2_cache[q]
@@ -192,15 +209,7 @@ class ChainComplex:
     def f2_boundary(self, vec, q):
         """Boundary of a packed degree-q chain, as a packed degree-q-1 chain."""
         rows = self.f2_rows(q)
-        if not rows:
-            return 0
-        out = 0
-        v = vec
-        while v:
-            low = v & (-v)
-            out ^= rows[low.bit_length() - 1]
-            v ^= low
-        return out
+        return f2_combine(vec, rows) if rows else 0
 
     def f2_is_cycle(self, vec, q):
         return q == 0 or self.f2_boundary(vec, q) == 0
@@ -216,17 +225,18 @@ class ChainComplex:
 
     def f2_homology_generators(self, q):
         """Packed cycle representatives of a basis of H_q over F2."""
-        rows = self.f2_rows(q) if q in self.D else []
         if q in self.D and self.dim(q - 1) > 0:
-            kernel_masks = f2_left_kernel(rows)
+            # each row that depends on the earlier ones gives a kernel vector
+            image = F2Space()
+            cycles = [
+                image.solve(r) ^ (1 << i)
+                for i, r in enumerate(self.f2_rows(q))
+                if not image.add(r)
+            ]
         else:
-            kernel_masks = [1 << i for i in range(self.dim(q))]
+            cycles = [1 << i for i in range(self.dim(q))]
         space = F2Space(self.f2_rows(q + 1) if (q + 1) in self.D else [])
-        reps = []
-        for v in kernel_masks:
-            if space.add(v):
-                reps.append(v)
-        return reps
+        return [v for v in cycles if space.add(v)]
 
     # -- chain <-> cell-dict conversion ---------------------------------------------
     def chain_to_packed(self, chain, q):
@@ -234,7 +244,8 @@ class ChainComplex:
         vec = 0
         for key, coords in chain.items():
             ci = self.poset.cell_index[key]
-            assert self.poset.cells[ci].dim == q, "chain mixes degrees"
+            if self.poset.cells[ci].dim != q:
+                raise NotAClosedChain(f"chain mixes degrees: {key} is not in {q}")
             off = self.offset[ci]
             for j, c in enumerate(coords):
                 if c & 1:

@@ -6,13 +6,18 @@ impossible by construction.  Conventions:
 * vectors are tuples/lists of ints and act on the LEFT of matrices
   (``x . A``), so the row space of A is the module its rows generate;
 * dense matrices are lists of row lists;
-* sparse matrices are lists of ``{col: value}`` row dicts (used only for
-  the rank/elementary-divisor routines on larger boundary matrices);
+* sparse matrices are lists of ``{col: value}`` row dicts, used for the
+  boundary matrices;
 * F2 matrices pack each row into one int, bit j = column j.
 
 Hermite form is row-style (pivots positive, zeros below, reduced above);
 Smith form returns unimodular U, V with U*A*V = S and a divisibility chain
-on the diagonal.
+on the diagonal.  Sparse matrices go through one elimination, a gcd descent
+on a copy of the rows that leaves its input untouched: ``sparse_rank`` counts
+the diagonal it leaves and ``sparse_elementary_divisors`` repairs its
+divisibility.  Over F2, ``F2Space`` is the one leading-bit reduction that
+tracks combinations; ``f2_rank`` is a lean rank-only pass kept as an
+independent route for cross-checks.
 """
 
 from math import gcd
@@ -352,44 +357,18 @@ def _sparse_axpy(row, pivot, q):
             row.pop(j, None)
 
 
-def sparse_rank(rows):
-    """Rank over Q of a sparse integer matrix; destructive on its input."""
-    active = [r for r in rows if r]
-    rank = 0
-    while active:
-        # pivot row: prefer unit entries, then short rows
-        pr = min(
-            active,
-            key=lambda r: (min(abs(v) for v in r.values()) != 1, len(r)),
-        )
-        col = min(pr, key=lambda j: (abs(pr[j]), j))
-        while True:
-            others = [r for r in active if r is not pr and col in r]
-            if not others:
-                break
-            for r in others:
-                q = r[col] // pr[col]
-                if q:
-                    _sparse_axpy(r, pr, q)
-            rem = [r for r in active if r is not pr and r.get(col)]
-            if rem:
-                cand = min(rem, key=lambda r: abs(r[col]))
-                if abs(cand[col]) < abs(pr[col]):
-                    pr = cand
-        rank += 1
-        active = [r for r in active if r is not pr and r]
-    return rank
+def _sparse_diagonal(rows):
+    """Diagonal left by sparse gcd descent on a copy of ``rows``.
 
-
-def sparse_elementary_divisors(rows):
-    """Nonzero elementary divisors (with d1 | d2 | ...) of a sparse matrix.
-
-    Destructive on its input.  Diagonalizes by alternating gcd descent on the
-    pivot row and column, then repairs divisibility on the collected diagonal.
+    Alternates row operations that clear the pivot column with column
+    operations that reduce the pivot row, so every pivot ends alone in its
+    row and column.  The entries are positive and their count is the rank
+    over Q.
     """
     active = [dict(r) for r in rows if r]
     diag = []
     while active:
+        # pivot row: prefer unit entries, then short rows
         pr = min(
             active,
             key=lambda r: (min(abs(v) for v in r.values()) != 1, len(r)),
@@ -414,29 +393,40 @@ def sparse_elementary_divisors(rows):
                     break
             # column operations only touch the pivot row here
             p = pr[col]
-            rest = {j: v for j, v in pr.items() if j != col}
-            if not rest:
-                break
-            for j, v in list(rest.items()):
+            for j, v in list(pr.items()):
                 q = v // p
-                if q:
+                if q and j != col:
                     pr[j] = v - q * p
                     if not pr[j]:
                         del pr[j]
-            rest = {j: v for j, v in pr.items() if j != col}
-            if not rest:
+            if len(pr) == 1:
                 break
-            col = min(rest, key=lambda j: (abs(rest[j]), j))
+            col = min((j for j in pr if j != col), key=lambda j: (abs(pr[j]), j))
         diag.append(abs(pr[col]))
         active = [r for r in active if r is not pr and r]
-    # repair divisibility pairwise: diag(a, b) ~ diag(gcd, lcm)
-    diag = [d for d in diag if d]
-    for i in range(len(diag)):
-        for j in range(i + 1, len(diag)):
-            if diag[j] % diag[i]:
-                g = gcd(diag[i], diag[j])
-                diag[i], diag[j] = g, diag[i] // g * diag[j]
-    return sorted(diag)
+    return diag
+
+
+def sparse_rank(rows):
+    """Rank over Q of a sparse integer matrix."""
+    return len(_sparse_diagonal(rows))
+
+
+def sparse_elementary_divisors(rows):
+    """Nonzero elementary divisors d1 | d2 | ... of a sparse integer matrix.
+
+    Repairs divisibility on the diagonal pairwise, diag(a, b) ~ diag(gcd,
+    lcm).  The repair never changes a unit, so it runs on the others only.
+    """
+    diag = _sparse_diagonal(rows)
+    units = [d for d in diag if d == 1]
+    rest = [d for d in diag if d != 1]
+    for i in range(len(rest)):
+        for j in range(i + 1, len(rest)):
+            if rest[j] % rest[i]:
+                g = gcd(rest[i], rest[j])
+                rest[i], rest[j] = g, rest[i] // g * rest[j]
+    return units + sorted(rest)
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +438,16 @@ def f2_pack(row):
         if a & 1:
             x |= 1 << j
     return x
+
+
+def f2_combine(mask, rows):
+    """XOR of the rows whose index bit is set in ``mask``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out ^= rows[low.bit_length() - 1]
+        mask ^= low
+    return out
 
 
 def f2_rank(rows):
@@ -518,36 +518,3 @@ class F2Space:
             r ^= br
             comb ^= bc
         return comb
-
-
-def f2_solve_rows(rows, target):
-    """Coefficients c (0/1 list) with sum c_i rows_i = target, or None."""
-    space = F2Space()
-    for r in rows:
-        space.add(r)
-    comb = space.solve(target)
-    if comb is None:
-        return None
-    # the combination mask refers to inserted rows, but reductions mixed in
-    # earlier rows; F2Space tracks exact combinations, so unpack directly
-    return [(comb >> i) & 1 for i in range(len(rows))]
-
-
-def f2_left_kernel(rows):
-    """Basis (bitmasks over row indices) of {x : sum x_i rows_i = 0}."""
-    basis = {}
-    kernel = []
-    for i, r in enumerate(rows):
-        comb = 1 << i
-        while r:
-            lead = r.bit_length() - 1
-            if lead in basis:
-                br, bc = basis[lead]
-                r ^= br
-                comb ^= bc
-            else:
-                basis[lead] = (r, comb)
-                break
-        else:
-            kernel.append(comb)
-    return kernel

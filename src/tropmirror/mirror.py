@@ -19,6 +19,7 @@ the mirror side whose class is independent of every choice made (tested).
 """
 
 from .errors import (
+    InternalCheckError,
     NotAClosedChain,
     RayNotInFan,
     SupportViolation,
@@ -31,7 +32,7 @@ from .exterior import (
     vector_to_coeffs,
     wedge_coeffs,
 )
-from .intlinalg import f2_pack, f2_solve_rows
+from .intlinalg import F2Space, f2_pack
 from .posets import mirror_cell_refined
 
 
@@ -56,11 +57,8 @@ def f2_apply(coords, rows):
 
 def f2_solve_matrix(rows, target):
     """x with x.rows = target over F2, coords as 0/1 tuples; None if none."""
-    if not rows:
-        return None if any(target) else ()
-    packed = [f2_pack([a & 1 for a in r]) for r in rows]
-    sol = f2_solve_rows(packed, f2_pack([a & 1 for a in target]))
-    return None if sol is None else tuple(sol)
+    mask = F2Space(f2_pack(r) for r in rows).solve(f2_pack(target))
+    return None if mask is None else tuple((mask >> i) & 1 for i in range(len(rows)))
 
 
 def chain_degree(poset, chain):
@@ -117,7 +115,8 @@ def correction_operator(side, chain, p, tag="quotient"):
         xcell = poset.cells[xi]
         A = ev.map_matrix(tag, p, zcell, xcell)
         v = f2_solve_matrix(A, coords)
-        assert v is not None, "cellwise transition map is not invertible mod 2"
+        if v is None:
+            raise InternalCheckError("cellwise transition map is not invertible mod 2")
         if any(v):
             out[xkey] = v
     return out
@@ -180,7 +179,8 @@ def divisor_restriction(side, rays):
         for cell in poset.cells:
             if cell.tau == tau and len(cell.sigma) == 2:
                 val = mirror.evaluator.value("multitangent", n - 1, cell)
-                assert val.rank == 1, "divisor cell coefficient is not rank one"
+                if val.rank != 1:
+                    raise InternalCheckError("divisor cell coefficient is not rank one")
                 prev = chain.get(cell.key, (0,))
                 new = (prev[0] ^ 1,)
                 if new[0]:
@@ -250,7 +250,8 @@ def transfer_class(side, chain, p):
         md = CMD.packed_to_chain(corrected_vec, q)
     for key in md:
         cell = poset.cells[poset.cell_index[key]]
-        assert poset.on_sphere(cell), "correction left unbounded coefficients"
+        if not poset.on_sphere(cell):
+            raise InternalCheckError("correction left unbounded coefficients")
 
     # 3. contract cellwise along the mirror bijection
     mirror = side.mirror
@@ -262,9 +263,8 @@ def transfer_class(side, chain, p):
         if any(w):
             out[mkey] = w
     CMm = mirror.complex("refined", "mirror", n - p)
-    assert CMm.f2_is_cycle(CMm.chain_to_packed(out, q), q), (
-        "mirrored chain is not closed"
-    )
+    if not CMm.f2_is_cycle(CMm.chain_to_packed(out, q), q):
+        raise InternalCheckError("mirrored chain is not closed")
 
     # 4. lift back through the kernel sequence on the mirror side
     mposet = mirror.refined_poset
@@ -276,7 +276,10 @@ def transfer_class(side, chain, p):
         Vmd = mev.value("mirror_ext", n - p, cell)
         proj = [list(Vmd.reduce(Vf.rep(i))) for i in range(Vf.rank)]
         u = f2_solve_matrix(proj, w)
-        assert u is not None, "surjection onto the mirror cosheaf failed to lift"
+        if u is None:
+            raise InternalCheckError(
+                "surjection onto the mirror cosheaf failed to lift"
+            )
         lift[key] = u
     CFm = mirror.complex("refined", "multitangent", n - p)
     uvec = CFm.chain_to_packed(lift, q)
@@ -287,12 +290,14 @@ def transfer_class(side, chain, p):
         c_kernel = {}
         for key, coords in c_chain.items():
             cell = mposet.cells[mposet.cell_index[key]]
-            assert mposet.on_sphere(cell), "lift defect escapes the sphere part"
+            if not mposet.on_sphere(cell):
+                raise InternalCheckError("lift defect escapes the sphere part")
             VR = mev.value("kernel", n - p, cell)
             VF = mev.value("multitangent", n - p, cell)
             incl = [list(VF.reduce(VR.rep(i))) for i in range(VR.rank)]
             e = f2_solve_matrix(incl, coords)
-            assert e is not None, "lift defect is not a kernel chain"
+            if e is None:
+                raise InternalCheckError("lift defect is not a kernel chain")
             c_kernel[key] = e
         r = correction_operator(mirror, c_kernel, n - p, tag="kernel")
         iota_r = {}

@@ -26,7 +26,7 @@ from .errors import (
     InvalidPhaseStructure,
     NotAClosedChain,
 )
-from .intlinalg import F2Space, f2_pack, f2_solve_rows, dot
+from .intlinalg import F2Space, dot, f2_combine, f2_pack, f2_rank
 from .exterior import wedge_rows
 from .mirror import chain_degree, divisor_restriction, f2_apply, is_null_class
 
@@ -250,14 +250,7 @@ class PhaseData:
     def transport(self, s, sx, sy):
         if sx == sy:
             return s
-        masks = self.projection_masks(sx, sy)
-        out = 0
-        v = s
-        while v:
-            low = v & (-v)
-            out ^= masks[low.bit_length() - 1]
-            v ^= low
-        return out
+        return f2_combine(s, self.projection_masks(sx, sy))
 
     # -- the sign-cosheaf complex ------------------------------------------------
     def sign_complex(self, check=True):
@@ -324,7 +317,7 @@ class PhaseData:
                         )
                     ]
                     fcoords = f2_apply(tuple(wedge), T) if T else ()
-                    U_V = [_span_apply(u, B2) for u in U]
+                    U_V = [f2_combine(u, B2) for u in U]
                     span = _span(U_V)
                     coset_reps = set()
                     Wspan = _span(B2)
@@ -349,16 +342,6 @@ def _span(vectors):
     for v in vectors:
         out |= {x ^ v for x in out}
     return sorted(out)
-
-
-def _span_apply(u, basis):
-    out = 0
-    v = u
-    while v:
-        low = v & (-v)
-        out ^= basis[low.bit_length() - 1]
-        v ^= low
-    return out
 
 
 def _subspaces(w, p):
@@ -442,8 +425,6 @@ class RealComplex:
         for (yi, xi) in self.covers:
             q = self.cells[xi][2]
             rows[q][offs[xi]] ^= 1 << offs[yi]
-        from .intlinalg import f2_rank
-
         ranks = {q: f2_rank(list(rows[q])) for q in rows}
         out = []
         for q in range(top + 1):
@@ -502,18 +483,12 @@ def delta1(side, eps, chain, p, kind="refined"):
     for key, fcoords in chain.items():
         ci = poset.cell_index[key]
         gens = pd.filtration_generators(ci, p)
-        rows = [g[1] for g in gens]
-        sol = f2_solve_rows(
-            [f2_pack(r) for r in rows], f2_pack([c & 1 for c in fcoords])
-        )
-        if sol is None:
+        mask = F2Space(f2_pack(fc) for _, fc in gens).solve(f2_pack(fcoords))
+        if mask is None:
             raise InternalCheckError(
                 "chain coefficient is not in the filtration image"
             )
-        ind = 0
-        for i, take in enumerate(sol):
-            if take:
-                ind ^= gens[i][0]
+        ind = f2_combine(mask, [g[0] for g in gens])
         pc = pd.phase_cell(ci)
         coords = tuple((ind >> i) & 1 for i in range(len(pc.points)))
         if any(coords):
@@ -523,26 +498,15 @@ def delta1(side, eps, chain, p, kind="refined"):
     out = {}
     for key, scoords in bchain.items():
         ci = poset.cell_index[key]
-        pc = pd.phase_cell(ci)
-        ind = 0
-        for i, c in enumerate(scoords):
-            if c:
-                ind |= 1 << i
         gens = pd.filtration_generators(ci, p + 1)
-        sol = f2_solve_rows([g[0] for g in gens], ind)
-        if sol is None:
+        mask = F2Space(g[0] for g in gens).solve(f2_pack(scoords))
+        if mask is None:
             raise InternalCheckError(
                 "boundary of the lift escaped the next filtration level"
             )
-        fcoords = None
-        for i, take in enumerate(sol):
-            if take:
-                fc = gens[i][1]
-                fcoords = fc if fcoords is None else tuple(
-                    a ^ b for a, b in zip(fcoords, fc)
-                )
-        if fcoords and any(fcoords):
-            out[key] = fcoords
+        fvec = f2_combine(mask, [f2_pack(fc) for _, fc in gens])
+        if fvec:
+            out[key] = tuple((fvec >> i) & 1 for i in range(len(gens[0][1])))
     CF1 = side.complex(kind, "multitangent", p + 1)
     if out:
         vec = CF1.chain_to_packed(out, q - 1)

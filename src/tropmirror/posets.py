@@ -101,7 +101,8 @@ class CellPoset:
                 if o_a not in tau:
                     continue
                 face = self.min_face(tau)
-                assert face is not None, "ambient cone escapes the coarse fan"
+                if face is None:
+                    raise PosetInvalid("ambient cone escapes the coarse fan")
                 fpts = face.point_set
                 for sigma in newt.simplices:
                     if all(p in fpts for p in sigma):

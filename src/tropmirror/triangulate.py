@@ -16,7 +16,7 @@ not exist there and cannot be silently fabricated.
 Simplices are sorted tuples of lattice points.
 """
 
-from .errors import NotInTriangulation, RankUnsupported
+from .errors import InternalCheckError, NotInTriangulation, RankUnsupported
 from .intlinalg import det, dot, left_kernel, solve_left
 from .lattice import LatticePolytope
 
@@ -183,7 +183,8 @@ def _triangulate_facet_3d(P, v, c):
     for p in pts3:
         rel = [a - b for a, b in zip(p, base)]
         coeff = solve_left([list(k) for k in kernel], rel)
-        assert coeff is not None, "facet point outside facet-plane lattice"
+        if coeff is None:
+            raise InternalCheckError("facet point outside facet-plane lattice")
         plane[tuple(coeff)] = p
     tris2d = _triangulate_polygon(sorted(plane))
     return [simplex([plane[q] for q in tri]) for tri in tris2d]
@@ -265,7 +266,8 @@ def _triangulate_polygon(points):
                 placed = True
                 break
             # two zeros would mean q equals a vertex; points are distinct
-        assert placed, f"point {q} not located in any triangle"
+        if not placed:
+            raise InternalCheckError(f"point {q} not located in any triangle")
     return tris
 
 

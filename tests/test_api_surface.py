@@ -6,6 +6,9 @@ somewhere in ``src/tropmirror`` outside its own definition, be exported in
 Use is decided by name: a module-level name counts where its module, or a
 module importing it, reads it; a method counts wherever an attribute of that
 name is read.  Imports alone do not count.
+
+The package also holds no ``assert`` statement: checks must survive
+``python -O``.
 """
 
 import ast
@@ -103,3 +106,14 @@ def test_every_public_name_is_reached():
 def test_oracles_name_existing_definitions():
     defined = {f"{mod}.{qual}" for mod, qual, _, _ in _definitions(_trees())}
     assert set(ORACLES) <= defined
+
+
+def test_no_bare_asserts():
+    # asserts vanish under `python -O`; invariants raise typed errors instead
+    found = [
+        f"{mod}.py:{n.lineno}"
+        for mod, tree in _trees().items()
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Assert)
+    ]
+    assert not found, found

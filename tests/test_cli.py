@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tropmirror
 from tropmirror.cli import main
 
 from conftest import CUBIC_DUAL_VERTS, CUBIC_VERTS
@@ -74,6 +79,22 @@ def test_mirror_check_cubic(cubic_files, capsys):
     assert env["result"]["verdict"] == "mirror symmetry holds"
     assert all(env["result"]["match"].values())
     assert env["result"]["transfer_spot_checks"]["fundamental_class_nonzero"]
+
+
+def test_mirror_check_same_under_optimize(cubic_files):
+    # `python -O` strips assert statements; every check must survive it
+    _, _, tri, tri_dual = cubic_files
+    env = dict(os.environ, PYTHONPATH=str(Path(tropmirror.__file__).parents[1]))
+    outs = []
+    for flags in ([], ["-O"]):
+        run = subprocess.run(
+            [sys.executable, *flags, "-m", "tropmirror.cli", "mirror-check",
+             str(tri), str(tri_dual)],
+            capture_output=True, env=env, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        outs.append(run.stdout)
+    assert outs[0] == outs[1]
 
 
 def test_divisor_class_and_patchwork(cubic_files, capsys, tmp_path):

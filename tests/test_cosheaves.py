@@ -1,7 +1,10 @@
 import random
 
+import pytest
+
 from tropmirror.chains import ChainComplex
-from tropmirror.intlinalg import hnf_basis, mat_mul
+from tropmirror.errors import InternalCheckError
+from tropmirror.intlinalg import f2_rank, hnf_basis, mat_mul
 from tropmirror.posets import gauge_twist
 
 
@@ -57,6 +60,39 @@ def test_torsion_smoke():
     assert h.rank(0) == 0 and h.torsion(0) == [2]
     assert cx.homology("q").rank(0) == 0
     assert cx.homology("f2").rank(0) == 1  # mod 2 the map dies
+
+
+def test_z_divisors_checked_against_cached_f2_rank():
+    poset = FakePoset([0, 1], [(0, 1)])
+    cx = ChainComplex(poset, [1, 1], {(0, 1): [[2]]}, {(0, 1): 1})
+    cx.homology("f2")
+    assert cx._rank_cache[(1, "f2")] == 0  # D_1 = (2) has one even divisor
+    cx._rank_cache[(1, "f2")] = 1
+    with pytest.raises(InternalCheckError):
+        cx.homology("z")
+
+
+def test_f2_homology_generators_form_a_basis(cubic_pair):
+    circle = FakePoset([0, 0, 1, 1], [(0, 2), (1, 2), (0, 3), (1, 3)])
+    complexes = [
+        ChainComplex(circle, [1, 1, 1, 1], {c: [[1]] for c in circle.covers},
+                     {(0, 2): 1, (1, 2): -1, (0, 3): 1, (1, 3): -1}),
+        ChainComplex(FakePoset([0, 1], [(0, 1)]), [1, 1], {(0, 1): [[2]]},
+                     {(0, 1): 1}),
+    ]
+    side = cubic_pair.side_a
+    for kind in ("base", "refined"):
+        for p in range(side.n + 1):
+            complexes.append(side.complex(kind, "multitangent", p))
+    for cx in complexes:
+        h = cx.homology("f2")
+        for q in cx.degrees:
+            gens = cx.f2_homology_generators(q)
+            assert len(gens) == h.rank(q), (cx, q)
+            assert all(cx.f2_is_cycle(v, q) for v in gens), (cx, q)
+            # independent modulo the boundaries
+            bounds = cx.f2_rows(q + 1) if (q + 1) in cx.D else []
+            assert f2_rank(bounds + gens) == f2_rank(bounds) + len(gens), (cx, q)
 
 
 # -- multitangent values ---------------------------------------------------------

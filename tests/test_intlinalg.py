@@ -6,10 +6,9 @@ from tropmirror.errors import DimensionMismatch
 from tropmirror.intlinalg import (
     F2Space,
     det,
-    f2_left_kernel,
+    f2_combine,
     f2_pack,
     f2_rank,
-    f2_solve_rows,
     hnf_basis,
     identity,
     inverse_unimodular,
@@ -90,16 +89,25 @@ def test_smith_random_properties():
 
 def test_sparse_matches_dense():
     rng = random.Random(13)
+    cases = [  # the gcd/lcm repair with units present, and a zero row
+        ([[1, 0, 0], [0, 2, 0], [0, 0, 3]], [1, 1, 6]),
+        ([[4, 0], [0, 6]], [2, 12]),
+        ([[2, 4, 0], [0, 0, 0], [6, 8, 2]], [2, 2]),
+    ]
     for _ in range(30):
         A = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6), -3, 3)
-        dense_rank = len(hnf_basis(A))
-        sp = [
-            {j: a for j, a in enumerate(row) if a} for row in A
-        ]
-        assert sparse_rank([dict(r) for r in sp]) == dense_rank
+        cases.append((A, None))
+    for A, expected in cases:
+        sp = [{j: a for j, a in enumerate(row) if a} for row in A]
+        before = [dict(r) for r in sp]
+        divisors = sparse_elementary_divisors(sp)
+        assert sparse_rank(sp) == len(hnf_basis(A)) == len(divisors)
+        assert sp == before  # neither routine touches its input
         S, _, _ = smith(A)
-        dd = [S[i][i] for i in range(min(len(A), len(A[0]))) if S[i][i]]
-        assert sparse_elementary_divisors([dict(r) for r in sp]) == sorted(dd)
+        dense = sorted(S[i][i] for i in range(min(len(A), len(A[0]))) if S[i][i])
+        assert divisors == dense == (expected or dense)
+        # over F2 only the odd divisors survive
+        assert f2_rank([f2_pack(row) for row in A]) == sum(d % 2 for d in divisors)
 
 
 def test_solve_left():
@@ -137,19 +145,15 @@ def test_inverse_unimodular():
 def test_f2_basic():
     rows = [f2_pack([1, 1, 0]), f2_pack([0, 1, 1]), f2_pack([1, 0, 1])]
     assert f2_rank(list(rows)) == 2
-    sol = f2_solve_rows([0b11], 0b11)
-    assert sol == [1]
+    assert F2Space([0b11]).solve(0b11) == 0b1
     # over F2, [[1,1]] x = [1] has a witness
-    sol = f2_solve_rows([0b01, 0b10], 0b01)
-    assert sol is not None
-    kb = f2_left_kernel(rows)
-    assert len(kb) == 1
-    for mask in kb:
-        acc = 0
-        for i in range(3):
-            if (mask >> i) & 1:
-                acc ^= rows[i]
-        assert acc == 0
+    assert F2Space([0b01, 0b10]).solve(0b01) == 0b01
+    assert F2Space([0b01, 0b10]).solve(0b100) is None
+    space = F2Space()
+    assert [space.add(r) for r in rows] == [True, True, False]
+    # the dependent third row is the XOR of the first two
+    assert space.solve(rows[2]) == 0b011
+    assert f2_combine(0b011, rows) == rows[2]
 
 
 def test_f2_space_solve_tracking():
