@@ -12,9 +12,9 @@ Everything is exact: lattice geometry over Python ints, homology via
 Hermite/Smith normal forms, F2 via bit-packed rows.
 """
 
-from .lattice import LatticePolytope, dual_polytope, is_reflexive
+from .lattice import LatticePolytope
 from .triangulate import CentralTriangulation, generate_central, validate
-from .pairs import MirrorPair, Side, hodge_table
+from .pairs import MirrorPair, Side
 from .mirror import (
     divisor_restriction,
     is_null_class,
@@ -32,14 +32,11 @@ from .patchwork import (
 
 __all__ = [
     "LatticePolytope",
-    "dual_polytope",
-    "is_reflexive",
     "CentralTriangulation",
     "generate_central",
     "validate",
     "MirrorPair",
     "Side",
-    "hodge_table",
     "divisor_restriction",
     "is_null_class",
     "sphere_cycle",

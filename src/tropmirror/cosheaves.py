@@ -67,24 +67,24 @@ class Frame:
         G = [list(g) for g in self.gens]
         # unimodular completion via Smith form: U G V = [I | 0] exactly when
         # the span is a direct summand, and then [G; inv(V)[k:]] is unimodular
-        S, U, V = smith(G)
+        S, _, V = smith(G)
         if any(S[i][i] != 1 for i in range(self.k)):
             raise FreenessError(
                 f"stratum span {self.gens} is not a direct summand of the lattice"
             )
-        W = inverse_unimodular(V)
-        E = G + W[self.k :]
-        Einv = inverse_unimodular(E)
-        self.Q = [row[self.k :] for row in Einv]
-        self.R = E[self.k :]
+        # E = [G; inv(V)[k:]] has inverse [V[:, :k] U | V[:, k:]], so the
+        # projection is the tail of V and the lift the tail of inv(V)
+        self.Q = [row[self.k :] for row in V]
+        self.R = inverse_unimodular(V)[self.k :]
 
 
 class CosheafEvaluator:
-    """Memoized cosheaf values and maps for one orientation of a pair.
+    """Memoized cosheaf values, and maps between them, for one orientation.
 
-    Values and maps are pure functions of their keys; the caches fill on
-    first use (warm them single-threaded before sharing across threads,
-    after which all access is read-only).
+    Values are pure functions of their keys; the caches fill on first use
+    (warm them single-threaded before sharing across threads, after which
+    all access is read-only).  Maps are recomputed on each call from the
+    cached values and frames: a complex reads each cover's map once.
     """
 
     TAGS = ("multitangent", "kernel", "mirror", "mirror_ext", "quotient")
@@ -98,7 +98,6 @@ class CosheafEvaluator:
         self._edge_basis = {}
         self._values = {}
         self._zero_values = {}
-        self._maps = {}
 
     # -- frames and edge data ---------------------------------------------------
     def frame(self, gens):
@@ -238,15 +237,10 @@ class CosheafEvaluator:
     # -- maps -------------------------------------------------------------------
     def map_matrix(self, tag, p, ycell, xcell):
         """Matrix of the cosheaf map value(x) -> value(y) for a cover y below x."""
-        key = (tag, p, ycell.key, xcell.key)
-        if key in self._maps:
-            return self._maps[key]
         Vx = self.value(tag, p, xcell)
         Vy = self.value(tag, p, ycell)
         if Vx.rank == 0 or Vy.rank == 0:
-            m = [[0] * Vy.rank for _ in range(Vx.rank)]
-            self._maps[key] = m
-            return m
+            return [[0] * Vy.rank for _ in range(Vx.rank)]
         sx = self.value_stratum(tag, xcell)
         sy = self.value_stratum(tag, ycell)
         W = None
@@ -259,7 +253,6 @@ class CosheafEvaluator:
             if W is not None:
                 a = vec_mat(a, W)
             rows.append(list(Vy.reduce(a)))
-        self._maps[key] = rows
         return rows
 
     # -- complexes ----------------------------------------------------------------

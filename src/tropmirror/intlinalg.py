@@ -506,6 +506,10 @@ class F2Space:
     def contains(self, row):
         return self.reduce(row) == 0
 
+    def pivot_rows(self):
+        """The basis rows, ascending by leading bit."""
+        return [self._basis[lead][0] for lead in sorted(self._basis)]
+
     def solve(self, row):
         """Bitmask over inserted rows expressing ``row``, or None."""
         r = row

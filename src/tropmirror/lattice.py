@@ -247,12 +247,3 @@ class LatticePolytope:
 
     def __repr__(self):
         return f"LatticePolytope(rank={self.rank}, vertices={list(self.vertices)})"
-
-
-def dual_polytope(P):
-    return P.dual()
-
-
-def is_reflexive(P):
-    return P.is_reflexive()
-

@@ -100,8 +100,3 @@ class MirrorPair:
 
     def __repr__(self):
         return f"MirrorPair(n={self.n})"
-
-
-def hodge_table(dual_tri, newton_tri, ring):
-    """Tropical homology table of the pair (one orientation)."""
-    return MirrorPair(newton_tri, dual_tri).side_a.hodge_table(ring)

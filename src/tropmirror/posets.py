@@ -15,12 +15,20 @@ signature on the covers is deterministic and orientation-coherent: each
 coordinate carries simplicial coboundary signs (position of the new vertex
 in the sorted vertex list) and sigma-covers pick up the Koszul factor
 (-1)^(rank - dim tau).  It satisfies the diamond condition on every length-2
-interval, which is re-verified at build time together with gradedness and
-thinness.  balanced_signature solves the diamond system afresh over F2 when
-an independent solution is wanted.
+interval.
+
+Every build re-verifies the poset from one map of its length-2 intervals
+(the diamonds), read off the covers below each cell: each diamond has
+exactly two interior cells (thinness); each pair comparable by containment
+is joined by a chain of covers (bitmasks of the cells reached through covers,
+in grade order, against the AND of per-vertex containment masks); and the
+default signature multiplies to -1 around each diamond.  balanced_signature
+solves the diamond system afresh over F2 when an independent solution is
+wanted.
 """
 
 from .errors import NotDualPair, NotInJ, PosetInvalid, Unsolvable
+from .intlinalg import F2Space
 
 
 class Cell:
@@ -140,7 +148,6 @@ class CellPoset:
         covers = []
         sign = {}
         below = {c.index: [] for c in self.cells}
-        above = {c.index: [] for c in self.cells}
         for x in self.cells:
             for tau2 in self.ambient.cofaces.get(x.tau, ()):
                 j = self.cell_index.get((tau2, x.sigma))
@@ -154,11 +161,9 @@ class CellPoset:
             s = self.default_sign(self.cells[yi], self.cells[xi])
             sign[(yi, xi)] = s
             below[xi].append(yi)
-            above[yi].append(xi)
         self.covers = covers
         self.sign = sign
         self.below = below
-        self.above = above
 
     def default_sign(self, y, x):
         """Koszul/coboundary sign of the cover y below x."""
@@ -208,46 +213,44 @@ class CellPoset:
 
     # -- structural checks -----------------------------------------------------
     def _verify(self):
-        sets = [
-            (frozenset(c.tau), frozenset(c.sigma), c.dim, c.index) for c in self.cells
-        ]
-        between_count = {}
-        for xi, lows in self.below.items():
-            for zi in lows:
-                for yi in self.below[zi]:
-                    between_count[(yi, xi)] = between_count.get((yi, xi), 0) + 1
-        for (ty, sy, dy, yi) in sets:
-            for (tx, sx, dx, xi) in sets:
-                if dx - dy < 2:
-                    continue
-                if not (tx <= ty and sx <= sy) or (tx == ty and sx == sy):
-                    continue
-                if dx - dy == 2:
-                    cnt = between_count.get((yi, xi), 0)
-                    if cnt != 2:
-                        raise PosetInvalid(
-                            f"interval [{self.cells[yi]}, {self.cells[xi]}] "
-                            f"has {cnt} interior elements, expected 2"
-                        )
-                else:
-                    if not any(
-                        (frozenset(self.cells[zi].tau) <= ty)
-                        and (frozenset(self.cells[zi].sigma) <= sy)
-                        for zi in self.below[xi]
-                    ):
-                        raise PosetInvalid(
-                            f"no chain between {self.cells[yi]} and {self.cells[xi]}"
-                        )
-        # the default signature must satisfy the diamond condition
-        for (yi, xi), cnt in between_count.items():
-            mids = [zi for zi in self.below[xi] if yi in self.below[zi]]
-            prod = 1
-            for zi in mids:
-                prod *= self.sign[(yi, zi)] * self.sign[(zi, xi)]
-            if prod != -1:
+        diamonds = _diamonds(self)
+        for (yi, xi), mids in diamonds.items():
+            if len(mids) != 2:
                 raise PosetInvalid(
-                    f"default signature unbalanced on [{self.cells[yi]}, {self.cells[xi]}]"
+                    f"interval [{self.cells[yi]}, {self.cells[xi]}] "
+                    f"has {len(mids)} interior elements, expected 2"
                 )
+        # every comparable pair must be joined by a chain of covers: the
+        # containment down-set of x is the AND of per-vertex cell masks, and
+        # in grade order reach[x] collects everything below x through covers
+        tau_mask, sigma_mask = {}, {}
+        for c in self.cells:
+            for v in c.tau:
+                tau_mask[v] = tau_mask.get(v, 0) | 1 << c.index
+            for v in c.sigma:
+                sigma_mask[v] = sigma_mask.get(v, 0) | 1 << c.index
+        reach = {}
+        for x in self.cells:
+            r = 0
+            for zi in self.below[x.index]:
+                r |= reach[zi] | 1 << zi
+            reach[x.index] = r
+            down = ~(1 << x.index)
+            for v in x.tau:
+                down &= tau_mask[v]
+            for v in x.sigma:
+                down &= sigma_mask[v]
+            missing = down & ~r
+            if missing:
+                y = self.cells[missing.bit_length() - 1]
+                raise PosetInvalid(f"no chain between {y} and {x}")
+        # the default signature must satisfy the diamond condition
+        bad = _unbalanced(diamonds, self.sign)
+        if bad is not None:
+            yi, xi = bad
+            raise PosetInvalid(
+                f"default signature unbalanced on [{self.cells[yi]}, {self.cells[xi]}]"
+            )
 
     def to_debug_dict(self):
         """Cells with flags and covers, for the independent test oracles."""
@@ -320,17 +323,29 @@ def mirror_cell_refined(poset, cell_key):
 # ---------------------------------------------------------------------------
 # balanced signatures
 
-def is_balanced(poset, sig):
+def _diamonds(poset):
+    """Every length-2 interval (y, x), mapped to its interior cells."""
+    diamonds = {}
     for xi, lows in poset.below.items():
         for zi in lows:
             for yi in poset.below[zi]:
-                mids = [m for m in poset.below[xi] if yi in poset.below[m]]
-                prod = 1
-                for m in mids:
-                    prod *= sig[(yi, m)] * sig[(m, xi)]
-                if prod != -1:
-                    return False
-    return True
+                diamonds.setdefault((yi, xi), []).append(zi)
+    return diamonds
+
+
+def _unbalanced(diamonds, sig):
+    """A diamond whose four covers multiply to +1 under sig, or None."""
+    for (yi, xi), mids in diamonds.items():
+        prod = 1
+        for m in mids:
+            prod *= sig[(yi, m)] * sig[(m, xi)]
+        if prod != -1:
+            return (yi, xi)
+    return None
+
+
+def is_balanced(poset, sig):
+    return _unbalanced(_diamonds(poset), sig) is None
 
 
 def balanced_signature(poset, variable_order=None):
@@ -346,54 +361,27 @@ def balanced_signature(poset, variable_order=None):
     if variable_order is not None:
         covers = [covers[i] for i in variable_order]
     var_pos = {c: i for i, c in enumerate(covers)}
-    diamonds = {}
-    for xi, lows in poset.below.items():
-        for zi in lows:
-            for yi in poset.below[zi]:
-                key = (yi, xi)
-                if key in diamonds:
-                    continue
-                mids = [m for m in poset.below[xi] if yi in poset.below[m]]
-                diamonds[key] = mids
-    # build equations: sum of 4 indicators = 1
+    diamonds = _diamonds(poset)
+    # augmented rows: bit i + 1 is cover i, bit 0 the right-hand side 1
     rows = []
     for (yi, xi), mids in sorted(diamonds.items()):
         mask = 0
         for m in mids:
             mask ^= 1 << var_pos[(yi, m)]
             mask ^= 1 << var_pos[(m, xi)]
-        rows.append(mask)
-    pivots = {}  # leading bit -> (mask, rhs)
-    for mask in rows:
-        rhs = 1
-        while mask:
-            lead = mask.bit_length() - 1
-            if lead in pivots:
-                pm, pr = pivots[lead]
-                mask ^= pm
-                rhs ^= pr
-            else:
-                pivots[lead] = (mask, rhs)
-                break
-        else:
-            if rhs:
-                raise Unsolvable("diamond system is inconsistent: not a CW poset")
+        rows.append(mask << 1 | 1)
+    space = F2Space(rows)
+    if space.contains(1):
+        raise Unsolvable("diamond system is inconsistent: not a CW poset")
     # leads are the highest bits of their rows, so ascending order only ever
-    # consults bits that are already decided (earlier pivots or free = 0)
-    x = 0
-    for lead in sorted(pivots):
-        mask, rhs = pivots[lead]
-        acc = rhs
-        rest = mask & ~(1 << lead)
-        while rest:
-            low = rest & (-rest)
-            if (x >> (low.bit_length() - 1)) & 1:
-                acc ^= 1
-            rest ^= low
-        if acc:
-            x |= 1 << lead
-    sig = {c: -1 if (x >> i) & 1 else 1 for i, c in enumerate(covers)}
-    if not is_balanced(poset, sig):
+    # consults bits that are already decided (earlier pivots or free = 0);
+    # bit 0 of x stays set so that row & x also picks up the right-hand side
+    x = 1
+    for row in space.pivot_rows():
+        if (row & x).bit_count() & 1:
+            x |= 1 << (row.bit_length() - 1)
+    sig = {c: -1 if (x >> (i + 1)) & 1 else 1 for i, c in enumerate(covers)}
+    if _unbalanced(diamonds, sig) is not None:
         raise Unsolvable("solver produced an unbalanced signature")
     return sig
 

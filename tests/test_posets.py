@@ -1,11 +1,14 @@
+import copy
 import random
 
 import pytest
 
-from tropmirror.errors import NotDualPair
+from tropmirror.errors import NotDualPair, PosetInvalid
 from tropmirror.intlinalg import dot
 from tropmirror.lattice import LatticePolytope
 from tropmirror.posets import (
+    Cell,
+    CellPoset,
     balanced_signature,
     build_base_poset,
     gauge_twist,
@@ -279,3 +282,78 @@ def test_gauge_twist_stays_balanced(cubic_pair):
     gauge = {c.index: rng.choice((1, -1)) for c in poset.cells}
     twisted = gauge_twist(poset, poset.sign, gauge)
     assert is_balanced(poset, twisted)
+
+
+# -- structural verification rejects broken posets ------------------------------
+
+def corruptible(poset):
+    """A shallow copy whose covers and signs can be broken without touching
+    the shared fixture."""
+    bad = copy.copy(poset)
+    bad.below = {xi: list(lows) for xi, lows in poset.below.items()}
+    bad.sign = dict(poset.sign)
+    return bad
+
+
+def diamond_cover(poset):
+    """A cover (z, x) with some y below z, so that it lies in a diamond."""
+    return next(
+        (zi, xi)
+        for xi, lows in poset.below.items()
+        for zi in lows
+        if poset.below[zi]
+    )
+
+
+def test_verify_rejects_flipped_sign(cubic_pair):
+    bad = corruptible(cubic_pair.side_a.base_poset)
+    bad._verify()
+    cover = diamond_cover(bad)
+    bad.sign[cover] = -bad.sign[cover]
+    with pytest.raises(PosetInvalid, match="unbalanced"):
+        bad._verify()
+
+
+def test_verify_rejects_dropped_cover(cubic_pair):
+    bad = corruptible(cubic_pair.side_a.base_poset)
+    zi, xi = diamond_cover(bad)
+    bad.below[xi].remove(zi)
+    with pytest.raises(PosetInvalid):
+        bad._verify()
+
+
+def hand_built(cells, covers, sign):
+    """A CellPoset over the given cells (sorted by grade) and covers."""
+    poset = CellPoset.__new__(CellPoset)
+    poset.cells = cells
+    for i, c in enumerate(cells):
+        c.index = i
+    poset.covers = covers
+    poset.below = {i: [y for (y, x) in covers if x == i] for i in range(len(cells))}
+    poset.sign = sign
+    return poset
+
+
+def test_verify_rejects_comparable_cells_without_chain():
+    # two comparable cells three grades apart and no covers at all
+    o = (0, 0, 0)
+    top = Cell((o,), (o,), 3)
+    bottom = Cell((o,), (o, (1, 0, 0), (0, 1, 0), (0, 0, 1)), 3)
+    assert top.dim - bottom.dim == 3
+    bad = hand_built([bottom, top], [], {})
+    with pytest.raises(PosetInvalid, match="no chain between"):
+        bad._verify()
+
+
+def test_verify_rejects_interval_with_one_interior_cell():
+    # a chain y < z < x whose single path carries sign -1: balanced and
+    # joined by covers, but not thin
+    o = (0, 0)
+    cells = [
+        Cell((o,), (o, (1, 0), (0, 1)), 2),
+        Cell((o,), (o, (1, 0)), 2),
+        Cell((o,), (o,), 2),
+    ]
+    bad = hand_built(cells, [(0, 1), (1, 2)], {(0, 1): -1, (1, 2): 1})
+    with pytest.raises(PosetInvalid, match="has 1 interior elements"):
+        bad._verify()
