@@ -14,7 +14,8 @@ Subcommands map files to the library operations:
 All reports are JSON (``--out text`` renders a derived view, never parsed
 back).  Reports embed input hashes and the signature/basis identifiers so
 golden files are stable.  Exit codes: 0 success, 1 input validation
-failure, 2 internal consistency failure, 3 hypothesis failure.
+failure, 2 internal consistency failure (or any other unexpected error),
+3 hypothesis failure; failures print a JSON error on stderr.
 """
 
 import argparse
@@ -419,6 +420,11 @@ def main(argv=None):
         return 1
     except InternalCheckError as e:
         print(json.dumps({"error": str(e), "kind": "internal"}), file=sys.stderr)
+        return 2
+    except Exception as e:
+        # an unforeseen failure is an internal one, reported without a traceback
+        error = f"{type(e).__name__}: {e}"
+        print(json.dumps({"error": error, "kind": "internal"}), file=sys.stderr)
         return 2
 
 

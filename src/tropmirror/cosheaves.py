@@ -26,10 +26,10 @@ from itertools import combinations
 from .chains import ChainComplex
 from .errors import FreenessError, UnsupportedCell
 from .exterior import (
+    coeffs_to_vector,
     dim_wedge,
-    index_pos,
-    index_sets,
-    shuffle_sign,
+    vector_to_coeffs,
+    wedge_coeffs,
     wedge_matrix,
     wedge_rows,
 )
@@ -158,28 +158,14 @@ class CosheafEvaluator:
             return []
         sigma_inf = tuple(x for x in sigma if x != self.origin)
         prev = self.multitangent_value(p - 1, ZERO_STRATUM, sigma_inf)
+        m = self.m
         rows = []
         for u in self.stratum_gens(tau):
+            uc = vector_to_coeffs(u, m, 1)
             for i in range(prev.rank):
-                rows.append(self._wedge_vector(u, prev.rep(i), p - 1))
+                w = wedge_coeffs(uc, vector_to_coeffs(prev.rep(i), m, p - 1))
+                rows.append(coeffs_to_vector(w, m, p))
         return rows
-
-    def _wedge_vector(self, u, w, pw):
-        """u wedge w for a vector u and a degree-pw Pluecker vector w."""
-        m = self.m
-        out = [0] * dim_wedge(m, pw + 1)
-        pos = index_pos(m, pw + 1)
-        sets = index_sets(m, pw)
-        for t, I in enumerate(sets):
-            c = w[t]
-            if not c:
-                continue
-            si = set(I)
-            for i in range(m):
-                if u[i] and i not in si:
-                    K = tuple(sorted((i,) + I))
-                    out[pos[K]] += shuffle_sign((i,), I) * u[i] * c
-        return out
 
     def kernel_value(self, p, cell):
         tau, sigma = cell.tau, cell.sigma
@@ -209,9 +195,9 @@ class CosheafEvaluator:
 
     def value(self, tag, p, cell):
         if tag == "multitangent":
-            tau, sigma = cell.tau, cell.sigma
-            stratum = self.stratum_gens(tau) if self.origin in tau else ZERO_STRATUM
-            return self.multitangent_value(p, stratum, sigma)
+            return self.multitangent_value(
+                p, self.value_stratum(tag, cell), cell.sigma
+            )
         if tag == "kernel":
             return self.kernel_value(p, cell)
         if tag == "mirror_ext":

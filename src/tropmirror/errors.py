@@ -25,10 +25,6 @@ class NotReflexive(InputError):
     pass
 
 
-class FaceNotFound(InputError):
-    pass
-
-
 # exact linear algebra
 class DimensionMismatch(InputError):
     pass

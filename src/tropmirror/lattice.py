@@ -1,10 +1,12 @@
 """Exact lattice-polytope and face calculus for reflexive pairs.
 
-Points are tuples of ints; a polytope stores its vertices, all lattice
-points, and the full face lattice built by closing vertex/facet incidence
-under intersection.  Facets are found by exhaustive enumeration of
-rank-subsets of the defining points, which is cheap at desk scale (rank <= 4,
-a few dozen points) and has no floating point anywhere.
+Points are tuples of ints; a polytope stores its vertices, its facet
+inequalities and all of its lattice points.  Facets are found by exhaustive
+enumeration of rank-subsets of the defining points, which is cheap at desk
+scale (rank <= 4, a few dozen points) and has no floating point anywhere.
+The face lattice, built on demand by closing the facets under intersection,
+serves faces_of_dim and the independent test oracles; the cell posets find
+their faces through the duality pairing instead.
 
 For a reflexive polytope every facet inequality normalizes to <v, x> <= 1
 with v integral; the dual polytope is the convex hull of those facet
@@ -13,7 +15,7 @@ normals.
 
 from itertools import combinations
 
-from .errors import FaceNotFound, NotReflexive
+from .errors import NotReflexive
 from .intlinalg import dot, left_kernel, primitive, rank_int
 
 
@@ -34,10 +36,6 @@ class Face:
         self.lattice_points = tuple(sorted(lattice_points))
         self.dim = dim
         self.facet_indices = frozenset(facet_indices)
-
-    @property
-    def point_set(self):
-        return frozenset(self.lattice_points)
 
     def __repr__(self):
         return f"Face(dim={self.dim}, vertices={list(self.vertices)})"
@@ -65,6 +63,8 @@ class LatticePolytope:
         if not pts:
             raise ValueError("empty point set")
         self.rank = rank if rank is not None else len(pts[0])
+        if self.rank < 1:
+            raise ValueError(f"rank {self.rank} is below 1")
         if any(len(p) != self.rank for p in pts):
             raise ValueError("points of mixed rank")
         if _affine_rank(pts) != self.rank:
@@ -73,7 +73,6 @@ class LatticePolytope:
         self.vertices = self._find_vertices(pts)
         self._lattice_points = None
         self._faces = None
-        self._face_by_vertices = None
 
     # -- construction -------------------------------------------------------
     def _find_facets(self, pts):
@@ -145,18 +144,10 @@ class LatticePolytope:
     def _build_faces(self):
         pts = self.lattice_points
         vset = set(self.vertices)
-        facet_pts = []
-        for (v, c) in self._facets:
-            facet_pts.append(frozenset(p for p in pts if dot(v, p) == c))
-        seen = {}
-        whole = frozenset(pts)
-        seen[whole] = frozenset()
-        frontier = []
-        for i, fp in enumerate(facet_pts):
-            key = fp
-            seen.setdefault(key, frozenset())
-            seen[key] = seen[key] | {i}
-            frontier.append(key)
+        seen = {frozenset(pts)}
+        seen.update(
+            frozenset(p for p in pts if dot(v, p) == c) for (v, c) in self._facets
+        )
         # close under intersection
         queue = list(seen)
         while queue:
@@ -164,15 +155,14 @@ class LatticePolytope:
             for b in list(seen):
                 inter = a & b
                 if inter and inter not in seen:
-                    seen[inter] = seen[a] | seen[b]
+                    seen.add(inter)
                     queue.append(inter)
         faces = []
-        for ptset, fidx in seen.items():
+        for ptset in seen:
             fverts = tuple(sorted(p for p in ptset if p in vset))
             if not fverts:
                 continue
             dim = _affine_rank(list(ptset))
-            # recompute the exact facet index set (intersections may undercount)
             full_idx = {
                 i
                 for i, (v, c) in enumerate(self._facets)
@@ -181,7 +171,6 @@ class LatticePolytope:
             faces.append(Face(fverts, ptset, dim, full_idx))
         faces.sort(key=lambda f: (f.dim, f.vertices))
         self._faces = faces
-        self._face_by_vertices = {f.vertices: f for f in faces}
 
     @property
     def faces(self):
@@ -191,39 +180,6 @@ class LatticePolytope:
 
     def faces_of_dim(self, d):
         return [f for f in self.faces if f.dim == d]
-
-    def _face_by_vertex_lookup(self, verts):
-        if self._faces is None:
-            self._build_faces()
-        f = self._face_by_vertices.get(tuple(sorted(verts)))
-        if f is None:
-            raise FaceNotFound(f"no face with vertices {verts}")
-        return f
-
-    def min_face_containing(self, points):
-        """Smallest face containing the given lattice points."""
-        pts = [_as_point(p) for p in points]
-        for p in pts:
-            if not self.contains(p):
-                raise FaceNotFound(f"{p} is outside the polytope")
-        best = None
-        for f in self.faces:
-            fp = f.point_set
-            if all(p in fp for p in pts):
-                if best is None or f.dim < best.dim:
-                    best = f
-        if best is None:
-            raise FaceNotFound(f"no face contains {points}")
-        return best
-
-    def face_maximizing(self, u):
-        """The face on which <u, .> attains its maximum over the polytope."""
-        vals = [dot(u, p) for p in self.vertices]
-        m = max(vals)
-        verts = tuple(
-            sorted(p for p, val in zip(self.vertices, vals) if val == m)
-        )
-        return self._face_by_vertex_lookup(verts)
 
     # -- reflexivity and duality ---------------------------------------------
     def is_reflexive(self):

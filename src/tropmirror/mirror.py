@@ -204,6 +204,12 @@ def is_null_class(side, chain, p, kind="base", tag="multitangent"):
 # ---------------------------------------------------------------------------
 # the full transfer
 
+def _value_map(Vsrc, Vdst):
+    """Rows of the cellwise map between two values of one cell: each basis
+    element of Vsrc, reduced into Vdst."""
+    return [list(Vdst.reduce(Vsrc.rep(i))) for i in range(Vsrc.rank)]
+
+
 def transfer_class(side, chain, p):
     """Transfer a closed F2 multitangent chain to the mirror side.
 
@@ -229,11 +235,7 @@ def transfer_class(side, chain, p):
         cell = poset.cells[poset.cell_index[key]]
         Vf = ev.value("multitangent", p, cell)
         Vmd = ev.value("mirror_ext", p, cell)
-        if Vf is Vmd:
-            out = coords
-        else:
-            proj = [list(Vmd.reduce(Vf.rep(i))) for i in range(Vf.rank)]
-            out = f2_apply(coords, proj)
+        out = coords if Vf is Vmd else f2_apply(coords, _value_map(Vf, Vmd))
         if any(out):
             md[key] = out
 
@@ -274,8 +276,7 @@ def transfer_class(side, chain, p):
         cell = mposet.cells[mposet.cell_index[key]]
         Vf = mev.value("multitangent", n - p, cell)
         Vmd = mev.value("mirror_ext", n - p, cell)
-        proj = [list(Vmd.reduce(Vf.rep(i))) for i in range(Vf.rank)]
-        u = f2_solve_matrix(proj, w)
+        u = f2_solve_matrix(_value_map(Vf, Vmd), w)
         if u is None:
             raise InternalCheckError(
                 "surjection onto the mirror cosheaf failed to lift"
@@ -294,8 +295,7 @@ def transfer_class(side, chain, p):
                 raise InternalCheckError("lift defect escapes the sphere part")
             VR = mev.value("kernel", n - p, cell)
             VF = mev.value("multitangent", n - p, cell)
-            incl = [list(VF.reduce(VR.rep(i))) for i in range(VR.rank)]
-            e = f2_solve_matrix(incl, coords)
+            e = f2_solve_matrix(_value_map(VR, VF), coords)
             if e is None:
                 raise InternalCheckError("lift defect is not a kernel chain")
             c_kernel[key] = e
@@ -305,8 +305,7 @@ def transfer_class(side, chain, p):
             cell = mposet.cells[mposet.cell_index[key]]
             VR = mev.value("kernel", n - p, cell)
             VF = mev.value("multitangent", n - p, cell)
-            incl = [list(VF.reduce(VR.rep(i))) for i in range(VR.rank)]
-            w = f2_apply(coords, incl)
+            w = f2_apply(coords, _value_map(VR, VF))
             if any(w):
                 iota_r[key] = w
         uvec ^= CFm.chain_to_packed(iota_r, q)

@@ -192,19 +192,13 @@ class PhaseData:
         self._complex = None
 
     # -- per-cell phase sets -------------------------------------------------
-    def _stratum(self, cell):
-        ev = self.side.evaluator
-        if self.side.ambient.origin in cell.tau:
-            return ev.stratum_gens(cell.tau)
-        return ()
-
     def phase_cell(self, ci):
         if ci in self._cells:
             return self._cells[ci]
         cell = self.poset.cells[ci]
         ev = self.side.evaluator
         pc = PhaseCell()
-        pc.stratum = self._stratum(cell)
+        pc.stratum = ev.value_stratum("multitangent", cell)
         fr = ev.frame(pc.stratum)
         pc.qd = self.m - fr.k
         if len(cell.sigma) < 2:

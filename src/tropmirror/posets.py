@@ -1,11 +1,16 @@
 """Graded thin cell posets for a dual pair of central triangulations.
 
 A cell is a pair (tau, sigma) of simplices, tau from the triangulation that
-generates the ambient fan, sigma from the Newton-side triangulation.  The
-base poset consists of pairs with 0 in tau and sigma inside the face of the
-Newton polytope normal to the smallest coarse cone containing the cone over
-tau; the refined poset splits the cells at infinity along the sphere of
-bounded cells and drops the single interior top cell.  The order is reverse
+generates the ambient fan, sigma from the Newton-side triangulation, with
+sigma in the face of the Newton polytope normal to the cone over tau.  For a
+reflexive pair that face is cut out by the duality pairing, so the rule is
+
+    <u, x> = 1 for all nonzero vertices u of tau and x of sigma,
+
+plus where the origins may sit.  The base poset has 0 in tau, and 0 in sigma
+only over tau = {0}.  The refined poset splits the cells at infinity along
+the sphere of bounded cells and drops the single interior top cell: neither
+simplex is {0}, and at most one of them contains 0.  The order is reverse
 inclusion in both coordinates and the grading is
 
     dim(tau, sigma) = (rank - dim tau) - dim sigma.
@@ -28,7 +33,7 @@ wanted.
 """
 
 from .errors import NotDualPair, NotInJ, PosetInvalid, Unsolvable
-from .intlinalg import F2Space
+from .intlinalg import F2Space, dot
 
 
 class Cell:
@@ -50,29 +55,6 @@ class Cell:
         return f"Cell(tau={list(self.tau)}, sigma={list(self.sigma)}, dim={self.dim})"
 
 
-def _min_face(newton_polytope, tau, origin):
-    """The face of the Newton polytope normal to min(C(tau)).
-
-    Computed as the intersection of the maximizing faces of the cone
-    generators; the empty generator set (tau = {0}) gives the whole polytope.
-    """
-    face = None
-    for u in tau:
-        if u == origin:
-            continue
-        fu = newton_polytope.face_maximizing(u)
-        if face is None:
-            face = fu
-        else:
-            pts = face.point_set & fu.point_set
-            if not pts:
-                return None
-            face = newton_polytope.min_face_containing(pts)
-    if face is None:
-        return newton_polytope.min_face_containing(newton_polytope.vertices)
-    return face
-
-
 class CellPoset:
     """Cells with covers, grading, flags and the default signature."""
 
@@ -86,56 +68,43 @@ class CellPoset:
         self.n = self.rank - 1
         self._origin_a = ambient_tri.origin
         self._origin_n = newton_tri.origin
-        self._min_face_cache = {}
         self._build_cells()
         self._build_covers()
         self._verify()
 
     # -- membership ----------------------------------------------------------
-    def min_face(self, tau):
-        """min(C(tau)) dual face inside the Newton polytope (None if absent)."""
-        if tau not in self._min_face_cache:
-            self._min_face_cache[tau] = _min_face(
-                self.newton.polytope, tau, self._origin_a
-            )
-        return self._min_face_cache[tau]
-
     def _build_cells(self):
-        amb, newt = self.ambient, self.newton
+        """One pass over the ambient simplices by the pairing rule above.
+
+        The level set {x : <u, x> = 1 for the nonzero u in tau} is the face
+        of the Newton polytope normal to the cone over tau, so the Newton
+        simplices inside it are found once per face.
+        """
         o_a, o_n = self._origin_a, self._origin_n
+        base = self.kind == "base"
+        points = frozenset(self.newton.polytope.lattice_points)
+        level_of = {
+            u: frozenset(x for x in points if dot(u, x) == 1)
+            for u in self.ambient.vertices
+            if u != o_a
+        }
+        nonzero = [(frozenset(s) - {o_n}, s) for s in self.newton.simplices]
+        inside = {}  # level set -> Newton simplices with nonzero vertices in it
         cells = []
-        if self.kind == "base":
-            for tau in amb.simplices:
-                if o_a not in tau:
+        for tau in self.ambient.simplices:
+            if (o_a not in tau) if base else tau == (o_a,):
+                continue
+            level = points.intersection(*(level_of[u] for u in tau if u != o_a))
+            if base and not level:
+                raise PosetInvalid("ambient cone escapes the coarse fan")
+            if level not in inside:
+                inside[level] = [s for nz, s in nonzero if nz <= level]
+            for sigma in inside[level]:
+                if o_n in sigma and (
+                    tau != (o_a,) if base else o_a in tau or len(sigma) == 1
+                ):
                     continue
-                face = self.min_face(tau)
-                if face is None:
-                    raise PosetInvalid("ambient cone escapes the coarse fan")
-                fpts = face.point_set
-                for sigma in newt.simplices:
-                    if all(p in fpts for p in sigma):
-                        cells.append(Cell(tau, sigma, self.rank))
-        else:
-            for sigma in newt.simplices:
-                if o_n in sigma and len(sigma) > 1:
-                    sigma_inf = tuple(p for p in sigma if p != o_n)
-                    for tau in amb.simplices:
-                        if o_a in tau:
-                            continue
-                        face = self.min_face(tau)
-                        if face is not None and all(
-                            p in face.point_set for p in sigma_inf
-                        ):
-                            cells.append(Cell(tau, sigma, self.rank))
-                elif o_n not in sigma:
-                    for tau in amb.simplices:
-                        if tau == (o_a,):
-                            continue
-                        face = self.min_face(tau)
-                        if face is not None and all(
-                            p in face.point_set for p in sigma
-                        ):
-                            cells.append(Cell(tau, sigma, self.rank))
+                cells.append(Cell(tau, sigma, self.rank))
         cells.sort(key=lambda c: (c.dim, c.tau, c.sigma))
         for i, c in enumerate(cells):
             c.index = i
@@ -298,10 +267,19 @@ def build_refined_poset(ambient_tri, newton_tri):
 
 
 def _check_dual_pair(ambient_tri, newton_tri):
+    """The facet normals of reflexive P are the vertices of its dual, and the
+    pairing rule of the cells needs <u, x> <= 1 on triangulation vertices."""
     P = newton_tri.polytope
     Q = ambient_tri.polytope
-    if not (P.is_reflexive() and Q.is_reflexive()) or P.dual() != Q:
+    if not (P.is_reflexive() and Q.is_reflexive()) or tuple(
+        sorted(v for v, _ in P.facets)
+    ) != Q.vertices:
         raise NotDualPair("the two triangulated polytopes are not a dual pair")
+    for tri in (ambient_tri, newton_tri):
+        if not set(tri.vertices) <= set(tri.polytope.lattice_points):
+            raise NotDualPair(
+                f"triangulation of {tri.polytope} has vertices outside it"
+            )
 
 
 # ---------------------------------------------------------------------------

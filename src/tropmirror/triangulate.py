@@ -18,7 +18,7 @@ Simplices are sorted tuples of lattice points.
 
 from .errors import InternalCheckError, NotInTriangulation, RankUnsupported
 from .intlinalg import det, dot, left_kernel, solve_left
-from .lattice import LatticePolytope
+from .lattice import LatticePolytope, _as_point
 
 
 def simplex(points):
@@ -126,7 +126,9 @@ class CentralTriangulation:
     @classmethod
     def from_dict(cls, data):
         poly = LatticePolytope(data["polytope"]["vertices"], data["polytope"]["rank"])
-        return cls(poly, [simplex(s) for s in data["boundary_simplices"]])
+        return cls(
+            poly, [[_as_point(p) for p in s] for s in data["boundary_simplices"]]
+        )
 
     def __repr__(self):
         return (

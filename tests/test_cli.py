@@ -245,3 +245,39 @@ def test_hypothesis_failure_exit_code(cubic_files, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert code == 3
     assert "hypothesis" in err
+
+
+def test_non_integer_coordinate_is_input_error(cubic_files, capsys, tmp_path):
+    # (2, -1) is the only point with first coordinate 2, so no sort compares
+    # its second coordinate before the loader sees it
+    _, _, tri, _ = cubic_files
+    data = json.loads(tri.read_text())
+    data["boundary_simplices"] = [
+        [[2, "x"] if p == [2, -1] else p for p in s]
+        for s in data["boundary_simplices"]
+    ]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert main(["validate", str(bad)]) == 1
+    assert json.loads(capsys.readouterr().err)["kind"] == "input"
+
+
+def test_rank_zero_polytope_is_input_error(tmp_path, capsys):
+    poly = tmp_path / "rank0.json"
+    poly.write_text(json.dumps({"rank": 0, "vertices": [[]]}))
+    for command in ("dual", "triangulate"):
+        assert main([command, str(poly)]) == 1
+        assert json.loads(capsys.readouterr().err)["kind"] == "input"
+
+
+def test_unexpected_exception_is_internal(cubic_files, capsys, monkeypatch):
+    _, _, tri, _ = cubic_files
+    import tropmirror.cli as cli
+
+    def boom(T):
+        raise RuntimeError("unforeseen")
+
+    monkeypatch.setattr(cli, "validate", boom)
+    assert main(["validate", str(tri)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "RuntimeError: unforeseen", "kind": "internal"}

@@ -11,13 +11,14 @@ from tropmirror.posets import (
     CellPoset,
     balanced_signature,
     build_base_poset,
+    build_refined_poset,
     gauge_twist,
     is_balanced,
     mirror_cell_refined,
 )
-from tropmirror.triangulate import generate_central
+from tropmirror.triangulate import CentralTriangulation, generate_central
 
-from conftest import CUBIC_VERTS
+from conftest import CUBIC_DUAL_VERTS, CUBIC_VERTS
 
 
 def counts_by_dim(poset):
@@ -84,9 +85,14 @@ def test_cubic_refined_poset_counts(cubic_pair):
     assert len([c for c in js if len(c.sigma) == 3]) == 9
 
 
-def test_membership_against_brute_force_oracle(cubic_pair):
+def test_membership_against_brute_force_oracle(cubic_pair, diamond_pair, k3_pair):
     # consume the debug dump and re-derive membership from scratch
-    side = cubic_pair.side_a
+    for pair in (cubic_pair, diamond_pair, k3_pair):
+        for side in pair.sides:
+            check_base_membership(side)
+
+
+def check_base_membership(side):
     poset = side.base_poset
     dump = poset.to_debug_dict()
     dumped = {
@@ -107,36 +113,42 @@ def test_membership_against_brute_force_oracle(cubic_pair):
         if face is None:
             continue
         for sigma in side.newton.simplices:
-            if all(p in face.point_set for p in sigma):
+            if set(sigma) <= set(face.lattice_points):
                 expected.add((tau, sigma))
     assert expected == dumped == set(poset.cell_index)
     # dumped dims and covers are consistent
     for c in dump["cells"]:
         tau = tuple(tuple(p) for p in c["tau"])
         sigma = tuple(tuple(p) for p in c["sigma"])
-        assert c["dim"] == (2 - (len(tau) - 1)) - (len(sigma) - 1)
+        assert c["dim"] == (side.rank - (len(tau) - 1)) - (len(sigma) - 1)
     for yi, xi in dump["covers"]:
         assert dump["cells"][xi]["dim"] - dump["cells"][yi]["dim"] == 1
 
 
-def test_refined_membership_against_oracle(cubic_pair):
-    side = cubic_pair.side_a
+def test_refined_membership_against_oracle(cubic_pair, diamond_pair, k3_pair):
+    for pair in (cubic_pair, diamond_pair, k3_pair):
+        for side in pair.sides:
+            check_refined_membership(side)
+
+
+def check_refined_membership(side):
     poset = side.refined_poset
     delta = side.newton.polytope
     o = side.newton.origin
     expected = set()
-    for sigma in side.newton.simplices:
-        for tau in side.ambient.simplices:
-            if o in sigma and len(sigma) > 1 and o not in tau:
-                face = brute_force_min_face(delta, list(tau))
-                s_inf = tuple(p for p in sigma if p != o)
-                if face and all(p in face.point_set for p in s_inf):
-                    expected.add((tau, sigma))
-            elif o not in sigma and tau != (o,):
-                gens = [p for p in tau if p != o]
-                face = brute_force_min_face(delta, gens or list(tau))
-                if face and all(p in face.point_set for p in sigma):
-                    expected.add((tau, sigma))
+    for tau in side.ambient.simplices:
+        if tau == (o,):
+            continue
+        gens = [p for p in tau if p != o]
+        face = brute_force_min_face(delta, gens)
+        if face is None:
+            continue
+        points = set(face.lattice_points)
+        for sigma in side.newton.simplices:
+            if o in sigma and (o in tau or len(sigma) == 1):
+                continue
+            if {p for p in sigma if p != o} <= points:
+                expected.add((tau, sigma))
     assert expected == set(poset.cell_index)
 
 
@@ -176,12 +188,21 @@ def test_not_dual_pair_rejected():
     bad = generate_central(LatticePolytope([(1, 0), (0, 1), (-1, 0), (0, -1)]))
     with pytest.raises(NotDualPair):
         build_base_poset(bad, T)
+    # the polytopes are dual, but a triangulation vertex lies outside its
+    # polytope, where the pairing bound <u, x> <= 1 no longer holds
+    Tdual = generate_central(LatticePolytope(CUBIC_DUAL_VERTS))
+    outside = CentralTriangulation(
+        T.polytope, T.boundary_simplices + [((2, -1), (3, -2))]
+    )
+    for ambient, newton in ((Tdual, outside), (outside, Tdual)):
+        for build in (build_base_poset, build_refined_poset):
+            with pytest.raises(NotDualPair, match="vertices outside"):
+                build(ambient, newton)
 
 
 def test_pair_rejects_invalid_triangulation():
     from tropmirror.errors import InputError
     from tropmirror.pairs import MirrorPair
-    from tropmirror.triangulate import CentralTriangulation
 
     P = LatticePolytope(CUBIC_VERTS)
     T = generate_central(P)
