@@ -71,7 +71,7 @@ class ChainComplex:
     ``sign``: signature on the covers.
     """
 
-    def __init__(self, poset, ranks, blocks, sign, check=True):
+    def __init__(self, poset, ranks, blocks, sign):
         self.poset = poset
         self.ranks = list(ranks)
         self.degrees = list(range(0, poset.max_dim + 1))
@@ -114,8 +114,7 @@ class ChainComplex:
         self._rank_cache = {}
         self._f2_cache = {}
         self._f2_space_cache = {}
-        if check:
-            self._check_square_zero()
+        self._check_square_zero()
 
     # -- structure -------------------------------------------------------------
     def _check_square_zero(self):

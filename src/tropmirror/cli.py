@@ -31,6 +31,7 @@ from .patchwork import (
     connectedness_verdict,
     divisor_class_representatives,
     divisor_from_signs,
+    raw_sign_sweep,
     real_betti,
     sample_divisor_classes,
     signs_from_divisor,
@@ -312,8 +313,6 @@ def cmd_sweep(args):
     pair = load_pair(args)
     side = pair.side_a
     if args.raw:
-        from .patchwork import raw_sign_sweep
-
         rows = []
         for eps, betti in raw_sign_sweep(side):
             rows.append(

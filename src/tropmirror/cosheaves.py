@@ -221,6 +221,10 @@ class CosheafEvaluator:
         return ZERO_STRATUM
 
     # -- maps -------------------------------------------------------------------
+    def projection(self, sx, sy):
+        """R_x.Q_y: frame-sx coordinates to frame-sy coordinates."""
+        return mat_mul(self.frame(sx).R, self.frame(sy).Q)
+
     def map_matrix(self, tag, p, ycell, xcell):
         """Matrix of the cosheaf map value(x) -> value(y) for a cover y below x."""
         Vx = self.value(tag, p, xcell)
@@ -231,8 +235,7 @@ class CosheafEvaluator:
         sy = self.value_stratum(tag, ycell)
         W = None
         if sx != sy:
-            P = mat_mul(self.frame(sx).R, self.frame(sy).Q)
-            W = wedge_matrix(P, p)
+            W = wedge_matrix(self.projection(sx, sy), p)
         rows = []
         for i in range(Vx.rank):
             a = list(Vx.rep(i))
@@ -242,7 +245,7 @@ class CosheafEvaluator:
         return rows
 
     # -- complexes ----------------------------------------------------------------
-    def chain_complex(self, poset, tag, p, sign=None, check=True):
+    def chain_complex(self, poset, tag, p, sign=None):
         ranks = [self.value(tag, p, c).rank for c in poset.cells]
         blocks = {}
         for (yi, xi) in poset.covers:
@@ -250,4 +253,4 @@ class CosheafEvaluator:
                 blocks[(yi, xi)] = self.map_matrix(
                     tag, p, poset.cells[yi], poset.cells[xi]
                 )
-        return ChainComplex(poset, ranks, blocks, sign or poset.sign, check=check)
+        return ChainComplex(poset, ranks, blocks, sign or poset.sign)

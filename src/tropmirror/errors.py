@@ -26,8 +26,8 @@ class NotReflexive(InputError):
 
 
 # exact linear algebra
-class DimensionMismatch(InputError):
-    pass
+class DimensionMismatch(InternalCheckError):
+    """Matrix shapes disagree; only ever on internal data."""
 
 
 class MembershipViolation(InputError):

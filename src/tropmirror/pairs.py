@@ -3,12 +3,13 @@
 A Side fixes one orientation: the Newton-side triangulation T carries the
 hypersurface combinatorics and the ambient-side triangulation of the dual
 polytope provides the toric fan.  The mirror side swaps the two roles.
-Posets, cosheaf complexes and homology summaries are built lazily and cached
-on the side.
+Posets, cosheaf complexes, homology summaries and phase frames are built
+lazily and cached on the side.
 """
 
 from .cosheaves import CosheafEvaluator
 from .errors import InputError
+from .patchwork import PhaseFrame
 from .posets import build_base_poset, build_refined_poset, _check_dual_pair
 from .triangulate import validate
 
@@ -24,6 +25,7 @@ class Side:
         self._posets = {}
         self._complexes = {}
         self._homology = {}
+        self._phase_frames = {}
 
     def poset(self, kind):
         if kind not in self._posets:
@@ -46,6 +48,11 @@ class Side:
                 self.poset(kind), tag, p
             )
         return self._complexes[key]
+
+    def phase_frame(self, kind):
+        if kind not in self._phase_frames:
+            self._phase_frames[kind] = PhaseFrame(self.evaluator, self.poset(kind))
+        return self._phase_frames[kind]
 
     def homology(self, kind, tag, p, ring):
         key = (kind, tag, p, ring)

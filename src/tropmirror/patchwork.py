@@ -14,8 +14,14 @@ restriction class, which decides connectedness.
 Phase sets live in quotient coordinates mod 2 of the same frames the
 cosheaf evaluator uses, packed into small ints; cells off infinity pull
 their phase data back from the collapsed cell, matching the cosheaf side.
+What does not depend on the signs (each cell's frame and edge parities,
+each cover's map between frames) is a PhaseFrame, built once per side and
+poset kind; each sign distribution then gets its phase points and one list
+of transported points per cover, which the sign complex and the real
+complex both read.
 """
 
+import random
 from itertools import combinations
 
 from .chains import ChainComplex
@@ -25,6 +31,7 @@ from .errors import (
     InternalCheckError,
     InvalidPhaseStructure,
     NotAClosedChain,
+    RayNotInFan,
 )
 from .intlinalg import F2Space, dot, f2_combine, f2_pack, f2_rank
 from .exterior import wedge_rows
@@ -40,8 +47,6 @@ def signs_from_divisor(side, rays):
     boundary = set(side.newton.rays())
     bad = support - boundary
     if bad:
-        from .errors import RayNotInFan
-
         raise RayNotInFan(f"{sorted(bad)} are not rays of the Newton fan")
     eps = {p: 0 for p in side.newton.polytope.lattice_points}
     eps[side.newton.origin] = 1
@@ -154,8 +159,6 @@ def divisor_class_representatives(side):
 
 def sample_divisor_classes(side, count, seed):
     """Deterministic sample of distinct divisor class representatives."""
-    import random
-
     rays, rows = _pairing_rows(side)
     space = F2Space(rows)
     rng = random.Random(seed)
@@ -170,107 +173,106 @@ def sample_divisor_classes(side, count, seed):
 # ---------------------------------------------------------------------------
 # phase data on a poset
 
+class PhaseFrame:
+    """Sign-independent phase geometry of one poset, built once per side.
+
+    ``cells[ci]`` is (stratum, qd, edges): the frame of the cell's values,
+    its quotient rank, and per edge of sigma (sorted endpoints, the parity
+    mask ``rdm`` of its direction in frame coordinates, the packed set of
+    points s with s.rdm odd).  ``covers`` lists (y, x, images) for each
+    cover y below x where both cells have edges: ``images[s]`` is the point
+    s of the frame of x carried into the frame of y.
+    """
+
+    def __init__(self, evaluator, poset):
+        self.evaluator = evaluator
+        self.poset = poset
+        self._proj = {}
+        self.cells = []
+        for cell in poset.cells:
+            stratum = evaluator.value_stratum("multitangent", cell)
+            fr = evaluator.frame(stratum)
+            qd = evaluator.m - fr.k
+            edges = []
+            for a, b in combinations(cell.sigma, 2):
+                d = tuple(x - y for x, y in zip(b, a))
+                rdm = f2_pack([dot(r, d) for r in fr.R])
+                odd = f2_pack([bin(s & rdm).count("1") for s in range(1 << qd)])
+                edges.append(((min(a, b), max(a, b)), rdm, odd))
+            self.cells.append((stratum, qd, edges))
+        self.covers = []
+        for (yi, xi) in poset.covers:
+            (sx, qx, ex), (sy, _, ey) = self.cells[xi], self.cells[yi]
+            if ex and ey:
+                masks = self.projection_masks(sx, sy)
+                images = [f2_combine(s, masks) for s in range(1 << qx)]
+                self.covers.append((yi, xi, images))
+
+    def projection_masks(self, sx, sy):
+        """Images of the frame-sx basis bits in frame sy, as packed masks."""
+        if (sx, sy) not in self._proj:
+            P = self.evaluator.projection(sx, sy)
+            self._proj[sx, sy] = [f2_pack(row) for row in P]
+        return self._proj[sx, sy]
+
+
 class PhaseCell:
     __slots__ = ("stratum", "qd", "edges", "points", "index")
 
-    def __init__(self):
-        self.edges = []
-
 
 class PhaseData:
-    """Phase sets and sign-cosheaf structure for one sign distribution."""
+    """Phase points and their transport for one sign distribution.
+
+    ``covers`` lists (y, s2, x, s) for every phase point s of every cell x
+    and each cover y below x: the point s is carried to the point s2 of y.
+    The sign complex and the real complex both read this one list.
+    """
 
     def __init__(self, side, poset, eps):
         self.side = side
-        self.poset = poset
-        self.eps = dict(eps)
-        self.m = side.rank
+        self.frame = side.phase_frame(poset.kind)
+        self.poset = self.frame.poset
         self.t = phase_from_signs(side, eps)
-        self._cells = {}
-        self._proj = {}
+        self._cells = []
+        for stratum, qd, edges in self.frame.cells:
+            full = (1 << (1 << qd)) - 1
+            bits = 0
+            for e, _, odd in edges:
+                bits |= odd if self.t[e] else full ^ odd
+            pc = PhaseCell()
+            pc.stratum, pc.qd, pc.edges = stratum, qd, edges
+            pc.points = [s for s in range(1 << qd) if (bits >> s) & 1]
+            pc.index = {s: i for i, s in enumerate(pc.points)}
+            self._cells.append(pc)
+        self.covers = []
+        for yi, xi, images in self.frame.covers:
+            target = self._cells[yi].index
+            for s in self._cells[xi].points:
+                if images[s] not in target:
+                    raise InternalCheckError(
+                        "phase transport escaped the target phase set"
+                    )
+                self.covers.append((yi, images[s], xi, s))
         self._filtration = {}
         self._complex = None
 
-    # -- per-cell phase sets -------------------------------------------------
     def phase_cell(self, ci):
-        if ci in self._cells:
-            return self._cells[ci]
-        cell = self.poset.cells[ci]
-        ev = self.side.evaluator
-        pc = PhaseCell()
-        pc.stratum = ev.value_stratum("multitangent", cell)
-        fr = ev.frame(pc.stratum)
-        pc.qd = self.m - fr.k
-        if len(cell.sigma) < 2:
-            pc.points = []
-            pc.index = {}
-            self._cells[ci] = pc
-            return pc
-        seen = set()
-        for a, b in combinations(cell.sigma, 2):
-            d = tuple(x - y for x, y in zip(b, a))
-            rdm = 0
-            for j in range(pc.qd):
-                if dot(fr.R[j], d) & 1:
-                    rdm |= 1 << j
-            te = self.t[tuple(sorted((a, b)))]
-            pc.edges.append(((a, b), rdm, te))
-            for s in range(1 << pc.qd):
-                if bin(s & rdm).count("1") % 2 == te:
-                    seen.add(s)
-        pc.points = sorted(seen)
-        pc.index = {s: i for i, s in enumerate(pc.points)}
-        self._cells[ci] = pc
-        return pc
-
-    def projection_masks(self, sx, sy):
-        """Images of the V_x basis bits in V_y, as packed masks."""
-        key = (sx, sy)
-        if key not in self._proj:
-            ev = self.side.evaluator
-            frx, fry = ev.frame(sx), ev.frame(sy)
-            masks = []
-            for j in range(self.m - frx.k):
-                row = frx.R[j]
-                mask = 0
-                for i in range(self.m - fry.k):
-                    # coordinate i of proj(lift of bit j)
-                    if sum(row[t] * fry.Q[t][i] for t in range(self.m)) & 1:
-                        mask |= 1 << i
-                masks.append(mask)
-            self._proj[key] = masks
-        return self._proj[key]
+        return self._cells[ci]
 
     def transport(self, s, sx, sy):
-        if sx == sy:
-            return s
-        return f2_combine(s, self.projection_masks(sx, sy))
+        return f2_combine(s, self.frame.projection_masks(sx, sy))
 
     # -- the sign-cosheaf complex ------------------------------------------------
-    def sign_complex(self, check=True):
+    def sign_complex(self):
         if self._complex is None:
-            poset = self.poset
-            ranks = [len(self.phase_cell(c.index).points) for c in poset.cells]
+            cells = self._cells
             blocks = {}
-            for (yi, xi) in poset.covers:
-                if not ranks[yi] or not ranks[xi]:
-                    continue
-                px, py = self.phase_cell(xi), self.phase_cell(yi)
-                rows = []
-                for s in px.points:
-                    s2 = self.transport(s, px.stratum, py.stratum)
-                    row = [0] * len(py.points)
-                    j = py.index.get(s2)
-                    if j is None:
-                        raise InternalCheckError(
-                            "phase transport escaped the target phase set"
-                        )
-                    row[j] = 1
-                    rows.append(row)
-                blocks[(yi, xi)] = rows
-            self._complex = ChainComplex(
-                poset, ranks, blocks, poset.sign, check=check
-            )
+            for yi, s2, xi, _ in self.covers:
+                row = [0] * len(cells[yi].points)
+                row[cells[yi].index[s2]] = 1
+                blocks.setdefault((yi, xi), []).append(row)
+            ranks = [len(pc.points) for pc in cells]
+            self._complex = ChainComplex(self.poset, ranks, blocks, self.poset.sign)
         return self._complex
 
     # -- filtration generators ------------------------------------------------------
@@ -285,7 +287,8 @@ class PhaseData:
         gens = []
         if pc.points:
             value = ev.value("multitangent", p, cell)
-            for (a, b), rdm, te in pc.edges:
+            for (a, b), rdm, _ in pc.edges:
+                te = self.t[(a, b)]
                 B = ev.edge_annihilator_basis(pc.stratum, a, b)
                 w = len(B)
                 if p > w:
@@ -362,25 +365,14 @@ class RealComplex:
 
     def __init__(self, phase_data):
         pd = phase_data
-        poset = pd.poset
         self.n = pd.side.n
         self.cells = []
         index = {}
-        for c in poset.cells:
-            pc = pd.phase_cell(c.index)
-            for s in pc.points:
+        for c in pd.poset.cells:
+            for s in pd.phase_cell(c.index).points:
                 index[(c.index, s)] = len(self.cells)
                 self.cells.append((c.index, s, c.dim))
-        self.index = index
-        self.covers = []
-        for (yi, xi) in poset.covers:
-            px, py = pd.phase_cell(xi), pd.phase_cell(yi)
-            if not px.points or not py.points:
-                continue
-            for s in px.points:
-                s2 = pd.transport(s, px.stratum, py.stratum)
-                self.covers.append((index[(yi, s2)], index[(xi, s)]))
-        self._poset = poset
+        self.covers = [(index[yi, s2], index[xi, s]) for yi, s2, xi, s in pd.covers]
 
     def component_count(self):
         """Connected components of the top-cell adjacency graph."""
@@ -431,11 +423,11 @@ class RealComplex:
 # ---------------------------------------------------------------------------
 # betti numbers, two ways
 
-def real_betti(side, eps, kind="base"):
+def real_betti(side, eps):
     """F2 Betti numbers of the patchworked hypersurface, computed both from
     the sign-cosheaf complex and from the real CW complex; the b0 values and
     full vectors must agree and are returned once."""
-    pd = PhaseData(side, side.poset(kind), eps)
+    pd = PhaseData(side, side.base_poset, eps)
     cx = pd.sign_complex()
     h = cx.homology("f2")
     betti_cosheaf = [h.rank(q) for q in range(side.n + 1)]

@@ -16,7 +16,12 @@ not exist there and cannot be silently fabricated.
 Simplices are sorted tuples of lattice points.
 """
 
-from .errors import InternalCheckError, NotInTriangulation, RankUnsupported
+from .errors import (
+    InternalCheckError,
+    NotInTriangulation,
+    NotReflexive,
+    RankUnsupported,
+)
 from .intlinalg import det, dot, left_kernel, solve_left
 from .lattice import LatticePolytope, _as_point
 
@@ -148,8 +153,6 @@ def generate_central(P):
     the origin.  Raises RankUnsupported at rank >= 4.
     """
     if not P.is_reflexive():
-        from .errors import NotReflexive
-
         raise NotReflexive("central triangulations are built for reflexive polytopes")
     if P.rank == 2:
         boundary = []

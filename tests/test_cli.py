@@ -81,20 +81,23 @@ def test_mirror_check_cubic(cubic_files, capsys):
     assert env["result"]["transfer_spot_checks"]["fundamental_class_nonzero"]
 
 
-def test_mirror_check_same_under_optimize(cubic_files):
+def test_mirror_check_same_under_optimize(cubic_files, tmp_path):
     # `python -O` strips assert statements; every check must survive it
     _, _, tri, tri_dual = cubic_files
+    div = tmp_path / "d.json"
+    div.write_text(json.dumps({"rays": [[-1, 2], [-1, 1]]}))
     env = dict(os.environ, PYTHONPATH=str(Path(tropmirror.__file__).parents[1]))
-    outs = []
-    for flags in ([], ["-O"]):
-        run = subprocess.run(
-            [sys.executable, *flags, "-m", "tropmirror.cli", "mirror-check",
-             str(tri), str(tri_dual)],
-            capture_output=True, env=env, timeout=120,
-        )
-        assert run.returncode == 0, run.stderr
-        outs.append(run.stdout)
-    assert outs[0] == outs[1]
+    for command in (["mirror-check"], ["sweep"], ["patchwork", "--divisor", str(div)]):
+        outs = []
+        for flags in ([], ["-O"]):
+            run = subprocess.run(
+                [sys.executable, *flags, "-m", "tropmirror.cli", command[0],
+                 str(tri), str(tri_dual), *command[1:]],
+                capture_output=True, env=env, timeout=120,
+            )
+            assert run.returncode == 0, run.stderr
+            outs.append(run.stdout)
+        assert outs[0] == outs[1], command
 
 
 def test_divisor_class_and_patchwork(cubic_files, capsys, tmp_path):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from tropmirror.errors import DimensionMismatch
+from tropmirror.errors import DimensionMismatch, InternalCheckError
 from tropmirror.intlinalg import (
     F2Space,
     det,
@@ -122,6 +122,8 @@ def test_solve_left():
         b = vec_mat([rng.randint(-3, 3) for _ in A], A)
         x = solve_left(A, b)
         assert x is not None and vec_mat(x, A) == b
+    # shapes only ever disagree on internal data: exit code 2, not 1
+    assert issubclass(DimensionMismatch, InternalCheckError)
     with pytest.raises(DimensionMismatch):
         solve_left([[1, 2]], [1, 2, 3])
 

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from tropmirror.errors import InvalidPhaseStructure
-from tropmirror.intlinalg import F2Space
+from tropmirror.intlinalg import F2Space, f2_pack, mat_mul
 from tropmirror.mirror import divisor_restriction, is_null_class, sphere_cycle, transfer_class
 from tropmirror.patchwork import (
     PhaseData,
@@ -107,6 +107,44 @@ def test_phase_set_sizes_on_edges(cubic_pair, k3_pair):
                 continue
             pc = pd.phase_cell(c.index)
             assert len(pc.points) == 1 << (side.n - (len(c.tau) - 1))
+
+
+def test_transport_list_matches_frame_product(cubic_pair, k3_pair):
+    # both Betti routes read PhaseData.covers, so it is checked here against
+    # R_x.Q_y mod 2 formed from the evaluator's frames
+    cubic, k3 = cubic_pair.side_a, k3_pair.side_a
+    for side, kind in ((cubic, "base"), (k3, "base"), (cubic, "refined")):
+        poset = side.poset(kind)
+        rays = side.newton.rays()
+        eps_a = signs_from_divisor(side, rays[::2])
+        eps_b = signs_from_divisor(side, rays[1:2])
+        pd = PhaseData(side, poset, eps_a)
+        seen = []
+        for yi, s2, xi, s in pd.covers:
+            px, py = pd.phase_cell(xi), pd.phase_cell(yi)
+            fx = side.evaluator.frame(px.stratum)
+            fy = side.evaluator.frame(py.stratum)
+            bits = [[(s >> j) & 1 for j in range(px.qd)]]
+            assert s2 == f2_pack(mat_mul(mat_mul(bits, fx.R), fy.Q)[0])
+            assert s in px.points and s2 in py.points
+            seen.append((yi, xi, s))
+        # one entry per phase point of every cover between nonempty cells
+        expected = [
+            (yi, xi, s)
+            for yi, xi in poset.covers
+            if pd.phase_cell(yi).points
+            for s in pd.phase_cell(xi).points
+        ]
+        assert sorted(seen) == sorted(expected)
+        # one sign-independent frame per (side, poset kind), and no state
+        # leaks from one class into the next
+        pd_b = PhaseData(side, poset, eps_b)
+        pd_a = PhaseData(side, poset, eps_a)
+        assert pd_b.frame is pd.frame is pd_a.frame is side.phase_frame(kind)
+        assert pd_b.covers != pd.covers
+        assert pd_a.covers == pd.covers
+        for ci in range(len(poset.cells)):
+            assert pd_a.phase_cell(ci).points == pd.phase_cell(ci).points
 
 
 def test_filtration_rank_identity_and_preservation(cubic_pair):
