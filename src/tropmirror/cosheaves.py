@@ -19,20 +19,17 @@ stratum tau live in Lambda^p of explicit unimodular quotient coordinates, so
 every cosheaf map is a literal integer matrix (and reduces mod 2 for F2
 complexes).  Zero values outside a support are materialized as rank-0 blocks
 so that one assembly routine serves every complex.
+
+Each edge's wedge Lambda^p(edge annihilator / stratum span) is built once and
+cached per (stratum, edge direction, p); F_p(sigma) is spanned by the cached
+rows of the edges of sigma.
 """
 
 from itertools import combinations
 
 from .chains import ChainComplex
 from .errors import FreenessError, UnsupportedCell
-from .exterior import (
-    coeffs_to_vector,
-    dim_wedge,
-    vector_to_coeffs,
-    wedge_coeffs,
-    wedge_matrix,
-    wedge_rows,
-)
+from .exterior import dim_wedge, wedge_matrix, wedge_vector
 from .intlinalg import (
     hnf_basis,
     identity,
@@ -109,15 +106,20 @@ class CosheafEvaluator:
         """Generators of the cone span: nonzero vertices of tau."""
         return tuple(p for p in tau if p != self.origin)
 
-    def edge_annihilator_basis(self, stratum, a, b):
-        """HNF basis of (edge direction)-perp / (stratum span), in frame coords."""
+    def edge_annihilator_basis(self, stratum, a, b, p):
+        """Lambda^p of the HNF basis of (edge direction)-perp / (stratum span),
+        in frame coords: the basis itself at p = 1, its p x p minors above."""
         d = tuple(x - y for x, y in zip(b, a))
-        key = (stratum, d if d > tuple(-x for x in d) else tuple(-x for x in d))
+        key = (stratum, max(d, tuple(-x for x in d)), p)
         if key not in self._edge_basis:
-            fr = self.frame(stratum)
-            perp = left_kernel([[x] for x in d])
-            proj = [vec_mat(list(r), fr.Q) for r in perp]
-            self._edge_basis[key] = hnf_basis(proj)
+            if p == 1:
+                fr = self.frame(stratum)
+                perp = left_kernel([[x] for x in d])
+                proj = [vec_mat(list(r), fr.Q) for r in perp]
+                self._edge_basis[key] = hnf_basis(proj)
+            else:
+                B = self.edge_annihilator_basis(stratum, a, b, 1)
+                self._edge_basis[key] = wedge_matrix(B, p)
         return self._edge_basis[key]
 
     # -- values -----------------------------------------------------------------
@@ -125,16 +127,6 @@ class CosheafEvaluator:
         if ambient_dim not in self._zero_values:
             self._zero_values[ambient_dim] = FreeQuotient(ambient_dim, [])
         return self._zero_values[ambient_dim]
-
-    def _multitangent_rows(self, p, stratum, sigma):
-        fr = self.frame(stratum)
-        q = self.m - fr.k
-        rows = []
-        for a, b in combinations(sigma, 2):
-            B = self.edge_annihilator_basis(stratum, a, b)
-            for sub in combinations(B, p):
-                rows.append(wedge_rows(list(sub), q))
-        return rows
 
     def multitangent_value(self, p, stratum, sigma):
         key = ("F", p, stratum, sigma)
@@ -147,9 +139,10 @@ class CosheafEvaluator:
             elif p == 0:
                 self._values[key] = FreeQuotient(1, [(1,)])
             else:
-                self._values[key] = FreeQuotient(
-                    amb, self._multitangent_rows(p, stratum, sigma)
-                )
+                rows = []
+                for a, b in combinations(sigma, 2):
+                    rows += self.edge_annihilator_basis(stratum, a, b, p)
+                self._values[key] = FreeQuotient(amb, rows)
         return self._values[key]
 
     def kernel_rows(self, p, tau, sigma):
@@ -158,14 +151,11 @@ class CosheafEvaluator:
             return []
         sigma_inf = tuple(x for x in sigma if x != self.origin)
         prev = self.multitangent_value(p - 1, ZERO_STRATUM, sigma_inf)
-        m = self.m
-        rows = []
-        for u in self.stratum_gens(tau):
-            uc = vector_to_coeffs(u, m, 1)
-            for i in range(prev.rank):
-                w = wedge_coeffs(uc, vector_to_coeffs(prev.rep(i), m, p - 1))
-                rows.append(coeffs_to_vector(w, m, p))
-        return rows
+        return [
+            wedge_vector(u, prev.rep(i), self.m, p - 1)
+            for u in self.stratum_gens(tau)
+            for i in range(prev.rank)
+        ]
 
     def kernel_value(self, p, cell):
         tau, sigma = cell.tau, cell.sigma

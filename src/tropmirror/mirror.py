@@ -25,13 +25,7 @@ from .errors import (
     SupportViolation,
     UnsupportedCell,
 )
-from .exterior import (
-    coeffs_to_vector,
-    contract_multivector,
-    top_form,
-    vector_to_coeffs,
-    wedge_coeffs,
-)
+from .exterior import star, wedge_vector
 from .intlinalg import F2Space, f2_pack
 from .posets import mirror_cell_refined
 
@@ -140,14 +134,10 @@ def contraction_matrix(side, p, cell, vertex=None):
     mirror_poset = side.mirror.refined_poset
     mcell = mirror_poset.cells[mirror_poset.cell_index[mkey]]
     Vy = side.mirror.evaluator.value("mirror", n - p, mcell)
-    omega = top_form(m)
-    v1 = {(j,): c for j, c in enumerate(v) if c}
-    rows = []
-    for i in range(Vx.rank):
-        z = vector_to_coeffs(list(Vx.rep(i)), m, p)
-        vz = wedge_coeffs(v1, z)
-        image = contract_multivector(vz, m, omega)
-        rows.append(list(Vy.reduce(coeffs_to_vector(image, m, n - p))))
+    rows = [
+        list(Vy.reduce(star(wedge_vector(v, Vx.rep(i), m, p), m, p + 1)))
+        for i in range(Vx.rank)
+    ]
     return rows, mkey
 
 

@@ -34,7 +34,7 @@ from .errors import (
     RayNotInFan,
 )
 from .intlinalg import F2Space, dot, f2_combine, f2_pack, f2_rank
-from .exterior import wedge_rows
+from .exterior import wedge_matrix
 from .mirror import chain_degree, divisor_restriction, f2_apply, is_null_class
 
 
@@ -289,7 +289,7 @@ class PhaseData:
             value = ev.value("multitangent", p, cell)
             for (a, b), rdm, _ in pc.edges:
                 te = self.t[(a, b)]
-                B = ev.edge_annihilator_basis(pc.stratum, a, b)
+                B = ev.edge_annihilator_basis(pc.stratum, a, b, 1)
                 w = len(B)
                 if p > w:
                     continue
@@ -297,8 +297,8 @@ class PhaseData:
                 # the wedge image of each p-subset of B in value coordinates
                 if value.rank:
                     T = [
-                        list(value.reduce(wedge_rows(list(sub), pc.qd)))
-                        for sub in combinations(B, p)
+                        list(value.reduce(row))
+                        for row in ev.edge_annihilator_basis(pc.stratum, a, b, p)
                     ]
                 else:
                     T = []
@@ -307,12 +307,8 @@ class PhaseData:
                     s0 = rdm & (-rdm)  # lowest bit of rdm pairs to 1
                 for U in _subspaces(w, p):
                     # wedge coordinates of the subspace basis over p-subsets
-                    wedge = [
-                        x & 1
-                        for x in wedge_rows(
-                            [[(u >> j) & 1 for j in range(w)] for u in U], w
-                        )
-                    ]
+                    bits = [[(u >> j) & 1 for j in range(w)] for u in U]
+                    wedge = [x & 1 for x in wedge_matrix(bits, p)[0]]
                     fcoords = f2_apply(tuple(wedge), T) if T else ()
                     U_V = [f2_combine(u, B2) for u in U]
                     span = _span(U_V)

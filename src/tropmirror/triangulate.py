@@ -23,7 +23,7 @@ from .errors import (
     RankUnsupported,
 )
 from .intlinalg import det, dot, left_kernel, solve_left
-from .lattice import LatticePolytope, _as_point
+from .lattice import LatticePolytope, _affine_rank, _as_point
 
 
 def simplex(points):
@@ -280,51 +280,33 @@ def _triangulate_polygon(points):
 # validation
 
 def normalized_volume(P):
-    """(rank)! times the Euclidean volume, via a vertex-fan triangulation.
+    """(rank)! times the Euclidean volume, via a pulling triangulation.
 
-    Independent of any stored triangulation: cones the first vertex over
-    recursively triangulated facets using vertices only.
+    Independent of any stored triangulation: uses vertices only (see
+    ``_pulling``), at any rank.
     """
-    return _nvol([list(p) for p in P.vertices], P.rank)
+    return sum(
+        abs(det([[a - b for a, b in zip(p, s[0])] for p in s[1:]]))
+        for s in _pulling(P, tuple(P.vertices), P.rank)
+    )
 
 
-def _nvol(points, rank):
-    poly = LatticePolytope(points, rank) if rank > 1 else None
-    if rank == 1:
-        return max(p[0] for p in points) - min(p[0] for p in points)
-    w = poly.vertices[0]
-    total = 0
-    for (v, c) in poly.facets:
-        if dot(v, w) == c:
-            continue
-        fverts = [p for p in poly.vertices if dot(v, p) == c]
-        for tri in _facet_simplices(fverts, rank):
-            rows = [[a - b for a, b in zip(p, w)] for p in tri]
-            total += abs(det(rows))
-    return total
+def _pulling(P, face, rank):
+    """Simplices (rank + 1 vertices each) triangulating a face of P.
 
-
-def _facet_simplices(fverts, rank):
-    """Simplices (rank points each) triangulating conv(fverts), vertices only."""
-    base = min(fverts)
-    kernel_dirs = [[a - b for a, b in zip(p, base)] for p in fverts if p != base]
-    if rank == 2:
-        ends = sorted(fverts)
-        return [[ends[0], ends[-1]]]
-    if rank == 3:
-        # order the polygon's vertices and fan from the first
-        normal = left_kernel([list(col) for col in zip(*kernel_dirs)])[0]
-        plane_basis = left_kernel([[a] for a in normal])
-        coords = {}
-        for p in fverts:
-            rel = [a - b for a, b in zip(p, base)]
-            coords[tuple(solve_left([list(k) for k in plane_basis], rel))] = p
-        hull = _hull_ccw(sorted(coords))
-        v0 = coords[hull[0]]
-        return [
-            [v0, coords[a], coords[b]] for a, b in zip(hull[1:], hull[2:])
-        ]
-    raise RankUnsupported(f"independent volume check unavailable at rank {rank}")
+    The face (its vertices, affine rank ``rank``) is coned from its first
+    vertex over its sub-faces that miss it; a sub-face is the face's vertices
+    on one facet hyperplane of P, of affine rank one less.
+    """
+    if rank == 0:
+        return [face[:1]]
+    w = face[0]
+    subs = set()
+    for v, c in P.facets:
+        sub = tuple(p for p in face if dot(v, p) == c)
+        if w not in sub and _affine_rank(sub) == rank - 1:
+            subs.add(sub)
+    return [(w, *s) for sub in sorted(subs) for s in _pulling(P, sub, rank - 1)]
 
 
 def validate(T):
@@ -360,15 +342,12 @@ def validate(T):
     missing = lattice - used
     for p in sorted(missing):
         report.add("UnusedLatticePoint", f"{p} is not a vertex of the triangulation")
-    try:
-        expected = normalized_volume(P)
-        if volume != expected:
-            report.add(
-                "NotCovering",
-                f"simplex volumes sum to {volume}, polytope has volume {expected}",
-            )
-    except RankUnsupported:
-        report.notes.append("covering: volume check unavailable at this rank")
+    expected = normalized_volume(P)
+    if volume != expected:
+        report.add(
+            "NotCovering",
+            f"simplex volumes sum to {volume}, polytope has volume {expected}",
+        )
     # boundary pseudomanifold: every ridge in exactly two maximal boundary cells
     ridge_count = {}
     for beta in T.boundary_simplices:

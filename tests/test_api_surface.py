@@ -6,7 +6,10 @@ ORACLES with the check it serves.  Being exported in ``tropmirror.__all__``
 is not enough.
 Use is decided by name: a module-level name counts where its module, or a
 module importing it, reads it; a method counts wherever an attribute of that
-name is read.  Imports alone do not count.
+name is read.  Imports alone do not count.  A read by name cannot tell
+apart two classes that define a method of the same name, so every such
+definition is listed in SHARED with one function that reads it (reviewed by
+hand; the test checks that the function reads an attribute of that name).
 
 The package also holds no ``assert`` statement: checks must survive
 ``python -O``.  Imports sit at module level, none inside a function.
@@ -53,6 +56,23 @@ ORACLES = {
         "acceptance criterion 10: homology is invariant under gauge changes",
     "posets.is_balanced":
         "test_posets: default, solved and gauge-twisted signatures are balanced",
+}
+
+# Public method names defined in more than one class: each definition, and a
+# function in the package that reads it on an instance of that class.
+SHARED = {
+    "intlinalg.F2Space.add": "intlinalg.F2Space.__init__",
+    "triangulate.ValidationReport.add": "triangulate.validate",
+    "intlinalg.F2Space.contains": "patchwork.divisors_equivalent",
+    "lattice.LatticePolytope.contains": "lattice.LatticePolytope.lattice_points",
+    "chains.ChainComplex.homology": "pairs.Side.homology",
+    "pairs.Side.homology": "pairs.Side.hodge_table",
+    "chains.HomologySummary.rank": "pairs.Side.hodge_table",
+    "intlinalg.F2Space.rank": "patchwork._subspaces",
+    "intlinalg.F2Space.reduce": "patchwork.divisor_class_representatives",
+    "modules.FreeQuotient.reduce": "cosheaves.CosheafEvaluator.map_matrix",
+    "triangulate.ValidationReport.to_dict": "cli.cmd_validate",
+    "triangulate.CentralTriangulation.to_dict": "cli.cmd_triangulate",
 }
 
 
@@ -115,6 +135,38 @@ def test_every_public_name_is_reached():
 def test_oracles_name_existing_definitions():
     defined = {f"{mod}.{qual}" for mod, qual, _, _ in _definitions(_trees())}
     assert set(ORACLES) <= defined
+
+
+def _functions(trees):
+    """Qualified name -> node for every function and method, private too."""
+    out = {}
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                out[f"{mod}.{node.name}"] = node
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        out[f"{mod}.{node.name}.{item.name}"] = item
+    return out
+
+
+def test_shared_method_names_have_a_reviewed_reader():
+    trees = _trees()
+    by_name = {}
+    for mod, qual, node, is_method in _definitions(trees):
+        if is_method:
+            by_name.setdefault(node.name, []).append(f"{mod}.{qual}")
+    shared = {d for defs in by_name.values() if len(defs) > 1 for d in defs}
+    assert shared == set(SHARED)
+    functions = _functions(trees)
+    for definition, reader in SHARED.items():
+        attr = definition.rsplit(".", 1)[1]
+        assert reader != definition
+        assert any(
+            isinstance(n, ast.Attribute) and n.attr == attr
+            for n in ast.walk(functions[reader])
+        ), (definition, reader)
 
 
 def test_no_bare_asserts():

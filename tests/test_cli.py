@@ -9,7 +9,7 @@ import pytest
 import tropmirror
 from tropmirror.cli import main
 
-from conftest import CUBIC_DUAL_VERTS, CUBIC_VERTS
+from conftest import CUBE_VERTS, CUBIC_DUAL_VERTS, CUBIC_VERTS, OCTA_VERTS
 
 
 @pytest.fixture()
@@ -86,13 +86,26 @@ def test_mirror_check_same_under_optimize(cubic_files, tmp_path):
     _, _, tri, tri_dual = cubic_files
     div = tmp_path / "d.json"
     div.write_text(json.dumps({"rays": [[-1, 2], [-1, 1]]}))
+    # the K3 pair reaches wedge degree 2 and the contraction at rank 3
+    k3 = []
+    for name, verts in (("cube", CUBE_VERTS), ("octa", OCTA_VERTS)):
+        poly = tmp_path / f"{name}.json"
+        poly.write_text(json.dumps({"rank": 3, "vertices": verts}))
+        k3.append(str(tmp_path / f"tri_{name}.json"))
+        assert main(["triangulate", str(poly), "-o", k3[-1]]) == 0
+    cubic = [str(tri), str(tri_dual)]
     env = dict(os.environ, PYTHONPATH=str(Path(tropmirror.__file__).parents[1]))
-    for command in (["mirror-check"], ["sweep"], ["patchwork", "--divisor", str(div)]):
+    for command in (
+        ["mirror-check", *cubic],
+        ["sweep", *cubic],
+        ["patchwork", *cubic, "--divisor", str(div)],
+        ["mirror-check", *k3],
+        ["--ring", "z", "hodge", *k3],
+    ):
         outs = []
         for flags in ([], ["-O"]):
             run = subprocess.run(
-                [sys.executable, *flags, "-m", "tropmirror.cli", command[0],
-                 str(tri), str(tri_dual), *command[1:]],
+                [sys.executable, *flags, "-m", "tropmirror.cli", *command],
                 capture_output=True, env=env, timeout=120,
             )
             assert run.returncode == 0, run.stderr

@@ -1,10 +1,12 @@
 import random
+from itertools import combinations
 
 import pytest
 
 from tropmirror.chains import ChainComplex
 from tropmirror.errors import InternalCheckError
-from tropmirror.intlinalg import f2_rank, hnf_basis, mat_mul
+from tropmirror.intlinalg import det, f2_rank, hnf_basis, left_kernel, mat_mul, vec_mat
+from tropmirror.modules import FreeQuotient
 from tropmirror.posets import gauge_twist
 
 
@@ -125,6 +127,39 @@ def test_annihilator_line_example(cubic_pair):
     v = side.evaluator.value("multitangent", 1, cell)
     assert v.rank == 1
     assert hnf_basis([list(v.rep(0))]) == [[1, 0]]
+
+
+def _minor_route_sub(ev, p, stratum, sigma):
+    """F_p(sigma) built edge by edge: every p-subset of each edge annihilator
+    basis, wedged by its p x p minors with one det per minor."""
+    Q = ev.frame(stratum).Q
+    q = len(Q[0])
+    cols = list(combinations(range(q), p))
+    if len(sigma) < 2 or not cols:
+        return []
+    rows = []
+    for a, b in combinations(sigma, 2):
+        perp = left_kernel([[x - y] for x, y in zip(b, a)])
+        B = hnf_basis([vec_mat(list(r), Q) for r in perp])
+        for sub in combinations(B, p):
+            rows.append([det([[r[j] for j in J] for r in sub]) for J in cols])
+    return FreeQuotient(len(cols), rows).sub
+
+
+def test_multitangent_values_match_minor_route(cubic_pair, k3_pair, quartic_pair):
+    for pair in (cubic_pair, k3_pair, quartic_pair):
+        for side in pair.sides:
+            ev = side.evaluator
+            expected = {}
+            for poset in (side.base_poset, side.refined_poset):
+                for cell in poset.cells:
+                    stratum = ev.value_stratum("multitangent", cell)
+                    for p in range(ev.m + 1):
+                        key = (p, stratum, cell.sigma)
+                        if key not in expected:
+                            expected[key] = _minor_route_sub(ev, *key)
+                        got = ev.value("multitangent", p, cell).sub
+                        assert got == expected[key], (cell.key, p)
 
 
 # -- hodge tables ------------------------------------------------------------------

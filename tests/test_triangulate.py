@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from tropmirror.errors import NotInTriangulation, RankUnsupported
@@ -89,6 +91,32 @@ def test_rank_four_unsupported():
     ]
     with pytest.raises(RankUnsupported):
         generate_central(LatticePolytope(verts))
+
+
+def _cross_polytope_4():
+    """The 16-cell and its central triangulation: one of +-e_i for each i."""
+    units = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    P = LatticePolytope([tuple(s * x for x in u) for u in units for s in (1, -1)])
+    simplices = [
+        [tuple(s[i] * x for x in units[i]) for i in range(4)]
+        for s in product((1, -1), repeat=4)
+    ]
+    return P, simplices
+
+
+def test_four_cube_normalized_volume():
+    verts = list(product((-1, 1), repeat=4))
+    assert normalized_volume(LatticePolytope(verts)) == 384
+
+
+def test_rank_four_covering_checked():
+    P, simplices = _cross_polytope_4()
+    report = validate(CentralTriangulation(P, simplices))
+    assert report.ok, report.entries
+    assert report.notes == ["convexity: not checked (not required downstream)"]
+    # a duplicated boundary simplex covers part of the sphere twice
+    report = validate(CentralTriangulation(P, simplices + simplices[:1]))
+    assert "NotCovering" in report.codes()
 
 
 def test_sigma_hat_and_infty(cubic_tri):
