@@ -81,7 +81,9 @@ class CosheafEvaluator:
     Values are pure functions of their keys; the caches fill on first use
     (warm them single-threaded before sharing across threads, after which
     all access is read-only).  Maps are recomputed on each call from the
-    cached values and frames: a complex reads each cover's map once.
+    cached values and the cached p-wedge of each frame projection, keyed by
+    (source stratum, target stratum, p): a complex reads each cover's map
+    once, but many covers share a pair of strata.
     """
 
     TAGS = ("multitangent", "kernel", "mirror", "mirror_ext", "quotient")
@@ -93,6 +95,7 @@ class CosheafEvaluator:
         self.origin = (0,) * self.m
         self._frames = {}
         self._edge_basis = {}
+        self._projection_wedges = {}
         self._values = {}
         self._zero_values = {}
 
@@ -225,7 +228,10 @@ class CosheafEvaluator:
         sy = self.value_stratum(tag, ycell)
         W = None
         if sx != sy:
-            W = wedge_matrix(self.projection(sx, sy), p)
+            key = (sx, sy, p)
+            if key not in self._projection_wedges:
+                self._projection_wedges[key] = wedge_matrix(self.projection(sx, sy), p)
+            W = self._projection_wedges[key]
         rows = []
         for i in range(Vx.rank):
             a = list(Vx.rep(i))

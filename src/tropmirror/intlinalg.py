@@ -12,14 +12,18 @@ impossible by construction.  Conventions:
 
 Hermite form is row-style (pivots positive, zeros below, reduced above);
 Smith form returns unimodular U, V with U*A*V = S and a divisibility chain
-on the diagonal.  Sparse matrices go through one elimination, a gcd descent
-on a copy of the rows that leaves its input untouched: ``sparse_rank`` counts
-the diagonal it leaves and ``sparse_elementary_divisors`` repairs its
-divisibility.  Over F2, ``F2Space`` is the one leading-bit reduction that
-tracks combinations; ``f2_rank`` is a lean rank-only pass kept as an
-independent route for cross-checks.
+on the diagonal.  Sparse matrices go through one structured elimination on
+a copy of the rows that leaves its input untouched: unit pivots, found
+through a column index, while any row holds a +-1, then gcd descent on the
+remainder.  ``sparse_rank`` counts the diagonal it leaves and
+``sparse_elementary_divisors`` repairs its divisibility.  Over F2,
+``F2Space`` is the one leading-bit reduction that tracks combinations;
+``f2_rank`` is a lean rank-only pass kept as an independent route for
+cross-checks.
 """
 
+from collections import defaultdict
+from heapq import heapify, heappop, heappush
 from math import gcd
 
 from .errors import DimensionMismatch
@@ -347,63 +351,97 @@ def smith(A):
 # ---------------------------------------------------------------------------
 # sparse routines for boundary matrices
 
-def _sparse_axpy(row, pivot, q):
-    """row -= q * pivot on {col: val} dicts."""
+def _sparse_axpy(row, pivot, q, rid, cols):
+    """row -= q * pivot on {col: val} dicts; cols[j] (the ids of the rows
+    holding column j) gains or loses ``rid`` as an entry appears or vanishes."""
     for j, v in pivot.items():
         new = row.get(j, 0) - q * v
         if new:
+            if j not in row:
+                cols[j].add(rid)
             row[j] = new
-        else:
-            row.pop(j, None)
+        elif j in row:
+            del row[j]
+            cols[j].discard(rid)
+
+
+def _heap_key(row, rid):
+    """Rows holding a unit entry first, then shorter rows."""
+    return (1 not in row.values() and -1 not in row.values(), len(row), rid)
 
 
 def _sparse_diagonal(rows):
-    """Diagonal left by sparse gcd descent on a copy of ``rows``.
+    """Diagonal left by structured elimination on a copy of ``rows``.
 
-    Alternates row operations that clear the pivot column with column
-    operations that reduce the pivot row, so every pivot ends alone in its
-    row and column.  The entries are positive and their count is the rank
-    over Q.
+    A column index (column -> ids of the rows holding it) finds the rows to
+    clear, and a heap keyed by (no unit entry, length) with lazy
+    invalidation picks each pivot row.  Unit pivots come first: the
+    shortest row holding a +-1, on its unit column with the fewest rows
+    (Markowitz), clears that column in one pass.  Once no row holds a unit,
+    gcd descent runs on the remainder: row operations clear the pivot
+    column, swapping in any smaller remainder as pivot, and column
+    operations, which touch only the pivot row, reduce that row.  Every
+    pivot ends alone in its row and column.  The entries are positive and
+    their count is the rank over Q.
     """
-    active = [dict(r) for r in rows if r]
+    active = {}
+    cols = defaultdict(set)
+    for rid, r in enumerate(rows):
+        if r:
+            active[rid] = dict(r)
+            for j in r:
+                cols[j].add(rid)
+    heap = [_heap_key(r, rid) for rid, r in active.items()]
+    heapify(heap)
     diag = []
     while active:
-        # pivot row: prefer unit entries, then short rows
-        pr = min(
-            active,
-            key=lambda r: (min(abs(v) for v in r.values()) != 1, len(r)),
-        )
-        col = min(pr, key=lambda j: (abs(pr[j]), j))
+        key = heappop(heap)
+        pid = key[2]
+        pr = active.get(pid)
+        if pr is None or _heap_key(pr, pid) != key:
+            continue  # stale: the row is gone or has changed since the push
+        if key[0]:
+            col = min(pr, key=lambda j: (abs(pr[j]), j))
+        else:
+            col = min((j for j, v in pr.items() if v in (1, -1)),
+                      key=lambda j: (len(cols[j]), j))
         while True:
             # clear the pivot column with row operations
             while True:
-                others = [r for r in active if r is not pr and col in r]
-                if not others:
+                p = pr[col]
+                for rid in list(cols[col]):
+                    if rid != pid:
+                        r = active[rid]
+                        q = r[col] // p
+                        if q:
+                            _sparse_axpy(r, pr, q, rid, cols)
+                            if r:
+                                heappush(heap, _heap_key(r, rid))
+                            else:
+                                del active[rid]
+                if len(cols[col]) == 1:
                     break
-                for r in others:
-                    q = r[col] // pr[col]
-                    if q:
-                        _sparse_axpy(r, pr, q)
-                rem = [r for r in active if r is not pr and r.get(col)]
-                if rem:
-                    cand = min(rem, key=lambda r: abs(r[col]))
-                    if abs(cand[col]) < abs(pr[col]):
-                        pr = cand
-                else:
-                    break
+                # every remainder is smaller than p: the least becomes pivot,
+                # and the next pass changes the old pivot row and pushes it
+                pid = min((rid for rid in cols[col] if rid != pid),
+                          key=lambda rid: abs(active[rid][col]))
+                pr = active[pid]
             # column operations only touch the pivot row here
             p = pr[col]
             for j, v in list(pr.items()):
-                q = v // p
-                if q and j != col:
-                    pr[j] = v - q * p
-                    if not pr[j]:
+                if j != col and v // p:
+                    v %= p
+                    if v:
+                        pr[j] = v
+                    else:
                         del pr[j]
+                        cols[j].discard(pid)
             if len(pr) == 1:
                 break
             col = min((j for j in pr if j != col), key=lambda j: (abs(pr[j]), j))
         diag.append(abs(pr[col]))
-        active = [r for r in active if r is not pr and r]
+        del active[pid]
+        cols[col].discard(pid)
     return diag
 
 

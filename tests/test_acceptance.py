@@ -7,8 +7,11 @@ asserted with the wall clock.
 
 import random
 import time
+from itertools import permutations, product
 
 from tropmirror.intlinalg import mat_mul
+from tropmirror.lattice import LatticePolytope
+from tropmirror.pairs import MirrorPair
 from tropmirror.mirror import (
     contraction_matrix,
     contraction_sign,
@@ -30,6 +33,7 @@ from tropmirror.patchwork import (
     signs_from_divisor,
 )
 from tropmirror.posets import balanced_signature, gauge_twist
+from tropmirror.triangulate import CentralTriangulation
 
 D7 = (-1, 2)
 D8 = (-1, 1)
@@ -385,4 +389,48 @@ def test_criterion_10_structural_properties(cubic_pair, k3_pair):
         ok,
         "boundary squares vanish, signatures interchangeable, Euler identities, "
         "filtration preserved with graded ranks matching",
+    )
+
+
+def _cy3_pair():
+    """The 16-cell / 4-cube CY3 pair.  The 16-cell has one boundary simplex
+    per sign vector; each facet of [-1,1]^4 is cut into unit cubes and each
+    of those into 3! simplices along the all-ones diagonal (Freudenthal), in
+    one coordinate order for all facets so that shared faces agree."""
+    units = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    cross = [
+        [tuple(s[i] * x for x in units[i]) for i in range(4)]
+        for s in product((1, -1), repeat=4)
+    ]
+    cube = []
+    for axis, side in product(range(4), (-1, 1)):
+        free = [i for i in range(4) if i != axis]
+        for corner in product((-1, 0), repeat=3):
+            for order in permutations(free):
+                point = [side] * 4
+                for i, c in zip(free, corner):
+                    point[i] = c
+                chain = [tuple(point)]
+                for i in order:
+                    point[i] += 1
+                    chain.append(tuple(point))
+                cube.append(chain)
+    P = LatticePolytope(list(product((-1, 1), repeat=4)))
+    return MirrorPair(
+        CentralTriangulation(P.dual(), cross), CentralTriangulation(P, cube)
+    )
+
+
+def test_criterion_11_cy3_cube_side_over_z():
+    start = time.time()
+    side = _cy3_pair().side_b  # Newton polytope: the 4-cube, 6705 base cells
+    expected = [[1, 0, 0, 1], [0, 4, 68, 0], [0, 68, 4, 0], [1, 0, 0, 1]]
+    table = side.hodge_table("z")
+    ok = table["ranks"] == expected
+    ok = ok and all(t == [] for row in table["torsion"] for t in row)
+    ok = ok and side.hodge_table("q")["ranks"] == expected
+    elapsed = time.time() - start
+    ok = ok and elapsed < 60
+    _verdict(
+        11, ok, f"CY3 4-cube side over Z and Q, no torsion, {elapsed:.1f}s < 60s"
     )

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropmirror.errors import DimensionMismatch, InternalCheckError
 from tropmirror.intlinalg import (
@@ -87,27 +89,67 @@ def test_smith_random_properties():
                     assert a == 0
 
 
+def _dense_divisors(A):
+    """Nonzero diagonal of dense ``smith``, run on a diagonal matrix
+    equivalent to A: row Hermite forms of A and of its transposes alternate
+    until no entry is left off the diagonal.  On A itself ``smith`` takes
+    the first nonzero entry as pivot and never reduces the rest, so its
+    entries can grow past any bound (some 6 x 5 inputs with entries in
+    [-4, 9] do not finish in minutes)."""
+    H = hnf_basis(A)
+    while any(a for i, row in enumerate(H) for j, a in enumerate(row) if i != j):
+        H = hnf_basis([list(col) for col in zip(*H)])
+    S, _, _ = smith(H) if H else ([], None, None)
+    return sorted(S[i][i] for i in range(len(S)))
+
+
+def _check_sparse(A, expected=None):
+    sp = [{j: a for j, a in enumerate(row) if a} for row in A]
+    before = [dict(r) for r in sp]
+    divisors = sparse_elementary_divisors(sp)
+    assert sparse_rank(sp) == len(hnf_basis(A)) == len(divisors)
+    assert sp == before  # neither routine touches its input
+    dense = _dense_divisors(A)
+    assert divisors == dense == (expected or dense)
+    # over F2 only the odd divisors survive
+    assert f2_rank([f2_pack(row) for row in A]) == sum(d % 2 for d in divisors)
+
+
 def test_sparse_matches_dense():
     rng = random.Random(13)
     cases = [  # the gcd/lcm repair with units present, and a zero row
         ([[1, 0, 0], [0, 2, 0], [0, 0, 3]], [1, 1, 6]),
         ([[4, 0], [0, 6]], [2, 12]),
         ([[2, 4, 0], [0, 0, 0], [6, 8, 2]], [2, 2]),
+        # the second row has no unit until the first pivot leaves it {1: 1}
+        ([[1, 1, 0], [2, 3, 0], [0, 2, 4]], [1, 1, 4]),
+        # the unit pivot leaves the non-unit remainder 4, 6: repaired to 2, 12
+        ([[1, 3, 0], [3, 13, 0], [0, 0, 6]], [1, 2, 12]),
     ]
     for _ in range(30):
         A = random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6), -3, 3)
         cases.append((A, None))
     for A, expected in cases:
-        sp = [{j: a for j, a in enumerate(row) if a} for row in A]
-        before = [dict(r) for r in sp]
-        divisors = sparse_elementary_divisors(sp)
-        assert sparse_rank(sp) == len(hnf_basis(A)) == len(divisors)
-        assert sp == before  # neither routine touches its input
-        S, _, _ = smith(A)
-        dense = sorted(S[i][i] for i in range(min(len(A), len(A[0]))) if S[i][i])
-        assert divisors == dense == (expected or dense)
-        # over F2 only the odd divisors survive
-        assert f2_rank([f2_pack(row) for row in A]) == sum(d % 2 for d in divisors)
+        _check_sparse(A, expected)
+
+
+@st.composite
+def _sparse_matrices(draw):
+    """Sparse integer matrices, about half of their entries zero; about half
+    of the draws hold no +-1 at all, so the elimination runs on gcd descent
+    alone."""
+    m, n = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    values = [0] * 8 + [2, -2, 3, -4, 6, 9]
+    if draw(st.booleans()):
+        values += [1, -1]
+    entries = st.sampled_from(values)
+    return [[draw(entries) for _ in range(n)] for _ in range(m)]
+
+
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@given(_sparse_matrices())
+def test_sparse_elimination_properties(A):
+    _check_sparse(A)
 
 
 def test_solve_left():
