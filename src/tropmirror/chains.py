@@ -24,6 +24,15 @@ from .intlinalg import (
 RINGS = ("z", "q", "f2")
 
 
+def dense_block(block, width):
+    """Sparse block rows as a dense integer matrix with ``width`` columns."""
+    out = [[0] * width for _ in block]
+    for row, entries in zip(out, block):
+        for j, a in entries:
+            row[j] = a
+    return out
+
+
 class HomologySummary:
     """Per-degree free rank and, over Z, the torsion invariants d1 | d2 |..."""
 
@@ -67,7 +76,8 @@ class ChainComplex:
     """Boundary matrices of a cosheaf on a poset, with homology caches.
 
     ``ranks``: value rank per cell index.  ``blocks``: for each cover
-    (y below x) an integer matrix taking x-coordinates to y-coordinates.
+    (y below x) the integer matrix taking x-coordinates to y-coordinates, as
+    sparse rows: per x-coordinate, a sequence of (y-coordinate, entry) pairs.
     ``sign``: signature on the covers.
     """
 
@@ -98,19 +108,17 @@ class ChainComplex:
                 continue
             q = poset.cells[xi].dim
             s = sign[(yi, xi)]
-            m = blocks[(yi, xi)]
+            block = blocks[(yi, xi)]
             ox, oy = self.offset[xi], self.offset[yi]
             rows = self.D[q]
             for i in range(rx):
-                mi = m[i]
                 row = rows[ox + i]
-                for j in range(ry):
-                    if mi[j]:
-                        v = row.get(oy + j, 0) + s * mi[j]
-                        if v:
-                            row[oy + j] = v
-                        else:
-                            row.pop(oy + j, None)
+                for j, a in block[i]:
+                    v = row.get(oy + j, 0) + s * a
+                    if v:
+                        row[oy + j] = v
+                    else:
+                        row.pop(oy + j, None)
         self._rank_cache = {}
         self._f2_cache = {}
         self._f2_space_cache = {}

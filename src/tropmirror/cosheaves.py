@@ -22,7 +22,10 @@ so that one assembly routine serves every complex.
 
 Each edge's wedge Lambda^p(edge annihilator / stratum span) is built once and
 cached per (stratum, edge direction, p); F_p(sigma) is spanned by the cached
-rows of the edges of sigma.
+rows of the edges of sigma.  A value depends only on its spans, not on the
+cell that carries it, so values are interned: one FreeQuotient per distinct
+module, one wedge per distinct frame projection, and one sparse matrix per
+distinct (source value, target value, projection) triple.
 """
 
 from itertools import combinations
@@ -39,7 +42,7 @@ from .intlinalg import (
     smith,
     vec_mat,
 )
-from .modules import FreeQuotient
+from .modules import FreeQuotient, _frozen
 
 ZERO_STRATUM = ()
 
@@ -80,10 +83,12 @@ class CosheafEvaluator:
 
     Values are pure functions of their keys; the caches fill on first use
     (warm them single-threaded before sharing across threads, after which
-    all access is read-only).  Maps are recomputed on each call from the
-    cached values and the cached p-wedge of each frame projection, keyed by
-    (source stratum, target stratum, p): a complex reads each cover's map
-    once, but many covers share a pair of strata.
+    all access is read-only).  Every value is built by ``_module``, which
+    returns one object per distinct module, and every frame projection's
+    p-wedge is interned by content, so a map is a pure function of the
+    identities of (source value, target value, wedge) and is computed once
+    per distinct triple: many cells carry equal values, and many covers
+    share a map.  Interned objects live as long as the evaluator.
     """
 
     TAGS = ("multitangent", "kernel", "mirror", "mirror_ext", "quotient")
@@ -94,10 +99,14 @@ class CosheafEvaluator:
         self.m = newton_tri.rank
         self.origin = (0,) * self.m
         self._frames = {}
+        self._gens = {}
         self._edge_basis = {}
         self._projection_wedges = {}
+        self._wedges = {}  # wedge content -> the one interned copy
         self._values = {}
-        self._zero_values = {}
+        self._modules = {}  # (ambient, sub row set, quo row set) -> value
+        self._contents = {}  # FreeQuotient content -> the one interned value
+        self._maps = {}  # ids of (source, target, wedge or None) -> sparse rows
 
     # -- frames and edge data ---------------------------------------------------
     def frame(self, gens):
@@ -107,7 +116,10 @@ class CosheafEvaluator:
 
     def stratum_gens(self, tau):
         """Generators of the cone span: nonzero vertices of tau."""
-        return tuple(p for p in tau if p != self.origin)
+        gens = self._gens.get(tau)
+        if gens is None:
+            gens = self._gens[tau] = tuple(p for p in tau if p != self.origin)
+        return gens
 
     def edge_annihilator_basis(self, stratum, a, b, p):
         """Lambda^p of the HNF basis of (edge direction)-perp / (stratum span),
@@ -119,17 +131,30 @@ class CosheafEvaluator:
                 fr = self.frame(stratum)
                 perp = left_kernel([[x] for x in d])
                 proj = [vec_mat(list(r), fr.Q) for r in perp]
-                self._edge_basis[key] = hnf_basis(proj)
+                B = hnf_basis(proj)
             else:
-                B = self.edge_annihilator_basis(stratum, a, b, 1)
-                self._edge_basis[key] = wedge_matrix(B, p)
+                B = wedge_matrix(self.edge_annihilator_basis(stratum, a, b, 1), p)
+            self._edge_basis[key] = _frozen(B)
         return self._edge_basis[key]
 
     # -- values -----------------------------------------------------------------
+    def _module(self, ambient, sub_rows, quo_rows=()):
+        """FreeQuotient(ambient, sub_rows, quo_rows), one object per module.
+
+        The reduced HNF is unique per lattice, so a FreeQuotient is a pure
+        function of its two spans: a repeated pair of row sets skips the
+        elimination, and a new one that yields known content returns the
+        object already built.  Rows must be tuples.
+        """
+        key = (ambient, frozenset(sub_rows), frozenset(quo_rows))
+        value = self._modules.get(key)
+        if value is None:
+            fq = FreeQuotient(ambient, sub_rows, quo_rows)
+            value = self._modules[key] = self._contents.setdefault(fq.content(), fq)
+        return value
+
     def _zero(self, ambient_dim):
-        if ambient_dim not in self._zero_values:
-            self._zero_values[ambient_dim] = FreeQuotient(ambient_dim, [])
-        return self._zero_values[ambient_dim]
+        return self._module(max(ambient_dim, 1), ())
 
     def multitangent_value(self, p, stratum, sigma):
         key = ("F", p, stratum, sigma)
@@ -138,14 +163,14 @@ class CosheafEvaluator:
             q = self.m - fr.k
             amb = dim_wedge(q, p)
             if len(sigma) < 2 or amb == 0:
-                self._values[key] = self._zero(max(amb, 1))
+                self._values[key] = self._zero(amb)
             elif p == 0:
-                self._values[key] = FreeQuotient(1, [(1,)])
+                self._values[key] = self._module(1, [(1,)])
             else:
                 rows = []
                 for a, b in combinations(sigma, 2):
                     rows += self.edge_annihilator_basis(stratum, a, b, p)
-                self._values[key] = FreeQuotient(amb, rows)
+                self._values[key] = self._module(amb, rows)
         return self._values[key]
 
     def kernel_rows(self, p, tau, sigma):
@@ -155,7 +180,7 @@ class CosheafEvaluator:
         sigma_inf = tuple(x for x in sigma if x != self.origin)
         prev = self.multitangent_value(p - 1, ZERO_STRATUM, sigma_inf)
         return [
-            wedge_vector(u, prev.rep(i), self.m, p - 1)
+            tuple(wedge_vector(u, prev.rep(i), self.m, p - 1))
             for u in self.stratum_gens(tau)
             for i in range(prev.rank)
         ]
@@ -164,11 +189,10 @@ class CosheafEvaluator:
         tau, sigma = cell.tau, cell.sigma
         amb = dim_wedge(self.m, p)
         if self.origin in tau or amb == 0:
-            return self._zero(max(amb, 1))
+            return self._zero(amb)
         key = ("R", p, self.stratum_gens(tau), tuple(x for x in sigma if x != self.origin))
         if key not in self._values:
-            rows = self.kernel_rows(p, tau, sigma)
-            self._values[key] = FreeQuotient(amb, rows)
+            self._values[key] = self._module(amb, self.kernel_rows(p, tau, sigma))
         return self._values[key]
 
     def mirror_ext_value(self, p, cell):
@@ -181,8 +205,8 @@ class CosheafEvaluator:
             if base.rank == 0:
                 self._values[key] = base
             else:
-                self._values[key] = FreeQuotient(
-                    base.ambient, base.sub, self.kernel_rows(p, tau, sigma)
+                self._values[key] = self._module(
+                    base.ambient, _frozen(base.sub), self.kernel_rows(p, tau, sigma)
                 )
         return self._values[key]
 
@@ -198,11 +222,11 @@ class CosheafEvaluator:
         if tag == "mirror":
             if self.origin in cell.sigma and self.origin not in cell.tau:
                 return self.mirror_ext_value(p, cell)
-            return self._zero(max(dim_wedge(self.m, p), 1))
+            return self._zero(dim_wedge(self.m, p))
         if tag == "quotient":
             if self.origin not in cell.sigma:
                 return self.mirror_ext_value(p, cell)
-            return self._zero(max(dim_wedge(self.m, p), 1))
+            return self._zero(dim_wedge(self.m, p))
         raise UnsupportedCell(f"unknown cosheaf tag {tag!r}")
 
     def value_stratum(self, tag, cell):
@@ -218,27 +242,34 @@ class CosheafEvaluator:
         """R_x.Q_y: frame-sx coordinates to frame-sy coordinates."""
         return mat_mul(self.frame(sx).R, self.frame(sy).Q)
 
+    def _projection_wedge(self, sx, sy, p):
+        """Lambda^p of ``projection(sx, sy)``, one object per distinct matrix."""
+        key = (sx, sy, p)
+        if key not in self._projection_wedges:
+            W = _frozen(wedge_matrix(self.projection(sx, sy), p))
+            self._projection_wedges[key] = self._wedges.setdefault(W, W)
+        return self._projection_wedges[key]
+
     def map_matrix(self, tag, p, ycell, xcell):
-        """Matrix of the cosheaf map value(x) -> value(y) for a cover y below x."""
+        """The cosheaf map value(x) -> value(y) for a cover y below x, as
+        sparse rows: per basis element of value(x), the (index, entry) pairs
+        of its image in value(y), computed once per distinct triple
+        (source value, target value, projection wedge)."""
         Vx = self.value(tag, p, xcell)
         Vy = self.value(tag, p, ycell)
         if Vx.rank == 0 or Vy.rank == 0:
-            return [[0] * Vy.rank for _ in range(Vx.rank)]
+            return ((),) * Vx.rank
         sx = self.value_stratum(tag, xcell)
         sy = self.value_stratum(tag, ycell)
-        W = None
-        if sx != sy:
-            key = (sx, sy, p)
-            if key not in self._projection_wedges:
-                self._projection_wedges[key] = wedge_matrix(self.projection(sx, sy), p)
-            W = self._projection_wedges[key]
-        rows = []
-        for i in range(Vx.rank):
-            a = list(Vx.rep(i))
-            if W is not None:
-                a = vec_mat(a, W)
-            rows.append(list(Vy.reduce(a)))
-        return rows
+        W = None if sx == sy else self._projection_wedge(sx, sy, p)
+        key = (id(Vx), id(Vy), id(W))
+        if key not in self._maps:
+            rows = []
+            for i in range(Vx.rank):
+                a = Vx.rep(i) if W is None else vec_mat(Vx.rep(i), W)
+                rows.append(tuple((j, v) for j, v in enumerate(Vy.reduce(a)) if v))
+            self._maps[key] = tuple(rows)
+        return self._maps[key]
 
     # -- complexes ----------------------------------------------------------------
     def chain_complex(self, poset, tag, p, sign=None):

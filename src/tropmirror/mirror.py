@@ -18,6 +18,7 @@ The output is a closed multitangent chain of complementary wedge degree on
 the mirror side whose class is independent of every choice made (tested).
 """
 
+from .chains import dense_block
 from .errors import (
     InternalCheckError,
     NotAClosedChain,
@@ -107,7 +108,7 @@ def correction_operator(side, chain, p, tag="quotient"):
             raise UnsupportedCell(tag)
         xi = poset.cell_index[xkey]
         xcell = poset.cells[xi]
-        A = ev.map_matrix(tag, p, zcell, xcell)
+        A = dense_block(ev.map_matrix(tag, p, zcell, xcell), len(coords))
         v = f2_solve_matrix(A, coords)
         if v is None:
             raise InternalCheckError("cellwise transition map is not invertible mod 2")

@@ -59,6 +59,12 @@ class FreeQuotient:
         self._reps_sub = W[s:]
         self.rank = r - s
 
+    def content(self):
+        """Everything ``reduce`` and ``rep`` read, as one hashable tuple:
+        quotients with equal content are interchangeable."""
+        V = None if self._V is None else _frozen(self._V)
+        return (self.ambient, _frozen(self.sub), _frozen(self._reps_sub), V)
+
     def _sub_coords(self, vec):
         c = solve_hnf(self.sub, self.sub_pivots, vec)
         if c is None:
@@ -84,3 +90,7 @@ class FreeQuotient:
                 for t in range(self.ambient):
                     out[t] += a * row[t]
         return tuple(out)
+
+
+def _frozen(rows):
+    return tuple(map(tuple, rows))

@@ -268,9 +268,7 @@ class PhaseData:
             cells = self._cells
             blocks = {}
             for yi, s2, xi, _ in self.covers:
-                row = [0] * len(cells[yi].points)
-                row[cells[yi].index[s2]] = 1
-                blocks.setdefault((yi, xi), []).append(row)
+                blocks.setdefault((yi, xi), []).append(((cells[yi].index[s2], 1),))
             ranks = [len(pc.points) for pc in cells]
             self._complex = ChainComplex(self.poset, ranks, blocks, self.poset.sign)
         return self._complex

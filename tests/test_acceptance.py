@@ -423,14 +423,19 @@ def _cy3_pair():
 
 def test_criterion_11_cy3_cube_side_over_z():
     start = time.time()
-    side = _cy3_pair().side_b  # Newton polytope: the 4-cube, 6705 base cells
+    pair = _cy3_pair()
+    side = pair.side_b  # Newton polytope: the 4-cube, 6705 base cells
     expected = [[1, 0, 0, 1], [0, 4, 68, 0], [0, 68, 4, 0], [1, 0, 0, 1]]
     table = side.hodge_table("z")
     ok = table["ranks"] == expected
     ok = ok and all(t == [] for row in table["torsion"] for t in row)
     ok = ok and side.hodge_table("q")["ranks"] == expected
+    # the mirror: the 16-cell side (3473 base cells) carries the flipped table
+    mirrored = [[1, 0, 0, 1], [0, 68, 4, 0], [0, 4, 68, 0], [1, 0, 0, 1]]
+    ok = ok and pair.side_a.hodge_table("f2")["ranks"] == mirrored
     elapsed = time.time() - start
     ok = ok and elapsed < 60
     _verdict(
-        11, ok, f"CY3 4-cube side over Z and Q, no torsion, {elapsed:.1f}s < 60s"
+        11, ok, f"CY3 4-cube side over Z and Q, no torsion, 16-cell side over F2 "
+        f"mirrored, {elapsed:.1f}s < 60s"
     )

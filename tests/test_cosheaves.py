@@ -3,8 +3,10 @@ from itertools import combinations
 
 import pytest
 
-from tropmirror.chains import ChainComplex
+from tropmirror.chains import ChainComplex, dense_block
+from tropmirror.cosheaves import CosheafEvaluator
 from tropmirror.errors import InternalCheckError
+from tropmirror.exterior import wedge_matrix
 from tropmirror.intlinalg import det, f2_rank, hnf_basis, left_kernel, mat_mul, vec_mat
 from tropmirror.modules import FreeQuotient
 from tropmirror.posets import gauge_twist
@@ -37,7 +39,7 @@ def test_circle_constant_coefficients():
     # two vertices, two edges
     poset = FakePoset([0, 0, 1, 1], [(0, 2), (1, 2), (0, 3), (1, 3)])
     sign = {(0, 2): 1, (1, 2): -1, (0, 3): 1, (1, 3): -1}
-    blocks = {c: [[1]] for c in poset.covers}
+    blocks = {c: [((0, 1),)] for c in poset.covers}
     cx = ChainComplex(poset, [1, 1, 1, 1], blocks, sign)
     for ring in ("z", "q", "f2"):
         h = cx.homology(ring)
@@ -48,7 +50,7 @@ def test_circle_constant_coefficients():
 def test_interval_constant_coefficients():
     poset = FakePoset([0, 0, 1], [(0, 2), (1, 2)])
     sign = {(0, 2): 1, (1, 2): -1}
-    blocks = {c: [[1]] for c in poset.covers}
+    blocks = {c: [((0, 1),)] for c in poset.covers}
     cx = ChainComplex(poset, [1, 1, 1], blocks, sign)
     h = cx.homology("z")
     assert h.rank(0) == 1 and h.rank(1) == 0
@@ -57,7 +59,7 @@ def test_interval_constant_coefficients():
 def test_torsion_smoke():
     # 0 -> Z --x2--> Z: H_0 = Z/2
     poset = FakePoset([0, 1], [(0, 1)])
-    cx = ChainComplex(poset, [1, 1], {(0, 1): [[2]]}, {(0, 1): 1})
+    cx = ChainComplex(poset, [1, 1], {(0, 1): [((0, 2),)]}, {(0, 1): 1})
     h = cx.homology("z")
     assert h.rank(0) == 0 and h.torsion(0) == [2]
     assert cx.homology("q").rank(0) == 0
@@ -66,7 +68,7 @@ def test_torsion_smoke():
 
 def test_z_divisors_checked_against_cached_f2_rank():
     poset = FakePoset([0, 1], [(0, 1)])
-    cx = ChainComplex(poset, [1, 1], {(0, 1): [[2]]}, {(0, 1): 1})
+    cx = ChainComplex(poset, [1, 1], {(0, 1): [((0, 2),)]}, {(0, 1): 1})
     cx.homology("f2")
     assert cx._rank_cache[(1, "f2")] == 0  # D_1 = (2) has one even divisor
     cx._rank_cache[(1, "f2")] = 1
@@ -77,9 +79,9 @@ def test_z_divisors_checked_against_cached_f2_rank():
 def test_f2_homology_generators_form_a_basis(cubic_pair):
     circle = FakePoset([0, 0, 1, 1], [(0, 2), (1, 2), (0, 3), (1, 3)])
     complexes = [
-        ChainComplex(circle, [1, 1, 1, 1], {c: [[1]] for c in circle.covers},
+        ChainComplex(circle, [1, 1, 1, 1], {c: [((0, 1),)] for c in circle.covers},
                      {(0, 2): 1, (1, 2): -1, (0, 3): 1, (1, 3): -1}),
-        ChainComplex(FakePoset([0, 1], [(0, 1)]), [1, 1], {(0, 1): [[2]]},
+        ChainComplex(FakePoset([0, 1], [(0, 1)]), [1, 1], {(0, 1): [((0, 2),)]},
                      {(0, 1): 1}),
     ]
     side = cubic_pair.side_a
@@ -208,7 +210,7 @@ def test_sphere_subcomplex_homology(cubic_pair):
             blocks = {}
             for (yi, xi) in poset.covers:
                 if ranks[yi] and ranks[xi]:
-                    blocks[(yi, xi)] = [[1]]
+                    blocks[(yi, xi)] = [((0, 1),)]
             cx = ChainComplex(poset, ranks, blocks, poset.sign)
         else:
             cx = side.evaluator.chain_complex(poset, tag, 0)
@@ -358,8 +360,14 @@ def test_functoriality_diamonds_commute(cubic_pair):
                     mids = [m for m in poset.below[xi] if yi in poset.below[m]]
                     paths = []
                     for m in mids:
-                        a = ev.map_matrix(tag, p, poset.cells[m], poset.cells[xi])
-                        b = ev.map_matrix(tag, p, poset.cells[yi], poset.cells[m])
+                        a = dense_block(
+                            ev.map_matrix(tag, p, poset.cells[m], poset.cells[xi]),
+                            ev.value(tag, p, poset.cells[m]).rank,
+                        )
+                        b = dense_block(
+                            ev.map_matrix(tag, p, poset.cells[yi], poset.cells[m]),
+                            ev.value(tag, p, poset.cells[yi]).rank,
+                        )
                         if a and b and a[0] is not None:
                             paths.append(mat_mul(a, b) if a and b else None)
                     if len(paths) == 2 and paths[0] and paths[1]:
@@ -496,3 +504,80 @@ def test_signature_independence(cubic_pair):
         # poset the 2-cells pin the sphere orientation down
         cx4 = ev.chain_complex(poset, "multitangent", p, sign=solved)
         assert cx4.homology("z") == base_z
+
+
+# -- interned values and cached maps ----------------------------------------------
+
+def _direct_evaluator(side):
+    """An evaluator that builds every value straight from its rows: no
+    interning, so each value key gets its own FreeQuotient."""
+    ev = CosheafEvaluator(side.ambient, side.newton)
+    ev._module = lambda ambient, sub_rows, quo_rows=(): FreeQuotient(
+        ambient, sub_rows, quo_rows
+    )
+    return ev
+
+
+def _direct_block(ev, direct, tag, p, y, x):
+    """Vy.reduce(rep_i(Vx) . W) for every basis element of Vx, no cache."""
+    Vx, Vy = direct.value(tag, p, x), direct.value(tag, p, y)
+    sx, sy = ev.value_stratum(tag, x), ev.value_stratum(tag, y)
+    W = None if sx == sy else wedge_matrix(ev.projection(sx, sy), p)
+    rows = []
+    for i in range(Vx.rank):
+        a = Vx.rep(i) if W is None else vec_mat(Vx.rep(i), W)
+        rows.append([(j, v) for j, v in enumerate(Vy.reduce(a)) if v])
+    return rows
+
+
+def test_interned_values_and_maps_match_direct_construction(
+    cubic_pair, k3_pair, quartic_pair
+):
+    for pair in (cubic_pair, k3_pair, quartic_pair):
+        for side in pair.sides:
+            ev = side.evaluator
+            direct = _direct_evaluator(side)
+            by_content = {}
+            for kind in ("base", "refined"):
+                poset = side.poset(kind)
+                for tag in ev.TAGS:
+                    for p in range(side.rank + 1):
+                        ranks = []
+                        for c in poset.cells:
+                            v, d = ev.value(tag, p, c), direct.value(tag, p, c)
+                            assert (v.ambient, v.sub) == (d.ambient, d.sub), (tag, p, c.key)
+                            assert [v.rep(i) for i in range(v.rank)] == [
+                                d.rep(i) for i in range(d.rank)
+                            ], (tag, p, c.key)
+                            # values with equal content are one object
+                            assert by_content.setdefault(v.content(), v) is v
+                            ranks.append(v.rank)
+                        blocks = {
+                            (yi, xi): _direct_block(
+                                ev, direct, tag, p, poset.cells[yi], poset.cells[xi]
+                            )
+                            for (yi, xi) in poset.covers
+                            if ranks[yi] and ranks[xi]
+                        }
+                        cx = ev.chain_complex(poset, tag, p)
+                        expected = ChainComplex(poset, ranks, blocks, poset.sign)
+                        assert cx.D == expected.D, (kind, tag, p)
+
+
+def test_k3_cover_maps_are_computed_once(k3_pair, monkeypatch):
+    # most covers of the K3 base complexes share a (source, target, wedge)
+    # triple, so far fewer rows are reduced than the covers carry
+    reduced = []
+    reduce = FreeQuotient.reduce
+    monkeypatch.setattr(
+        FreeQuotient, "reduce", lambda self, vec: reduced.append(1) or reduce(self, vec)
+    )
+    rows = 0
+    for side in k3_pair.sides:
+        ev = CosheafEvaluator(side.ambient, side.newton)
+        poset = side.base_poset
+        for p in range(side.n + 1):
+            ranks = [ev.value("multitangent", p, c).rank for c in poset.cells]
+            rows += sum(ranks[x] for (y, x) in poset.covers if ranks[y] and ranks[x])
+            ev.chain_complex(poset, "multitangent", p)
+    assert 0 < len(reduced) * 10 < rows, (len(reduced), rows)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from tropmirror.chains import dense_block
 from tropmirror.errors import RayNotInFan, SupportViolation
 from tropmirror.intlinalg import mat_mul
 from tropmirror.mirror import (
@@ -174,10 +175,16 @@ def test_contraction_naturality(cubic_pair):
                 continue
             Ax, kx = contraction_matrix(side, p, x)
             Ay, ky = contraction_matrix(side, p, y)
-            m_side = side.evaluator.map_matrix("mirror", p, y, x)
+            m_side = dense_block(
+                side.evaluator.map_matrix("mirror", p, y, x),
+                side.evaluator.value("mirror", p, y).rank,
+            )
             my = mposet.cells[mposet.cell_index[ky]]
             mx = mposet.cells[mposet.cell_index[kx]]
-            m_mirror = mirror.evaluator.map_matrix("mirror", side.n - p, my, mx)
+            m_mirror = dense_block(
+                mirror.evaluator.map_matrix("mirror", side.n - p, my, mx),
+                mirror.evaluator.value("mirror", side.n - p, my).rank,
+            )
             assert mat_mul(Ax, m_mirror) == mat_mul(m_side, Ay), (x.key, y.key, p)
 
 
