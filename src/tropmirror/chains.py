@@ -77,7 +77,8 @@ class ChainComplex:
 
     ``ranks``: value rank per cell index.  ``blocks``: for each cover
     (y below x) the integer matrix taking x-coordinates to y-coordinates, as
-    sparse rows: per x-coordinate, a sequence of (y-coordinate, entry) pairs.
+    sparse rows: per x-coordinate, a sequence of (y-coordinate, entry) pairs
+    naming each y-coordinate at most once, with a nonzero entry.
     ``sign``: signature on the covers.
     """
 
@@ -101,6 +102,11 @@ class ChainComplex:
             if q == 0:
                 continue
             self.D[q] = [dict() for _ in range(self.dim_q[q])]
+        # The row of a coordinate of x gets entries only from the covers
+        # (y, x).  Those have distinct y, hence disjoint column ranges
+        # [offset[y], offset[y] + rank[y]), and a block row names each
+        # y-coordinate once with a nonzero entry, so no two writes meet and
+        # each entry is stored as it comes.
         for (yi, xi) in poset.covers:
             rx = self.ranks[xi]
             ry = self.ranks[yi]
@@ -114,11 +120,7 @@ class ChainComplex:
             for i in range(rx):
                 row = rows[ox + i]
                 for j, a in block[i]:
-                    v = row.get(oy + j, 0) + s * a
-                    if v:
-                        row[oy + j] = v
-                    else:
-                        row.pop(oy + j, None)
+                    row[oy + j] = s * a
         self._rank_cache = {}
         self._f2_cache = {}
         self._f2_space_cache = {}

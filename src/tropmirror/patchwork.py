@@ -16,9 +16,12 @@ cosheaf evaluator uses, packed into small ints; cells off infinity pull
 their phase data back from the collapsed cell, matching the cosheaf side.
 What does not depend on the signs (each cell's frame and edge parities,
 each cover's map between frames) is a PhaseFrame, built once per side and
-poset kind; each sign distribution then gets its phase points and one list
-of transported points per cover, which the sign complex and the real
-complex both read.
+poset kind.  What depends only on a cell's edge phases is memoized in the
+frame too: the phase point sets per (quotient rank, packed point set) and
+the filtration generators per (cell, level, edge phases), so classes that
+agree on a cell share them.  Each sign distribution then gets its edge
+phases, its phase points and one list of transported points per cover,
+which the sign complex and the real complex both read.
 """
 
 import random
@@ -182,12 +185,19 @@ class PhaseFrame:
     points s with s.rdm odd).  ``covers`` lists (y, x, images) for each
     cover y below x where both cells have edges: ``images[s]`` is the point
     s of the frame of x carried into the frame of y.
+
+    A cell's phase set and filtration generators are functions of the
+    cell's edge phases ``tes`` (one 0/1 per edge, in ``cells[ci]`` edge
+    order), so the frame memoizes them: point lists and their index dicts
+    per (qd, packed point set), generators per (ci, p, tes).
     """
 
     def __init__(self, evaluator, poset):
         self.evaluator = evaluator
         self.poset = poset
         self._proj = {}
+        self._points = {}
+        self._generators = {}
         self.cells = []
         for cell in poset.cells:
             stratum = evaluator.value_stratum("multitangent", cell)
@@ -215,37 +225,101 @@ class PhaseFrame:
             self._proj[sx, sy] = [f2_pack(row) for row in P]
         return self._proj[sx, sy]
 
+    def phase_points(self, ci, tes):
+        """(points, index) of the phase set of cell ci under edge phases tes:
+        the points in increasing order and each point's position.  Shared
+        per (qd, packed point set); callers must not mutate them."""
+        _, qd, edges = self.cells[ci]
+        full = (1 << (1 << qd)) - 1
+        bits = 0
+        for (_, _, odd), te in zip(edges, tes):
+            bits |= odd if te else full ^ odd
+        key = (qd, bits)
+        if key not in self._points:
+            points = [s for s in range(1 << qd) if (bits >> s) & 1]
+            self._points[key] = (points, {s: i for i, s in enumerate(points)})
+        return self._points[key]
+
+    def level_generators(self, ci, p, tes):
+        """(indicator, multitangent coords) pairs spanning filtration level p
+        on cell ci under edge phases tes, computed once per (ci, p, tes)."""
+        key = (ci, p, tes)
+        if key in self._generators:
+            return self._generators[key]
+        ev = self.evaluator
+        stratum, _, edges = self.cells[ci]
+        points, index = self.phase_points(ci, tes)
+        gens = []
+        if points:
+            value = ev.value("multitangent", p, self.poset.cells[ci])
+            for ((a, b), rdm, _), te in zip(edges, tes):
+                B = ev.edge_annihilator_basis(stratum, a, b, 1)
+                w = len(B)
+                if p > w:
+                    continue
+                B2 = [f2_pack([x & 1 for x in row]) for row in B]
+                # the wedge image of each p-subset of B in value coordinates
+                if value.rank:
+                    T = [
+                        list(value.reduce(row))
+                        for row in ev.edge_annihilator_basis(stratum, a, b, p)
+                    ]
+                else:
+                    T = []
+                s0 = 0
+                if te == 1:
+                    s0 = rdm & (-rdm)  # lowest bit of rdm pairs to 1
+                Wspan = _span(B2)
+                for U in _subspaces(w, p):
+                    # wedge coordinates of the subspace basis over p-subsets
+                    bits = [[(u >> j) & 1 for j in range(w)] for u in U]
+                    wedge = [x & 1 for x in wedge_matrix(bits, p)[0]]
+                    fcoords = f2_apply(tuple(wedge), T) if T else ()
+                    U_V = [f2_combine(u, B2) for u in U]
+                    span = _span(U_V)
+                    coset_reps = set()
+                    for wv in Wspan:
+                        pt = s0 ^ wv
+                        rep = min(pt ^ u for u in span)
+                        coset_reps.add(rep)
+                    for rep in sorted(coset_reps):
+                        ind = 0
+                        for u in span:
+                            ind |= 1 << index[rep ^ u]
+                        gens.append((ind, tuple(fcoords)))
+        self._generators[key] = gens
+        return gens
+
 
 class PhaseCell:
-    __slots__ = ("stratum", "qd", "edges", "points", "index")
+    __slots__ = ("stratum", "qd", "tes", "points", "index")
 
 
 class PhaseData:
     """Phase points and their transport for one sign distribution.
 
+    Each cell's ``tes`` (its edge phases under this distribution) selects
+    its points, index and filtration generators from the frame's memos.
     ``covers`` lists (y, s2, x, s) for every phase point s of every cell x
     and each cover y below x: the point s is carried to the point s2 of y.
-    The sign complex and the real complex both read this one list.
+    The real complex reads this one list; the sign complex reads the same
+    transport from the frame's covers.
     """
 
     def __init__(self, side, poset, eps):
         self.side = side
-        self.frame = side.phase_frame(poset.kind)
-        self.poset = self.frame.poset
-        self.t = phase_from_signs(side, eps)
+        self.frame = frame = side.phase_frame(poset.kind)
+        self.poset = frame.poset
+        t = phase_from_signs(side, eps)
         self._cells = []
-        for stratum, qd, edges in self.frame.cells:
-            full = (1 << (1 << qd)) - 1
-            bits = 0
-            for e, _, odd in edges:
-                bits |= odd if self.t[e] else full ^ odd
+        for ci, (stratum, qd, edges) in enumerate(frame.cells):
             pc = PhaseCell()
-            pc.stratum, pc.qd, pc.edges = stratum, qd, edges
-            pc.points = [s for s in range(1 << qd) if (bits >> s) & 1]
-            pc.index = {s: i for i, s in enumerate(pc.points)}
+            pc.stratum, pc.qd = stratum, qd
+            pc.tes = tuple([t[e] for e, _, _ in edges])
+            pc.points, pc.index = frame.phase_points(ci, pc.tes)
             self._cells.append(pc)
         self.covers = []
-        for yi, xi, images in self.frame.covers:
+        for yi, xi, images in frame.covers:
             target = self._cells[yi].index
             for s in self._cells[xi].points:
                 if images[s] not in target:
@@ -253,7 +327,6 @@ class PhaseData:
                         "phase transport escaped the target phase set"
                     )
                 self.covers.append((yi, images[s], xi, s))
-        self._filtration = {}
         self._complex = None
 
     def phase_cell(self, ci):
@@ -267,8 +340,9 @@ class PhaseData:
         if self._complex is None:
             cells = self._cells
             blocks = {}
-            for yi, s2, xi, _ in self.covers:
-                blocks.setdefault((yi, xi), []).append(((cells[yi].index[s2], 1),))
+            for yi, xi, images in self.frame.covers:
+                index_y = cells[yi].index
+                blocks[yi, xi] = [((index_y[images[s]], 1),) for s in cells[xi].points]
             ranks = [len(pc.points) for pc in cells]
             self._complex = ChainComplex(self.poset, ranks, blocks, self.poset.sign)
         return self._complex
@@ -276,53 +350,7 @@ class PhaseData:
     # -- filtration generators ------------------------------------------------------
     def filtration_generators(self, ci, p):
         """(indicator, multitangent coords) pairs spanning level p on a cell."""
-        key = (ci, p)
-        if key in self._filtration:
-            return self._filtration[key]
-        cell = self.poset.cells[ci]
-        ev = self.side.evaluator
-        pc = self.phase_cell(ci)
-        gens = []
-        if pc.points:
-            value = ev.value("multitangent", p, cell)
-            for (a, b), rdm, _ in pc.edges:
-                te = self.t[(a, b)]
-                B = ev.edge_annihilator_basis(pc.stratum, a, b, 1)
-                w = len(B)
-                if p > w:
-                    continue
-                B2 = [f2_pack([x & 1 for x in row]) for row in B]
-                # the wedge image of each p-subset of B in value coordinates
-                if value.rank:
-                    T = [
-                        list(value.reduce(row))
-                        for row in ev.edge_annihilator_basis(pc.stratum, a, b, p)
-                    ]
-                else:
-                    T = []
-                s0 = 0
-                if te == 1:
-                    s0 = rdm & (-rdm)  # lowest bit of rdm pairs to 1
-                for U in _subspaces(w, p):
-                    # wedge coordinates of the subspace basis over p-subsets
-                    bits = [[(u >> j) & 1 for j in range(w)] for u in U]
-                    wedge = [x & 1 for x in wedge_matrix(bits, p)[0]]
-                    fcoords = f2_apply(tuple(wedge), T) if T else ()
-                    U_V = [f2_combine(u, B2) for u in U]
-                    span = _span(U_V)
-                    coset_reps = set()
-                    Wspan = _span(B2)
-                    for wv in Wspan:
-                        pt = s0 ^ wv
-                        rep = min(pt ^ u for u in span)
-                        coset_reps.add(rep)
-                    for rep in sorted(coset_reps):
-                        ind = 0
-                        for u in span:
-                            ind |= 1 << pc.index[rep ^ u]
-                        gens.append((ind, tuple(fcoords)))
-        self._filtration[key] = gens
-        return gens
+        return self.frame.level_generators(ci, p, self._cells[ci].tes)
 
     def filtration_space(self, ci, p):
         return F2Space(ind for ind, _ in self.filtration_generators(ci, p))

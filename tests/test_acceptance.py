@@ -31,6 +31,7 @@ from tropmirror.patchwork import (
     real_betti,
     sample_divisor_classes,
     signs_from_divisor,
+    sweep_rows,
 )
 from tropmirror.posets import balanced_signature, gauge_twist
 from tropmirror.triangulate import CentralTriangulation
@@ -438,4 +439,26 @@ def test_criterion_11_cy3_cube_side_over_z():
     _verdict(
         11, ok, f"CY3 4-cube side over Z and Q, no torsion, 16-cell side over F2 "
         f"mirrored, {elapsed:.1f}s < 60s"
+    )
+
+
+def test_criterion_12_cy3_connectedness():
+    # the paper's theorem at n = 3: every divisor class of the 16-cell side,
+    # with the verdict from the mirror and the Betti numbers from both routes
+    start = time.time()
+    side = _cy3_pair().side_a  # Newton polytope: the 16-cell, 3473 base cells
+    masks = divisor_class_representatives(side)
+    rows = sweep_rows(side, masks, with_betti=True)
+    ok = len(rows) == 16
+    for mask, row in zip(masks, rows):
+        if mask == 0:
+            expected = ("two_components", [2, 72, 72, 2])
+        else:
+            expected = ("connected", [1, 71, 71, 1])
+        ok = ok and (row["verdict"], row["betti"]) == expected
+    elapsed = time.time() - start
+    ok = ok and elapsed < 60
+    _verdict(
+        12, ok, f"CY3 16-cell side: zero class splits with betti [2, 72, 72, 2], "
+        f"the other 15 connect with [1, 71, 71, 1], {elapsed:.1f}s < 60s"
     )

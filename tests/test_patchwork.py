@@ -1,12 +1,18 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import CUBIC_DUAL_VERTS, CUBIC_VERTS
 from tropmirror.errors import InvalidPhaseStructure
 from tropmirror.intlinalg import F2Space, f2_pack, mat_mul
+from tropmirror.lattice import LatticePolytope
 from tropmirror.mirror import divisor_restriction, is_null_class, sphere_cycle, transfer_class
+from tropmirror.pairs import MirrorPair
 from tropmirror.patchwork import (
     PhaseData,
+    PhaseFrame,
     connectedness_verdict,
     delta1,
     divisor_class_representatives,
@@ -21,6 +27,7 @@ from tropmirror.patchwork import (
     sweep_rows,
     validate_phase,
 )
+from tropmirror.triangulate import generate_central
 
 D7 = (-1, 2)   # a vertex ray of the cubic Newton triangle
 D8 = (-1, 1)   # the adjacent interior boundary point of the same facet
@@ -145,6 +152,112 @@ def test_transport_list_matches_frame_product(cubic_pair, k3_pair):
         assert pd_a.covers == pd.covers
         for ci in range(len(poset.cells)):
             assert pd_a.phase_cell(ci).points == pd.phase_cell(ci).points
+
+
+def _edge_phases(frame, ci, eps):
+    """Same-sign indicator of each edge of cell ci, in frame edge order."""
+    return tuple(1 ^ eps[a] ^ eps[b] for (a, b), _, _ in frame.cells[ci][2])
+
+
+def _phase_points_directly(frame, ci, eps):
+    _, qd, edges = frame.cells[ci]
+    full = (1 << (1 << qd)) - 1
+    bits = 0
+    for (_, _, odd), te in zip(edges, _edge_phases(frame, ci, eps)):
+        bits |= odd if te else full ^ odd
+    return [s for s in range(1 << qd) if bits >> s & 1]
+
+
+def _sign_boundary_assembled_per_point(pd):
+    """The sign complex's boundary rows built without the frame's blocks:
+    one setdefault append per entry of pd.covers, then an accumulating
+    get/add/pop per entry."""
+    cells = [pd.phase_cell(ci) for ci in range(len(pd.poset.cells))]
+    blocks = {}
+    for yi, s2, xi, _ in pd.covers:
+        blocks.setdefault((yi, xi), []).append(((cells[yi].index[s2], 1),))
+    cx = pd.sign_complex()
+    D = {q: [{} for _ in range(cx.dim(q))] for q in cx.D}
+    for (yi, xi) in pd.poset.covers:
+        if not cells[xi].points or not cells[yi].points:
+            continue
+        rows = D[pd.poset.cells[xi].dim]
+        sign = pd.poset.sign[yi, xi]
+        for i, entries in enumerate(blocks[yi, xi]):
+            row = rows[cx.offset[xi] + i]
+            for j, a in entries:
+                k = cx.offset[yi] + j
+                v = row.get(k, 0) + sign * a
+                if v:
+                    row[k] = v
+                else:
+                    row.pop(k, None)
+    return D
+
+
+def _class_results(side, poset, eps, fresh_results):
+    """Generators, points and sign boundary of one class, each checked
+    against a frame built for this class alone.
+
+    A fresh frame computes each (cell, p, edge phases) key the first time
+    any class meets it, asked in descending p so that a memo that forgot
+    p or the edge phases answers differently from the shared frame; later
+    meetings compare against that first answer.
+    """
+    pd = PhaseData(side, poset, eps)
+    frame = side.phase_frame(poset.kind)
+    assert pd.frame is frame
+    fresh = PhaseFrame(side.evaluator, poset)
+    levels = range(side.n + 2)
+    gens, points = {}, {}
+    for ci in range(len(poset.cells)):
+        tes = _edge_phases(frame, ci, eps)
+        pc = pd.phase_cell(ci)
+        assert pc.tes == tes
+        for p in reversed(levels):
+            key = (ci, p, tes)
+            if key not in fresh_results:
+                fresh_results[key] = fresh.level_generators(ci, p, tes)
+        for p in levels:
+            # copies, so that a later class mutating a shared list shows
+            gens[ci, p] = list(pd.filtration_generators(ci, p))
+            assert gens[ci, p] == fresh_results[ci, p, tes], (ci, p, tes)
+        points[ci] = list(pc.points)
+        assert pc.points == fresh.phase_points(ci, tes)[0]
+        assert pc.points == _phase_points_directly(frame, ci, eps)
+        assert pc.index == {s: i for i, s in enumerate(pc.points)}
+    D = pd.sign_complex().D
+    assert D == _sign_boundary_assembled_per_point(pd)
+    return gens, points, D
+
+
+def test_frame_memo_matches_fresh_frames(k3_pair):
+    # the frame's generator and point memos against per-class frames, on
+    # every cubic class (both posets) and 20 sampled K3 classes; the cubic
+    # pair is built here so that its refined frame starts empty
+    cubic = MirrorPair(
+        generate_central(LatticePolytope(CUBIC_VERTS)),
+        generate_central(LatticePolytope(CUBIC_DUAL_VERTS)),
+    ).side_a
+    k3 = k3_pair.side_a
+    runs = [
+        (cubic, "refined", divisor_class_representatives(cubic)),
+        (cubic, "base", divisor_class_representatives(cubic)),
+        (k3, "base", sample_divisor_classes(k3, 20, seed=3)),
+    ]
+    for side, kind, masks in runs:
+        poset = side.poset(kind)
+        fresh_results = {}
+        signs = [signs_from_divisor(side, mask_to_rays(side, m)) for m in masks]
+        first = _class_results(side, poset, signs[0], fresh_results)
+        for eps in signs[1:]:
+            _class_results(side, poset, eps, fresh_results)
+        # classes A, B, ..., A: the memos give A the same answers again
+        assert _class_results(side, poset, signs[0], fresh_results) == first
+        if (side, kind) == (cubic, "refined"):
+            calls = (len(masks) + 1) * len(poset.cells) * (side.n + 2)
+            keys = len(side.phase_frame(kind)._generators)
+            assert 3 * keys < calls, (keys, calls)
 
 
 def test_filtration_rank_identity_and_preservation(cubic_pair):
@@ -371,3 +484,19 @@ def test_equivalent_divisors_same_betti(cubic_pair):
             for p in eps
         }
         assert real_betti(side, eps) == real_betti(side, shifted)
+
+
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.integers(0, 1), min_size=10, max_size=10))
+def test_arbitrary_sign_distributions(cubic_pair, bits):
+    # any signs on the ten cubic lattice points, not only divisor-induced
+    side = cubic_pair.side_a
+    points = sorted(side.newton.polytope.lattice_points)
+    assert len(points) == len(bits)
+    eps = dict(zip(points, bits))
+    betti = real_betti(side, eps)  # both routes and the component count agree
+    pd = PhaseData(side, side.base_poset, eps)
+    euler = sum((-1) ** q * b for q, b in enumerate(betti))
+    assert euler == pd.sign_complex().euler_characteristic()
+    for ci in range(len(side.base_poset.cells)):
+        assert pd.phase_cell(ci).points == _phase_points_directly(pd.frame, ci, eps)
