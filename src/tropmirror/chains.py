@@ -13,6 +13,8 @@ any Q or F2 rank already computed.  The square of the boundary is verified
 to vanish over Z at construction (hence over every ring).
 """
 
+from weakref import WeakKeyDictionary
+
 from .errors import BoundarySquareNonzero, InternalCheckError, NotAClosedChain
 from .intlinalg import (
     F2Space,
@@ -22,6 +24,20 @@ from .intlinalg import (
 )
 
 RINGS = ("z", "q", "f2")
+
+_CELLS_BY_DIM = WeakKeyDictionary()  # poset -> {q: indices of its q-cells}
+
+
+def _cells_by_dim(poset):
+    """The indices of each degree's cells, listed once per poset; shared by
+    every complex on it, so callers must not mutate them."""
+    cells = _CELLS_BY_DIM.get(poset)
+    if cells is None:
+        cells = {q: [] for q in range(poset.max_dim + 1)}
+        for c in poset.cells:
+            cells[c.dim].append(c.index)
+        _CELLS_BY_DIM[poset] = cells
+    return cells
 
 
 def dense_block(block, width):
@@ -88,12 +104,10 @@ class ChainComplex:
         self.degrees = list(range(0, poset.max_dim + 1))
         self.offset = {}
         self.dim_q = {}
-        self.cells_q = {}
+        self.cells_q = _cells_by_dim(poset)
         for q in self.degrees:
-            cells = [c.index for c in poset.cells if c.dim == q]
-            self.cells_q[q] = cells
             off = 0
-            for ci in cells:
+            for ci in self.cells_q[q]:
                 self.offset[ci] = off
                 off += self.ranks[ci]
             self.dim_q[q] = off
@@ -136,12 +150,8 @@ class ChainComplex:
                 acc = {}
                 for k, v in row.items():
                     for j, w in Dq1[k].items():
-                        t = acc.get(j, 0) + v * w
-                        if t:
-                            acc[j] = t
-                        else:
-                            acc.pop(j, None)
-                if acc:
+                        acc[j] = acc.get(j, 0) + v * w
+                if any(acc.values()):
                     raise BoundarySquareNonzero(
                         f"boundary squared nonzero in degree {q}, row {i}"
                     )
@@ -204,10 +214,14 @@ class ChainComplex:
     # -- F2 chain operations -------------------------------------------------------
     def f2_rows(self, q):
         if q not in self._f2_cache:
-            self._f2_cache[q] = [
-                sum(1 << j for j, v in row.items() if v & 1)
-                for row in self.D.get(q, [])
-            ]
+            packed = []
+            for row in self.D.get(q, ()):
+                x = 0
+                for j, v in row.items():
+                    if v & 1:
+                        x |= 1 << j
+                packed.append(x)
+            self._f2_cache[q] = packed
         return self._f2_cache[q]
 
     def _f2_image_space(self, q):

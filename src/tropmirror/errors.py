@@ -91,6 +91,11 @@ class InvalidPhaseStructure(InputError):
     pass
 
 
+# mirror pairs
+class MirrorSideFreed(InternalCheckError):
+    """A side's weak link to its mirror outlived the mirror side."""
+
+
 class HypothesisFails(TropmirrorError):
     """The homology-vanishing hypothesis of the connectedness criterion fails.
 

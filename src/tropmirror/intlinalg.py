@@ -17,9 +17,10 @@ a copy of the rows that leaves its input untouched: unit pivots, found
 through a column index, while any row holds a +-1, then gcd descent on the
 remainder.  ``sparse_rank`` counts the diagonal it leaves and
 ``sparse_elementary_divisors`` repairs its divisibility.  Over F2,
-``F2Space`` is the one leading-bit reduction that tracks combinations;
-``f2_rank`` is a lean rank-only pass kept as an independent route for
-cross-checks.
+``F2Space`` is the one leading-bit reduction that can solve for
+combinations; it builds them only when ``solve`` first asks, so rank and
+membership pay for the reduction alone.  ``f2_rank`` is a lean rank-only
+pass kept as an independent route for cross-checks.
 """
 
 from collections import defaultdict
@@ -504,28 +505,51 @@ def f2_rank(rows):
 
 
 class F2Space:
-    """Row space over F2 with membership tests and coordinate solving."""
+    """Row space over F2 with membership tests and coordinate solving.
+
+    The reduction keeps one basis row per leading bit.  The combination of
+    inserted rows behind each basis row is only needed by ``solve``, so it
+    is built when ``solve`` is first called, by replaying the rows inserted
+    so far, and tracked by every later ``add``: a space that is only asked
+    for its rank or for membership never pays for combinations.
+    """
 
     def __init__(self, rows=()):
-        self._basis = {}  # leading bit -> (row, combination bitmask)
-        self._n = 0
+        self._basis = {}  # leading bit -> row
+        self._combs = None  # leading bit -> combination bitmask, once tracked
+        self._rows = []  # every inserted row, in order
         for r in rows:
             self.add(r)
 
     def add(self, row):
         """Insert a row; returns True if it enlarged the space."""
-        comb = 1 << self._n
-        self._n += 1
+        if self._combs is not None:
+            return self._add_tracked(row, 1 << len(self._rows))
+        basis = self._basis
+        self._rows.append(row)
         r = row
         while r:
             lead = r.bit_length() - 1
-            if lead in self._basis:
-                br, bc = self._basis[lead]
-                r ^= br
-                comb ^= bc
-            else:
-                self._basis[lead] = (r, comb)
+            b = basis.get(lead)
+            if b is None:
+                basis[lead] = r
                 return True
+            r ^= b
+        return False
+
+    def _add_tracked(self, row, comb):
+        basis, combs = self._basis, self._combs
+        self._rows.append(row)
+        r = row
+        while r:
+            lead = r.bit_length() - 1
+            b = basis.get(lead)
+            if b is None:
+                basis[lead] = r
+                combs[lead] = comb
+                return True
+            r ^= b
+            comb ^= combs[lead]
         return False
 
     @property
@@ -533,12 +557,13 @@ class F2Space:
         return len(self._basis)
 
     def reduce(self, row):
+        basis = self._basis
         r = row
         while r:
-            lead = r.bit_length() - 1
-            if lead not in self._basis:
+            b = basis.get(r.bit_length() - 1)
+            if b is None:
                 break
-            r ^= self._basis[lead][0]
+            r ^= b
         return r
 
     def contains(self, row):
@@ -546,17 +571,24 @@ class F2Space:
 
     def pivot_rows(self):
         """The basis rows, ascending by leading bit."""
-        return [self._basis[lead][0] for lead in sorted(self._basis)]
+        return [self._basis[lead] for lead in sorted(self._basis)]
 
     def solve(self, row):
         """Bitmask over inserted rows expressing ``row``, or None."""
+        if self._combs is None:
+            # the same rows in the same order rebuild the same basis
+            rows, self._rows = self._rows, []
+            self._basis, self._combs = {}, {}
+            for i, r in enumerate(rows):
+                self._add_tracked(r, 1 << i)
+        basis, combs = self._basis, self._combs
         r = row
         comb = 0
         while r:
             lead = r.bit_length() - 1
-            if lead not in self._basis:
+            b = basis.get(lead)
+            if b is None:
                 return None
-            br, bc = self._basis[lead]
-            r ^= br
-            comb ^= bc
+            r ^= b
+            comb ^= combs[lead]
         return comb

@@ -5,10 +5,16 @@ hypersurface combinatorics and the ambient-side triangulation of the dual
 polytope provides the toric fan.  The mirror side swaps the two roles.
 Posets, cosheaf complexes, homology summaries and phase frames are built
 lazily and cached on the side.
+
+Side a holds side b, and side b links back to side a through a weak
+reference, so a dropped pair is freed by reference counting alone, with no
+cycle left for the collector.  A pair's side a keeps its mirror alive.
 """
 
+from weakref import ref
+
 from .cosheaves import CosheafEvaluator
-from .errors import InputError
+from .errors import InputError, MirrorSideFreed
 from .patchwork import PhaseFrame
 from .posets import build_base_poset, build_refined_poset, _check_dual_pair
 from .triangulate import validate
@@ -21,11 +27,20 @@ class Side:
         self.rank = newton_tri.rank
         self.n = self.rank - 1
         self.evaluator = CosheafEvaluator(ambient_tri, newton_tri)
-        self.mirror = None  # wired by MirrorPair
+        self._mirror = None  # wired by MirrorPair: a Side, or a weak ref to one
         self._posets = {}
         self._complexes = {}
         self._homology = {}
         self._phase_frames = {}
+
+    @property
+    def mirror(self):
+        side = self._mirror
+        if isinstance(side, ref):
+            side = side()
+        if side is None:
+            raise MirrorSideFreed("the mirror side of this side has been freed")
+        return side
 
     def poset(self, kind):
         if kind not in self._posets:
@@ -97,8 +112,8 @@ class MirrorPair:
                 )
         self.side_a = Side(dual_tri, newton_tri)
         self.side_b = Side(newton_tri, dual_tri)
-        self.side_a.mirror = self.side_b
-        self.side_b.mirror = self.side_a
+        self.side_a._mirror = self.side_b
+        self.side_b._mirror = ref(self.side_a)
         self.n = newton_tri.rank - 1
 
     @property

@@ -189,7 +189,8 @@ class PhaseFrame:
     A cell's phase set and filtration generators are functions of the
     cell's edge phases ``tes`` (one 0/1 per edge, in ``cells[ci]`` edge
     order), so the frame memoizes them: point lists and their index dicts
-    per (qd, packed point set), generators per (ci, p, tes).
+    per (qd, packed point set), generators and the F2 spaces they span per
+    (ci, p, tes).
     """
 
     def __init__(self, evaluator, poset):
@@ -198,6 +199,7 @@ class PhaseFrame:
         self._proj = {}
         self._points = {}
         self._generators = {}
+        self._spaces = {}
         self.cells = []
         for cell in poset.cells:
             stratum = evaluator.value_stratum("multitangent", cell)
@@ -225,20 +227,29 @@ class PhaseFrame:
             self._proj[sx, sy] = [f2_pack(row) for row in P]
         return self._proj[sx, sy]
 
-    def phase_points(self, ci, tes):
-        """(points, index) of the phase set of cell ci under edge phases tes:
-        the points in increasing order and each point's position.  Shared
-        per (qd, packed point set); callers must not mutate them."""
+    def phase_bits(self, ci, tes):
+        """The phase set of cell ci under edge phases tes, packed: bit s is
+        set iff the point s is in it."""
         _, qd, edges = self.cells[ci]
         full = (1 << (1 << qd)) - 1
         bits = 0
         for (_, _, odd), te in zip(edges, tes):
             bits |= odd if te else full ^ odd
+        return bits
+
+    def point_set(self, qd, bits):
+        """(points, index) of a packed point set in quotient rank qd: the
+        points in increasing order and each point's position.  Shared per
+        (qd, bits); callers must not mutate them."""
         key = (qd, bits)
         if key not in self._points:
             points = [s for s in range(1 << qd) if (bits >> s) & 1]
             self._points[key] = (points, {s: i for i, s in enumerate(points)})
         return self._points[key]
+
+    def phase_points(self, ci, tes):
+        """(points, index) of the phase set of cell ci under edge phases tes."""
+        return self.point_set(self.cells[ci][1], self.phase_bits(ci, tes))
 
     def level_generators(self, ci, p, tes):
         """(indicator, multitangent coords) pairs spanning filtration level p
@@ -290,20 +301,35 @@ class PhaseFrame:
         self._generators[key] = gens
         return gens
 
+    def level_spaces(self, ci, p, tes):
+        """(indicator space, coordinate space): the F2 spans of the
+        indicators and of the packed multitangent coordinates of
+        level_generators(ci, p, tes), rows in generator order, built once
+        per (ci, p, tes).  Shared; callers may solve in them but must not
+        add rows."""
+        key = (ci, p, tes)
+        if key not in self._spaces:
+            gens = self.level_generators(ci, p, tes)
+            self._spaces[key] = (
+                F2Space(ind for ind, _ in gens),
+                F2Space(f2_pack(fc) for _, fc in gens),
+            )
+        return self._spaces[key]
+
 
 class PhaseCell:
-    __slots__ = ("stratum", "qd", "tes", "points", "index")
+    __slots__ = ("stratum", "qd", "tes", "bits", "points", "index")
 
 
 class PhaseData:
-    """Phase points and their transport for one sign distribution.
+    """Phase points of one sign distribution.
 
     Each cell's ``tes`` (its edge phases under this distribution) selects
-    its points, index and filtration generators from the frame's memos.
-    ``covers`` lists (y, s2, x, s) for every phase point s of every cell x
-    and each cover y below x: the point s is carried to the point s2 of y.
-    The real complex reads this one list; the sign complex reads the same
-    transport from the frame's covers.
+    its packed phase set ``bits``, its points, index and filtration
+    generators from the frame's memos.  Both Betti routes read the
+    transport from the frame's covers, so it is checked here once per
+    cover: the images of the phase points of x must lie in the phase set
+    of y.
     """
 
     def __init__(self, side, poset, eps):
@@ -311,22 +337,21 @@ class PhaseData:
         self.frame = frame = side.phase_frame(poset.kind)
         self.poset = frame.poset
         t = phase_from_signs(side, eps)
-        self._cells = []
+        cells = []
         for ci, (stratum, qd, edges) in enumerate(frame.cells):
             pc = PhaseCell()
             pc.stratum, pc.qd = stratum, qd
             pc.tes = tuple([t[e] for e, _, _ in edges])
-            pc.points, pc.index = frame.phase_points(ci, pc.tes)
-            self._cells.append(pc)
-        self.covers = []
+            pc.bits = frame.phase_bits(ci, pc.tes)
+            pc.points, pc.index = frame.point_set(qd, pc.bits)
+            cells.append(pc)
         for yi, xi, images in frame.covers:
-            target = self._cells[yi].index
-            for s in self._cells[xi].points:
-                if images[s] not in target:
-                    raise InternalCheckError(
-                        "phase transport escaped the target phase set"
-                    )
-                self.covers.append((yi, images[s], xi, s))
+            reached = 0
+            for s in cells[xi].points:
+                reached |= 1 << images[s]
+            if reached & ~cells[yi].bits:
+                raise InternalCheckError("phase transport escaped the target phase set")
+        self._cells = cells
         self._complex = None
 
     def phase_cell(self, ci):
@@ -351,6 +376,10 @@ class PhaseData:
     def filtration_generators(self, ci, p):
         """(indicator, multitangent coords) pairs spanning level p on a cell."""
         return self.frame.level_generators(ci, p, self._cells[ci].tes)
+
+    def filtration_spaces(self, ci, p):
+        """(indicator space, coordinate space) of level p on a cell."""
+        return self.frame.level_spaces(ci, p, self._cells[ci].tes)
 
     def filtration_space(self, ci, p):
         return F2Space(ind for ind, _ in self.filtration_generators(ci, p))
@@ -383,22 +412,38 @@ def _subspaces(w, p):
 # the real CW complex
 
 class RealComplex:
-    """Cells (poset cell, phase) with constant F2 coefficients."""
+    """Cells (poset cell, phase point) with constant F2 coefficients.
+
+    Numbered per degree on its own: the degree-q cells are the phase points
+    of the poset's q-cells, cell by cell in poset order and point by point
+    in increasing order, so ``offset[ci]`` (from this class's point counts)
+    is where the points of cell ci start.  ``rows[q][i]`` packs the
+    boundary of real cell i of degree q over the degree q-1 cells, built in
+    one pass over the frame's covers.
+    """
 
     def __init__(self, phase_data):
         pd = phase_data
         self.n = pd.side.n
-        self.cells = []
-        index = {}
-        for c in pd.poset.cells:
-            for s in pd.phase_cell(c.index).points:
-                index[(c.index, s)] = len(self.cells)
-                self.cells.append((c.index, s, c.dim))
-        self.covers = [(index[yi, s2], index[xi, s]) for yi, s2, xi, s in pd.covers]
+        poset = pd.poset
+        cells = [pd.phase_cell(ci) for ci in range(len(poset.cells))]
+        self.dims = {}
+        offset = []
+        for c, pc in zip(poset.cells, cells):
+            off = self.dims.get(c.dim, 0)
+            offset.append(off)
+            self.dims[c.dim] = off + len(pc.points)
+        self.rows = {q: [0] * d for q, d in self.dims.items()}
+        for yi, xi, images in pd.frame.covers:
+            rows = self.rows[poset.cells[xi].dim]
+            ox, oy, index_y = offset[xi], offset[yi], cells[yi].index
+            for i, s in enumerate(cells[xi].points):
+                rows[ox + i] |= 1 << (oy + index_y[images[s]])
 
     def component_count(self):
-        """Connected components of the top-cell adjacency graph."""
-        parent = {}
+        """Connected components of the top cells, adjacent along a facet."""
+        tops = self.rows.get(self.n, [])
+        parent = list(range(len(tops)))
 
         def find(x):
             while parent[x] != x:
@@ -406,40 +451,29 @@ class RealComplex:
                 x = parent[x]
             return x
 
-        tops = [i for i, (_, _, d) in enumerate(self.cells) if d == self.n]
-        for i in tops:
-            parent[i] = i
-        facet_tops = {}
-        for (yi, xi) in self.covers:
-            if self.cells[xi][2] == self.n and self.cells[yi][2] == self.n - 1:
-                facet_tops.setdefault(yi, []).append(xi)
-        for tops_here in facet_tops.values():
-            a = tops_here[0]
-            for b in tops_here[1:]:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[rb] = ra
-        return len({find(i) for i in tops})
+        count = len(tops)
+        first = {}  # facet -> the first top cell seen on it
+        for i, r in enumerate(tops):
+            while r:
+                low = r & -r
+                r ^= low
+                j = low.bit_length()
+                a = first.setdefault(j, i)
+                if a != i:
+                    ra, rb = find(a), find(i)
+                    if ra != rb:
+                        parent[rb] = ra
+                        count -= 1
+        return count
 
     def betti(self):
         """F2 Betti numbers of the realization, via the cellular complex."""
-        dims = {}
-        offs = []
-        for (_, _, d) in self.cells:
-            offs.append(dims.get(d, 0))
-            dims[d] = dims.get(d, 0) + 1
-        top = max(dims) if dims else -1
-        rows = {q: [0] * dims.get(q, 0) for q in dims}
-        for (yi, xi) in self.covers:
-            q = self.cells[xi][2]
-            rows[q][offs[xi]] ^= 1 << offs[yi]
-        ranks = {q: f2_rank(list(rows[q])) for q in rows}
-        out = []
-        for q in range(top + 1):
-            r_q = ranks.get(q, 0) if q > 0 else 0
-            r_q1 = ranks.get(q + 1, 0)
-            out.append(dims.get(q, 0) - r_q - r_q1)
-        return out
+        top = max((q for q, d in self.dims.items() if d), default=-1)
+        ranks = {q: f2_rank(self.rows[q]) for q in self.rows if q > 0}
+        return [
+            self.dims.get(q, 0) - ranks.get(q, 0) - ranks.get(q + 1, 0)
+            for q in range(top + 1)
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +525,7 @@ def delta1(side, eps, chain, p, kind="refined"):
     for key, fcoords in chain.items():
         ci = poset.cell_index[key]
         gens = pd.filtration_generators(ci, p)
-        mask = F2Space(f2_pack(fc) for _, fc in gens).solve(f2_pack(fcoords))
+        mask = pd.filtration_spaces(ci, p)[1].solve(f2_pack(fcoords))
         if mask is None:
             raise InternalCheckError(
                 "chain coefficient is not in the filtration image"
@@ -507,7 +541,7 @@ def delta1(side, eps, chain, p, kind="refined"):
     for key, scoords in bchain.items():
         ci = poset.cell_index[key]
         gens = pd.filtration_generators(ci, p + 1)
-        mask = F2Space(g[0] for g in gens).solve(f2_pack(scoords))
+        mask = pd.filtration_spaces(ci, p + 1)[0].solve(f2_pack(scoords))
         if mask is None:
             raise InternalCheckError(
                 "boundary of the lift escaped the next filtration level"

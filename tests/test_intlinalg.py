@@ -217,3 +217,78 @@ def test_f2_space_solve_tracking():
             if (comb >> i) & 1:
                 acc ^= rows[i]
         assert acc == target
+
+
+class EagerF2Space:
+    """Reference: the leading-bit reduction that tracks the combination
+    behind every basis row from the first insertion on."""
+
+    def __init__(self):
+        self.basis = {}  # leading bit -> (row, combination bitmask)
+        self.n = 0
+
+    def add(self, row):
+        comb = 1 << self.n
+        self.n += 1
+        r = row
+        while r:
+            lead = r.bit_length() - 1
+            if lead in self.basis:
+                br, bc = self.basis[lead]
+                r ^= br
+                comb ^= bc
+            else:
+                self.basis[lead] = (r, comb)
+                return True
+        return False
+
+    def reduce(self, row):
+        r = row
+        while r and r.bit_length() - 1 in self.basis:
+            r ^= self.basis[r.bit_length() - 1][0]
+        return r
+
+    def solve(self, row):
+        r, comb = row, 0
+        while r:
+            lead = r.bit_length() - 1
+            if lead not in self.basis:
+                return None
+            br, bc = self.basis[lead]
+            r ^= br
+            comb ^= bc
+        return comb
+
+
+_F2_OPS = st.lists(
+    st.tuples(st.sampled_from(["add", "solve", "contains", "reduce", "rank"]),
+              st.integers(0, 255)),
+    max_size=40,
+)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.integers(0, 255), max_size=6), _F2_OPS, _F2_OPS)
+def test_f2_space_interleavings_match_eager_reference(initial, before, after):
+    # combinations are built on the first solve and tracked from then on:
+    # the answers must match a space that tracks them from the start,
+    # including solves after later adds
+    space, ref, inserted = F2Space(initial), EagerF2Space(), list(initial)
+    for r in initial:
+        ref.add(r)
+    for op, row in before + [("solve", initial[-1] if initial else 0)] + after:
+        if op == "add":
+            assert space.add(row) == ref.add(row)
+            inserted.append(row)
+        elif op == "solve":
+            comb = space.solve(row)
+            assert comb == ref.solve(row)
+            if comb is not None:
+                assert f2_combine(comb, inserted) == row
+        elif op == "contains":
+            assert space.contains(row) == (ref.reduce(row) == 0)
+        elif op == "reduce":
+            assert space.reduce(row) == ref.reduce(row)
+        else:
+            assert space.rank == len(ref.basis)
+    assert space.pivot_rows() == [ref.basis[b][0] for b in sorted(ref.basis)]

@@ -1,9 +1,21 @@
+import gc
 import random
+import weakref
 
 import pytest
 
+from conftest import CUBIC_DUAL_VERTS, CUBIC_VERTS
 from tropmirror.chains import dense_block
-from tropmirror.errors import RayNotInFan, SupportViolation
+from tropmirror.errors import (
+    InternalCheckError,
+    MirrorSideFreed,
+    RayNotInFan,
+    SupportViolation,
+)
+from tropmirror.lattice import LatticePolytope
+from tropmirror.pairs import MirrorPair
+from tropmirror.patchwork import connectedness_verdict
+from tropmirror.triangulate import generate_central
 from tropmirror.intlinalg import mat_mul
 from tropmirror.mirror import (
     chain_degree,
@@ -322,3 +334,31 @@ def test_divisor_interior_only_gives_zero_chain(cubic_pair):
     verts = set(side.newton.polytope.vertices)
     interior_rays = [v for v in side.newton.rays() if v not in verts]
     assert divisor_restriction(side, interior_rays) == {}
+
+
+def test_dropped_pair_is_freed_without_the_collector():
+    # side a holds side b, side b links back weakly: no cycle is left
+    T = generate_central(LatticePolytope(CUBIC_VERTS))
+    Tdual = generate_central(LatticePolytope(CUBIC_DUAL_VERTS))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        pair = MirrorPair(T, Tdual)
+        assert pair.side_a.mirror is pair.side_b
+        assert pair.side_b.mirror is pair.side_a
+        # fill both sides' caches through a verdict, which reads the mirror
+        connectedness_verdict(pair.side_a, pair.side_a.newton.rays()[:2])
+        refs = [weakref.ref(s) for s in pair.sides]
+        del pair
+        assert [r() for r in refs] == [None, None]
+        # a side a kept alone keeps its mirror, whose link back still works
+        side = MirrorPair(T, Tdual).side_a
+        assert side.mirror.mirror is side
+        # a side b kept alone finds its link dead and says so
+        side = MirrorPair(T, Tdual).side_b
+        with pytest.raises(MirrorSideFreed):
+            side.mirror
+    finally:
+        if enabled:
+            gc.enable()
+    assert issubclass(MirrorSideFreed, InternalCheckError)

@@ -5,14 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CUBIC_DUAL_VERTS, CUBIC_VERTS
-from tropmirror.errors import InvalidPhaseStructure
-from tropmirror.intlinalg import F2Space, f2_pack, mat_mul
+from tropmirror.errors import InternalCheckError, InvalidPhaseStructure
+from tropmirror.intlinalg import F2Space, f2_pack, f2_rank, mat_mul
 from tropmirror.lattice import LatticePolytope
 from tropmirror.mirror import divisor_restriction, is_null_class, sphere_cycle, transfer_class
 from tropmirror.pairs import MirrorPair
 from tropmirror.patchwork import (
     PhaseData,
     PhaseFrame,
+    RealComplex,
     connectedness_verdict,
     delta1,
     divisor_class_representatives,
@@ -116,9 +117,19 @@ def test_phase_set_sizes_on_edges(cubic_pair, k3_pair):
             assert len(pc.points) == 1 << (side.n - (len(c.tau) - 1))
 
 
+def _transport_list(pd):
+    """(y, s2, x, s) for every phase point s of every cell x and each cover
+    y below x, read off the frame's covers: s is carried to s2."""
+    return [
+        (yi, images[s], xi, s)
+        for yi, xi, images in pd.frame.covers
+        for s in pd.phase_cell(xi).points
+    ]
+
+
 def test_transport_list_matches_frame_product(cubic_pair, k3_pair):
-    # both Betti routes read PhaseData.covers, so it is checked here against
-    # R_x.Q_y mod 2 formed from the evaluator's frames
+    # both Betti routes read the transport from the frame's covers, so it is
+    # checked here against R_x.Q_y mod 2 formed from the evaluator's frames
     cubic, k3 = cubic_pair.side_a, k3_pair.side_a
     for side, kind in ((cubic, "base"), (k3, "base"), (cubic, "refined")):
         poset = side.poset(kind)
@@ -127,7 +138,7 @@ def test_transport_list_matches_frame_product(cubic_pair, k3_pair):
         eps_b = signs_from_divisor(side, rays[1:2])
         pd = PhaseData(side, poset, eps_a)
         seen = []
-        for yi, s2, xi, s in pd.covers:
+        for yi, s2, xi, s in _transport_list(pd):
             px, py = pd.phase_cell(xi), pd.phase_cell(yi)
             fx = side.evaluator.frame(px.stratum)
             fy = side.evaluator.frame(py.stratum)
@@ -148,8 +159,8 @@ def test_transport_list_matches_frame_product(cubic_pair, k3_pair):
         pd_b = PhaseData(side, poset, eps_b)
         pd_a = PhaseData(side, poset, eps_a)
         assert pd_b.frame is pd.frame is pd_a.frame is side.phase_frame(kind)
-        assert pd_b.covers != pd.covers
-        assert pd_a.covers == pd.covers
+        assert _transport_list(pd_b) != _transport_list(pd)
+        assert _transport_list(pd_a) == _transport_list(pd)
         for ci in range(len(poset.cells)):
             assert pd_a.phase_cell(ci).points == pd.phase_cell(ci).points
 
@@ -170,11 +181,11 @@ def _phase_points_directly(frame, ci, eps):
 
 def _sign_boundary_assembled_per_point(pd):
     """The sign complex's boundary rows built without the frame's blocks:
-    one setdefault append per entry of pd.covers, then an accumulating
-    get/add/pop per entry."""
+    one setdefault append per entry of the transport list, then an
+    accumulating get/add/pop per entry."""
     cells = [pd.phase_cell(ci) for ci in range(len(pd.poset.cells))]
     blocks = {}
-    for yi, s2, xi, _ in pd.covers:
+    for yi, s2, xi, _ in _transport_list(pd):
         blocks.setdefault((yi, xi), []).append(((cells[yi].index[s2], 1),))
     cx = pd.sign_complex()
     D = {q: [{} for _ in range(cx.dim(q))] for q in cx.D}
@@ -195,14 +206,16 @@ def _sign_boundary_assembled_per_point(pd):
     return D
 
 
-def _class_results(side, poset, eps, fresh_results):
+def _class_results(side, poset, eps, fresh_results, first_spaces):
     """Generators, points and sign boundary of one class, each checked
     against a frame built for this class alone.
 
     A fresh frame computes each (cell, p, edge phases) key the first time
     any class meets it, asked in descending p so that a memo that forgot
     p or the edge phases answers differently from the shared frame; later
-    meetings compare against that first answer.
+    meetings compare against that first answer.  The shared frame's F2
+    spaces for a key must span the fresh generators when first met, and
+    be the same objects at every later meeting.
     """
     pd = PhaseData(side, poset, eps)
     frame = side.phase_frame(poset.kind)
@@ -222,6 +235,15 @@ def _class_results(side, poset, eps, fresh_results):
             # copies, so that a later class mutating a shared list shows
             gens[ci, p] = list(pd.filtration_generators(ci, p))
             assert gens[ci, p] == fresh_results[ci, p, tes], (ci, p, tes)
+            spaces = pd.filtration_spaces(ci, p)
+            if (ci, p, tes) not in first_spaces:
+                first_spaces[ci, p, tes] = spaces
+                fresh_gens = fresh_results[ci, p, tes]
+                assert [s.pivot_rows() for s in spaces] == [
+                    F2Space(ind for ind, _ in fresh_gens).pivot_rows(),
+                    F2Space(f2_pack(fc) for _, fc in fresh_gens).pivot_rows(),
+                ], (ci, p, tes)
+            assert spaces is first_spaces[ci, p, tes]
         points[ci] = list(pc.points)
         assert pc.points == fresh.phase_points(ci, tes)[0]
         assert pc.points == _phase_points_directly(frame, ci, eps)
@@ -247,13 +269,14 @@ def test_frame_memo_matches_fresh_frames(k3_pair):
     ]
     for side, kind, masks in runs:
         poset = side.poset(kind)
-        fresh_results = {}
+        fresh_results, first_spaces = {}, {}
         signs = [signs_from_divisor(side, mask_to_rays(side, m)) for m in masks]
-        first = _class_results(side, poset, signs[0], fresh_results)
+        first = _class_results(side, poset, signs[0], fresh_results, first_spaces)
         for eps in signs[1:]:
-            _class_results(side, poset, eps, fresh_results)
+            _class_results(side, poset, eps, fresh_results, first_spaces)
         # classes A, B, ..., A: the memos give A the same answers again
-        assert _class_results(side, poset, signs[0], fresh_results) == first
+        again = _class_results(side, poset, signs[0], fresh_results, first_spaces)
+        assert again == first
         if (side, kind) == (cubic, "refined"):
             calls = (len(masks) + 1) * len(poset.cells) * (side.n + 2)
             keys = len(side.phase_frame(kind)._generators)
@@ -335,6 +358,105 @@ def test_well_defined_graded_identification(cubic_pair):
 
 
 # -- real complex and betti -----------------------------------------------------------
+
+class PerPointRealComplex:
+    """Reference real complex: a tuple-keyed index over (cell, point) and
+    one (y, s2, x, s) transport entry per phase point of every cover."""
+
+    def __init__(self, pd):
+        self.n = pd.side.n
+        self.cells = []
+        index = {}
+        for c in pd.poset.cells:
+            for s in pd.phase_cell(c.index).points:
+                index[(c.index, s)] = len(self.cells)
+                self.cells.append((c.index, s, c.dim))
+        self.covers = [
+            (index[yi, s2], index[xi, s]) for yi, s2, xi, s in _transport_list(pd)
+        ]
+
+    def component_count(self):
+        parent = {}
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        tops = [i for i, (_, _, d) in enumerate(self.cells) if d == self.n]
+        for i in tops:
+            parent[i] = i
+        facet_tops = {}
+        for (yi, xi) in self.covers:
+            if self.cells[xi][2] == self.n and self.cells[yi][2] == self.n - 1:
+                facet_tops.setdefault(yi, []).append(xi)
+        for tops_here in facet_tops.values():
+            for b in tops_here[1:]:
+                ra, rb = find(tops_here[0]), find(b)
+                if ra != rb:
+                    parent[rb] = ra
+        return len({find(i) for i in tops})
+
+    def betti(self):
+        dims = {}
+        offs = []
+        for (_, _, d) in self.cells:
+            offs.append(dims.get(d, 0))
+            dims[d] = dims.get(d, 0) + 1
+        rows = {q: [0] * dims[q] for q in dims}
+        for (yi, xi) in self.covers:
+            rows[self.cells[xi][2]][offs[xi]] ^= 1 << offs[yi]
+        ranks = {q: f2_rank(rows[q]) for q in rows if q > 0}
+        return [
+            dims.get(q, 0) - ranks.get(q, 0) - ranks.get(q + 1, 0)
+            for q in range(max(dims, default=-1) + 1)
+        ]
+
+
+def test_real_complex_matches_per_point_reference(cubic_pair, k3_pair):
+    # the compact numbering and the union-find on packed top rows against
+    # the per-point construction, on every cubic class and 10 K3 classes
+    cubic, k3 = cubic_pair.side_a, k3_pair.side_a
+    runs = [
+        (cubic, divisor_class_representatives(cubic)),
+        (k3, sample_divisor_classes(k3, 10, seed=5)),
+    ]
+    components = set()
+    for side, masks in runs:
+        for mask in masks:
+            eps = signs_from_divisor(side, mask_to_rays(side, mask))
+            pd = PhaseData(side, side.base_poset, eps)
+            rc, ref = RealComplex(pd), PerPointRealComplex(pd)
+            assert rc.betti() == ref.betti(), mask
+            assert rc.component_count() == ref.component_count(), mask
+            components.add(rc.component_count())
+    assert components == {1, 2}
+
+
+def test_escaping_transport_raises():
+    # a corrupted image in a scratch frame's covers is caught by the
+    # per-cover escape check before either Betti route reads it
+    side = MirrorPair(
+        generate_central(LatticePolytope(CUBIC_VERTS)),
+        generate_central(LatticePolytope(CUBIC_DUAL_VERTS)),
+    ).side_a
+    eps = signs_from_divisor(side, [D7, D8])
+    pd = PhaseData(side, side.base_poset, eps)
+    real_betti(side, eps)
+    for yi, xi, images in side.phase_frame("base").covers:
+        py, px = pd.phase_cell(yi), pd.phase_cell(xi)
+        outside = [s for s in range(1 << py.qd) if s not in py.index]
+        if px.points and outside:
+            images[px.points[-1]] = outside[0]
+            break
+    else:
+        pytest.fail("no cover with a point outside its target phase set")
+    with pytest.raises(InternalCheckError, match="escaped"):
+        PhaseData(side, side.base_poset, eps)
+    with pytest.raises(InternalCheckError, match="escaped"):
+        real_betti(side, eps)
+
 
 def test_cubic_connected_example(cubic_pair):
     side = cubic_pair.side_a
