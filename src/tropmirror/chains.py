@@ -100,37 +100,32 @@ class ChainComplex:
 
     def __init__(self, poset, ranks, blocks, sign):
         self.poset = poset
-        self.ranks = list(ranks)
+        self.ranks = ranks = list(ranks)
         self.degrees = list(range(0, poset.max_dim + 1))
-        self.offset = {}
+        self.offset = offset = {}
         self.dim_q = {}
         self.cells_q = _cells_by_dim(poset)
         for q in self.degrees:
             off = 0
             for ci in self.cells_q[q]:
-                self.offset[ci] = off
-                off += self.ranks[ci]
+                offset[ci] = off
+                off += ranks[ci]
             self.dim_q[q] = off
-        self.D = {}
-        for q in self.degrees:
-            if q == 0:
-                continue
-            self.D[q] = [dict() for _ in range(self.dim_q[q])]
+        self.D = {q: [{} for _ in range(self.dim_q[q])] for q in self.degrees if q}
         # The row of a coordinate of x gets entries only from the covers
         # (y, x).  Those have distinct y, hence disjoint column ranges
         # [offset[y], offset[y] + rank[y]), and a block row names each
         # y-coordinate once with a nonzero entry, so no two writes meet and
         # each entry is stored as it comes.
+        cells = poset.cells
         for (yi, xi) in poset.covers:
-            rx = self.ranks[xi]
-            ry = self.ranks[yi]
-            if rx == 0 or ry == 0:
+            rx = ranks[xi]
+            if rx == 0 or ranks[yi] == 0:
                 continue
-            q = poset.cells[xi].dim
-            s = sign[(yi, xi)]
-            block = blocks[(yi, xi)]
-            ox, oy = self.offset[xi], self.offset[yi]
-            rows = self.D[q]
+            s = sign[yi, xi]
+            block = blocks[yi, xi]
+            ox, oy = offset[xi], offset[yi]
+            rows = self.D[cells[xi].dim]
             for i in range(rx):
                 row = rows[ox + i]
                 for j, a in block[i]:

@@ -19,9 +19,13 @@ each cover's map between frames) is a PhaseFrame, built once per side and
 poset kind.  What depends only on a cell's edge phases is memoized in the
 frame too: the phase point sets per (quotient rank, packed point set) and
 the filtration generators per (cell, level, edge phases), so classes that
-agree on a cell share them.  Each sign distribution then gets its edge
-phases, its phase points and one list of transported points per cover,
-which the sign complex and the real complex both read.
+agree on a cell share them, and so are the F2 spaces those generators
+span.  Each sign distribution then gets its edge phases and its packed
+phase sets; the transport is checked once per frame cover (the images of
+the phase points of x lie in the phase set of y) and read from the frame's
+covers by both Betti routes: the sign complex, one block per cover, and
+the real complex, which numbers its cells on its own and packs its
+boundary rows in one pass over the covers.
 """
 
 import random
@@ -212,6 +216,9 @@ class PhaseFrame:
                 odd = f2_pack([bin(s & rdm).count("1") for s in range(1 << qd)])
                 edges.append(((min(a, b), max(a, b)), rdm, odd))
             self.cells.append((stratum, qd, edges))
+        # the sign complex's block row for a map onto point j of y, shared
+        top = max((qd for _, qd, _ in self.cells), default=0)
+        self.unit_rows = [((j, 1),) for j in range(1 << top)]
         self.covers = []
         for (yi, xi) in poset.covers:
             (sx, qx, ex), (sy, _, ey) = self.cells[xi], self.cells[yi]
@@ -364,10 +371,11 @@ class PhaseData:
     def sign_complex(self):
         if self._complex is None:
             cells = self._cells
+            unit = self.frame.unit_rows
             blocks = {}
             for yi, xi, images in self.frame.covers:
                 index_y = cells[yi].index
-                blocks[yi, xi] = [((index_y[images[s]], 1),) for s in cells[xi].points]
+                blocks[yi, xi] = [unit[index_y[images[s]]] for s in cells[xi].points]
             ranks = [len(pc.points) for pc in cells]
             self._complex = ChainComplex(self.poset, ranks, blocks, self.poset.sign)
         return self._complex
@@ -455,9 +463,8 @@ class RealComplex:
         first = {}  # facet -> the first top cell seen on it
         for i, r in enumerate(tops):
             while r:
-                low = r & -r
-                r ^= low
-                j = low.bit_length()
+                j = r.bit_length() - 1
+                r ^= 1 << j
                 a = first.setdefault(j, i)
                 if a != i:
                     ra, rb = find(a), find(i)
