@@ -13,8 +13,6 @@ any Q or F2 rank already computed.  The square of the boundary is verified
 to vanish over Z at construction (hence over every ring).
 """
 
-from weakref import WeakKeyDictionary
-
 from .errors import BoundarySquareNonzero, InternalCheckError, NotAClosedChain
 from .intlinalg import (
     F2Space,
@@ -24,20 +22,6 @@ from .intlinalg import (
 )
 
 RINGS = ("z", "q", "f2")
-
-_CELLS_BY_DIM = WeakKeyDictionary()  # poset -> {q: indices of its q-cells}
-
-
-def _cells_by_dim(poset):
-    """The indices of each degree's cells, listed once per poset; shared by
-    every complex on it, so callers must not mutate them."""
-    cells = _CELLS_BY_DIM.get(poset)
-    if cells is None:
-        cells = {q: [] for q in range(poset.max_dim + 1)}
-        for c in poset.cells:
-            cells[c.dim].append(c.index)
-        _CELLS_BY_DIM[poset] = cells
-    return cells
 
 
 def dense_block(block, width):
@@ -104,7 +88,7 @@ class ChainComplex:
         self.degrees = list(range(0, poset.max_dim + 1))
         self.offset = offset = {}
         self.dim_q = {}
-        self.cells_q = _cells_by_dim(poset)
+        self.cells_q = poset.cells_by_dim
         for q in self.degrees:
             off = 0
             for ci in self.cells_q[q]:

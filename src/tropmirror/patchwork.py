@@ -385,10 +385,6 @@ class PhaseData:
         """(indicator, multitangent coords) pairs spanning level p on a cell."""
         return self.frame.level_generators(ci, p, self._cells[ci].tes)
 
-    def filtration_spaces(self, ci, p):
-        """(indicator space, coordinate space) of level p on a cell."""
-        return self.frame.level_spaces(ci, p, self._cells[ci].tes)
-
     def filtration_space(self, ci, p):
         return F2Space(ind for ind, _ in self.filtration_generators(ci, p))
 
@@ -531,14 +527,15 @@ def delta1(side, eps, chain, p, kind="refined"):
     lift = {}
     for key, fcoords in chain.items():
         ci = poset.cell_index[key]
+        pc = pd.phase_cell(ci)
         gens = pd.filtration_generators(ci, p)
-        mask = pd.filtration_spaces(ci, p)[1].solve(f2_pack(fcoords))
+        _, coord_space = pd.frame.level_spaces(ci, p, pc.tes)
+        mask = coord_space.solve(f2_pack(fcoords))
         if mask is None:
             raise InternalCheckError(
                 "chain coefficient is not in the filtration image"
             )
         ind = f2_combine(mask, [g[0] for g in gens])
-        pc = pd.phase_cell(ci)
         coords = tuple((ind >> i) & 1 for i in range(len(pc.points)))
         if any(coords):
             lift[key] = coords
@@ -548,7 +545,8 @@ def delta1(side, eps, chain, p, kind="refined"):
     for key, scoords in bchain.items():
         ci = poset.cell_index[key]
         gens = pd.filtration_generators(ci, p + 1)
-        mask = pd.filtration_spaces(ci, p + 1)[0].solve(f2_pack(scoords))
+        ind_space, _ = pd.frame.level_spaces(ci, p + 1, pd.phase_cell(ci).tes)
+        mask = ind_space.solve(f2_pack(scoords))
         if mask is None:
             raise InternalCheckError(
                 "boundary of the lift escaped the next filtration level"

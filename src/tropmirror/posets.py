@@ -111,6 +111,9 @@ class CellPoset:
         self.cells = cells
         self.cell_index = {c.key: c.index for c in cells}
         self.max_dim = max((c.dim for c in cells), default=-1)
+        self.cells_by_dim = {q: [] for q in range(self.max_dim + 1)}
+        for c in cells:
+            self.cells_by_dim[c.dim].append(c.index)
 
     def _build_covers(self):
         """Covers (y below x) by single-vertex growth, with default signs."""

@@ -29,6 +29,8 @@ class FakePoset:
         self.cells = [C(d, i) for i, d in enumerate(dims)]
         self.covers = covers
         self.max_dim = max(dims)
+        self.cells_by_dim = {q: [i for i, d in enumerate(dims) if d == q]
+                             for q in range(self.max_dim + 1)}
         self.cell_index = {i: i for i in range(len(dims))}
         self.below = {i: [] for i in range(len(dims))}
         for (y, x) in covers:

@@ -235,7 +235,7 @@ def _class_results(side, poset, eps, fresh_results, first_spaces):
             # copies, so that a later class mutating a shared list shows
             gens[ci, p] = list(pd.filtration_generators(ci, p))
             assert gens[ci, p] == fresh_results[ci, p, tes], (ci, p, tes)
-            spaces = pd.filtration_spaces(ci, p)
+            spaces = frame.level_spaces(ci, p, tes)
             if (ci, p, tes) not in first_spaces:
                 first_spaces[ci, p, tes] = spaces
                 fresh_gens = fresh_results[ci, p, tes]
