@@ -523,22 +523,8 @@ class F2Space:
 
     def add(self, row):
         """Insert a row; returns True if it enlarged the space."""
-        if self._combs is not None:
-            return self._add_tracked(row, 1 << len(self._rows))
-        basis = self._basis
-        self._rows.append(row)
-        r = row
-        while r:
-            lead = r.bit_length() - 1
-            b = basis.get(lead)
-            if b is None:
-                basis[lead] = r
-                return True
-            r ^= b
-        return False
-
-    def _add_tracked(self, row, comb):
         basis, combs = self._basis, self._combs
+        comb = 0 if combs is None else 1 << len(self._rows)
         self._rows.append(row)
         r = row
         while r:
@@ -546,10 +532,12 @@ class F2Space:
             b = basis.get(lead)
             if b is None:
                 basis[lead] = r
-                combs[lead] = comb
+                if combs is not None:
+                    combs[lead] = comb
                 return True
             r ^= b
-            comb ^= combs[lead]
+            if combs is not None:
+                comb ^= combs[lead]
         return False
 
     @property
@@ -579,8 +567,8 @@ class F2Space:
             # the same rows in the same order rebuild the same basis
             rows, self._rows = self._rows, []
             self._basis, self._combs = {}, {}
-            for i, r in enumerate(rows):
-                self._add_tracked(r, 1 << i)
+            for r in rows:
+                self.add(r)
         basis, combs = self._basis, self._combs
         r = row
         comb = 0
