@@ -12,11 +12,8 @@ from tropmirror.errors import (
     RayNotInFan,
     SupportViolation,
 )
-from tropmirror.lattice import LatticePolytope
-from tropmirror.pairs import MirrorPair
-from tropmirror.patchwork import connectedness_verdict
-from tropmirror.triangulate import generate_central
 from tropmirror.intlinalg import mat_mul
+from tropmirror.lattice import LatticePolytope
 from tropmirror.mirror import (
     chain_degree,
     contraction_matrix,
@@ -27,6 +24,9 @@ from tropmirror.mirror import (
     sphere_cycle,
     transfer_class,
 )
+from tropmirror.pairs import MirrorPair
+from tropmirror.patchwork import connectedness_verdict
+from tropmirror.triangulate import generate_central
 
 RNG = random.Random(2024)
 
