@@ -22,10 +22,17 @@ so that one assembly routine serves every complex.
 
 Each edge's wedge Lambda^p(edge annihilator / stratum span) is built once and
 cached per (stratum, edge direction, p); F_p(sigma) is spanned by the cached
-rows of the edges of sigma.  A value depends only on its spans, not on the
+rows of the edges of sigma, so it depends on sigma only through its set of
+normalised edge directions (found once per sigma) and is computed once per
+(p, stratum, direction set).  A value depends only on its spans, not on the
 cell that carries it, so values are interned: one FreeQuotient per distinct
 module, one wedge per distinct frame projection, and one sparse matrix per
 distinct (source value, target value, projection) triple.
+
+A chain complex looks each cell's (value, value stratum) up once; while it
+is assembled, ``map_matrix`` reads both cells' pairs from a dict keyed by
+the cell objects, so a cover costs two identity-hashed reads and one map
+lookup.
 """
 
 from itertools import combinations
@@ -45,6 +52,12 @@ from .intlinalg import (
 from .modules import FreeQuotient, _frozen
 
 ZERO_STRATUM = ()
+
+
+def _direction(a, b):
+    """The edge direction b - a, normalised up to sign."""
+    d = tuple(x - y for x, y in zip(b, a))
+    return max(d, tuple(-x for x in d))
 
 
 class Frame:
@@ -83,12 +96,14 @@ class CosheafEvaluator:
 
     Values are pure functions of their keys; the caches fill on first use
     (warm them single-threaded before sharing across threads, after which
-    all access is read-only).  Every value is built by ``_module``, which
-    returns one object per distinct module, and every frame projection's
-    p-wedge is interned by content, so a map is a pure function of the
-    identities of (source value, target value, wedge) and is computed once
-    per distinct triple: many cells carry equal values, and many covers
-    share a map.  Interned objects live as long as the evaluator.
+    only ``chain_complex`` writes, to its scope, and a cell missing from
+    the scope is looked up in the caches).  Every value is built by
+    ``_module``, which returns one object per distinct module, and every
+    frame projection's p-wedge is interned by content, so a map is a pure
+    function of the identities of (source value, target value, wedge) and
+    is computed once per distinct triple: many cells carry equal values,
+    and many covers share a map.  Interned objects live as long as the
+    evaluator.
     """
 
     TAGS = ("multitangent", "kernel", "mirror", "mirror_ext", "quotient")
@@ -100,6 +115,8 @@ class CosheafEvaluator:
         self.origin = (0,) * self.m
         self._frames = {}
         self._gens = {}
+        self._directions = {}  # sigma -> frozenset of its edge directions
+        self._direction_sets = {}  # direction set -> the one interned copy
         self._edge_basis = {}
         self._projection_wedges = {}
         self._wedges = {}  # wedge content -> the one interned copy
@@ -107,6 +124,8 @@ class CosheafEvaluator:
         self._modules = {}  # (ambient, sub row set, quo row set) -> value
         self._contents = {}  # FreeQuotient content -> the one interned value
         self._maps = {}  # ids of (source, target, wedge or None) -> sparse rows
+        # while chain_complex runs: ((tag, p), {cell: (value, stratum)})
+        self._scope = None
 
     # -- frames and edge data ---------------------------------------------------
     def frame(self, gens):
@@ -124,8 +143,10 @@ class CosheafEvaluator:
     def edge_annihilator_basis(self, stratum, a, b, p):
         """Lambda^p of the HNF basis of (edge direction)-perp / (stratum span),
         in frame coords: the basis itself at p = 1, its p x p minors above."""
-        d = tuple(x - y for x, y in zip(b, a))
-        key = (stratum, max(d, tuple(-x for x in d)), p)
+        return self._edge_rows(stratum, _direction(a, b), p)
+
+    def _edge_rows(self, stratum, d, p):
+        key = (stratum, d, p)
         if key not in self._edge_basis:
             if p == 1:
                 fr = self.frame(stratum)
@@ -133,7 +154,7 @@ class CosheafEvaluator:
                 proj = [vec_mat(list(r), fr.Q) for r in perp]
                 B = hnf_basis(proj)
             else:
-                B = wedge_matrix(self.edge_annihilator_basis(stratum, a, b, 1), p)
+                B = wedge_matrix(self._edge_rows(stratum, d, 1), p)
             self._edge_basis[key] = _frozen(B)
         return self._edge_basis[key]
 
@@ -157,21 +178,27 @@ class CosheafEvaluator:
         return self._module(max(ambient_dim, 1), ())
 
     def multitangent_value(self, p, stratum, sigma):
-        key = ("F", p, stratum, sigma)
-        if key not in self._values:
-            fr = self.frame(stratum)
-            q = self.m - fr.k
-            amb = dim_wedge(q, p)
-            if len(sigma) < 2 or amb == 0:
-                self._values[key] = self._zero(amb)
+        """F_p on a cell with this stratum and sigma.  It depends on sigma
+        only through the set of its edge directions, found once per sigma,
+        so it is computed once per (p, stratum, direction set)."""
+        dirs = self._directions.get(sigma)
+        if dirs is None:
+            dirs = frozenset(_direction(a, b) for a, b in combinations(sigma, 2))
+            dirs = self._direction_sets.setdefault(dirs, dirs)
+            self._directions[sigma] = dirs
+        key = ("F", p, stratum, dirs)
+        value = self._values.get(key)
+        if value is None:
+            amb = dim_wedge(self.m - self.frame(stratum).k, p)
+            if not dirs or amb == 0:
+                value = self._zero(amb)
             elif p == 0:
-                self._values[key] = self._module(1, [(1,)])
+                value = self._module(1, [(1,)])
             else:
-                rows = []
-                for a, b in combinations(sigma, 2):
-                    rows += self.edge_annihilator_basis(stratum, a, b, p)
-                self._values[key] = self._module(amb, rows)
-        return self._values[key]
+                rows = [r for d in dirs for r in self._edge_rows(stratum, d, p)]
+                value = self._module(amb, rows)
+            self._values[key] = value
+        return value
 
     def kernel_rows(self, p, tau, sigma):
         """Span rows of (stratum span) wedge F_{p-1}(0, boundary part of sigma)."""
@@ -229,6 +256,9 @@ class CosheafEvaluator:
             return self._zero(dim_wedge(self.m, p))
         raise UnsupportedCell(f"unknown cosheaf tag {tag!r}")
 
+    def _cell_value(self, tag, p, cell):
+        return self.value(tag, p, cell), self.value_stratum(tag, cell)
+
     def value_stratum(self, tag, cell):
         """The frame whose wedge coordinates carry the value on this cell."""
         if tag in ("kernel", "mirror"):
@@ -243,7 +273,10 @@ class CosheafEvaluator:
         return mat_mul(self.frame(sx).R, self.frame(sy).Q)
 
     def _projection_wedge(self, sx, sy, p):
-        """Lambda^p of ``projection(sx, sy)``, one object per distinct matrix."""
+        """Lambda^p of ``projection(sx, sy)``, one object per distinct
+        matrix; None when the two frames are one."""
+        if sx == sy:
+            return None
         key = (sx, sy, p)
         if key not in self._projection_wedges:
             W = _frozen(wedge_matrix(self.projection(sx, sy), p))
@@ -254,30 +287,41 @@ class CosheafEvaluator:
         """The cosheaf map value(x) -> value(y) for a cover y below x, as
         sparse rows: per basis element of value(x), the (index, entry) pairs
         of its image in value(y), computed once per distinct triple
-        (source value, target value, projection wedge)."""
-        Vx = self.value(tag, p, xcell)
-        Vy = self.value(tag, p, ycell)
+        (source value, target value, projection wedge).
+
+        Inside ``chain_complex`` both cells' (value, stratum) pairs come from
+        the complex being assembled; other cells are looked up."""
+        scope = self._scope
+        known = scope[1] if scope is not None and scope[0] == (tag, p) else {}
+        Vx, sx = known.get(xcell) or self._cell_value(tag, p, xcell)
+        Vy, sy = known.get(ycell) or self._cell_value(tag, p, ycell)
         if Vx.rank == 0 or Vy.rank == 0:
             return ((),) * Vx.rank
-        sx = self.value_stratum(tag, xcell)
-        sy = self.value_stratum(tag, ycell)
-        W = None if sx == sy else self._projection_wedge(sx, sy, p)
+        W = self._projection_wedge(sx, sy, p)
         key = (id(Vx), id(Vy), id(W))
-        if key not in self._maps:
+        rows = self._maps.get(key)
+        if rows is None:
             rows = []
             for i in range(Vx.rank):
                 a = Vx.rep(i) if W is None else vec_mat(Vx.rep(i), W)
                 rows.append(tuple((j, v) for j, v in enumerate(Vy.reduce(a)) if v))
-            self._maps[key] = tuple(rows)
-        return self._maps[key]
+            rows = self._maps[key] = tuple(rows)
+        return rows
 
     # -- complexes ----------------------------------------------------------------
     def chain_complex(self, poset, tag, p, sign=None):
-        ranks = [self.value(tag, p, c).rank for c in poset.cells]
+        """The complex of one cosheaf on a poset: each cell's value and
+        stratum are looked up once, and every cover with both ranks nonzero
+        gets its block from ``map_matrix``."""
+        cells = poset.cells
+        pairs = [self._cell_value(tag, p, c) for c in cells]
+        ranks = [v.rank for v, _ in pairs]
         blocks = {}
-        for (yi, xi) in poset.covers:
-            if ranks[yi] and ranks[xi]:
-                blocks[(yi, xi)] = self.map_matrix(
-                    tag, p, poset.cells[yi], poset.cells[xi]
-                )
+        self._scope = ((tag, p), dict(zip(cells, pairs)))
+        try:
+            for (yi, xi) in poset.covers:
+                if ranks[yi] and ranks[xi]:
+                    blocks[(yi, xi)] = self.map_matrix(tag, p, cells[yi], cells[xi])
+        finally:
+            self._scope = None
         return ChainComplex(poset, ranks, blocks, sign or poset.sign)

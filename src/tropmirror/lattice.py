@@ -13,7 +13,7 @@ with v integral; the dual polytope is the convex hull of those facet
 normals.
 """
 
-from itertools import combinations
+from itertools import combinations, product
 
 from .errors import NotReflexive
 from .intlinalg import dot, left_kernel, primitive, rank_int
@@ -116,21 +116,9 @@ class LatticePolytope:
     @property
     def lattice_points(self):
         if self._lattice_points is None:
-            lo = [min(v[i] for v in self.vertices) for i in range(self.rank)]
-            hi = [max(v[i] for v in self.vertices) for i in range(self.rank)]
-            out = []
-
-            def scan(prefix):
-                i = len(prefix)
-                if i == self.rank:
-                    if self.contains(prefix):
-                        out.append(tuple(prefix))
-                    return
-                for a in range(lo[i], hi[i] + 1):
-                    scan(prefix + [a])
-
-            scan([])
-            self._lattice_points = tuple(sorted(out))
+            box = [range(min(c), max(c) + 1) for c in zip(*self.vertices)]
+            # product walks the box in lexicographic, hence sorted, order
+            self._lattice_points = tuple(filter(self.contains, product(*box)))
         return self._lattice_points
 
     def interior_lattice_points(self):

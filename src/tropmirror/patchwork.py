@@ -423,10 +423,11 @@ class RealComplex:
     in increasing order, so ``offset[ci]`` (from this class's point counts)
     is where the points of cell ci start.  ``rows[q][i]`` packs the
     boundary of real cell i of degree q over the degree q-1 cells, built in
-    one pass over the frame's covers.
+    one pass over the frame's covers; with ``top_only`` only the degree-n
+    rows, which is all ``component_count`` reads.
     """
 
-    def __init__(self, phase_data):
+    def __init__(self, phase_data, top_only=False):
         pd = phase_data
         self.n = pd.side.n
         poset = pd.poset
@@ -437,9 +438,13 @@ class RealComplex:
             off = self.dims.get(c.dim, 0)
             offset.append(off)
             self.dims[c.dim] = off + len(pc.points)
-        self.rows = {q: [0] * d for q, d in self.dims.items()}
+        self.rows = {
+            q: [0] * d for q, d in self.dims.items() if q == self.n or not top_only
+        }
         for yi, xi, images in pd.frame.covers:
-            rows = self.rows[poset.cells[xi].dim]
+            rows = self.rows.get(poset.cells[xi].dim)
+            if rows is None:
+                continue
             ox, oy, index_y = offset[xi], offset[yi], cells[yi].index
             for i, s in enumerate(cells[xi].points):
                 rows[ox + i] |= 1 << (oy + index_y[images[s]])
@@ -471,6 +476,8 @@ class RealComplex:
 
     def betti(self):
         """F2 Betti numbers of the realization, via the cellular complex."""
+        if self.rows.keys() != self.dims.keys():
+            raise InternalCheckError("betti needs the boundary rows of every degree")
         top = max((q for q, d in self.dims.items() if d), default=-1)
         ranks = {q: f2_rank(self.rows[q]) for q in self.rows if q > 0}
         return [
@@ -605,7 +612,7 @@ def sweep_rows(side, masks, with_betti=True):
             row["b0"] = row["betti"][0]
         else:
             pd = PhaseData(side, side.base_poset, eps)
-            row["b0"] = RealComplex(pd).component_count()
+            row["b0"] = RealComplex(pd, top_only=True).component_count()
         rows.append(row)
     return rows
 

@@ -6,7 +6,7 @@ import pytest
 from tropmirror.chains import ChainComplex, dense_block
 from tropmirror.cosheaves import CosheafEvaluator
 from tropmirror.errors import InternalCheckError
-from tropmirror.exterior import wedge_matrix
+from tropmirror.exterior import dim_wedge, wedge_matrix
 from tropmirror.intlinalg import det, f2_rank, hnf_basis, left_kernel, mat_mul, vec_mat
 from tropmirror.modules import FreeQuotient
 from tropmirror.posets import gauge_twist
@@ -583,3 +583,55 @@ def test_k3_cover_maps_are_computed_once(k3_pair, monkeypatch):
             rows += sum(ranks[x] for (y, x) in poset.covers if ranks[y] and ranks[x])
             ev.chain_complex(poset, "multitangent", p)
     assert 0 < len(reduced) * 10 < rows, (len(reduced), rows)
+
+
+def _direction_set(sigma):
+    dirs = set()
+    for a, b in combinations(sigma, 2):
+        d = tuple(x - y for x, y in zip(b, a))
+        dirs.add(max(d, tuple(-x for x in d)))
+    return frozenset(dirs)
+
+
+def test_k3_multitangent_values_keyed_by_edge_directions(k3_pair, monkeypatch):
+    # on the K3 base posets, for every p: cells with equal (stratum, edge
+    # direction set) carry one value object, each value equals the module
+    # spanned by its own cell's edge rows, and assembly asks map_matrix once
+    # for every cover whose two ranks are nonzero
+    calls = []
+    map_matrix = CosheafEvaluator.map_matrix
+    monkeypatch.setattr(
+        CosheafEvaluator,
+        "map_matrix",
+        lambda self, tag, p, y, x: calls.append((y.index, x.index))
+        or map_matrix(self, tag, p, y, x),
+    )
+    for side in k3_pair.sides:
+        ev = CosheafEvaluator(side.ambient, side.newton)
+        poset = side.base_poset
+        for p in range(side.rank + 1):
+            by_key = {}
+            ranks = []
+            for c in poset.cells:
+                stratum = ev.value_stratum("multitangent", c)
+                v = ev.value("multitangent", p, c)
+                assert by_key.setdefault((stratum, _direction_set(c.sigma)), v) is v
+                amb = dim_wedge(ev.m - len(stratum), p)
+                if len(c.sigma) < 2 or amb == 0:
+                    direct = FreeQuotient(max(amb, 1), [])
+                elif p == 0:
+                    direct = FreeQuotient(1, [(1,)])
+                else:
+                    direct = FreeQuotient(amb, [
+                        row
+                        for a, b in combinations(c.sigma, 2)
+                        for row in ev.edge_annihilator_basis(stratum, a, b, p)
+                    ])
+                assert v.content() == direct.content(), (p, c.key)
+                ranks.append(v.rank)
+            assert len(by_key) < len(poset.cells)
+            calls.clear()
+            ev.chain_complex(poset, "multitangent", p)
+            assert calls == [
+                (y, x) for (y, x) in poset.covers if ranks[y] and ranks[x]
+            ], p

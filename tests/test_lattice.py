@@ -1,5 +1,8 @@
+import gc
+
 import pytest
 
+from conftest import CUBIC_VERTS
 from tropmirror.errors import NotReflexive
 from tropmirror.intlinalg import dot
 from tropmirror.lattice import LatticePolytope
@@ -51,6 +54,20 @@ def test_cube_dual_is_octahedron_brute_force(cube, octahedron):
 def test_lattice_point_counts(cubic, cube):
     assert len(cubic.lattice_points) == 10
     assert len(cube.lattice_points) == 27
+
+
+def test_polytope_with_lattice_points_is_freed_without_the_collector():
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        P = LatticePolytope(CUBIC_VERTS)
+        assert P.lattice_points[:3] == ((-1, -1), (-1, 0), (-1, 1))
+        del P
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_face_counts_match_normal_fan(cubic, cubic_dual):

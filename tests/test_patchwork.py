@@ -416,7 +416,8 @@ class PerPointRealComplex:
 
 def test_real_complex_matches_per_point_reference(cubic_pair, k3_pair):
     # the compact numbering and the union-find on packed top rows against
-    # the per-point construction, on every cubic class and 10 K3 classes
+    # the per-point construction, on every cubic class and 10 K3 classes;
+    # a top-only complex packs the same top rows and nothing else
     cubic, k3 = cubic_pair.side_a, k3_pair.side_a
     runs = [
         (cubic, divisor_class_representatives(cubic)),
@@ -430,8 +431,13 @@ def test_real_complex_matches_per_point_reference(cubic_pair, k3_pair):
             rc, ref = RealComplex(pd), PerPointRealComplex(pd)
             assert rc.betti() == ref.betti(), mask
             assert rc.component_count() == ref.component_count(), mask
+            top = RealComplex(pd, top_only=True)
+            assert top.rows == {side.n: rc.rows[side.n]}, mask
+            assert top.component_count() == ref.component_count(), mask
             components.add(rc.component_count())
     assert components == {1, 2}
+    with pytest.raises(InternalCheckError):
+        top.betti()
 
 
 def test_escaping_transport_raises():
