@@ -6,12 +6,19 @@ relations times the signature signs into one sparse integer matrix per
 degree.  Chains are row vectors acting on the left (boundary of v is v.D),
 so ranks and kernels of the boundary matrices are row-space computations.
 
-The same integer matrices serve all rings: Q uses their ranks, F2 reduces
-them to packed bit rows, Z reads both the ranks and the torsion off one
-elimination per boundary, its elementary divisors, and checks them against
-any Q or F2 rank already computed.  The square of the boundary is verified
-to vanish over Z at construction (hence over every ring).
+A complex comes in one of two forms.  An integer complex serves every
+ring: Q uses the ranks of its matrices, F2 reduces them to packed bit rows,
+and Z reads both the ranks and the torsion off one elimination per
+boundary, its elementary divisors, and checks them against any Q or F2 rank
+already computed; the square of its boundary is verified to vanish over Z
+at construction (hence over every ring).  An F2 complex, such as the sign
+cosheaf's, is assembled straight into packed bit rows with no signature
+(-1 = 1 over F2), serves F2 only, and has the square of its boundary
+verified to vanish mod 2 at construction, on those rows.
 """
+
+from functools import cached_property
+from types import MappingProxyType
 
 from .errors import BoundarySquareNonzero, InternalCheckError, NotAClosedChain
 from .intlinalg import (
@@ -31,6 +38,18 @@ def dense_block(block, width):
         for j, a in entries:
             row[j] = a
     return out
+
+
+def _bits(r):
+    """Positions of the set bits of r, lowest first."""
+    while r:
+        low = r & -r
+        yield low.bit_length() - 1
+        r ^= low
+
+
+def _square_nonzero(q, i):
+    raise BoundarySquareNonzero(f"boundary squared nonzero in degree {q}, row {i}")
 
 
 class HomologySummary:
@@ -75,18 +94,29 @@ class HomologySummary:
 class ChainComplex:
     """Boundary matrices of a cosheaf on a poset, with homology caches.
 
-    ``ranks``: value rank per cell index.  ``blocks``: for each cover
-    (y below x) the integer matrix taking x-coordinates to y-coordinates, as
-    sparse rows: per x-coordinate, a sequence of (y-coordinate, entry) pairs
-    naming each y-coordinate at most once, with a nonzero entry.
-    ``sign``: signature on the covers.
+    ``ranks``: value rank per cell index; the coordinates of a cell start at
+    ``offset[ci]`` within its degree, in the order of ``poset.cells_by_dim``.
+
+    Integer form (``sign`` given, the signature on the covers): ``blocks``
+    maps each cover (y below x) to the integer matrix taking x-coordinates
+    to y-coordinates, as sparse rows: per x-coordinate, a sequence of
+    (y-coordinate, entry) pairs naming each y-coordinate at most once, with
+    a nonzero entry.  ``D[q]`` holds the boundary rows as {column: entry}.
+
+    F2 form (no ``sign``): ``blocks`` yields (y, x, rows) per cover, with one
+    packed int over the y-coordinates per x-coordinate; they are XORed into
+    the packed rows that ``f2_rows`` returns.  Such a complex answers over
+    F2 only, and ``D`` is a read-only 0/1 view of its rows, built on first
+    read, which the package itself never reads.
     """
 
-    def __init__(self, poset, ranks, blocks, sign):
+    def __init__(self, poset, ranks, blocks, sign=None):
         self.poset = poset
         self.ranks = ranks = list(ranks)
         self.degrees = list(range(0, poset.max_dim + 1))
-        self.offset = offset = {}
+        self._boundary_degrees = range(1, poset.max_dim + 1)
+        self._f2_only = sign is None
+        self.offset = offset = [0] * len(ranks)
         self.dim_q = {}
         self.cells_q = poset.cells_by_dim
         for q in self.degrees:
@@ -95,34 +125,62 @@ class ChainComplex:
                 offset[ci] = off
                 off += ranks[ci]
             self.dim_q[q] = off
-        self.D = {q: [{} for _ in range(self.dim_q[q])] for q in self.degrees if q}
-        # The row of a coordinate of x gets entries only from the covers
-        # (y, x).  Those have distinct y, hence disjoint column ranges
-        # [offset[y], offset[y] + rank[y]), and a block row names each
-        # y-coordinate once with a nonzero entry, so no two writes meet and
-        # each entry is stored as it comes.
-        cells = poset.cells
-        for (yi, xi) in poset.covers:
-            rx = ranks[xi]
-            if rx == 0 or ranks[yi] == 0:
-                continue
-            s = sign[yi, xi]
-            block = blocks[yi, xi]
-            ox, oy = offset[xi], offset[yi]
-            rows = self.D[cells[xi].dim]
-            for i in range(rx):
-                row = rows[ox + i]
-                for j, a in block[i]:
-                    row[oy + j] = s * a
         self._rank_cache = {}
         self._f2_cache = {}
         self._f2_space_cache = {}
+        cells = poset.cells
+        if self._f2_only:
+            packed = self._f2_cache
+            for q in self._boundary_degrees:
+                packed[q] = [0] * self.dim_q[q]
+            for yi, xi, block in blocks:
+                rows, oy = packed[cells[xi].dim], offset[yi]
+                for i, r in enumerate(block, offset[xi]):
+                    rows[i] ^= r << oy
+        else:
+            self.D = {q: [{} for _ in range(self.dim_q[q])] for q in self._boundary_degrees}
+            # The row of a coordinate of x gets entries only from the covers
+            # (y, x).  Those have distinct y, hence disjoint column ranges
+            # [offset[y], offset[y] + rank[y]), and a block row names each
+            # y-coordinate once with a nonzero entry, so no two writes meet
+            # and each entry is stored as it comes.
+            for (yi, xi) in poset.covers:
+                rx = ranks[xi]
+                if rx == 0 or ranks[yi] == 0:
+                    continue
+                s = sign[yi, xi]
+                block = blocks[yi, xi]
+                ox, oy = offset[xi], offset[yi]
+                rows = self.D[cells[xi].dim]
+                for i in range(rx):
+                    row = rows[ox + i]
+                    for j, a in block[i]:
+                        row[oy + j] = s * a
         self._check_square_zero()
+
+    @cached_property
+    def D(self):
+        """Boundary rows per degree q >= 1 as {column: entry} mappings.
+
+        An integer complex sets D at construction, which this never
+        overrides; an F2 complex gets a read-only 0/1 view of its packed
+        rows, built from their set bits on first read."""
+        return MappingProxyType({
+            q: tuple(MappingProxyType(dict.fromkeys(_bits(r), 1)) for r in rows)
+            for q, rows in self._f2_cache.items()
+            if q in self._boundary_degrees
+        })
 
     # -- structure -------------------------------------------------------------
     def _check_square_zero(self):
-        for q in self.degrees:
-            if q < 2 or q not in self.D or (q - 1) not in self.D:
+        """D_q . D_{q-1} = 0 for every q: over Z on the dict rows of an
+        integer complex, mod 2 on the packed rows of an F2 complex."""
+        for q in self.degrees[2:]:
+            if self._f2_only:
+                below = self._f2_cache[q - 1]
+                for i, r in enumerate(self._f2_cache[q]):
+                    if f2_combine(r, below):
+                        _square_nonzero(q, i)
                 continue
             Dq, Dq1 = self.D[q], self.D[q - 1]
             for i, row in enumerate(Dq):
@@ -131,16 +189,19 @@ class ChainComplex:
                     for j, w in Dq1[k].items():
                         acc[j] = acc.get(j, 0) + v * w
                 if any(acc.values()):
-                    raise BoundarySquareNonzero(
-                        f"boundary squared nonzero in degree {q}, row {i}"
-                    )
+                    _square_nonzero(q, i)
+
+    def _check_ring(self, ring):
+        if self._f2_only and ring != "f2":
+            raise InternalCheckError(f"an F2 complex has no homology over {ring}")
 
     def dim(self, q):
         return self.dim_q.get(q, 0)
 
     # -- ranks and homology ------------------------------------------------------
     def rank_boundary(self, q, ring):
-        if q not in self.D or self.dim(q) == 0 or self.dim(q - 1) == 0:
+        self._check_ring(ring)
+        if q not in self._boundary_degrees or self.dim(q) == 0 or self.dim(q - 1) == 0:
             return 0
         key = (q, "f2" if ring == "f2" else "q")
         if key not in self._rank_cache:
@@ -175,9 +236,10 @@ class ChainComplex:
     def homology(self, ring):
         if ring not in RINGS:
             raise ValueError(f"unknown ring {ring!r}")
+        self._check_ring(ring)
         torsion = {}
         if ring == "z":
-            for q in self.D:
+            for q in self._boundary_degrees:
                 torsion[q - 1] = tuple(d for d in self._elementary_divisors(q) if d > 1)
         data = {}
         for q in self.degrees:
@@ -192,9 +254,10 @@ class ChainComplex:
 
     # -- F2 chain operations -------------------------------------------------------
     def f2_rows(self, q):
+        """Packed rows of D_q mod 2 (an F2 complex has them from the start)."""
         if q not in self._f2_cache:
             packed = []
-            for row in self.D.get(q, ()):
+            for row in self.D[q] if q in self._boundary_degrees else ():
                 x = 0
                 for j, v in row.items():
                     if v & 1:
@@ -221,13 +284,13 @@ class ChainComplex:
             raise NotAClosedChain(f"chain in degree {q} is not closed")
         if vec == 0:
             return True
-        if q + 1 not in self.D:
+        if q + 1 not in self._boundary_degrees:
             return False
         return self._f2_image_space(q + 1).contains(vec)
 
     def f2_homology_generators(self, q):
         """Packed cycle representatives of a basis of H_q over F2."""
-        if q in self.D and self.dim(q - 1) > 0:
+        if q in self._boundary_degrees and self.dim(q - 1) > 0:
             # each row that depends on the earlier ones gives a kernel vector
             image = F2Space()
             cycles = [
@@ -237,7 +300,7 @@ class ChainComplex:
             ]
         else:
             cycles = [1 << i for i in range(self.dim(q))]
-        space = F2Space(self.f2_rows(q + 1) if (q + 1) in self.D else [])
+        space = F2Space(self.f2_rows(q + 1))
         return [v for v in cycles if space.add(v)]
 
     # -- chain <-> cell-dict conversion ---------------------------------------------

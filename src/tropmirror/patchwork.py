@@ -23,8 +23,9 @@ agree on a cell share them, and so are the F2 spaces those generators
 span.  Each sign distribution then gets its edge phases and its packed
 phase sets; the transport is checked once per frame cover (the images of
 the phase points of x lie in the phase set of y) and read from the frame's
-covers by both Betti routes: the sign complex, one block per cover, and
-the real complex, which numbers its cells on its own and packs its
+covers by both Betti routes: the sign complex, an F2 chain complex whose
+one-bit block rows are streamed per cover (its square is checked mod 2),
+and the real complex, which numbers its cells on its own and packs its
 boundary rows in one pass over the covers.
 """
 
@@ -188,7 +189,8 @@ class PhaseFrame:
     mask ``rdm`` of its direction in frame coordinates, the packed set of
     points s with s.rdm odd).  ``covers`` lists (y, x, images) for each
     cover y below x where both cells have edges: ``images[s]`` is the point
-    s of the frame of x carried into the frame of y.
+    s of the frame of x carried into the frame of y.  Both Betti routes
+    read their boundaries off these covers; the frame keeps no block rows.
 
     A cell's phase set and filtration generators are functions of the
     cell's edge phases ``tes`` (one 0/1 per edge, in ``cells[ci]`` edge
@@ -216,9 +218,6 @@ class PhaseFrame:
                 odd = f2_pack([bin(s & rdm).count("1") for s in range(1 << qd)])
                 edges.append(((min(a, b), max(a, b)), rdm, odd))
             self.cells.append((stratum, qd, edges))
-        # the sign complex's block row for a map onto point j of y, shared
-        top = max((qd for _, qd, _ in self.cells), default=0)
-        self.unit_rows = [((j, 1),) for j in range(1 << top)]
         self.covers = []
         for (yi, xi) in poset.covers:
             (sx, qx, ex), (sy, _, ey) = self.cells[xi], self.cells[yi]
@@ -369,15 +368,16 @@ class PhaseData:
 
     # -- the sign-cosheaf complex ------------------------------------------------
     def sign_complex(self):
+        """The sign cosheaf's F2 complex: per frame cover, each phase point
+        of x has the single bit of its image among the phase points of y."""
         if self._complex is None:
             cells = self._cells
-            unit = self.frame.unit_rows
-            blocks = {}
-            for yi, xi, images in self.frame.covers:
-                index_y = cells[yi].index
-                blocks[yi, xi] = [unit[index_y[images[s]]] for s in cells[xi].points]
+            blocks = (
+                (yi, xi, [1 << cells[yi].index[images[s]] for s in cells[xi].points])
+                for yi, xi, images in self.frame.covers
+            )
             ranks = [len(pc.points) for pc in cells]
-            self._complex = ChainComplex(self.poset, ranks, blocks, self.poset.sign)
+            self._complex = ChainComplex(self.poset, ranks, blocks)
         return self._complex
 
     # -- filtration generators ------------------------------------------------------

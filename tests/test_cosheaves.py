@@ -5,7 +5,7 @@ import pytest
 
 from tropmirror.chains import ChainComplex, dense_block
 from tropmirror.cosheaves import CosheafEvaluator
-from tropmirror.errors import InternalCheckError
+from tropmirror.errors import BoundarySquareNonzero, InternalCheckError
 from tropmirror.exterior import dim_wedge, wedge_matrix
 from tropmirror.intlinalg import det, f2_rank, hnf_basis, left_kernel, mat_mul, vec_mat
 from tropmirror.modules import FreeQuotient
@@ -76,6 +76,21 @@ def test_z_divisors_checked_against_cached_f2_rank():
     cx._rank_cache[(1, "f2")] = 1
     with pytest.raises(InternalCheckError):
         cx.homology("z")
+
+
+def test_f2_form_checks_its_square_mod2():
+    # a triangle with constant F2 coefficients, given as packed block rows
+    # with no signature: the square vanishes mod 2 and the homology is a
+    # point's; dropping one edge from the boundary of the 2-cell leaves an
+    # odd square, which construction refuses
+    covers = [(0, 3), (1, 3), (1, 4), (2, 4), (0, 5), (2, 5), (3, 6), (4, 6), (5, 6)]
+    triangle = FakePoset([0, 0, 0, 1, 1, 1, 2], covers)
+    cx = ChainComplex(triangle, [1] * 7, ((y, x, [1]) for y, x in covers))
+    assert cx.homology("f2").ranks() == [1, 0, 0]
+    assert cx.f2_rows(2) == [0b111]
+    odd = FakePoset([0, 0, 0, 1, 1, 1, 2], covers[:-1])
+    with pytest.raises(BoundarySquareNonzero, match="degree 2, row 0"):
+        ChainComplex(odd, [1] * 7, ((y, x, [1]) for y, x in covers[:-1]))
 
 
 def test_f2_homology_generators_form_a_basis(cubic_pair):

@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -5,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import CUBIC_DUAL_VERTS, CUBIC_VERTS
-from tropmirror.errors import InternalCheckError, InvalidPhaseStructure
+from tropmirror.chains import ChainComplex
+from tropmirror.errors import BoundarySquareNonzero, InternalCheckError, InvalidPhaseStructure
 from tropmirror.intlinalg import F2Space, f2_pack, f2_rank, mat_mul
 from tropmirror.lattice import LatticePolytope
 from tropmirror.mirror import divisor_restriction, is_null_class, sphere_cycle, transfer_class
@@ -180,15 +182,15 @@ def _phase_points_directly(frame, ci, eps):
 
 
 def _sign_boundary_assembled_per_point(pd):
-    """The sign complex's boundary rows built without the frame's blocks:
-    one setdefault append per entry of the transport list, then an
-    accumulating get/add/pop per entry."""
+    """The sign complex's boundary rows with signature signs, built without
+    the frame's blocks: one setdefault append per entry of the transport
+    list, then an accumulating get/add/pop per entry."""
     cells = [pd.phase_cell(ci) for ci in range(len(pd.poset.cells))]
     blocks = {}
     for yi, s2, xi, _ in _transport_list(pd):
         blocks.setdefault((yi, xi), []).append(((cells[yi].index[s2], 1),))
     cx = pd.sign_complex()
-    D = {q: [{} for _ in range(cx.dim(q))] for q in cx.D}
+    D = {q: [{} for _ in range(cx.dim(q))] for q in cx.degrees[1:]}
     for (yi, xi) in pd.poset.covers:
         if not cells[xi].points or not cells[yi].points:
             continue
@@ -206,6 +208,14 @@ def _sign_boundary_assembled_per_point(pd):
     return D
 
 
+def _packed_mod2(D):
+    """{q: integer dict rows} reduced mod 2 and packed, per degree."""
+    return {
+        q: [sum(1 << j for j, v in row.items() if v & 1) for row in rows]
+        for q, rows in D.items()
+    }
+
+
 def _class_results(side, poset, eps, fresh_results, first_spaces):
     """Generators, points and sign boundary of one class, each checked
     against a frame built for this class alone.
@@ -215,7 +225,8 @@ def _class_results(side, poset, eps, fresh_results, first_spaces):
     p or the edge phases answers differently from the shared frame; later
     meetings compare against that first answer.  The shared frame's F2
     spaces for a key must span the fresh generators when first met, and
-    be the same objects at every later meeting.
+    be the same objects at every later meeting.  The sign boundary's packed
+    rows must equal the per-point reference reduced mod 2.
     """
     pd = PhaseData(side, poset, eps)
     frame = side.phase_frame(poset.kind)
@@ -248,9 +259,11 @@ def _class_results(side, poset, eps, fresh_results, first_spaces):
         assert pc.points == fresh.phase_points(ci, tes)[0]
         assert pc.points == _phase_points_directly(frame, ci, eps)
         assert pc.index == {s: i for i, s in enumerate(pc.points)}
-    D = pd.sign_complex().D
-    assert D == _sign_boundary_assembled_per_point(pd)
-    return gens, points, D
+    cx = pd.sign_complex()
+    reference = _packed_mod2(_sign_boundary_assembled_per_point(pd))
+    rows = {q: cx.f2_rows(q) for q in reference}
+    assert rows == reference
+    return gens, points, rows
 
 
 def test_frame_memo_matches_fresh_frames(k3_pair):
@@ -281,6 +294,93 @@ def test_frame_memo_matches_fresh_frames(k3_pair):
             calls = (len(masks) + 1) * len(poset.cells) * (side.n + 2)
             keys = len(side.phase_frame(kind)._generators)
             assert 3 * keys < calls, (keys, calls)
+
+
+def _integer_lift(pd):
+    """The sign complex as an integer complex: unit blocks per frame cover
+    with the poset's signature, so its square is checked over Z."""
+    cells = [pd.phase_cell(ci) for ci in range(len(pd.poset.cells))]
+    blocks = {
+        (yi, xi): [((cells[yi].index[images[s]], 1),) for s in cells[xi].points]
+        for yi, xi, images in pd.frame.covers
+    }
+    ranks = [len(pc.points) for pc in cells]
+    return ChainComplex(pd.poset, ranks, blocks, pd.poset.sign)
+
+
+def test_sign_complex_matches_integer_lift(cubic_pair, k3_pair):
+    # the packed F2 assembly against the signed integer one, on every cubic
+    # class (both posets) and 10 sampled K3 classes: the lift passes its Z
+    # square check and reduces mod 2 to the same rows bit for bit, and the
+    # F2 complex's 0/1 view has the lift's entries
+    cubic, k3 = cubic_pair.side_a, k3_pair.side_a
+    runs = [
+        (cubic, "base", divisor_class_representatives(cubic)),
+        (cubic, "refined", divisor_class_representatives(cubic)),
+        (k3, "base", sample_divisor_classes(k3, 10, seed=5)),
+    ]
+    for side, kind, masks in runs:
+        for mask in masks:
+            eps = signs_from_divisor(side, mask_to_rays(side, mask))
+            pd = PhaseData(side, side.poset(kind), eps)
+            cx, lift = pd.sign_complex(), _integer_lift(pd)
+            assert cx.dim_q == lift.dim_q and cx.offset == lift.offset
+            for q in cx.degrees + [cx.degrees[-1] + 1]:
+                assert cx.f2_rows(q) == lift.f2_rows(q), (kind, mask, q)
+            assert "D" not in cx.__dict__  # nothing above built the view
+            assert {q: [dict(r) for r in rows] for q, rows in cx.D.items()} == {
+                q: [dict.fromkeys(r, 1) for r in rows] for q, rows in lift.D.items()
+            }, (kind, mask)
+    with pytest.raises(TypeError):
+        cx.D[1] = ()
+
+
+def test_sign_complex_refuses_integer_rings(cubic_pair):
+    # an F2 complex answers over F2 only; asking it for Q or Z ranks is an
+    # internal error (exit code 2), and neither that nor any F2 question
+    # builds its 0/1 view
+    side = cubic_pair.side_a
+    eps = signs_from_divisor(side, [D7])
+    cx = PhaseData(side, side.base_poset, eps).sign_complex()
+    for ask in (lambda: cx.homology("q"), lambda: cx.homology("z"),
+                lambda: cx.rank_boundary(1, "q")):
+        with pytest.raises(InternalCheckError, match="F2 complex"):
+            ask()
+    assert cx.homology("f2").ranks()[: side.n + 1] == real_betti(side, eps)
+    for q in cx.degrees:
+        for v in cx.f2_homology_generators(q):
+            assert not cx.f2_is_boundary(v, q)
+    assert "D" not in cx.__dict__
+
+
+def test_redirected_sign_row_breaks_square(k3_pair):
+    # one block row of a K3 sign complex sent to another phase point of
+    # the same face, one whose boundary differs: the mod-2 square check
+    # at construction must catch it (the frame itself is left untouched)
+    side = k3_pair.side_a
+    poset = side.base_poset
+    pd = PhaseData(side, poset, signs_from_divisor(side, side.newton.rays()[:3]))
+    cx = pd.sign_complex()
+    below, offset = cx.f2_rows(1), cx.offset
+    covers = list(pd.frame.covers)
+    for n, (yi, xi, images) in enumerate(covers):
+        px, py = pd.phase_cell(xi), pd.phase_cell(yi)
+        if poset.cells[xi].dim != 2 or not px.points:
+            continue
+        row = below[offset[yi] + py.index[images[px.points[0]]]]
+        other = [t for t in py.points if below[offset[yi] + py.index[t]] != row]
+        if other:
+            break
+    else:
+        pytest.fail("no degree-2 cover with a phase point to redirect to")
+    images = list(images)
+    images[px.points[0]] = other[0]
+    covers[n] = (yi, xi, images)
+    pd.frame = copy.copy(pd.frame)
+    pd.frame.covers = covers
+    pd._complex = None
+    with pytest.raises(BoundarySquareNonzero, match="degree 2"):
+        pd.sign_complex()
 
 
 def test_filtration_rank_identity_and_preservation(cubic_pair):

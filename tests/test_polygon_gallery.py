@@ -12,6 +12,8 @@ from itertools import combinations
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropmirror.lattice import LatticePolytope
 from tropmirror.pairs import MirrorPair
@@ -21,6 +23,7 @@ from tropmirror.patchwork import (
     connectedness_verdict,
     divisor_class_representatives,
     mask_to_rays,
+    real_betti,
     sample_divisor_classes,
     signs_from_divisor,
 )
@@ -72,6 +75,13 @@ def gallery():
     return polys
 
 
+@pytest.fixture(scope="module")
+def gallery_sides(gallery):
+    """The Newton side of each gallery polygon's mirror pair."""
+    return [MirrorPair(generate_central(P), generate_central(P.dual())).side_a
+            for P in gallery]
+
+
 def test_gallery_pairs_are_elliptic(gallery):
     for P in gallery:
         T = generate_central(P)
@@ -84,15 +94,13 @@ def test_gallery_pairs_are_elliptic(gallery):
             assert all(t == [] for row in table["torsion"] for t in row)
 
 
-def test_gallery_transfer_and_first_differential(gallery):
+def test_gallery_transfer_and_first_differential(gallery, gallery_sides):
     # involution of the class transfer and the first-differential/divisor
     # identity across the whole polygon landscape
     from tropmirror.mirror import divisor_restriction, sphere_cycle, transfer_class
     from tropmirror.patchwork import delta1
 
-    for P in gallery:
-        pair = MirrorPair(generate_central(P), generate_central(P.dual()))
-        side = pair.side_a
+    for P, side in zip(gallery, gallery_sides):
         n = side.n
         for p in range(n + 1):
             cx = side.complex("refined", "multitangent", p)
@@ -117,12 +125,8 @@ def test_gallery_transfer_and_first_differential(gallery):
             assert cxm.f2_is_boundary(v1 ^ v2, n - 1), (P, rays)
 
 
-def test_gallery_verdicts_match_components(gallery):
-    for P in gallery:
-        T = generate_central(P)
-        Tdual = generate_central(P.dual())
-        pair = MirrorPair(T, Tdual)
-        side = pair.side_a
+def test_gallery_verdicts_match_components(gallery, gallery_sides):
+    for P, side in zip(gallery, gallery_sides):
         nrays = len(side.newton.rays())
         if nrays <= 7:
             masks = divisor_class_representatives(side)
@@ -135,3 +139,20 @@ def test_gallery_verdicts_match_components(gallery):
             b0 = RealComplex(pd).component_count()
             assert b0 in (1, 2), (P, rays)
             assert (verdict == "connected") == (b0 == 1), (P, rays)
+
+
+@settings(max_examples=64, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_arbitrary_signs_on_gallery_curves(gallery_sides, data):
+    # any signs on the lattice points of any gallery polygon, not only
+    # divisor-induced ones: the patchworked curve has genus 1, so by
+    # Harnack it is one or two circles (b0 == b1 in {1, 2}), and the sign
+    # complex has Euler characteristic 0
+    side = gallery_sides[data.draw(st.integers(0, len(gallery_sides) - 1), label="polygon")]
+    points = sorted(side.newton.polytope.lattice_points)
+    bits = data.draw(st.lists(st.integers(0, 1), min_size=len(points), max_size=len(points)),
+                     label="signs")
+    eps = dict(zip(points, bits))
+    b0, b1 = real_betti(side, eps)  # both routes and the component count agree
+    assert b0 == b1 and b0 in (1, 2), (b0, b1)
+    assert PhaseData(side, side.base_poset, eps).sign_complex().euler_characteristic() == 0
