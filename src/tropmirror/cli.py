@@ -14,8 +14,9 @@ Subcommands map files to the library operations:
 All reports are JSON (``--out text`` renders a derived view, never parsed
 back).  Reports embed input hashes and the signature/basis identifiers so
 golden files are stable.  Exit codes: 0 success, 1 input validation
-failure, 2 internal consistency failure (or any other unexpected error),
-3 hypothesis failure; failures print a JSON error on stderr.
+failure (usage errors included), 2 internal consistency failure (or any
+other unexpected error), 3 hypothesis failure; failures print a JSON error
+on stderr.
 """
 
 import argparse
@@ -188,39 +189,15 @@ def cmd_validate(args):
     return code if rep.ok else 1
 
 
-RING_RULES = {
-    # command -> (allowed rings, default)
-    "hodge": (("z", "q", "f2"), "q"),
-    "mirror-check": (("z", "q", "f2"), "q"),  # checks all three regardless
-    "divisor-class": (("f2",), "f2"),
-    "patchwork": (("f2",), "f2"),
-    "sweep": (("f2",), "f2"),
-}
-
-
-def resolve_ring(args):
-    """Ring/command compatibility, validated before any computation."""
-    allowed, default = RING_RULES.get(args.command, (("z", "q", "f2"), "q"))
-    ring = args.ring or default
-    if ring not in allowed:
-        raise InputError(
-            f"ring {ring!r} is not available for {args.command}; "
-            f"allowed: {', '.join(allowed)}"
-        )
-    return ring
-
-
 def cmd_hodge(args):
-    ring = resolve_ring(args)
     pair = load_pair(args)
-    table = pair.side_a.hodge_table(ring)
+    table = pair.side_a.hodge_table(args.ring)
     return report(
         args, table, [args.triangulation, args.dual_triangulation]
     )
 
 
 def cmd_mirror_check(args):
-    resolve_ring(args)
     pair = load_pair(args)
     n = pair.n
     result = {"n": n, "tables": {}, "match": {}}
@@ -264,7 +241,6 @@ def cmd_mirror_check(args):
 
 
 def cmd_divisor_class(args):
-    resolve_ring(args)
     pair = load_pair(args)
     rays = load_divisor(args.divisor)
     side = pair.side_a
@@ -282,7 +258,6 @@ def cmd_divisor_class(args):
 
 
 def cmd_patchwork(args):
-    resolve_ring(args)
     pair = load_pair(args)
     side = pair.side_a
     inputs = [args.triangulation, args.dual_triangulation]
@@ -309,7 +284,6 @@ def cmd_patchwork(args):
 
 
 def cmd_sweep(args):
-    resolve_ring(args)
     pair = load_pair(args)
     side = pair.side_a
     if args.raw:
@@ -353,14 +327,24 @@ def _add_pair_args(sp):
     )
 
 
+def _usage_error(parser, message):
+    raise InputError(f"{parser.prog}: {message}")
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse calls ``error`` on a usage error: here it is an input error
+    (exit 1, JSON on stderr).  Subcommand parsers are made by the same
+    class, so they inherit it."""
+
+    error = _usage_error
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="tropmirror",
         description="exact tropical homology, mirror transfer and patchworking",
     )
     ap.add_argument("--out", choices=("json", "text"), default="json")
-    ap.add_argument("--ring", choices=("z", "q", "f2"), default=None)
-    ap.add_argument("--seed", type=int, default=0)
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("dual", help="dual polytope")
@@ -379,6 +363,7 @@ def build_parser():
 
     sp = sub.add_parser("hodge", help="tropical homology table")
     _add_pair_args(sp)
+    sp.add_argument("--ring", choices=("z", "q", "f2"), default="q")
     sp.set_defaults(func=cmd_hodge)
 
     sp = sub.add_parser("mirror-check", help="verify the mirror-symmetry identity")
@@ -401,15 +386,15 @@ def build_parser():
     _add_pair_args(sp)
     sp.add_argument("--raw", action="store_true", help="sweep raw sign distributions")
     sp.add_argument("--samples", type=int, default=0, help="sample this many classes")
+    sp.add_argument("--seed", type=int, default=0, help="seed for --samples")
     sp.add_argument("--no-betti", action="store_true")
     sp.set_defaults(func=cmd_sweep)
     return ap
 
 
 def main(argv=None):
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except HypothesisFails as e:
         print(json.dumps({"error": str(e), "kind": "hypothesis"}), file=sys.stderr)

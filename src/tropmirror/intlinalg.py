@@ -12,15 +12,17 @@ impossible by construction.  Conventions:
 
 Hermite form is row-style (pivots positive, zeros below, reduced above);
 Smith form returns unimodular U, V with U*A*V = S and a divisibility chain
-on the diagonal.  Sparse matrices go through one structured elimination on
-a copy of the rows that leaves its input untouched: unit pivots, found
-through a column index, while any row holds a +-1, then gcd descent on the
-remainder.  ``sparse_rank`` counts the diagonal it leaves and
-``sparse_elementary_divisors`` repairs its divisibility.  Over F2,
-``F2Space`` is the one leading-bit reduction that can solve for
-combinations; it builds them only when ``solve`` first asks, so rank and
-membership pay for the reduction alone.  ``f2_rank`` is a lean rank-only
-pass kept as an independent route for cross-checks.
+on the diagonal.  Both carry their transforms as extra columns (and, for
+Smith, extra rows) of one work matrix, so each elementary operation is
+written once and the transforms come along with it.  Sparse matrices go
+through one structured elimination on a copy of the rows that leaves its
+input untouched: unit pivots, found through a column index, while any row
+holds a +-1, then gcd descent on the remainder.  ``sparse_rank`` counts
+the diagonal it leaves and ``sparse_elementary_divisors`` repairs its
+divisibility.  Over F2, ``F2Space`` is the one leading-bit reduction that
+can solve for combinations; it builds them only when ``solve`` first asks,
+so rank and membership pay for the reduction alone.  ``f2_rank`` is a lean
+rank-only pass kept as an independent route for cross-checks.
 """
 
 from collections import defaultdict
@@ -33,8 +35,12 @@ from .errors import DimensionMismatch
 # ---------------------------------------------------------------------------
 # dense helpers
 
-def identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+def identity(n, width=None):
+    """The n x n identity; with ``width``, its rows padded with zeros to it."""
+    rows = [[0] * (n if width is None else width) for _ in range(n)]
+    for i, r in enumerate(rows):
+        r[i] = 1
+    return rows
 
 
 def mat_mul(A, B):
@@ -91,21 +97,24 @@ def row_hermite(A, transform=False):
     Returns H (and U with U*A = H, det U = +-1, when ``transform``).  H is in
     echelon form: pivots positive, zero entries below each pivot, entries
     above a pivot reduced into [0, pivot).  Zero rows are collected at the
-    bottom.
+    bottom.  With ``transform`` the work rows are [A | I]: pivots are sought
+    in the first n columns only, every operation acts on whole rows, and U
+    is read off the last m columns.
     """
     m = len(A)
     n = len(A[0]) if m else 0
-    H = [list(r) for r in A]
-    U = identity(m) if transform else None
+    z = [0] * m if transform else []
+    H = [[*r, *z] for r in A]
+    for i in range(len(z)):
+        H[i][n + i] = 1
+    w = n + len(z)
     row = 0
     for col in range(n):
-        piv = None
         for i in range(row, m):
             if H[i][col]:
-                piv = i
                 break
-        if piv is None:
-            continue
+        else:
+            continue  # no pivot in this column
         # clear the column below `row` by gcd descent
         while True:
             nz = [i for i in range(row, m) if H[i][col]]
@@ -118,36 +127,23 @@ def row_hermite(A, transform=False):
                 q = H[i][col] // H[p][col]
                 if q:
                     Hi, Hp = H[i], H[p]
-                    for j in range(col, n):
+                    for j in range(col, w):
                         Hi[j] -= q * Hp[j]
-                    if transform:
-                        Ui, Up = U[i], U[p]
-                        for j in range(m):
-                            Ui[j] -= q * Up[j]
-        if piv != row:
-            H[row], H[piv] = H[piv], H[row]
-            if transform:
-                U[row], U[piv] = U[piv], U[row]
+        H[row], H[piv] = H[piv], H[row]
         if H[row][col] < 0:
             H[row] = [-a for a in H[row]]
-            if transform:
-                U[row] = [-a for a in U[row]]
         p = H[row][col]
         for i in range(row):
             q = H[i][col] // p
             if q:
                 Hi, Hr = H[i], H[row]
-                for j in range(n):
+                for j in range(col, w):
                     Hi[j] -= q * Hr[j]
-                if transform:
-                    Ui, Ur = U[i], U[row]
-                    for j in range(m):
-                        Ui[j] -= q * Ur[j]
         row += 1
         if row == m:
             break
     if transform:
-        return H, U
+        return [r[:n] for r in H], [r[n:] for r in H]
     return H
 
 
@@ -259,37 +255,29 @@ def det(A):
 def smith(A):
     """Smith normal form with transforms: U*A*V = S, det U, det V = +-1.
 
-    The diagonal of S is nonnegative with d1 | d2 | ... .
+    The diagonal of S is nonnegative with d1 | d2 | ... .  The work matrix
+    is [[A, I_m], [I_n, 0]]: pivots and divisibility are read in its top
+    left m x n block, row operations act on its first m rows (carrying U in
+    their last m columns) and column operations on its first n columns
+    (carrying V in their last n rows), so each operation is written once.
     """
     m = len(A)
     n = len(A[0]) if m else 0
-    S = [list(r) for r in A]
-    U = identity(m)
-    V = identity(n)
+    w = n + m
+    S = [[*r, *e] for r, e in zip(A, identity(m))] + identity(n, w)
 
     def row_op(i, p, q):  # row i -= q * row p
         Si, Sp = S[i], S[p]
-        for j in range(n):
+        for j in range(w):
             Si[j] -= q * Sp[j]
-        Ui, Up = U[i], U[p]
-        for j in range(m):
-            Ui[j] -= q * Up[j]
 
     def col_op(j, p, q):  # col j -= q * col p
-        for i in range(m):
-            S[i][j] -= q * S[i][p]
-        for i in range(n):
-            V[i][j] -= q * V[i][p]
-
-    def swap_rows(i, p):
-        S[i], S[p] = S[p], S[i]
-        U[i], U[p] = U[p], U[i]
+        for r in S:
+            r[j] -= q * r[p]
 
     def swap_cols(j, p):
-        for row in S:
-            row[j], row[p] = row[p], row[j]
-        for row in V:
-            row[j], row[p] = row[p], row[j]
+        for r in S:
+            r[j], r[p] = r[p], r[j]
 
     t = 0
     while True:
@@ -304,7 +292,7 @@ def smith(A):
                 break
         if pos is None:
             break
-        swap_rows(t, pos[0])
+        S[t], S[pos[0]] = S[pos[0]], S[t]
         swap_cols(t, pos[1])
         while True:
             moved = False
@@ -313,7 +301,7 @@ def smith(A):
                     q = S[i][t] // S[t][t]
                     row_op(i, t, q)
                     if S[i][t]:
-                        swap_rows(t, i)
+                        S[t], S[i] = S[i], S[t]
                         moved = True
             for j in range(t + 1, n):
                 if S[t][j]:
@@ -345,8 +333,7 @@ def smith(A):
     for i in range(min(m, n)):
         if S[i][i] < 0:
             S[i] = [-a for a in S[i]]
-            U[i] = [-a for a in U[i]]
-    return S, U, V
+    return [r[:n] for r in S[:m]], [r[n:] for r in S[:m]], [r[:n] for r in S[m:]]
 
 
 # ---------------------------------------------------------------------------

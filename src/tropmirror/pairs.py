@@ -3,8 +3,8 @@
 A Side fixes one orientation: the Newton-side triangulation T carries the
 hypersurface combinatorics and the ambient-side triangulation of the dual
 polytope provides the toric fan.  The mirror side swaps the two roles.
-Posets, cosheaf complexes, homology summaries and phase frames are built
-lazily and cached on the side.
+Posets, cosheaf complexes and phase frames are built lazily and cached on
+the side; a homology summary reads the ranks its complex caches.
 
 Side a holds side b, and side b links back to side a through a weak
 reference, so a dropped pair is freed by reference counting alone, with no
@@ -30,7 +30,6 @@ class Side:
         self._mirror = None  # wired by MirrorPair: a Side, or a weak ref to one
         self._posets = {}
         self._complexes = {}
-        self._homology = {}
         self._phase_frames = {}
 
     @property
@@ -70,10 +69,7 @@ class Side:
         return self._phase_frames[kind]
 
     def homology(self, kind, tag, p, ring):
-        key = (kind, tag, p, ring)
-        if key not in self._homology:
-            self._homology[key] = self.complex(kind, tag, p).homology(ring)
-        return self._homology[key]
+        return self.complex(kind, tag, p).homology(ring)
 
     def hodge_table(self, ring):
         """dim H_q of the multitangent cosheaves on the base poset.

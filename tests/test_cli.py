@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -67,7 +68,7 @@ def test_missing_file_is_input_error(capsys):
 
 def test_hodge_cubic(cubic_files, capsys):
     _, _, tri, tri_dual = cubic_files
-    code, env = run_json(capsys, ["--ring", "q", "hodge", str(tri), str(tri_dual)])
+    code, env = run_json(capsys, ["hodge", str(tri), str(tri_dual), "--ring", "q"])
     assert code == 0
     assert env["result"]["ranks"] == [[1, 1], [1, 1]]
 
@@ -100,7 +101,7 @@ def test_mirror_check_same_under_optimize(cubic_files, tmp_path):
         ["sweep", *cubic],
         ["patchwork", *cubic, "--divisor", str(div)],
         ["mirror-check", *k3],
-        ["--ring", "z", "hodge", *k3],
+        ["hodge", *k3, "--ring", "z"],
     ):
         outs = []
         for flags in ([], ["-O"]):
@@ -213,12 +214,12 @@ def test_k3_pair_through_cli(tmp_path, capsys):
     assert main(["triangulate", str(cube), "-o", str(T)]) == 0
     assert main(["triangulate", str(octa), "-o", str(Td)]) == 0
     capsys.readouterr()
-    code, env = run_json(capsys, ["--ring", "q", "hodge", str(T), str(Td)])
+    code, env = run_json(capsys, ["hodge", str(T), str(Td), "--ring", "q"])
     assert code == 0
     assert env["result"]["ranks"] == [[1, 0, 1], [0, 20, 0], [1, 0, 1]]
     code, env = run_json(
         capsys,
-        ["--seed", "5", "sweep", str(T), str(Td), "--samples", "4", "--no-betti"],
+        ["sweep", str(T), str(Td), "--samples", "4", "--seed", "5", "--no-betti"],
     )
     assert code == 0
     rows = env["result"]["rows"]
@@ -231,17 +232,51 @@ def test_ring_command_compatibility(cubic_files, capsys, tmp_path):
     div = tmp_path / "d.json"
     div.write_text(json.dumps({"rays": [[-1, 2]]}))
     code = main(
-        ["--ring", "z", "patchwork", str(tri), str(tri_dual), "--divisor", str(div)]
+        ["patchwork", str(tri), str(tri_dual), "--divisor", str(div), "--ring", "z"]
     )
-    assert code == 1  # patchworking is mod-2 only
-    capsys.readouterr()
-    code = main(
-        ["--ring", "f2", "patchwork", str(tri), str(tri_dual), "--divisor", str(div)]
-    )
+    assert code == 1  # patchworking is mod-2 only: it takes no ring
+    assert json.loads(capsys.readouterr().err)["kind"] == "input"
+    code = main(["patchwork", str(tri), str(tri_dual), "--divisor", str(div)])
     assert code == 0
     capsys.readouterr()
-    code, env = run_json(capsys, ["--ring", "z", "hodge", str(tri), str(tri_dual)])
+    code, env = run_json(capsys, ["hodge", str(tri), str(tri_dual), "--ring", "z"])
     assert code == 0 and env["result"]["ring"] == "z"
+
+
+def test_usage_errors_are_input_errors(cubic_files, capsys):
+    _, _, tri, tri_dual = cubic_files
+    for argv in (
+        [],
+        ["frobnicate"],
+        ["validate"],
+        ["validate", str(tri), "--bogus"],
+        ["hodge", str(tri), str(tri_dual), "--ring", "r"],
+        ["sweep", str(tri), str(tri_dual), "--seed", "x"],
+        ["--ring", "z", "mirror-check", str(tri), str(tri_dual)],
+    ):
+        assert main(argv) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["kind"] == "input", argv
+    with pytest.raises(SystemExit) as exc:
+        main(["hodge", "--help"])
+    assert exc.value.code == 0
+    assert "--ring" in capsys.readouterr().out
+
+
+def test_readme_commands_run(tmp_path, capsys, monkeypatch):
+    """Every line of the README's command-line block runs and exits 0."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    lines = block.split("```", 1)[0].splitlines()
+    assert len(lines) >= 8 and all(line.startswith("tropmirror ") for line in lines)
+    monkeypatch.chdir(tmp_path)
+    cubic = {"rank": 2, "vertices": CUBIC_VERTS}
+    (tmp_path / "cubic.json").write_text(json.dumps(cubic))
+    (tmp_path / "D.json").write_text(json.dumps({"rays": [[-1, 2], [-1, 1]]}))
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, line
+        capsys.readouterr()
 
 
 def test_hypothesis_failure_exit_code(cubic_files, capsys, monkeypatch):

@@ -1,9 +1,11 @@
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tropmirror.cosheaves import CosheafEvaluator
 from tropmirror.errors import DimensionMismatch, InternalCheckError
 from tropmirror.intlinalg import (
     F2Space,
@@ -87,6 +89,46 @@ def test_smith_random_properties():
             for j, a in enumerate(row):
                 if i != j:
                     assert a == 0
+
+
+def _digest(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def test_normal_forms_frozen():
+    """HNF with U and Smith with U, V are fixed bit for bit: cosheaf frames
+    and quotient bases take their coordinates from them, and with those the
+    transfer chains and every report that prints them."""
+    mats = [identity(3), identity(4), [[0, 0], [0, 0]], [[2, 4], [6, 8]]]
+    rng = random.Random(7)  # the matrices of test_hermite_transform_property
+    mats += [
+        random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5)) for _ in range(40)
+    ]
+    rng = random.Random(11)  # the matrices of test_smith_random_properties
+    mats += [
+        random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4)) for _ in range(30)
+    ]
+    forms = [(row_hermite(A, transform=True), smith(A)) for A in mats]
+    assert _digest(forms) == (
+        "4791e9d5c7efdeafc5b9d0f49b32021c89bac5f1db8e18a88b696450c661939e"
+    )
+
+
+def test_k3_frames_and_values_frozen(k3_pair):
+    """Every frame's (Q, R) and every value's content built for the K3
+    pair's base multitangent and refined mirror_ext complexes; the latter
+    reach the Smith transform of FreeQuotient."""
+    rows = []
+    for side in (k3_pair.side_a, k3_pair.side_b):
+        ev = CosheafEvaluator(side.ambient, side.newton)
+        for p in range(side.n + 1):
+            ev.chain_complex(side.base_poset, "multitangent", p)
+            ev.chain_complex(side.refined_poset, "mirror_ext", p)
+        rows.append(sorted((f.gens, f.Q, f.R) for f in ev._frames.values()))
+        rows.append(sorted(repr(v.content()) for v in ev._values.values()))
+    assert _digest(rows) == (
+        "ac0eaaeb8a15be7a78469c477fa59aa22a410be295d5f88050da1d731a1a88a3"
+    )
 
 
 def _dense_divisors(A):

@@ -38,6 +38,25 @@ def _dihedral(v):
     ]
 
 
+def _strict_hull_size(points):
+    """Number of strict vertices of the convex hull of distinct 2-D points
+    (Andrew's monotone chain; collinear points are dropped)."""
+    pts = sorted(points)
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and (
+                (out[-1][0] - out[-2][0]) * (p[1] - out[-2][1])
+                - (out[-1][1] - out[-2][1]) * (p[0] - out[-2][0])
+            ) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    return len(chain(pts)) + len(chain(reversed(pts)))
+
+
 def reflexive_polygons_in_box(bound=2):
     """Distinct (up to box symmetries) reflexive polygons with vertices in
     the given box.  Boundary lattice points are primitive, so only primitive
@@ -51,6 +70,8 @@ def reflexive_polygons_in_box(bound=2):
     found = {}
     for k in (3, 4, 5, 6):
         for sub in combinations(candidates, k):
+            if _strict_hull_size(sub) != k:
+                continue  # some point is not a vertex: its hull comes up elsewhere
             try:
                 P = LatticePolytope(sub)
             except ValueError:
