@@ -101,7 +101,7 @@ def report(args, result, inputs):
         "inputs": {p: _sha(p) for p in inputs},
         "signature": SIGNATURE_ID,
         "bases": BASES_ID,
-        "seed": getattr(args, "seed", 0),
+        "seed": getattr(args, "seed", None) or 0,
         "result": result,
     }
     if args.out == "json":
@@ -284,6 +284,18 @@ def cmd_patchwork(args):
 
 
 def cmd_sweep(args):
+    if args.raw:
+        ignored = [
+            flag
+            for flag, given in (
+                ("--samples", args.samples is not None),
+                ("--seed", args.seed is not None),
+                ("--no-betti", args.no_betti),
+            )
+            if given
+        ]
+        if ignored:
+            raise InputError(f"sweep --raw takes no {', '.join(ignored)}")
     pair = load_pair(args)
     side = pair.side_a
     if args.raw:
@@ -300,7 +312,7 @@ def cmd_sweep(args):
         result = {"mode": "raw", "rows": rows}
     else:
         if args.samples:
-            masks = sample_divisor_classes(side, args.samples, args.seed)
+            masks = sample_divisor_classes(side, args.samples, args.seed or 0)
         else:
             masks = divisor_class_representatives(side)
         rows = sweep_rows(side, masks, with_betti=not args.no_betti)
@@ -327,16 +339,14 @@ def _add_pair_args(sp):
     )
 
 
-def _usage_error(parser, message):
-    raise InputError(f"{parser.prog}: {message}")
-
-
 class _Parser(argparse.ArgumentParser):
-    """argparse calls ``error`` on a usage error: here it is an input error
-    (exit 1, JSON on stderr).  Subcommand parsers are made by the same
-    class, so they inherit it."""
+    """Subcommand parsers are made by the same class, so they inherit
+    ``error``."""
 
-    error = _usage_error
+    def error(self, message):
+        """argparse calls this on a usage error: here it is an input error
+        (exit 1, JSON on stderr)."""
+        raise InputError(f"{self.prog}: {message}")
 
 
 def build_parser():
@@ -385,8 +395,8 @@ def build_parser():
     sp = sub.add_parser("sweep", help="sweep divisor classes")
     _add_pair_args(sp)
     sp.add_argument("--raw", action="store_true", help="sweep raw sign distributions")
-    sp.add_argument("--samples", type=int, default=0, help="sample this many classes")
-    sp.add_argument("--seed", type=int, default=0, help="seed for --samples")
+    sp.add_argument("--samples", type=int, help="sample this many classes")
+    sp.add_argument("--seed", type=int, help="seed for --samples (default 0)")
     sp.add_argument("--no-betti", action="store_true")
     sp.set_defaults(func=cmd_sweep)
     return ap

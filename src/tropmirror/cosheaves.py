@@ -106,8 +106,6 @@ class CosheafEvaluator:
     evaluator.
     """
 
-    TAGS = ("multitangent", "kernel", "mirror", "mirror_ext", "quotient")
-
     def __init__(self, ambient_tri, newton_tri):
         self.ambient = ambient_tri
         self.newton = newton_tri

@@ -1,9 +1,10 @@
 """Exact lattice-polytope and face calculus for reflexive pairs.
 
-Points are tuples of ints; a polytope stores its vertices, its facet
-inequalities and all of its lattice points.  Facets are found by exhaustive
-enumeration of rank-subsets of the defining points, which is cheap at desk
-scale (rank <= 4, a few dozen points) and has no floating point anywhere.
+Points are tuples of ints; a polytope of rank >= 2 stores its vertices, its
+facet inequalities and all of its lattice points.  Facets are found among the
+hyperplanes spanned by rank-subsets of the defining points, each hyperplane
+tested once (a subset that lies in a hyperplane already tested is skipped),
+with no floating point anywhere.
 The face lattice, built on demand by closing the facets under intersection,
 serves faces_of_dim and the independent test oracles; the cell posets find
 their faces through the duality pairing instead.
@@ -63,8 +64,8 @@ class LatticePolytope:
         if not pts:
             raise ValueError("empty point set")
         self.rank = rank if rank is not None else len(pts[0])
-        if self.rank < 1:
-            raise ValueError(f"rank {self.rank} is below 1")
+        if self.rank < 2:
+            raise ValueError(f"rank {self.rank} is below 2")
         if any(len(p) != self.rank for p in pts):
             raise ValueError("points of mixed rank")
         if _affine_rank(pts) != self.rank:
@@ -76,24 +77,51 @@ class LatticePolytope:
 
     # -- construction -------------------------------------------------------
     def _find_facets(self, pts):
-        """All facet inequalities (normal, offset) with primitive normals."""
-        facets = {}
-        for sub in combinations(pts, self.rank):
-            base = sub[0]
-            diffs = [[a - b for a, b in zip(p, base)] for p in sub[1:]]
-            ker = left_kernel([list(col) for col in zip(*diffs)]) if diffs else []
-            if len(ker) != 1:
-                continue
-            v = primitive(ker[0])
-            c = dot(v, base)
-            lo = min(dot(v, p) for p in pts)
-            hi = max(dot(v, p) for p in pts)
-            if hi == c and lo < c:
-                facets[(v, c)] = True
-            elif lo == c and hi > c:
-                facets[(tuple(-a for a in v), -c)] = True
-        if not facets:
-            raise ValueError("no facets found (degenerate input)")
+        """All facet inequalities (normal, offset) with primitive normals, sorted.
+
+        Every hyperplane spanned by ``rank`` of the points is tested once.
+        Rank-subsets of point indices are walked in lexicographic order,
+        grouped by their first rank - 1 points (the head).  A last point on a
+        hyperplane already tested through the whole head is skipped: the
+        subset lies in that hyperplane, so it spans it or is degenerate.  A
+        new hyperplane costs one normal and one pass of <v, p> over the
+        points, which gives both side bounds and the points on it.
+        """
+        planes = []  # per tested hyperplane: bit mask of the points on it
+        through = [0] * len(pts)  # per point: bit mask of tested hyperplanes
+        facets = []
+        for head in combinations(range(len(pts)), self.rank - 1):
+            base = pts[head[0]]
+            rows = [[a - b for a, b in zip(pts[i], base)] for i in head[1:]]
+            known = ~0  # tested hyperplanes through every head point
+            for i in head:
+                known &= through[i]
+            skip = 0  # the points on them
+            while known:
+                low = known & -known
+                skip |= planes[low.bit_length() - 1]
+                known ^= low
+            for j in range(head[-1] + 1, len(pts)):
+                if skip >> j & 1:
+                    continue
+                last = [a - b for a, b in zip(pts[j], base)]
+                ker = left_kernel([list(col) for col in zip(*rows, last)])
+                if len(ker) != 1:
+                    continue
+                v = primitive(ker[0])
+                vals = [dot(v, p) for p in pts]
+                c = vals[head[0]]
+                on = 0
+                for i, x in enumerate(vals):
+                    if x == c:
+                        on |= 1 << i
+                        through[i] |= 1 << len(planes)
+                planes.append(on)
+                skip |= on
+                if max(vals) == c:
+                    facets.append((v, c))
+                elif min(vals) == c:
+                    facets.append((tuple(-a for a in v), -c))
         return sorted(facets)
 
     def _find_vertices(self, pts):

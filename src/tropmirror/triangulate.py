@@ -31,7 +31,7 @@ def simplex(points):
 
 
 def simplex_faces(s):
-    """All nonempty faces (subsets) of a simplex."""
+    """All nonempty faces (subsets) of a simplex, each in the order of s."""
     out = []
     n = len(s)
     for mask in range(1, 1 << n):
@@ -83,16 +83,19 @@ class CentralTriangulation:
         self._build()
 
     def _build(self):
+        """All faces of the cones over the boundary simplices, each built once.
+
+        The faces of a sorted simplex come out of ``simplex_faces`` sorted,
+        so they go into ``simplices`` as they are; ``by_dim`` and the
+        facet-to-coface map ``cofaces`` are read off in one pass over them.
+        """
         self.simplices = set()
         for beta in self.boundary_simplices:
-            top = simplex(beta + (self.origin,))
-            for f in simplex_faces(top):
-                self.simplices.add(simplex(f))
+            self.simplices.update(simplex_faces(simplex(beta + (self.origin,))))
         self.by_dim = {}
-        for s in self.simplices:
-            self.by_dim.setdefault(len(s) - 1, set()).add(s)
         self.cofaces = {s: set() for s in self.simplices}
         for s in self.simplices:
+            self.by_dim.setdefault(len(s) - 1, set()).add(s)
             if len(s) >= 2:
                 for i in range(len(s)):
                     f = s[:i] + s[i + 1 :]

@@ -1,7 +1,9 @@
+from itertools import permutations, product
+
 import pytest
 
 from tropmirror.lattice import LatticePolytope
-from tropmirror.triangulate import generate_central
+from tropmirror.triangulate import CentralTriangulation, generate_central
 from tropmirror.pairs import MirrorPair
 
 # the corpus: a plane cubic pair, its all-even companion, and the 3d K3 pair
@@ -66,3 +68,31 @@ def quartic_pair():
     T = generate_central(quartic)
     Tdual = generate_central(quartic.dual())
     return MirrorPair(T, Tdual)
+
+
+def cy3_triangulations():
+    """(16-cell, 4-cube) central triangulations of the CY3 pair.  The 16-cell
+    has one boundary simplex per sign vector; each facet of [-1,1]^4 is cut
+    into unit cubes and each of those into 3! simplices along the all-ones
+    diagonal (Freudenthal), in one coordinate order for all facets so that
+    shared faces agree."""
+    units = [tuple(int(i == j) for j in range(4)) for i in range(4)]
+    cross = [
+        [tuple(s[i] * x for x in units[i]) for i in range(4)]
+        for s in product((1, -1), repeat=4)
+    ]
+    cube = []
+    for axis, side in product(range(4), (-1, 1)):
+        free = [i for i in range(4) if i != axis]
+        for corner in product((-1, 0), repeat=3):
+            for order in permutations(free):
+                point = [side] * 4
+                for i, c in zip(free, corner):
+                    point[i] = c
+                chain = [tuple(point)]
+                for i in order:
+                    point[i] += 1
+                    chain.append(tuple(point))
+                cube.append(chain)
+    P = LatticePolytope(list(product((-1, 1), repeat=4)))
+    return CentralTriangulation(P.dual(), cross), CentralTriangulation(P, cube)

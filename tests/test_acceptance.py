@@ -7,7 +7,6 @@ asserted with the wall clock.
 
 import random
 import time
-from itertools import permutations, product
 
 from tropmirror.intlinalg import mat_mul
 from tropmirror.lattice import LatticePolytope
@@ -34,7 +33,8 @@ from tropmirror.patchwork import (
     sweep_rows,
 )
 from tropmirror.posets import balanced_signature, gauge_twist
-from tropmirror.triangulate import CentralTriangulation
+
+from conftest import cy3_triangulations
 
 D7 = (-1, 2)
 D8 = (-1, 1)
@@ -394,32 +394,8 @@ def test_criterion_10_structural_properties(cubic_pair, k3_pair):
 
 
 def _cy3_pair():
-    """The 16-cell / 4-cube CY3 pair.  The 16-cell has one boundary simplex
-    per sign vector; each facet of [-1,1]^4 is cut into unit cubes and each
-    of those into 3! simplices along the all-ones diagonal (Freudenthal), in
-    one coordinate order for all facets so that shared faces agree."""
-    units = [tuple(int(i == j) for j in range(4)) for i in range(4)]
-    cross = [
-        [tuple(s[i] * x for x in units[i]) for i in range(4)]
-        for s in product((1, -1), repeat=4)
-    ]
-    cube = []
-    for axis, side in product(range(4), (-1, 1)):
-        free = [i for i in range(4) if i != axis]
-        for corner in product((-1, 0), repeat=3):
-            for order in permutations(free):
-                point = [side] * 4
-                for i, c in zip(free, corner):
-                    point[i] = c
-                chain = [tuple(point)]
-                for i in order:
-                    point[i] += 1
-                    chain.append(tuple(point))
-                cube.append(chain)
-    P = LatticePolytope(list(product((-1, 1), repeat=4)))
-    return MirrorPair(
-        CentralTriangulation(P.dual(), cross), CentralTriangulation(P, cube)
-    )
+    """The 16-cell / 4-cube CY3 pair, the 16-cell as Newton side."""
+    return MirrorPair(*cy3_triangulations())
 
 
 def test_criterion_11_cy3_cube_side_over_z():

@@ -1,8 +1,9 @@
 """Every public name in the package is reached by something other than tests.
 
-A public module-level function or class, or a public method, must be used
-somewhere in ``src/tropmirror`` outside its own definition, or be listed in
-ORACLES with the check it serves.  Being exported in ``tropmirror.__all__``
+A public module-level function or class, or a public method or class-level
+binding, must be used somewhere in ``src/tropmirror`` outside its own
+definition, or be listed in ORACLES with the check it serves, or in HOOKS
+with the framework that calls it.  Being exported in ``tropmirror.__all__``
 is not enough.
 Use is decided by name: a module-level name counts where its module, or a
 module importing it, reads it; a method counts wherever an attribute of that
@@ -58,6 +59,11 @@ ORACLES = {
         "test_posets: default, solved and gauge-twisted signatures are balanced",
 }
 
+# Methods that only a framework calls, each with the framework and the event.
+HOOKS = {
+    "cli._Parser.error": "argparse calls it on a usage error",
+}
+
 # Public method names defined in more than one class: each definition, and a
 # function in the package that reads it on an instance of that class.
 SHARED = {
@@ -80,8 +86,20 @@ def _trees():
     return {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
 
 
+def _class_members(cls):
+    """(name, node) for each method and each plain class-level binding."""
+    for item in cls.body:
+        if isinstance(item, ast.FunctionDef):
+            yield item.name, item
+        elif isinstance(item, ast.Assign):
+            for target in item.targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, item
+
+
 def _definitions(trees):
-    """(module, qualified name, node, is method) for every public definition."""
+    """(module, qualified name, node, is member) for every public definition;
+    a member is a method or a class-level binding such as ``error = f``."""
     for mod, tree in trees.items():
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -89,12 +107,13 @@ def _definitions(trees):
             if not node.name.startswith("_"):
                 yield mod, node.name, node, False
             if isinstance(node, ast.ClassDef):
-                for item in node.body:
-                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                        yield mod, f"{node.name}.{item.name}", item, True
+                for name, item in _class_members(node):
+                    if not name.startswith("_"):
+                        yield mod, f"{node.name}.{name}", item, True
 
 
-def unreached_names():
+def unreached_names(listed=ORACLES.keys() | HOOKS.keys()):
+    """Public definitions nothing in the package reads, less those listed."""
     trees = _trees()
     names = {}  # (module, identifier) -> line numbers where it is read
     attrs = {}  # attribute name -> (module, line number) where it is read
@@ -111,9 +130,9 @@ def unreached_names():
                         (mod, a.asname or a.name)
                     )
     out = []
-    for mod, qual, node, is_method in _definitions(trees):
-        if is_method:
-            uses = attrs.get(node.name, [])
+    for mod, qual, node, is_member in _definitions(trees):
+        if is_member:
+            uses = attrs.get(qual.rsplit(".", 1)[1], [])
         else:
             uses = [(mod, line) for line in names.get((mod, qual), [])]
             for other, local in imported.get((mod, qual), []):
@@ -123,7 +142,7 @@ def unreached_names():
             for m, line in uses
             if m != mod or not node.lineno <= line <= node.end_lineno
         ]
-        if not outside and f"{mod}.{qual}" not in ORACLES:
+        if not outside and f"{mod}.{qual}" not in listed:
             out.append(f"{mod}.{qual}")
     return out
 
@@ -135,6 +154,13 @@ def test_every_public_name_is_reached():
 def test_oracles_name_existing_definitions():
     defined = {f"{mod}.{qual}" for mod, qual, _, _ in _definitions(_trees())}
     assert set(ORACLES) <= defined
+
+
+def test_hooks_name_existing_unread_definitions():
+    # a hook listed here is one no code in the package reads; once something
+    # reads it, the entry is stale
+    assert not set(ORACLES) & set(HOOKS)
+    assert set(unreached_names(listed=ORACLES.keys())) == set(HOOKS)
 
 
 def _functions(trees):
@@ -154,9 +180,9 @@ def _functions(trees):
 def test_shared_method_names_have_a_reviewed_reader():
     trees = _trees()
     by_name = {}
-    for mod, qual, node, is_method in _definitions(trees):
-        if is_method:
-            by_name.setdefault(node.name, []).append(f"{mod}.{qual}")
+    for mod, qual, _, is_member in _definitions(trees):
+        if is_member:
+            by_name.setdefault(qual.rsplit(".", 1)[1], []).append(f"{mod}.{qual}")
     shared = {d for defs in by_name.values() if len(defs) > 1 for d in defs}
     assert shared == set(SHARED)
     functions = _functions(trees)

@@ -185,6 +185,28 @@ def test_raw_sweep_on_diamond_pair(tmp_path, capsys):
     assert all(row["b0"] == 2 for row in rows)  # this pair always splits
 
 
+def test_raw_sweep_takes_no_class_flags(cubic_files, capsys):
+    _, _, tri, tri_dual = cubic_files
+    pair = ["sweep", str(tri), str(tri_dual)]
+    for flags in (
+        ["--samples", "3"],
+        ["--samples", "0"],
+        ["--seed", "9"],
+        ["--seed", "0"],
+        ["--no-betti"],
+        ["--samples", "2", "--seed", "1", "--no-betti"],
+    ):
+        assert main(pair + ["--raw"] + flags) == 1, flags
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["kind"] == "input" and "--raw" in err["error"], flags
+    # without --seed the envelope still reads seed 0
+    for flags, seed in ((["--samples", "2"], 0), (["--samples", "2", "--seed", "7"], 7)):
+        code, env = run_json(capsys, pair + flags + ["--no-betti"])
+        assert code == 0 and env["seed"] == seed, flags
+
+
 def test_outputs_byte_identical(cubic_files, capsys):
     _, _, tri, tri_dual = cubic_files
     main(["hodge", str(tri), str(tri_dual)])
@@ -319,6 +341,20 @@ def test_rank_zero_polytope_is_input_error(tmp_path, capsys):
     for command in ("dual", "triangulate"):
         assert main([command, str(poly)]) == 1
         assert json.loads(capsys.readouterr().err)["kind"] == "input"
+
+
+def test_rank_one_polytope_is_input_error(tmp_path, capsys):
+    # a segment is full-dimensional at rank 1, but every hypersurface here
+    # has dimension n = rank - 1 >= 1
+    seg = {"rank": 1, "vertices": [[-1], [1]]}
+    poly = tmp_path / "seg.json"
+    poly.write_text(json.dumps(seg))
+    tri = tmp_path / "segT.json"
+    tri.write_text(json.dumps({"polytope": seg, "boundary_simplices": [[[-1]], [[1]]]}))
+    for argv in (["dual", str(poly)], ["triangulate", str(poly)], ["validate", str(tri)]):
+        assert main(argv) == 1, argv
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "input" and "rank 1 is below 2" in err["error"], argv
 
 
 def test_unexpected_exception_is_internal(cubic_files, capsys, monkeypatch):

@@ -11,6 +11,9 @@ from tropmirror.intlinalg import det, f2_rank, hnf_basis, left_kernel, mat_mul, 
 from tropmirror.modules import FreeQuotient
 from tropmirror.posets import gauge_twist
 
+# every tag CosheafEvaluator.value accepts
+TAGS = ("multitangent", "kernel", "mirror", "mirror_ext", "quotient")
+
 
 # -- tiny hand-built complexes (oracle smoke tests) -----------------------------
 
@@ -557,7 +560,7 @@ def test_interned_values_and_maps_match_direct_construction(
             by_content = {}
             for kind in ("base", "refined"):
                 poset = side.poset(kind)
-                for tag in ev.TAGS:
+                for tag in TAGS:
                     for p in range(side.rank + 1):
                         ranks = []
                         for c in poset.cells:

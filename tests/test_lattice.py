@@ -1,6 +1,10 @@
 import gc
+from itertools import combinations, product
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import CUBIC_VERTS
 from tropmirror.errors import NotReflexive
@@ -124,3 +128,97 @@ def test_random_3d_face_lattices_are_spheres():
                 on = {p for p in P.lattice_points if sum(a * b for a, b in zip(v, p)) == c}
                 pts_common = on if pts_common is None else pts_common & on
             assert pts_common == set(face.lattice_points)
+
+
+# -- the facet search against a per-subset brute force ---------------------------
+
+def _det(m):
+    """Determinant by cofactor expansion along the first row."""
+    if not m:
+        return 1
+    return sum(
+        (-1) ** j * m[0][j] * _det([row[:j] + row[j + 1 :] for row in m[1:]])
+        for j in range(len(m))
+    )
+
+
+def _brute_force_facets(points):
+    """(primitive outer normal, offset) of every facet of conv(points), sorted.
+
+    Every rank-subset of the points is tried on its own: its normal is the
+    cofactor vector of its difference rows, zero when it is degenerate, and
+    the hyperplane is kept when every point lies on one side of it and some
+    point off it.  Empty when the points are not full-dimensional.
+    """
+    pts = sorted(set(points))
+    r = len(pts[0])
+    facets = set()
+    for sub in combinations(pts, r):
+        rows = [[a - b for a, b in zip(p, sub[0])] for p in sub[1:]]
+        v = [(-1) ** j * _det([row[:j] + row[j + 1 :] for row in rows]) for j in range(r)]
+        g = gcd(*v)
+        if g == 0:
+            continue
+        v = tuple(a // g for a in v)
+        c = dot(v, sub[0])
+        vals = [dot(v, p) for p in pts]
+        if max(vals) == c > min(vals):
+            facets.add((v, c))
+        elif min(vals) == c < max(vals):
+            facets.add((tuple(-a for a in v), -c))
+    return sorted(facets)
+
+
+def _spans(vectors, r):
+    """Whether the vectors span a rank-r space: some r of them are independent."""
+    return any(_det([list(v) for v in sub]) for sub in combinations(vectors, r))
+
+
+CUBE4_VERTS = list(product((-1, 1), repeat=4))
+CELL16_VERTS = [tuple(s * (i == j) for j in range(4)) for i in range(4) for s in (1, -1)]
+# the quintic pair (Batyrev): the Newton simplex of the quintic threefold,
+# with 126 lattice points, and its dual, the unimodular simplex
+QUINTIC_VERTS = [
+    (4, -1, -1, -1), (-1, 4, -1, -1), (-1, -1, 4, -1), (-1, -1, -1, 4),
+    (-1, -1, -1, -1),
+]
+QUINTIC_DUAL_VERTS = [
+    (-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1), (1, 1, 1, 1),
+]
+
+
+def test_rank_four_facets_match_brute_force():
+    for points, dual_points in (
+        (CUBE4_VERTS, CELL16_VERTS),
+        (CELL16_VERTS, CUBE4_VERTS),
+        (QUINTIC_VERTS, QUINTIC_DUAL_VERTS),
+        (QUINTIC_DUAL_VERTS, QUINTIC_VERTS),
+    ):
+        P = LatticePolytope(points)
+        assert P.facets == _brute_force_facets(points)
+        assert P.vertices == tuple(sorted(points))
+        assert P.dual() == LatticePolytope(dual_points)
+
+
+@st.composite
+def _point_sets(draw):
+    r = draw(st.sampled_from((2, 3, 4)))
+    point = st.tuples(*[st.integers(-3, 3)] * r)
+    return draw(st.lists(point, min_size=r + 1, max_size=10, unique=True))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_point_sets())
+def test_facet_search_matches_brute_force(points):
+    expected = _brute_force_facets(points)
+    if not expected:
+        with pytest.raises(ValueError, match="not full-dimensional"):
+            LatticePolytope(points)
+        return
+    P = LatticePolytope(points)
+    assert P.facets == expected
+    # a vertex lies on rank facets with independent normals; the brute force
+    # facets decide which points those are
+    for p in set(points):
+        on = [v for v, c in expected if dot(v, p) == c]
+        assert (p in P.vertices) == _spans(on, P.rank)

@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -12,7 +12,7 @@ from tropmirror.triangulate import (
     validate,
 )
 
-from conftest import CUBE_VERTS, CUBIC_VERTS, OCTA_VERTS
+from conftest import CUBE_VERTS, CUBIC_VERTS, OCTA_VERTS, cy3_triangulations
 
 
 @pytest.fixture(scope="module")
@@ -184,3 +184,33 @@ def test_json_roundtrip(cubic_tri):
     back = CentralTriangulation.from_dict(data)
     assert back.boundary_simplices == cubic_tri.boundary_simplices
     assert back.polytope == cubic_tri.polytope
+
+
+def _reference_closure(tri):
+    """The face closure with every face re-sorted on its own: each subset of
+    each top simplex, in unsorted input order, is sorted again, then grouped
+    by dimension and linked to its cofaces by dropping one vertex."""
+    simplices = set()
+    for beta in tri.boundary_simplices:
+        top = (tri.origin,) + beta[::-1]
+        for k in range(1, len(top) + 1):
+            for face in combinations(top, k):
+                simplices.add(tuple(sorted(tuple(p) for p in face)))
+    by_dim = {}
+    for s in simplices:
+        by_dim.setdefault(len(s) - 1, set()).add(s)
+    cofaces = {s: set() for s in simplices}
+    for s in simplices:
+        if len(s) >= 2:
+            for i in range(len(s)):
+                cofaces[s[:i] + s[i + 1 :]].add(s)
+    return simplices, by_dim, cofaces
+
+
+def test_face_closure_matches_reference(cube_tri, octa_tri):
+    for tri in (cube_tri, octa_tri, *cy3_triangulations()):
+        simplices, by_dim, cofaces = _reference_closure(tri)
+        assert tri.simplices == simplices
+        assert tri.by_dim == by_dim
+        assert tri.cofaces == cofaces
+        assert tri.vertices == sorted(s[0] for s in by_dim[0])
