@@ -12,9 +12,16 @@ and Z reads both the ranks and the torsion off one elimination per
 boundary, its elementary divisors, and checks them against any Q or F2 rank
 already computed; the square of its boundary is verified to vanish over Z
 at construction (hence over every ring).  An F2 complex, such as the sign
-cosheaf's, is assembled straight into packed bit rows with no signature
-(-1 = 1 over F2), serves F2 only, and has the square of its boundary
-verified to vanish mod 2 at construction, on those rows.
+cosheaf's over every point of a phase frame, is assembled straight into
+packed bit rows with no signature (-1 = 1 over F2), serves F2 only, and has
+the square of its boundary verified to vanish mod 2 at construction, on
+those rows.
+
+An F2Subcomplex is the span of some basis vectors of an F2 complex, closed
+under its boundary, such as the sign complex of one sign distribution: it
+keeps the parent's numbering and rows, so it is neither assembled nor
+square-checked again, and its ranks come from the parent's rows of the kept
+vectors.
 """
 
 from functools import cached_property
@@ -24,6 +31,7 @@ from .errors import BoundarySquareNonzero, InternalCheckError, NotAClosedChain
 from .intlinalg import (
     F2Space,
     f2_combine,
+    f2_rank,
     sparse_elementary_divisors,
     sparse_rank,
 )
@@ -50,6 +58,13 @@ def _bits(r):
 
 def _square_nonzero(q, i):
     raise BoundarySquareNonzero(f"boundary squared nonzero in degree {q}, row {i}")
+
+
+def _check_ring(ring, f2_only):
+    if ring not in RINGS:
+        raise ValueError(f"unknown ring {ring!r}")
+    if f2_only and ring != "f2":
+        raise InternalCheckError(f"an F2 complex has no homology over {ring}")
 
 
 class HomologySummary:
@@ -91,7 +106,17 @@ class HomologySummary:
         return f"HomologySummary({self.ring}: " + ", ".join(parts) + ")"
 
 
-class ChainComplex:
+class _Graded:
+    """Dimensions per degree, read from ``dim_q``."""
+
+    def dim(self, q):
+        return self.dim_q.get(q, 0)
+
+    def euler_characteristic(self):
+        return sum((-1) ** q * self.dim(q) for q in self.degrees)
+
+
+class ChainComplex(_Graded):
     """Boundary matrices of a cosheaf on a poset, with homology caches.
 
     ``ranks``: value rank per cell index; the coordinates of a cell start at
@@ -191,16 +216,9 @@ class ChainComplex:
                 if any(acc.values()):
                     _square_nonzero(q, i)
 
-    def _check_ring(self, ring):
-        if self._f2_only and ring != "f2":
-            raise InternalCheckError(f"an F2 complex has no homology over {ring}")
-
-    def dim(self, q):
-        return self.dim_q.get(q, 0)
-
     # -- ranks and homology ------------------------------------------------------
     def rank_boundary(self, q, ring):
-        self._check_ring(ring)
+        _check_ring(ring, self._f2_only)
         if q not in self._boundary_degrees or self.dim(q) == 0 or self.dim(q - 1) == 0:
             return 0
         key = (q, "f2" if ring == "f2" else "q")
@@ -234,9 +252,7 @@ class ChainComplex:
         return self._rank_cache[key]
 
     def homology(self, ring):
-        if ring not in RINGS:
-            raise ValueError(f"unknown ring {ring!r}")
-        self._check_ring(ring)
+        _check_ring(ring, self._f2_only)
         torsion = {}
         if ring == "z":
             for q in self._boundary_degrees:
@@ -248,9 +264,6 @@ class ChainComplex:
             )
             data[q] = (rank, torsion.get(q, ()))
         return HomologySummary(data, ring)
-
-    def euler_characteristic(self):
-        return sum((-1) ** q * self.dim(q) for q in self.degrees)
 
     # -- F2 chain operations -------------------------------------------------------
     def f2_rows(self, q):
@@ -332,3 +345,42 @@ class ChainComplex:
     def __repr__(self):
         dims = ", ".join(f"C_{q}={self.dim(q)}" for q in self.degrees)
         return f"ChainComplex({dims})"
+
+
+class F2Subcomplex(_Graded):
+    """The span of some basis vectors of an F2 complex, closed under its
+    boundary.
+
+    ``masks[q]`` packs the kept degree-q basis vectors in the parent's
+    numbering, and ``rows[q]`` lists the parent's packed boundary rows of
+    those vectors in increasing position.  The caller checks that the span
+    is closed (each row of ``rows[q]`` lies inside ``masks[q - 1]``); the
+    square of the parent's boundary, checked at its construction, then
+    vanishes here too, so nothing is assembled or checked again.  Answers
+    over F2 only; chains are packed in the parent's numbering.
+    """
+
+    def __init__(self, parent, masks, rows):
+        self.parent = parent
+        self.degrees = parent.degrees
+        self.masks = masks
+        self.rows = rows
+        self.dim_q = {q: m.bit_count() for q, m in masks.items()}
+        self._homology = None
+
+    def homology(self, ring):
+        _check_ring(ring, True)
+        if self._homology is None:
+            ranks = {q: f2_rank(rows) for q, rows in self.rows.items()}
+            self._homology = HomologySummary({
+                q: (self.dim(q) - ranks[q] - ranks.get(q + 1, 0), ())
+                for q in self.degrees
+            }, ring)
+        return self._homology
+
+    def f2_boundary(self, vec, q):
+        """Boundary of a packed degree-q chain of the span, by the parent's
+        rows."""
+        if vec & ~self.masks[q]:
+            raise NotAClosedChain(f"chain in degree {q} leaves the subcomplex")
+        return self.parent.f2_boundary(vec, q)

@@ -296,6 +296,8 @@ def cmd_sweep(args):
         ]
         if ignored:
             raise InputError(f"sweep --raw takes no {', '.join(ignored)}")
+    elif args.seed is not None and args.samples is None:
+        raise InputError("sweep --seed needs --samples")
     pair = load_pair(args)
     side = pair.side_a
     if args.raw:

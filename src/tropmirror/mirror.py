@@ -167,8 +167,8 @@ def divisor_restriction(side, rays):
     chain = {}
     for v in sorted(support):
         tau = tuple(sorted((o, v)))
-        for cell in poset.cells:
-            if cell.tau == tau and len(cell.sigma) == 2:
+        for cell in poset.cells_by_tau.get(tau, ()):
+            if len(cell.sigma) == 2:
                 val = mirror.evaluator.value("multitangent", n - 1, cell)
                 if val.rank != 1:
                     raise InternalCheckError("divisor cell coefficient is not rank one")

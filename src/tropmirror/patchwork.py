@@ -15,24 +15,28 @@ Phase sets live in quotient coordinates mod 2 of the same frames the
 cosheaf evaluator uses, packed into small ints; cells off infinity pull
 their phase data back from the collapsed cell, matching the cosheaf side.
 What does not depend on the signs (each cell's frame and edge parities,
-each cover's map between frames) is a PhaseFrame, built once per side and
-poset kind.  What depends only on a cell's edge phases is memoized in the
-frame too: the phase point sets per (quotient rank, packed point set) and
-the filtration generators per (cell, level, edge phases), so classes that
-agree on a cell share them, and so are the F2 spaces those generators
-span.  Each sign distribution then gets its edge phases and its packed
-phase sets; the transport is checked once per frame cover (the images of
-the phase points of x lie in the phase set of y) and read from the frame's
-covers by both Betti routes: the sign complex, an F2 chain complex whose
-one-bit block rows are streamed per cover (its square is checked mod 2),
-and the real complex, which numbers its cells on its own and packs its
-boundary rows in one pass over the covers.
+each cover's map between frames, and the sign cosheaf's F2 complex over
+every frame point, built on first read and square-checked mod 2 there) is
+a PhaseFrame, built once per side and poset kind.  A sign distribution only
+picks the points each cell keeps, and what depends only on a cell's edge
+phases is memoized in the frame: the phase point sets, each cell's phase
+data with the OR of its points' boundaries (its reach, read off the
+covers), and the filtration generators and the F2 spaces they span, so
+classes that agree on a cell share them.  Each sign distribution then ORs
+its cells' phase sets and reaches per degree; the transport is checked once
+per degree (the reach of the q-cells stays inside the phase set of degree
+q-1), which makes its sign complex a subcomplex of the frame's, with no
+assembly or square check of its own: its rows are gathered from the
+frame's.  Both Betti routes cross-check each other: the sign complex's
+ranks come from the gathered rows, and the real complex numbers its cells
+on its own and packs its boundary rows in one pass over the frame's covers.
 """
 
 import random
+from functools import cached_property
 from itertools import combinations
 
-from .chains import ChainComplex
+from .chains import ChainComplex, F2Subcomplex
 from .errors import (
     HypothesisFails,
     InputError,
@@ -189,14 +193,20 @@ class PhaseFrame:
     mask ``rdm`` of its direction in frame coordinates, the packed set of
     points s with s.rdm odd).  ``covers`` lists (y, x, images) for each
     cover y below x where both cells have edges: ``images[s]`` is the point
-    s of the frame of x carried into the frame of y.  Both Betti routes
-    read their boundaries off these covers; the frame keeps no block rows.
+    s of the frame of x carried into the frame of y.
 
-    A cell's phase set and filtration generators are functions of the
-    cell's edge phases ``tes`` (one 0/1 per edge, in ``cells[ci]`` edge
-    order), so the frame memoizes them: point lists and their index dicts
-    per (qd, packed point set), generators and the F2 spaces they span per
-    (ci, p, tes).
+    ``point_complex`` is the sign cosheaf's F2 complex over every point s
+    of every cell with edges, 2^qd coordinates per cell starting at
+    ``offset[ci]`` within its degree: per cover, point s of x has the
+    single bit of its image in y.  It is built on first read, once per side
+    and poset kind, and its square is checked mod 2 then; a sign
+    distribution's complex is its restriction to the phase points.  The
+    real complex reads its boundary off ``covers`` on its own.
+
+    What depends only on a cell's edge phases ``tes`` (one 0/1 per edge,
+    in ``cells[ci]`` edge order) is memoized: point lists and their index
+    dicts per (qd, packed point set), each PhaseCell per (ci, tes), and
+    generators and the F2 spaces they span per (ci, p, tes).
     """
 
     def __init__(self, evaluator, poset):
@@ -206,7 +216,10 @@ class PhaseFrame:
         self._points = {}
         self._generators = {}
         self._spaces = {}
+        self._phase_cells = {}
         self.cells = []
+        self.offset = []
+        used = {}  # dim -> frame points of the cells of that dim so far
         for cell in poset.cells:
             stratum = evaluator.value_stratum("multitangent", cell)
             fr = evaluator.frame(stratum)
@@ -218,13 +231,31 @@ class PhaseFrame:
                 odd = f2_pack([bin(s & rdm).count("1") for s in range(1 << qd)])
                 edges.append(((min(a, b), max(a, b)), rdm, odd))
             self.cells.append((stratum, qd, edges))
+            off = used.get(cell.dim, 0)
+            self.offset.append(off)
+            used[cell.dim] = off + (1 << qd if edges else 0)
         self.covers = []
+        self._below = [[] for _ in poset.cells]  # xi -> [(offset[yi], images)]
         for (yi, xi) in poset.covers:
             (sx, qx, ex), (sy, _, ey) = self.cells[xi], self.cells[yi]
             if ex and ey:
                 masks = self.projection_masks(sx, sy)
                 images = [f2_combine(s, masks) for s in range(1 << qx)]
                 self.covers.append((yi, xi, images))
+                self._below[xi].append((self.offset[yi], images))
+
+    @cached_property
+    def point_complex(self):
+        """The sign cosheaf's F2 complex over every frame point of every
+        cell with edges, square-checked mod 2 as it is built."""
+        ranks = [1 << qd if edges else 0 for _, qd, edges in self.cells]
+        blocks = (
+            (yi, xi, [1 << t for t in images]) for yi, xi, images in self.covers
+        )
+        cx = ChainComplex(self.poset, ranks, blocks)
+        if cx.offset != self.offset:
+            raise InternalCheckError("point complex numbering differs from the frame's")
+        return cx
 
     def projection_masks(self, sx, sy):
         """Images of the frame-sx basis bits in frame sy, as packed masks."""
@@ -256,6 +287,29 @@ class PhaseFrame:
     def phase_points(self, ci, tes):
         """(points, index) of the phase set of cell ci under edge phases tes."""
         return self.point_set(self.cells[ci][1], self.phase_bits(ci, tes))
+
+    def cell_phase(self, ci, tes):
+        """The PhaseCell of cell ci under edge phases tes, built once per
+        (ci, tes).  Its reach is read off the covers below ci, in the point
+        complex's numbering, without building that complex.  Shared;
+        callers must not mutate it."""
+        key = (ci, tes)
+        pc = self._phase_cells.get(key)
+        if pc is None:
+            stratum, qd, _ = self.cells[ci]
+            pc = PhaseCell()
+            pc.stratum, pc.qd, pc.tes = stratum, qd, tes
+            pc.bits = self.phase_bits(ci, tes)
+            pc.points, pc.index = self.point_set(qd, pc.bits)
+            reach = 0
+            for oy, images in self._below[ci]:
+                r = 0
+                for s in pc.points:
+                    r |= 1 << images[s]
+                reach |= r << oy
+            pc.reach = reach
+            self._phase_cells[key] = pc
+        return pc
 
     def level_generators(self, ci, p, tes):
         """(indicator, multitangent coords) pairs spanning filtration level p
@@ -324,18 +378,26 @@ class PhaseFrame:
 
 
 class PhaseCell:
-    __slots__ = ("stratum", "qd", "tes", "bits", "points", "index")
+    """One cell's phase data under one choice of its edge phases ``tes``:
+    the packed phase set ``bits``, its ``points`` in increasing order and
+    their ``index``, and ``reach``, the OR of the boundaries of its points
+    in the numbering of the frame's point complex."""
+
+    __slots__ = ("stratum", "qd", "tes", "bits", "points", "index", "reach")
 
 
 class PhaseData:
     """Phase points of one sign distribution.
 
-    Each cell's ``tes`` (its edge phases under this distribution) selects
-    its packed phase set ``bits``, its points, index and filtration
-    generators from the frame's memos.  Both Betti routes read the
-    transport from the frame's covers, so it is checked here once per
-    cover: the images of the phase points of x must lie in the phase set
-    of y.
+    Each cell's PhaseCell comes from the frame's memo, keyed by the edge
+    phases of this distribution on the cell's edges.  Per degree q the
+    phase sets of the q-cells, shifted to their offsets in the frame's
+    point complex, are ORed into the phase set ``masks[q]``; the span
+    of the phase points is closed under the boundary of the frame's point
+    complex iff the reach of the q-cells lies in ``masks[q - 1]``, checked
+    here once per degree.  The sign complex is that span, an F2Subcomplex
+    of the point complex, built on first read.  The real complex reads the
+    transport from the frame's covers.
     """
 
     def __init__(self, side, poset, eps):
@@ -343,20 +405,20 @@ class PhaseData:
         self.frame = frame = side.phase_frame(poset.kind)
         self.poset = frame.poset
         t = phase_from_signs(side, eps)
-        cells = []
-        for ci, (stratum, qd, edges) in enumerate(frame.cells):
-            pc = PhaseCell()
-            pc.stratum, pc.qd = stratum, qd
-            pc.tes = tuple([t[e] for e, _, _ in edges])
-            pc.bits = frame.phase_bits(ci, pc.tes)
-            pc.points, pc.index = frame.point_set(qd, pc.bits)
-            cells.append(pc)
-        for yi, xi, images in frame.covers:
-            reached = 0
-            for s in cells[xi].points:
-                reached |= 1 << images[s]
-            if reached & ~cells[yi].bits:
+        cells = [
+            frame.cell_phase(ci, tuple([t[e] for e, _, _ in edges]))
+            for ci, (_, _, edges) in enumerate(frame.cells)
+        ]
+        self._masks = {}
+        below = 0
+        for q, indices in self.poset.cells_by_dim.items():
+            mask = reach = 0
+            for ci in indices:
+                mask |= cells[ci].bits << frame.offset[ci]
+                reach |= cells[ci].reach
+            if reach & ~below:
                 raise InternalCheckError("phase transport escaped the target phase set")
+            self._masks[q] = below = mask
         self._cells = cells
         self._complex = None
 
@@ -366,18 +428,21 @@ class PhaseData:
     def transport(self, s, sx, sy):
         return f2_combine(s, self.frame.projection_masks(sx, sy))
 
-    # -- the sign-cosheaf complex ------------------------------------------------
     def sign_complex(self):
-        """The sign cosheaf's F2 complex: per frame cover, each phase point
-        of x has the single bit of its image among the phase points of y."""
+        """The sign cosheaf's F2 complex: the frame's point complex restricted
+        to the phase points, in its numbering, with the rows of those
+        points gathered cell by cell."""
         if self._complex is None:
-            cells = self._cells
-            blocks = (
-                (yi, xi, [1 << cells[yi].index[images[s]] for s in cells[xi].points])
-                for yi, xi, images in self.frame.covers
-            )
-            ranks = [len(pc.points) for pc in cells]
-            self._complex = ChainComplex(self.poset, ranks, blocks)
+            cx, offset = self.frame.point_complex, self.frame.offset
+            rows = {}
+            for q, indices in self.poset.cells_by_dim.items():
+                frows, gathered = cx.f2_rows(q), []
+                if frows:
+                    for ci in indices:
+                        off = offset[ci]
+                        gathered += [frows[off + s] for s in self._cells[ci].points]
+                rows[q] = gathered
+            self._complex = F2Subcomplex(cx, self._masks, rows)
         return self._complex
 
     # -- filtration generators ------------------------------------------------------
@@ -531,7 +596,8 @@ def delta1(side, eps, chain, p, kind="refined"):
     if not CF.f2_is_cycle(CF.chain_to_packed(chain, q), q):
         raise NotAClosedChain("filtration differential input is not closed")
     Scx = pd.sign_complex()
-    lift = {}
+    offset = pd.frame.offset
+    lvec = 0
     for key, fcoords in chain.items():
         ci = poset.cell_index[key]
         pc = pd.phase_cell(ci)
@@ -543,24 +609,31 @@ def delta1(side, eps, chain, p, kind="refined"):
                 "chain coefficient is not in the filtration image"
             )
         ind = f2_combine(mask, [g[0] for g in gens])
-        coords = tuple((ind >> i) & 1 for i in range(len(pc.points)))
-        if any(coords):
-            lift[key] = coords
-    lvec = Scx.chain_to_packed(lift, q)
-    bchain = Scx.packed_to_chain(Scx.f2_boundary(lvec, q), q - 1)
+        lvec |= f2_combine(ind, [1 << s for s in pc.points]) << offset[ci]
+    bvec = Scx.f2_boundary(lvec, q)
+    if bvec & ~Scx.masks[q - 1]:
+        raise InternalCheckError("boundary of the lift escaped the phase sets")
     out = {}
-    for key, scoords in bchain.items():
-        ci = poset.cell_index[key]
+    for ci in poset.cells_by_dim[q - 1]:
+        pc = pd.phase_cell(ci)
+        part = (bvec >> offset[ci]) & pc.bits
+        if not part:
+            continue
+        ind = 0
+        for i, s in enumerate(pc.points):
+            ind |= ((part >> s) & 1) << i
         gens = pd.filtration_generators(ci, p + 1)
-        ind_space, _ = pd.frame.level_spaces(ci, p + 1, pd.phase_cell(ci).tes)
-        mask = ind_space.solve(f2_pack(scoords))
+        ind_space, _ = pd.frame.level_spaces(ci, p + 1, pc.tes)
+        mask = ind_space.solve(ind)
         if mask is None:
             raise InternalCheckError(
                 "boundary of the lift escaped the next filtration level"
             )
         fvec = f2_combine(mask, [f2_pack(fc) for _, fc in gens])
         if fvec:
-            out[key] = tuple((fvec >> i) & 1 for i in range(len(gens[0][1])))
+            out[poset.cells[ci].key] = tuple(
+                (fvec >> i) & 1 for i in range(len(gens[0][1]))
+            )
     CF1 = side.complex(kind, "multitangent", p + 1)
     if out:
         vec = CF1.chain_to_packed(out, q - 1)

@@ -32,6 +32,8 @@ solves the diamond system afresh over F2 when an independent solution is
 wanted.
 """
 
+from functools import cached_property
+
 from .errors import NotDualPair, NotInJ, PosetInvalid, Unsolvable
 from .intlinalg import F2Space, dot
 
@@ -148,6 +150,14 @@ class CellPoset:
         s = -1 if pos & 1 else 1
         codim_tau = self.rank - (len(x.tau) - 1)
         return s if codim_tau % 2 == 0 else -s
+
+    @cached_property
+    def cells_by_tau(self):
+        """tau -> the cells over it, in index order; built on first read."""
+        out = {}
+        for c in self.cells:
+            out.setdefault(c.tau, []).append(c)
+        return out
 
     # -- flags ---------------------------------------------------------------
     def in_support(self, cell):

@@ -207,6 +207,21 @@ def test_raw_sweep_takes_no_class_flags(cubic_files, capsys):
         assert code == 0 and env["seed"] == seed, flags
 
 
+def test_sweep_seed_needs_samples(cubic_files, capsys):
+    # --seed only picks which classes --samples draws, so without --samples
+    # it is a usage error rather than a flag that does nothing
+    _, _, tri, tri_dual = cubic_files
+    pair = ["sweep", str(tri), str(tri_dual)]
+    for flags in (["--seed", "7"], ["--seed", "0"], ["--seed", "7", "--no-betti"]):
+        assert main(pair + flags) == 1, flags
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["kind"] == "input" and "--samples" in err["error"], flags
+    code, env = run_json(capsys, pair + ["--no-betti"])
+    assert code == 0 and env["seed"] == 0 and len(env["result"]["rows"]) == 128
+
+
 def test_outputs_byte_identical(cubic_files, capsys):
     _, _, tri, tri_dual = cubic_files
     main(["hodge", str(tri), str(tri_dual)])

@@ -299,6 +299,34 @@ def test_divisor_restriction_cubic_examples(cubic_pair):
         divisor_restriction(side, [(5, 5)])
 
 
+def _divisor_restriction_by_scan(side, rays):
+    """The divisor chain found by scanning every mirror base-poset cell for
+    each ray, in sorted ray order (the coefficients are rank one)."""
+    poset = side.mirror.base_poset
+    o = side.mirror.ambient.origin
+    chain = {}
+    for v in sorted(set(map(tuple, rays))):
+        tau = tuple(sorted((o, v)))
+        for cell in poset.cells:
+            if cell.tau == tau and len(cell.sigma) == 2:
+                if chain.pop(cell.key, None) is None:
+                    chain[cell.key] = (1,)
+    return chain
+
+
+def test_divisor_restriction_matches_full_scan(cubic_pair, k3_pair):
+    # the per-tau cell index gives the chain of a scan over every cell,
+    # keys in the same order, on random divisors of both corpus pairs
+    rng = random.Random(17)
+    for side in (cubic_pair.side_a, k3_pair.side_a, k3_pair.side_b):
+        rays = side.newton.rays()
+        for _ in range(12):
+            sub = [v for v in rays if rng.random() < 0.5]
+            got = divisor_restriction(side, sub)
+            want = _divisor_restriction_by_scan(side, sub)
+            assert list(got.items()) == list(want.items()), sub
+
+
 def test_divisor_restriction_closed_and_parity_oracle(cubic_pair):
     # n = 1: the class in H_0 equals the parity of the incidence count
     side = cubic_pair.side_a

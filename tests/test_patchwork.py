@@ -7,7 +7,12 @@ from hypothesis import strategies as st
 
 from conftest import CUBIC_DUAL_VERTS, CUBIC_VERTS
 from tropmirror.chains import ChainComplex
-from tropmirror.errors import BoundarySquareNonzero, InternalCheckError, InvalidPhaseStructure
+from tropmirror.errors import (
+    BoundarySquareNonzero,
+    InternalCheckError,
+    InvalidPhaseStructure,
+    NotAClosedChain,
+)
 from tropmirror.intlinalg import F2Space, f2_pack, f2_rank, mat_mul
 from tropmirror.lattice import LatticePolytope
 from tropmirror.mirror import divisor_restriction, is_null_class, sphere_cycle, transfer_class
@@ -181,30 +186,40 @@ def _phase_points_directly(frame, ci, eps):
     return [s for s in range(1 << qd) if bits >> s & 1]
 
 
+def _frame_offsets(frame):
+    """Where each cell's 2^qd frame points start within its degree, counted
+    from the frame's cells (cells with no edges have no points)."""
+    offset, used = [], {}
+    for c, (_, qd, edges) in zip(frame.poset.cells, frame.cells):
+        offset.append(used.get(c.dim, 0))
+        used[c.dim] = offset[-1] + (1 << qd if edges else 0)
+    return offset
+
+
 def _sign_boundary_assembled_per_point(pd):
     """The sign complex's boundary rows with signature signs, built without
-    the frame's blocks: one setdefault append per entry of the transport
-    list, then an accumulating get/add/pop per entry."""
-    cells = [pd.phase_cell(ci) for ci in range(len(pd.poset.cells))]
-    blocks = {}
-    for yi, s2, xi, _ in _transport_list(pd):
-        blocks.setdefault((yi, xi), []).append(((cells[yi].index[s2], 1),))
-    cx = pd.sign_complex()
-    D = {q: [{} for _ in range(cx.dim(q))] for q in cx.degrees[1:]}
-    for (yi, xi) in pd.poset.covers:
-        if not cells[xi].points or not cells[yi].points:
+    the frame's point complex: one setdefault append per entry of the
+    transport list, then an accumulating get/add/pop per entry.  One row
+    per phase point, cell by cell and point by point; columns in frame
+    numbering."""
+    offset = _frame_offsets(pd.frame)
+    targets = {}
+    for yi, s2, xi, s in _transport_list(pd):
+        targets.setdefault((xi, s), []).append((yi, s2))
+    D = {q: [] for q in range(1, pd.poset.max_dim + 1)}
+    for c in pd.poset.cells:
+        if c.dim == 0:
             continue
-        rows = D[pd.poset.cells[xi].dim]
-        sign = pd.poset.sign[yi, xi]
-        for i, entries in enumerate(blocks[yi, xi]):
-            row = rows[cx.offset[xi] + i]
-            for j, a in entries:
-                k = cx.offset[yi] + j
-                v = row.get(k, 0) + sign * a
+        for s in pd.phase_cell(c.index).points:
+            row = {}
+            for yi, s2 in targets.get((c.index, s), ()):
+                k = offset[yi] + s2
+                v = row.get(k, 0) + pd.poset.sign[yi, c.index]
                 if v:
                     row[k] = v
                 else:
                     row.pop(k, None)
+            D[c.dim].append(row)
     return D
 
 
@@ -261,7 +276,7 @@ def _class_results(side, poset, eps, fresh_results, first_spaces):
         assert pc.index == {s: i for i, s in enumerate(pc.points)}
     cx = pd.sign_complex()
     reference = _packed_mod2(_sign_boundary_assembled_per_point(pd))
-    rows = {q: cx.f2_rows(q) for q in reference}
+    rows = {q: cx.rows[q] for q in reference}
     assert rows == reference
     return gens, points, rows
 
@@ -294,6 +309,10 @@ def test_frame_memo_matches_fresh_frames(k3_pair):
             calls = (len(masks) + 1) * len(poset.cells) * (side.n + 2)
             keys = len(side.phase_frame(kind)._generators)
             assert 3 * keys < calls, (keys, calls)
+            # a PhaseCell is shared by every class with the same phases on
+            # the cell's own edges
+            cells = len(side.phase_frame(kind)._phase_cells)
+            assert 3 * cells < len(masks) * len(poset.cells), cells
 
 
 def _integer_lift(pd):
@@ -308,11 +327,16 @@ def _integer_lift(pd):
     return ChainComplex(pd.poset, ranks, blocks, pd.poset.sign)
 
 
+def _bits(r):
+    return [j for j in range(r.bit_length()) if r >> j & 1]
+
+
 def test_sign_complex_matches_integer_lift(cubic_pair, k3_pair):
-    # the packed F2 assembly against the signed integer one, on every cubic
-    # class (both posets) and 10 sampled K3 classes: the lift passes its Z
-    # square check and reduces mod 2 to the same rows bit for bit, and the
-    # F2 complex's 0/1 view has the lift's entries
+    # the restriction of the frame's point complex against the signed
+    # integer lift, on every cubic class (both posets) and 10 sampled K3
+    # classes: the lift passes its Z square check, and its rows reduced mod
+    # 2, with each coordinate (cell, point) mapped to its frame position
+    # offset + point, are the restricted rows bit for bit
     cubic, k3 = cubic_pair.side_a, k3_pair.side_a
     runs = [
         (cubic, "base", divisor_class_representatives(cubic)),
@@ -320,67 +344,97 @@ def test_sign_complex_matches_integer_lift(cubic_pair, k3_pair):
         (k3, "base", sample_divisor_classes(k3, 10, seed=5)),
     ]
     for side, kind, masks in runs:
+        poset = side.poset(kind)
+        offset = _frame_offsets(side.phase_frame(kind))
+        assert side.phase_frame(kind).offset == offset
+        assert side.phase_frame(kind).point_complex.offset == offset
         for mask in masks:
             eps = signs_from_divisor(side, mask_to_rays(side, mask))
-            pd = PhaseData(side, side.poset(kind), eps)
+            pd = PhaseData(side, poset, eps)
             cx, lift = pd.sign_complex(), _integer_lift(pd)
-            assert cx.dim_q == lift.dim_q and cx.offset == lift.offset
-            for q in cx.degrees + [cx.degrees[-1] + 1]:
-                assert cx.f2_rows(q) == lift.f2_rows(q), (kind, mask, q)
-            assert "D" not in cx.__dict__  # nothing above built the view
-            assert {q: [dict(r) for r in rows] for q, rows in cx.D.items()} == {
-                q: [dict.fromkeys(r, 1) for r in rows] for q, rows in lift.D.items()
-            }, (kind, mask)
+            position = {q: [] for q in lift.degrees}
+            for c in poset.cells:
+                position[c.dim] += [offset[c.index] + s for s in pd.phase_cell(c.index).points]
+            for q in cx.degrees:
+                assert cx.dim(q) == lift.dim(q) == len(position[q]), (kind, mask, q)
+                assert _bits(cx.masks[q]) == position[q], (kind, mask, q)
+                mapped = [
+                    sum(1 << position[q - 1][j] for j in _bits(r)) for r in lift.f2_rows(q)
+                ]
+                assert cx.rows[q] == mapped, (kind, mask, q)
+            assert cx.euler_characteristic() == lift.euler_characteristic()
+    # the point complex's read-only 0/1 view has the entries of its rows;
+    # nothing above built it
+    pcx = side.phase_frame(kind).point_complex
+    assert "D" not in pcx.__dict__
+    assert {q: [dict(r) for r in rows] for q, rows in pcx.D.items()} == {
+        q: [dict.fromkeys(_bits(r), 1) for r in pcx.f2_rows(q)] for q in pcx.D
+    }
     with pytest.raises(TypeError):
-        cx.D[1] = ()
+        pcx.D[1] = ()
 
 
 def test_sign_complex_refuses_integer_rings(cubic_pair):
-    # an F2 complex answers over F2 only; asking it for Q or Z ranks is an
-    # internal error (exit code 2), and neither that nor any F2 question
-    # builds its 0/1 view
+    # an F2 complex answers over F2 only: asking the frame's point complex
+    # for Q or Z ranks, or its restriction for Q or Z homology, is an
+    # internal error (exit code 2), and no F2 question builds the point
+    # complex's 0/1 view.  The restriction's boundary works in frame
+    # numbering: each kept point's boundary is its gathered row, and a
+    # chain on points outside the phase sets is refused
     side = cubic_pair.side_a
-    eps = signs_from_divisor(side, [D7])
-    cx = PhaseData(side, side.base_poset, eps).sign_complex()
-    for ask in (lambda: cx.homology("q"), lambda: cx.homology("z"),
-                lambda: cx.rank_boundary(1, "q")):
+    pcx = side.phase_frame("base").point_complex
+    for ask in (lambda: pcx.homology("q"), lambda: pcx.homology("z"),
+                lambda: pcx.rank_boundary(1, "q")):
         with pytest.raises(InternalCheckError, match="F2 complex"):
             ask()
+    for q in pcx.degrees:
+        for v in pcx.f2_homology_generators(q):
+            assert not pcx.f2_is_boundary(v, q)
+    eps = signs_from_divisor(side, [D7])
+    cx = PhaseData(side, side.base_poset, eps).sign_complex()
+    for ring in ("q", "z"):
+        with pytest.raises(InternalCheckError, match="F2 complex"):
+            cx.homology(ring)
+    with pytest.raises(ValueError):
+        cx.homology("r")
     assert cx.homology("f2").ranks()[: side.n + 1] == real_betti(side, eps)
-    for q in cx.degrees:
-        for v in cx.f2_homology_generators(q):
-            assert not cx.f2_is_boundary(v, q)
-    assert "D" not in cx.__dict__
+    refused = 0
+    for q in cx.degrees[1:]:
+        rows = [cx.f2_boundary(1 << j, q) for j in _bits(cx.masks[q])]
+        assert rows == cx.rows[q]
+        for j in _bits(((1 << cx.parent.dim(q)) - 1) & ~cx.masks[q]):
+            with pytest.raises(NotAClosedChain):
+                cx.f2_boundary(1 << j, q)
+            refused += 1
+    assert refused
+    assert "D" not in pcx.__dict__
 
 
 def test_redirected_sign_row_breaks_square(k3_pair):
-    # one block row of a K3 sign complex sent to another phase point of
-    # the same face, one whose boundary differs: the mod-2 square check
-    # at construction must catch it (the frame itself is left untouched)
+    # one cover image of a fresh K3 frame sent to another point of the same
+    # face, one whose boundary row differs, before the frame's point complex
+    # is built: its mod-2 square check must catch it at that build
     side = k3_pair.side_a
     poset = side.base_poset
-    pd = PhaseData(side, poset, signs_from_divisor(side, side.newton.rays()[:3]))
-    cx = pd.sign_complex()
-    below, offset = cx.f2_rows(1), cx.offset
-    covers = list(pd.frame.covers)
-    for n, (yi, xi, images) in enumerate(covers):
-        px, py = pd.phase_cell(xi), pd.phase_cell(yi)
-        if poset.cells[xi].dim != 2 or not px.points:
+    shared = side.phase_frame("base").point_complex
+    below, offset = shared.f2_rows(1), shared.offset
+    frame = PhaseFrame(side.evaluator, poset)
+    for n, (yi, xi, images) in enumerate(frame.covers):
+        if poset.cells[xi].dim != 2:
             continue
-        row = below[offset[yi] + py.index[images[px.points[0]]]]
-        other = [t for t in py.points if below[offset[yi] + py.index[t]] != row]
+        row = below[offset[yi] + images[0]]
+        other = [
+            t for t in range(1 << frame.cells[yi][1]) if below[offset[yi] + t] != row
+        ]
         if other:
             break
     else:
-        pytest.fail("no degree-2 cover with a phase point to redirect to")
+        pytest.fail("no degree-2 cover with a frame point to redirect to")
     images = list(images)
-    images[px.points[0]] = other[0]
-    covers[n] = (yi, xi, images)
-    pd.frame = copy.copy(pd.frame)
-    pd.frame.covers = covers
-    pd._complex = None
+    images[0] = other[0]
+    frame.covers[n] = (yi, xi, images)
     with pytest.raises(BoundarySquareNonzero, match="degree 2"):
-        pd.sign_complex()
+        frame.point_complex
 
 
 def test_filtration_rank_identity_and_preservation(cubic_pair):
@@ -541,23 +595,35 @@ def test_real_complex_matches_per_point_reference(cubic_pair, k3_pair):
 
 
 def test_escaping_transport_raises():
-    # a corrupted image in a scratch frame's covers is caught by the
-    # per-cover escape check before either Betti route reads it
+    # a class whose phase set on a cell y misses the image of a phase point
+    # of a cell x above it: the memoized PhaseCell of y, in a scratch
+    # pair's frame, is swapped for one without that point, and the
+    # per-degree reach check catches it before either Betti route reads it.
+    # The check reads the covers, not the point complex: phase data alone
+    # does not build it
     side = MirrorPair(
         generate_central(LatticePolytope(CUBIC_VERTS)),
         generate_central(LatticePolytope(CUBIC_DUAL_VERTS)),
     ).side_a
     eps = signs_from_divisor(side, [D7, D8])
     pd = PhaseData(side, side.base_poset, eps)
+    frame = side.phase_frame("base")
+    assert "point_complex" not in frame.__dict__
     real_betti(side, eps)
-    for yi, xi, images in side.phase_frame("base").covers:
-        py, px = pd.phase_cell(yi), pd.phase_cell(xi)
-        outside = [s for s in range(1 << py.qd) if s not in py.index]
-        if px.points and outside:
-            images[px.points[-1]] = outside[0]
+    for yi, xi, images in frame.covers:
+        if pd.phase_cell(xi).points:
             break
     else:
-        pytest.fail("no cover with a point outside its target phase set")
+        pytest.fail("no cover below a cell with phase points")
+    py = pd.phase_cell(yi)
+    s2 = images[pd.phase_cell(xi).points[-1]]
+    assert s2 in py.index
+    doctored = copy.copy(py)
+    doctored.bits = py.bits & ~(1 << s2)
+    doctored.points, doctored.index = frame.point_set(py.qd, doctored.bits)
+    key = (yi, py.tes)
+    assert frame._phase_cells[key] is py
+    frame._phase_cells[key] = doctored
     with pytest.raises(InternalCheckError, match="escaped"):
         PhaseData(side, side.base_poset, eps)
     with pytest.raises(InternalCheckError, match="escaped"):

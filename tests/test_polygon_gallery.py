@@ -15,14 +15,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tropmirror.chains import ChainComplex
 from tropmirror.lattice import LatticePolytope
 from tropmirror.pairs import MirrorPair
 from tropmirror.patchwork import (
+    PhaseCell,
     PhaseData,
+    PhaseFrame,
     RealComplex,
     connectedness_verdict,
     divisor_class_representatives,
     mask_to_rays,
+    phase_from_signs,
     real_betti,
     sample_divisor_classes,
     signs_from_divisor,
@@ -177,3 +181,52 @@ def test_arbitrary_signs_on_gallery_curves(gallery_sides, data):
     b0, b1 = real_betti(side, eps)  # both routes and the component count agree
     assert b0 == b1 and b0 in (1, 2), (b0, b1)
     assert PhaseData(side, side.base_poset, eps).sign_complex().euler_characteristic() == 0
+
+
+def _assembled_per_class(pd):
+    """The sign complex of one class assembled on its own: a packed F2
+    ChainComplex over the phase points, numbered cell by cell, with one
+    single-bit block row per phase point of x on each frame cover, and its
+    own square check."""
+    cells = [pd.phase_cell(ci) for ci in range(len(pd.poset.cells))]
+    blocks = (
+        (yi, xi, [1 << cells[yi].index[images[s]] for s in cells[xi].points])
+        for yi, xi, images in pd.frame.covers
+    )
+    return ChainComplex(pd.poset, [len(pc.points) for pc in cells], blocks)
+
+
+@settings(max_examples=48, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_restricted_sign_complex_matches_per_class_assembly(cubic_pair, gallery_sides, data):
+    # any signs on the cubic or a gallery polygon, on either poset: the
+    # frame's point complex restricted to the phase points has the F2 Betti
+    # numbers and Euler characteristic of the complex assembled for this
+    # class alone, every memoized PhaseCell equals one that a fresh frame
+    # builds, and its reach, read off the covers, is the OR of the point
+    # complex's rows of its points
+    sides = [cubic_pair.side_a] + gallery_sides
+    side = sides[data.draw(st.integers(0, len(sides) - 1), label="polygon")]
+    kind = data.draw(st.sampled_from(["base", "refined"]), label="poset")
+    points = sorted(side.newton.polytope.lattice_points)
+    bits = data.draw(st.lists(st.integers(0, 1), min_size=len(points), max_size=len(points)),
+                     label="signs")
+    eps = dict(zip(points, bits))
+    poset = side.poset(kind)
+    pd = PhaseData(side, poset, eps)
+    cx, oracle = pd.sign_complex(), _assembled_per_class(pd)
+    assert cx.homology("f2") == oracle.homology("f2")
+    assert cx.euler_characteristic() == oracle.euler_characteristic()
+    fresh = PhaseFrame(side.evaluator, poset)
+    t = phase_from_signs(side, eps)
+    pcx = pd.frame.point_complex
+    for c, (_, _, edges) in zip(poset.cells, fresh.cells):
+        memo = pd.phase_cell(c.index)
+        built = fresh.cell_phase(c.index, tuple(t[e] for e, _, _ in edges))
+        assert [getattr(memo, a) for a in PhaseCell.__slots__] == [
+            getattr(built, a) for a in PhaseCell.__slots__
+        ], c.index
+        rows, reach = pcx.f2_rows(c.dim), 0
+        for s in memo.points if rows else ():  # 0-cells have no rows
+            reach |= rows[pcx.offset[c.index] + s]
+        assert memo.reach == reach, c.index
