@@ -6,26 +6,21 @@ relations times the signature signs into one sparse integer matrix per
 degree.  Chains are row vectors acting on the left (boundary of v is v.D),
 so ranks and kernels of the boundary matrices are row-space computations.
 
-A complex comes in one of two forms.  An integer complex serves every
-ring: Q uses the ranks of its matrices, F2 reduces them to packed bit rows,
-and Z reads both the ranks and the torsion off one elimination per
-boundary, its elementary divisors, and checks them against any Q or F2 rank
-already computed; the square of its boundary is verified to vanish over Z
-at construction (hence over every ring).  An F2 complex, such as the sign
-cosheaf's over every point of a phase frame, is assembled straight into
-packed bit rows with no signature (-1 = 1 over F2), serves F2 only, and has
-the square of its boundary verified to vanish mod 2 at construction, on
-those rows.
+A complex serves every ring: Q uses the ranks of its matrices, F2 reduces
+them to packed bit rows, and Z reads both the ranks and the torsion off one
+elimination per boundary, its elementary divisors, and checks them against
+any Q or F2 rank already computed; the square of its boundary is verified
+to vanish over Z at construction (hence over every ring).
 
-An F2Subcomplex is the span of some basis vectors of an F2 complex, closed
-under its boundary, such as the sign complex of one sign distribution: it
+An F2 complex with no signature, such as the sign cosheaf's over every
+point of a phase frame, is kept by its owner as packed boundary rows per
+degree (-1 = 1 over F2), whose square ``check_f2_square_zero`` verifies mod
+2.  An F2Subcomplex is the span of some basis vectors of such rows, closed
+under their boundary, such as the sign complex of one sign distribution: it
 keeps the parent's numbering and rows, so it is neither assembled nor
 square-checked again, and its ranks come from the parent's rows of the kept
 vectors.
 """
-
-from functools import cached_property
-from types import MappingProxyType
 
 from .errors import BoundarySquareNonzero, InternalCheckError, NotAClosedChain
 from .intlinalg import (
@@ -48,23 +43,26 @@ def dense_block(block, width):
     return out
 
 
-def _bits(r):
-    """Positions of the set bits of r, lowest first."""
-    while r:
-        low = r & -r
-        yield low.bit_length() - 1
-        r ^= low
-
-
 def _square_nonzero(q, i):
     raise BoundarySquareNonzero(f"boundary squared nonzero in degree {q}, row {i}")
 
 
-def _check_ring(ring, f2_only):
+def check_f2_square_zero(rows):
+    """D_q . D_{q-1} = 0 mod 2 for packed boundary rows ``rows[q]`` per
+    degree: for each row of D_q the XOR of the D_{q-1} rows at its set bits
+    must be 0."""
+    for q, block in rows.items():
+        below = rows.get(q - 1)
+        if below is None:
+            continue
+        for i, r in enumerate(block):
+            if f2_combine(r, below):
+                _square_nonzero(q, i)
+
+
+def _check_ring(ring):
     if ring not in RINGS:
         raise ValueError(f"unknown ring {ring!r}")
-    if f2_only and ring != "f2":
-        raise InternalCheckError(f"an F2 complex has no homology over {ring}")
 
 
 class HomologySummary:
@@ -121,26 +119,18 @@ class ChainComplex(_Graded):
 
     ``ranks``: value rank per cell index; the coordinates of a cell start at
     ``offset[ci]`` within its degree, in the order of ``poset.cells_by_dim``.
-
-    Integer form (``sign`` given, the signature on the covers): ``blocks``
-    maps each cover (y below x) to the integer matrix taking x-coordinates
-    to y-coordinates, as sparse rows: per x-coordinate, a sequence of
-    (y-coordinate, entry) pairs naming each y-coordinate at most once, with
-    a nonzero entry.  ``D[q]`` holds the boundary rows as {column: entry}.
-
-    F2 form (no ``sign``): ``blocks`` yields (y, x, rows) per cover, with one
-    packed int over the y-coordinates per x-coordinate; they are XORed into
-    the packed rows that ``f2_rows`` returns.  Such a complex answers over
-    F2 only, and ``D`` is a read-only 0/1 view of its rows, built on first
-    read, which the package itself never reads.
+    ``sign`` is the signature on the covers, and ``blocks`` maps each cover
+    (y below x) to the integer matrix taking x-coordinates to y-coordinates,
+    as sparse rows: per x-coordinate, a sequence of (y-coordinate, entry)
+    pairs naming each y-coordinate at most once, with a nonzero entry.
+    ``D[q]`` holds the boundary rows as {column: entry}.
     """
 
-    def __init__(self, poset, ranks, blocks, sign=None):
+    def __init__(self, poset, ranks, blocks, sign):
         self.poset = poset
         self.ranks = ranks = list(ranks)
         self.degrees = list(range(0, poset.max_dim + 1))
         self._boundary_degrees = range(1, poset.max_dim + 1)
-        self._f2_only = sign is None
         self.offset = offset = [0] * len(ranks)
         self.dim_q = {}
         self.cells_q = poset.cells_by_dim
@@ -154,59 +144,30 @@ class ChainComplex(_Graded):
         self._f2_cache = {}
         self._f2_space_cache = {}
         cells = poset.cells
-        if self._f2_only:
-            packed = self._f2_cache
-            for q in self._boundary_degrees:
-                packed[q] = [0] * self.dim_q[q]
-            for yi, xi, block in blocks:
-                rows, oy = packed[cells[xi].dim], offset[yi]
-                for i, r in enumerate(block, offset[xi]):
-                    rows[i] ^= r << oy
-        else:
-            self.D = {q: [{} for _ in range(self.dim_q[q])] for q in self._boundary_degrees}
-            # The row of a coordinate of x gets entries only from the covers
-            # (y, x).  Those have distinct y, hence disjoint column ranges
-            # [offset[y], offset[y] + rank[y]), and a block row names each
-            # y-coordinate once with a nonzero entry, so no two writes meet
-            # and each entry is stored as it comes.
-            for (yi, xi) in poset.covers:
-                rx = ranks[xi]
-                if rx == 0 or ranks[yi] == 0:
-                    continue
-                s = sign[yi, xi]
-                block = blocks[yi, xi]
-                ox, oy = offset[xi], offset[yi]
-                rows = self.D[cells[xi].dim]
-                for i in range(rx):
-                    row = rows[ox + i]
-                    for j, a in block[i]:
-                        row[oy + j] = s * a
+        self.D = {q: [{} for _ in range(self.dim_q[q])] for q in self._boundary_degrees}
+        # The row of a coordinate of x gets entries only from the covers
+        # (y, x).  Those have distinct y, hence disjoint column ranges
+        # [offset[y], offset[y] + rank[y]), and a block row names each
+        # y-coordinate once with a nonzero entry, so no two writes meet and
+        # each entry is stored as it comes.
+        for (yi, xi) in poset.covers:
+            rx = ranks[xi]
+            if rx == 0 or ranks[yi] == 0:
+                continue
+            s = sign[yi, xi]
+            block = blocks[yi, xi]
+            ox, oy = offset[xi], offset[yi]
+            rows = self.D[cells[xi].dim]
+            for i in range(rx):
+                row = rows[ox + i]
+                for j, a in block[i]:
+                    row[oy + j] = s * a
         self._check_square_zero()
-
-    @cached_property
-    def D(self):
-        """Boundary rows per degree q >= 1 as {column: entry} mappings.
-
-        An integer complex sets D at construction, which this never
-        overrides; an F2 complex gets a read-only 0/1 view of its packed
-        rows, built from their set bits on first read."""
-        return MappingProxyType({
-            q: tuple(MappingProxyType(dict.fromkeys(_bits(r), 1)) for r in rows)
-            for q, rows in self._f2_cache.items()
-            if q in self._boundary_degrees
-        })
 
     # -- structure -------------------------------------------------------------
     def _check_square_zero(self):
-        """D_q . D_{q-1} = 0 for every q: over Z on the dict rows of an
-        integer complex, mod 2 on the packed rows of an F2 complex."""
+        """D_q . D_{q-1} = 0 over Z for every q."""
         for q in self.degrees[2:]:
-            if self._f2_only:
-                below = self._f2_cache[q - 1]
-                for i, r in enumerate(self._f2_cache[q]):
-                    if f2_combine(r, below):
-                        _square_nonzero(q, i)
-                continue
             Dq, Dq1 = self.D[q], self.D[q - 1]
             for i, row in enumerate(Dq):
                 acc = {}
@@ -218,7 +179,7 @@ class ChainComplex(_Graded):
 
     # -- ranks and homology ------------------------------------------------------
     def rank_boundary(self, q, ring):
-        _check_ring(ring, self._f2_only)
+        _check_ring(ring)
         if q not in self._boundary_degrees or self.dim(q) == 0 or self.dim(q - 1) == 0:
             return 0
         key = (q, "f2" if ring == "f2" else "q")
@@ -252,7 +213,7 @@ class ChainComplex(_Graded):
         return self._rank_cache[key]
 
     def homology(self, ring):
-        _check_ring(ring, self._f2_only)
+        _check_ring(ring)
         torsion = {}
         if ring == "z":
             for q in self._boundary_degrees:
@@ -267,7 +228,7 @@ class ChainComplex(_Graded):
 
     # -- F2 chain operations -------------------------------------------------------
     def f2_rows(self, q):
-        """Packed rows of D_q mod 2 (an F2 complex has them from the start)."""
+        """Packed rows of D_q mod 2, built on first read."""
         if q not in self._f2_cache:
             packed = []
             for row in self.D[q] if q in self._boundary_degrees else ():
@@ -351,25 +312,28 @@ class F2Subcomplex(_Graded):
     """The span of some basis vectors of an F2 complex, closed under its
     boundary.
 
+    ``parent_rows[q]`` holds the parent's packed boundary rows of degree q,
+    whose square the parent's owner has checked (``check_f2_square_zero``).
     ``masks[q]`` packs the kept degree-q basis vectors in the parent's
-    numbering, and ``rows[q]`` lists the parent's packed boundary rows of
-    those vectors in increasing position.  The caller checks that the span
-    is closed (each row of ``rows[q]`` lies inside ``masks[q - 1]``); the
-    square of the parent's boundary, checked at its construction, then
+    numbering, and ``rows[q]`` lists the parent's rows of those vectors in
+    increasing position.  The caller checks that the span is closed (each
+    row of ``rows[q]`` lies inside ``masks[q - 1]``); the square then
     vanishes here too, so nothing is assembled or checked again.  Answers
     over F2 only; chains are packed in the parent's numbering.
     """
 
-    def __init__(self, parent, masks, rows):
-        self.parent = parent
-        self.degrees = parent.degrees
+    def __init__(self, parent_rows, masks, rows):
+        self.parent_rows = parent_rows
+        self.degrees = sorted(masks)
         self.masks = masks
         self.rows = rows
         self.dim_q = {q: m.bit_count() for q, m in masks.items()}
         self._homology = None
 
     def homology(self, ring):
-        _check_ring(ring, True)
+        _check_ring(ring)
+        if ring != "f2":
+            raise InternalCheckError(f"an F2 complex has no homology over {ring}")
         if self._homology is None:
             ranks = {q: f2_rank(rows) for q, rows in self.rows.items()}
             self._homology = HomologySummary({
@@ -383,4 +347,5 @@ class F2Subcomplex(_Graded):
         rows."""
         if vec & ~self.masks[q]:
             raise NotAClosedChain(f"chain in degree {q} leaves the subcomplex")
-        return self.parent.f2_boundary(vec, q)
+        rows = self.parent_rows.get(q)
+        return f2_combine(vec, rows) if rows else 0

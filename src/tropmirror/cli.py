@@ -82,17 +82,30 @@ def load_pair(args):
 def load_divisor(path):
     data = _load_json(path)
     try:
-        return [tuple(int(a) for a in r) for r in data["rays"]]
+        rays = [tuple(int(a) for a in r) for r in data["rays"]]
     except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"bad divisor file {path}: {e}") from None
+    repeated = sorted({r for r in rays if rays.count(r) > 1})
+    if repeated:
+        raise InputError(f"divisor file {path} repeats the rays {repeated}")
+    return rays
 
 
 def load_signs(path):
+    """{lattice point: sign}; each point once, each sign 0 or 1."""
     data = _load_json(path)
     try:
-        return {tuple(int(a) for a in p): int(b) & 1 for p, b in data["signs"]}
+        entries = [(tuple(int(a) for a in p), b) for p, b in data["signs"]]
     except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"bad signs file {path}: {e}") from None
+    signs = {}
+    for p, b in entries:
+        if b not in (0, 1):
+            raise InputError(f"signs file {path} gives {p} the sign {b!r}, not 0 or 1")
+        if p in signs:
+            raise InputError(f"signs file {path} repeats the point {p}")
+        signs[p] = int(b)
+    return signs
 
 
 def report(args, result, inputs):
@@ -267,9 +280,14 @@ def cmd_patchwork(args):
         inputs.append(args.divisor)
     else:
         eps = load_signs(args.signs)
-        missing = set(side.newton.polytope.lattice_points) - set(eps)
+        points = set(side.newton.polytope.lattice_points)
+        missing, outside = points - set(eps), set(eps) - points
         if missing:
             raise InputError(f"signs file misses lattice points {sorted(missing)}")
+        if outside:
+            raise InputError(
+                f"signs file names points outside the Newton polytope {sorted(outside)}"
+            )
         rays = divisor_from_signs(side, eps)
         inputs.append(args.signs)
     betti = real_betti(side, eps)
@@ -298,6 +316,8 @@ def cmd_sweep(args):
             raise InputError(f"sweep --raw takes no {', '.join(ignored)}")
     elif args.seed is not None and args.samples is None:
         raise InputError("sweep --seed needs --samples")
+    elif args.samples is not None and args.samples < 1:
+        raise InputError(f"sweep --samples must be at least 1, not {args.samples}")
     pair = load_pair(args)
     side = pair.side_a
     if args.raw:
@@ -313,7 +333,7 @@ def cmd_sweep(args):
             )
         result = {"mode": "raw", "rows": rows}
     else:
-        if args.samples:
+        if args.samples is not None:
             masks = sample_divisor_classes(side, args.samples, args.seed or 0)
         else:
             masks = divisor_class_representatives(side)

@@ -145,6 +145,20 @@ def contraction_matrix(side, p, cell, vertex=None):
 # ---------------------------------------------------------------------------
 # divisor restriction
 
+def divisor_support(side, rays):
+    """The support of the F2 toric divisor that lists ``rays``: the rays
+    listed an odd number of times (over F2 a ray listed twice cancels).
+    Each listed ray must be a ray of the Newton fan of ``side``."""
+    support = set()
+    boundary_points = set(side.newton.rays())
+    for r in rays:
+        v = tuple(r)
+        if v not in boundary_points:
+            raise RayNotInFan(f"{v} is not a ray of the Newton fan")
+        support ^= {v}
+    return support
+
+
 def divisor_restriction(side, rays):
     """The mirror-side cycle cut out by an F2 toric divisor.
 
@@ -153,18 +167,13 @@ def divisor_restriction(side, rays):
     posets, supported at infinity, with the rank-one generator of each
     incident cell as coefficient.  Degree n-1; closed over F2.
     """
-    support = set()
-    boundary_points = set(side.newton.rays())
-    for r in rays:
-        v = tuple(r)
-        if v not in boundary_points:
-            raise RayNotInFan(f"{v} is not a ray of the Newton fan")
-        support.symmetric_difference_update({v})
+    support = divisor_support(side, rays)
     mirror = side.mirror
     poset = mirror.base_poset
     o = mirror.ambient.origin
     n = side.n
     chain = {}
+    # each cell has one tau, so no cell is reached from two support rays
     for v in sorted(support):
         tau = tuple(sorted((o, v)))
         for cell in poset.cells_by_tau.get(tau, ()):
@@ -172,12 +181,7 @@ def divisor_restriction(side, rays):
                 val = mirror.evaluator.value("multitangent", n - 1, cell)
                 if val.rank != 1:
                     raise InternalCheckError("divisor cell coefficient is not rank one")
-                prev = chain.get(cell.key, (0,))
-                new = (prev[0] ^ 1,)
-                if new[0]:
-                    chain[cell.key] = new
-                else:
-                    chain.pop(cell.key, None)
+                chain[cell.key] = (1,)
     return chain
 
 

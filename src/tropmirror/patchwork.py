@@ -15,54 +15,56 @@ Phase sets live in quotient coordinates mod 2 of the same frames the
 cosheaf evaluator uses, packed into small ints; cells off infinity pull
 their phase data back from the collapsed cell, matching the cosheaf side.
 What does not depend on the signs (each cell's frame and edge parities,
-each cover's map between frames, and the sign cosheaf's F2 complex over
-every frame point, built on first read and square-checked mod 2 there) is
-a PhaseFrame, built once per side and poset kind.  A sign distribution only
-picks the points each cell keeps, and what depends only on a cell's edge
-phases is memoized in the frame: the phase point sets, each cell's phase
-data with the OR of its points' boundaries (its reach, read off the
-covers), and the filtration generators and the F2 spaces they span, so
-classes that agree on a cell share them.  Each sign distribution then ORs
-its cells' phase sets and reaches per degree; the transport is checked once
-per degree (the reach of the q-cells stays inside the phase set of degree
-q-1), which makes its sign complex a subcomplex of the frame's, with no
-assembly or square check of its own: its rows are gathered from the
-frame's.  Both Betti routes cross-check each other: the sign complex's
-ranks come from the gathered rows, and the real complex numbers its cells
-on its own and packs its boundary rows in one pass over the frame's covers.
+each cover's map between frames, and the packed boundary rows of the sign
+cosheaf's F2 complex over every frame point, built on first read and
+square-checked mod 2 there) is a PhaseFrame, built once per side and poset
+kind.  A sign distribution only picks the points each cell keeps, and what
+depends only on a cell's edge phases is memoized in the frame: the phase
+point sets, each cell's phase data with the OR of its points' boundaries
+(its reach, read off the covers), and the filtration generators and the F2
+spaces they span, so classes that agree on a cell share them.  Each sign
+distribution then ORs its cells' phase sets and reaches per degree; the
+transport is checked once per degree (the reach of the q-cells stays inside
+the phase set of degree q-1), which makes its sign complex a subcomplex of
+the frame's, with no assembly or square check of its own: its rows are
+gathered from the frame's point rows.  Both Betti routes cross-check each
+other: the sign complex's ranks come from the gathered rows, and the real
+complex numbers its cells on its own and packs its boundary rows in one
+pass over the frame's covers.
 """
 
 import random
 from functools import cached_property
 from itertools import combinations
 
-from .chains import ChainComplex, F2Subcomplex
+from .chains import F2Subcomplex, check_f2_square_zero
 from .errors import (
     HypothesisFails,
     InputError,
     InternalCheckError,
     InvalidPhaseStructure,
     NotAClosedChain,
-    RayNotInFan,
 )
 from .intlinalg import F2Space, dot, f2_combine, f2_pack, f2_rank
 from .exterior import wedge_matrix
-from .mirror import chain_degree, divisor_restriction, f2_apply, is_null_class
+from .mirror import (
+    chain_degree,
+    divisor_restriction,
+    divisor_support,
+    f2_apply,
+    is_null_class,
+)
 
 
 # ---------------------------------------------------------------------------
 # signs <-> phases <-> divisors
 
 def signs_from_divisor(side, rays):
-    """Sign distribution with origin sign 1 and boundary signs = coefficients."""
-    support = {tuple(r) for r in rays}
-    boundary = set(side.newton.rays())
-    bad = support - boundary
-    if bad:
-        raise RayNotInFan(f"{sorted(bad)} are not rays of the Newton fan")
+    """Sign distribution with origin sign 1 and boundary signs = the F2
+    coefficients of the divisor that lists ``rays``."""
     eps = {p: 0 for p in side.newton.polytope.lattice_points}
     eps[side.newton.origin] = 1
-    for v in support:
+    for v in divisor_support(side, rays):
         eps[v] = 1
     return eps
 
@@ -193,15 +195,17 @@ class PhaseFrame:
     mask ``rdm`` of its direction in frame coordinates, the packed set of
     points s with s.rdm odd).  ``covers`` lists (y, x, images) for each
     cover y below x where both cells have edges: ``images[s]`` is the point
-    s of the frame of x carried into the frame of y.
+    s of the frame of x carried into the frame of y, one list shared by
+    every cover between the same two frames (``point_images``).
 
-    ``point_complex`` is the sign cosheaf's F2 complex over every point s
-    of every cell with edges, 2^qd coordinates per cell starting at
-    ``offset[ci]`` within its degree: per cover, point s of x has the
-    single bit of its image in y.  It is built on first read, once per side
-    and poset kind, and its square is checked mod 2 then; a sign
-    distribution's complex is its restriction to the phase points.  The
-    real complex reads its boundary off ``covers`` on its own.
+    The frame numbers every point s of every cell with edges, 2^qd points
+    per cell starting at ``offset[ci]`` within its degree.  ``point_rows``
+    holds the sign cosheaf's F2 complex over all of them as packed boundary
+    rows per degree: per cover, point s of x has the single bit of its
+    image in y.  They are built on first read, once per side and poset
+    kind, and their square is checked mod 2 then; a sign distribution's
+    complex is their restriction to the phase points.  The real complex
+    reads its boundary off ``covers`` on its own.
 
     What depends only on a cell's edge phases ``tes`` (one 0/1 per edge,
     in ``cells[ci]`` edge order) is memoized: point lists and their index
@@ -219,7 +223,7 @@ class PhaseFrame:
         self._phase_cells = {}
         self.cells = []
         self.offset = []
-        used = {}  # dim -> frame points of the cells of that dim so far
+        self._width = {}  # dim -> frame points of the cells of that dim
         for cell in poset.cells:
             stratum = evaluator.value_stratum("multitangent", cell)
             fr = evaluator.frame(stratum)
@@ -231,37 +235,40 @@ class PhaseFrame:
                 odd = f2_pack([bin(s & rdm).count("1") for s in range(1 << qd)])
                 edges.append(((min(a, b), max(a, b)), rdm, odd))
             self.cells.append((stratum, qd, edges))
-            off = used.get(cell.dim, 0)
+            off = self._width.get(cell.dim, 0)
             self.offset.append(off)
-            used[cell.dim] = off + (1 << qd if edges else 0)
+            self._width[cell.dim] = off + (1 << qd if edges else 0)
         self.covers = []
         self._below = [[] for _ in poset.cells]  # xi -> [(offset[yi], images)]
         for (yi, xi) in poset.covers:
-            (sx, qx, ex), (sy, _, ey) = self.cells[xi], self.cells[yi]
+            (sx, _, ex), (sy, _, ey) = self.cells[xi], self.cells[yi]
             if ex and ey:
-                masks = self.projection_masks(sx, sy)
-                images = [f2_combine(s, masks) for s in range(1 << qx)]
+                images = self.point_images(sx, sy)
                 self.covers.append((yi, xi, images))
                 self._below[xi].append((self.offset[yi], images))
 
     @cached_property
-    def point_complex(self):
-        """The sign cosheaf's F2 complex over every frame point of every
-        cell with edges, square-checked mod 2 as it is built."""
-        ranks = [1 << qd if edges else 0 for _, qd, edges in self.cells]
-        blocks = (
-            (yi, xi, [1 << t for t in images]) for yi, xi, images in self.covers
-        )
-        cx = ChainComplex(self.poset, ranks, blocks)
-        if cx.offset != self.offset:
-            raise InternalCheckError("point complex numbering differs from the frame's")
-        return cx
+    def point_rows(self):
+        """Packed boundary rows per degree q >= 1 of the sign cosheaf's F2
+        complex over every frame point, in the frame's numbering, built in
+        one pass over the covers and square-checked mod 2."""
+        cells, offset = self.poset.cells, self.offset
+        rows = {
+            q: [0] * self._width.get(q, 0) for q in range(1, self.poset.max_dim + 1)
+        }
+        for yi, xi, images in self.covers:
+            block, oy = rows[cells[xi].dim], offset[yi]
+            for i, t in enumerate(images, offset[xi]):
+                block[i] ^= 1 << (oy + t)
+        check_f2_square_zero(rows)
+        return rows
 
-    def projection_masks(self, sx, sy):
-        """Images of the frame-sx basis bits in frame sy, as packed masks."""
+    def point_images(self, sx, sy):
+        """The image in frame sy of every point of frame sx, computed once
+        per (sx, sy).  Shared; callers must not mutate it."""
         if (sx, sy) not in self._proj:
-            P = self.evaluator.projection(sx, sy)
-            self._proj[sx, sy] = [f2_pack(row) for row in P]
+            masks = [f2_pack(row) for row in self.evaluator.projection(sx, sy)]
+            self._proj[sx, sy] = [f2_combine(s, masks) for s in range(1 << len(masks))]
         return self._proj[sx, sy]
 
     def phase_bits(self, ci, tes):
@@ -290,8 +297,8 @@ class PhaseFrame:
 
     def cell_phase(self, ci, tes):
         """The PhaseCell of cell ci under edge phases tes, built once per
-        (ci, tes).  Its reach is read off the covers below ci, in the point
-        complex's numbering, without building that complex.  Shared;
+        (ci, tes).  Its reach is read off the covers below ci, in the
+        frame's numbering, without building the point rows.  Shared;
         callers must not mutate it."""
         key = (ci, tes)
         pc = self._phase_cells.get(key)
@@ -381,7 +388,7 @@ class PhaseCell:
     """One cell's phase data under one choice of its edge phases ``tes``:
     the packed phase set ``bits``, its ``points`` in increasing order and
     their ``index``, and ``reach``, the OR of the boundaries of its points
-    in the numbering of the frame's point complex."""
+    in the frame's numbering."""
 
     __slots__ = ("stratum", "qd", "tes", "bits", "points", "index", "reach")
 
@@ -391,13 +398,13 @@ class PhaseData:
 
     Each cell's PhaseCell comes from the frame's memo, keyed by the edge
     phases of this distribution on the cell's edges.  Per degree q the
-    phase sets of the q-cells, shifted to their offsets in the frame's
-    point complex, are ORed into the phase set ``masks[q]``; the span
-    of the phase points is closed under the boundary of the frame's point
-    complex iff the reach of the q-cells lies in ``masks[q - 1]``, checked
-    here once per degree.  The sign complex is that span, an F2Subcomplex
-    of the point complex, built on first read.  The real complex reads the
-    transport from the frame's covers.
+    phase sets of the q-cells, shifted to their frame offsets, are ORed
+    into the phase set ``masks[q]``; the span of the phase points is closed
+    under the boundary of the frame's point rows iff the reach of the
+    q-cells lies in ``masks[q - 1]``, checked here once per degree.  The
+    sign complex is that span, an F2Subcomplex of the point rows, built on
+    first read.  The real complex reads the transport from the frame's
+    covers.
     """
 
     def __init__(self, side, poset, eps):
@@ -426,23 +433,23 @@ class PhaseData:
         return self._cells[ci]
 
     def transport(self, s, sx, sy):
-        return f2_combine(s, self.frame.projection_masks(sx, sy))
+        return self.frame.point_images(sx, sy)[s]
 
     def sign_complex(self):
-        """The sign cosheaf's F2 complex: the frame's point complex restricted
-        to the phase points, in its numbering, with the rows of those
-        points gathered cell by cell."""
+        """The sign cosheaf's F2 complex: the frame's point rows restricted
+        to the phase points, in the frame's numbering, with the rows of
+        those points gathered cell by cell."""
         if self._complex is None:
-            cx, offset = self.frame.point_complex, self.frame.offset
+            prows, offset = self.frame.point_rows, self.frame.offset
             rows = {}
             for q, indices in self.poset.cells_by_dim.items():
-                frows, gathered = cx.f2_rows(q), []
+                frows, gathered = prows.get(q), []
                 if frows:
                     for ci in indices:
                         off = offset[ci]
                         gathered += [frows[off + s] for s in self._cells[ci].points]
                 rows[q] = gathered
-            self._complex = F2Subcomplex(cx, self._masks, rows)
+            self._complex = F2Subcomplex(prows, self._masks, rows)
         return self._complex
 
     # -- filtration generators ------------------------------------------------------

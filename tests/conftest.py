@@ -2,6 +2,7 @@ from itertools import permutations, product
 
 import pytest
 
+from tropmirror.chains import ChainComplex
 from tropmirror.lattice import LatticePolytope
 from tropmirror.triangulate import CentralTriangulation, generate_central
 from tropmirror.pairs import MirrorPair
@@ -96,3 +97,17 @@ def cy3_triangulations():
                 cube.append(chain)
     P = LatticePolytope(list(product((-1, 1), repeat=4)))
     return CentralTriangulation(P.dual(), cross), CentralTriangulation(P, cube)
+
+
+def integer_lift(pd):
+    """The sign complex of one class assembled on its own, as an integer
+    complex: its cells' phase points numbered cell by cell, unit blocks per
+    frame cover with the poset's signature, and its own square check over
+    Z."""
+    cells = [pd.phase_cell(ci) for ci in range(len(pd.poset.cells))]
+    blocks = {
+        (yi, xi): [((cells[yi].index[images[s]], 1),) for s in cells[xi].points]
+        for yi, xi, images in pd.frame.covers
+    }
+    ranks = [len(pc.points) for pc in cells]
+    return ChainComplex(pd.poset, ranks, blocks, pd.poset.sign)

@@ -9,6 +9,7 @@ import pytest
 
 import tropmirror
 from tropmirror.cli import main
+from tropmirror.triangulate import CentralTriangulation
 
 from conftest import CUBE_VERTS, CUBIC_DUAL_VERTS, CUBIC_VERTS, OCTA_VERTS
 
@@ -151,6 +152,57 @@ def test_patchwork_from_signs(cubic_files, capsys, tmp_path):
     assert code == 0
     assert env["result"]["verdict"] == "two_components"
     assert env["result"]["components"] == 2
+
+
+def _assert_input_error(capsys, argv):
+    assert main(argv) == 1, argv
+    captured = capsys.readouterr()
+    assert captured.out == "", argv
+    err = json.loads(captured.err)
+    assert err["kind"] == "input", argv
+    return err["error"]
+
+
+def test_divisor_file_repeating_a_ray_is_input_error(cubic_files, capsys, tmp_path):
+    # a ray listed twice cancels over F2, so a divisor file that lists one
+    # twice is refused rather than read as two different divisors
+    _, _, tri, tri_dual = cubic_files
+    div = tmp_path / "d.json"
+    div.write_text(json.dumps({"rays": [[-1, 2], [-1, 1], [-1, 2]]}))
+    for command in ("patchwork", "divisor-class"):
+        error = _assert_input_error(
+            capsys, [command, str(tri), str(tri_dual), "--divisor", str(div)]
+        )
+        assert "repeats" in error, command
+
+
+def test_malformed_signs_files_are_input_errors(cubic_files, capsys, tmp_path):
+    # signs are 0 or 1, exactly one per lattice point of the Newton polytope
+    _, _, tri, tri_dual = cubic_files
+    T = CentralTriangulation.from_dict(json.loads(tri.read_text()))
+    good = [[list(p), int(p == (0, 0))] for p in sorted(T.polytope.lattice_points)]
+    cases = {
+        "outside": good + [[[5, 5], 0]],
+        "three": [[p, 3 if p == [-1, 1] else b] for p, b in good],
+        "repeat": good + [[[-1, 1], 1]],
+        "missing": good[1:],
+    }
+    for name, signs in cases.items():
+        sf = tmp_path / f"{name}.json"
+        sf.write_text(json.dumps({"signs": signs}))
+        _assert_input_error(capsys, ["patchwork", str(tri), str(tri_dual), "--signs", str(sf)])
+    sf.write_text(json.dumps({"signs": good}))
+    code, env = run_json(capsys, ["patchwork", str(tri), str(tri_dual), "--signs", str(sf)])
+    assert code == 0 and env["result"]["divisor"] == []
+
+
+def test_sweep_samples_below_one_is_usage_error(cubic_files, capsys):
+    _, _, tri, tri_dual = cubic_files
+    pair = ["sweep", str(tri), str(tri_dual)]
+    for flags in (["--samples", "0"], ["--samples", "-3"], ["--samples", "0", "--seed", "2"]):
+        assert "--samples" in _assert_input_error(capsys, pair + flags + ["--no-betti"])
+    code, env = run_json(capsys, pair + ["--samples", "1", "--no-betti"])
+    assert code == 0 and len(env["result"]["rows"]) == 1
 
 
 def test_sweep_cubic_classes(cubic_files, capsys):

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from tropmirror.chains import ChainComplex, dense_block
+from tropmirror.chains import ChainComplex, F2Subcomplex, check_f2_square_zero, dense_block
 from tropmirror.cosheaves import CosheafEvaluator
 from tropmirror.errors import BoundarySquareNonzero, InternalCheckError
 from tropmirror.exterior import dim_wedge, wedge_matrix
@@ -82,18 +82,19 @@ def test_z_divisors_checked_against_cached_f2_rank():
 
 
 def test_f2_form_checks_its_square_mod2():
-    # a triangle with constant F2 coefficients, given as packed block rows
-    # with no signature: the square vanishes mod 2 and the homology is a
-    # point's; dropping one edge from the boundary of the 2-cell leaves an
-    # odd square, which construction refuses
-    covers = [(0, 3), (1, 3), (1, 4), (2, 4), (0, 5), (2, 5), (3, 6), (4, 6), (5, 6)]
-    triangle = FakePoset([0, 0, 0, 1, 1, 1, 2], covers)
-    cx = ChainComplex(triangle, [1] * 7, ((y, x, [1]) for y, x in covers))
+    # a triangle with constant F2 coefficients, given as packed boundary
+    # rows with no signature (edges 01, 12, 02 over the vertices, the face
+    # over the three edges): the square vanishes mod 2 and the homology is
+    # a point's; dropping one edge from the boundary of the 2-cell leaves an
+    # odd square, which the row check refuses
+    rows = {1: [0b011, 0b110, 0b101], 2: [0b111]}
+    check_f2_square_zero(rows)
+    everything = {0: 0b111, 1: 0b111, 2: 0b1}
+    cx = F2Subcomplex(rows, everything, {0: [], **rows})
     assert cx.homology("f2").ranks() == [1, 0, 0]
-    assert cx.f2_rows(2) == [0b111]
-    odd = FakePoset([0, 0, 0, 1, 1, 1, 2], covers[:-1])
+    assert cx.f2_boundary(0b1, 2) == 0b111
     with pytest.raises(BoundarySquareNonzero, match="degree 2, row 0"):
-        ChainComplex(odd, [1] * 7, ((y, x, [1]) for y, x in covers[:-1]))
+        check_f2_square_zero({1: rows[1], 2: [0b011]})
 
 
 def test_f2_homology_generators_form_a_basis(cubic_pair):

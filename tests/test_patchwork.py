@@ -5,17 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CUBIC_DUAL_VERTS, CUBIC_VERTS
-from tropmirror.chains import ChainComplex
+from conftest import CUBIC_DUAL_VERTS, CUBIC_VERTS, integer_lift
 from tropmirror.errors import (
     BoundarySquareNonzero,
     InternalCheckError,
     InvalidPhaseStructure,
     NotAClosedChain,
+    RayNotInFan,
 )
-from tropmirror.intlinalg import F2Space, f2_pack, f2_rank, mat_mul
+from tropmirror.intlinalg import F2Space, f2_combine, f2_pack, f2_rank, mat_mul
 from tropmirror.lattice import LatticePolytope
-from tropmirror.mirror import divisor_restriction, is_null_class, sphere_cycle, transfer_class
+from tropmirror.mirror import (
+    divisor_restriction,
+    divisor_support,
+    is_null_class,
+    sphere_cycle,
+    transfer_class,
+)
 from tropmirror.pairs import MirrorPair
 from tropmirror.patchwork import (
     PhaseData,
@@ -67,6 +73,24 @@ def test_divisor_sign_roundtrip(cubic_pair):
     rays = [D7, D8, (1, 0)]
     eps = signs_from_divisor(side, rays)
     assert sorted(divisor_from_signs(side, eps)) == sorted(rays)
+
+
+def test_repeated_ray_cancels_everywhere(cubic_pair):
+    # over F2 a ray listed twice cancels: the signs, the divisor restriction
+    # and so the verdict all read one support, and the component count
+    # agrees with the verdict
+    side = cubic_pair.side_a
+    for rays, support in (([D7, D7], []), ([D7, D8, D7], [D8]), ([D7, D8, D8], [D7])):
+        assert divisor_support(side, rays) == set(support)
+        eps = signs_from_divisor(side, rays)
+        assert eps == signs_from_divisor(side, support)
+        assert divisor_restriction(side, rays) == divisor_restriction(side, support)
+        verdict = connectedness_verdict(side, rays)
+        assert verdict == connectedness_verdict(side, support)
+        assert (verdict == "connected") == (real_betti(side, eps)[0] == 1), rays
+    for bad in ([(5, 5)], [D7, (0, 0)]):
+        with pytest.raises(RayNotInFan):
+            signs_from_divisor(side, bad)
 
 
 def test_invalid_phase_structure_rejected(cubic_pair):
@@ -170,6 +194,24 @@ def test_transport_list_matches_frame_product(cubic_pair, k3_pair):
         assert _transport_list(pd_a) == _transport_list(pd)
         for ci in range(len(poset.cells)):
             assert pd_a.phase_cell(ci).points == pd.phase_cell(ci).points
+
+
+def test_cover_images_shared_per_frame_pair(cubic_pair, k3_pair):
+    # each cover's image list is the image of every point of the frame of x
+    # under the evaluator's projection rows mod 2, and two covers share one
+    # list exactly when they join the same two frames
+    cubic, k3 = cubic_pair.side_a, k3_pair.side_a
+    for side, kind in ((cubic, "base"), (cubic, "refined"), (k3, "base")):
+        frame = side.phase_frame(kind)
+        lists = {}  # (sx, sy) -> ids of the image lists of its covers
+        for yi, xi, images in frame.covers:
+            (sx, qx, _), (sy, _, _) = frame.cells[xi], frame.cells[yi]
+            masks = [f2_pack(row) for row in side.evaluator.projection(sx, sy)]
+            assert images == [f2_combine(s, masks) for s in range(1 << qx)]
+            lists.setdefault((sx, sy), set()).add(id(images))
+        assert all(len(ids) == 1 for ids in lists.values()), kind
+        assert len(set().union(*lists.values())) == len(lists), kind
+        assert len(lists) < len(frame.covers), kind
 
 
 def _edge_phases(frame, ci, eps):
@@ -315,24 +357,12 @@ def test_frame_memo_matches_fresh_frames(k3_pair):
             assert 3 * cells < len(masks) * len(poset.cells), cells
 
 
-def _integer_lift(pd):
-    """The sign complex as an integer complex: unit blocks per frame cover
-    with the poset's signature, so its square is checked over Z."""
-    cells = [pd.phase_cell(ci) for ci in range(len(pd.poset.cells))]
-    blocks = {
-        (yi, xi): [((cells[yi].index[images[s]], 1),) for s in cells[xi].points]
-        for yi, xi, images in pd.frame.covers
-    }
-    ranks = [len(pc.points) for pc in cells]
-    return ChainComplex(pd.poset, ranks, blocks, pd.poset.sign)
-
-
 def _bits(r):
     return [j for j in range(r.bit_length()) if r >> j & 1]
 
 
 def test_sign_complex_matches_integer_lift(cubic_pair, k3_pair):
-    # the restriction of the frame's point complex against the signed
+    # the restriction of the frame's point rows against the signed
     # integer lift, on every cubic class (both posets) and 10 sampled K3
     # classes: the lift passes its Z square check, and its rows reduced mod
     # 2, with each coordinate (cell, point) mapped to its frame position
@@ -347,11 +377,10 @@ def test_sign_complex_matches_integer_lift(cubic_pair, k3_pair):
         poset = side.poset(kind)
         offset = _frame_offsets(side.phase_frame(kind))
         assert side.phase_frame(kind).offset == offset
-        assert side.phase_frame(kind).point_complex.offset == offset
         for mask in masks:
             eps = signs_from_divisor(side, mask_to_rays(side, mask))
             pd = PhaseData(side, poset, eps)
-            cx, lift = pd.sign_complex(), _integer_lift(pd)
+            cx, lift = pd.sign_complex(), integer_lift(pd)
             position = {q: [] for q in lift.degrees}
             for c in poset.cells:
                 position[c.dim] += [offset[c.index] + s for s in pd.phase_cell(c.index).points]
@@ -363,33 +392,14 @@ def test_sign_complex_matches_integer_lift(cubic_pair, k3_pair):
                 ]
                 assert cx.rows[q] == mapped, (kind, mask, q)
             assert cx.euler_characteristic() == lift.euler_characteristic()
-    # the point complex's read-only 0/1 view has the entries of its rows;
-    # nothing above built it
-    pcx = side.phase_frame(kind).point_complex
-    assert "D" not in pcx.__dict__
-    assert {q: [dict(r) for r in rows] for q, rows in pcx.D.items()} == {
-        q: [dict.fromkeys(_bits(r), 1) for r in pcx.f2_rows(q)] for q in pcx.D
-    }
-    with pytest.raises(TypeError):
-        pcx.D[1] = ()
 
 
 def test_sign_complex_refuses_integer_rings(cubic_pair):
-    # an F2 complex answers over F2 only: asking the frame's point complex
-    # for Q or Z ranks, or its restriction for Q or Z homology, is an
-    # internal error (exit code 2), and no F2 question builds the point
-    # complex's 0/1 view.  The restriction's boundary works in frame
+    # a sign complex answers over F2 only: asking it for Q or Z homology is
+    # an internal error (exit code 2).  Its boundary works in frame
     # numbering: each kept point's boundary is its gathered row, and a
     # chain on points outside the phase sets is refused
     side = cubic_pair.side_a
-    pcx = side.phase_frame("base").point_complex
-    for ask in (lambda: pcx.homology("q"), lambda: pcx.homology("z"),
-                lambda: pcx.rank_boundary(1, "q")):
-        with pytest.raises(InternalCheckError, match="F2 complex"):
-            ask()
-    for q in pcx.degrees:
-        for v in pcx.f2_homology_generators(q):
-            assert not pcx.f2_is_boundary(v, q)
     eps = signs_from_divisor(side, [D7])
     cx = PhaseData(side, side.base_poset, eps).sign_complex()
     for ring in ("q", "z"):
@@ -402,22 +412,21 @@ def test_sign_complex_refuses_integer_rings(cubic_pair):
     for q in cx.degrees[1:]:
         rows = [cx.f2_boundary(1 << j, q) for j in _bits(cx.masks[q])]
         assert rows == cx.rows[q]
-        for j in _bits(((1 << cx.parent.dim(q)) - 1) & ~cx.masks[q]):
+        for j in _bits(((1 << len(cx.parent_rows[q])) - 1) & ~cx.masks[q]):
             with pytest.raises(NotAClosedChain):
                 cx.f2_boundary(1 << j, q)
             refused += 1
     assert refused
-    assert "D" not in pcx.__dict__
 
 
 def test_redirected_sign_row_breaks_square(k3_pair):
     # one cover image of a fresh K3 frame sent to another point of the same
-    # face, one whose boundary row differs, before the frame's point complex
-    # is built: its mod-2 square check must catch it at that build
+    # face, one whose boundary row differs, before the frame's point rows
+    # are built: their mod-2 square check must catch it at that build
     side = k3_pair.side_a
     poset = side.base_poset
-    shared = side.phase_frame("base").point_complex
-    below, offset = shared.f2_rows(1), shared.offset
+    shared = side.phase_frame("base")
+    below, offset = shared.point_rows[1], shared.offset
     frame = PhaseFrame(side.evaluator, poset)
     for n, (yi, xi, images) in enumerate(frame.covers):
         if poset.cells[xi].dim != 2:
@@ -434,7 +443,7 @@ def test_redirected_sign_row_breaks_square(k3_pair):
     images[0] = other[0]
     frame.covers[n] = (yi, xi, images)
     with pytest.raises(BoundarySquareNonzero, match="degree 2"):
-        frame.point_complex
+        frame.point_rows
 
 
 def test_filtration_rank_identity_and_preservation(cubic_pair):
@@ -599,8 +608,8 @@ def test_escaping_transport_raises():
     # of a cell x above it: the memoized PhaseCell of y, in a scratch
     # pair's frame, is swapped for one without that point, and the
     # per-degree reach check catches it before either Betti route reads it.
-    # The check reads the covers, not the point complex: phase data alone
-    # does not build it
+    # The check reads the covers, not the point rows: phase data alone
+    # does not build them
     side = MirrorPair(
         generate_central(LatticePolytope(CUBIC_VERTS)),
         generate_central(LatticePolytope(CUBIC_DUAL_VERTS)),
@@ -608,7 +617,7 @@ def test_escaping_transport_raises():
     eps = signs_from_divisor(side, [D7, D8])
     pd = PhaseData(side, side.base_poset, eps)
     frame = side.phase_frame("base")
-    assert "point_complex" not in frame.__dict__
+    assert "point_rows" not in frame.__dict__
     real_betti(side, eps)
     for yi, xi, images in frame.covers:
         if pd.phase_cell(xi).points:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropmirror.chains import ChainComplex
+from conftest import integer_lift
 from tropmirror.lattice import LatticePolytope
 from tropmirror.pairs import MirrorPair
 from tropmirror.patchwork import (
@@ -183,28 +183,15 @@ def test_arbitrary_signs_on_gallery_curves(gallery_sides, data):
     assert PhaseData(side, side.base_poset, eps).sign_complex().euler_characteristic() == 0
 
 
-def _assembled_per_class(pd):
-    """The sign complex of one class assembled on its own: a packed F2
-    ChainComplex over the phase points, numbered cell by cell, with one
-    single-bit block row per phase point of x on each frame cover, and its
-    own square check."""
-    cells = [pd.phase_cell(ci) for ci in range(len(pd.poset.cells))]
-    blocks = (
-        (yi, xi, [1 << cells[yi].index[images[s]] for s in cells[xi].points])
-        for yi, xi, images in pd.frame.covers
-    )
-    return ChainComplex(pd.poset, [len(pc.points) for pc in cells], blocks)
-
-
 @settings(max_examples=48, derandomize=True, database=None, deadline=None)
 @given(st.data())
 def test_restricted_sign_complex_matches_per_class_assembly(cubic_pair, gallery_sides, data):
     # any signs on the cubic or a gallery polygon, on either poset: the
-    # frame's point complex restricted to the phase points has the F2 Betti
-    # numbers and Euler characteristic of the complex assembled for this
-    # class alone, every memoized PhaseCell equals one that a fresh frame
-    # builds, and its reach, read off the covers, is the OR of the point
-    # complex's rows of its points
+    # frame's point rows restricted to the phase points give the F2 Betti
+    # numbers and Euler characteristic of the signed integer complex
+    # assembled for this class alone, every memoized PhaseCell equals one
+    # that a fresh frame builds, and its reach, read off the covers, is the
+    # OR of the frame's point rows of its points
     sides = [cubic_pair.side_a] + gallery_sides
     side = sides[data.draw(st.integers(0, len(sides) - 1), label="polygon")]
     kind = data.draw(st.sampled_from(["base", "refined"]), label="poset")
@@ -214,19 +201,19 @@ def test_restricted_sign_complex_matches_per_class_assembly(cubic_pair, gallery_
     eps = dict(zip(points, bits))
     poset = side.poset(kind)
     pd = PhaseData(side, poset, eps)
-    cx, oracle = pd.sign_complex(), _assembled_per_class(pd)
+    cx, oracle = pd.sign_complex(), integer_lift(pd)
     assert cx.homology("f2") == oracle.homology("f2")
     assert cx.euler_characteristic() == oracle.euler_characteristic()
     fresh = PhaseFrame(side.evaluator, poset)
     t = phase_from_signs(side, eps)
-    pcx = pd.frame.point_complex
+    prows, offset = pd.frame.point_rows, pd.frame.offset
     for c, (_, _, edges) in zip(poset.cells, fresh.cells):
         memo = pd.phase_cell(c.index)
         built = fresh.cell_phase(c.index, tuple(t[e] for e, _, _ in edges))
         assert [getattr(memo, a) for a in PhaseCell.__slots__] == [
             getattr(built, a) for a in PhaseCell.__slots__
         ], c.index
-        rows, reach = pcx.f2_rows(c.dim), 0
+        rows, reach = prows.get(c.dim), 0
         for s in memo.points if rows else ():  # 0-cells have no rows
-            reach |= rows[pcx.offset[c.index] + s]
+            reach |= rows[offset[c.index] + s]
         assert memo.reach == reach, c.index
