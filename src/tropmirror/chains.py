@@ -10,7 +10,10 @@ A complex serves every ring: Q uses the ranks of its matrices, F2 reduces
 them to packed bit rows, and Z reads both the ranks and the torsion off one
 elimination per boundary, its elementary divisors, and checks them against
 any Q or F2 rank already computed; the square of its boundary is verified
-to vanish over Z at construction (hence over every ring).
+to vanish over Z at construction (hence over every ring).  That check is
+what lets the F2 ranks of all degrees come from one top-down pass that
+clears the rows the degree above already pairs (``f2_cleared_ranks``);
+the odd elementary divisors cross-check them.
 
 An F2 complex with no signature, such as the sign cosheaf's over every
 point of a phase frame, is kept by its owner as packed boundary rows per
@@ -19,14 +22,14 @@ degree (-1 = 1 over F2), whose square ``check_f2_square_zero`` verifies mod
 under their boundary, such as the sign complex of one sign distribution: it
 keeps the parent's numbering and rows, so it is neither assembled nor
 square-checked again, and its ranks come from the parent's rows of the kept
-vectors.
+vectors, cleared the same way.
 """
 
 from .errors import BoundarySquareNonzero, InternalCheckError, NotAClosedChain
 from .intlinalg import (
     F2Space,
+    f2_cleared_ranks,
     f2_combine,
-    f2_rank,
     sparse_elementary_divisors,
     sparse_rank,
 )
@@ -185,7 +188,9 @@ class ChainComplex(_Graded):
         key = (q, "f2" if ring == "f2" else "q")
         if key not in self._rank_cache:
             if ring == "f2":
-                self._rank_cache[key] = self._f2_image_space(q).rank
+                rows = {d: self.f2_rows(d) for d in self._boundary_degrees}
+                for d, rank in f2_cleared_ranks(rows).items():
+                    self._rank_cache[d, "f2"] = rank
             else:
                 self._rank_cache[key] = sparse_rank(self.D[q])
         return self._rank_cache[key]
@@ -335,7 +340,7 @@ class F2Subcomplex(_Graded):
         if ring != "f2":
             raise InternalCheckError(f"an F2 complex has no homology over {ring}")
         if self._homology is None:
-            ranks = {q: f2_rank(rows) for q, rows in self.rows.items()}
+            ranks = f2_cleared_ranks(self.rows, self.masks)
             self._homology = HomologySummary({
                 q: (self.dim(q) - ranks[q] - ranks.get(q + 1, 0), ())
                 for q in self.degrees

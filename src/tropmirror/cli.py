@@ -25,7 +25,7 @@ import json
 import sys
 
 from .errors import HypothesisFails, InputError, InternalCheckError
-from .lattice import LatticePolytope
+from .lattice import LatticePolytope, _as_point
 from .mirror import divisor_restriction, is_null_class, sphere_cycle, transfer_class
 from .pairs import MirrorPair
 from .patchwork import (
@@ -82,7 +82,7 @@ def load_pair(args):
 def load_divisor(path):
     data = _load_json(path)
     try:
-        rays = [tuple(int(a) for a in r) for r in data["rays"]]
+        rays = [_as_point(r) for r in data["rays"]]
     except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"bad divisor file {path}: {e}") from None
     repeated = sorted({r for r in rays if rays.count(r) > 1})
@@ -92,15 +92,15 @@ def load_divisor(path):
 
 
 def load_signs(path):
-    """{lattice point: sign}; each point once, each sign 0 or 1."""
+    """{lattice point: sign}; each point once, each sign the integer 0 or 1."""
     data = _load_json(path)
     try:
-        entries = [(tuple(int(a) for a in p), b) for p, b in data["signs"]]
+        entries = [(_as_point(p), b) for p, b in data["signs"]]
     except (KeyError, TypeError, ValueError) as e:
         raise InputError(f"bad signs file {path}: {e}") from None
     signs = {}
     for p, b in entries:
-        if b not in (0, 1):
+        if type(b) is not int or b not in (0, 1):
             raise InputError(f"signs file {path} gives {p} the sign {b!r}, not 0 or 1")
         if p in signs:
             raise InputError(f"signs file {path} repeats the point {p}")

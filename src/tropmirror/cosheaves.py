@@ -29,10 +29,14 @@ cell that carries it, so values are interned: one FreeQuotient per distinct
 module, one wedge per distinct frame projection, and one sparse matrix per
 distinct (source value, target value, projection) triple.
 
-A chain complex looks each cell's (value, value stratum) up once; while it
-is assembled, ``map_matrix`` reads both cells' pairs from a dict keyed by
-the cell objects, so a cover costs two identity-hashed reads and one map
-lookup.
+The cells of a poset fall into classes whose values agree for every p:
+for the multitangent cosheaves a class is a (value stratum, edge-direction
+set), for the other tags the cell itself.  The classes are found once per
+poset and tag, and a chain complex looks one (value, value stratum) up per
+class; while it is assembled, ``map_matrix`` reads both cells' pairs from a
+dict keyed by the cell objects, so a cover costs two identity-hashed reads,
+one wedge lookup keyed by the identities of the two strata (which are
+interned), and one map lookup.
 """
 
 from itertools import combinations
@@ -112,7 +116,9 @@ class CosheafEvaluator:
         self.m = newton_tri.rank
         self.origin = (0,) * self.m
         self._frames = {}
-        self._gens = {}
+        self._gens = {}  # tau -> its stratum, interned by content
+        self._strata = {ZERO_STRATUM: ZERO_STRATUM}
+        self._classes = {}  # (poset, tag) -> (class per cell, representatives)
         self._directions = {}  # sigma -> frozenset of its edge directions
         self._direction_sets = {}  # direction set -> the one interned copy
         self._edge_basis = {}
@@ -132,10 +138,12 @@ class CosheafEvaluator:
         return self._frames[gens]
 
     def stratum_gens(self, tau):
-        """Generators of the cone span: nonzero vertices of tau."""
+        """Generators of the cone span: nonzero vertices of tau, one object
+        per distinct stratum."""
         gens = self._gens.get(tau)
         if gens is None:
-            gens = self._gens[tau] = tuple(p for p in tau if p != self.origin)
+            gens = tuple(p for p in tau if p != self.origin)
+            gens = self._gens[tau] = self._strata.setdefault(gens, gens)
         return gens
 
     def edge_annihilator_basis(self, stratum, a, b, p):
@@ -175,15 +183,21 @@ class CosheafEvaluator:
     def _zero(self, ambient_dim):
         return self._module(max(ambient_dim, 1), ())
 
-    def multitangent_value(self, p, stratum, sigma):
-        """F_p on a cell with this stratum and sigma.  It depends on sigma
-        only through the set of its edge directions, found once per sigma,
-        so it is computed once per (p, stratum, direction set)."""
+    def _edge_directions(self, sigma):
+        """The set of edge directions of sigma, found once per sigma and
+        interned."""
         dirs = self._directions.get(sigma)
         if dirs is None:
             dirs = frozenset(_direction(a, b) for a, b in combinations(sigma, 2))
             dirs = self._direction_sets.setdefault(dirs, dirs)
             self._directions[sigma] = dirs
+        return dirs
+
+    def multitangent_value(self, p, stratum, sigma):
+        """F_p on a cell with this stratum and sigma.  It depends on sigma
+        only through the set of its edge directions, so it is computed once
+        per (p, stratum, direction set)."""
+        dirs = self._edge_directions(sigma)
         key = ("F", p, stratum, dirs)
         value = self._values.get(key)
         if value is None:
@@ -272,10 +286,12 @@ class CosheafEvaluator:
 
     def _projection_wedge(self, sx, sy, p):
         """Lambda^p of ``projection(sx, sy)``, one object per distinct
-        matrix; None when the two frames are one."""
-        if sx == sy:
+        matrix; None when the two frames are one.  The strata come from
+        ``value_stratum``, interned for the evaluator's life, so they are
+        keyed by identity."""
+        if sx is sy:
             return None
-        key = (sx, sy, p)
+        key = (id(sx), id(sy), p)
         if key not in self._projection_wedges:
             W = _frozen(wedge_matrix(self.projection(sx, sy), p))
             self._projection_wedges[key] = self._wedges.setdefault(W, W)
@@ -307,12 +323,37 @@ class CosheafEvaluator:
         return rows
 
     # -- complexes ----------------------------------------------------------------
+    def _cell_classes(self, poset, tag):
+        """(class index per cell, one representative cell per class) for
+        the cells of a poset under one tag, found once per (poset, tag).
+        Cells of one class carry the same (value, stratum) for every p: a
+        multitangent class is a (value stratum, edge-direction set), and
+        under the other tags each cell is its own class."""
+        key = (poset, tag)
+        if key not in self._classes:
+            cells = poset.cells
+            if tag == "multitangent":
+                index, classes, reps = {}, [], []
+                for c in cells:
+                    k = (self.value_stratum(tag, c), self._edge_directions(c.sigma))
+                    i = index.get(k)
+                    if i is None:
+                        i = index[k] = len(reps)
+                        reps.append(c)
+                    classes.append(i)
+            else:
+                classes, reps = range(len(cells)), cells
+            self._classes[key] = (classes, reps)
+        return self._classes[key]
+
     def chain_complex(self, poset, tag, p, sign=None):
-        """The complex of one cosheaf on a poset: each cell's value and
-        stratum are looked up once, and every cover with both ranks nonzero
-        gets its block from ``map_matrix``."""
+        """The complex of one cosheaf on a poset: the (value, stratum) of
+        each cell class is looked up once, and every cover with both ranks
+        nonzero gets its block from ``map_matrix``."""
         cells = poset.cells
-        pairs = [self._cell_value(tag, p, c) for c in cells]
+        classes, reps = self._cell_classes(poset, tag)
+        values = [self._cell_value(tag, p, c) for c in reps]
+        pairs = [values[k] for k in classes]
         ranks = [v.rank for v, _ in pairs]
         blocks = {}
         self._scope = ((tag, p), dict(zip(cells, pairs)))

@@ -22,7 +22,11 @@ the diagonal it leaves and ``sparse_elementary_divisors`` repairs its
 divisibility.  Over F2, ``F2Space`` is the one leading-bit reduction that
 can solve for combinations; it builds them only when ``solve`` first asks,
 so rank and membership pay for the reduction alone.  ``f2_rank`` is a lean
-rank-only pass kept as an independent route for cross-checks.
+rank-only pass kept as an independent route for cross-checks, and
+``f2_cleared_ranks`` the same pass over every boundary of a complex at once,
+top degree down, skipping the rows that the degree above already pairs
+(clearing: Chen-Kerber, "Persistent homology computation with a twist",
+2011; Bauer-Kerber-Reininghaus, "Clear and compress", 2014).
 """
 
 from collections import defaultdict
@@ -489,6 +493,47 @@ def f2_rank(rows):
                 rank += 1
                 break
     return rank
+
+
+def f2_cleared_ranks(rows, masks=None):
+    """The F2 rank of every boundary of a complex whose square vanishes.
+
+    ``rows[q]`` packs the rows of D_q, their bits numbering the degree-q-1
+    basis.  Without ``masks`` bit j is row j of ``rows[q - 1]``; with them
+    the rows are those of the basis vectors kept in ``masks[q]`` of a wider
+    numbering, in increasing position, so bit j is row
+    ``(masks[q - 1] & ((1 << j) - 1)).bit_count()``.
+
+    Degrees go top down, and each is ``f2_rank``'s pass: rows in index
+    order, pivot on the highest bit.  A leading bit j of the reduced
+    D_{q+1} marks a vector e_j + (lower terms) in the image of D_{q+1};
+    since D_{q+1} D_q = 0, row j of D_q is then a sum of rows of lower
+    index, and it is skipped.  Replacing each such e_j by its image vector
+    is a triangular change of basis, so the rows left span the image of
+    D_q and every rank is exact.  The caller must have checked the square.
+    """
+    ranks = {}
+    cleared = {}
+    for q in sorted(rows, reverse=True):
+        skip = cleared.get(q, ())
+        basis = {}  # leading bit -> row
+        for i, r in enumerate(rows[q]):
+            if i in skip:
+                continue
+            while r:
+                lead = r.bit_length() - 1
+                b = basis.get(lead)
+                if b is None:
+                    basis[lead] = r
+                    break
+                r ^= b
+        ranks[q] = len(basis)
+        if masks is None:
+            cleared[q - 1] = basis.keys()
+        elif q - 1 in masks:
+            m = masks[q - 1]
+            cleared[q - 1] = {(m & ((1 << j) - 1)).bit_count() for j in basis}
+    return ranks
 
 
 class F2Space:

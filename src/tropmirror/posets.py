@@ -15,10 +15,12 @@ inclusion in both coordinates and the grading is
 
     dim(tau, sigma) = (rank - dim tau) - dim sigma.
 
-Cover relations grow exactly one coordinate by one vertex.  The default
-signature on the covers is deterministic and orientation-coherent: each
-coordinate carries simplicial coboundary signs (position of the new vertex
-in the sorted vertex list) and sigma-covers pick up the Koszul factor
+Cover relations grow exactly one coordinate by one vertex; they are found
+on the integer simplex ids of the two triangulations, with the position of
+the added vertex read off their coface lists.  The default signature on the
+covers is deterministic and orientation-coherent: each coordinate carries
+simplicial coboundary signs (position of the new vertex in the sorted
+vertex list) and sigma-covers pick up the Koszul factor
 (-1)^(rank - dim tau).  It satisfies the diamond condition on every length-2
 interval.
 
@@ -118,38 +120,42 @@ class CellPoset:
             self.cells_by_dim[c.dim].append(c.index)
 
     def _build_covers(self):
-        """Covers (y below x) by single-vertex growth, with default signs."""
+        """Covers (y below x) by single-vertex growth, with default signs.
+
+        A cell is keyed by the integer tau id * (number of Newton
+        simplices) + sigma id.  Per cell, the tau-cofaces and then the
+        sigma-cofaces of its simplices are tried, each in ``cofaces``
+        order; a cover's sign is (-1)^(position of the added vertex), times
+        (-1)^(rank - dim tau) when sigma grows.
+        """
+        a_ids, a_up = self.ambient.simplex_ids
+        n_ids, n_up = self.newton.simplex_ids
+        width = len(n_ids)
+        index = {
+            a_ids[c.tau] * width + n_ids[c.sigma]: c.index for c in self.cells
+        }
         covers = []
         sign = {}
-        below = {c.index: [] for c in self.cells}
+        below = {}
         for x in self.cells:
-            for tau2 in self.ambient.cofaces.get(x.tau, ()):
-                j = self.cell_index.get((tau2, x.sigma))
-                if j is not None:
-                    covers.append((j, x.index))
-            for sigma2 in self.newton.cofaces.get(x.sigma, ()):
-                j = self.cell_index.get((x.tau, sigma2))
-                if j is not None:
-                    covers.append((j, x.index))
-        for (yi, xi) in covers:
-            s = self.default_sign(self.cells[yi], self.cells[xi])
-            sign[(yi, xi)] = s
-            below[xi].append(yi)
+            xi, t, s = x.index, a_ids[x.tau], n_ids[x.sigma]
+            lows = below[xi] = []
+            for t2, pos in a_up[t]:
+                yi = index.get(t2 * width + s)
+                if yi is not None:
+                    covers.append((yi, xi))
+                    sign[yi, xi] = -1 if pos & 1 else 1
+                    lows.append(yi)
+            codim_tau = self.rank - (len(x.tau) - 1)
+            for s2, pos in n_up[s]:
+                yi = index.get(t * width + s2)
+                if yi is not None:
+                    covers.append((yi, xi))
+                    sign[yi, xi] = -1 if (pos + codim_tau) & 1 else 1
+                    lows.append(yi)
         self.covers = covers
         self.sign = sign
         self.below = below
-
-    def default_sign(self, y, x):
-        """Koszul/coboundary sign of the cover y below x."""
-        if y.tau != x.tau:
-            new = next(iter(set(y.tau) - set(x.tau)))
-            pos = y.tau.index(new)
-            return -1 if pos & 1 else 1
-        new = next(iter(set(y.sigma) - set(x.sigma)))
-        pos = y.sigma.index(new)
-        s = -1 if pos & 1 else 1
-        codim_tau = self.rank - (len(x.tau) - 1)
-        return s if codim_tau % 2 == 0 else -s
 
     @cached_property
     def cells_by_tau(self):

@@ -16,6 +16,8 @@ not exist there and cannot be silently fabricated.
 Simplices are sorted tuples of lattice points.
 """
 
+from functools import cached_property
+
 from .errors import (
     InternalCheckError,
     NotInTriangulation,
@@ -37,6 +39,14 @@ def simplex_faces(s):
     for mask in range(1, 1 << n):
         out.append(tuple(s[i] for i in range(n) if mask >> i & 1))
     return out
+
+
+def _added_position(s, c):
+    """The position in the sorted coface c of the one vertex s lacks."""
+    pos = 0
+    while pos < len(s) and c[pos] == s[pos]:
+        pos += 1
+    return pos
 
 
 class ValidationReport:
@@ -101,6 +111,16 @@ class CentralTriangulation:
                     f = s[:i] + s[i + 1 :]
                     self.cofaces[f].add(s)
         self.vertices = sorted(s[0] for s in self.by_dim.get(0, ()))
+
+    @cached_property
+    def simplex_ids(self):
+        """(ids, up): a dense integer id per simplex, and per id the
+        (coface id, position of the added vertex in the coface) of each of
+        its cofaces, in the iteration order of ``cofaces``; built on first
+        read."""
+        ids = {s: i for i, s in enumerate(self.simplices)}
+        up = [[(ids[c], _added_position(s, c)) for c in self.cofaces[s]] for s in ids]
+        return ids, up
 
     # -- simplex calculus ----------------------------------------------------
     def sigma_hat(self, s):

@@ -99,6 +99,12 @@ def cy3_triangulations():
     return CentralTriangulation(P.dual(), cross), CentralTriangulation(P, cube)
 
 
+@pytest.fixture(scope="session")
+def cy3_pair():
+    """The 16-cell / 4-cube CY3 pair, the 16-cell as side a's Newton side."""
+    return MirrorPair(*cy3_triangulations())
+
+
 def integer_lift(pd):
     """The sign complex of one class assembled on its own, as an integer
     complex: its cells' phase points numbered cell by cell, unit blocks per

@@ -196,6 +196,34 @@ def test_malformed_signs_files_are_input_errors(cubic_files, capsys, tmp_path):
     assert code == 0 and env["result"]["divisor"] == []
 
 
+def test_non_integer_divisor_and_signs_are_input_errors(cubic_files, capsys, tmp_path):
+    # coordinates are integers: a float ray is not truncated to a cubic ray,
+    # a float point is not read as the lattice point it truncates to, and a
+    # sign is the integer 0 or 1, not 1.0 or true
+    _, _, tri, tri_dual = cubic_files
+    div = tmp_path / "d.json"
+    div.write_text(json.dumps({"rays": [[-1.7, 2.2]]}))
+    for command in ("patchwork", "divisor-class"):
+        error = _assert_input_error(
+            capsys, [command, str(tri), str(tri_dual), "--divisor", str(div)]
+        )
+        assert "non-integer" in error, command
+    T = CentralTriangulation.from_dict(json.loads(tri.read_text()))
+    good = [[list(p), int(p == (0, 0))] for p in sorted(T.polytope.lattice_points)]
+    cases = {
+        "float point": good + [[[0.5, 0], 0]],
+        "float sign": [[p, 1.0 if p == [0, 0] else b] for p, b in good],
+        "bool sign": [[p, True if p == [0, 0] else b] for p, b in good],
+    }
+    for name, signs in cases.items():
+        sf = tmp_path / "s.json"
+        sf.write_text(json.dumps({"signs": signs}))
+        error = _assert_input_error(
+            capsys, ["patchwork", str(tri), str(tri_dual), "--signs", str(sf)]
+        )
+        assert "repeats" not in error, name
+
+
 def test_sweep_samples_below_one_is_usage_error(cubic_files, capsys):
     _, _, tri, tri_dual = cubic_files
     pair = ["sweep", str(tri), str(tri_dual)]

@@ -2,12 +2,23 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropmirror.chains import ChainComplex, F2Subcomplex, check_f2_square_zero, dense_block
 from tropmirror.cosheaves import CosheafEvaluator
 from tropmirror.errors import BoundarySquareNonzero, InternalCheckError
 from tropmirror.exterior import dim_wedge, wedge_matrix
-from tropmirror.intlinalg import det, f2_rank, hnf_basis, left_kernel, mat_mul, vec_mat
+from tropmirror.intlinalg import (
+    det,
+    f2_cleared_ranks,
+    f2_rank,
+    hnf_basis,
+    left_kernel,
+    mat_mul,
+    sparse_elementary_divisors,
+    vec_mat,
+)
 from tropmirror.modules import FreeQuotient
 from tropmirror.posets import gauge_twist
 
@@ -95,6 +106,146 @@ def test_f2_form_checks_its_square_mod2():
     assert cx.f2_boundary(0b1, 2) == 0b111
     with pytest.raises(BoundarySquareNonzero, match="degree 2, row 0"):
         check_f2_square_zero({1: rows[1], 2: [0b011]})
+
+
+# -- F2 ranks by clearing ------------------------------------------------------------
+
+def _closure(simplices):
+    """Every nonempty face of the given simplices, as sorted tuples."""
+    out = set()
+    for s in simplices:
+        s = tuple(sorted(s))
+        for k in range(1, len(s) + 1):
+            out.update(combinations(s, k))
+    return out
+
+
+def _numbered(faces, rng):
+    """The faces by degree, in a random order per degree."""
+    by_dim = {}
+    for f in sorted(faces):
+        by_dim.setdefault(len(f) - 1, []).append(f)
+    for numbering in by_dim.values():
+        rng.shuffle(numbering)
+    return by_dim
+
+
+@st.composite
+def _simplicial_complexes(draw):
+    """A random simplicial complex, numbered in a random order per degree,
+    and the faces of the subcomplex spanned by some of its top simplices."""
+    n = draw(st.integers(1, 9))
+    tops = draw(st.lists(
+        st.sets(st.integers(0, n - 1), min_size=1, max_size=5), min_size=1, max_size=12
+    ))
+    keep = draw(st.lists(st.booleans(), min_size=len(tops), max_size=len(tops)))
+    by_dim = _numbered(_closure(tops), draw(st.randoms(use_true_random=False)))
+    return by_dim, _closure(t for t, k in zip(tops, keep) if k)
+
+
+def _simplicial_chain_complex(by_dim):
+    """The simplicial chain complex with unit values, numbered as given."""
+    order = [f for q in sorted(by_dim) for f in by_dim[q]]
+    index = {f: i for i, f in enumerate(order)}
+    covers, sign = [], {}
+    for f in order:
+        for i in range(len(f) if len(f) > 1 else 0):
+            cover = (index[f[:i] + f[i + 1 :]], index[f])
+            covers.append(cover)
+            sign[cover] = (-1) ** i
+    poset = FakePoset([len(f) - 1 for f in order], covers)
+    blocks = {cover: [((0, 1),)] for cover in covers}
+    return ChainComplex(poset, [1] * len(order), blocks, sign)
+
+
+def _check_cleared_ranks(by_dim, sub):
+    """Cleared F2 ranks equal f2_rank's in every degree, for the whole
+    complex and for the closed span of the faces in ``sub``, kept in the
+    wider numbering."""
+    cx = _simplicial_chain_complex(by_dim)
+    top = max(by_dim)
+    rows = {q: cx.f2_rows(q) for q in range(1, top + 1)}
+    plain = {q: f2_rank(r) for q, r in rows.items()}
+    assert f2_cleared_ranks(rows) == plain
+    h = cx.homology("f2")
+    assert {q: cx.rank_boundary(q, "f2") for q in rows} == plain
+    assert h.ranks() == [
+        cx.dim(q) - plain.get(q, 0) - plain.get(q + 1, 0) for q in range(top + 1)
+    ]
+    masks = {
+        q: sum(1 << i for i, f in enumerate(by_dim[q]) if f in sub)
+        for q in range(top + 1)
+    }
+    kept = {0: []}
+    for q in rows:
+        kept[q] = [r for i, r in enumerate(rows[q]) if masks[q] >> i & 1]
+        assert all(r & ~masks[q - 1] == 0 for r in kept[q])
+    plain_sub = {q: f2_rank(r) for q, r in kept.items()}
+    assert f2_cleared_ranks(kept, masks) == plain_sub
+    span = F2Subcomplex(rows, masks, kept)
+    assert span.homology("f2").ranks() == [
+        span.dim(q) - plain_sub[q] - plain_sub.get(q + 1, 0) for q in range(top + 1)
+    ]
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(_simplicial_complexes())
+def test_cleared_f2_ranks_match_plain_ranks(data):
+    # clearing skips the rows of D_q whose index leads a reduced row of
+    # D_{q+1}; every rank must still equal f2_rank's
+    _check_cleared_ranks(*data)
+
+
+def test_cleared_f2_ranks_on_subcomplexes_of_a_3_skeleton():
+    # spans of 12 of the 70 tetrahedra on 8 vertices, with every face of the
+    # 3-skeleton numbered: the gaps in the wider numbering put the kept rows
+    # of D_q at indices other than their parent positions
+    tets = list(combinations(range(8), 4))
+    faces = _closure(tets)
+    for seed in range(20):
+        rng = random.Random(seed)
+        _check_cleared_ranks(_numbered(faces, rng), _closure(rng.sample(tets, 12)))
+
+
+def test_clearing_skips_the_rows_the_degree_above_pairs():
+    # D_2 = (e_0) and D_1 = (e_0): the square is nonzero, so row 0 of D_1 is
+    # not a sum of earlier rows, yet clearing skips it; a rank is exact only
+    # on a complex whose square was checked
+    rows = {2: [0b1], 1: [0b1]}
+    assert {q: f2_rank(r) for q, r in rows.items()} == {2: 1, 1: 1}
+    assert f2_cleared_ranks(rows) == {2: 1, 1: 0}
+    assert f2_cleared_ranks(rows, {0: 0b1, 1: 0b1, 2: 0b1}) == {2: 1, 1: 0}
+
+
+def test_cleared_f2_ranks_match_odd_divisors(cubic_pair, k3_pair, cy3_pair):
+    # on the cubic, K3 and CY3 16-cell Newton sides, the cleared F2 rank of
+    # every boundary of every multitangent complex is the number of odd
+    # elementary divisors of its integer elimination
+    for side in (cubic_pair.side_a, k3_pair.side_a, cy3_pair.side_a):
+        ev = CosheafEvaluator(side.ambient, side.newton)
+        for p in range(side.rank):
+            cx = ev.chain_complex(side.base_poset, "multitangent", p)
+            cx.homology("f2")
+            for q in range(1, side.rank + 1):
+                divisors = sparse_elementary_divisors(cx.D[q])
+                assert cx.rank_boundary(q, "f2") == sum(d & 1 for d in divisors), (p, q)
+
+
+def test_doctored_cleared_f2_rank_is_caught_by_z(k3_pair):
+    # the Z elimination cross-checks the cached F2 ranks by its odd divisors:
+    # one cleared rank off by one in any degree is refused
+    side = k3_pair.side_a
+    ev = CosheafEvaluator(side.ambient, side.newton)
+    cx = ev.chain_complex(side.base_poset, "multitangent", 1)
+    cx.homology("f2")
+    clean = dict(cx._rank_cache)
+    for q in range(1, side.rank + 1):
+        cx._rank_cache = dict(clean)
+        cx._rank_cache[q, "f2"] += 1
+        with pytest.raises(InternalCheckError, match=f"D_{q} over f2"):
+            cx.homology("z")
+    cx._rank_cache = dict(clean)
+    assert cx.homology("z").ranks() == cx.homology("f2").ranks()
 
 
 def test_f2_homology_generators_form_a_basis(cubic_pair):
@@ -654,3 +805,32 @@ def test_k3_multitangent_values_keyed_by_edge_directions(k3_pair, monkeypatch):
             assert calls == [
                 (y, x) for (y, x) in poset.covers if ranks[y] and ranks[x]
             ], p
+
+
+def test_multitangent_values_looked_up_once_per_cell_class(cubic_pair, k3_pair, monkeypatch):
+    # a cell class is a (value stratum, edge-direction set): one chain_complex
+    # call asks for one multitangent value per class, whatever the cell count
+    calls = []
+    value = CosheafEvaluator.multitangent_value
+    monkeypatch.setattr(
+        CosheafEvaluator,
+        "multitangent_value",
+        lambda self, p, stratum, sigma: calls.append(
+            (p, stratum, _direction_set(sigma))
+        ) or value(self, p, stratum, sigma),
+    )
+    for pair in (cubic_pair, k3_pair):
+        for side in pair.sides:
+            ev = CosheafEvaluator(side.ambient, side.newton)
+            for kind in ("base", "refined"):
+                poset = side.poset(kind)
+                classes = {
+                    (ev.value_stratum("multitangent", c), _direction_set(c.sigma))
+                    for c in poset.cells
+                }
+                assert len(classes) < len(poset.cells)
+                for p in range(side.rank):
+                    calls.clear()
+                    ev.chain_complex(poset, "multitangent", p)
+                    assert len(calls) == len(classes), (kind, p)
+                    assert set(calls) == {(p, *k) for k in classes}, (kind, p)

@@ -183,6 +183,48 @@ def test_cover_consistency(cubic_pair):
         assert got == expected
 
 
+def _set_difference_covers(poset):
+    """The covers and default signs recomputed from coface sets and set
+    differences: per cell, its tau-cofaces and then its sigma-cofaces, each
+    in ``cofaces`` order; the sign is (-1)^(position of the added vertex in
+    the grown simplex), times (-1)^(rank - dim tau) when sigma grows."""
+    covers, sign = [], {}
+    for x in poset.cells:
+        for tau2 in poset.ambient.cofaces[x.tau]:
+            if (tau2, x.sigma) in poset.cell_index:
+                covers.append((poset.cell_index[tau2, x.sigma], x.index))
+        for sigma2 in poset.newton.cofaces[x.sigma]:
+            if (x.tau, sigma2) in poset.cell_index:
+                covers.append((poset.cell_index[x.tau, sigma2], x.index))
+    for yi, xi in covers:
+        y, x = poset.cells[yi], poset.cells[xi]
+        if y.tau != x.tau:
+            (new,) = set(y.tau) - set(x.tau)
+            sign[yi, xi] = (-1) ** y.tau.index(new)
+        else:
+            (new,) = set(y.sigma) - set(x.sigma)
+            codim_tau = poset.rank - (len(x.tau) - 1)
+            sign[yi, xi] = (-1) ** (y.sigma.index(new) + codim_tau)
+    return covers, sign
+
+
+def test_covers_and_signs_match_set_difference_oracle(cubic_pair, k3_pair, cy3_pair):
+    # covers are found on simplex ids with signs from stored positions; the
+    # cover order, the signs and the lists below each cell are those of the
+    # set-difference rule, on both posets of every side
+    for pair in (cubic_pair, k3_pair, cy3_pair):
+        for side in pair.sides:
+            for kind in ("base", "refined"):
+                poset = side.poset(kind)
+                covers, sign = _set_difference_covers(poset)
+                assert poset.covers == covers, kind
+                assert poset.sign == sign, kind
+                below = {c.index: [] for c in poset.cells}
+                for yi, xi in covers:
+                    below[xi].append(yi)
+                assert poset.below == below, kind
+
+
 def test_not_dual_pair_rejected():
     T = generate_central(LatticePolytope(CUBIC_VERTS))
     bad = generate_central(LatticePolytope([(1, 0), (0, 1), (-1, 0), (0, -1)]))
