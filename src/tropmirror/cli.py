@@ -236,9 +236,7 @@ def cmd_mirror_check(args):
     # class of complementary degree, and back to itself up to boundary
     S = sphere_cycle(pair.side_a)
     out = transfer_class(pair.side_a, S, 0)
-    nonzero = bool(out) and not is_null_class(
-        pair.side_b, out, n, kind="refined", tag="multitangent"
-    )
+    nonzero = not is_null_class(pair.side_b, out, n, kind="refined")
     back = transfer_class(pair.side_b, out, n)
     cx = pair.side_a.complex("refined", "multitangent", 0)
     diff = cx.chain_to_packed(back, n) ^ cx.chain_to_packed(S, n)
@@ -258,7 +256,7 @@ def cmd_divisor_class(args):
     rays = load_divisor(args.divisor)
     side = pair.side_a
     chain = divisor_restriction(side, rays)
-    null = (not chain) or is_null_class(side.mirror, chain, side.n - 1)
+    null = is_null_class(side.mirror, chain, side.n - 1)
     result = {
         "cycle": cycle_dump(chain),
         "class_nonzero": not null,

@@ -21,7 +21,9 @@ holds a +-1, then gcd descent on the remainder.  ``sparse_rank`` counts
 the diagonal it leaves and ``sparse_elementary_divisors`` repairs its
 divisibility.  Over F2, ``F2Space`` is the one leading-bit reduction that
 can solve for combinations; it builds them only when ``solve`` first asks,
-so rank and membership pay for the reduction alone.  ``f2_rank`` is a lean
+so rank and membership pay for the reduction alone.  ``f2_apply`` is the
+one product of a 0/1 row vector with an integer matrix mod 2, and
+``f2_combine`` its packed form.  ``f2_rank`` is a lean
 rank-only pass kept as an independent route for cross-checks, and
 ``f2_cleared_ranks`` the same pass over every boundary of a complex at once,
 top degree down, skipping the rows that the degree above already pairs
@@ -478,6 +480,20 @@ def f2_combine(mask, rows):
         out ^= rows[low.bit_length() - 1]
         mask ^= low
     return out
+
+
+def f2_apply(coords, rows):
+    """coords . rows over F2 for a 0/1 tuple and an integer matrix."""
+    if not rows:
+        return ()
+    ncols = len(rows[0])
+    out = [0] * ncols
+    for i, c in enumerate(coords):
+        if c & 1:
+            row = rows[i]
+            for j in range(ncols):
+                out[j] ^= row[j] & 1
+    return tuple(out)
 
 
 def f2_rank(rows):

@@ -2,17 +2,21 @@
 
 All chain surgery here is over F2 (the ring every acceptance check uses);
 chains are dicts {cell key: coordinate tuple} in the canonical bases of the
-cosheaf values.  The pipeline realizing the mirror isomorphism on a closed
-multitangent chain is:
+cosheaf values.  Every per-cell step is one ``_cellwise`` pass: each
+coefficient goes through one integer matrix of its cell mod 2, applied or
+solved for, and lands on one output cell.  The pipeline realizing the
+mirror isomorphism on a closed multitangent chain is:
 
-1. push through the surjection onto the extended mirror cosheaf;
-2. kill the unbounded part: the part at infinity is inverted cellwise
-   through the block-triangular correction operator (no global solve) and
-   one boundary makes the chain supported on the sphere part;
-3. apply the contraction against the volume form cellwise along the mirror
-   cell bijection;
-4. lift back through the kernel sequence on the mirror side, using the
-   same correction operator for the kernel cosheaf.
+1. one pass applying the surjection onto the extended mirror cosheaf;
+2. kill the unbounded part: one solving pass through the block-triangular
+   correction operator inverts the part at infinity cellwise (no global
+   solve), and one boundary makes the chain supported on the sphere part;
+3. one pass applying the contraction against the volume form, moving each
+   cell along the mirror cell bijection;
+4. lift back through the kernel sequence on the mirror side: one solving
+   pass through the surjection, one solving pass that writes the lift's
+   boundary defect in kernel coordinates, the correction operator for the
+   kernel cosheaf, and one pass applying the kernel inclusion.
 
 The output is a closed multitangent chain of complementary wedge degree on
 the mirror side whose class is independent of every choice made (tested).
@@ -27,7 +31,7 @@ from .errors import (
     UnsupportedCell,
 )
 from .exterior import star, wedge_vector
-from .intlinalg import F2Space, f2_pack
+from .intlinalg import F2Space, f2_apply, f2_pack, identity
 from .posets import mirror_cell_refined
 
 
@@ -36,31 +40,62 @@ def contraction_sign(n):
     return -1 if (n * (n + 5) // 2) % 2 else 1
 
 
-def f2_apply(coords, rows):
-    """coords . rows over F2 for a 0/1 tuple and an integer matrix."""
-    if not rows:
-        return ()
-    ncols = len(rows[0])
-    out = [0] * ncols
-    for i, c in enumerate(coords):
-        if c & 1:
-            row = rows[i]
-            for j in range(ncols):
-                out[j] ^= row[j] & 1
-    return tuple(out)
-
-
-def f2_solve_matrix(rows, target):
-    """x with x.rows = target over F2, coords as 0/1 tuples; None if none."""
-    mask = F2Space(f2_pack(r) for r in rows).solve(f2_pack(target))
-    return None if mask is None else tuple((mask >> i) & 1 for i in range(len(rows)))
+def _cell(poset, key):
+    ci = poset.cell_index.get(key)
+    if ci is None:
+        raise SupportViolation(f"{key} is not a {poset.kind}-poset cell")
+    return poset.cells[ci]
 
 
 def chain_degree(poset, chain):
-    degs = {poset.cells[poset.cell_index[k]].dim for k in chain}
+    degs = {_cell(poset, k).dim for k in chain}
     if len(degs) > 1:
         raise NotAClosedChain(f"chain mixes degrees {sorted(degs)}")
     return degs.pop() if degs else None
+
+
+def _cellwise(poset, chain, matrix, solve=None):
+    """Push an F2 chain through one integer matrix per cell.
+
+    ``matrix(cell)`` gives the cell's rows and the key of the output cell.
+    Each coefficient c becomes c . rows, or, when ``solve`` (an error
+    message) is given, the x with x . rows = c; a coefficient with no such
+    x raises InternalCheckError(solve).  Zero results are dropped.
+    """
+    out = {}
+    for key, coords in chain.items():
+        rows, okey = matrix(_cell(poset, key))
+        if solve is None:
+            w = f2_apply(coords, rows)
+        else:
+            mask = F2Space(f2_pack(r) for r in rows).solve(f2_pack(coords))
+            if mask is None:
+                raise InternalCheckError(solve)
+            w = tuple((mask >> i) & 1 for i in range(len(rows)))
+        if any(w):
+            out[okey] = w
+    return out
+
+
+def _value_map(side, src, dst, p):
+    """The matrix function of the map value(src) -> value(dst) on each cell
+    of ``side``: each basis element of the source, reduced into the
+    target (the identity where both are one value); the output cell is the
+    cell itself."""
+    ev = side.evaluator
+
+    def matrix(cell):
+        Vsrc, Vdst = ev.value(src, p, cell), ev.value(dst, p, cell)
+        if Vsrc is Vdst:
+            return identity(Vsrc.rank), cell.key
+        return [list(Vdst.reduce(Vsrc.rep(i))) for i in range(Vsrc.rank)], cell.key
+
+    return matrix
+
+
+def _require_sphere(poset, chain, message):
+    if not all(poset.on_sphere(_cell(poset, k)) for k in chain):
+        raise InternalCheckError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -90,31 +125,25 @@ def correction_operator(side, chain, p, tag="quotient"):
     """
     poset = side.refined_poset
     ev = side.evaluator
-    out = {}
-    for key, coords in chain.items():
-        ci = poset.cell_index.get(key)
-        if ci is None:
-            raise SupportViolation(f"{key} is not a refined-poset cell")
-        zcell = poset.cells[ci]
+
+    def matrix(zcell):
         if tag == "quotient":
             if not poset.at_infinity(zcell):
-                raise SupportViolation(f"{key} is not at infinity")
+                raise SupportViolation(f"{zcell.key} is not at infinity")
             xkey = (side.ambient.sigma_infty(zcell.tau), zcell.sigma)
         elif tag == "kernel":
             if not poset.on_sphere(zcell):
-                raise SupportViolation(f"{key} is not on the sphere part")
+                raise SupportViolation(f"{zcell.key} is not on the sphere part")
             xkey = (zcell.tau, side.newton.sigma_infty(zcell.sigma))
         else:
             raise UnsupportedCell(tag)
-        xi = poset.cell_index[xkey]
-        xcell = poset.cells[xi]
-        A = dense_block(ev.map_matrix(tag, p, zcell, xcell), len(coords))
-        v = f2_solve_matrix(A, coords)
-        if v is None:
-            raise InternalCheckError("cellwise transition map is not invertible mod 2")
-        if any(v):
-            out[xkey] = v
-    return out
+        xcell = poset.cells[poset.cell_index[xkey]]
+        width = ev.value(tag, p, zcell).rank
+        return dense_block(ev.map_matrix(tag, p, zcell, xcell), width), xkey
+
+    return _cellwise(
+        poset, chain, matrix, solve="cellwise transition map is not invertible mod 2"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -185,25 +214,18 @@ def divisor_restriction(side, rays):
     return chain
 
 
-def is_null_class(side, chain, p, kind="base", tag="multitangent"):
-    """True iff the closed F2 chain bounds in the given complex."""
-    cx = side.complex(kind, tag, p)
-    poset = side.poset(kind)
-    q = chain_degree(poset, chain)
-    if q is None:
+def is_null_class(side, chain, p, kind="base"):
+    """True iff the closed F2 chain bounds in the multitangent complex of
+    the given poset kind; the empty chain does."""
+    if not chain:
         return True
-    vec = cx.chain_to_packed(chain, q)
-    return cx.f2_is_boundary(vec, q)
+    q = chain_degree(side.poset(kind), chain)
+    cx = side.complex(kind, "multitangent", p)
+    return cx.f2_is_boundary(cx.chain_to_packed(chain, q), q)
 
 
 # ---------------------------------------------------------------------------
 # the full transfer
-
-def _value_map(Vsrc, Vdst):
-    """Rows of the cellwise map between two values of one cell: each basis
-    element of Vsrc, reduced into Vdst."""
-    return [list(Vdst.reduce(Vsrc.rep(i))) for i in range(Vsrc.rank)]
-
 
 def transfer_class(side, chain, p):
     """Transfer a closed F2 multitangent chain to the mirror side.
@@ -214,7 +236,6 @@ def transfer_class(side, chain, p):
     representing the mirror class.
     """
     poset = side.refined_poset
-    ev = side.evaluator
     n = side.n
     CF = side.complex("refined", "multitangent", p)
     q = chain_degree(poset, chain)
@@ -225,85 +246,45 @@ def transfer_class(side, chain, p):
     CMD = side.complex("refined", "mirror_ext", p)
 
     # 1. push into the extended mirror cosheaf
-    md = {}
-    for key, coords in chain.items():
-        cell = poset.cells[poset.cell_index[key]]
-        Vf = ev.value("multitangent", p, cell)
-        Vmd = ev.value("mirror_ext", p, cell)
-        out = coords if Vf is Vmd else f2_apply(coords, _value_map(Vf, Vmd))
-        if any(out):
-            md[key] = out
+    md = _cellwise(poset, chain, _value_map(side, "multitangent", "mirror_ext", p))
 
     # 2. cancel the unbounded part through the correction operator
-    inf_part = {
-        k: v
-        for k, v in md.items()
-        if poset.at_infinity(poset.cells[poset.cell_index[k]])
-    }
+    inf_part = {k: v for k, v in md.items() if poset.at_infinity(_cell(poset, k))}
     if inf_part:
         beta = correction_operator(side, inf_part, p, tag="quotient")
         bvec = CMD.chain_to_packed(beta, q + 1)
         corrected_vec = CMD.chain_to_packed(md, q) ^ CMD.f2_boundary(bvec, q + 1)
         md = CMD.packed_to_chain(corrected_vec, q)
-    for key in md:
-        cell = poset.cells[poset.cell_index[key]]
-        if not poset.on_sphere(cell):
-            raise InternalCheckError("correction left unbounded coefficients")
+    _require_sphere(poset, md, "correction left unbounded coefficients")
 
     # 3. contract cellwise along the mirror bijection
     mirror = side.mirror
-    out = {}
-    for key, coords in md.items():
-        cell = poset.cells[poset.cell_index[key]]
-        rows, mkey = contraction_matrix(side, p, cell)
-        w = f2_apply(coords, rows)
-        if any(w):
-            out[mkey] = w
+    out = _cellwise(poset, md, lambda cell: contraction_matrix(side, p, cell))
     CMm = mirror.complex("refined", "mirror", n - p)
     if not CMm.f2_is_cycle(CMm.chain_to_packed(out, q), q):
         raise InternalCheckError("mirrored chain is not closed")
 
     # 4. lift back through the kernel sequence on the mirror side
     mposet = mirror.refined_poset
-    mev = mirror.evaluator
-    lift = {}
-    for key, w in out.items():
-        cell = mposet.cells[mposet.cell_index[key]]
-        Vf = mev.value("multitangent", n - p, cell)
-        Vmd = mev.value("mirror_ext", n - p, cell)
-        u = f2_solve_matrix(_value_map(Vf, Vmd), w)
-        if u is None:
-            raise InternalCheckError(
-                "surjection onto the mirror cosheaf failed to lift"
-            )
-        lift[key] = u
+    lift = _cellwise(
+        mposet,
+        out,
+        _value_map(mirror, "multitangent", "mirror_ext", n - p),
+        solve="surjection onto the mirror cosheaf failed to lift",
+    )
     CFm = mirror.complex("refined", "multitangent", n - p)
     uvec = CFm.chain_to_packed(lift, q)
     cvec = CFm.f2_boundary(uvec, q)
     if cvec:
         c_chain = CFm.packed_to_chain(cvec, q - 1)
+        _require_sphere(mposet, c_chain, "lift defect escapes the sphere part")
         # express the defect in kernel-cosheaf coordinates (it lives there)
-        c_kernel = {}
-        for key, coords in c_chain.items():
-            cell = mposet.cells[mposet.cell_index[key]]
-            if not mposet.on_sphere(cell):
-                raise InternalCheckError("lift defect escapes the sphere part")
-            VR = mev.value("kernel", n - p, cell)
-            VF = mev.value("multitangent", n - p, cell)
-            e = f2_solve_matrix(_value_map(VR, VF), coords)
-            if e is None:
-                raise InternalCheckError("lift defect is not a kernel chain")
-            c_kernel[key] = e
+        inclusion = _value_map(mirror, "kernel", "multitangent", n - p)
+        c_kernel = _cellwise(
+            mposet, c_chain, inclusion, solve="lift defect is not a kernel chain"
+        )
         r = correction_operator(mirror, c_kernel, n - p, tag="kernel")
-        iota_r = {}
-        for key, coords in r.items():
-            cell = mposet.cells[mposet.cell_index[key]]
-            VR = mev.value("kernel", n - p, cell)
-            VF = mev.value("multitangent", n - p, cell)
-            w = f2_apply(coords, _value_map(VR, VF))
-            if any(w):
-                iota_r[key] = w
-        uvec ^= CFm.chain_to_packed(iota_r, q)
+        uvec ^= CFm.chain_to_packed(_cellwise(mposet, r, inclusion), q)
     if not CFm.f2_is_cycle(uvec, q):
         raise NotAClosedChain("transfer output failed to close")
     return CFm.packed_to_chain(uvec, q)

@@ -45,15 +45,9 @@ from .errors import (
     InvalidPhaseStructure,
     NotAClosedChain,
 )
-from .intlinalg import F2Space, dot, f2_combine, f2_pack, f2_rank
+from .intlinalg import F2Space, dot, f2_apply, f2_combine, f2_pack, f2_rank
 from .exterior import wedge_matrix
-from .mirror import (
-    chain_degree,
-    divisor_restriction,
-    divisor_support,
-    f2_apply,
-    is_null_class,
-)
+from .mirror import chain_degree, divisor_restriction, divisor_support, is_null_class
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +346,7 @@ class PhaseFrame:
                     # wedge coordinates of the subspace basis over p-subsets
                     bits = [[(u >> j) & 1 for j in range(w)] for u in U]
                     wedge = [x & 1 for x in wedge_matrix(bits, p)[0]]
-                    fcoords = f2_apply(tuple(wedge), T) if T else ()
+                    fcoords = f2_apply(wedge, T)
                     U_V = [f2_combine(u, B2) for u in U]
                     span = _span(U_V)
                     coset_reps = set()
@@ -364,7 +358,7 @@ class PhaseFrame:
                         ind = 0
                         for u in span:
                             ind |= 1 << index[rep ^ u]
-                        gens.append((ind, tuple(fcoords)))
+                        gens.append((ind, fcoords))
         self._generators[key] = gens
         return gens
 
@@ -669,7 +663,7 @@ def connectedness_verdict(side, rays):
     """
     check_vanishing_hypothesis(side)
     chain = divisor_restriction(side, rays)
-    if not chain or is_null_class(side.mirror, chain, side.n - 1):
+    if is_null_class(side.mirror, chain, side.n - 1):
         return "two_components"
     return "connected"
 

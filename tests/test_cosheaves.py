@@ -576,7 +576,7 @@ def test_quartic_pair_transfer_and_verdicts(quartic_pair):
     n = side.n
     S = sphere_cycle(side)
     out = transfer_class(side, S, 0)
-    assert not is_null_class(side.mirror, out, n, kind="refined", tag="multitangent")
+    assert not is_null_class(side.mirror, out, n, kind="refined")
     for mask in sample_divisor_classes(side, 10, seed=3):
         rays = mask_to_rays(side, mask)
         verdict = connectedness_verdict(side, rays)

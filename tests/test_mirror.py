@@ -13,6 +13,7 @@ from tropmirror.errors import (
     SupportViolation,
 )
 from tropmirror.intlinalg import mat_mul
+from tropmirror import mirror
 from tropmirror.lattice import LatticePolytope
 from tropmirror.mirror import (
     chain_degree,
@@ -25,7 +26,7 @@ from tropmirror.mirror import (
     transfer_class,
 )
 from tropmirror.pairs import MirrorPair
-from tropmirror.patchwork import connectedness_verdict
+from tropmirror.patchwork import connectedness_verdict, delta1, signs_from_divisor
 from tropmirror.triangulate import generate_central
 
 RNG = random.Random(2024)
@@ -82,6 +83,71 @@ def test_correction_operator_zero_and_support(cubic_pair):
     with pytest.raises(SupportViolation):
         correction_operator(side, {sphere_cell.key: (1,)}, 0, tag="quotient")
 
+
+
+def test_non_cell_key_is_a_support_violation(cubic_pair):
+    # a key that names no poset cell is an input error (exit 1), not a
+    # bare KeyError, wherever a chain is read
+    side = cubic_pair.side_a
+    bogus = {(((5, 5),), ((7, 7),)): (1,)}
+    eps = signs_from_divisor(side, [(-1, 2)])
+    for call in (
+        lambda: transfer_class(side, bogus, 0),
+        lambda: is_null_class(side.mirror, bogus, 0),
+        lambda: delta1(side, eps, bogus, 0),
+        lambda: correction_operator(side, bogus, 0),
+    ):
+        with pytest.raises(SupportViolation, match="is not a"):
+            call()
+
+
+def _singular_value_map(monkeypatch, target, src):
+    """Make the cellwise map out of ``src`` on side ``target`` zero mod 2."""
+    real = mirror._value_map
+
+    def value_map(side, s, dst, p):
+        matrix = real(side, s, dst, p)
+        if side is not target or s != src:
+            return matrix
+
+        def doubled(cell):
+            rows, key = matrix(cell)
+            return [[2 * a for a in row] for row in rows], key
+
+        return doubled
+
+    monkeypatch.setattr(mirror, "_value_map", value_map)
+
+
+def test_singular_transition_map_is_an_internal_error(cubic_pair, monkeypatch):
+    side = cubic_pair.side_a
+    gamma = {}
+    while not gamma:
+        gamma = random_infinity_chain(side, 0, 0, RNG)
+    monkeypatch.setattr(
+        mirror, "dense_block", lambda block, width: [[0] * width for _ in block]
+    )
+    with pytest.raises(
+        InternalCheckError, match="cellwise transition map is not invertible mod 2"
+    ):
+        correction_operator(side, gamma, 0, tag="quotient")
+
+
+def test_singular_surjection_fails_to_lift(cubic_pair, monkeypatch):
+    side = cubic_pair.side_a
+    _singular_value_map(monkeypatch, side.mirror, "multitangent")
+    with pytest.raises(
+        InternalCheckError, match="surjection onto the mirror cosheaf failed to lift"
+    ):
+        transfer_class(side, sphere_cycle(side), 0)
+
+
+def test_singular_kernel_inclusion_rejects_the_lift_defect(cubic_pair, monkeypatch):
+    # the fundamental class of the cubic leaves a lift defect to correct
+    side = cubic_pair.side_a
+    _singular_value_map(monkeypatch, side.mirror, "kernel")
+    with pytest.raises(InternalCheckError, match="lift defect is not a kernel chain"):
+        transfer_class(side, sphere_cycle(side), 0)
 
 def test_boundary_of_correction_hits_sphere(cubic_pair):
     # for a closed infinity cycle gamma, boundary(L gamma) = gamma + sphere part
@@ -218,9 +284,7 @@ def test_transfer_fundamental_class_nonzero(cubic_pair, k3_pair):
         out = transfer_class(side, S, 0)
         n = side.n
         assert chain_degree(side.mirror.refined_poset, out) == n
-        assert not is_null_class(
-            side.mirror, out, n, kind="refined", tag="multitangent"
-        )
+        assert not is_null_class(side.mirror, out, n, kind="refined")
 
 
 def test_transfer_involution_on_generators(cubic_pair):
@@ -340,7 +404,7 @@ def test_divisor_restriction_closed_and_parity_oracle(cubic_pair):
         if chain:
             assert cxm.f2_is_cycle(cxm.chain_to_packed(chain, q), q)
         parity = len(chain) % 2
-        null = is_null_class(side.mirror, chain, 0) if chain else True
+        null = is_null_class(side.mirror, chain, 0)
         assert null == (parity == 0)
 
 

@@ -685,10 +685,7 @@ def test_delta1_of_boundary_class_is_null(cubic_pair):
             continue
         chain = cx.packed_to_chain(r, n)
         out = delta1(side, eps, chain, 0)
-        if out:
-            assert is_null_class(
-                side, out, 1, kind="refined", tag="multitangent"
-            )
+        assert is_null_class(side, out, 1, kind="refined")
 
 
 def test_delta1_lift_independence(cubic_pair):
@@ -719,12 +716,7 @@ def test_delta1_on_base_poset_matches_verdict(cubic_pair):
         eps = signs_from_divisor(side, rays)
         S = sphere_cycle(side, kind="base")
         out = delta1(side, eps, S, 0, kind="base")
-        if out:
-            nonzero = not is_null_class(
-                side, out, 1, kind="base", tag="multitangent"
-            )
-        else:
-            nonzero = False
+        nonzero = not is_null_class(side, out, 1, kind="base")
         assert nonzero == connected, rays
 
 
