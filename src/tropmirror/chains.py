@@ -19,10 +19,11 @@ An F2 complex with no signature, such as the sign cosheaf's over every
 point of a phase frame, is kept by its owner as packed boundary rows per
 degree (-1 = 1 over F2), whose square ``check_f2_square_zero`` verifies mod
 2.  An F2Subcomplex is the span of some basis vectors of such rows, closed
-under their boundary, such as the sign complex of one sign distribution: it
-keeps the parent's numbering and rows, so it is neither assembled nor
-square-checked again, and its ranks come from the parent's rows of the kept
-vectors, cleared the same way.
+under their boundary, such as the sign complex of one sign distribution:
+each kept vector is named by its position in the parent's numbering and
+keeps the parent's row, so it is neither renumbered, assembled nor
+square-checked again, and its ranks come from those rows, cleared the same
+way.
 """
 
 from .errors import BoundarySquareNonzero, InternalCheckError, NotAClosedChain
@@ -188,7 +189,7 @@ class ChainComplex(_Graded):
         key = (q, "f2" if ring == "f2" else "q")
         if key not in self._rank_cache:
             if ring == "f2":
-                rows = {d: self.f2_rows(d) for d in self._boundary_degrees}
+                rows = {d: enumerate(self.f2_rows(d)) for d in self._boundary_degrees}
                 for d, rank in f2_cleared_ranks(rows).items():
                     self._rank_cache[d, "f2"] = rank
             else:
@@ -317,22 +318,19 @@ class F2Subcomplex(_Graded):
     """The span of some basis vectors of an F2 complex, closed under its
     boundary.
 
-    ``parent_rows[q]`` holds the parent's packed boundary rows of degree q,
-    whose square the parent's owner has checked (``check_f2_square_zero``).
-    ``masks[q]`` packs the kept degree-q basis vectors in the parent's
-    numbering, and ``rows[q]`` lists the parent's rows of those vectors in
-    increasing position.  The caller checks that the span is closed (each
-    row of ``rows[q]`` lies inside ``masks[q - 1]``); the square then
-    vanishes here too, so nothing is assembled or checked again.  Answers
-    over F2 only; chains are packed in the parent's numbering.
+    ``rows[q]`` maps the position of each kept degree-q basis vector in the
+    parent's numbering, in increasing order, to the parent's packed
+    boundary row of it (0 in degree 0).  The parent's owner has checked the
+    square (``check_f2_square_zero``) and the caller that the span is
+    closed (each row of degree q lies inside the positions kept in degree
+    q - 1); the square then vanishes here too, so nothing is assembled or
+    checked again.  Answers over F2 only.
     """
 
-    def __init__(self, parent_rows, masks, rows):
-        self.parent_rows = parent_rows
-        self.degrees = sorted(masks)
-        self.masks = masks
+    def __init__(self, rows):
         self.rows = rows
-        self.dim_q = {q: m.bit_count() for q, m in masks.items()}
+        self.degrees = sorted(rows)
+        self.dim_q = {q: len(r) for q, r in rows.items()}
         self._homology = None
 
     def homology(self, ring):
@@ -340,17 +338,9 @@ class F2Subcomplex(_Graded):
         if ring != "f2":
             raise InternalCheckError(f"an F2 complex has no homology over {ring}")
         if self._homology is None:
-            ranks = f2_cleared_ranks(self.rows, self.masks)
+            ranks = f2_cleared_ranks({q: r.items() for q, r in self.rows.items()})
             self._homology = HomologySummary({
                 q: (self.dim(q) - ranks[q] - ranks.get(q + 1, 0), ())
                 for q in self.degrees
             }, ring)
         return self._homology
-
-    def f2_boundary(self, vec, q):
-        """Boundary of a packed degree-q chain of the span, by the parent's
-        rows."""
-        if vec & ~self.masks[q]:
-            raise NotAClosedChain(f"chain in degree {q} leaves the subcomplex")
-        rows = self.parent_rows.get(q)
-        return f2_combine(vec, rows) if rows else 0

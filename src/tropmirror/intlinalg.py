@@ -26,7 +26,8 @@ one product of a 0/1 row vector with an integer matrix mod 2, and
 ``f2_combine`` its packed form.  ``f2_rank`` is a lean
 rank-only pass kept as an independent route for cross-checks, and
 ``f2_cleared_ranks`` the same pass over every boundary of a complex at once,
-top degree down, skipping the rows that the degree above already pairs
+each row named by its position, so a subcomplex is ranked in its parent's
+numbering, top degree down, skipping the rows that the degree above pairs
 (clearing: Chen-Kerber, "Persistent homology computation with a twist",
 2011; Bauer-Kerber-Reininghaus, "Clear and compress", 2014).
 """
@@ -511,29 +512,29 @@ def f2_rank(rows):
     return rank
 
 
-def f2_cleared_ranks(rows, masks=None):
+def f2_cleared_ranks(rows):
     """The F2 rank of every boundary of a complex whose square vanishes.
 
-    ``rows[q]`` packs the rows of D_q, their bits numbering the degree-q-1
-    basis.  Without ``masks`` bit j is row j of ``rows[q - 1]``; with them
-    the rows are those of the basis vectors kept in ``masks[q]`` of a wider
-    numbering, in increasing position, so bit j is row
-    ``(masks[q - 1] & ((1 << j) - 1)).bit_count()``.
+    ``rows[q]`` lists the rows of D_q as (position, packed row) pairs in
+    increasing position, the bits of each row naming positions in degree
+    q - 1.  Positions may leave gaps, as when the rows are those of the
+    basis vectors of a subcomplex kept in a wider numbering.
 
-    Degrees go top down, and each is ``f2_rank``'s pass: rows in index
+    Degrees go top down, and each is ``f2_rank``'s pass: rows in position
     order, pivot on the highest bit.  A leading bit j of the reduced
     D_{q+1} marks a vector e_j + (lower terms) in the image of D_{q+1};
-    since D_{q+1} D_q = 0, row j of D_q is then a sum of rows of lower
-    index, and it is skipped.  Replacing each such e_j by its image vector
-    is a triangular change of basis, so the rows left span the image of
-    D_q and every rank is exact.  The caller must have checked the square.
+    since D_{q+1} D_q = 0, the row at position j of D_q is then a sum of
+    rows at lower positions, and it is skipped.  Replacing each such e_j by
+    its image vector is a triangular change of basis, so the rows left span
+    the image of D_q and every rank is exact.  The caller must have checked
+    the square.
     """
     ranks = {}
     cleared = {}
     for q in sorted(rows, reverse=True):
         skip = cleared.get(q, ())
         basis = {}  # leading bit -> row
-        for i, r in enumerate(rows[q]):
+        for i, r in rows[q]:
             if i in skip:
                 continue
             while r:
@@ -544,11 +545,7 @@ def f2_cleared_ranks(rows, masks=None):
                     break
                 r ^= b
         ranks[q] = len(basis)
-        if masks is None:
-            cleared[q - 1] = basis.keys()
-        elif q - 1 in masks:
-            m = masks[q - 1]
-            cleared[q - 1] = {(m & ((1 << j) - 1)).bit_count() for j in basis}
+        cleared[q - 1] = basis.keys()
     return ranks
 
 

@@ -27,10 +27,14 @@ distribution then ORs its cells' phase sets and reaches per degree; the
 transport is checked once per degree (the reach of the q-cells stays inside
 the phase set of degree q-1), which makes its sign complex a subcomplex of
 the frame's, with no assembly or square check of its own: its rows are
-gathered from the frame's point rows.  Both Betti routes cross-check each
-other: the sign complex's ranks come from the gathered rows, and the real
-complex numbers its cells on its own and packs its boundary rows in one
-pass over the frame's covers.
+gathered from the frame's point rows.  The whole sign route has one
+numbering, the frame's: a point s of cell ci sits at ``offset[ci] + s`` in
+the phase sets, the sign complex's rows and their cleared ranks, and a
+filtration indicator has bit s for point s, so ``delta1`` lifts and reads
+back by shifts.  Both Betti routes cross-check each other: the sign
+complex's ranks come from the gathered rows, and the real complex numbers
+its cells on its own and packs its boundary rows in one pass over the
+frame's covers.
 """
 
 import random
@@ -123,6 +127,15 @@ def signs_from_phase(side, t):
 # ---------------------------------------------------------------------------
 # divisor classes
 
+# the most rays or lattice points whose 2^k subsets a sweep enumerates
+ENUMERATION_LIMIT = 16
+
+
+def _check_enumerable(count, what):
+    if count > ENUMERATION_LIMIT:
+        raise InputError(f"{2 ** count} {what} is too many to enumerate; sample instead")
+
+
 def _pairing_rows(side):
     rays = side.newton.rays()
     m = side.rank
@@ -157,11 +170,8 @@ def divisors_equivalent(side, d1, d2):
 def divisor_class_representatives(side):
     """Canonical representative masks of all F2 divisor classes."""
     rays, rows = _pairing_rows(side)
+    _check_enumerable(len(rays), "divisors")
     space = F2Space(rows)
-    if len(rays) > 16:
-        raise InputError(
-            f"{2 ** len(rays)} divisors is too many to enumerate; sample instead"
-        )
     return sorted({space.reduce(mask) for mask in range(1 << len(rays))})
 
 
@@ -285,10 +295,6 @@ class PhaseFrame:
             self._points[key] = (points, {s: i for i, s in enumerate(points)})
         return self._points[key]
 
-    def phase_points(self, ci, tes):
-        """(points, index) of the phase set of cell ci under edge phases tes."""
-        return self.point_set(self.cells[ci][1], self.phase_bits(ci, tes))
-
     def cell_phase(self, ci, tes):
         """The PhaseCell of cell ci under edge phases tes, built once per
         (ci, tes).  Its reach is read off the covers below ci, in the
@@ -314,15 +320,15 @@ class PhaseFrame:
 
     def level_generators(self, ci, p, tes):
         """(indicator, multitangent coords) pairs spanning filtration level p
-        on cell ci under edge phases tes, computed once per (ci, p, tes)."""
+        on cell ci under edge phases tes, computed once per (ci, p, tes).
+        Bit s of an indicator is the point s of the cell's frame."""
         key = (ci, p, tes)
         if key in self._generators:
             return self._generators[key]
         ev = self.evaluator
         stratum, _, edges = self.cells[ci]
-        points, index = self.phase_points(ci, tes)
         gens = []
-        if points:
+        if self.phase_bits(ci, tes):
             value = ev.value("multitangent", p, self.poset.cells[ci])
             for ((a, b), rdm, _), te in zip(edges, tes):
                 B = ev.edge_annihilator_basis(stratum, a, b, 1)
@@ -357,7 +363,7 @@ class PhaseFrame:
                     for rep in sorted(coset_reps):
                         ind = 0
                         for u in span:
-                            ind |= 1 << index[rep ^ u]
+                            ind |= 1 << (rep ^ u)
                         gens.append((ind, fcoords))
         self._generators[key] = gens
         return gens
@@ -393,12 +399,12 @@ class PhaseData:
     Each cell's PhaseCell comes from the frame's memo, keyed by the edge
     phases of this distribution on the cell's edges.  Per degree q the
     phase sets of the q-cells, shifted to their frame offsets, are ORed
-    into the phase set ``masks[q]``; the span of the phase points is closed
-    under the boundary of the frame's point rows iff the reach of the
-    q-cells lies in ``masks[q - 1]``, checked here once per degree.  The
-    sign complex is that span, an F2Subcomplex of the point rows, built on
-    first read.  The real complex reads the transport from the frame's
-    covers.
+    into the phase set ``masks[q]``, in the frame's numbering; the span of
+    the phase points is closed under the boundary of the frame's point rows
+    iff the reach of the q-cells lies in ``masks[q - 1]``, checked here once
+    per degree.  The sign complex is that span, an F2Subcomplex of the
+    point rows, built on first read.  The real complex reads the transport
+    from the frame's covers.
     """
 
     def __init__(self, side, poset, eps):
@@ -410,7 +416,7 @@ class PhaseData:
             frame.cell_phase(ci, tuple([t[e] for e, _, _ in edges]))
             for ci, (_, _, edges) in enumerate(frame.cells)
         ]
-        self._masks = {}
+        self.masks = {}
         below = 0
         for q, indices in self.poset.cells_by_dim.items():
             mask = reach = 0
@@ -419,7 +425,7 @@ class PhaseData:
                 reach |= cells[ci].reach
             if reach & ~below:
                 raise InternalCheckError("phase transport escaped the target phase set")
-            self._masks[q] = below = mask
+            self.masks[q] = below = mask
         self._cells = cells
         self._complex = None
 
@@ -431,19 +437,16 @@ class PhaseData:
 
     def sign_complex(self):
         """The sign cosheaf's F2 complex: the frame's point rows restricted
-        to the phase points, in the frame's numbering, with the rows of
-        those points gathered cell by cell."""
+        to the phase points, gathered cell by cell and keyed by frame
+        position (degree 0 has no rows, so its points map to 0)."""
         if self._complex is None:
             prows, offset = self.frame.point_rows, self.frame.offset
             rows = {}
             for q, indices in self.poset.cells_by_dim.items():
-                frows, gathered = prows.get(q), []
-                if frows:
-                    for ci in indices:
-                        off = offset[ci]
-                        gathered += [frows[off + s] for s in self._cells[ci].points]
-                rows[q] = gathered
-            self._complex = F2Subcomplex(prows, self._masks, rows)
+                points = [offset[ci] + s for ci in indices for s in self._cells[ci].points]
+                frows = prows.get(q)
+                rows[q] = {i: frows[i] for i in points} if frows else dict.fromkeys(points, 0)
+            self._complex = F2Subcomplex(rows)
         return self._complex
 
     # -- filtration generators ------------------------------------------------------
@@ -586,7 +589,9 @@ def delta1(side, eps, chain, p, kind="refined"):
 
     Lift the chain into filtration level p of the sign complex, take the
     boundary there, and read the result in level p+1 through the graded
-    identification.  The output class is independent of the lift.
+    identification.  The output class is independent of the lift.  Lift and
+    boundary live in the frame's numbering, where a cell's indicators sit
+    at its offset and the boundary comes from the frame's point rows.
     """
     poset = side.poset(kind)
     pd = PhaseData(side, poset, eps)
@@ -596,7 +601,6 @@ def delta1(side, eps, chain, p, kind="refined"):
         return {}
     if not CF.f2_is_cycle(CF.chain_to_packed(chain, q), q):
         raise NotAClosedChain("filtration differential input is not closed")
-    Scx = pd.sign_complex()
     offset = pd.frame.offset
     lvec = 0
     for key, fcoords in chain.items():
@@ -609,20 +613,17 @@ def delta1(side, eps, chain, p, kind="refined"):
             raise InternalCheckError(
                 "chain coefficient is not in the filtration image"
             )
-        ind = f2_combine(mask, [g[0] for g in gens])
-        lvec |= f2_combine(ind, [1 << s for s in pc.points]) << offset[ci]
-    bvec = Scx.f2_boundary(lvec, q)
-    if bvec & ~Scx.masks[q - 1]:
+        lvec |= f2_combine(mask, [g[0] for g in gens]) << offset[ci]
+    rows = pd.frame.point_rows.get(q)
+    bvec = f2_combine(lvec, rows) if rows else 0
+    if bvec & ~pd.masks[q - 1]:
         raise InternalCheckError("boundary of the lift escaped the phase sets")
     out = {}
     for ci in poset.cells_by_dim[q - 1]:
         pc = pd.phase_cell(ci)
-        part = (bvec >> offset[ci]) & pc.bits
-        if not part:
+        ind = (bvec >> offset[ci]) & pc.bits
+        if not ind:
             continue
-        ind = 0
-        for i, s in enumerate(pc.points):
-            ind |= ((part >> s) & 1) << i
         gens = pd.filtration_generators(ci, p + 1)
         ind_space, _ = pd.frame.level_spaces(ci, p + 1, pc.tes)
         mask = ind_space.solve(ind)
@@ -692,8 +693,10 @@ def sweep_rows(side, masks, with_betti=True):
 
 
 def raw_sign_sweep(side):
-    """Betti vectors for every sign distribution (for the equivalence test)."""
+    """Betti vectors for every sign distribution (for the equivalence test);
+    more than ENUMERATION_LIMIT lattice points is an input error."""
     points = list(side.newton.polytope.lattice_points)
+    _check_enumerable(len(points), "sign distributions")
     rows = []
     for mask in range(1 << len(points)):
         eps = {p: (mask >> i) & 1 for i, p in enumerate(points)}

@@ -341,8 +341,9 @@ def test_criterion_10_structural_properties(cubic_pair, k3_pair):
             poset, "multitangent", p, sign=gauge_twist(poset, poset.sign, gauge)
         )
         ok = ok and cx2.homology("z") == ref_z
-    # filtration: preservation and graded rank identity on every cell of
-    # both pairs, one divisor each; plus the sign/multitangent Euler identity
+    # filtration: indicators inside the phase sets (bit s is frame point s),
+    # preservation and graded rank identity on every cell of both pairs, one
+    # divisor each; plus the sign/multitangent Euler identity
     for pair, rays in ((cubic_pair, [D7]), (k3_pair, [k3_pair.side_a.newton.rays()[0]])):
         side = pair.side_a
         eps = signs_from_divisor(side, rays)
@@ -354,6 +355,8 @@ def test_criterion_10_structural_properties(cubic_pair, k3_pair):
             prev_rank = None
             for p in range(side.n + 2):
                 sp = pd.filtration_space(c.index, p)
+                for ind, _ in pd.filtration_generators(c.index, p):
+                    ok = ok and not ind & ~pc.bits
                 if p <= side.n:
                     f_rank = side.evaluator.value("multitangent", p, c).rank
                     nxt = pd.filtration_space(c.index, p + 1)
@@ -371,10 +374,9 @@ def test_criterion_10_structural_properties(cubic_pair, k3_pair):
                     v = ind
                     while v:
                         low = v & (-v)
-                        s = px.points[low.bit_length() - 1]
-                        out ^= 1 << py.index[
-                            pd.transport(s, px.stratum, py.stratum)
-                        ]
+                        out ^= 1 << pd.transport(
+                            low.bit_length() - 1, px.stratum, py.stratum
+                        )
                         v ^= low
                     ok = ok and target.contains(out)
         scx = pd.sign_complex()

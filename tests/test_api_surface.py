@@ -73,8 +73,6 @@ SHARED = {
     "lattice.LatticePolytope.contains": "lattice.LatticePolytope.lattice_points",
     "chains.ChainComplex.homology": "pairs.Side.homology",
     "chains.F2Subcomplex.homology": "patchwork.real_betti",
-    "chains.ChainComplex.f2_boundary": "chains.ChainComplex.f2_is_cycle",
-    "chains.F2Subcomplex.f2_boundary": "patchwork.delta1",
     "pairs.Side.homology": "pairs.Side.hodge_table",
     "chains.HomologySummary.rank": "pairs.Side.hodge_table",
     "intlinalg.F2Space.rank": "patchwork._subspaces",

@@ -265,6 +265,24 @@ def test_raw_sweep_on_diamond_pair(tmp_path, capsys):
     assert all(row["b0"] == 2 for row in rows)  # this pair always splits
 
 
+def test_raw_sweep_refuses_too_many_sign_distributions(tmp_path, capsys, monkeypatch):
+    # the K3 cube side has 27 lattice points: 2^27 sign distributions are
+    # refused as an input error before any Betti numbers are computed
+    monkeypatch.setattr(tropmirror.patchwork, "real_betti", None)
+    paths = []
+    for name, verts in (("cube", CUBE_VERTS), ("octa", OCTA_VERTS)):
+        poly = tmp_path / f"{name}.json"
+        poly.write_text(json.dumps({"rank": 3, "vertices": [list(v) for v in verts]}))
+        paths.append(str(tmp_path / f"tri_{name}.json"))
+        assert main(["triangulate", str(poly), "-o", paths[-1]]) == 0
+    capsys.readouterr()
+    assert main(["sweep", *paths, "--raw"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["kind"] == "input" and str(2 ** 27) in err["error"]
+
+
 def test_raw_sweep_takes_no_class_flags(cubic_files, capsys):
     _, _, tri, tri_dual = cubic_files
     pair = ["sweep", str(tri), str(tri_dual)]
