@@ -86,10 +86,6 @@ class HomologySummary:
     def degrees(self):
         return sorted(self.data)
 
-    def ranks(self):
-        top = max(self.degrees, default=-1)
-        return [self.rank(q) for q in range(top + 1)]
-
     def has_torsion(self):
         return any(t for (_, t) in self.data.values())
 

@@ -27,7 +27,8 @@ normalised edge directions (found once per sigma) and is computed once per
 (p, stratum, direction set).  A value depends only on its spans, not on the
 cell that carries it, so values are interned: one FreeQuotient per distinct
 module, one wedge per distinct frame projection, and one sparse matrix per
-distinct (source value, target value, projection) triple.
+distinct (source value, target value, projection) triple (``value_map``,
+which the mirror transfer reads as well).
 
 The cells of a poset fall into classes whose values agree for every p:
 for the multitangent cosheaves a class is a (value stratum, edge-direction
@@ -268,7 +269,8 @@ class CosheafEvaluator:
             return self._zero(dim_wedge(self.m, p))
         raise UnsupportedCell(f"unknown cosheaf tag {tag!r}")
 
-    def _cell_value(self, tag, p, cell):
+    def cell_value(self, tag, p, cell):
+        """The (value, value stratum) pair that maps start and end at."""
         return self.value(tag, p, cell), self.value_stratum(tag, cell)
 
     def value_stratum(self, tag, cell):
@@ -297,18 +299,12 @@ class CosheafEvaluator:
             self._projection_wedges[key] = self._wedges.setdefault(W, W)
         return self._projection_wedges[key]
 
-    def map_matrix(self, tag, p, ycell, xcell):
-        """The cosheaf map value(x) -> value(y) for a cover y below x, as
-        sparse rows: per basis element of value(x), the (index, entry) pairs
-        of its image in value(y), computed once per distinct triple
-        (source value, target value, projection wedge).
-
-        Inside ``chain_complex`` both cells' (value, stratum) pairs come from
-        the complex being assembled; other cells are looked up."""
-        scope = self._scope
-        known = scope[1] if scope is not None and scope[0] == (tag, p) else {}
-        Vx, sx = known.get(xcell) or self._cell_value(tag, p, xcell)
-        Vy, sy = known.get(ycell) or self._cell_value(tag, p, ycell)
+    def value_map(self, x, y, p):
+        """The cosheaf map between two (value, stratum) pairs, x to y, as
+        sparse rows: per basis element of x's value, the (index, entry)
+        pairs of its image in y's value, computed once per distinct triple
+        (source value, target value, projection wedge)."""
+        (Vx, sx), (Vy, sy) = x, y
         if Vx.rank == 0 or Vy.rank == 0:
             return ((),) * Vx.rank
         W = self._projection_wedge(sx, sy, p)
@@ -321,6 +317,17 @@ class CosheafEvaluator:
                 rows.append(tuple((j, v) for j, v in enumerate(Vy.reduce(a)) if v))
             rows = self._maps[key] = tuple(rows)
         return rows
+
+    def map_matrix(self, tag, p, ycell, xcell):
+        """``value_map`` from xcell to ycell, for a cover y below x.
+
+        Inside ``chain_complex`` both cells' (value, stratum) pairs come from
+        the complex being assembled; other cells are looked up."""
+        scope = self._scope
+        known = scope[1] if scope is not None and scope[0] == (tag, p) else {}
+        x = known.get(xcell) or self.cell_value(tag, p, xcell)
+        y = known.get(ycell) or self.cell_value(tag, p, ycell)
+        return self.value_map(x, y, p)
 
     # -- complexes ----------------------------------------------------------------
     def _cell_classes(self, poset, tag):
@@ -352,7 +359,7 @@ class CosheafEvaluator:
         nonzero gets its block from ``map_matrix``."""
         cells = poset.cells
         classes, reps = self._cell_classes(poset, tag)
-        values = [self._cell_value(tag, p, c) for c in reps]
+        values = [self.cell_value(tag, p, c) for c in reps]
         pairs = [values[k] for k in classes]
         ranks = [v.rank for v, _ in pairs]
         blocks = {}

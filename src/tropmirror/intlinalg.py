@@ -17,13 +17,14 @@ Smith, extra rows) of one work matrix, so each elementary operation is
 written once and the transforms come along with it.  Sparse matrices go
 through one structured elimination on a copy of the rows that leaves its
 input untouched: unit pivots, found through a column index, while any row
-holds a +-1, then gcd descent on the remainder.  ``sparse_rank`` counts
-the diagonal it leaves and ``sparse_elementary_divisors`` repairs its
-divisibility.  Over F2, ``F2Space`` is the one leading-bit reduction that
-can solve for combinations; it builds them only when ``solve`` first asks,
-so rank and membership pay for the reduction alone.  ``f2_apply`` is the
-one product of a 0/1 row vector with an integer matrix mod 2, and
-``f2_combine`` its packed form.  ``f2_rank`` is a lean
+holds a +-1, then gcd descent on the remainder.  ``sparse_rank`` counts the
+diagonal it leaves and ``sparse_elementary_divisors`` repairs its
+divisibility.  Over Z, ``solve_hnf`` is the one exact solver:
+back-substitution over an HNF basis and its ``pivots``.  Over F2,
+``F2Space`` is the one leading-bit reduction that can solve for
+combinations; it tracks the combination behind each basis row as rows are
+added.  ``f2_apply`` is the one product of a 0/1 row vector with an integer
+matrix mod 2, and ``f2_combine`` its packed form.  ``f2_rank`` is a lean
 rank-only pass kept as an independent route for cross-checks, and
 ``f2_cleared_ranks`` the same pass over every boundary of a complex at once,
 each row named by its position, so a subcomplex is ranked in its parent's
@@ -173,7 +174,8 @@ def left_kernel(A):
     return hnf_basis(ker)
 
 
-def _pivots(H):
+def pivots(H):
+    """Column of the leading entry of each nonzero row of an echelon form."""
     piv = []
     for r in H:
         for j, a in enumerate(r):
@@ -183,14 +185,15 @@ def _pivots(H):
     return piv
 
 
-def solve_hnf(H, pivots, b):
-    """Coefficients of b over the nonzero HNF rows H, or None.
+def solve_hnf(H, piv, b):
+    """Coefficients of b over the nonzero HNF rows H, whose ``pivots`` are
+    ``piv``, or None.
 
     Integral back-substitution; None when b is outside the row span over Z.
     """
     v = list(b)
     coeffs = [0] * len(H)
-    for i, j in enumerate(pivots):
+    for i, j in enumerate(piv):
         if v[j] % H[i][j]:
             return None
         q = v[j] // H[i][j]
@@ -202,24 +205,6 @@ def solve_hnf(H, pivots, b):
     if any(v):
         return None
     return coeffs
-
-
-def solve_left(A, b):
-    """Some x with x.A = b over Z, or None if no integral solution."""
-    if len(b) != (len(A[0]) if A else len(b)):
-        raise DimensionMismatch("vector length does not match matrix")
-    H, U = row_hermite(A, transform=True)
-    Hnz = [r for r in H if any(r)]
-    c = solve_hnf(Hnz, _pivots(Hnz), b)
-    if c is None:
-        return None
-    x = [0] * len(A)
-    for i, q in enumerate(c):
-        if q:
-            Ui = U[i]
-            for j in range(len(A)):
-                x[j] += q * Ui[j]
-    return x
 
 
 def inverse_unimodular(E):
@@ -552,37 +537,33 @@ def f2_cleared_ranks(rows):
 class F2Space:
     """Row space over F2 with membership tests and coordinate solving.
 
-    The reduction keeps one basis row per leading bit.  The combination of
-    inserted rows behind each basis row is only needed by ``solve``, so it
-    is built when ``solve`` is first called, by replaying the rows inserted
-    so far, and tracked by every later ``add``: a space that is only asked
-    for its rank or for membership never pays for combinations.
+    The reduction keeps one basis row per leading bit, together with the
+    combination of inserted rows behind it (bit i = the i-th inserted row),
+    tracked from the first ``add`` so that ``solve`` is one more reduction.
     """
 
     def __init__(self, rows=()):
         self._basis = {}  # leading bit -> row
-        self._combs = None  # leading bit -> combination bitmask, once tracked
-        self._rows = []  # every inserted row, in order
+        self._combs = {}  # leading bit -> combination bitmask
+        self._added = 0  # rows inserted so far
         for r in rows:
             self.add(r)
 
     def add(self, row):
         """Insert a row; returns True if it enlarged the space."""
         basis, combs = self._basis, self._combs
-        comb = 0 if combs is None else 1 << len(self._rows)
-        self._rows.append(row)
+        comb = 1 << self._added
+        self._added += 1
         r = row
         while r:
             lead = r.bit_length() - 1
             b = basis.get(lead)
             if b is None:
                 basis[lead] = r
-                if combs is not None:
-                    combs[lead] = comb
+                combs[lead] = comb
                 return True
             r ^= b
-            if combs is not None:
-                comb ^= combs[lead]
+            comb ^= combs[lead]
         return False
 
     @property
@@ -608,12 +589,6 @@ class F2Space:
 
     def solve(self, row):
         """Bitmask over inserted rows expressing ``row``, or None."""
-        if self._combs is None:
-            # the same rows in the same order rebuild the same basis
-            rows, self._rows = self._rows, []
-            self._basis, self._combs = {}, {}
-            for r in rows:
-                self.add(r)
         basis, combs = self._basis, self._combs
         r = row
         comb = 0

@@ -31,7 +31,7 @@ from .errors import (
     UnsupportedCell,
 )
 from .exterior import star, wedge_vector
-from .intlinalg import F2Space, f2_apply, f2_pack, identity
+from .intlinalg import F2Space, f2_apply, f2_pack
 from .posets import mirror_cell_refined
 
 
@@ -79,16 +79,13 @@ def _cellwise(poset, chain, matrix, solve=None):
 
 def _value_map(side, src, dst, p):
     """The matrix function of the map value(src) -> value(dst) on each cell
-    of ``side``: each basis element of the source, reduced into the
-    target (the identity where both are one value); the output cell is the
-    cell itself."""
+    of ``side``, read from the evaluator's memo of value maps; the output
+    cell is the cell itself."""
     ev = side.evaluator
 
     def matrix(cell):
-        Vsrc, Vdst = ev.value(src, p, cell), ev.value(dst, p, cell)
-        if Vsrc is Vdst:
-            return identity(Vsrc.rank), cell.key
-        return [list(Vdst.reduce(Vsrc.rep(i))) for i in range(Vsrc.rank)], cell.key
+        x, y = ev.cell_value(src, p, cell), ev.cell_value(dst, p, cell)
+        return dense_block(ev.value_map(x, y, p), y[0].rank), cell.key
 
     return matrix
 

@@ -12,7 +12,7 @@ presentations), so it is checked rather than assumed.
 """
 
 from .errors import FreenessError, MembershipViolation
-from .intlinalg import _pivots, hnf_basis, inverse_unimodular, smith, solve_hnf
+from .intlinalg import hnf_basis, inverse_unimodular, pivots, smith, solve_hnf
 
 
 class FreeQuotient:
@@ -31,7 +31,7 @@ class FreeQuotient:
     def __init__(self, ambient, sub_rows, quo_rows=()):
         self.ambient = ambient
         self.sub = hnf_basis(list(sub_rows))
-        self.sub_pivots = _pivots(self.sub)
+        self.sub_pivots = pivots(self.sub)
         r = len(self.sub)
         coords = []
         for row in quo_rows:

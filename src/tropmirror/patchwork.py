@@ -432,9 +432,6 @@ class PhaseData:
     def phase_cell(self, ci):
         return self._cells[ci]
 
-    def transport(self, s, sx, sy):
-        return self.frame.point_images(sx, sy)[s]
-
     def sign_complex(self):
         """The sign cosheaf's F2 complex: the frame's point rows restricted
         to the phase points, gathered cell by cell and keyed by frame
@@ -453,9 +450,6 @@ class PhaseData:
     def filtration_generators(self, ci, p):
         """(indicator, multitangent coords) pairs spanning level p on a cell."""
         return self.frame.level_generators(ci, p, self._cells[ci].tes)
-
-    def filtration_space(self, ci, p):
-        return F2Space(ind for ind, _ in self.filtration_generators(ci, p))
 
 
 def _span(vectors):
@@ -601,6 +595,8 @@ def delta1(side, eps, chain, p, kind="refined"):
         return {}
     if not CF.f2_is_cycle(CF.chain_to_packed(chain, q), q):
         raise NotAClosedChain("filtration differential input is not closed")
+    if q == 0:
+        return {}  # the boundary of a degree-0 lift is 0
     offset = pd.frame.offset
     lvec = 0
     for key, fcoords in chain.items():

@@ -24,7 +24,7 @@ from .errors import (
     NotReflexive,
     RankUnsupported,
 )
-from .intlinalg import det, dot, left_kernel, solve_left
+from .intlinalg import det, dot, left_kernel, pivots, solve_hnf
 from .lattice import LatticePolytope, _affine_rank, _as_point
 
 
@@ -206,11 +206,12 @@ def _triangulate_facet_3d(P, v, c):
     """Full lattice triangulation of the facet <v, .> = c of a 3-polytope."""
     pts3 = [p for p in P.lattice_points if dot(v, p) == c]
     base = min(pts3)
-    kernel = left_kernel([[a] for a in v])  # basis of the facet-plane lattice
+    kernel = left_kernel([[a] for a in v])  # HNF basis of the facet-plane lattice
+    kpiv = pivots(kernel)
     plane = {}
     for p in pts3:
         rel = [a - b for a, b in zip(p, base)]
-        coeff = solve_left([list(k) for k in kernel], rel)
+        coeff = solve_hnf(kernel, kpiv, rel)
         if coeff is None:
             raise InternalCheckError("facet point outside facet-plane lattice")
         plane[tuple(coeff)] = p

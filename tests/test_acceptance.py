@@ -354,12 +354,12 @@ def test_criterion_10_structural_properties(cubic_pair, k3_pair):
                 continue
             prev_rank = None
             for p in range(side.n + 2):
-                sp = pd.filtration_space(c.index, p)
+                sp = pd.frame.level_spaces(c.index, p, pc.tes)[0]
                 for ind, _ in pd.filtration_generators(c.index, p):
                     ok = ok and not ind & ~pc.bits
                 if p <= side.n:
                     f_rank = side.evaluator.value("multitangent", p, c).rank
-                    nxt = pd.filtration_space(c.index, p + 1)
+                    nxt = pd.frame.level_spaces(c.index, p + 1, pc.tes)[0]
                     ok = ok and sp.rank - nxt.rank == f_rank
                 for ind, _ in pd.filtration_generators(c.index, p + 1) if p <= side.n else ():
                     ok = ok and sp.contains(ind)
@@ -368,15 +368,14 @@ def test_criterion_10_structural_properties(cubic_pair, k3_pair):
             if not px.points or not py.points:
                 continue
             for p in range(side.n + 1):
-                target = pd.filtration_space(yi, p)
+                target = pd.frame.level_spaces(yi, p, py.tes)[0]
+                images = pd.frame.point_images(px.stratum, py.stratum)
                 for ind, _ in pd.filtration_generators(xi, p):
                     out = 0
                     v = ind
                     while v:
                         low = v & (-v)
-                        out ^= 1 << pd.transport(
-                            low.bit_length() - 1, px.stratum, py.stratum
-                        )
+                        out ^= 1 << images[low.bit_length() - 1]
                         v ^= low
                     ok = ok and target.contains(out)
         scx = pd.sign_complex()

@@ -407,7 +407,8 @@ def test_sign_complex_refuses_integer_rings(cubic_pair):
             cx.homology(ring)
     with pytest.raises(ValueError):
         cx.homology("r")
-    assert cx.homology("f2").ranks()[: side.n + 1] == real_betti(side, eps)
+    h = cx.homology("f2")
+    assert [h.rank(q) for q in range(side.n + 1)] == real_betti(side, eps)
     prows = pd.frame.point_rows
     for q in cx.degrees[1:]:
         assert cx.rows[q] == {j: prows[q][j] for j in _bits(pd.masks[q])}
@@ -455,7 +456,7 @@ def test_filtration_rank_identity_and_preservation(cubic_pair):
             continue
         spaces = {}
         for p in range(side.n + 2):
-            spaces[p] = pd.filtration_space(c.index, p)
+            spaces[p] = pd.frame.level_spaces(c.index, p, pc.tes)[0]
             for ind, _ in pd.filtration_generators(c.index, p):
                 assert ind & ~pc.bits == 0, (c, p)
         # K_{n+1} = 0 and K_0 is everything
@@ -474,13 +475,14 @@ def test_filtration_rank_identity_and_preservation(cubic_pair):
         if not px.points or not py.points:
             continue
         for p in range(side.n + 1):
-            target = pd.filtration_space(yi, p)
+            target = pd.frame.level_spaces(yi, p, py.tes)[0]
+            images = pd.frame.point_images(px.stratum, py.stratum)
             for ind, _ in pd.filtration_generators(xi, p):
                 out = 0
                 v = ind
                 while v:
                     low = v & (-v)
-                    out ^= 1 << pd.transport(low.bit_length() - 1, px.stratum, py.stratum)
+                    out ^= 1 << images[low.bit_length() - 1]
                     v ^= low
                 assert target.contains(out), (xi, yi, p)
 
@@ -732,6 +734,16 @@ def test_delta1_mirror_is_divisor_class_cubic(cubic_pair):
         v1 = cxm.chain_to_packed(transferred, n - 1) if transferred else 0
         v2 = cxm.chain_to_packed(dx, n - 1) if dx else 0
         assert cxm.f2_is_boundary(v1 ^ v2, n - 1), mask
+
+
+def test_delta1_of_degree_zero_chain_is_zero(cubic_pair):
+    # a degree-0 lift has boundary 0, so its differential is the empty chain
+    side = cubic_pair.side_a
+    eps = signs_from_divisor(side, [D7])
+    for p in (0, 1):
+        chain = side.complex("refined", "multitangent", p).packed_to_chain(1, 0)
+        assert len(chain) == 1
+        assert delta1(side, eps, chain, p) == {}
 
 
 def test_delta1_middle_degree_k3(k3_pair):
