@@ -8,12 +8,14 @@ so ranks and kernels of the boundary matrices are row-space computations.
 
 A complex serves every ring: Q uses the ranks of its matrices, F2 reduces
 them to packed bit rows, and Z reads both the ranks and the torsion off one
-elimination per boundary, its elementary divisors, and checks them against
-any Q or F2 rank already computed; the square of its boundary is verified
-to vanish over Z at construction (hence over every ring).  That check is
-what lets the F2 ranks of all degrees come from one top-down pass that
-clears the rows the degree above already pairs (``f2_cleared_ranks``);
-the odd elementary divisors cross-check them.
+elimination per boundary, its elementary divisors; the square of its
+boundary is verified to vanish over Z at construction (hence over every
+ring).  That check is what lets the F2 ranks of all degrees come from one
+top-down pass that clears the rows the degree above already pairs
+(``f2_cleared_ranks``); the odd elementary divisors cross-check them.  The
+Q rank is compared with the divisor count too, but both count the diagonal
+of one deterministic elimination of the same rows, so that comparison
+cannot fail: the F2 comparison is the independent one.
 
 An F2 complex with no signature, such as the sign cosheaf's over every
 point of a phase frame, is kept by its owner as packed boundary rows per
@@ -196,8 +198,9 @@ class ChainComplex(_Graded):
         """Nonzero elementary divisors of D_q, from one elimination.
 
         Stores the Q rank they give (their count) and checks the ranks
-        already cached against them: rank over Q = number of divisors, rank
-        over F2 = number of odd divisors.
+        already cached against them: rank over F2 = number of odd divisors,
+        an independent check, and rank over Q = number of divisors, which
+        cannot fail, since ``sparse_rank`` counts the same diagonal.
         """
         key = (q, "z")
         if key not in self._rank_cache:

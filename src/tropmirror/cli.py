@@ -219,17 +219,8 @@ def cmd_mirror_check(args):
         ta = pair.side_a.hodge_table(ring)
         tb = pair.side_b.hodge_table(ring)
         result["tables"][ring] = {"side_a": ta, "side_b": tb}
-        match = all(
-            ta["ranks"][p][q] == tb["ranks"][n - p][q]
-            for p in range(n + 1)
-            for q in range(n + 1)
-        )
-        if ring == "z":
-            match = match and all(
-                ta["torsion"][p][q] == tb["torsion"][n - p][q]
-                for p in range(n + 1)
-                for q in range(n + 1)
-            )
+        # row p of one side against row n - p of the other
+        match = all(ta[k] == tb[k][::-1] for k in ("ranks", "torsion") if k in ta)
         result["match"][ring] = match
         ok = ok and match
     # transfer spot check over F2: the fundamental class maps to a nonzero

@@ -9,7 +9,10 @@ cell the free F2 module on its phase set; its homology computes the F2
 homology of the patchworked real hypersurface, and is filtered with
 multitangent graded pieces.  The first differential of that filtration,
 applied to the fundamental class of the sphere, is mirror to the divisor
-restriction class, which decides connectedness.
+restriction class, which decides connectedness.  F2 divisor classes are
+cosets of the pairing space (``_pairing_space``: row i is coordinate i of
+every ray mod 2), and a divisor's mask reads its support from
+``mirror.divisor_support``, like its signs and its restriction.
 
 Phase sets live in quotient coordinates mod 2 of the same frames the
 cosheaf evaluator uses, packed into small ints; cells off infinity pull
@@ -22,7 +25,8 @@ kind.  A sign distribution only picks the points each cell keeps, and what
 depends only on a cell's edge phases is memoized in the frame: the phase
 point sets, each cell's phase data with the OR of its points' boundaries
 (its reach, read off the covers), and the filtration generators and the F2
-spaces they span, so classes that agree on a cell share them.  Each sign
+spaces they span, so classes that agree on a cell share them; ``delta1``
+asks the frame for them with the cell's edge phases.  Each sign
 distribution then ORs its cells' phase sets and reaches per degree; the
 transport is checked once per degree (the reach of the q-cells stays inside
 the phase set of degree q-1), which makes its sign complex a subcomplex of
@@ -136,23 +140,17 @@ def _check_enumerable(count, what):
         raise InputError(f"{2 ** count} {what} is too many to enumerate; sample instead")
 
 
-def _pairing_rows(side):
+def _pairing_space(side):
+    """(rays, space): the Newton rays and the F2 span of the pairing with
+    M, whose row i is coordinate i of every ray mod 2."""
     rays = side.newton.rays()
-    m = side.rank
-    rows = []
-    for i in range(m):
-        e = tuple(1 if j == i else 0 for j in range(m))
-        rows.append(f2_pack([dot(e, v) & 1 for v in rays]))
-    return rays, rows
+    return rays, F2Space(f2_pack([v[i] for v in rays]) for i in range(side.rank))
 
 
 def divisor_mask(side, rays_subset):
-    rays = side.newton.rays()
-    pos = {v: i for i, v in enumerate(rays)}
-    mask = 0
-    for r in rays_subset:
-        mask ^= 1 << pos[tuple(r)]
-    return mask
+    """The divisor's F2 support as a mask over ``side.newton.rays()``."""
+    pos = {v: i for i, v in enumerate(side.newton.rays())}
+    return sum(1 << pos[v] for v in divisor_support(side, rays_subset))
 
 
 def mask_to_rays(side, mask):
@@ -162,23 +160,20 @@ def mask_to_rays(side, mask):
 
 def divisors_equivalent(side, d1, d2):
     """Linear equivalence over F2: difference in the image of the pairing."""
-    _, rows = _pairing_rows(side)
-    space = F2Space(rows)
+    _, space = _pairing_space(side)
     return space.contains(divisor_mask(side, d1) ^ divisor_mask(side, d2))
 
 
 def divisor_class_representatives(side):
     """Canonical representative masks of all F2 divisor classes."""
-    rays, rows = _pairing_rows(side)
+    rays, space = _pairing_space(side)
     _check_enumerable(len(rays), "divisors")
-    space = F2Space(rows)
     return sorted({space.reduce(mask) for mask in range(1 << len(rays))})
 
 
 def sample_divisor_classes(side, count, seed):
     """Deterministic sample of distinct divisor class representatives."""
-    rays, rows = _pairing_rows(side)
-    space = F2Space(rows)
+    rays, space = _pairing_space(side)
     rng = random.Random(seed)
     seen = set()
     budget = 100 * count
@@ -214,7 +209,9 @@ class PhaseFrame:
     What depends only on a cell's edge phases ``tes`` (one 0/1 per edge,
     in ``cells[ci]`` edge order) is memoized: point lists and their index
     dicts per (qd, packed point set), each PhaseCell per (ci, tes), and
-    generators and the F2 spaces they span per (ci, p, tes).
+    the filtration generators (``level_generators``) and the F2 spaces
+    they span (``level_spaces``) per (ci, p, tes); their readers pass the
+    cell's ``PhaseCell.tes``.
     """
 
     def __init__(self, evaluator, poset):
@@ -335,7 +332,7 @@ class PhaseFrame:
                 w = len(B)
                 if p > w:
                     continue
-                B2 = [f2_pack([x & 1 for x in row]) for row in B]
+                B2 = [f2_pack(row) for row in B]
                 # the wedge image of each p-subset of B in value coordinates
                 if value.rank:
                     T = [
@@ -355,16 +352,9 @@ class PhaseFrame:
                     fcoords = f2_apply(wedge, T)
                     U_V = [f2_combine(u, B2) for u in U]
                     span = _span(U_V)
-                    coset_reps = set()
-                    for wv in Wspan:
-                        pt = s0 ^ wv
-                        rep = min(pt ^ u for u in span)
-                        coset_reps.add(rep)
-                    for rep in sorted(coset_reps):
-                        ind = 0
-                        for u in span:
-                            ind |= 1 << (rep ^ u)
-                        gens.append((ind, fcoords))
+                    # the cosets of span in s0 + Wspan, by least point
+                    cosets = {sum(1 << (s0 ^ wv ^ u) for u in span) for wv in Wspan}
+                    gens += [(ind, fcoords) for ind in sorted(cosets, key=lambda i: i & -i)]
         self._generators[key] = gens
         return gens
 
@@ -445,11 +435,6 @@ class PhaseData:
                 rows[q] = {i: frows[i] for i in points} if frows else dict.fromkeys(points, 0)
             self._complex = F2Subcomplex(rows)
         return self._complex
-
-    # -- filtration generators ------------------------------------------------------
-    def filtration_generators(self, ci, p):
-        """(indicator, multitangent coords) pairs spanning level p on a cell."""
-        return self.frame.level_generators(ci, p, self._cells[ci].tes)
 
 
 def _span(vectors):
@@ -597,42 +582,40 @@ def delta1(side, eps, chain, p, kind="refined"):
         raise NotAClosedChain("filtration differential input is not closed")
     if q == 0:
         return {}  # the boundary of a degree-0 lift is 0
-    offset = pd.frame.offset
+    frame, offset = pd.frame, pd.frame.offset
     lvec = 0
     for key, fcoords in chain.items():
         ci = poset.cell_index[key]
-        pc = pd.phase_cell(ci)
-        gens = pd.filtration_generators(ci, p)
-        _, coord_space = pd.frame.level_spaces(ci, p, pc.tes)
+        tes = pd.phase_cell(ci).tes
+        _, coord_space = frame.level_spaces(ci, p, tes)
         mask = coord_space.solve(f2_pack(fcoords))
         if mask is None:
             raise InternalCheckError(
                 "chain coefficient is not in the filtration image"
             )
-        lvec |= f2_combine(mask, [g[0] for g in gens]) << offset[ci]
-    rows = pd.frame.point_rows.get(q)
+        gens = frame.level_generators(ci, p, tes)
+        lvec |= f2_combine(mask, [ind for ind, _ in gens]) << offset[ci]
+    rows = frame.point_rows.get(q)
     bvec = f2_combine(lvec, rows) if rows else 0
     if bvec & ~pd.masks[q - 1]:
         raise InternalCheckError("boundary of the lift escaped the phase sets")
+    CF1 = side.complex(kind, "multitangent", p + 1)
     out = {}
     for ci in poset.cells_by_dim[q - 1]:
         pc = pd.phase_cell(ci)
         ind = (bvec >> offset[ci]) & pc.bits
         if not ind:
             continue
-        gens = pd.filtration_generators(ci, p + 1)
-        ind_space, _ = pd.frame.level_spaces(ci, p + 1, pc.tes)
+        ind_space, _ = frame.level_spaces(ci, p + 1, pc.tes)
         mask = ind_space.solve(ind)
         if mask is None:
             raise InternalCheckError(
                 "boundary of the lift escaped the next filtration level"
             )
+        gens = frame.level_generators(ci, p + 1, pc.tes)
         fvec = f2_combine(mask, [f2_pack(fc) for _, fc in gens])
         if fvec:
-            out[poset.cells[ci].key] = tuple(
-                (fvec >> i) & 1 for i in range(len(gens[0][1]))
-            )
-    CF1 = side.complex(kind, "multitangent", p + 1)
+            out[poset.cells[ci].key] = tuple((fvec >> i) & 1 for i in range(CF1.ranks[ci]))
     if out:
         vec = CF1.chain_to_packed(out, q - 1)
         if not CF1.f2_is_cycle(vec, q - 1):

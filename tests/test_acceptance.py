@@ -278,11 +278,9 @@ def test_criterion_9_raw_sign_sweep(cubic_pair):
     side = cubic_pair.side_a
     pts = list(side.newton.polytope.lattice_points)
     by_class = {}
-    from tropmirror.intlinalg import F2Space
-    from tropmirror.patchwork import _pairing_rows, divisor_mask
+    from tropmirror.patchwork import _pairing_space, divisor_mask
 
-    _, rows = _pairing_rows(side)
-    space = F2Space(rows)
+    _, space = _pairing_space(side)
     for mask in range(1 << len(pts)):
         eps = {p: (mask >> i) & 1 for i, p in enumerate(pts)}
         d = divisor_from_signs(side, eps)
@@ -355,13 +353,14 @@ def test_criterion_10_structural_properties(cubic_pair, k3_pair):
             prev_rank = None
             for p in range(side.n + 2):
                 sp = pd.frame.level_spaces(c.index, p, pc.tes)[0]
-                for ind, _ in pd.filtration_generators(c.index, p):
+                for ind, _ in pd.frame.level_generators(c.index, p, pc.tes):
                     ok = ok and not ind & ~pc.bits
                 if p <= side.n:
                     f_rank = side.evaluator.value("multitangent", p, c).rank
                     nxt = pd.frame.level_spaces(c.index, p + 1, pc.tes)[0]
                     ok = ok and sp.rank - nxt.rank == f_rank
-                for ind, _ in pd.filtration_generators(c.index, p + 1) if p <= side.n else ():
+                nxt_gens = pd.frame.level_generators(c.index, p + 1, pc.tes) if p <= side.n else ()
+                for ind, _ in nxt_gens:
                     ok = ok and sp.contains(ind)
         for (yi, xi) in side.base_poset.covers:
             px, py = pd.phase_cell(xi), pd.phase_cell(yi)
@@ -370,7 +369,7 @@ def test_criterion_10_structural_properties(cubic_pair, k3_pair):
             for p in range(side.n + 1):
                 target = pd.frame.level_spaces(yi, p, py.tes)[0]
                 images = pd.frame.point_images(px.stratum, py.stratum)
-                for ind, _ in pd.filtration_generators(xi, p):
+                for ind, _ in pd.frame.level_generators(xi, p, px.tes):
                     out = 0
                     v = ind
                     while v:

@@ -30,6 +30,7 @@ from tropmirror.patchwork import (
     delta1,
     divisor_class_representatives,
     divisor_from_signs,
+    divisor_mask,
     divisors_equivalent,
     mask_to_rays,
     phase_from_signs,
@@ -75,21 +76,25 @@ def test_divisor_sign_roundtrip(cubic_pair):
 
 
 def test_repeated_ray_cancels_everywhere(cubic_pair):
-    # over F2 a ray listed twice cancels: the signs, the divisor restriction
-    # and so the verdict all read one support, and the component count
-    # agrees with the verdict
+    # over F2 a ray listed twice cancels: the signs, the divisor mask, the
+    # divisor restriction and so the verdict all read one support, and the
+    # component count agrees with the verdict
     side = cubic_pair.side_a
     for rays, support in (([D7, D7], []), ([D7, D8, D7], [D8]), ([D7, D8, D8], [D7])):
         assert divisor_support(side, rays) == set(support)
+        assert divisor_mask(side, rays) == divisor_mask(side, support)
         eps = signs_from_divisor(side, rays)
         assert eps == signs_from_divisor(side, support)
         assert divisor_restriction(side, rays) == divisor_restriction(side, support)
         verdict = connectedness_verdict(side, rays)
         assert verdict == connectedness_verdict(side, support)
         assert (verdict == "connected") == (real_betti(side, eps)[0] == 1), rays
+    assert divisor_mask(side, [D7, D7]) == 0
     for bad in ([(5, 5)], [D7, (0, 0)]):
         with pytest.raises(RayNotInFan):
             signs_from_divisor(side, bad)
+        with pytest.raises(RayNotInFan):
+            divisors_equivalent(side, bad, [])
 
 
 def test_invalid_phase_structure_rejected(cubic_pair):
@@ -300,7 +305,7 @@ def _class_results(side, poset, eps, fresh_results, first_spaces):
                 fresh_results[key] = fresh.level_generators(ci, p, tes)
         for p in levels:
             # copies, so that a later class mutating a shared list shows
-            gens[ci, p] = list(pd.filtration_generators(ci, p))
+            gens[ci, p] = list(frame.level_generators(ci, p, tes))
             assert gens[ci, p] == fresh_results[ci, p, tes], (ci, p, tes)
             spaces = frame.level_spaces(ci, p, tes)
             if (ci, p, tes) not in first_spaces:
@@ -457,7 +462,7 @@ def test_filtration_rank_identity_and_preservation(cubic_pair):
         spaces = {}
         for p in range(side.n + 2):
             spaces[p] = pd.frame.level_spaces(c.index, p, pc.tes)[0]
-            for ind, _ in pd.filtration_generators(c.index, p):
+            for ind, _ in pd.frame.level_generators(c.index, p, pc.tes):
                 assert ind & ~pc.bits == 0, (c, p)
         # K_{n+1} = 0 and K_0 is everything
         assert spaces[side.n + 1].rank == 0
@@ -466,7 +471,7 @@ def test_filtration_rank_identity_and_preservation(cubic_pair):
             f_rank = side.evaluator.value("multitangent", p, c).rank
             assert spaces[p].rank - spaces[p + 1].rank == f_rank, (c, p)
             # nesting
-            for ind, _ in pd.filtration_generators(c.index, p + 1):
+            for ind, _ in pd.frame.level_generators(c.index, p + 1, pc.tes):
                 assert spaces[p].contains(ind)
     # preservation by the cosheaf maps: image of level-p generators stays
     # in level p on every cover
@@ -477,7 +482,7 @@ def test_filtration_rank_identity_and_preservation(cubic_pair):
         for p in range(side.n + 1):
             target = pd.frame.level_spaces(yi, p, py.tes)[0]
             images = pd.frame.point_images(px.stratum, py.stratum)
-            for ind, _ in pd.filtration_generators(xi, p):
+            for ind, _ in pd.frame.level_generators(xi, p, px.tes):
                 out = 0
                 v = ind
                 while v:
@@ -499,13 +504,13 @@ def test_well_defined_graded_identification(cubic_pair):
         if not pc.points:
             continue
         for p in range(side.n + 1):
-            gens = pd.filtration_generators(c.index, p)
+            gens = pd.frame.level_generators(c.index, p, pc.tes)
             if not gens:
                 continue
             space = F2Space(g[0] for g in gens)
             # the graded identification must kill level-(p+1) indicators:
             # express each in level-p generators and check zero wedge image
-            for ind, fc in pd.filtration_generators(c.index, p + 1):
+            for ind, fc in pd.frame.level_generators(c.index, p + 1, pc.tes):
                 sol = space.solve(ind)
                 assert sol is not None
                 acc = None
@@ -744,6 +749,39 @@ def test_delta1_of_degree_zero_chain_is_zero(cubic_pair):
         chain = side.complex("refined", "multitangent", p).packed_to_chain(1, 0)
         assert len(chain) == 1
         assert delta1(side, eps, chain, p) == {}
+
+
+def test_delta1_internal_checks_each_fire(cubic_pair, monkeypatch):
+    # each consistency check of delta1 raises when the one datum it guards
+    # is broken: the level-p coordinate space, the phase sets, the level-p+1
+    # indicator space, and the closedness of the output
+    side = cubic_pair.side_a
+    eps = signs_from_divisor(side, [D7])
+    S = sphere_cycle(side)
+    assert delta1(side, eps, S, 0)  # the lift has a nonzero boundary
+    frame = side.phase_frame("refined")
+    spaces = frame.level_spaces
+    init = PhaseData.__init__
+
+    def no_phase_sets(pd, *args):
+        init(pd, *args)
+        pd.masks = dict.fromkeys(pd.masks, 0)
+
+    breaks = (
+        ("chain coefficient is not in the filtration image", frame, "level_spaces",
+         lambda ci, p, tes: (spaces(ci, p, tes)[0], F2Space())),
+        ("boundary of the lift escaped the phase sets", PhaseData, "__init__",
+         no_phase_sets),
+        ("boundary of the lift escaped the next filtration level", frame, "level_spaces",
+         lambda ci, p, tes: (F2Space(), spaces(ci, p, tes)[1])),
+        ("filtration differential output not closed",
+         side.complex("refined", "multitangent", 1), "f2_is_cycle", lambda vec, q: False),
+    )
+    for message, owner, name, broken in breaks:
+        with monkeypatch.context() as mp:
+            mp.setattr(owner, name, broken)
+            with pytest.raises(InternalCheckError, match=message):
+                delta1(side, eps, S, 0)
 
 
 def test_delta1_middle_degree_k3(k3_pair):
