@@ -9,7 +9,8 @@ unimodular central triangulations:
   divisor-class criterion.
 
 Everything is exact: lattice geometry over Python ints, homology via
-Hermite/Smith normal forms, F2 via bit-packed rows.
+sparse integer elimination, cosheaf coordinates via unimodular completions
+read off Hermite normal forms, F2 via bit-packed rows.
 """
 
 from .lattice import LatticePolytope

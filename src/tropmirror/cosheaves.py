@@ -51,7 +51,7 @@ from .intlinalg import (
     inverse_unimodular,
     left_kernel,
     mat_mul,
-    smith,
+    unimodular_completion,
     vec_mat,
 )
 from .modules import FreeQuotient, _frozen
@@ -82,16 +82,13 @@ class Frame:
             self.Q = identity(m)
             self.R = identity(m)
             return
-        G = [list(g) for g in self.gens]
-        # unimodular completion via Smith form: U G V = [I | 0] exactly when
-        # the span is a direct summand, and then [G; inv(V)[k:]] is unimodular
-        S, _, V = smith(G)
-        if any(S[i][i] != 1 for i in range(self.k)):
+        # unimodular completion: G V = [I | 0] exactly when the span is a
+        # direct summand, and then inv(V) = [G; R] with R the lift
+        V = unimodular_completion(self.gens)
+        if V is None:
             raise FreenessError(
                 f"stratum span {self.gens} is not a direct summand of the lattice"
             )
-        # E = [G; inv(V)[k:]] has inverse [V[:, :k] U | V[:, k:]], so the
-        # projection is the tail of V and the lift the tail of inv(V)
         self.Q = [row[self.k :] for row in V]
         self.R = inverse_unimodular(V)[self.k :]
 

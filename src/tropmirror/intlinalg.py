@@ -10,11 +10,12 @@ impossible by construction.  Conventions:
   boundary matrices;
 * F2 matrices pack each row into one int, bit j = column j.
 
-Hermite form is row-style (pivots positive, zeros below, reduced above);
-Smith form returns unimodular U, V with U*A*V = S and a divisibility chain
-on the diagonal.  Both carry their transforms as extra columns (and, for
-Smith, extra rows) of one work matrix, so each elementary operation is
-written once and the transforms come along with it.  Sparse matrices go
+Hermite form is row-style (pivots positive, zeros below, reduced above)
+and the one dense elimination over Z.  It carries its transform as extra
+columns of one work matrix, so each elementary operation is written once
+and the transform comes along with it.  ``unimodular_completion`` reads a
+unimodular V with C*V = [I | 0] off the Hermite form of C's transpose: the
+coordinates of cosheaf frames and free quotients.  Sparse matrices go
 through one structured elimination on a copy of the rows that leaves its
 input untouched: unit pivots, found through a column index, while any row
 holds a +-1, then gcd descent on the remainder.  ``sparse_rank`` counts the
@@ -43,9 +44,9 @@ from .errors import DimensionMismatch
 # ---------------------------------------------------------------------------
 # dense helpers
 
-def identity(n, width=None):
-    """The n x n identity; with ``width``, its rows padded with zeros to it."""
-    rows = [[0] * (n if width is None else width) for _ in range(n)]
+def identity(n):
+    """The n x n identity."""
+    rows = [[0] * n for _ in range(n)]
     for i, r in enumerate(rows):
         r[i] = 1
     return rows
@@ -218,6 +219,21 @@ def inverse_unimodular(E):
     return U
 
 
+def unimodular_completion(C):
+    """V with det V = +-1 and C*V = [I | 0] for a nonempty C, or None.
+
+    With U*C^T = H the row Hermite form of the transpose, V = U^T whenever
+    the top k rows of H are the identity (k = len(C)), and then inv(V)
+    starts with the rows of C (Cohen, "A Course in Computational Algebraic
+    Number Theory", 2.4).  None when the rows of C are dependent, do not
+    span a direct summand, or outnumber the columns.
+    """
+    H, U = row_hermite([list(col) for col in zip(*C)], transform=True)
+    if H[: len(C)] != identity(len(C)):
+        return None
+    return [list(col) for col in zip(*U)]
+
+
 def det(A):
     """Integer determinant (fraction-free Gaussian elimination, Bareiss)."""
     n = len(A)
@@ -239,93 +255,6 @@ def det(A):
             M[i][k] = 0
         prev = M[k][k]
     return sign * M[n - 1][n - 1]
-
-
-# ---------------------------------------------------------------------------
-# Smith normal form (dense, with transforms)
-
-def smith(A):
-    """Smith normal form with transforms: U*A*V = S, det U, det V = +-1.
-
-    The diagonal of S is nonnegative with d1 | d2 | ... .  The work matrix
-    is [[A, I_m], [I_n, 0]]: pivots and divisibility are read in its top
-    left m x n block, row operations act on its first m rows (carrying U in
-    their last m columns) and column operations on its first n columns
-    (carrying V in their last n rows), so each operation is written once.
-    """
-    m = len(A)
-    n = len(A[0]) if m else 0
-    w = n + m
-    S = [[*r, *e] for r, e in zip(A, identity(m))] + identity(n, w)
-
-    def row_op(i, p, q):  # row i -= q * row p
-        Si, Sp = S[i], S[p]
-        for j in range(w):
-            Si[j] -= q * Sp[j]
-
-    def col_op(j, p, q):  # col j -= q * col p
-        for r in S:
-            r[j] -= q * r[p]
-
-    def swap_cols(j, p):
-        for r in S:
-            r[j], r[p] = r[p], r[j]
-
-    t = 0
-    while True:
-        # locate a nonzero entry at or after (t, t)
-        pos = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if S[i][j]:
-                    pos = (i, j)
-                    break
-            if pos:
-                break
-        if pos is None:
-            break
-        S[t], S[pos[0]] = S[pos[0]], S[t]
-        swap_cols(t, pos[1])
-        while True:
-            moved = False
-            for i in range(t + 1, m):
-                if S[i][t]:
-                    q = S[i][t] // S[t][t]
-                    row_op(i, t, q)
-                    if S[i][t]:
-                        S[t], S[i] = S[i], S[t]
-                        moved = True
-            for j in range(t + 1, n):
-                if S[t][j]:
-                    q = S[t][j] // S[t][t]
-                    col_op(j, t, q)
-                    if S[t][j]:
-                        swap_cols(t, j)
-                        moved = True
-            if not moved and all(S[i][t] == 0 for i in range(t + 1, m)) and all(
-                S[t][j] == 0 for j in range(t + 1, n)
-            ):
-                break
-        # make sure the pivot divides the rest of the matrix
-        p = S[t][t]
-        bad = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if S[i][j] % p:
-                    bad = i
-                    break
-            if bad:
-                break
-        if bad is not None:
-            row_op(t, bad, -1)  # pivot row absorbs the non-divisible row
-            continue
-        t += 1
-        if t == min(m, n):
-            break
-    for i in range(min(m, n)):
-        if S[i][i] < 0:
-            S[i] = [-a for a in S[i]]
-    return [r[:n] for r in S[:m]], [r[n:] for r in S[:m]], [r[:n] for r in S[m:]]
 
 
 # ---------------------------------------------------------------------------

@@ -12,16 +12,22 @@ presentations), so it is checked rather than assumed.
 """
 
 from .errors import FreenessError, MembershipViolation
-from .intlinalg import hnf_basis, inverse_unimodular, pivots, smith, solve_hnf
+from .intlinalg import (
+    hnf_basis,
+    inverse_unimodular,
+    pivots,
+    solve_hnf,
+    unimodular_completion,
+)
 
 
 class FreeQuotient:
     """sub/quo presentation of a free quotient module with a fixed basis.
 
     ``sub_rows`` span a submodule S of Z^ambient, ``quo_rows`` a submodule Q
-    of S; the object models S/Q.  Writing Q in S-coordinates and taking a
-    Smith decomposition U C V = D, freeness means every nonzero divisor in D
-    is 1; the rows of inv(V) then split S-coordinates into Q and a canonical
+    of S; the object models S/Q.  Writing Q in S-coordinates as the rows of
+    C, freeness means C has a unimodular completion V with C V = [I | 0];
+    the rows of inv(V) then split S-coordinates into Q and a canonical
     complement, which becomes the basis of the quotient.  Quotients with
     torsion raise FreenessError.
     """
@@ -47,17 +53,12 @@ class FreeQuotient:
             ]
             self.rank = r
             return
-        D, U, V = smith(coords)
-        s = len(coords)  # full row rank after the HNF pass
-        for i in range(s):
-            if D[i][i] != 1:
-                raise FreenessError(
-                    f"quotient has torsion: invariant factor {D[i][i]}"
-                )
-        W = inverse_unimodular(V)
-        self._V = V
-        self._reps_sub = W[s:]
-        self.rank = r - s
+        # coords has full row rank after the HNF pass
+        self._V = unimodular_completion(coords)
+        if self._V is None:
+            raise FreenessError("quotient has torsion")
+        self._reps_sub = inverse_unimodular(self._V)[len(coords) :]
+        self.rank = r - len(coords)
 
     def content(self):
         """Everything ``reduce`` and ``rep`` read, as one hashable tuple:

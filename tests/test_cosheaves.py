@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropmirror.chains import ChainComplex, F2Subcomplex, check_f2_square_zero, dense_block
-from tropmirror.cosheaves import CosheafEvaluator
-from tropmirror.errors import BoundarySquareNonzero, InternalCheckError
+from tropmirror.cosheaves import CosheafEvaluator, Frame
+from tropmirror.errors import BoundarySquareNonzero, FreenessError, InternalCheckError
 from tropmirror.exterior import dim_wedge, wedge_matrix
 from tropmirror.intlinalg import (
     det,
@@ -277,6 +277,18 @@ def test_f2_homology_generators_form_a_basis(cubic_pair):
 
 
 # -- multitangent values ---------------------------------------------------------
+
+def test_frame_needs_a_direct_summand():
+    # the projection Q and lift R come from a unimodular completion of the
+    # generators: G Q = 0 and R Q = I; a span that is not a direct summand,
+    # or dependent generators, have none
+    frame = Frame(((1, 1, 0), (0, 2, 1)), 3)
+    assert mat_mul([[1, 1, 0], [0, 2, 1]], frame.Q) == [[0], [0]]
+    assert mat_mul(frame.R, frame.Q) == [[1]]
+    for gens in (((2, 0, 0),), ((1, 0, 0), (2, 0, 0))):
+        with pytest.raises(FreenessError, match="not a direct summand"):
+            Frame(gens, 3)
+
 
 def test_f0_rank_one_everywhere(cubic_pair):
     side = cubic_pair.side_a

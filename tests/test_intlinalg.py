@@ -1,5 +1,8 @@
 import hashlib
 import random
+from functools import reduce
+from itertools import combinations
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -20,10 +23,10 @@ from tropmirror.intlinalg import (
     mat_mul,
     pivots,
     row_hermite,
-    smith,
     solve_hnf,
     sparse_elementary_divisors,
     sparse_rank,
+    unimodular_completion,
     vec_mat,
 )
 
@@ -57,39 +60,29 @@ def test_hermite_transform_property():
             last = nz[0]
 
 
-def test_smith_identity_and_zero():
-    S, U, V = smith(identity(4))
-    assert S == identity(4)
-    Z = [[0, 0], [0, 0]]
-    S, U, V = smith(Z)
-    assert S == Z
+def test_completion_identity():
+    for n in (1, 3, 4):
+        assert unimodular_completion(identity(n)) == identity(n)
 
 
-def test_smith_frozen_example():
-    # gcd of entries 2, |det| = 8: invariants 2, 4
-    A = [[2, 4], [6, 8]]
-    S, U, V = smith(A)
-    assert mat_mul(mat_mul(U, A), V) == S
-    assert det(U) in (1, -1) and det(V) in (1, -1)
-    assert [S[0][0], S[1][1]] == [2, 4]
+def test_completion_frozen_example():
+    assert unimodular_completion([[2, -1]]) == [[0, 1], [-1, 2]]
+    # not a direct summand, dependent rows, more rows than columns
+    for C in ([[2, 4]], [[1, 0], [2, 0]], [[1], [1]]):
+        assert unimodular_completion(C) is None
 
 
-def test_smith_random_properties():
+def test_completion_random_properties():
+    # the leading rows of a unimodular matrix span a direct summand, so
+    # every prefix completes: C V = [I | 0] with det V = +-1
     rng = random.Random(11)
     for _ in range(30):
-        A = random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
-        S, U, V = smith(A)
-        assert mat_mul(mat_mul(U, A), V) == S
-        assert det(U) in (1, -1) and det(V) in (1, -1)
-        d = [S[i][i] for i in range(min(len(S), len(S[0])))]
-        for a, b in zip(d, d[1:]):
-            if b:
-                assert a != 0 and b % a == 0
-        # off-diagonal zero
-        for i, row in enumerate(S):
-            for j, a in enumerate(row):
-                if i != j:
-                    assert a == 0
+        n = rng.randint(1, 5)
+        _, E = row_hermite(random_matrix(rng, n, n), transform=True)
+        for k in range(1, n + 1):
+            V = unimodular_completion(E[:k])
+            assert det(V) in (1, -1)
+            assert mat_mul(E[:k], V) == [r + [0] * (n - k) for r in identity(k)]
 
 
 def _digest(value):
@@ -97,28 +90,28 @@ def _digest(value):
 
 
 def test_normal_forms_frozen():
-    """HNF with U and Smith with U, V are fixed bit for bit: cosheaf frames
-    and quotient bases take their coordinates from them, and with those the
-    transfer chains and every report that prints them."""
+    """HNF with U is fixed bit for bit: cosheaf frames and quotient bases
+    take their coordinates from its unimodular completions, and with those
+    the transfer chains and every report that prints them."""
     mats = [identity(3), identity(4), [[0, 0], [0, 0]], [[2, 4], [6, 8]]]
     rng = random.Random(7)  # the matrices of test_hermite_transform_property
     mats += [
         random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5)) for _ in range(40)
     ]
-    rng = random.Random(11)  # the matrices of test_smith_random_properties
+    rng = random.Random(11)
     mats += [
         random_matrix(rng, rng.randint(1, 4), rng.randint(1, 4)) for _ in range(30)
     ]
-    forms = [(row_hermite(A, transform=True), smith(A)) for A in mats]
+    forms = [row_hermite(A, transform=True) for A in mats]
     assert _digest(forms) == (
-        "4791e9d5c7efdeafc5b9d0f49b32021c89bac5f1db8e18a88b696450c661939e"
+        "075f164284db9142e1b635ec79d0fa30315d6c0833eab608fe9fccfc82c787d0"
     )
 
 
 def test_k3_frames_and_values_frozen(k3_pair):
     """Every frame's (Q, R) and every value's content built for the K3
     pair's base multitangent and refined mirror_ext complexes; the latter
-    reach the Smith transform of FreeQuotient."""
+    reach the unimodular completion of FreeQuotient."""
     rows = []
     for side in (k3_pair.side_a, k3_pair.side_b):
         ev = CosheafEvaluator(side.ambient, side.newton)
@@ -128,22 +121,23 @@ def test_k3_frames_and_values_frozen(k3_pair):
         rows.append(sorted((f.gens, f.Q, f.R) for f in ev._frames.values()))
         rows.append(sorted(repr(v.content()) for v in ev._values.values()))
     assert _digest(rows) == (
-        "ac0eaaeb8a15be7a78469c477fa59aa22a410be295d5f88050da1d731a1a88a3"
+        "481d244821bb0b5cd86658e200366143e092a287fd2955036e54cba8c3bf5304"
     )
 
 
 def _dense_divisors(A):
-    """Nonzero diagonal of dense ``smith``, run on a diagonal matrix
-    equivalent to A: row Hermite forms of A and of its transposes alternate
-    until no entry is left off the diagonal.  On A itself ``smith`` takes
-    the first nonzero entry as pivot and never reduces the rest, so its
-    entries can grow past any bound (some 6 x 5 inputs with entries in
-    [-4, 9] do not finish in minutes)."""
+    """Nonzero elementary divisors of A as determinantal divisors: row
+    Hermite forms of A and of its transposes alternate until no entry is
+    left off the diagonal, and with e that diagonal, D_k is the gcd of the
+    products of the k-subsets of e and d_k = D_k / D_(k-1)."""
     H = hnf_basis(A)
     while any(a for i, row in enumerate(H) for j, a in enumerate(row) if i != j):
         H = hnf_basis([list(col) for col in zip(*H)])
-    S, _, _ = smith(H) if H else ([], None, None)
-    return sorted(S[i][i] for i in range(len(S)))
+    e = [row[i] for i, row in enumerate(H)]
+    D = [1] + [
+        reduce(gcd, map(prod, combinations(e, k))) for k in range(1, len(e) + 1)
+    ]
+    return [b // a for a, b in zip(D, D[1:])]
 
 
 def _check_sparse(A, expected=None):

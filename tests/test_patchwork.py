@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import random
 
 import pytest
@@ -799,6 +800,29 @@ def test_delta1_middle_degree_k3(k3_pair):
             cx2 = side.complex("refined", "multitangent", 2)
             vec = cx2.chain_to_packed(out, 0)
             assert cx2.f2_is_cycle(vec, 0)
+
+
+def test_delta1_chains_frozen(cubic_pair, k3_pair):
+    # the chains delta1 returns, not only their classes, are fixed bit for
+    # bit: the fundamental class under the first 16 cubic classes and 8
+    # sampled K3 classes, and under each K3 class every fifth degree-1
+    # generator at p = 1; 56 outputs.  The generators at p = 1 pin the
+    # order of the coset indicators, which picks the lift
+    outs = []
+    cubic, k3 = cubic_pair.side_a, k3_pair.side_a
+    for mask in divisor_class_representatives(cubic)[:16]:
+        eps = signs_from_divisor(cubic, mask_to_rays(cubic, mask))
+        outs.append(delta1(cubic, eps, sphere_cycle(cubic), 0))
+    cx = k3.complex("refined", "multitangent", 1)
+    gens = [cx.packed_to_chain(g, 1) for g in cx.f2_homology_generators(1)[::5]]
+    for mask in sample_divisor_classes(k3, 8, 0):
+        eps = signs_from_divisor(k3, mask_to_rays(k3, mask))
+        outs.append(delta1(k3, eps, sphere_cycle(k3), 0))
+        outs += [delta1(k3, eps, g, 1) for g in gens]
+    digest = hashlib.sha256(repr([sorted(o.items()) for o in outs]).encode())
+    assert digest.hexdigest() == (
+        "8eb3b0d4a920dc97189b557b8bdf5cf9e29df9a521a78c1e72bf42eed75dd5cc"
+    )
 
 
 def test_cubic_sweep_exhaustive(cubic_pair):
