@@ -28,6 +28,8 @@ square-checked again, and its ranks come from those rows, cleared the same
 way.
 """
 
+from bisect import bisect_right
+
 from .errors import BoundarySquareNonzero, InternalCheckError, NotAClosedChain
 from .intlinalg import (
     F2Space,
@@ -142,6 +144,7 @@ class ChainComplex(_Graded):
                 offset[ci] = off
                 off += ranks[ci]
             self.dim_q[q] = off
+        self._nonzero_q = {}  # degree -> its cells of nonzero rank, in offset order
         self._rank_cache = {}
         self._f2_cache = {}
         self._f2_space_cache = {}
@@ -297,15 +300,20 @@ class ChainComplex(_Graded):
         return vec
 
     def packed_to_chain(self, vec, q):
-        out = {}
-        for ci in self.cells_q[q]:
-            r = self.ranks[ci]
-            if r == 0:
-                continue
-            off = self.offset[ci]
-            coords = tuple((vec >> (off + j)) & 1 for j in range(r))
-            if any(coords):
-                out[self.poset.cells[ci].key] = coords
+        """Packed vector in degree q -> {cell key: 0/1 coordinate tuple}, in
+        offset order; bits at or above dim(q) are ignored.  Only the cells
+        holding a set bit are visited: the lowest set bit is bisected among
+        the starts of the nonzero cells, and that cell's bits are cleared."""
+        if q not in self._nonzero_q:
+            self._nonzero_q[q] = [ci for ci in self.cells_q[q] if self.ranks[ci]]
+        offset, cells, out = self.offset, self._nonzero_q[q], {}
+        vec &= (1 << self.dim(q)) - 1
+        while vec:
+            low = (vec & -vec).bit_length() - 1
+            ci = cells[bisect_right(cells, low, key=offset.__getitem__) - 1]
+            end = offset[ci] + self.ranks[ci]
+            out[self.poset.cells[ci].key] = tuple((vec >> j) & 1 for j in range(offset[ci], end))
+            vec &= -1 << end
         return out
 
     def __repr__(self):

@@ -15,7 +15,8 @@ Tags:
   boundary (the unbounded part).
 
 Values are FreeQuotient presentations with canonical HNF bases; values on a
-stratum tau live in Lambda^p of explicit unimodular quotient coordinates, so
+stratum tau live in Lambda^p of the unimodular quotient coordinates of its
+``modules.Frame`` (the same frame that gives a free quotient its basis), so
 every cosheaf map is a literal integer matrix (and reduces mod 2 for F2
 complexes).  Zero values outside a support are materialized as rank-0 blocks
 so that one assembly routine serves every complex.
@@ -43,18 +44,10 @@ interned), and one map lookup.
 from itertools import combinations
 
 from .chains import ChainComplex
-from .errors import FreenessError, UnsupportedCell
+from .errors import UnsupportedCell
 from .exterior import dim_wedge, wedge_matrix, wedge_vector
-from .intlinalg import (
-    hnf_basis,
-    identity,
-    inverse_unimodular,
-    left_kernel,
-    mat_mul,
-    unimodular_completion,
-    vec_mat,
-)
-from .modules import FreeQuotient, _frozen
+from .intlinalg import hnf_basis, left_kernel, mat_mul, vec_mat
+from .modules import Frame, FreeQuotient, _frozen
 
 ZERO_STRATUM = ()
 
@@ -65,47 +58,16 @@ def _direction(a, b):
     return max(d, tuple(-x for x in d))
 
 
-class Frame:
-    """Unimodular coordinates on the quotient of Z^m by a stratum span.
-
-    Q (m x (m-k)) projects, R ((m-k) x m) lifts; the generators must be part
-    of a lattice basis (they are, for unimodular central triangulations).
-    """
-
-    __slots__ = ("gens", "m", "k", "Q", "R")
-
-    def __init__(self, gens, m):
-        self.gens = tuple(gens)
-        self.m = m
-        self.k = len(self.gens)
-        if not self.gens:
-            self.Q = identity(m)
-            self.R = identity(m)
-            return
-        # unimodular completion: G V = [I | 0] exactly when the span is a
-        # direct summand, and then inv(V) = [G; R] with R the lift
-        V = unimodular_completion(self.gens)
-        if V is None:
-            raise FreenessError(
-                f"stratum span {self.gens} is not a direct summand of the lattice"
-            )
-        self.Q = [row[self.k :] for row in V]
-        self.R = inverse_unimodular(V)[self.k :]
-
-
 class CosheafEvaluator:
     """Memoized cosheaf values, and maps between them, for one orientation.
 
-    Values are pure functions of their keys; the caches fill on first use
-    (warm them single-threaded before sharing across threads, after which
-    only ``chain_complex`` writes, to its scope, and a cell missing from
-    the scope is looked up in the caches).  Every value is built by
-    ``_module``, which returns one object per distinct module, and every
-    frame projection's p-wedge is interned by content, so a map is a pure
-    function of the identities of (source value, target value, wedge) and
-    is computed once per distinct triple: many cells carry equal values,
-    and many covers share a map.  Interned objects live as long as the
-    evaluator.
+    Values are pure functions of their keys; the caches fill on first use.
+    Every value is built by ``_module``, which returns one object per
+    distinct module, and every frame projection's p-wedge is interned by
+    content, so a map is a pure function of the identities of (source
+    value, target value, wedge) and is computed once per distinct triple:
+    many cells carry equal values, and many covers share a map.  Interned
+    objects live as long as the evaluator.
     """
 
     def __init__(self, ambient_tri, newton_tri):

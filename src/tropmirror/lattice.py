@@ -21,8 +21,9 @@ from .intlinalg import dot, left_kernel, primitive, rank_int
 
 
 def _as_point(p):
-    t = tuple(int(a) for a in p)
-    if any(a != b for a, b in zip(t, p)):
+    # type, not value: JSON true and 2.0 compare equal to 1 and 2
+    t = tuple(p)
+    if any(type(a) is not int for a in t):
         raise ValueError(f"non-integer coordinate in {p}")
     return t
 

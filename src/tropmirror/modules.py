@@ -1,4 +1,8 @@
-"""Free quotients of submodules of Z^m.
+"""Unimodular frames and free quotients of submodules of Z^m.
+
+A Frame is a unimodular coordinate system on the quotient of Z^m by a
+direct summand; it is the one place that builds such coordinates, for the
+cosheaf strata and for the free quotients alike.
 
 A FreeQuotient is a span of rows inside a fixed free ambient module, modulo
 a second span that must sit inside the first.  The row spans are exact
@@ -14,57 +18,73 @@ presentations), so it is checked rather than assumed.
 from .errors import FreenessError, MembershipViolation
 from .intlinalg import (
     hnf_basis,
+    identity,
     inverse_unimodular,
     pivots,
     solve_hnf,
     unimodular_completion,
+    vec_mat,
 )
+
+
+class Frame:
+    """Unimodular coordinates on the quotient of Z^m by the span of ``gens``.
+
+    Q (m x (m-k)) projects, R ((m-k) x m) lifts.  The generators are a
+    stratum span (part of a lattice basis for unimodular central
+    triangulations) or, in sub-lattice coordinates, the span a free
+    quotient divides out; a span that is not a direct summand raises
+    FreenessError.
+    """
+
+    __slots__ = ("gens", "m", "k", "Q", "R")
+
+    def __init__(self, gens, m):
+        self.gens = tuple(gens)
+        self.m = m
+        self.k = len(self.gens)
+        if not self.gens:
+            self.Q = identity(m)
+            self.R = identity(m)
+            return
+        # unimodular completion: G V = [I | 0] exactly when the span is a
+        # direct summand, and then inv(V) = [G; R] with R the lift
+        V = unimodular_completion(self.gens)
+        if V is None:
+            raise FreenessError(f"span {self.gens} is not a direct summand of Z^{m}")
+        self.Q = [row[self.k :] for row in V]
+        self.R = inverse_unimodular(V)[self.k :]
 
 
 class FreeQuotient:
     """sub/quo presentation of a free quotient module with a fixed basis.
 
     ``sub_rows`` span a submodule S of Z^ambient, ``quo_rows`` a submodule Q
-    of S; the object models S/Q.  Writing Q in S-coordinates as the rows of
-    C, freeness means C has a unimodular completion V with C V = [I | 0];
-    the rows of inv(V) then split S-coordinates into Q and a canonical
-    complement, which becomes the basis of the quotient.  Quotients with
-    torsion raise FreenessError.
+    of S; the object models S/Q.  ``frame`` is the Frame of Q written in
+    S-coordinates: its Q projects S-coordinates onto the quotient basis and
+    its R lifts that basis back.  Quotients with torsion raise
+    FreenessError.
     """
 
-    __slots__ = ("ambient", "sub", "sub_pivots", "rank", "_V", "_reps_sub")
+    __slots__ = ("ambient", "sub", "sub_pivots", "rank", "frame")
 
     def __init__(self, ambient, sub_rows, quo_rows=()):
         self.ambient = ambient
         self.sub = hnf_basis(list(sub_rows))
         self.sub_pivots = pivots(self.sub)
-        r = len(self.sub)
-        coords = []
-        for row in quo_rows:
-            c = solve_hnf(self.sub, self.sub_pivots, row)
-            if c is None:
-                raise MembershipViolation("quotient span escapes the submodule")
-            coords.append(c)
-        coords = hnf_basis(coords)
-        if not coords:
-            self._V = None
-            self._reps_sub = [
-                [1 if j == i else 0 for j in range(r)] for i in range(r)
-            ]
-            self.rank = r
-            return
-        # coords has full row rank after the HNF pass
-        self._V = unimodular_completion(coords)
-        if self._V is None:
-            raise FreenessError("quotient has torsion")
-        self._reps_sub = inverse_unimodular(self._V)[len(coords) :]
-        self.rank = r - len(coords)
+        coords = [self._sub_coords(row) for row in quo_rows]
+        self.frame = Frame(hnf_basis(coords), len(self.sub))
+        self.rank = len(self.sub) - self.frame.k
 
     def content(self):
         """Everything ``reduce`` and ``rep`` read, as one hashable tuple:
         quotients with equal content are interchangeable."""
-        V = None if self._V is None else _frozen(self._V)
-        return (self.ambient, _frozen(self.sub), _frozen(self._reps_sub), V)
+        return (
+            self.ambient,
+            _frozen(self.sub),
+            _frozen(self.frame.Q),
+            _frozen(self.frame.R),
+        )
 
     def _sub_coords(self, vec):
         c = solve_hnf(self.sub, self.sub_pivots, vec)
@@ -74,23 +94,11 @@ class FreeQuotient:
 
     def reduce(self, vec):
         """Quotient coordinates of an ambient vector in the submodule."""
-        c = self._sub_coords(vec)
-        if self._V is None:
-            return tuple(c)
-        r = len(self.sub)
-        t = [sum(c[i] * self._V[i][j] for i in range(r)) for j in range(r)]
-        return tuple(t[r - self.rank :])
+        return tuple(vec_mat(self._sub_coords(vec), self.frame.Q))
 
     def rep(self, i):
         """Ambient representative of the i-th canonical basis class."""
-        w = self._reps_sub[i]
-        out = [0] * self.ambient
-        for j, a in enumerate(w):
-            if a:
-                row = self.sub[j]
-                for t in range(self.ambient):
-                    out[t] += a * row[t]
-        return tuple(out)
+        return tuple(vec_mat(self.frame.R[i], self.sub))
 
 
 def _frozen(rows):

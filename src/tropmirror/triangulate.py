@@ -180,15 +180,8 @@ def generate_central(P):
     if P.rank == 2:
         boundary = []
         for (v, c) in P.facets:
-            pts = sorted(
-                (p for p in P.lattice_points if dot(v, p) == c),
-            )
-            direction = None
-            for q in pts[1:]:
-                d = tuple(a - b for a, b in zip(q, pts[0]))
-                direction = d
-                break
-            pts.sort(key=lambda p: dot(p, direction) if direction else 0)
+            # lexicographic order is monotone along the edge
+            pts = sorted(p for p in P.lattice_points if dot(v, p) == c)
             for a, b in zip(pts, pts[1:]):
                 boundary.append(simplex([a, b]))
         return CentralTriangulation(P, boundary)

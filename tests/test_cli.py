@@ -224,6 +224,41 @@ def test_non_integer_divisor_and_signs_are_input_errors(cubic_files, capsys, tmp
         assert "repeats" not in error, name
 
 
+def test_bool_and_float_coordinates_are_input_errors(cubic_files, capsys, tmp_path):
+    # JSON true and 2.0 compare equal to the integers 1 and 2, yet neither
+    # is an integer coordinate: a polytope vertex, a triangulation point, a
+    # divisor ray and a signs point that carry one are all refused
+    _, _, tri, tri_dual = cubic_files
+    T = CentralTriangulation.from_dict(json.loads(tri.read_text()))
+    good = [[list(p), int(p == (0, 0))] for p in sorted(T.polytope.lattice_points)]
+    cases = (
+        ([[True, 0], [0, 1], [-1, -1]], (1, -1), [True, -1]),
+        ([[-1, -1], [-1, 2], [2.0, -1]], (2, -1), [2.0, -1]),
+    )
+    for vertices, point, bad in cases:
+        # point is a boundary lattice point of the cubic, written as bad
+        def swap(p):
+            return bad if tuple(p) == point else p
+
+        poly = tmp_path / "poly.json"
+        poly.write_text(json.dumps({"rank": 2, "vertices": vertices}))
+        data = json.loads(tri.read_text())
+        data["boundary_simplices"] = [[swap(p) for p in s] for s in data["boundary_simplices"]]
+        tf = tmp_path / "t.json"
+        tf.write_text(json.dumps(data))
+        div = tmp_path / "d.json"
+        div.write_text(json.dumps({"rays": [bad]}))
+        sf = tmp_path / "s.json"
+        sf.write_text(json.dumps({"signs": [[swap(p), b] for p, b in good]}))
+        for argv in (
+            ["dual", str(poly)],
+            ["validate", str(tf)],
+            ["patchwork", str(tri), str(tri_dual), "--divisor", str(div)],
+            ["patchwork", str(tri), str(tri_dual), "--signs", str(sf)],
+        ):
+            assert "non-integer" in _assert_input_error(capsys, argv), argv
+
+
 def test_sweep_samples_below_one_is_usage_error(cubic_files, capsys):
     _, _, tri, tri_dual = cubic_files
     pair = ["sweep", str(tri), str(tri_dual)]

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropmirror.chains import ChainComplex, F2Subcomplex, check_f2_square_zero, dense_block
-from tropmirror.cosheaves import CosheafEvaluator, Frame
+from tropmirror.cosheaves import CosheafEvaluator
 from tropmirror.errors import BoundarySquareNonzero, FreenessError, InternalCheckError
 from tropmirror.exterior import dim_wedge, wedge_matrix
 from tropmirror.intlinalg import (
@@ -19,7 +19,7 @@ from tropmirror.intlinalg import (
     sparse_elementary_divisors,
     vec_mat,
 )
-from tropmirror.modules import FreeQuotient
+from tropmirror.modules import Frame, FreeQuotient
 from tropmirror.posets import gauge_twist
 
 # every tag CosheafEvaluator.value accepts
@@ -274,6 +274,43 @@ def test_f2_homology_generators_form_a_basis(cubic_pair):
             # independent modulo the boundaries
             bounds = cx.f2_rows(q + 1) if (q + 1) in cx.D else []
             assert f2_rank(bounds + gens) == f2_rank(bounds) + len(gens), (cx, q)
+
+
+def _packed_to_chain_by_shifts(cx, vec, q):
+    """The reference: every coordinate of every cell of degree q, read by
+    one shift each."""
+    out = {}
+    for ci in cx.cells_q[q]:
+        r = cx.ranks[ci]
+        if r == 0:
+            continue
+        off = cx.offset[ci]
+        coords = tuple((vec >> (off + j)) & 1 for j in range(r))
+        if any(coords):
+            out[cx.poset.cells[ci].key] = coords
+    return out
+
+
+def test_packed_to_chain_matches_shift_loop(k3_pair):
+    # the bit walk visits only the cells holding a set bit; dense vectors
+    # carry bits above dim(q) as well, which are ignored
+    rng = random.Random(23)
+    for side in (k3_pair.side_a, k3_pair.side_b):
+        for tag in ("multitangent", "mirror_ext", "mirror"):
+            for p in range(side.n + 1):
+                cx = side.complex("refined", tag, p)
+                for q in cx.degrees:
+                    d = cx.dim(q)
+                    vecs = [0, (1 << d) - 1] + [rng.getrandbits(d + 4) for _ in range(4)]
+                    if d:
+                        vecs += [
+                            sum(1 << rng.randrange(d) for _ in range(rng.randint(1, 3)))
+                            for _ in range(4)
+                        ]
+                    for vec in vecs:
+                        got = cx.packed_to_chain(vec, q)
+                        want = _packed_to_chain_by_shifts(cx, vec, q)
+                        assert list(got.items()) == list(want.items()), (tag, p, q)
 
 
 # -- multitangent values ---------------------------------------------------------

@@ -111,7 +111,7 @@ def test_normal_forms_frozen():
 def test_k3_frames_and_values_frozen(k3_pair):
     """Every frame's (Q, R) and every value's content built for the K3
     pair's base multitangent and refined mirror_ext complexes; the latter
-    reach the unimodular completion of FreeQuotient."""
+    reach the Frame of a nonzero quotient span."""
     rows = []
     for side in (k3_pair.side_a, k3_pair.side_b):
         ev = CosheafEvaluator(side.ambient, side.newton)
@@ -121,7 +121,7 @@ def test_k3_frames_and_values_frozen(k3_pair):
         rows.append(sorted((f.gens, f.Q, f.R) for f in ev._frames.values()))
         rows.append(sorted(repr(v.content()) for v in ev._values.values()))
     assert _digest(rows) == (
-        "481d244821bb0b5cd86658e200366143e092a287fd2955036e54cba8c3bf5304"
+        "919bba60631ee0ea72e3cbe9dda199bae414b29b0590dd7369bca8b9b44538a7"
     )
 
 

@@ -14,7 +14,7 @@ from tropmirror.exterior import (
     wedge_matrix,
     wedge_vector,
 )
-from tropmirror.intlinalg import hnf_basis, left_kernel, vec_mat
+from tropmirror.intlinalg import hnf_basis, left_kernel, mat_mul, rank_int, vec_mat
 from tropmirror.modules import FreeQuotient
 
 
@@ -46,6 +46,48 @@ def test_free_quotient_reduce_rep_roundtrip():
 def test_free_quotient_torsion_rejected():
     with pytest.raises(FreenessError):
         FreeQuotient(2, [(1, 0), (0, 1)], [(2, 0)])
+
+
+def _random_unimodular(rng, r):
+    """A product of random elementary row operations on the r x r identity."""
+    W = [[int(i == j) for j in range(r)] for i in range(r)]
+    for _ in range(3 * r):
+        i, j = rng.randrange(r), rng.randrange(r)
+        if i == j:
+            W[i] = [-x for x in W[i]]
+        else:
+            c = rng.randint(-2, 2)
+            W[i] = [x + c * y for x, y in zip(W[i], W[j])]
+            W[i], W[j] = W[j], W[i]
+    return W
+
+
+def test_free_quotient_random_properties():
+    # the first k rows of W.S, with W unimodular, span a direct summand of
+    # the span of S, so the quotient is free of rank r - k
+    rng = random.Random(17)
+    for _ in range(100):
+        a = rng.randint(1, 5)
+        r = rng.randint(1, a)
+        S = [[rng.randint(-3, 3) for _ in range(a)] for _ in range(r)]
+        if rank_int(S) < r:
+            continue
+        k = rng.randint(0, r)
+        quo = [tuple(row) for row in mat_mul(_random_unimodular(rng, r), S)[:k]]
+        fq = FreeQuotient(a, [tuple(row) for row in S], quo)
+        assert fq.rank == r - k
+        for i in range(fq.rank):
+            assert fq.reduce(fq.rep(i)) == tuple(int(j == i) for j in range(fq.rank))
+        for row in quo:
+            assert fq.reduce(row) == (0,) * fq.rank
+        for _ in range(3):
+            x, y = ([rng.randint(-3, 3) for _ in range(r)] for _ in range(2))
+            u, v = vec_mat(x, S), vec_mat(y, S)
+            total = fq.reduce([s + t for s, t in zip(u, v)])
+            assert total == tuple(s + t for s, t in zip(fq.reduce(u), fq.reduce(v)))
+        if k:
+            with pytest.raises(FreenessError):
+                FreeQuotient(a, S, [tuple(2 * c for c in quo[0])] + quo[1:])
 
 
 # -- exterior algebra ----------------------------------------------------------
