@@ -30,7 +30,7 @@ way.
 
 from bisect import bisect_right
 
-from .errors import BoundarySquareNonzero, InternalCheckError, NotAClosedChain
+from .errors import BoundarySquareNonzero, InputError, InternalCheckError, NotAClosedChain
 from .intlinalg import (
     F2Space,
     f2_cleared_ranks,
@@ -273,13 +273,12 @@ class ChainComplex(_Graded):
     def f2_homology_generators(self, q):
         """Packed cycle representatives of a basis of H_q over F2."""
         if q in self._boundary_degrees and self.dim(q - 1) > 0:
-            # each row that depends on the earlier ones gives a kernel vector
-            image = F2Space()
-            cycles = [
-                image.solve(r) ^ (1 << i)
-                for i, r in enumerate(self.f2_rows(q))
-                if not image.add(r)
-            ]
+            # solve writes a row over the rows that enlarged the image: one
+            # of those is its own solution, and any other row gives the
+            # kernel vector of its dependence on the earlier ones
+            image = self._f2_image_space(q)
+            kernel = (image.solve(r) ^ (1 << i) for i, r in enumerate(self.f2_rows(q)))
+            cycles = [v for v in kernel if v]
         else:
             cycles = [1 << i for i in range(self.dim(q))]
         space = F2Space(self.f2_rows(q + 1))
@@ -287,12 +286,18 @@ class ChainComplex(_Graded):
 
     # -- chain <-> cell-dict conversion ---------------------------------------------
     def chain_to_packed(self, chain, q):
-        """{cell key: 0/1 coordinate tuple} -> packed vector in degree q."""
+        """{cell key: 0/1 coordinate tuple} -> packed vector in degree q; a
+        tuple must have one entry per coordinate of its cell."""
         vec = 0
         for key, coords in chain.items():
             ci = self.poset.cell_index[key]
             if self.poset.cells[ci].dim != q:
                 raise NotAClosedChain(f"chain mixes degrees: {key} is not in {q}")
+            if len(coords) != self.ranks[ci]:
+                raise InputError(
+                    f"chain coefficient of {key} has {len(coords)} entries, "
+                    f"not its value rank {self.ranks[ci]}"
+                )
             off = self.offset[ci]
             for j, c in enumerate(coords):
                 if c & 1:

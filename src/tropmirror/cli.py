@@ -269,15 +269,7 @@ def cmd_patchwork(args):
         inputs.append(args.divisor)
     else:
         eps = load_signs(args.signs)
-        points = set(side.newton.polytope.lattice_points)
-        missing, outside = points - set(eps), set(eps) - points
-        if missing:
-            raise InputError(f"signs file misses lattice points {sorted(missing)}")
-        if outside:
-            raise InputError(
-                f"signs file names points outside the Newton polytope {sorted(outside)}"
-            )
-        rays = divisor_from_signs(side, eps)
+        rays = divisor_from_signs(side, eps)  # checks the signs
         inputs.append(args.signs)
     betti = real_betti(side, eps)
     verdict = connectedness_verdict(side, rays)

@@ -44,8 +44,7 @@ class Frame:
         self.m = m
         self.k = len(self.gens)
         if not self.gens:
-            self.Q = identity(m)
-            self.R = identity(m)
+            self.Q = self.R = identity(m)  # shared: nothing mutates either
             return
         # unimodular completion: G V = [I | 0] exactly when the span is a
         # direct summand, and then inv(V) = [G; R] with R the lift

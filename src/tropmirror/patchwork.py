@@ -22,11 +22,12 @@ each cover's map between frames, and the packed boundary rows of the sign
 cosheaf's F2 complex over every frame point, built on first read and
 square-checked mod 2 there) is a PhaseFrame, built once per side and poset
 kind.  A sign distribution only picks the points each cell keeps, and what
-depends only on a cell's edge phases is memoized in the frame: the phase
-point sets, each cell's phase data with the OR of its points' boundaries
-(its reach, read off the covers), and the filtration generators and the F2
-spaces they span, so classes that agree on a cell share them; ``delta1``
-asks the frame for them with the cell's edge phases.  Each sign
+depends only on a cell's edge phases is one record in the frame, a
+PhaseCell per (cell, edge phases): the phase point set, the OR of its
+points' boundaries (its reach, read off the covers), and the filtration
+levels with their generators and the F2 spaces they span, filled on first
+use, so classes that agree on a cell share them all; ``delta1`` asks the
+frame for one level per cell it lifts or reads back.  Each sign
 distribution then ORs its cells' phase sets and reaches per degree; the
 transport is checked once per degree (the reach of the q-cells stays inside
 the phase set of degree q-1), which makes its sign complex a subcomplex of
@@ -53,7 +54,7 @@ from .errors import (
     InvalidPhaseStructure,
     NotAClosedChain,
 )
-from .intlinalg import F2Space, dot, f2_apply, f2_combine, f2_pack, f2_rank
+from .intlinalg import F2Space, dot, f2_combine, f2_pack, f2_rank
 from .exterior import wedge_matrix
 from .mirror import chain_degree, divisor_restriction, divisor_support, is_null_class
 
@@ -71,14 +72,30 @@ def signs_from_divisor(side, rays):
     return eps
 
 
+def _check_signs(side, eps):
+    """A sign distribution gives every lattice point of the Newton polytope,
+    and nothing else, the sign 0 or 1; anything else is an InputError."""
+    points = set(side.newton.polytope.lattice_points)
+    missing, outside = points - eps.keys(), eps.keys() - points
+    if missing:
+        raise InputError(f"signs miss lattice points {sorted(missing)}")
+    if outside:
+        raise InputError(f"signs name points outside the Newton polytope {sorted(outside)}")
+    bad = sorted(p for p, b in eps.items() if b not in (0, 1))
+    if bad:
+        raise InputError(f"signs other than 0 or 1 at {bad}")
+
+
 def divisor_from_signs(side, eps):
     """Rays whose sign matches the origin's."""
+    _check_signs(side, eps)
     o = side.newton.origin
     return sorted(v for v in side.newton.rays() if eps[v] == eps[o])
 
 
 def phase_from_signs(side, eps):
     """Same-sign indicator per edge: 1 iff the endpoints agree."""
+    _check_signs(side, eps)
     t = {}
     for s in side.newton.by_dim.get(1, ()):
         a, b = s
@@ -207,21 +224,18 @@ class PhaseFrame:
     reads its boundary off ``covers`` on its own.
 
     What depends only on a cell's edge phases ``tes`` (one 0/1 per edge,
-    in ``cells[ci]`` edge order) is memoized: point lists and their index
-    dicts per (qd, packed point set), each PhaseCell per (ci, tes), and
-    the filtration generators (``level_generators``) and the F2 spaces
-    they span (``level_spaces``) per (ci, p, tes); their readers pass the
-    cell's ``PhaseCell.tes``.
+    in ``cells[ci]`` edge order) is one PhaseCell per (ci, tes), from
+    ``cell_phase``; ``level`` fills its filtration levels on first use.
+    Cells with the same packed point set in the same quotient rank share
+    one point list and index dict.
     """
 
     def __init__(self, evaluator, poset):
         self.evaluator = evaluator
         self.poset = poset
         self._proj = {}
-        self._points = {}
-        self._generators = {}
-        self._spaces = {}
-        self._phase_cells = {}
+        self._points = {}  # (qd, packed point set) -> (points, index)
+        self._phase_cells = {}  # (ci, tes) -> PhaseCell
         self.cells = []
         self.offset = []
         self._width = {}  # dim -> frame points of the cells of that dim
@@ -272,39 +286,27 @@ class PhaseFrame:
             self._proj[sx, sy] = [f2_combine(s, masks) for s in range(1 << len(masks))]
         return self._proj[sx, sy]
 
-    def phase_bits(self, ci, tes):
-        """The phase set of cell ci under edge phases tes, packed: bit s is
-        set iff the point s is in it."""
-        _, qd, edges = self.cells[ci]
-        full = (1 << (1 << qd)) - 1
-        bits = 0
-        for (_, _, odd), te in zip(edges, tes):
-            bits |= odd if te else full ^ odd
-        return bits
-
-    def point_set(self, qd, bits):
-        """(points, index) of a packed point set in quotient rank qd: the
-        points in increasing order and each point's position.  Shared per
-        (qd, bits); callers must not mutate them."""
-        key = (qd, bits)
-        if key not in self._points:
-            points = [s for s in range(1 << qd) if (bits >> s) & 1]
-            self._points[key] = (points, {s: i for i, s in enumerate(points)})
-        return self._points[key]
-
     def cell_phase(self, ci, tes):
         """The PhaseCell of cell ci under edge phases tes, built once per
-        (ci, tes).  Its reach is read off the covers below ci, in the
-        frame's numbering, without building the point rows.  Shared;
-        callers must not mutate it."""
+        (ci, tes); cells with the same packed point set in the same
+        quotient rank share one point list and index dict.  Its reach is
+        read off the covers below ci, in the frame's numbering, without
+        building the point rows.  Shared; callers must not mutate it."""
         key = (ci, tes)
         pc = self._phase_cells.get(key)
         if pc is None:
-            stratum, qd, _ = self.cells[ci]
+            stratum, qd, edges = self.cells[ci]
+            full = (1 << (1 << qd)) - 1
+            bits = 0
+            for (_, _, odd), te in zip(edges, tes):
+                bits |= odd if te else full ^ odd
+            if (qd, bits) not in self._points:
+                points = [s for s in range(1 << qd) if (bits >> s) & 1]
+                self._points[qd, bits] = (points, {s: i for i, s in enumerate(points)})
             pc = PhaseCell()
-            pc.stratum, pc.qd, pc.tes = stratum, qd, tes
-            pc.bits = self.phase_bits(ci, tes)
-            pc.points, pc.index = self.point_set(qd, pc.bits)
+            pc.ci, pc.stratum, pc.qd, pc.tes, pc.bits = ci, stratum, qd, tes, bits
+            pc.points, pc.index = self._points[qd, bits]
+            pc.levels = None
             reach = 0
             for oy, images in self._below[ci]:
                 r = 0
@@ -315,72 +317,60 @@ class PhaseFrame:
             self._phase_cells[key] = pc
         return pc
 
-    def level_generators(self, ci, p, tes):
-        """(indicator, multitangent coords) pairs spanning filtration level p
-        on cell ci under edge phases tes, computed once per (ci, p, tes).
-        Bit s of an indicator is the point s of the cell's frame."""
-        key = (ci, p, tes)
-        if key in self._generators:
-            return self._generators[key]
+    def level(self, pc, p):
+        """Filtration level p on the PhaseCell pc, as (generators, indicator
+        space, coordinate space), computed once per (pc, p) and kept in
+        ``pc.levels``.  A generator is (indicator, multitangent coordinates),
+        both packed: bit s of an indicator is the point s of the cell's
+        frame.  The spaces are the F2 spans of the indicators and of the
+        coordinates, rows in generator order.  Shared; callers may solve in
+        the spaces but must not add rows."""
+        if pc.levels is None:
+            pc.levels = {}
+        if p in pc.levels:
+            return pc.levels[p]
         ev = self.evaluator
-        stratum, _, edges = self.cells[ci]
+        _, _, edges = self.cells[pc.ci]
         gens = []
-        if self.phase_bits(ci, tes):
-            value = ev.value("multitangent", p, self.poset.cells[ci])
-            for ((a, b), rdm, _), te in zip(edges, tes):
-                B = ev.edge_annihilator_basis(stratum, a, b, 1)
+        if pc.bits:
+            value = ev.value("multitangent", p, self.poset.cells[pc.ci])
+            for ((a, b), rdm, _), te in zip(edges, pc.tes):
+                B = ev.edge_annihilator_basis(pc.stratum, a, b, 1)
                 w = len(B)
                 if p > w:
                     continue
                 B2 = [f2_pack(row) for row in B]
                 # the wedge image of each p-subset of B in value coordinates
-                if value.rank:
-                    T = [
-                        list(value.reduce(row))
-                        for row in ev.edge_annihilator_basis(stratum, a, b, p)
-                    ]
-                else:
-                    T = []
-                s0 = 0
-                if te == 1:
-                    s0 = rdm & (-rdm)  # lowest bit of rdm pairs to 1
+                T = [
+                    f2_pack(value.reduce(row))
+                    for row in ev.edge_annihilator_basis(pc.stratum, a, b, p)
+                ] if value.rank else []
+                s0 = rdm & -rdm if te else 0  # lowest bit of rdm pairs to 1
                 Wspan = _span(B2)
                 for U in _subspaces(w, p):
                     # wedge coordinates of the subspace basis over p-subsets
                     bits = [[(u >> j) & 1 for j in range(w)] for u in U]
-                    wedge = [x & 1 for x in wedge_matrix(bits, p)[0]]
-                    fcoords = f2_apply(wedge, T)
+                    fcoords = f2_combine(f2_pack(wedge_matrix(bits, p)[0]), T) if T else 0
                     U_V = [f2_combine(u, B2) for u in U]
                     span = _span(U_V)
                     # the cosets of span in s0 + Wspan, by least point
                     cosets = {sum(1 << (s0 ^ wv ^ u) for u in span) for wv in Wspan}
                     gens += [(ind, fcoords) for ind in sorted(cosets, key=lambda i: i & -i)]
-        self._generators[key] = gens
-        return gens
-
-    def level_spaces(self, ci, p, tes):
-        """(indicator space, coordinate space): the F2 spans of the
-        indicators and of the packed multitangent coordinates of
-        level_generators(ci, p, tes), rows in generator order, built once
-        per (ci, p, tes).  Shared; callers may solve in them but must not
-        add rows."""
-        key = (ci, p, tes)
-        if key not in self._spaces:
-            gens = self.level_generators(ci, p, tes)
-            self._spaces[key] = (
-                F2Space(ind for ind, _ in gens),
-                F2Space(f2_pack(fc) for _, fc in gens),
-            )
-        return self._spaces[key]
+        pc.levels[p] = out = (
+            gens, F2Space(ind for ind, _ in gens), F2Space(fc for _, fc in gens)
+        )
+        return out
 
 
 class PhaseCell:
-    """One cell's phase data under one choice of its edge phases ``tes``:
-    the packed phase set ``bits``, its ``points`` in increasing order and
-    their ``index``, and ``reach``, the OR of the boundaries of its points
-    in the frame's numbering."""
+    """One cell's phase data under one choice of its edge phases ``tes``,
+    the one record per (cell, edge phases): the cell index ``ci``, the
+    packed phase set ``bits``, its ``points`` in increasing order and their
+    ``index``, ``reach``, the OR of the boundaries of its points in the
+    frame's numbering, and ``levels``, the filtration levels by p that
+    ``PhaseFrame.level`` has computed (None before the first)."""
 
-    __slots__ = ("stratum", "qd", "tes", "bits", "points", "index", "reach")
+    __slots__ = ("ci", "stratum", "qd", "tes", "bits", "points", "index", "reach", "levels")
 
 
 class PhaseData:
@@ -586,14 +576,12 @@ def delta1(side, eps, chain, p, kind="refined"):
     lvec = 0
     for key, fcoords in chain.items():
         ci = poset.cell_index[key]
-        tes = pd.phase_cell(ci).tes
-        _, coord_space = frame.level_spaces(ci, p, tes)
+        gens, _, coord_space = frame.level(pd.phase_cell(ci), p)
         mask = coord_space.solve(f2_pack(fcoords))
         if mask is None:
             raise InternalCheckError(
                 "chain coefficient is not in the filtration image"
             )
-        gens = frame.level_generators(ci, p, tes)
         lvec |= f2_combine(mask, [ind for ind, _ in gens]) << offset[ci]
     rows = frame.point_rows.get(q)
     bvec = f2_combine(lvec, rows) if rows else 0
@@ -606,14 +594,13 @@ def delta1(side, eps, chain, p, kind="refined"):
         ind = (bvec >> offset[ci]) & pc.bits
         if not ind:
             continue
-        ind_space, _ = frame.level_spaces(ci, p + 1, pc.tes)
+        gens, ind_space, _ = frame.level(pc, p + 1)
         mask = ind_space.solve(ind)
         if mask is None:
             raise InternalCheckError(
                 "boundary of the lift escaped the next filtration level"
             )
-        gens = frame.level_generators(ci, p + 1, pc.tes)
-        fvec = f2_combine(mask, [f2_pack(fc) for _, fc in gens])
+        fvec = f2_combine(mask, [fc for _, fc in gens])
         if fvec:
             out[poset.cells[ci].key] = tuple((fvec >> i) & 1 for i in range(CF1.ranks[ci]))
     if out:

@@ -352,14 +352,15 @@ def test_criterion_10_structural_properties(cubic_pair, k3_pair):
                 continue
             prev_rank = None
             for p in range(side.n + 2):
-                sp = pd.frame.level_spaces(c.index, p, pc.tes)[0]
-                for ind, _ in pd.frame.level_generators(c.index, p, pc.tes):
+                gens, sp, _ = pd.frame.level(pc, p)
+                for ind, _ in gens:
                     ok = ok and not ind & ~pc.bits
                 if p <= side.n:
                     f_rank = side.evaluator.value("multitangent", p, c).rank
-                    nxt = pd.frame.level_spaces(c.index, p + 1, pc.tes)[0]
+                    nxt_gens, nxt, _ = pd.frame.level(pc, p + 1)
                     ok = ok and sp.rank - nxt.rank == f_rank
-                nxt_gens = pd.frame.level_generators(c.index, p + 1, pc.tes) if p <= side.n else ()
+                else:
+                    nxt_gens = ()
                 for ind, _ in nxt_gens:
                     ok = ok and sp.contains(ind)
         for (yi, xi) in side.base_poset.covers:
@@ -367,9 +368,9 @@ def test_criterion_10_structural_properties(cubic_pair, k3_pair):
             if not px.points or not py.points:
                 continue
             for p in range(side.n + 1):
-                target = pd.frame.level_spaces(yi, p, py.tes)[0]
+                target = pd.frame.level(py, p)[1]
                 images = pd.frame.point_images(px.stratum, py.stratum)
-                for ind, _ in pd.frame.level_generators(xi, p, px.tes):
+                for ind, _ in pd.frame.level(px, p)[0]:
                     out = 0
                     v = ind
                     while v:

@@ -7,6 +7,7 @@ import pytest
 from conftest import CUBIC_DUAL_VERTS, CUBIC_VERTS
 from tropmirror.chains import dense_block
 from tropmirror.errors import (
+    InputError,
     InternalCheckError,
     MirrorSideFreed,
     RayNotInFan,
@@ -278,6 +279,28 @@ def test_transfer_fundamental_class_nonzero(cubic_pair, k3_pair):
         n = side.n
         assert chain_degree(side.mirror.refined_poset, out) == n
         assert not is_null_class(side.mirror, out, n, kind="refined")
+
+
+def test_chain_coefficients_must_match_the_value_rank(cubic_pair):
+    # a coefficient tuple with more or fewer entries than its cell's value
+    # rank is an input error wherever a chain is packed: one entry too many
+    # would set a bit of the next cell, and 40 would run past dim(q)
+    side = cubic_pair.side_a
+    eps = signs_from_divisor(side, [])
+    S = sphere_cycle(side)
+    cx = side.complex("refined", "multitangent", 0)
+    first, last = list(S)[0], list(S)[-1]
+    assert cx.ranks[side.refined_poset.cell_index[first]] == 1
+    for key, coords in ((last, (1,) * 40), (first, (1, 0)), (first, ())):
+        bad = {**S, key: coords}
+        for run in (
+            lambda: cx.chain_to_packed(bad, side.n),
+            lambda: transfer_class(side, bad, 0),
+            lambda: is_null_class(side, bad, 0, kind="refined"),
+            lambda: delta1(side, eps, bad, 0),
+        ):
+            with pytest.raises(InputError, match="value rank"):
+                run()
 
 
 def test_transfer_involution_on_generators(cubic_pair):

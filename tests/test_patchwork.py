@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import CUBIC_DUAL_VERTS, CUBIC_VERTS, integer_lift
 from tropmirror.errors import (
     BoundarySquareNonzero,
+    InputError,
     InternalCheckError,
     InvalidPhaseStructure,
     RayNotInFan,
@@ -54,6 +55,31 @@ def test_all_equal_signs_give_full_divisor(cubic_pair):
     side = cubic_pair.side_a
     eps = {p: 1 for p in side.newton.polytope.lattice_points}
     assert divisor_from_signs(side, eps) == sorted(side.newton.rays())
+
+
+def test_sign_distributions_are_checked(cubic_pair):
+    # signs give each lattice point of the Newton polytope, and nothing
+    # else, the sign 0 or 1: a missing point, an extra point and the sign 2
+    # are input errors for every library entry that reads signs
+    side = cubic_pair.side_a
+    good = signs_from_divisor(side, [D7])
+    missing = dict(good)
+    del missing[D8]
+    cases = {
+        "miss": missing,
+        "outside": {**good, (5, 5): 0},
+        "0 or 1": {**good, D8: 2},
+    }
+    for message, eps in cases.items():
+        for run in (
+            lambda: real_betti(side, eps),
+            lambda: divisor_from_signs(side, eps),
+            lambda: phase_from_signs(side, eps),
+            lambda: delta1(side, eps, sphere_cycle(side), 0),
+        ):
+            with pytest.raises(InputError, match=message):
+                run()
+    assert real_betti(side, good) == [1, 1]
 
 
 def test_sign_phase_roundtrip(cubic_pair):
@@ -278,17 +304,18 @@ def _packed_mod2(D):
     }
 
 
-def _class_results(side, poset, eps, fresh_results, first_spaces):
+def _class_results(side, poset, eps, fresh_results, first_levels):
     """Generators, points and sign boundary of one class, each checked
     against a frame built for this class alone.
 
-    A fresh frame computes each (cell, p, edge phases) key the first time
-    any class meets it, asked in descending p so that a memo that forgot
-    p or the edge phases answers differently from the shared frame; later
-    meetings compare against that first answer.  The shared frame's F2
-    spaces for a key must span the fresh generators when first met, and
-    be the same objects at every later meeting.  The sign boundary's packed
-    rows must equal the per-point reference reduced mod 2.
+    A fresh frame computes each (cell, p, edge phases) level the first
+    time any class meets it, asked in descending p so that a record that
+    forgot p or the edge phases answers differently from the shared frame;
+    later meetings compare against that first answer.  The shared frame's
+    level for a key must hold F2 spaces that span the fresh generators when
+    first met, sit in its PhaseCell's ``levels``, and be the same object at
+    every later meeting.  The sign boundary's packed rows must equal the
+    per-point reference reduced mod 2.
     """
     pd = PhaseData(side, poset, eps)
     frame = side.phase_frame(poset.kind)
@@ -299,26 +326,29 @@ def _class_results(side, poset, eps, fresh_results, first_spaces):
     for ci in range(len(poset.cells)):
         tes = _edge_phases(frame, ci, eps)
         pc = pd.phase_cell(ci)
-        assert pc.tes == tes
+        assert (pc.ci, pc.tes) == (ci, tes)
+        built = fresh.cell_phase(ci, tes)
+        assert built.levels is None
         for p in reversed(levels):
             key = (ci, p, tes)
             if key not in fresh_results:
-                fresh_results[key] = fresh.level_generators(ci, p, tes)
+                fresh_results[key] = fresh.level(built, p)[0]
         for p in levels:
+            level = frame.level(pc, p)
             # copies, so that a later class mutating a shared list shows
-            gens[ci, p] = list(frame.level_generators(ci, p, tes))
+            gens[ci, p] = list(level[0])
             assert gens[ci, p] == fresh_results[ci, p, tes], (ci, p, tes)
-            spaces = frame.level_spaces(ci, p, tes)
-            if (ci, p, tes) not in first_spaces:
-                first_spaces[ci, p, tes] = spaces
+            if (ci, p, tes) not in first_levels:
+                first_levels[ci, p, tes] = level
                 fresh_gens = fresh_results[ci, p, tes]
-                assert [s.pivot_rows() for s in spaces] == [
+                assert [s.pivot_rows() for s in level[1:]] == [
                     F2Space(ind for ind, _ in fresh_gens).pivot_rows(),
-                    F2Space(f2_pack(fc) for _, fc in fresh_gens).pivot_rows(),
+                    F2Space(fc for _, fc in fresh_gens).pivot_rows(),
                 ], (ci, p, tes)
-            assert spaces is first_spaces[ci, p, tes]
+            assert level is first_levels[ci, p, tes]
+            assert pc.levels[p] is level
         points[ci] = list(pc.points)
-        assert pc.points == fresh.point_set(pc.qd, fresh.phase_bits(ci, tes))[0]
+        assert pc.points == built.points
         assert pc.points == _phase_points_directly(frame, ci, eps)
         assert pc.index == {s: i for i, s in enumerate(pc.points)}
     cx = pd.sign_complex()
@@ -329,7 +359,7 @@ def _class_results(side, poset, eps, fresh_results, first_spaces):
 
 
 def test_frame_memo_matches_fresh_frames(k3_pair):
-    # the frame's generator and point memos against per-class frames, on
+    # the frame's PhaseCells and their levels against per-class frames, on
     # every cubic class (both posets) and 20 sampled K3 classes; the cubic
     # pair is built here so that its refined frame starts empty
     cubic = MirrorPair(
@@ -344,22 +374,23 @@ def test_frame_memo_matches_fresh_frames(k3_pair):
     ]
     for side, kind, masks in runs:
         poset = side.poset(kind)
-        fresh_results, first_spaces = {}, {}
+        fresh_results, first_levels = {}, {}
         signs = [signs_from_divisor(side, mask_to_rays(side, m)) for m in masks]
-        first = _class_results(side, poset, signs[0], fresh_results, first_spaces)
+        first = _class_results(side, poset, signs[0], fresh_results, first_levels)
         for eps in signs[1:]:
-            _class_results(side, poset, eps, fresh_results, first_spaces)
-        # classes A, B, ..., A: the memos give A the same answers again
-        again = _class_results(side, poset, signs[0], fresh_results, first_spaces)
+            _class_results(side, poset, eps, fresh_results, first_levels)
+        # classes A, B, ..., A: the records give A the same answers again
+        again = _class_results(side, poset, signs[0], fresh_results, first_levels)
         assert again == first
         if (side, kind) == (cubic, "refined"):
             calls = (len(masks) + 1) * len(poset.cells) * (side.n + 2)
-            keys = len(side.phase_frame(kind)._generators)
+            phase_cells = side.phase_frame(kind)._phase_cells.values()
+            keys = sum(len(pc.levels) for pc in phase_cells)
+            assert keys == len(first_levels)
             assert 3 * keys < calls, (keys, calls)
             # a PhaseCell is shared by every class with the same phases on
             # the cell's own edges
-            cells = len(side.phase_frame(kind)._phase_cells)
-            assert 3 * cells < len(masks) * len(poset.cells), cells
+            assert 3 * len(phase_cells) < len(masks) * len(poset.cells), len(phase_cells)
 
 
 def _bits(r):
@@ -462,8 +493,8 @@ def test_filtration_rank_identity_and_preservation(cubic_pair):
             continue
         spaces = {}
         for p in range(side.n + 2):
-            spaces[p] = pd.frame.level_spaces(c.index, p, pc.tes)[0]
-            for ind, _ in pd.frame.level_generators(c.index, p, pc.tes):
+            gens, spaces[p], _ = pd.frame.level(pc, p)
+            for ind, _ in gens:
                 assert ind & ~pc.bits == 0, (c, p)
         # K_{n+1} = 0 and K_0 is everything
         assert spaces[side.n + 1].rank == 0
@@ -472,7 +503,7 @@ def test_filtration_rank_identity_and_preservation(cubic_pair):
             f_rank = side.evaluator.value("multitangent", p, c).rank
             assert spaces[p].rank - spaces[p + 1].rank == f_rank, (c, p)
             # nesting
-            for ind, _ in pd.frame.level_generators(c.index, p + 1, pc.tes):
+            for ind, _ in pd.frame.level(pc, p + 1)[0]:
                 assert spaces[p].contains(ind)
     # preservation by the cosheaf maps: image of level-p generators stays
     # in level p on every cover
@@ -481,9 +512,9 @@ def test_filtration_rank_identity_and_preservation(cubic_pair):
         if not px.points or not py.points:
             continue
         for p in range(side.n + 1):
-            target = pd.frame.level_spaces(yi, p, py.tes)[0]
+            target = pd.frame.level(py, p)[1]
             images = pd.frame.point_images(px.stratum, py.stratum)
-            for ind, _ in pd.frame.level_generators(xi, p, px.tes):
+            for ind, _ in pd.frame.level(px, p)[0]:
                 out = 0
                 v = ind
                 while v:
@@ -505,24 +536,20 @@ def test_well_defined_graded_identification(cubic_pair):
         if not pc.points:
             continue
         for p in range(side.n + 1):
-            gens = pd.frame.level_generators(c.index, p, pc.tes)
+            gens = pd.frame.level(pc, p)[0]
             if not gens:
                 continue
             space = F2Space(g[0] for g in gens)
             # the graded identification must kill level-(p+1) indicators:
             # express each in level-p generators and check zero wedge image
-            for ind, fc in pd.frame.level_generators(c.index, p + 1, pc.tes):
+            for ind, _ in pd.frame.level(pc, p + 1)[0]:
                 sol = space.solve(ind)
                 assert sol is not None
-                acc = None
+                acc = 0
                 for i, (_, gc) in enumerate(gens):
                     if (sol >> i) & 1:
-                        acc = (
-                            gc
-                            if acc is None
-                            else tuple(a ^ b for a, b in zip(acc, gc))
-                        )
-                assert acc is None or not any(acc), (c, p)
+                        acc ^= gc
+                assert not acc, (c, p)
 
 
 # -- real complex and betti -----------------------------------------------------------
@@ -634,7 +661,8 @@ def test_escaping_transport_raises():
     assert s2 in py.index
     doctored = copy.copy(py)
     doctored.bits = py.bits & ~(1 << s2)
-    doctored.points, doctored.index = frame.point_set(py.qd, doctored.bits)
+    doctored.points = [s for s in py.points if s != s2]
+    doctored.index = {s: i for i, s in enumerate(doctored.points)}
     key = (yi, py.tes)
     assert frame._phase_cells[key] is py
     frame._phase_cells[key] = doctored
@@ -761,7 +789,7 @@ def test_delta1_internal_checks_each_fire(cubic_pair, monkeypatch):
     S = sphere_cycle(side)
     assert delta1(side, eps, S, 0)  # the lift has a nonzero boundary
     frame = side.phase_frame("refined")
-    spaces = frame.level_spaces
+    level = frame.level
     init = PhaseData.__init__
 
     def no_phase_sets(pd, *args):
@@ -769,12 +797,12 @@ def test_delta1_internal_checks_each_fire(cubic_pair, monkeypatch):
         pd.masks = dict.fromkeys(pd.masks, 0)
 
     breaks = (
-        ("chain coefficient is not in the filtration image", frame, "level_spaces",
-         lambda ci, p, tes: (spaces(ci, p, tes)[0], F2Space())),
+        ("chain coefficient is not in the filtration image", frame, "level",
+         lambda pc, p: (*level(pc, p)[:2], F2Space())),
         ("boundary of the lift escaped the phase sets", PhaseData, "__init__",
          no_phase_sets),
-        ("boundary of the lift escaped the next filtration level", frame, "level_spaces",
-         lambda ci, p, tes: (F2Space(), spaces(ci, p, tes)[1])),
+        ("boundary of the lift escaped the next filtration level", frame, "level",
+         lambda pc, p: (level(pc, p)[0], F2Space(), level(pc, p)[2])),
         ("filtration differential output not closed",
          side.complex("refined", "multitangent", 1), "f2_is_cycle", lambda vec, q: False),
     )
