@@ -24,7 +24,8 @@ import hashlib
 import json
 import sys
 
-from .errors import HypothesisFails, InputError, InternalCheckError
+from .chains import RINGS
+from .errors import HypothesisFails, InputError, TropmirrorError
 from .lattice import LatticePolytope, _as_point
 from .mirror import divisor_restriction, is_null_class, sphere_cycle, transfer_class
 from .pairs import MirrorPair
@@ -49,28 +50,32 @@ def _sha(path):
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-def _load_json(path):
+def _load(path, what, build):
+    """``build`` applied to the JSON data in ``path``, the one input policy:
+    an unreadable file, or data that ``build`` refuses with KeyError,
+    TypeError or ValueError, is an InputError naming the file."""
     try:
         with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
-        raise InputError(f"cannot read {path}: {e}") from None
+            return build(json.load(fh))
+    except (OSError, KeyError, TypeError, ValueError) as e:
+        raise InputError(f"bad {what} file {path}: {e}") from None
+
+
+def _distinct(points, what):
+    """The lattice points of a list that names each of them once."""
+    points = [_as_point(p) for p in points]
+    repeated = sorted({p for p in points if points.count(p) > 1})
+    if repeated:
+        raise ValueError(f"repeats the {what} {repeated}")
+    return points
 
 
 def load_polytope(path):
-    data = _load_json(path)
-    try:
-        return LatticePolytope(data["vertices"], data["rank"])
-    except (KeyError, TypeError, ValueError) as e:
-        raise InputError(f"bad polytope file {path}: {e}") from None
+    return _load(path, "polytope", lambda d: LatticePolytope(d["vertices"], d["rank"]))
 
 
 def load_triangulation(path):
-    data = _load_json(path)
-    try:
-        return CentralTriangulation.from_dict(data)
-    except (KeyError, TypeError, ValueError) as e:
-        raise InputError(f"bad triangulation file {path}: {e}") from None
+    return _load(path, "triangulation", CentralTriangulation.from_dict)
 
 
 def load_pair(args):
@@ -80,32 +85,23 @@ def load_pair(args):
 
 
 def load_divisor(path):
-    data = _load_json(path)
-    try:
-        rays = [_as_point(r) for r in data["rays"]]
-    except (KeyError, TypeError, ValueError) as e:
-        raise InputError(f"bad divisor file {path}: {e}") from None
-    repeated = sorted({r for r in rays if rays.count(r) > 1})
-    if repeated:
-        raise InputError(f"divisor file {path} repeats the rays {repeated}")
-    return rays
+    return _load(path, "divisor", lambda d: _distinct(d["rays"], "rays"))
 
 
 def load_signs(path):
-    """{lattice point: sign}; each point once, each sign the integer 0 or 1."""
-    data = _load_json(path)
-    try:
-        entries = [(_as_point(p), b) for p, b in data["signs"]]
-    except (KeyError, TypeError, ValueError) as e:
-        raise InputError(f"bad signs file {path}: {e}") from None
-    signs = {}
-    for p, b in entries:
-        if type(b) is not int or b not in (0, 1):
-            raise InputError(f"signs file {path} gives {p} the sign {b!r}, not 0 or 1")
-        if p in signs:
-            raise InputError(f"signs file {path} repeats the point {p}")
-        signs[p] = int(b)
-    return signs
+    """{lattice point: sign}, each point once; ``patchwork`` checks the signs."""
+
+    def build(data):
+        points = _distinct([p for p, _ in data["signs"]], "points")
+        return dict(zip(points, [b for _, b in data["signs"]]))
+
+    return _load(path, "signs", build)
+
+
+def _write_json(path, payload):
+    if path:
+        with open(path, "w") as fh:
+            json.dump(payload, fh, sort_keys=True)
 
 
 def report(args, result, inputs):
@@ -124,33 +120,26 @@ def report(args, result, inputs):
     return 0
 
 
-def _render_text(env, stream=None):
-    stream = stream or sys.stdout
-    print(f"# {env['command']}", file=stream)
+def _render_text(env):
+    print(f"# {env['command']}")
     for path, digest in sorted(env["inputs"].items()):
-        print(f"input {path} sha256={digest[:16]}", file=stream)
-    print(f"signature={env['signature']} bases={env['bases']}", file=stream)
-    _render_value(env["result"], "", stream)
+        print(f"input {path} sha256={digest[:16]}")
+    print(f"signature={env['signature']} bases={env['bases']}")
+    _render_value(env["result"], "")
 
 
-def _render_value(value, indent, stream):
+def _render_value(value, indent):
+    """A dict or list, one line per flat entry; nested ones under a header."""
     if isinstance(value, dict):
-        for k in sorted(value):
-            v = value[k]
-            if isinstance(v, (dict, list)) and v and not _is_flat(v):
-                print(f"{indent}{k}:", file=stream)
-                _render_value(v, indent + "  ", stream)
-            else:
-                print(f"{indent}{k}: {json.dumps(v, sort_keys=True)}", file=stream)
-    elif isinstance(value, list):
-        for i, v in enumerate(value):
-            if isinstance(v, (dict, list)) and v and not _is_flat(v):
-                print(f"{indent}- [{i}]", file=stream)
-                _render_value(v, indent + "  ", stream)
-            else:
-                print(f"{indent}- {json.dumps(v, sort_keys=True)}", file=stream)
+        entries = [(f"{k}:", f"{k}: ", value[k]) for k in sorted(value)]
     else:
-        print(f"{indent}{json.dumps(value)}", file=stream)
+        entries = [(f"- [{i}]", "- ", v) for i, v in enumerate(value)]
+    for header, label, v in entries:
+        if isinstance(v, (dict, list)) and v and not _is_flat(v):
+            print(f"{indent}{header}")
+            _render_value(v, indent + "  ")
+        else:
+            print(f"{indent}{label}{json.dumps(v, sort_keys=True)}")
 
 
 def _is_flat(v):
@@ -175,19 +164,14 @@ def cmd_dual(args):
     P = load_polytope(args.polytope)
     D = P.dual()
     payload = {"rank": D.rank, "vertices": [list(v) for v in D.vertices]}
-    if args.output:
-        with open(args.output, "w") as fh:
-            json.dump(payload, fh, sort_keys=True)
+    _write_json(args.output, payload)
     return report(args, payload, [args.polytope])
 
 
 def cmd_triangulate(args):
     P = load_polytope(args.polytope)
     T = generate_central(P)
-    payload = T.to_dict()
-    if args.output:
-        with open(args.output, "w") as fh:
-            json.dump(payload, fh, sort_keys=True)
+    _write_json(args.output, T.to_dict())
     summary = {
         "maximal_boundary_simplices": len(T.boundary_simplices),
         "vertices": len(T.vertices),
@@ -269,7 +253,7 @@ def cmd_patchwork(args):
         inputs.append(args.divisor)
     else:
         eps = load_signs(args.signs)
-        rays = divisor_from_signs(side, eps)  # checks the signs
+        rays = divisor_from_signs(side, eps)  # refuses signs other than 0 and 1
         inputs.append(args.signs)
     betti = real_betti(side, eps)
     verdict = connectedness_verdict(side, rays)
@@ -376,7 +360,7 @@ def build_parser():
 
     sp = sub.add_parser("hodge", help="tropical homology table")
     _add_pair_args(sp)
-    sp.add_argument("--ring", choices=("z", "q", "f2"), default="q")
+    sp.add_argument("--ring", choices=RINGS, default="q")
     sp.set_defaults(func=cmd_hodge)
 
     sp = sub.add_parser("mirror-check", help="verify the mirror-symmetry identity")
@@ -405,24 +389,24 @@ def build_parser():
     return ap
 
 
+# (error class, kind, exit code): the first class the error is an instance of
+_EXITS = (
+    (HypothesisFails, "hypothesis", 3),
+    (InputError, "input", 1),
+    (Exception, "internal", 2),
+)
+
+
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except HypothesisFails as e:
-        print(json.dumps({"error": str(e), "kind": "hypothesis"}), file=sys.stderr)
-        return 3
-    except InputError as e:
-        print(json.dumps({"error": str(e), "kind": "input"}), file=sys.stderr)
-        return 1
-    except InternalCheckError as e:
-        print(json.dumps({"error": str(e), "kind": "internal"}), file=sys.stderr)
-        return 2
     except Exception as e:
-        # an unforeseen failure is an internal one, reported without a traceback
-        error = f"{type(e).__name__}: {e}"
-        print(json.dumps({"error": error, "kind": "internal"}), file=sys.stderr)
-        return 2
+        kind, code = next((k, c) for cls, k, c in _EXITS if isinstance(e, cls))
+        # an unforeseen failure is reported with its type, never a traceback
+        error = str(e) if isinstance(e, TropmirrorError) else f"{type(e).__name__}: {e}"
+        print(json.dumps({"error": error, "kind": kind}), file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -24,8 +24,10 @@ divisibility.  Over Z, ``solve_hnf`` is the one exact solver:
 back-substitution over an HNF basis and its ``pivots``.  Over F2,
 ``F2Space`` is the one leading-bit reduction that can solve for
 combinations; it tracks the combination behind each basis row as rows are
-added.  ``f2_apply`` is the one product of a 0/1 row vector with an integer
-matrix mod 2, and ``f2_combine`` its packed form.  ``f2_rank`` is a lean
+added.  Its ``reduce`` stops at the first leading bit that is not a pivot,
+so it decides membership but is not a normal form: two members of one
+coset can reduce to different rows.  ``f2_combine`` is the packed product
+of a 0/1 row vector with a matrix.  ``f2_rank`` is a lean
 rank-only pass kept as an independent route for cross-checks, and
 ``f2_cleared_ranks`` the same pass over every boundary of a complex at once,
 each row named by its position, so a subcomplex is ranked in its parent's
@@ -395,20 +397,6 @@ def f2_combine(mask, rows):
         out ^= rows[low.bit_length() - 1]
         mask ^= low
     return out
-
-
-def f2_apply(coords, rows):
-    """coords . rows over F2 for a 0/1 tuple and an integer matrix."""
-    if not rows:
-        return ()
-    ncols = len(rows[0])
-    out = [0] * ncols
-    for i, c in enumerate(coords):
-        if c & 1:
-            row = rows[i]
-            for j in range(ncols):
-                out[j] ^= row[j] & 1
-    return tuple(out)
 
 
 def f2_rank(rows):

@@ -31,7 +31,7 @@ from .errors import (
     UnsupportedCell,
 )
 from .exterior import star, wedge_vector
-from .intlinalg import F2Space, f2_apply, f2_pack
+from .intlinalg import F2Space, f2_pack, vec_mat
 from .posets import mirror_cell_refined
 
 
@@ -66,7 +66,7 @@ def _cellwise(poset, chain, matrix, solve=None):
     for key, coords in chain.items():
         rows, okey = matrix(_cell(poset, key))
         if solve is None:
-            w = f2_apply(coords, rows)
+            w = tuple(a & 1 for a in vec_mat(coords, rows))
         else:
             mask = F2Space(f2_pack(r) for r in rows).solve(f2_pack(coords))
             if mask is None:

@@ -11,7 +11,8 @@ multitangent graded pieces.  The first differential of that filtration,
 applied to the fundamental class of the sphere, is mirror to the divisor
 restriction class, which decides connectedness.  F2 divisor classes are
 cosets of the pairing space (``_pairing_space``: row i is coordinate i of
-every ray mod 2), and a divisor's mask reads its support from
+every ray mod 2), each keyed by its normal form (``_normal_form``), and a
+divisor's mask reads its support from
 ``mirror.divisor_support``, like its signs and its restriction.
 
 Phase sets live in quotient coordinates mod 2 of the same frames the
@@ -74,16 +75,17 @@ def signs_from_divisor(side, rays):
 
 def _check_signs(side, eps):
     """A sign distribution gives every lattice point of the Newton polytope,
-    and nothing else, the sign 0 or 1; anything else is an InputError."""
+    and nothing else, the sign 0 or 1, an int: True and 1.0 compare equal
+    to 1 but are refused, like anything else, with an InputError."""
     points = set(side.newton.polytope.lattice_points)
     missing, outside = points - eps.keys(), eps.keys() - points
     if missing:
         raise InputError(f"signs miss lattice points {sorted(missing)}")
     if outside:
         raise InputError(f"signs name points outside the Newton polytope {sorted(outside)}")
-    bad = sorted(p for p, b in eps.items() if b not in (0, 1))
+    bad = sorted(p for p, b in eps.items() if type(b) is not int or b not in (0, 1))
     if bad:
-        raise InputError(f"signs other than 0 or 1 at {bad}")
+        raise InputError(f"signs other than the integer 0 or 1 at {bad}")
 
 
 def divisor_from_signs(side, eps):
@@ -181,23 +183,37 @@ def divisors_equivalent(side, d1, d2):
     return space.contains(divisor_mask(side, d1) ^ divisor_mask(side, d2))
 
 
+def _normal_form(space, mask):
+    """The one mask of the class mask + span with no pivot bit of ``space``
+    set: each pivot bit cleared top down.  ``F2Space.reduce`` stops at the
+    first leading bit that is not a pivot, so it is no class key."""
+    for row in reversed(space.pivot_rows()):
+        if (mask >> (row.bit_length() - 1)) & 1:
+            mask ^= row
+    return mask
+
+
 def divisor_class_representatives(side):
-    """Canonical representative masks of all F2 divisor classes."""
+    """The normal-form masks of all F2 divisor classes."""
     rays, space = _pairing_space(side)
     _check_enumerable(len(rays), "divisors")
-    return sorted({space.reduce(mask) for mask in range(1 << len(rays))})
+    return sorted({_normal_form(space, mask) for mask in range(1 << len(rays))})
 
 
 def sample_divisor_classes(side, count, seed):
-    """Deterministic sample of distinct divisor class representatives."""
+    """Deterministic sample of ``count`` distinct divisor classes, or of all
+    of them if there are fewer: for each class, the reduction of the first
+    mask drawn in it."""
     rays, space = _pairing_space(side)
+    count = min(count, 1 << (len(rays) - space.rank))
     rng = random.Random(seed)
-    seen = set()
+    first = {}  # normal form -> first reduced draw
     budget = 100 * count
-    while len(seen) < count and budget:
+    while len(first) < count and budget:
         budget -= 1
-        seen.add(space.reduce(rng.getrandbits(len(rays))))
-    return sorted(seen)
+        mask = space.reduce(rng.getrandbits(len(rays)))
+        first.setdefault(_normal_form(space, mask), mask)
+    return sorted(first.values())
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ from itertools import permutations, product
 import pytest
 
 from tropmirror.chains import ChainComplex
+from tropmirror.intlinalg import f2_pack, f2_rank
 from tropmirror.lattice import LatticePolytope
 from tropmirror.triangulate import CentralTriangulation, generate_central
 from tropmirror.pairs import MirrorPair
@@ -117,3 +118,11 @@ def integer_lift(pd):
     }
     ranks = [len(pc.points) for pc in cells]
     return ChainComplex(pd.poset, ranks, blocks, pd.poset.sign)
+
+
+def divisor_class_count(side):
+    """The number of F2 divisor classes, 2^(rays - rank of the pairing),
+    the pairing's row i being coordinate i of every ray mod 2."""
+    rays = side.newton.rays()
+    rank = f2_rank([f2_pack([v[i] for v in rays]) for i in range(side.rank)])
+    return 1 << (len(rays) - rank)

@@ -75,7 +75,7 @@ SHARED = {
     "pairs.Side.homology": "pairs.Side.hodge_table",
     "chains.HomologySummary.rank": "pairs.Side.hodge_table",
     "intlinalg.F2Space.rank": "patchwork._subspaces",
-    "intlinalg.F2Space.reduce": "patchwork.divisor_class_representatives",
+    "intlinalg.F2Space.reduce": "patchwork.sample_divisor_classes",
     "modules.FreeQuotient.reduce": "cosheaves.CosheafEvaluator.value_map",
     "triangulate.ValidationReport.to_dict": "cli.cmd_validate",
     "triangulate.CentralTriangulation.to_dict": "cli.cmd_triangulate",

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shlex
@@ -370,6 +371,41 @@ def test_text_output_renders(cubic_files, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "# hodge" in out and "ranks" in out
+
+
+# sha256 of the text reports on the cubic pair, run from the directory of
+# the inputs: the text view is never parsed back, so only a digest of the
+# whole report sees a changed line
+TEXT_REPORTS = {
+    "hodge": "ecfa93790ab8c12197d66343ba705e0b598a769ede1b85c109b2590bf8df97ad",
+    "mirror-check": "14f3c393abbc9e58e30cb9d6d907c05cb2631a42ea2c2961521837e54bcc4ee3",
+    "patchwork": "944a7aac35517a4c935359cd289239e4415ad90a8f07ad6042fbf113e5605c08",
+    "sweep": "325338db9c5d7b012842053a00f0ff257e283459d0a0f4bb91a8408961ea3167",
+}
+
+
+def test_text_reports_frozen(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cubic.json").write_text(json.dumps({"rank": 2, "vertices": CUBIC_VERTS}))
+    (tmp_path / "d.json").write_text(json.dumps({"rays": [[-1, 2], [-1, 1]]}))
+    for argv in (
+        ["dual", "cubic.json", "-o", "dual.json"],
+        ["triangulate", "cubic.json", "-o", "tri.json"],
+        ["triangulate", "dual.json", "-o", "tri_dual.json"],
+    ):
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    pair = ["tri.json", "tri_dual.json"]
+    digests = {}
+    for name, argv in (
+        ("hodge", ["hodge", *pair, "--ring", "z"]),
+        ("mirror-check", ["mirror-check", *pair]),
+        ("patchwork", ["patchwork", *pair, "--divisor", "d.json"]),
+        ("sweep", ["sweep", *pair]),
+    ):
+        assert main(["--out", "text", *argv]) == 0, name
+        digests[name] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digests == TEXT_REPORTS
 
 
 def test_k3_pair_through_cli(tmp_path, capsys):

@@ -1,12 +1,14 @@
 import copy
 import hashlib
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CUBIC_DUAL_VERTS, CUBIC_VERTS, integer_lift
+from conftest import CUBIC_DUAL_VERTS, CUBIC_VERTS, divisor_class_count, integer_lift
+from tropmirror import patchwork
 from tropmirror.errors import (
     BoundarySquareNonzero,
     InputError,
@@ -59,18 +61,21 @@ def test_all_equal_signs_give_full_divisor(cubic_pair):
 
 def test_sign_distributions_are_checked(cubic_pair):
     # signs give each lattice point of the Newton polytope, and nothing
-    # else, the sign 0 or 1: a missing point, an extra point and the sign 2
+    # else, the integer 0 or 1: a missing point, an extra point, the sign 2
+    # and, in place of D7's sign 1, True and 1.0, which compare equal to 1,
     # are input errors for every library entry that reads signs
     side = cubic_pair.side_a
     good = signs_from_divisor(side, [D7])
     missing = dict(good)
     del missing[D8]
-    cases = {
-        "miss": missing,
-        "outside": {**good, (5, 5): 0},
-        "0 or 1": {**good, D8: 2},
-    }
-    for message, eps in cases.items():
+    cases = [
+        ("miss", missing),
+        ("outside", {**good, (5, 5): 0}),
+        ("0 or 1", {**good, D8: 2}),
+        ("0 or 1", {**good, D7: True}),
+        ("0 or 1", {**good, D7: 1.0}),
+    ]
+    for message, eps in cases:
         for run in (
             lambda: real_betti(side, eps),
             lambda: divisor_from_signs(side, eps),
@@ -161,6 +166,40 @@ def test_sampling_is_deterministic(k3_pair):
     a = sample_divisor_classes(side, 20, seed=7)
     b = sample_divisor_classes(side, 20, seed=7)
     assert a == b and len(a) == 20
+
+
+PRISM_VERTS = [(-1, -1, -1), (-1, -1, 1), (-1, 2, -1), (-1, 2, 1), (2, -1, -1), (2, -1, 1)]
+
+
+def test_divisor_classes_are_distinct_classes(cubic_pair, k3_pair):
+    # one mask per class, also where the pairing's leading-bit reduction
+    # leaves two masks of one class apart, as on the prism's dual side
+    prism = LatticePolytope(PRISM_VERTS)
+    side = MirrorPair(generate_central(prism.dual()), generate_central(prism)).side_a
+    reps = divisor_class_representatives(side)
+    assert len(reps) == divisor_class_count(side) == 4
+    rays = [mask_to_rays(side, mask) for mask in reps]
+    for i, j in combinations(range(len(rays)), 2):
+        assert not divisors_equivalent(side, rays[i], rays[j]), (rays[i], rays[j])
+    assert len(sample_divisor_classes(side, 10, 0)) == 4
+    for side in (*cubic_pair.sides, k3_pair.side_b):
+        assert len(divisor_class_representatives(side)) == divisor_class_count(side)
+
+
+def test_oversized_sample_stops_at_the_class_count(cubic_pair, monkeypatch):
+    # asking for more classes than there are returns every class without
+    # drawing until the budget of 100 draws per asked class runs out
+    draws = []
+
+    class CountingRandom(random.Random):
+        def getrandbits(self, k):
+            draws.append(k)
+            return super().getrandbits(k)
+
+    monkeypatch.setattr(patchwork.random, "Random", CountingRandom)
+    side = cubic_pair.side_a
+    assert sample_divisor_classes(side, 5000, 0) == divisor_class_representatives(side)
+    assert len(draws) < 10_000
 
 
 # -- phase sets and the sign complex ------------------------------------------------

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import integer_lift
+from conftest import divisor_class_count, integer_lift
 from tropmirror.lattice import LatticePolytope
 from tropmirror.pairs import MirrorPair
 from tropmirror.patchwork import (
@@ -164,6 +164,13 @@ def test_gallery_verdicts_match_components(gallery, gallery_sides):
             b0 = RealComplex(pd).component_count()
             assert b0 in (1, 2), (P, rays)
             assert (verdict == "connected") == (b0 == 1), (P, rays)
+
+
+def test_gallery_divisor_class_counts(gallery_sides):
+    # one representative per F2 divisor class on both sides of every pair
+    for side in gallery_sides:
+        for s in (side, side.mirror):
+            assert len(divisor_class_representatives(s)) == divisor_class_count(s), s.newton
 
 
 @settings(max_examples=64, derandomize=True, database=None, deadline=None)
