@@ -99,9 +99,14 @@ def load_signs(path):
 
 
 def _write_json(path, payload):
+    """Write ``payload`` to ``path``, if given; an output path that cannot be
+    written is an InputError naming it."""
     if path:
-        with open(path, "w") as fh:
-            json.dump(payload, fh, sort_keys=True)
+        try:
+            with open(path, "w") as fh:
+                json.dump(payload, fh, sort_keys=True)
+        except OSError as e:
+            raise InputError(f"cannot write output file {path}: {e}") from None
 
 
 def report(args, result, inputs):

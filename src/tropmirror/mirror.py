@@ -4,8 +4,12 @@ All chain surgery here is over F2 (the ring every acceptance check uses);
 chains are dicts {cell key: coordinate tuple} in the canonical bases of the
 cosheaf values.  Every per-cell step is one ``_cellwise`` pass: each
 coefficient goes through one integer matrix of its cell mod 2, applied or
-solved for, and lands on one output cell.  The pipeline realizing the
-mirror isomorphism on a closed multitangent chain is:
+solved for, and lands on one output cell.  A step's matrix depends on the
+cell and never on the chain, so its F2 form (packed rows to apply, one
+F2Space to solve in) is read once and kept in a memo on the side, keyed by
+(step, p) and then by input cell key; the sphere cycle's cell keys are kept
+on the poset.  The pipeline realizing the mirror isomorphism on a closed
+multitangent chain is:
 
 1. one pass applying the surjection onto the extended mirror cosheaf;
 2. kill the unbounded part: one solving pass through the block-triangular
@@ -22,8 +26,11 @@ The output is a closed multitangent chain of complementary wedge degree on
 the mirror side whose class is independent of every choice made (tested).
 """
 
+from functools import partial
+
 from .chains import dense_block
 from .errors import (
+    DimensionMismatch,
     InternalCheckError,
     NotAClosedChain,
     RayNotInFan,
@@ -31,7 +38,7 @@ from .errors import (
     UnsupportedCell,
 )
 from .exterior import star, wedge_vector
-from .intlinalg import F2Space, f2_pack, vec_mat
+from .intlinalg import F2Space, f2_combine, f2_pack
 from .posets import mirror_cell_refined
 
 
@@ -54,26 +61,40 @@ def chain_degree(poset, chain):
     return degs.pop() if degs else None
 
 
-def _cellwise(poset, chain, matrix, solve=None):
-    """Push an F2 chain through one integer matrix per cell.
+def _cellwise(side, step, p, chain, matrix, solve=None):
+    """Push an F2 chain on the refined poset of ``side`` through one
+    integer matrix per cell.
 
     ``matrix(cell)`` gives the cell's rows and the key of the output cell.
     Each coefficient c becomes c . rows, or, when ``solve`` (an error
     message) is given, the x with x . rows = c; a coefficient with no such
-    x raises InternalCheckError(solve).  Zero results are dropped.
+    x raises InternalCheckError(solve).  Zero results are dropped.  The
+    rows are read once per cell into ``side.cell_maps(step, p)``, in their
+    F2 form: packed rows to apply, or their F2Space to solve in.
     """
+    poset, memo = side.refined_poset, side.cell_maps(step, p)
     out = {}
     for key, coords in chain.items():
-        rows, okey = matrix(_cell(poset, key))
+        entry = memo.get(key)
+        if entry is None:
+            rows, okey = matrix(_cell(poset, key))
+            packed = [f2_pack(r) for r in rows]
+            if solve is None:
+                entry = (packed, len(rows[0]) if rows else 0, okey)
+            else:
+                entry = (F2Space(packed), len(rows), okey)
+            memo[key] = entry
+        form, width, okey = entry
         if solve is None:
-            w = tuple(a & 1 for a in vec_mat(coords, rows))
+            if len(coords) != len(form):
+                raise DimensionMismatch(f"{len(coords)} vs {len(form)}")
+            x = f2_combine(f2_pack(coords), form)
         else:
-            mask = F2Space(f2_pack(r) for r in rows).solve(f2_pack(coords))
-            if mask is None:
+            x = form.solve(f2_pack(coords))
+            if x is None:
                 raise InternalCheckError(solve)
-            w = tuple((mask >> i) & 1 for i in range(len(rows)))
-        if any(w):
-            out[okey] = w
+        if x:
+            out[okey] = tuple((x >> i) & 1 for i in range(width))
     return out
 
 
@@ -99,13 +120,9 @@ def _require_sphere(poset, chain, message):
 # sphere cycles
 
 def sphere_cycle(side, kind="refined"):
-    """The fundamental degree-n cycle of the sphere part, over F2."""
-    poset = side.poset(kind)
-    chain = {}
-    for c in poset.cells:
-        if poset.on_sphere(c) and len(c.sigma) == 2 and c.dim == side.n:
-            chain[c.key] = (1,)
-    return chain
+    """The fundamental degree-n cycle of the sphere part, over F2, as a
+    fresh dict."""
+    return dict.fromkeys(side.poset(kind).sphere_cycle_keys, (1,))
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +156,7 @@ def correction_operator(side, chain, p, tag="quotient"):
         return dense_block(ev.map_matrix(tag, p, zcell, xcell), width), xkey
 
     return _cellwise(
-        poset, chain, matrix, solve="cellwise transition map is not invertible mod 2"
+        side, tag, p, chain, matrix, solve="cellwise transition map is not invertible mod 2"
     )
 
 
@@ -243,7 +260,8 @@ def transfer_class(side, chain, p):
     CMD = side.complex("refined", "mirror_ext", p)
 
     # 1. push into the extended mirror cosheaf
-    md = _cellwise(poset, chain, _value_map(side, "multitangent", "mirror_ext", p))
+    push = _value_map(side, "multitangent", "mirror_ext", p)
+    md = _cellwise(side, "push", p, chain, push)
 
     # 2. cancel the unbounded part through the correction operator
     inf_part = {k: v for k, v in md.items() if poset.at_infinity(_cell(poset, k))}
@@ -256,7 +274,7 @@ def transfer_class(side, chain, p):
 
     # 3. contract cellwise along the mirror bijection
     mirror = side.mirror
-    out = _cellwise(poset, md, lambda cell: contraction_matrix(side, p, cell))
+    out = _cellwise(side, "contract", p, md, partial(contraction_matrix, side, p))
     CMm = mirror.complex("refined", "mirror", n - p)
     if not CMm.f2_is_cycle(CMm.chain_to_packed(out, q), q):
         raise InternalCheckError("mirrored chain is not closed")
@@ -264,8 +282,7 @@ def transfer_class(side, chain, p):
     # 4. lift back through the kernel sequence on the mirror side
     mposet = mirror.refined_poset
     lift = _cellwise(
-        mposet,
-        out,
+        mirror, "lift", n - p, out,
         _value_map(mirror, "multitangent", "mirror_ext", n - p),
         solve="surjection onto the mirror cosheaf failed to lift",
     )
@@ -278,10 +295,11 @@ def transfer_class(side, chain, p):
         # express the defect in kernel-cosheaf coordinates (it lives there)
         inclusion = _value_map(mirror, "kernel", "multitangent", n - p)
         c_kernel = _cellwise(
-            mposet, c_chain, inclusion, solve="lift defect is not a kernel chain"
+            mirror, "defect", n - p, c_chain, inclusion,
+            solve="lift defect is not a kernel chain",
         )
         r = correction_operator(mirror, c_kernel, n - p, tag="kernel")
-        uvec ^= CFm.chain_to_packed(_cellwise(mposet, r, inclusion), q)
+        uvec ^= CFm.chain_to_packed(_cellwise(mirror, "include", n - p, r, inclusion), q)
     if not CFm.f2_is_cycle(uvec, q):
         raise NotAClosedChain("transfer output failed to close")
     return CFm.packed_to_chain(uvec, q)

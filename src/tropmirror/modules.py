@@ -92,8 +92,12 @@ class FreeQuotient:
         return c
 
     def reduce(self, vec):
-        """Quotient coordinates of an ambient vector in the submodule."""
-        return tuple(vec_mat(self._sub_coords(vec), self.frame.Q))
+        """Quotient coordinates of an ambient vector in the submodule; with
+        nothing divided out they are its sub-lattice coordinates."""
+        coords = self._sub_coords(vec)
+        if not self.frame.k:
+            return tuple(coords)
+        return tuple(vec_mat(coords, self.frame.Q))
 
     def rep(self, i):
         """Ambient representative of the i-th canonical basis class."""

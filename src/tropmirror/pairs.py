@@ -3,8 +3,9 @@
 A Side fixes one orientation: the Newton-side triangulation T carries the
 hypersurface combinatorics and the ambient-side triangulation of the dual
 polytope provides the toric fan.  The mirror side swaps the two roles.
-Posets, cosheaf complexes and phase frames are built lazily and cached on
-the side; a homology summary reads the ranks its complex caches.
+Posets, cosheaf complexes, the mirror transfer's per-cell maps and phase
+frames are built lazily and cached on the side; a homology summary reads
+the ranks its complex caches.
 
 Side a holds side b, and side b links back to side a through a weak
 reference, so a dropped pair is freed by reference counting alone, with no
@@ -30,6 +31,7 @@ class Side:
         self._mirror = None  # wired by MirrorPair: a Side, or a weak ref to one
         self._posets = {}
         self._complexes = {}
+        self._cell_maps = {}  # (step, p) -> the mirror transfer's cell maps
         self._phase_frames = {}
 
     @property
@@ -62,6 +64,13 @@ class Side:
                 self.poset(kind), tag, p
             )
         return self._complexes[key]
+
+    def cell_maps(self, step, p):
+        """The mirror transfer's memo for one per-cell step in wedge degree
+        p: input cell key -> the F2 form of the cell's matrix.  A step's
+        matrices depend on the cell, never on the chain, so each is read
+        once per (side, step, p)."""
+        return self._cell_maps.setdefault((step, p), {})
 
     def phase_frame(self, kind):
         if kind not in self._phase_frames:

@@ -28,12 +28,16 @@ PhaseCell per (cell, edge phases): the phase point set, the OR of its
 points' boundaries (its reach, read off the covers), and the filtration
 levels with their generators and the F2 spaces they span, filled on first
 use, so classes that agree on a cell share them all; ``delta1`` asks the
-frame for one level per cell it lifts or reads back.  Each sign
-distribution then ORs its cells' phase sets and reaches per degree; the
-transport is checked once per degree (the reach of the q-cells stays inside
-the phase set of degree q-1), which makes its sign complex a subcomplex of
-the frame's, with no assembly or square check of its own: its rows are
-gathered from the frame's point rows.  The whole sign route has one
+frame for one level per cell it lifts or reads back.  A level concatenates
+per-edge generator lists, which depend on the signs only through the
+edge's phase: the frame keeps each list once per (value stratum, p = 1
+edge basis, cell value, p, edge phase), the first three keyed by identity,
+as the evaluator interns them.  Each sign distribution then ORs its
+cells' phase sets and reaches per degree; the transport is checked once
+per degree (the reach of the q-cells stays inside the phase set of degree
+q-1), which makes its sign complex a subcomplex of the frame's, with no
+assembly or square check of its own: its rows are gathered from the
+frame's point rows.  The whole sign route has one
 numbering, the frame's: a point s of cell ci sits at ``offset[ci] + s`` in
 the phase sets, the sign complex's rows and their cleared ranks, and a
 filtration indicator has bit s for point s, so ``delta1`` lifts and reads
@@ -44,7 +48,7 @@ frame's covers.
 """
 
 import random
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 
 from .chains import F2Subcomplex, check_f2_square_zero
@@ -252,6 +256,7 @@ class PhaseFrame:
         self._proj = {}
         self._points = {}  # (qd, packed point set) -> (points, index)
         self._phase_cells = {}  # (ci, tes) -> PhaseCell
+        self._edge_gens = {}  # ids of (stratum, edge basis, value), p, te -> generators
         self.cells = []
         self.offset = []
         self._width = {}  # dim -> frame points of the cells of that dim
@@ -345,37 +350,54 @@ class PhaseFrame:
             pc.levels = {}
         if p in pc.levels:
             return pc.levels[p]
-        ev = self.evaluator
         _, _, edges = self.cells[pc.ci]
         gens = []
         if pc.bits:
-            value = ev.value("multitangent", p, self.poset.cells[pc.ci])
+            value = self.evaluator.value("multitangent", p, self.poset.cells[pc.ci])
             for ((a, b), rdm, _), te in zip(edges, pc.tes):
-                B = ev.edge_annihilator_basis(pc.stratum, a, b, 1)
-                w = len(B)
-                if p > w:
-                    continue
-                B2 = [f2_pack(row) for row in B]
-                # the wedge image of each p-subset of B in value coordinates
-                T = [
-                    f2_pack(value.reduce(row))
-                    for row in ev.edge_annihilator_basis(pc.stratum, a, b, p)
-                ] if value.rank else []
-                s0 = rdm & -rdm if te else 0  # lowest bit of rdm pairs to 1
-                Wspan = _span(B2)
-                for U in _subspaces(w, p):
-                    # wedge coordinates of the subspace basis over p-subsets
-                    bits = [[(u >> j) & 1 for j in range(w)] for u in U]
-                    fcoords = f2_combine(f2_pack(wedge_matrix(bits, p)[0]), T) if T else 0
-                    U_V = [f2_combine(u, B2) for u in U]
-                    span = _span(U_V)
-                    # the cosets of span in s0 + Wspan, by least point
-                    cosets = {sum(1 << (s0 ^ wv ^ u) for u in span) for wv in Wspan}
-                    gens += [(ind, fcoords) for ind in sorted(cosets, key=lambda i: i & -i)]
+                gens += self._edge_generators(pc.stratum, a, b, rdm, value, p, te)
         pc.levels[p] = out = (
             gens, F2Space(ind for ind, _ in gens), F2Space(fc for _, fc in gens)
         )
         return out
+
+    def _edge_generators(self, stratum, a, b, rdm, value, p, te):
+        """The level-p generators that the edge (a, b), of parity mask rdm
+        in the frame of ``stratum`` and phase te, gives a cell of this
+        multitangent value, as (indicator, coordinates) pairs.  They depend
+        on the signs only through te, so they are computed once per
+        (stratum, p = 1 edge basis, value, p, te), the first three keyed by
+        identity: the evaluator interns them for its life, and the edge
+        basis fixes the edge direction, so rdm with it.  Shared; callers
+        must not mutate it."""
+        ev = self.evaluator
+        B = ev.edge_annihilator_basis(stratum, a, b, 1)
+        key = (id(stratum), id(B), id(value), p, te)
+        gens = self._edge_gens.get(key)
+        if gens is not None:
+            return gens
+        gens = []
+        w = len(B)
+        if p <= w:
+            B2 = [f2_pack(row) for row in B]
+            # the wedge image of each p-subset of B in value coordinates
+            T = [
+                f2_pack(value.reduce(row))
+                for row in ev.edge_annihilator_basis(stratum, a, b, p)
+            ] if value.rank else []
+            s0 = rdm & -rdm if te else 0  # lowest bit of rdm pairs to 1
+            Wspan = _span(B2)
+            for U in _subspaces(w, p):
+                # wedge coordinates of the subspace basis over p-subsets
+                bits = [[(u >> j) & 1 for j in range(w)] for u in U]
+                fcoords = f2_combine(f2_pack(wedge_matrix(bits, p)[0]), T) if T else 0
+                U_V = [f2_combine(u, B2) for u in U]
+                span = _span(U_V)
+                # the cosets of span in s0 + Wspan, by least point
+                cosets = {sum(1 << (s0 ^ wv ^ u) for u in span) for wv in Wspan}
+                gens += [(ind, fcoords) for ind in sorted(cosets, key=lambda i: i & -i)]
+        self._edge_gens[key] = gens
+        return gens
 
 
 class PhaseCell:
@@ -450,8 +472,10 @@ def _span(vectors):
     return sorted(out)
 
 
+@cache
 def _subspaces(w, p):
-    """All dimension-p subspaces of F2^w as canonical echelon bases."""
+    """All dimension-p subspaces of F2^w as canonical echelon bases,
+    computed once per (w, p).  Shared; callers must not mutate it."""
     if p == 0:
         return [()]
     seen = {}

@@ -165,6 +165,16 @@ class CellPoset:
             out.setdefault(c.tau, []).append(c)
         return out
 
+    @cached_property
+    def sphere_cycle_keys(self):
+        """Keys of the cells of the sphere part's fundamental cycle: the
+        n-cells on the sphere whose sigma is an edge; built on first read."""
+        return tuple(
+            c.key
+            for c in self.cells
+            if self.on_sphere(c) and len(c.sigma) == 2 and c.dim == self.n
+        )
+
     # -- flags ---------------------------------------------------------------
     def in_support(self, cell):
         """dim sigma >= 1: the support of the multitangent cosheaves."""

@@ -68,6 +68,17 @@ def test_missing_file_is_input_error(capsys):
     assert code == 1
 
 
+def test_unwritable_output_path_is_input_error(cubic_files, capsys, tmp_path):
+    # a path the user gave that cannot be written is their error, named in
+    # the report, and no result is printed
+    poly = cubic_files[0]
+    for command in ("dual", "triangulate"):
+        out = tmp_path / "missing" / f"{command}.json"
+        error = _assert_input_error(capsys, [command, str(poly), "-o", str(out)])
+        assert str(out) in error, command
+        assert not out.parent.exists()
+
+
 def test_hodge_cubic(cubic_files, capsys):
     _, _, tri, tri_dual = cubic_files
     code, env = run_json(capsys, ["hodge", str(tri), str(tri_dual), "--ring", "q"])

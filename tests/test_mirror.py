@@ -102,6 +102,15 @@ def test_non_cell_key_is_a_support_violation(cubic_pair):
             call()
 
 
+def _fresh_cubic_side():
+    """Side a of a cubic pair of its own.  A side keeps the transfer's cell
+    maps once read, so a doctored map on the shared pair would hide behind
+    maps cached by earlier tests, or stay cached for later ones."""
+    T = generate_central(LatticePolytope(CUBIC_VERTS))
+    Tdual = generate_central(LatticePolytope(CUBIC_DUAL_VERTS))
+    return MirrorPair(T, Tdual).side_a
+
+
 def _singular_value_map(monkeypatch, target, src):
     """Make the cellwise map out of ``src`` on side ``target`` zero mod 2."""
     real = mirror._value_map
@@ -120,8 +129,8 @@ def _singular_value_map(monkeypatch, target, src):
     monkeypatch.setattr(mirror, "_value_map", value_map)
 
 
-def test_singular_transition_map_is_an_internal_error(cubic_pair, monkeypatch):
-    side = cubic_pair.side_a
+def test_singular_transition_map_is_an_internal_error(monkeypatch):
+    side = _fresh_cubic_side()
     gamma = {}
     while not gamma:
         gamma = random_infinity_chain(side, 0, 0, RNG)
@@ -134,8 +143,8 @@ def test_singular_transition_map_is_an_internal_error(cubic_pair, monkeypatch):
         correction_operator(side, gamma, 0, tag="quotient")
 
 
-def test_singular_surjection_fails_to_lift(cubic_pair, monkeypatch):
-    side = cubic_pair.side_a
+def test_singular_surjection_fails_to_lift(monkeypatch):
+    side = _fresh_cubic_side()
     _singular_value_map(monkeypatch, side.mirror, "multitangent")
     with pytest.raises(
         InternalCheckError, match="surjection onto the mirror cosheaf failed to lift"
@@ -143,12 +152,13 @@ def test_singular_surjection_fails_to_lift(cubic_pair, monkeypatch):
         transfer_class(side, sphere_cycle(side), 0)
 
 
-def test_singular_kernel_inclusion_rejects_the_lift_defect(cubic_pair, monkeypatch):
+def test_singular_kernel_inclusion_rejects_the_lift_defect(monkeypatch):
     # the fundamental class of the cubic leaves a lift defect to correct
-    side = cubic_pair.side_a
+    side = _fresh_cubic_side()
     _singular_value_map(monkeypatch, side.mirror, "kernel")
     with pytest.raises(InternalCheckError, match="lift defect is not a kernel chain"):
         transfer_class(side, sphere_cycle(side), 0)
+
 
 def test_boundary_of_correction_hits_sphere(cubic_pair):
     # for a closed infinity cycle gamma, boundary(L gamma) = gamma + sphere part

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CUBIC_DUAL_VERTS, CUBIC_VERTS, divisor_class_count, integer_lift
+from conftest import (
+    CUBE_VERTS,
+    CUBIC_DUAL_VERTS,
+    CUBIC_VERTS,
+    OCTA_VERTS,
+    divisor_class_count,
+    integer_lift,
+)
 from tropmirror import patchwork
 from tropmirror.errors import (
     BoundarySquareNonzero,
@@ -16,6 +23,7 @@ from tropmirror.errors import (
     InvalidPhaseStructure,
     RayNotInFan,
 )
+from tropmirror.exterior import wedge_matrix
 from tropmirror.intlinalg import F2Space, f2_combine, f2_pack, f2_rank, mat_mul
 from tropmirror.lattice import LatticePolytope
 from tropmirror.mirror import (
@@ -890,6 +898,86 @@ def test_delta1_chains_frozen(cubic_pair, k3_pair):
     assert digest.hexdigest() == (
         "8eb3b0d4a920dc97189b557b8bdf5cf9e29df9a521a78c1e72bf42eed75dd5cc"
     )
+
+
+def _level_generators_inline(frame, pc, p):
+    """The generators of filtration level p on pc, computed edge by edge
+    with no memo: the oracle for ``PhaseFrame.level``."""
+    ev = frame.evaluator
+    gens = []
+    if not pc.bits:
+        return gens
+    value = ev.value("multitangent", p, frame.poset.cells[pc.ci])
+    for ((a, b), rdm, _), te in zip(frame.cells[pc.ci][2], pc.tes):
+        B = ev.edge_annihilator_basis(pc.stratum, a, b, 1)
+        w = len(B)
+        if p > w:
+            continue
+        B2 = [f2_pack(row) for row in B]
+        T = [
+            f2_pack(value.reduce(row))
+            for row in ev.edge_annihilator_basis(pc.stratum, a, b, p)
+        ] if value.rank else []
+        s0 = rdm & -rdm if te else 0
+        Wspan = patchwork._span(B2)
+        for U in patchwork._subspaces.__wrapped__(w, p):
+            bits = [[(u >> j) & 1 for j in range(w)] for u in U]
+            fcoords = f2_combine(f2_pack(wedge_matrix(bits, p)[0]), T) if T else 0
+            span = patchwork._span([f2_combine(u, B2) for u in U])
+            cosets = {sum(1 << (s0 ^ wv ^ u) for u in span) for wv in Wspan}
+            gens += [(ind, fcoords) for ind in sorted(cosets, key=lambda i: i & -i)]
+    return gens
+
+
+def _generator_transfers(side):
+    """Up to two F2 homology generators of each (p, q), transferred: chains
+    of one degree go through the transfer's cell maps at every p."""
+    outs = []
+    for p in range(side.n + 1):
+        cx = side.complex("refined", "multitangent", p)
+        for q in range(side.n + 1):
+            for rep in cx.f2_homology_generators(q)[:2]:
+                outs.append(transfer_class(side, cx.packed_to_chain(rep, q), p))
+    return outs
+
+
+def _delta1_and_transfers(side, masks):
+    """Per class, delta1 of the sphere class and its transfer at p = 1."""
+    S = sphere_cycle(side)
+    outs = []
+    for mask in masks:
+        eps = signs_from_divisor(side, mask_to_rays(side, mask))
+        d1S = delta1(side, eps, S, 0)
+        outs += [d1S, transfer_class(side, d1S, 1) if d1S else {}]
+    return outs
+
+
+@pytest.mark.parametrize("name", ["cubic", "k3", "prism"])
+def test_warm_memos_match_fresh_pairs_and_inline_levels(name):
+    # the per-side cell maps of the transfer and the frame's per-edge
+    # generators are memos: on one warm side, every class gives what a
+    # fresh pair gives it, and every level equals its inline computation
+    verts = {
+        "cubic": (CUBIC_VERTS, CUBIC_DUAL_VERTS),
+        "k3": (CUBE_VERTS, OCTA_VERTS),
+        "prism": (PRISM_VERTS, None),
+    }[name]
+
+    def fresh():
+        P = LatticePolytope(verts[0])
+        Q = P.dual() if verts[1] is None else LatticePolytope(verts[1])
+        return MirrorPair(generate_central(P), generate_central(Q)).side_a
+
+    warm = fresh()
+    assert _generator_transfers(warm) == _generator_transfers(fresh())
+    masks = sample_divisor_classes(warm, 4, 0)
+    outs = _delta1_and_transfers(warm, masks)
+    for i, mask in enumerate(masks):
+        assert outs[2 * i : 2 * i + 2] == _delta1_and_transfers(fresh(), [mask]), mask
+    frame = warm.phase_frame("refined")
+    for pc in list(frame._phase_cells.values()):
+        for p in range(warm.n + 1):
+            assert frame.level(pc, p)[0] == _level_generators_inline(frame, pc, p), (pc.ci, p)
 
 
 def test_cubic_sweep_exhaustive(cubic_pair):
