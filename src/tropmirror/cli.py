@@ -23,6 +23,7 @@ import argparse
 import hashlib
 import json
 import sys
+from functools import cache
 
 from .chains import RINGS
 from .errors import HypothesisFails, InputError, TropmirrorError
@@ -341,7 +342,10 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(f"{self.prog}: {message}")
 
 
+@cache
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it as it
+    was, and each subcommand reads its functions at call time."""
     ap = _Parser(
         prog="tropmirror",
         description="exact tropical homology, mirror transfer and patchworking",

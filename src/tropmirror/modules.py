@@ -100,7 +100,10 @@ class FreeQuotient:
         return tuple(vec_mat(coords, self.frame.Q))
 
     def rep(self, i):
-        """Ambient representative of the i-th canonical basis class."""
+        """Ambient representative of the i-th canonical basis class; with
+        nothing divided out it is the i-th sub-lattice basis row."""
+        if not self.frame.k:
+            return tuple(self.sub[i])
         return tuple(vec_mat(self.frame.R[i], self.sub))
 
 

@@ -24,20 +24,22 @@ cosheaf's F2 complex over every frame point, built on first read and
 square-checked mod 2 there) is a PhaseFrame, built once per side and poset
 kind.  A sign distribution only picks the points each cell keeps, and what
 depends only on a cell's edge phases is one record in the frame, a
-PhaseCell per (cell, edge phases): the phase point set, the OR of its
-points' boundaries (its reach, read off the covers), and the filtration
+PhaseCell per (cell, edge phases): the phase point set and the filtration
 levels with their generators and the F2 spaces they span, filled on first
-use, so classes that agree on a cell share them all; ``delta1`` asks the
-frame for one level per cell it lifts or reads back.  A level concatenates
+use, so classes that agree on a cell share them all.  A level concatenates
 per-edge generator lists, which depend on the signs only through the
 edge's phase: the frame keeps each list once per (value stratum, p = 1
 edge basis, cell value, p, edge phase), the first three keyed by identity,
-as the evaluator interns them.  Each sign distribution then ORs its
-cells' phase sets and reaches per degree; the transport is checked once
-per degree (the reach of the q-cells stays inside the phase set of degree
-q-1), which makes its sign complex a subcomplex of the frame's, with no
-assembly or square check of its own: its rows are gathered from the
-frame's point rows.  The whole sign route has one
+as the evaluator interns them, and one level per tuple of lists, keyed by
+their identities.  A record's edge phases fix those of every cell above
+it, so the frame checks the transport when it builds the record (each
+cover carries the phase points above into the record's phase set), once
+for every class that reads it.  That makes each sign complex a subcomplex
+of the frame's, with no assembly or square check of its own: its rows are
+gathered from the frame's point rows.  A sign distribution keeps only its
+edge phases and resolves a cell's record on first read, so ``delta1``
+resolves only the cells it lifts and those its boundary touches, found by
+bisecting over the frame's offsets.  The whole sign route has one
 numbering, the frame's: a point s of cell ci sits at ``offset[ci] + s`` in
 the phase sets, the sign complex's rows and their cleared ranks, and a
 filtration indicator has bit s for point s, so ``delta1`` lifts and reads
@@ -48,6 +50,7 @@ frame's covers.
 """
 
 import random
+from bisect import bisect_right
 from functools import cache, cached_property
 from itertools import combinations
 
@@ -245,9 +248,11 @@ class PhaseFrame:
 
     What depends only on a cell's edge phases ``tes`` (one 0/1 per edge,
     in ``cells[ci]`` edge order) is one PhaseCell per (ci, tes), from
-    ``cell_phase``; ``level`` fills its filtration levels on first use.
-    Cells with the same packed point set in the same quotient rank share
-    one point list and index dict.
+    ``cell_phase``, which checks the transport from the cells above ci
+    when it builds one; ``level`` fills its filtration levels on first
+    use, one level object per tuple of per-edge generator lists.  Cells
+    with the same packed point set in the same quotient rank share one
+    point list and index dict.
     """
 
     def __init__(self, evaluator, poset):
@@ -275,13 +280,24 @@ class PhaseFrame:
             self.offset.append(off)
             self._width[cell.dim] = off + (1 << qd if edges else 0)
         self.covers = []
-        self._below = [[] for _ in poset.cells]  # xi -> [(offset[yi], images)]
+        self._above = [[] for _ in poset.cells]  # yi -> per cover above, carried parity sets
+        carried = {}  # (id(images), packed point set) -> its packed image
         for (yi, xi) in poset.covers:
             (sx, _, ex), (sy, _, ey) = self.cells[xi], self.cells[yi]
             if ex and ey:
                 images = self.point_images(sx, sy)
                 self.covers.append((yi, xi, images))
-                self._below[xi].append((self.offset[yi], images))
+                # x's sigma is a face of y's, so its edges are some of y's:
+                # per x edge, its position among y's and the images in y's
+                # frame of the points of each parity on it
+                at = {e: j for j, (e, _, _) in enumerate(ey)}
+                full = (1 << len(images)) - 1
+                self._above[yi].append([
+                    (at[e], _carry(carried, images, odd), _carry(carried, images, full ^ odd))
+                    for e, _, odd in ex
+                ])
+        self._levels = {}  # ids of the per-edge generator lists -> level
+        self._point_cells = {}  # q -> (q-cells with edges, their offsets)
 
     @cached_property
     def point_rows(self):
@@ -310,17 +326,27 @@ class PhaseFrame:
     def cell_phase(self, ci, tes):
         """The PhaseCell of cell ci under edge phases tes, built once per
         (ci, tes); cells with the same packed point set in the same
-        quotient rank share one point list and index dict.  Its reach is
-        read off the covers below ci, in the frame's numbering, without
-        building the point rows.  Shared; callers must not mutate it."""
+        quotient rank share one point list and index dict.  Shared; callers
+        must not mutate it.
+
+        The edge phases of ci fix those of every cell x above it, whose
+        edges are some of ci's, so the transport is checked here, once per
+        record: each cover carries the phase points of x under those phases
+        into the phase set of ci.  Every class that reads this record reads
+        x under the same phases, so no class checks it again."""
         key = (ci, tes)
         pc = self._phase_cells.get(key)
         if pc is None:
-            stratum, qd, edges = self.cells[ci]
-            full = (1 << (1 << qd)) - 1
-            bits = 0
-            for (_, _, odd), te in zip(edges, tes):
-                bits |= odd if te else full ^ odd
+            stratum, qd, _ = self.cells[ci]
+            bits = self._phase_bits(ci, tes)
+            for parities in self._above[ci]:
+                # x's phase set is a union of parity sets, so its image is
+                # the union of theirs
+                image = 0
+                for j, odd, even in parities:
+                    image |= odd if tes[j] else even
+                if image & ~bits:
+                    raise InternalCheckError("phase transport escaped the target phase set")
             if (qd, bits) not in self._points:
                 points = [s for s in range(1 << qd) if (bits >> s) & 1]
                 self._points[qd, bits] = (points, {s: i for i, s in enumerate(points)})
@@ -328,37 +354,54 @@ class PhaseFrame:
             pc.ci, pc.stratum, pc.qd, pc.tes, pc.bits = ci, stratum, qd, tes, bits
             pc.points, pc.index = self._points[qd, bits]
             pc.levels = None
-            reach = 0
-            for oy, images in self._below[ci]:
-                r = 0
-                for s in pc.points:
-                    r |= 1 << images[s]
-                reach |= r << oy
-            pc.reach = reach
             self._phase_cells[key] = pc
         return pc
 
+    def _phase_bits(self, ci, tes):
+        """The packed phase set of cell ci under edge phases tes: the points
+        whose parity on some edge matches the edge's phase."""
+        _, qd, edges = self.cells[ci]
+        full = (1 << (1 << qd)) - 1
+        bits = 0
+        for (_, _, odd), te in zip(edges, tes):
+            bits |= odd if te else full ^ odd
+        return bits
+
+    def point_cells(self, q):
+        """(cells, starts): the q-cells with edges, whose points tile the
+        frame's degree-q numbering, in offset order, and their offsets.
+        Built once per q.  Shared; callers must not mutate it."""
+        if q not in self._point_cells:
+            cells = [ci for ci in self.poset.cells_by_dim.get(q, ()) if self.cells[ci][2]]
+            self._point_cells[q] = (cells, [self.offset[ci] for ci in cells])
+        return self._point_cells[q]
+
     def level(self, pc, p):
         """Filtration level p on the PhaseCell pc, as (generators, indicator
-        space, coordinate space), computed once per (pc, p) and kept in
-        ``pc.levels``.  A generator is (indicator, multitangent coordinates),
-        both packed: bit s of an indicator is the point s of the cell's
-        frame.  The spaces are the F2 spans of the indicators and of the
-        coordinates, rows in generator order.  Shared; callers may solve in
-        the spaces but must not add rows."""
+        space, coordinate space), kept in ``pc.levels``.  A generator is
+        (indicator, multitangent coordinates), both packed: bit s of an
+        indicator is the point s of the cell's frame.  The spaces are the
+        F2 spans of the indicators and of the coordinates, rows in generator
+        order.  Records whose per-edge generator lists are the same objects
+        share one level, keyed by the lists' identities.  Shared; callers
+        may solve in the spaces but must not add rows."""
         if pc.levels is None:
             pc.levels = {}
         if p in pc.levels:
             return pc.levels[p]
-        _, _, edges = self.cells[pc.ci]
-        gens = []
+        lists = []
         if pc.bits:
             value = self.evaluator.value("multitangent", p, self.poset.cells[pc.ci])
-            for ((a, b), rdm, _), te in zip(edges, pc.tes):
-                gens += self._edge_generators(pc.stratum, a, b, rdm, value, p, te)
-        pc.levels[p] = out = (
-            gens, F2Space(ind for ind, _ in gens), F2Space(fc for _, fc in gens)
-        )
+            for ((a, b), rdm, _), te in zip(self.cells[pc.ci][2], pc.tes):
+                lists.append(self._edge_generators(pc.stratum, a, b, rdm, value, p, te))
+        key = tuple(map(id, lists))
+        out = self._levels.get(key)
+        if out is None:
+            gens = [g for gl in lists for g in gl]
+            out = self._levels[key] = (
+                gens, F2Space(ind for ind, _ in gens), F2Space(fc for _, fc in gens)
+            )
+        pc.levels[p] = out
         return out
 
     def _edge_generators(self, stratum, a, b, rdm, value, p, te):
@@ -400,55 +443,57 @@ class PhaseFrame:
         return gens
 
 
+def _carry(carried, images, points):
+    """The packed image of the packed point set ``points`` under the point
+    map ``images``, computed once per (images, points) in ``carried``."""
+    key = (id(images), points)
+    if key not in carried:
+        out = 0
+        for s, t in enumerate(images):
+            if points >> s & 1:
+                out |= 1 << t
+        carried[key] = out
+    return carried[key]
+
+
 class PhaseCell:
     """One cell's phase data under one choice of its edge phases ``tes``,
     the one record per (cell, edge phases): the cell index ``ci``, the
     packed phase set ``bits``, its ``points`` in increasing order and their
-    ``index``, ``reach``, the OR of the boundaries of its points in the
-    frame's numbering, and ``levels``, the filtration levels by p that
-    ``PhaseFrame.level`` has computed (None before the first)."""
+    ``index``, and ``levels``, the filtration levels by p that
+    ``PhaseFrame.level`` has computed (None before the first).  The frame
+    checks the transport from the cells above it when it builds one."""
 
-    __slots__ = ("ci", "stratum", "qd", "tes", "bits", "points", "index", "reach", "levels")
+    __slots__ = ("ci", "stratum", "qd", "tes", "bits", "points", "index", "levels")
 
 
 class PhaseData:
-    """Phase points of one sign distribution.
+    """Phase points of one sign distribution, resolved cell by cell.
 
-    Each cell's PhaseCell comes from the frame's memo, keyed by the edge
-    phases of this distribution on the cell's edges.  Per degree q the
-    phase sets of the q-cells, shifted to their frame offsets, are ORed
-    into the phase set ``masks[q]``, in the frame's numbering; the span of
-    the phase points is closed under the boundary of the frame's point rows
-    iff the reach of the q-cells lies in ``masks[q - 1]``, checked here once
-    per degree.  The sign complex is that span, an F2Subcomplex of the
-    point rows, built on first read.  The real complex reads the transport
-    from the frame's covers.
+    It keeps only the distribution's edge phases; ``phase_cell(ci)`` asks
+    the frame for the cell's PhaseCell, keyed by those phases on the cell's
+    edges, the first time it is read.  The frame checked each record's
+    transport when it built it, so the span of the phase points is closed
+    under the boundary of the frame's point rows.  The sign complex is that
+    span, an F2Subcomplex of the point rows, built on first read.  The real
+    complex reads the transport from the frame's covers.
     """
 
     def __init__(self, side, poset, eps):
         self.side = side
-        self.frame = frame = side.phase_frame(poset.kind)
-        self.poset = frame.poset
-        t = phase_from_signs(side, eps)
-        cells = [
-            frame.cell_phase(ci, tuple([t[e] for e, _, _ in edges]))
-            for ci, (_, _, edges) in enumerate(frame.cells)
-        ]
-        self.masks = {}
-        below = 0
-        for q, indices in self.poset.cells_by_dim.items():
-            mask = reach = 0
-            for ci in indices:
-                mask |= cells[ci].bits << frame.offset[ci]
-                reach |= cells[ci].reach
-            if reach & ~below:
-                raise InternalCheckError("phase transport escaped the target phase set")
-            self.masks[q] = below = mask
-        self._cells = cells
+        self.frame = side.phase_frame(poset.kind)
+        self.poset = self.frame.poset
+        self._t = phase_from_signs(side, eps)
+        self._cells = [None] * len(self.frame.cells)
         self._complex = None
 
     def phase_cell(self, ci):
-        return self._cells[ci]
+        pc = self._cells[ci]
+        if pc is None:
+            t = self._t
+            tes = tuple([t[e] for e, _, _ in self.frame.cells[ci][2]])
+            pc = self._cells[ci] = self.frame.cell_phase(ci, tes)
+        return pc
 
     def sign_complex(self):
         """The sign cosheaf's F2 complex: the frame's point rows restricted
@@ -458,7 +503,9 @@ class PhaseData:
             prows, offset = self.frame.point_rows, self.frame.offset
             rows = {}
             for q, indices in self.poset.cells_by_dim.items():
-                points = [offset[ci] + s for ci in indices for s in self._cells[ci].points]
+                points = [
+                    offset[ci] + s for ci in indices for s in self.phase_cell(ci).points
+                ]
                 frows = prows.get(q)
                 rows[q] = {i: frows[i] for i in points} if frows else dict.fromkeys(points, 0)
             self._complex = F2Subcomplex(rows)
@@ -625,15 +672,17 @@ def delta1(side, eps, chain, p, kind="refined"):
         lvec |= f2_combine(mask, [ind for ind, _ in gens]) << offset[ci]
     rows = frame.point_rows.get(q)
     bvec = f2_combine(lvec, rows) if rows else 0
-    if bvec & ~pd.masks[q - 1]:
-        raise InternalCheckError("boundary of the lift escaped the phase sets")
     CF1 = side.complex(kind, "multitangent", p + 1)
+    cells, starts = frame.point_cells(q - 1)
     out = {}
-    for ci in poset.cells_by_dim[q - 1]:
+    while bvec:
+        # the cell holding the lowest set bit, and its bits, cleared
+        ci = cells[bisect_right(starts, (bvec & -bvec).bit_length() - 1) - 1]
         pc = pd.phase_cell(ci)
-        ind = (bvec >> offset[ci]) & pc.bits
-        if not ind:
-            continue
+        ind = (bvec >> offset[ci]) & ((1 << (1 << pc.qd)) - 1)
+        bvec &= -1 << (offset[ci] + (1 << pc.qd))
+        if ind & ~pc.bits:
+            raise InternalCheckError("boundary of the lift escaped the phase sets")
         gens, ind_space, _ = frame.level(pc, p + 1)
         mask = ind_space.solve(ind)
         if mask is None:

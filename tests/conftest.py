@@ -120,6 +120,15 @@ def integer_lift(pd):
     return ChainComplex(pd.poset, ranks, blocks, pd.poset.sign)
 
 
+def phase_masks(pd):
+    """{q: the phase sets of the q-cells, shifted to their frame offsets and
+    ORed}: a class's phase points in the frame's numbering."""
+    masks = dict.fromkeys(pd.poset.cells_by_dim, 0)
+    for c in pd.poset.cells:
+        masks[c.dim] |= pd.phase_cell(c.index).bits << pd.frame.offset[c.index]
+    return masks
+
+
 def divisor_class_count(side):
     """The number of F2 divisor classes, 2^(rays - rank of the pairing),
     the pairing's row i being coordinate i of every ray mod 2."""

@@ -127,6 +127,29 @@ def test_mirror_check_same_under_optimize(cubic_files, tmp_path):
         assert outs[0] == outs[1], command
 
 
+def test_one_parser_per_process_answers_like_a_fresh_one(cubic_files, capsys):
+    # main parses with one parser per process: a usage error, then
+    # mirror-check, then the Z table, each in this process, print what a
+    # fresh process prints and return its exit code
+    _, _, tri, tri_dual = cubic_files
+    cubic = [str(tri), str(tri_dual)]
+    env = dict(os.environ, PYTHONPATH=str(Path(tropmirror.__file__).parents[1]))
+    for argv, want in (
+        (["hodge", *cubic, "--ring", "r"], 1),
+        (["mirror-check", *cubic], 0),
+        (["hodge", *cubic, "--ring", "z"], 0),
+    ):
+        code = main(argv)
+        captured = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "tropmirror.cli", *argv],
+            capture_output=True, env=env, timeout=120, text=True,
+        )
+        assert code == fresh.returncode == want, argv
+        assert (captured.out, captured.err) == (fresh.stdout, fresh.stderr), argv
+    assert tropmirror.cli.build_parser() is tropmirror.cli.build_parser()
+
+
 def test_divisor_class_and_patchwork(cubic_files, capsys, tmp_path):
     _, _, tri, tri_dual = cubic_files
     div = tmp_path / "d.json"

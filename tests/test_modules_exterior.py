@@ -64,8 +64,10 @@ def _random_unimodular(rng, r):
 
 def test_free_quotient_random_properties():
     # the first k rows of W.S, with W unimodular, span a direct summand of
-    # the span of S, so the quotient is free of rank r - k
+    # the span of S, so the quotient is free of rank r - k.  With k = 0 the
+    # frame is the identity, and rep skips the product with its lift
     rng = random.Random(17)
+    identity_frames = 0
     for _ in range(100):
         a = rng.randint(1, 5)
         r = rng.randint(1, a)
@@ -76,8 +78,11 @@ def test_free_quotient_random_properties():
         quo = [tuple(row) for row in mat_mul(_random_unimodular(rng, r), S)[:k]]
         fq = FreeQuotient(a, [tuple(row) for row in S], quo)
         assert fq.rank == r - k
+        identity_frames += not k
         for i in range(fq.rank):
             assert fq.reduce(fq.rep(i)) == tuple(int(j == i) for j in range(fq.rank))
+            if not k:  # the identity frame's lift, written out
+                assert fq.rep(i) == tuple(vec_mat(fq.frame.R[i], fq.sub)), i
         for row in quo:
             assert fq.reduce(row) == (0,) * fq.rank
         for _ in range(3):
@@ -88,6 +93,7 @@ def test_free_quotient_random_properties():
         if k:
             with pytest.raises(FreenessError):
                 FreeQuotient(a, S, [tuple(2 * c for c in quo[0])] + quo[1:])
+    assert identity_frames
 
 
 # -- exterior algebra ----------------------------------------------------------

@@ -14,6 +14,7 @@ from conftest import (
     OCTA_VERTS,
     divisor_class_count,
     integer_lift,
+    phase_masks,
 )
 from tropmirror import patchwork
 from tropmirror.errors import (
@@ -27,6 +28,7 @@ from tropmirror.exterior import wedge_matrix
 from tropmirror.intlinalg import F2Space, f2_combine, f2_pack, f2_rank, mat_mul
 from tropmirror.lattice import LatticePolytope
 from tropmirror.mirror import (
+    chain_degree,
     divisor_restriction,
     divisor_support,
     is_null_class,
@@ -468,9 +470,10 @@ def test_sign_complex_matches_integer_lift(cubic_pair, k3_pair):
             position = {q: [] for q in lift.degrees}
             for c in poset.cells:
                 position[c.dim] += [offset[c.index] + s for s in pd.phase_cell(c.index).points]
+            masks = phase_masks(pd)
             for q in cx.degrees:
                 assert cx.dim(q) == lift.dim(q) == len(position[q]), (kind, mask, q)
-                assert list(cx.rows[q]) == _bits(pd.masks[q]) == position[q], (kind, mask, q)
+                assert list(cx.rows[q]) == _bits(masks[q]) == position[q], (kind, mask, q)
                 mapped = [
                     sum(1 << position[q - 1][j] for j in _bits(r)) for r in lift.f2_rows(q)
                 ] if q else [0] * lift.dim(0)
@@ -493,9 +496,9 @@ def test_sign_complex_refuses_integer_rings(cubic_pair):
         cx.homology("r")
     h = cx.homology("f2")
     assert [h.rank(q) for q in range(side.n + 1)] == real_betti(side, eps)
-    prows = pd.frame.point_rows
+    prows, masks = pd.frame.point_rows, phase_masks(pd)
     for q in cx.degrees[1:]:
-        assert cx.rows[q] == {j: prows[q][j] for j in _bits(pd.masks[q])}
+        assert cx.rows[q] == {j: prows[q][j] for j in _bits(masks[q])}
     assert any(len(cx.rows[q]) < len(prows[q]) for q in cx.degrees[1:])
 
 
@@ -682,11 +685,11 @@ def test_real_complex_matches_per_point_reference(cubic_pair, k3_pair):
         top.betti()
 
 
-def test_escaping_transport_raises():
+def test_escaping_transport_raises(monkeypatch):
     # a class whose phase set on a cell y misses the image of a phase point
-    # of a cell x above it: the memoized PhaseCell of y, in a scratch
-    # pair's frame, is swapped for one without that point, and the
-    # per-degree reach check catches it before either Betti route reads it.
+    # of a cell x above it: on a scratch pair's frame, y's phase set loses
+    # that point as its record is built, and the transport check there
+    # refuses the record, memoizes nothing, and stops either Betti route.
     # The check reads the covers, not the point rows: phase data alone
     # does not build them
     side = MirrorPair(
@@ -694,28 +697,28 @@ def test_escaping_transport_raises():
         generate_central(LatticePolytope(CUBIC_DUAL_VERTS)),
     ).side_a
     eps = signs_from_divisor(side, [D7, D8])
-    pd = PhaseData(side, side.base_poset, eps)
     frame = side.phase_frame("base")
-    assert "point_rows" not in frame.__dict__
-    real_betti(side, eps)
     for yi, xi, images in frame.covers:
-        if pd.phase_cell(xi).points:
+        xpoints = _phase_points_directly(frame, xi, eps)
+        if xpoints:
             break
     else:
         pytest.fail("no cover below a cell with phase points")
-    py = pd.phase_cell(yi)
-    s2 = images[pd.phase_cell(xi).points[-1]]
-    assert s2 in py.index
-    doctored = copy.copy(py)
-    doctored.bits = py.bits & ~(1 << s2)
-    doctored.points = [s for s in py.points if s != s2]
-    doctored.index = {s: i for i, s in enumerate(doctored.points)}
-    key = (yi, py.tes)
-    assert frame._phase_cells[key] is py
-    frame._phase_cells[key] = doctored
-    with pytest.raises(InternalCheckError, match="escaped"):
-        PhaseData(side, side.base_poset, eps)
-    with pytest.raises(InternalCheckError, match="escaped"):
+    s2 = images[xpoints[-1]]
+    assert s2 in _phase_points_directly(frame, yi, eps)
+    phase_bits = frame._phase_bits
+
+    def doctored(ci, tes):
+        bits = phase_bits(ci, tes)
+        return bits & ~(1 << s2) if ci == yi else bits
+
+    monkeypatch.setattr(frame, "_phase_bits", doctored)
+    pd = PhaseData(side, side.base_poset, eps)
+    with pytest.raises(InternalCheckError, match="phase transport escaped the target phase set"):
+        pd.phase_cell(yi)
+    assert all(ci != yi for ci, _ in frame._phase_cells)
+    assert "point_rows" not in frame.__dict__
+    with pytest.raises(InternalCheckError, match="phase transport escaped the target phase set"):
         real_betti(side, eps)
 
 
@@ -829,25 +832,29 @@ def test_delta1_of_degree_zero_chain_is_zero(cubic_pair):
 
 def test_delta1_internal_checks_each_fire(cubic_pair, monkeypatch):
     # each consistency check of delta1 raises when the one datum it guards
-    # is broken: the level-p coordinate space, the phase sets, the level-p+1
-    # indicator space, and the closedness of the output
+    # is broken: the level-p coordinate space, the phase sets of the cells
+    # it reads back, the level-p+1 indicator space, and the closedness of
+    # the output
     side = cubic_pair.side_a
     eps = signs_from_divisor(side, [D7])
     S = sphere_cycle(side)
     assert delta1(side, eps, S, 0)  # the lift has a nonzero boundary
     frame = side.phase_frame("refined")
     level = frame.level
-    init = PhaseData.__init__
+    phase_cell = PhaseData.phase_cell
 
-    def no_phase_sets(pd, *args):
-        init(pd, *args)
-        pd.masks = dict.fromkeys(pd.masks, 0)
+    def no_phase_set_below(pd, ci):
+        pc = phase_cell(pd, ci)
+        if pd.poset.cells[ci].dim == side.n - 1:
+            pc = copy.copy(pc)
+            pc.bits = 0
+        return pc
 
     breaks = (
         ("chain coefficient is not in the filtration image", frame, "level",
          lambda pc, p: (*level(pc, p)[:2], F2Space())),
-        ("boundary of the lift escaped the phase sets", PhaseData, "__init__",
-         no_phase_sets),
+        ("boundary of the lift escaped the phase sets", PhaseData, "phase_cell",
+         no_phase_set_below),
         ("boundary of the lift escaped the next filtration level", frame, "level",
          lambda pc, p: (level(pc, p)[0], F2Space(), level(pc, p)[2])),
         ("filtration differential output not closed",
@@ -978,6 +985,66 @@ def test_warm_memos_match_fresh_pairs_and_inline_levels(name):
     for pc in list(frame._phase_cells.values()):
         for p in range(warm.n + 1):
             assert frame.level(pc, p)[0] == _level_generators_inline(frame, pc, p), (pc.ci, p)
+
+
+@pytest.mark.parametrize("name", ["cubic", "k3"])
+def test_delta1_resolves_only_the_cells_it_reads(name, cubic_pair, k3_pair, monkeypatch):
+    # delta1 resolves the records of the chain's cells and of the cells its
+    # boundary touches, fewer than the poset has cells; with every record
+    # resolved up front, as an eager PhaseData would, its chains are the same
+    side = {"cubic": cubic_pair, "k3": k3_pair}[name].side_a
+    poset = side.refined_poset
+    cx = side.complex("refined", "multitangent", 1)
+    inputs = [(sphere_cycle(side), 0)]
+    inputs += [(cx.packed_to_chain(g, 1), 1) for g in cx.f2_homology_generators(1)[:2]]
+    made, init = [], PhaseData.__init__
+
+    def recorded(pd, *args):
+        init(pd, *args)
+        made.append(pd)
+
+    def eager(pd, *args):
+        init(pd, *args)
+        for ci in range(len(pd.poset.cells)):
+            pd.phase_cell(ci)
+
+    for mask in sample_divisor_classes(side, 3, 1):
+        eps = signs_from_divisor(side, mask_to_rays(side, mask))
+        for chain, p in inputs:
+            with monkeypatch.context() as mp:
+                mp.setattr(PhaseData, "__init__", recorded)
+                lazy = delta1(side, eps, chain, p)
+            with monkeypatch.context() as mp:
+                mp.setattr(PhaseData, "__init__", eager)
+                assert delta1(side, eps, chain, p) == lazy, (mask, p)
+            q = chain_degree(poset, chain)
+            read = [ci for ci, pc in enumerate(made.pop()._cells) if pc is not None]
+            assert {poset.cells[ci].dim for ci in read} <= {q, q - 1}, (mask, p)
+            assert 0 < len(read) < len(poset.cells), (mask, p)
+
+
+def test_records_with_the_same_edge_lists_share_one_level(k3_pair):
+    # a level is one object per tuple of per-edge generator lists, keyed by
+    # their identities: records of different cells whose lists are the same
+    # objects get the same level, and records whose lists differ do not
+    side = k3_pair.side_a
+    frame = side.phase_frame("refined")
+    S = sphere_cycle(side)
+    for mask in sample_divisor_classes(side, 2, 2):
+        delta1(side, signs_from_divisor(side, mask_to_rays(side, mask)), S, 0)
+    ev, groups = side.evaluator, {}
+    for pc in list(frame._phase_cells.values()):
+        for p in range(side.n + 1):
+            lists = []
+            if pc.bits:
+                value = ev.value("multitangent", p, frame.poset.cells[pc.ci])
+                for ((a, b), rdm, _), te in zip(frame.cells[pc.ci][2], pc.tes):
+                    lists.append(frame._edge_generators(pc.stratum, a, b, rdm, value, p, te))
+            groups.setdefault(tuple(map(id, lists)), []).append((pc, p))
+    levels = {key: {id(frame.level(pc, p)) for pc, p in g} for key, g in groups.items()}
+    assert all(len(ids) == 1 for ids in levels.values())
+    assert len(set().union(*levels.values())) == len(groups)
+    assert any(len({pc.ci for pc, _ in g}) > 1 for g in groups.values())
 
 
 def test_cubic_sweep_exhaustive(cubic_pair):

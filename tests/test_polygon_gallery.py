@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import divisor_class_count, integer_lift
+from conftest import divisor_class_count, integer_lift, phase_masks
 from tropmirror.lattice import LatticePolytope
 from tropmirror.pairs import MirrorPair
 from tropmirror.patchwork import (
@@ -197,8 +197,9 @@ def test_restricted_sign_complex_matches_per_class_assembly(cubic_pair, gallery_
     # frame's point rows restricted to the phase points give the F2 Betti
     # numbers and Euler characteristic of the signed integer complex
     # assembled for this class alone, every memoized PhaseCell equals one
-    # that a fresh frame builds, and its reach, read off the covers, is the
-    # OR of the frame's point rows of its points
+    # that a fresh frame builds, and the frame's point row of each of its
+    # points lies in the phase points of the degree below: the span the
+    # sign complex keeps is closed under the boundary
     sides = [cubic_pair.side_a] + gallery_sides
     side = sides[data.draw(st.integers(0, len(sides) - 1), label="polygon")]
     kind = data.draw(st.sampled_from(["base", "refined"]), label="poset")
@@ -213,7 +214,7 @@ def test_restricted_sign_complex_matches_per_class_assembly(cubic_pair, gallery_
     assert cx.euler_characteristic() == oracle.euler_characteristic()
     fresh = PhaseFrame(side.evaluator, poset)
     t = phase_from_signs(side, eps)
-    prows, offset = pd.frame.point_rows, pd.frame.offset
+    prows, offset, masks = pd.frame.point_rows, pd.frame.offset, phase_masks(pd)
     for c, (_, _, edges) in zip(poset.cells, fresh.cells):
         memo = pd.phase_cell(c.index)
         built = fresh.cell_phase(c.index, tuple(t[e] for e, _, _ in edges))
@@ -221,7 +222,6 @@ def test_restricted_sign_complex_matches_per_class_assembly(cubic_pair, gallery_
         # memoized record's
         slots = [a for a in PhaseCell.__slots__ if a != "levels"]
         assert [getattr(memo, a) for a in slots] == [getattr(built, a) for a in slots], c.index
-        rows, reach = prows.get(c.dim), 0
+        rows = prows.get(c.dim)
         for s in memo.points if rows else ():  # 0-cells have no rows
-            reach |= rows[offset[c.index] + s]
-        assert memo.reach == reach, c.index
+            assert rows[offset[c.index] + s] & ~masks[c.dim - 1] == 0, (c.index, s)
