@@ -17,6 +17,12 @@ Q rank is compared with the divisor count too, but both count the diagonal
 of one deterministic elimination of the same rows, so that comparison
 cannot fail: the F2 comparison is the independent one.
 
+A complex keeps only what is read again.  The rank pass packs each row mod
+2 as it reads it and keeps none of them; ``f2_rows`` caches packed rows
+for the chain operations that come back to them (boundaries, image
+membership, homology generators).  The keys of the integer boundary rows
+share one int object per column.
+
 An F2 complex with no signature, such as the sign cosheaf's over every
 point of a phase frame, is kept by its owner as packed boundary rows per
 degree (-1 = 1 over F2), whose square ``check_f2_square_zero`` verifies mod
@@ -66,6 +72,16 @@ def check_f2_square_zero(rows):
         for i, r in enumerate(block):
             if f2_combine(r, below):
                 _square_nonzero(q, i)
+
+
+def _pack_f2(rows):
+    """Rows {column: entry} as packed rows mod 2, one at a time."""
+    for row in rows:
+        x = 0
+        for j, v in row.items():
+            if v & 1:
+                x |= 1 << j
+        yield x
 
 
 def _check_ring(ring):
@@ -127,7 +143,11 @@ class ChainComplex(_Graded):
     (y below x) to the integer matrix taking x-coordinates to y-coordinates,
     as sparse rows: per x-coordinate, a sequence of (y-coordinate, entry)
     pairs naming each y-coordinate at most once, with a nonzero entry.
-    ``D[q]`` holds the boundary rows as {column: entry}.
+    ``D[q]`` holds the boundary rows as {column: entry}, the column keys of
+    all rows of a degree taken from one list, so one int object per column.
+    The F2 rank pass packs the rows of ``D`` transiently; ``f2_rows``
+    packs and caches them for the F2 chain operations, which read them
+    again.
     """
 
     def __init__(self, poset, ranks, blocks, sign):
@@ -150,23 +170,26 @@ class ChainComplex(_Graded):
         self._f2_space_cache = {}
         cells = poset.cells
         self.D = {q: [{} for _ in range(self.dim_q[q])] for q in self._boundary_degrees}
+        # keys from one list per degree, not oy + j: one int object per column
+        columns = {q: list(range(self.dim_q[q - 1])) for q in self._boundary_degrees}
         # The row of a coordinate of x gets entries only from the covers
         # (y, x).  Those have distinct y, hence disjoint column ranges
         # [offset[y], offset[y] + rank[y]), and a block row names each
         # y-coordinate once with a nonzero entry, so no two writes meet and
         # each entry is stored as it comes.
         for (yi, xi) in poset.covers:
-            rx = ranks[xi]
-            if rx == 0 or ranks[yi] == 0:
+            rx, ry = ranks[xi], ranks[yi]
+            if rx == 0 or ry == 0:
                 continue
             s = sign[yi, xi]
             block = blocks[yi, xi]
             ox, oy = offset[xi], offset[yi]
-            rows = self.D[cells[xi].dim]
+            q = cells[xi].dim
+            rows, cols = self.D[q], columns[q][oy : oy + ry]
             for i in range(rx):
                 row = rows[ox + i]
                 for j, a in block[i]:
-                    row[oy + j] = s * a
+                    row[cols[j]] = s * a
         self._check_square_zero()
 
     # -- structure -------------------------------------------------------------
@@ -190,7 +213,10 @@ class ChainComplex(_Graded):
         key = (q, "f2" if ring == "f2" else "q")
         if key not in self._rank_cache:
             if ring == "f2":
-                rows = {d: enumerate(self.f2_rows(d)) for d in self._boundary_degrees}
+                rows = {
+                    d: enumerate(self._f2_cache[d] if d in self._f2_cache else _pack_f2(self.D[d]))
+                    for d in self._boundary_degrees
+                }
                 for d, rank in f2_cleared_ranks(rows).items():
                     self._rank_cache[d, "f2"] = rank
             else:
@@ -236,16 +262,11 @@ class ChainComplex(_Graded):
 
     # -- F2 chain operations -------------------------------------------------------
     def f2_rows(self, q):
-        """Packed rows of D_q mod 2, built on first read."""
+        """Packed rows of D_q mod 2, built on first read and cached for the
+        chain operations below, which read them again."""
         if q not in self._f2_cache:
-            packed = []
-            for row in self.D[q] if q in self._boundary_degrees else ():
-                x = 0
-                for j, v in row.items():
-                    if v & 1:
-                        x |= 1 << j
-                packed.append(x)
-            self._f2_cache[q] = packed
+            rows = self.D[q] if q in self._boundary_degrees else ()
+            self._f2_cache[q] = list(_pack_f2(rows))
         return self._f2_cache[q]
 
     def _f2_image_space(self, q):

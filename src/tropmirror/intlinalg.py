@@ -420,7 +420,10 @@ def f2_cleared_ranks(rows):
     ``rows[q]`` lists the rows of D_q as (position, packed row) pairs in
     increasing position, the bits of each row naming positions in degree
     q - 1.  Positions may leave gaps, as when the rows are those of the
-    basis vectors of a subcomplex kept in a wider numbering.
+    basis vectors of a subcomplex kept in a wider numbering.  Each degree
+    is read once, so it may be a generator packing its rows as they are
+    read; between degrees only the ranks and the set of leading bits are
+    kept, not the reduced rows.
 
     Degrees go top down, and each is ``f2_rank``'s pass: rows in position
     order, pivot on the highest bit.  A leading bit j of the reduced
@@ -447,7 +450,7 @@ def f2_cleared_ranks(rows):
                     break
                 r ^= b
         ranks[q] = len(basis)
-        cleared[q - 1] = basis.keys()
+        cleared[q - 1] = set(basis)
     return ranks
 
 

@@ -143,15 +143,17 @@ class CellPoset:
             for t2, pos in a_up[t]:
                 yi = index.get(t2 * width + s)
                 if yi is not None:
-                    covers.append((yi, xi))
-                    sign[yi, xi] = -1 if pos & 1 else 1
+                    cover = (yi, xi)
+                    covers.append(cover)
+                    sign[cover] = -1 if pos & 1 else 1
                     lows.append(yi)
             codim_tau = self.rank - (len(x.tau) - 1)
             for s2, pos in n_up[s]:
                 yi = index.get(t * width + s2)
                 if yi is not None:
-                    covers.append((yi, xi))
-                    sign[yi, xi] = -1 if (pos + codim_tau) & 1 else 1
+                    cover = (yi, xi)
+                    covers.append(cover)
+                    sign[cover] = -1 if (pos + codim_tau) & 1 else 1
                     lows.append(yi)
         self.covers = covers
         self.sign = sign

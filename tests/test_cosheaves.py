@@ -168,6 +168,8 @@ def _check_cleared_ranks(by_dim, sub):
     rows = {q: cx.f2_rows(q) for q in range(1, top + 1)}
     plain = {q: f2_rank(r) for q, r in rows.items()}
     assert f2_cleared_ranks({q: enumerate(r) for q, r in rows.items()}) == plain
+    # each degree read once, as the rank pass of a complex reads it
+    assert f2_cleared_ranks({q: ((i, x) for i, x in enumerate(r)) for q, r in rows.items()}) == plain
     h = cx.homology("f2")
     assert {q: cx.rank_boundary(q, "f2") for q in rows} == plain
     assert [h.rank(q) for q in h.degrees] == [
@@ -183,6 +185,7 @@ def _check_cleared_ranks(by_dim, sub):
         assert all(r & ~masks[q - 1] == 0 for r in kept[q].values())
     plain_sub = {q: f2_rank(r.values()) for q, r in kept.items()}
     assert f2_cleared_ranks({q: r.items() for q, r in kept.items()}) == plain_sub
+    assert f2_cleared_ranks({q: (item for item in r.items()) for q, r in kept.items()}) == plain_sub
     span = F2Subcomplex(kept)
     assert [span.dim(q) for q in span.degrees] == [m.bit_count() for m in masks.values()]
     h = span.homology("f2")
@@ -221,18 +224,64 @@ def test_clearing_skips_the_rows_the_degree_above_pairs():
     assert f2_cleared_ranks({2: [(4, 1 << 3)], 1: [(3, 1 << 5)]}) == {2: 1, 1: 0}
 
 
+def _packed_mod2(rows):
+    return [sum(1 << j for j, v in row.items() if v & 1) for row in rows]
+
+
 def test_cleared_f2_ranks_match_odd_divisors(cubic_pair, k3_pair, cy3_pair):
     # on the cubic, K3 and CY3 16-cell Newton sides, the cleared F2 rank of
     # every boundary of every multitangent complex is the number of odd
-    # elementary divisors of its integer elimination
+    # elementary divisors of its integer elimination; the rank pass packs
+    # its rows as it reads them and caches none, and a later f2_rows packs
+    # the same rows, whose cleared ranks are the same
     for side in (cubic_pair.side_a, k3_pair.side_a, cy3_pair.side_a):
         ev = CosheafEvaluator(side.ambient, side.newton)
         for p in range(side.rank):
             cx = ev.chain_complex(side.base_poset, "multitangent", p)
-            cx.homology("f2")
+            h = cx.homology("f2")
+            assert cx._f2_cache == {}, p
+            ranks = {}
             for q in range(1, side.rank + 1):
                 divisors = sparse_elementary_divisors(cx.D[q])
-                assert cx.rank_boundary(q, "f2") == sum(d & 1 for d in divisors), (p, q)
+                ranks[q] = cx.rank_boundary(q, "f2")
+                assert ranks[q] == sum(d & 1 for d in divisors), (p, q)
+                assert cx.f2_rows(q) == _packed_mod2(cx.D[q]), (p, q)
+            assert f2_cleared_ranks({q: enumerate(cx.f2_rows(q)) for q in ranks}) == ranks
+            # a second rank pass, now over the cached rows, gives the same table
+            cx._rank_cache.clear()
+            assert cx.homology("f2") == h, p
+
+
+def _plain_key_assembly(cx, blocks, sign):
+    """D of a complex assembled with a fresh ``oy + j`` key per entry."""
+    cells = cx.poset.cells
+    D = {q: [{} for _ in range(cx.dim(q))] for q in range(1, cx.poset.max_dim + 1)}
+    for (yi, xi), block in blocks.items():
+        ox, oy = cx.offset[xi], cx.offset[yi]
+        for i, entries in enumerate(block):
+            for j, a in entries:
+                D[cells[xi].dim][ox + i][oy + j] = sign[yi, xi] * a
+    return D
+
+
+def test_assembly_shares_one_key_object_per_column(cubic_pair, k3_pair):
+    # on both sides of the cubic and K3 pairs, every multitangent complex
+    # equals an assembly with plain ``oy + j`` keys, and the rows of each
+    # degree together use at most one key object per column
+    for pair in (cubic_pair, k3_pair):
+        for side in pair.sides:
+            ev, poset = side.evaluator, side.base_poset
+            for p in range(side.rank + 1):
+                cx = ev.chain_complex(poset, "multitangent", p)
+                blocks = {
+                    (yi, xi): ev.map_matrix("multitangent", p, poset.cells[yi], poset.cells[xi])
+                    for yi, xi in poset.covers
+                    if cx.ranks[yi] and cx.ranks[xi]
+                }
+                assert cx.D == _plain_key_assembly(cx, blocks, poset.sign), p
+                for q, rows in cx.D.items():
+                    keys = {id(j) for row in rows for j in row}
+                    assert len(keys) <= cx.dim(q - 1), (p, q)
 
 
 def test_doctored_cleared_f2_rank_is_caught_by_z(k3_pair):

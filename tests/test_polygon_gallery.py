@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import divisor_class_count, integer_lift, phase_masks
+from tropmirror.intlinalg import sparse_elementary_divisors
 from tropmirror.lattice import LatticePolytope
 from tropmirror.pairs import MirrorPair
 from tropmirror.patchwork import (
@@ -188,6 +189,29 @@ def test_arbitrary_signs_on_gallery_curves(gallery_sides, data):
     b0, b1 = real_betti(side, eps)  # both routes and the component count agree
     assert b0 == b1 and b0 in (1, 2), (b0, b1)
     assert PhaseData(side, side.base_poset, eps).sign_complex().euler_characteristic() == 0
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_cross_ring_ranks_on_gallery_complexes(gallery_sides, data):
+    # either side of any gallery pair, on either poset: on a fresh
+    # multitangent complex per p, the cleared F2 rank of every boundary is
+    # its number of odd elementary divisors and its Q rank the number of
+    # divisors, and the F2, Q and Z tables agree, with no torsion
+    side = gallery_sides[data.draw(st.integers(0, len(gallery_sides) - 1), label="polygon")]
+    side = data.draw(st.sampled_from([side, side.mirror]), label="side")
+    poset = side.poset(data.draw(st.sampled_from(["base", "refined"]), label="poset"))
+    for p in range(side.rank):
+        cx = side.evaluator.chain_complex(poset, "multitangent", p)
+        hf, hq = cx.homology("f2"), cx.homology("q")
+        for q, rows in cx.D.items():
+            divisors = sparse_elementary_divisors(rows)
+            assert cx.rank_boundary(q, "f2") == sum(d & 1 for d in divisors), (p, q)
+            assert cx.rank_boundary(q, "q") == len(divisors), (p, q)
+        hz = cx.homology("z")
+        assert not hz.has_torsion(), p
+        ranks = [[h.rank(q) for q in cx.degrees] for h in (hf, hq, hz)]
+        assert ranks[0] == ranks[1] == ranks[2], p
 
 
 @settings(max_examples=48, derandomize=True, database=None, deadline=None)

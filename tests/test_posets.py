@@ -219,6 +219,8 @@ def test_covers_and_signs_match_set_difference_oracle(cubic_pair, k3_pair, cy3_p
                 covers, sign = _set_difference_covers(poset)
                 assert poset.covers == covers, kind
                 assert poset.sign == sign, kind
+                # each cover is one tuple, shared by the covers and the signs
+                assert all(a is b for a, b in zip(poset.sign, poset.covers)), kind
                 below = {c.index: [] for c in poset.cells}
                 for yi, xi in covers:
                     below[xi].append(yi)
