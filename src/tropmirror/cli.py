@@ -31,6 +31,7 @@ from .lattice import LatticePolytope, _as_point
 from .mirror import divisor_restriction, is_null_class, sphere_cycle, transfer_class
 from .pairs import MirrorPair
 from .patchwork import (
+    check_verdict,
     connectedness_verdict,
     divisor_class_representatives,
     divisor_from_signs,
@@ -263,6 +264,7 @@ def cmd_patchwork(args):
         inputs.append(args.signs)
     betti = real_betti(side, eps)
     verdict = connectedness_verdict(side, rays)
+    check_verdict(verdict, betti[0])
     result = {
         "divisor": [list(v) for v in rays],
         "betti": betti,
@@ -309,15 +311,11 @@ def cmd_sweep(args):
         else:
             masks = divisor_class_representatives(side)
         rows = sweep_rows(side, masks, with_betti=not args.no_betti)
-        agree = sum(
-            1
-            for r in rows
-            if (r["verdict"] == "connected") == (r["b0"] == 1)
-        )
+        # sweep_rows raises on a row whose verdict disagrees with its b0
         result = {
             "mode": "classes",
             "rows": rows,
-            "agreement": f"{agree}/{len(rows)}",
+            "agreement": f"{len(rows)}/{len(rows)}",
         }
     code = report(args, result, [args.triangulation, args.dual_triangulation])
     return code

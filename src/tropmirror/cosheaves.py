@@ -21,27 +21,34 @@ every cosheaf map is a literal integer matrix (and reduces mod 2 for F2
 complexes).  Zero values outside a support are materialized as rank-0 blocks
 so that one assembly routine serves every complex.
 
-Each edge's wedge Lambda^p(edge annihilator / stratum span) is built once and
-cached per (stratum, edge direction, p); F_p(sigma) is spanned by the cached
-rows of the edges of sigma, so it depends on sigma only through its set of
-normalised edge directions (found once per sigma) and is computed once per
-(p, stratum, direction set).  A value depends only on its spans, not on the
-cell that carries it, so values are interned: one FreeQuotient per distinct
-module, one wedge per distinct frame projection, and one sparse matrix per
+Many strata share their coordinates, so frames are interned by content:
+one Frame per distinct (k, Q, R), whose ``gens`` name the first stratum
+that built it.  Each edge's wedge Lambda^p(edge annihilator / stratum span)
+reads only the frame's Q, so it is built once and cached per (frame, edge
+direction, p); F_p(sigma) is spanned by the cached rows of the edges of
+sigma, so it depends on sigma only through its set of normalised edge
+directions (found once per sigma) and is computed once per (p, frame,
+direction set).  A value depends only on its spans, not on the cell that
+carries it, so values are interned: one FreeQuotient per distinct module,
+one wedge per distinct frame projection R_x.Q_y, and one sparse matrix per
 distinct (source value, target value, projection) triple (``value_map``,
 which the mirror transfer reads as well).
 
 The cells of a poset fall into classes whose values agree for every p:
-for the multitangent cosheaves a class is a (value stratum, edge-direction
-set), for the other tags the cell itself.  The classes are found once per
-poset and tag, and a chain complex looks one (value, value stratum) up per
-class; while it is assembled, ``map_matrix`` reads both cells' pairs from a
-dict keyed by the cell objects, so a cover costs two identity-hashed reads,
-one wedge lookup keyed by the identities of the two strata (which are
-interned), and one map lookup.
+for the multitangent cosheaves a class is a (frame, edge-direction set),
+for the other tags the cell itself.  The classes are found once per poset
+and tag, and a chain complex looks one (value, frame) up per class.  A
+map reads only those two pairs, so the complex asks ``map_matrix`` once
+per (class of y, class of x) pair and gives that block, with each cover's
+own sign, to every cover of the pair.
+``map_matrix`` reads both cells' pairs from a dict keyed by the cell
+objects while the complex is assembled, so a call costs two
+identity-hashed reads, one wedge lookup keyed by the two interned frames,
+and one map lookup.
 """
 
 from itertools import combinations
+from operator import neg, sub
 
 from .chains import ChainComplex
 from .errors import UnsupportedCell
@@ -53,21 +60,28 @@ ZERO_STRATUM = ()
 
 
 def _direction(a, b):
-    """The edge direction b - a, normalised up to sign."""
-    d = tuple(x - y for x, y in zip(b, a))
-    return max(d, tuple(-x for x in d))
+    """The edge direction b - a, normalised up to sign: the larger of d and
+    -d, the one whose first nonzero entry is positive."""
+    d = tuple(map(sub, b, a))
+    for x in d:
+        if x:
+            return d if x > 0 else tuple(map(neg, d))
+    return d
 
 
 class CosheafEvaluator:
     """Memoized cosheaf values, and maps between them, for one orientation.
 
     Values are pure functions of their keys; the caches fill on first use.
-    Every value is built by ``_module``, which returns one object per
-    distinct module, and every frame projection's p-wedge is interned by
-    content, so a map is a pure function of the identities of (source
-    value, target value, wedge) and is computed once per distinct triple:
-    many cells carry equal values, and many covers share a map.  Interned
-    objects live as long as the evaluator.
+    Frames are interned by content, so the frame-dependent caches (edge
+    rows, multitangent values, cell classes, projection wedges) are keyed
+    by the frame, not by the stratum.  Every value is built by ``_module``,
+    which returns one object per distinct module, and every frame
+    projection's p-wedge is interned by content, so a map is a pure
+    function of the identities of (source value, target value, wedge) and
+    is computed once per distinct triple: many cells carry equal values,
+    and many covers share a map.  Interned objects live as long as the
+    evaluator.
     """
 
     def __init__(self, ambient_tri, newton_tri):
@@ -75,27 +89,34 @@ class CosheafEvaluator:
         self.newton = newton_tri
         self.m = newton_tri.rank
         self.origin = (0,) * self.m
-        self._frames = {}
+        self._frames = {}  # stratum -> its Frame, interned by content
+        self._frame_contents = {}  # (k, Q, R) -> the one interned Frame
         self._gens = {}  # tau -> its stratum, interned by content
         self._strata = {ZERO_STRATUM: ZERO_STRATUM}
         self._classes = {}  # (poset, tag) -> (class per cell, representatives)
         self._directions = {}  # sigma -> frozenset of its edge directions
         self._direction_sets = {}  # direction set -> the one interned copy
-        self._edge_basis = {}
-        self._projection_wedges = {}
+        self._edge_basis = {}  # (frame, edge direction, p) -> rows
+        self._projection_wedges = {}  # (frame x, frame y, p) -> interned wedge
         self._wedges = {}  # wedge content -> the one interned copy
         self._values = {}
         self._modules = {}  # (ambient, sub row set, quo row set) -> value
         self._contents = {}  # FreeQuotient content -> the one interned value
         self._maps = {}  # ids of (source, target, wedge or None) -> sparse rows
-        # while chain_complex runs: ((tag, p), {cell: (value, stratum)})
+        # while chain_complex runs: ((tag, p), {cell: (value, frame)})
         self._scope = None
 
     # -- frames and edge data ---------------------------------------------------
     def frame(self, gens):
-        if gens not in self._frames:
-            self._frames[gens] = Frame(gens, self.m)
-        return self._frames[gens]
+        """The Frame of a stratum, one object per distinct (k, Q, R): strata
+        with equal coordinates share it, and its ``gens`` name the first
+        stratum that built it."""
+        fr = self._frames.get(gens)
+        if fr is None:
+            fr = Frame(gens, self.m)
+            key = (fr.k, _frozen(fr.Q), _frozen(fr.R))
+            fr = self._frames[gens] = self._frame_contents.setdefault(key, fr)
+        return fr
 
     def stratum_gens(self, tau):
         """Generators of the cone span: nonzero vertices of tau, one object
@@ -109,18 +130,19 @@ class CosheafEvaluator:
     def edge_annihilator_basis(self, stratum, a, b, p):
         """Lambda^p of the HNF basis of (edge direction)-perp / (stratum span),
         in frame coords: the basis itself at p = 1, its p x p minors above."""
-        return self._edge_rows(stratum, _direction(a, b), p)
+        return self._edge_rows(self.frame(stratum), _direction(a, b), p)
 
-    def _edge_rows(self, stratum, d, p):
-        key = (stratum, d, p)
+    def _edge_rows(self, fr, d, p):
+        """The rows of ``edge_annihilator_basis``, which read only the
+        frame's Q: cached per (frame, edge direction, p)."""
+        key = (fr, d, p)
         if key not in self._edge_basis:
             if p == 1:
-                fr = self.frame(stratum)
                 perp = left_kernel([[x] for x in d])
                 proj = [vec_mat(list(r), fr.Q) for r in perp]
                 B = hnf_basis(proj)
             else:
-                B = wedge_matrix(self._edge_rows(stratum, d, 1), p)
+                B = wedge_matrix(self._edge_rows(fr, d, 1), p)
             self._edge_basis[key] = _frozen(B)
         return self._edge_basis[key]
 
@@ -154,20 +176,22 @@ class CosheafEvaluator:
         return dirs
 
     def multitangent_value(self, p, stratum, sigma):
-        """F_p on a cell with this stratum and sigma.  It depends on sigma
-        only through the set of its edge directions, so it is computed once
-        per (p, stratum, direction set)."""
+        """F_p on a cell with this stratum and sigma.  It reads the stratum
+        only through its frame's k and Q, and sigma only through the set of
+        its edge directions, so it is computed once per (p, frame,
+        direction set)."""
+        fr = self.frame(stratum)
         dirs = self._edge_directions(sigma)
-        key = ("F", p, stratum, dirs)
+        key = ("F", p, fr, dirs)
         value = self._values.get(key)
         if value is None:
-            amb = dim_wedge(self.m - self.frame(stratum).k, p)
+            amb = dim_wedge(self.m - fr.k, p)
             if not dirs or amb == 0:
                 value = self._zero(amb)
             elif p == 0:
                 value = self._module(1, [(1,)])
             else:
-                rows = [r for d in dirs for r in self._edge_rows(stratum, d, p)]
+                rows = [r for d in dirs for r in self._edge_rows(fr, d, p)]
                 value = self._module(amb, rows)
             self._values[key] = value
         return value
@@ -229,11 +253,13 @@ class CosheafEvaluator:
         raise UnsupportedCell(f"unknown cosheaf tag {tag!r}")
 
     def cell_value(self, tag, p, cell):
-        """The (value, value stratum) pair that maps start and end at."""
-        return self.value(tag, p, cell), self.value_stratum(tag, cell)
+        """The (value, frame of the value stratum) pair that maps start and
+        end at."""
+        return self.value(tag, p, cell), self.frame(self.value_stratum(tag, cell))
 
     def value_stratum(self, tag, cell):
-        """The frame whose wedge coordinates carry the value on this cell."""
+        """The stratum whose frame's wedge coordinates carry the value on
+        this cell."""
         if tag in ("kernel", "mirror"):
             return ZERO_STRATUM
         if self.origin in cell.tau:
@@ -241,32 +267,33 @@ class CosheafEvaluator:
         return ZERO_STRATUM
 
     # -- maps -------------------------------------------------------------------
-    def projection(self, sx, sy):
-        """R_x.Q_y: frame-sx coordinates to frame-sy coordinates."""
-        return mat_mul(self.frame(sx).R, self.frame(sy).Q)
+    @staticmethod
+    def projection(fx, fy):
+        """R_x.Q_y: frame-x coordinates to frame-y coordinates."""
+        return mat_mul(fx.R, fy.Q)
 
-    def _projection_wedge(self, sx, sy, p):
-        """Lambda^p of ``projection(sx, sy)``, one object per distinct
-        matrix; None when the two frames are one.  The strata come from
-        ``value_stratum``, interned for the evaluator's life, so they are
-        keyed by identity."""
-        if sx is sy:
+    def _projection_wedge(self, fx, fy, p):
+        """Lambda^p of R_x.Q_y for two interned frames, one object per
+        distinct matrix; None when the two frames are one, where R.Q is the
+        identity.  Frames live as long as the evaluator, so they are keyed
+        by identity."""
+        if fx is fy:
             return None
-        key = (id(sx), id(sy), p)
+        key = (fx, fy, p)
         if key not in self._projection_wedges:
-            W = _frozen(wedge_matrix(self.projection(sx, sy), p))
+            W = _frozen(wedge_matrix(self.projection(fx, fy), p))
             self._projection_wedges[key] = self._wedges.setdefault(W, W)
         return self._projection_wedges[key]
 
     def value_map(self, x, y, p):
-        """The cosheaf map between two (value, stratum) pairs, x to y, as
+        """The cosheaf map between two (value, frame) pairs, x to y, as
         sparse rows: per basis element of x's value, the (index, entry)
         pairs of its image in y's value, computed once per distinct triple
         (source value, target value, projection wedge)."""
-        (Vx, sx), (Vy, sy) = x, y
+        (Vx, fx), (Vy, fy) = x, y
         if Vx.rank == 0 or Vy.rank == 0:
             return ((),) * Vx.rank
-        W = self._projection_wedge(sx, sy, p)
+        W = self._projection_wedge(fx, fy, p)
         key = (id(Vx), id(Vy), id(W))
         rows = self._maps.get(key)
         if rows is None:
@@ -280,7 +307,7 @@ class CosheafEvaluator:
     def map_matrix(self, tag, p, ycell, xcell):
         """``value_map`` from xcell to ycell, for a cover y below x.
 
-        Inside ``chain_complex`` both cells' (value, stratum) pairs come from
+        Inside ``chain_complex`` both cells' (value, frame) pairs come from
         the complex being assembled; other cells are looked up."""
         scope = self._scope
         known = scope[1] if scope is not None and scope[0] == (tag, p) else {}
@@ -292,16 +319,16 @@ class CosheafEvaluator:
     def _cell_classes(self, poset, tag):
         """(class index per cell, one representative cell per class) for
         the cells of a poset under one tag, found once per (poset, tag).
-        Cells of one class carry the same (value, stratum) for every p: a
-        multitangent class is a (value stratum, edge-direction set), and
-        under the other tags each cell is its own class."""
+        Cells of one class carry the same (value, frame) for every p: a
+        multitangent class is a (frame of the value stratum, edge-direction
+        set), and under the other tags each cell is its own class."""
         key = (poset, tag)
         if key not in self._classes:
             cells = poset.cells
             if tag == "multitangent":
                 index, classes, reps = {}, [], []
                 for c in cells:
-                    k = (self.value_stratum(tag, c), self._edge_directions(c.sigma))
+                    k = (self.frame(self.value_stratum(tag, c)), self._edge_directions(c.sigma))
                     i = index.get(k)
                     if i is None:
                         i = index[k] = len(reps)
@@ -313,20 +340,28 @@ class CosheafEvaluator:
         return self._classes[key]
 
     def chain_complex(self, poset, tag, p, sign=None):
-        """The complex of one cosheaf on a poset: the (value, stratum) of
-        each cell class is looked up once, and every cover with both ranks
-        nonzero gets its block from ``map_matrix``."""
+        """The complex of one cosheaf on a poset: the (value, frame) of each
+        cell class is looked up once.  A block reads only those two pairs,
+        so ``map_matrix`` is asked once per (class of y, class of x) with
+        both ranks nonzero, at its first cover in poset order, and every
+        cover of that class pair shares the block (``ChainComplex`` applies
+        each cover's own sign)."""
         cells = poset.cells
         classes, reps = self._cell_classes(poset, tag)
         values = [self.cell_value(tag, p, c) for c in reps]
         pairs = [values[k] for k in classes]
         ranks = [v.rank for v, _ in pairs]
-        blocks = {}
+        blocks, done = {}, {}  # done: (class of y, class of x) -> block
         self._scope = ((tag, p), dict(zip(cells, pairs)))
         try:
-            for (yi, xi) in poset.covers:
+            for cover in poset.covers:
+                yi, xi = cover
                 if ranks[yi] and ranks[xi]:
-                    blocks[(yi, xi)] = self.map_matrix(tag, p, cells[yi], cells[xi])
+                    key = (classes[yi], classes[xi])
+                    block = done.get(key)
+                    if block is None:
+                        block = done[key] = self.map_matrix(tag, p, cells[yi], cells[xi])
+                    blocks[cover] = block
         finally:
             self._scope = None
         return ChainComplex(poset, ranks, blocks, sign or poset.sign)

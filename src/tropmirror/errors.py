@@ -91,6 +91,10 @@ class InvalidPhaseStructure(InputError):
     pass
 
 
+class VerdictMismatch(InternalCheckError):
+    """A connectedness verdict disagrees with the component count b0."""
+
+
 # mirror pairs
 class MirrorSideFreed(InternalCheckError):
     """A side's weak link to its mirror outlived the mirror side."""

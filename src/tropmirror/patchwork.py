@@ -61,6 +61,7 @@ from .errors import (
     InternalCheckError,
     InvalidPhaseStructure,
     NotAClosedChain,
+    VerdictMismatch,
 )
 from .intlinalg import F2Space, dot, f2_combine, f2_pack, f2_rank
 from .exterior import wedge_matrix
@@ -319,7 +320,8 @@ class PhaseFrame:
         """The image in frame sy of every point of frame sx, computed once
         per (sx, sy).  Shared; callers must not mutate it."""
         if (sx, sy) not in self._proj:
-            masks = [f2_pack(row) for row in self.evaluator.projection(sx, sy)]
+            ev = self.evaluator
+            masks = [f2_pack(row) for row in ev.projection(ev.frame(sx), ev.frame(sy))]
             self._proj[sx, sy] = [f2_combine(s, masks) for s in range(1 << len(masks))]
         return self._proj[sx, sy]
 
@@ -724,8 +726,16 @@ def connectedness_verdict(side, rays):
     return "connected"
 
 
+def check_verdict(verdict, b0):
+    """The paper's second theorem on one class: the verdict is 'connected'
+    exactly when the real hypersurface has one component (b0 = 1)."""
+    if (verdict == "connected") != (b0 == 1):
+        raise VerdictMismatch(f"verdict {verdict} but b0 = {b0}")
+
+
 def sweep_rows(side, masks, with_betti=True):
-    """Sweep divisor classes: verdict, component count and optional betti."""
+    """Sweep divisor classes: verdict, component count and optional betti,
+    each row's verdict checked against its b0."""
     rows = []
     for mask in masks:
         rays = mask_to_rays(side, mask)
@@ -743,6 +753,7 @@ def sweep_rows(side, masks, with_betti=True):
         else:
             pd = PhaseData(side, side.base_poset, eps)
             row["b0"] = RealComplex(pd, top_only=True).component_count()
+        check_verdict(verdict, row["b0"])
         rows.append(row)
     return rows
 

@@ -316,6 +316,33 @@ def test_sweep_cubic_classes(cubic_files, capsys):
         assert row["b0"] in (1, 2)
 
 
+def test_flipped_verdict_is_an_internal_error(cubic_pair, cubic_files, capsys, monkeypatch, tmp_path):
+    # a doctored is_null_class flips every verdict, so each row disagrees
+    # with its b0: sweep_rows raises, and the CLI reports an internal error
+    import tropmirror.patchwork as patchwork
+    from tropmirror.errors import VerdictMismatch
+
+    null = patchwork.is_null_class
+    monkeypatch.setattr(patchwork, "is_null_class", lambda *a: not null(*a))
+    side = cubic_pair.side_a
+    for with_betti in (True, False):
+        with pytest.raises(VerdictMismatch):
+            patchwork.sweep_rows(side, [0], with_betti=with_betti)
+    _, _, tri, tri_dual = cubic_files
+    div = tmp_path / "d.json"
+    div.write_text(json.dumps({"rays": []}))
+    for argv in (
+        ["patchwork", str(tri), str(tri_dual), "--divisor", str(div)],
+        ["sweep", str(tri), str(tri_dual), "--samples", "2"],
+        ["sweep", str(tri), str(tri_dual), "--samples", "2", "--no-betti"],
+    ):
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err)["kind"] == "internal", argv
+        assert "b0" in json.loads(err)["error"], argv
+
+
 def test_raw_sweep_on_diamond_pair(tmp_path, capsys):
     from conftest import DIAMOND_VERTS, SQUARE_VERTS
 

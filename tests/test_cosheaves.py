@@ -799,7 +799,7 @@ def _direct_block(ev, direct, p, y, x):
     (xtag, xc), (ytag, yc) = x, y
     Vx, Vy = direct.value(xtag, p, xc), direct.value(ytag, p, yc)
     sx, sy = ev.value_stratum(xtag, xc), ev.value_stratum(ytag, yc)
-    W = None if sx == sy else wedge_matrix(ev.projection(sx, sy), p)
+    W = None if sx == sy else wedge_matrix(ev.projection(ev.frame(sx), ev.frame(sy)), p)
     rows = []
     for i in range(Vx.rank):
         a = Vx.rep(i) if W is None else vec_mat(Vx.rep(i), W)
@@ -876,11 +876,28 @@ def _direction_set(sigma):
     return frozenset(dirs)
 
 
+def _class_pairs(ev, poset, ranks):
+    """The covers at which chain_complex asks map_matrix: the first cover,
+    in poset order, of each (class of y, class of x) with both ranks
+    nonzero, a class being a (frame of the value stratum, edge-direction
+    set)."""
+    cls = [
+        (ev.frame(ev.value_stratum("multitangent", c)), _direction_set(c.sigma))
+        for c in poset.cells
+    ]
+    seen, first = set(), []
+    for (y, x) in poset.covers:
+        if ranks[y] and ranks[x] and (cls[y], cls[x]) not in seen:
+            seen.add((cls[y], cls[x]))
+            first.append((y, x))
+    return first
+
+
 def test_k3_multitangent_values_keyed_by_edge_directions(k3_pair, monkeypatch):
-    # on the K3 base posets, for every p: cells with equal (stratum, edge
+    # on the K3 base posets, for every p: cells with equal (frame, edge
     # direction set) carry one value object, each value equals the module
     # spanned by its own cell's edge rows, and assembly asks map_matrix once
-    # for every cover whose two ranks are nonzero
+    # per (class of y, class of x) pair whose two ranks are nonzero
     calls = []
     map_matrix = CosheafEvaluator.map_matrix
     monkeypatch.setattr(
@@ -889,6 +906,7 @@ def test_k3_multitangent_values_keyed_by_edge_directions(k3_pair, monkeypatch):
         lambda self, tag, p, y, x: calls.append((y.index, x.index))
         or map_matrix(self, tag, p, y, x),
     )
+    asked = covers = 0
     for side in k3_pair.sides:
         ev = CosheafEvaluator(side.ambient, side.newton)
         poset = side.base_poset
@@ -898,7 +916,7 @@ def test_k3_multitangent_values_keyed_by_edge_directions(k3_pair, monkeypatch):
             for c in poset.cells:
                 stratum = ev.value_stratum("multitangent", c)
                 v = ev.value("multitangent", p, c)
-                assert by_key.setdefault((stratum, _direction_set(c.sigma)), v) is v
+                assert by_key.setdefault((ev.frame(stratum), _direction_set(c.sigma)), v) is v
                 amb = dim_wedge(ev.m - len(stratum), p)
                 if len(c.sigma) < 2 or amb == 0:
                     direct = FreeQuotient(max(amb, 1), [])
@@ -915,21 +933,23 @@ def test_k3_multitangent_values_keyed_by_edge_directions(k3_pair, monkeypatch):
             assert len(by_key) < len(poset.cells)
             calls.clear()
             ev.chain_complex(poset, "multitangent", p)
-            assert calls == [
-                (y, x) for (y, x) in poset.covers if ranks[y] and ranks[x]
-            ], p
+            assert calls == _class_pairs(ev, poset, ranks), p
+            asked += len(calls)
+            covers += sum(1 for (y, x) in poset.covers if ranks[y] and ranks[x])
+    assert 0 < asked < covers, (asked, covers)
 
 
 def test_multitangent_values_looked_up_once_per_cell_class(cubic_pair, k3_pair, monkeypatch):
-    # a cell class is a (value stratum, edge-direction set): one chain_complex
-    # call asks for one multitangent value per class, whatever the cell count
+    # a cell class is a (frame of the value stratum, edge-direction set):
+    # one chain_complex call asks for one multitangent value per class,
+    # whatever the cell count
     calls = []
     value = CosheafEvaluator.multitangent_value
     monkeypatch.setattr(
         CosheafEvaluator,
         "multitangent_value",
         lambda self, p, stratum, sigma: calls.append(
-            (p, stratum, _direction_set(sigma))
+            (p, self.frame(stratum), _direction_set(sigma))
         ) or value(self, p, stratum, sigma),
     )
     for pair in (cubic_pair, k3_pair):
@@ -938,7 +958,7 @@ def test_multitangent_values_looked_up_once_per_cell_class(cubic_pair, k3_pair, 
             for kind in ("base", "refined"):
                 poset = side.poset(kind)
                 classes = {
-                    (ev.value_stratum("multitangent", c), _direction_set(c.sigma))
+                    (ev.frame(ev.value_stratum("multitangent", c)), _direction_set(c.sigma))
                     for c in poset.cells
                 }
                 assert len(classes) < len(poset.cells)
@@ -947,3 +967,67 @@ def test_multitangent_values_looked_up_once_per_cell_class(cubic_pair, k3_pair, 
                     ev.chain_complex(poset, "multitangent", p)
                     assert len(calls) == len(classes), (kind, p)
                     assert set(calls) == {(p, *k) for k in classes}, (kind, p)
+
+
+# -- frames keyed by content ----------------------------------------------------------
+
+def _strata(ev, posets):
+    """Every cell's stratum over the posets, each distinct one once, in
+    first-seen order."""
+    return list(dict.fromkeys(ev.stratum_gens(c.tau) for poset in posets for c in poset.cells))
+
+
+def test_interned_frames_match_fresh_frames(cubic_pair, k3_pair, cy3_pair):
+    # strata share one Frame exactly when their (k, Q, R) agree: on CY3
+    # side a, 1,697 strata have far fewer distinct frames, and some of
+    # them have equal Q but different R
+    for side, posets in (
+        (cubic_pair.side_a, ("base", "refined")),
+        (k3_pair.side_a, ("base", "refined")),
+        (cy3_pair.side_a, ("base",)),
+    ):
+        ev = CosheafEvaluator(side.ambient, side.newton)
+        strata = _strata(ev, [side.poset(kind) for kind in posets])
+        for gens in strata:
+            fr, fresh = ev.frame(gens), Frame(gens, ev.m)
+            assert (fr.k, fr.Q, fr.R) == (fresh.k, fresh.Q, fresh.R), gens
+        if side is cy3_pair.side_a:
+            distinct = {id(ev.frame(gens)) for gens in strata}
+            assert len(distinct) < len(strata) // 4, (len(distinct), len(strata))
+
+
+def test_shared_blocks_match_fresh_cover_maps(k3_pair, cy3_pair):
+    # each cover's block in D equals its own map built from scratch: the two
+    # cells' values from a direct evaluator and R_x.Q_y from fresh Frames of
+    # their strata, whatever class pair the assembly shared the block with
+    for side, ps in (
+        (k3_pair.side_a, range(4)),
+        (k3_pair.side_b, range(4)),
+        (cy3_pair.side_a, (1,)),
+    ):
+        poset = side.base_poset
+        ev = CosheafEvaluator(side.ambient, side.newton)
+        direct = _direct_evaluator(side)
+        frames = {}
+
+        def fresh(stratum):
+            if stratum not in frames:
+                frames[stratum] = Frame(stratum, ev.m)
+            return frames[stratum]
+
+        for p in ps:
+            values = [direct.value("multitangent", p, c) for c in poset.cells]
+            strata = [ev.value_stratum("multitangent", c) for c in poset.cells]
+            blocks = {}
+            for (yi, xi) in poset.covers:
+                Vx, Vy = values[xi], values[yi]
+                if not (Vx.rank and Vy.rank):
+                    continue
+                fx, fy = fresh(strata[xi]), fresh(strata[yi])
+                W = wedge_matrix(mat_mul(fx.R, fy.Q), p)
+                blocks[yi, xi] = [
+                    [(j, v) for j, v in enumerate(Vy.reduce(vec_mat(Vx.rep(i), W))) if v]
+                    for i in range(Vx.rank)
+                ]
+            expected = ChainComplex(poset, [v.rank for v in values], blocks, poset.sign)
+            assert ev.chain_complex(poset, "multitangent", p).D == expected.D, p

@@ -109,19 +109,25 @@ def test_normal_forms_frozen():
 
 
 def test_k3_frames_and_values_frozen(k3_pair):
-    """Every frame's (Q, R) and every value's content built for the K3
-    pair's base multitangent and refined mirror_ext complexes; the latter
-    reach the Frame of a nonzero quotient span."""
+    """Every stratum's frame (Q, R) and every (tag, p, cell)'s value content
+    for the K3 pair's base multitangent and refined mirror_ext complexes;
+    the latter reach the Frame of a nonzero quotient span."""
     rows = []
     for side in (k3_pair.side_a, k3_pair.side_b):
         ev = CosheafEvaluator(side.ambient, side.newton)
         for p in range(side.n + 1):
             ev.chain_complex(side.base_poset, "multitangent", p)
             ev.chain_complex(side.refined_poset, "mirror_ext", p)
-        rows.append(sorted((f.gens, f.Q, f.R) for f in ev._frames.values()))
-        rows.append(sorted(repr(v.content()) for v in ev._values.values()))
+        rows.append(sorted((gens, f.Q, f.R) for gens, f in ev._frames.items()))
+        rows.append([
+            (tag, p, c.key, repr(ev.value(tag, p, c).content()))
+            for tag, poset in (("multitangent", side.base_poset),
+                               ("mirror_ext", side.refined_poset))
+            for p in range(side.n + 1)
+            for c in poset.cells
+        ])
     assert _digest(rows) == (
-        "919bba60631ee0ea72e3cbe9dda199bae414b29b0590dd7369bca8b9b44538a7"
+        "84108f4fbe3003814e48dc7e73be9bdd272b4b8f24df99a99e538b158ff16666"
     )
 
 

@@ -286,7 +286,8 @@ def test_cover_images_shared_per_frame_pair(cubic_pair, k3_pair):
         lists = {}  # (sx, sy) -> ids of the image lists of its covers
         for yi, xi, images in frame.covers:
             (sx, qx, _), (sy, _, _) = frame.cells[xi], frame.cells[yi]
-            masks = [f2_pack(row) for row in side.evaluator.projection(sx, sy)]
+            ev = side.evaluator
+            masks = [f2_pack(row) for row in ev.projection(ev.frame(sx), ev.frame(sy))]
             assert images == [f2_combine(s, masks) for s in range(1 << qx)]
             lists.setdefault((sx, sy), set()).add(id(images))
         assert all(len(ids) == 1 for ids in lists.values()), kind
@@ -1057,6 +1058,68 @@ def test_cubic_sweep_exhaustive(cubic_pair):
         expected = "connected" if row["b0"] == 1 else "two_components"
         assert row["verdict"] == expected
         assert row["class_nonzero"] == (row["b0"] == 1)
+
+
+def _splitting_kernel(side):
+    """A basis of the kernel of divisor class -> mirror class, as masks over
+    the free rays (those that are no pivot of the pairing space, so each
+    class has one mask on them, its normal form).  Each free ray's
+    ``divisor_restriction`` is packed at degree n - 1 of the mirror's base
+    complex and reduced against that complex's boundary rows, with the
+    combinations of the rays inserted before it tracked: a ray that the
+    boundaries and earlier rays span (a ray with an empty restriction
+    among them) closes one kernel vector."""
+    rays, pairing = patchwork._pairing_space(side)
+    pivots = {row.bit_length() - 1 for row in pairing.pivot_rows()}
+    free = [i for i in range(len(rays)) if i not in pivots]
+    mirror, q = side.mirror, side.n - 1
+    cx = mirror.complex("base", "multitangent", q)
+    boundaries = cx.f2_rows(q + 1)
+    space = F2Space(boundaries)
+    kernel = []
+    for j, i in enumerate(free):
+        chain = divisor_restriction(side, [rays[i]])
+        assert chain_degree(mirror.base_poset, chain) in (q, None)  # None: empty
+        vec = cx.chain_to_packed(chain, q)
+        comb = space.solve(vec)
+        if comb is not None:
+            earlier = comb >> len(boundaries)
+            kernel.append(
+                (1 << i) | sum(1 << free[k] for k in range(j) if (earlier >> k) & 1)
+            )
+        space.add(vec)
+    return kernel
+
+
+def _span(basis):
+    span = {0}
+    for b in basis:
+        span |= {m ^ b for m in span}
+    return span
+
+
+def test_splitting_kernel_matches_brute_force_on_cubic(cubic_pair):
+    # the classes that split are exactly the span of the kernel basis
+    side = cubic_pair.side_a
+    kernel = _splitting_kernel(side)
+    assert len(kernel) == 6
+    masks = divisor_class_representatives(side)
+    assert len(masks) == 128
+    split = {m for m in masks if connectedness_verdict(side, mask_to_rays(side, m)) == "two_components"}
+    assert len(split) == 1 << len(kernel)
+    assert split == _span(kernel)
+
+
+def test_every_k3_splitting_class_has_two_components(k3_pair):
+    # the paper's second theorem on the whole kernel: 2^6 classes, each two
+    # spheres
+    side = k3_pair.side_a
+    kernel = _splitting_kernel(side)
+    assert len(kernel) == 6
+    classes = sorted(_span(kernel))
+    for row in sweep_rows(side, classes):
+        assert row["verdict"] == "two_components", row["divisor"]
+        assert row["betti"] == [2, 20, 2], row["divisor"]
 
 
 def test_equivalent_divisors_same_betti(cubic_pair):
