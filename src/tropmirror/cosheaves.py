@@ -23,24 +23,31 @@ so that one assembly routine serves every complex.
 
 Many strata share their coordinates, so frames are interned by content:
 one Frame per distinct (k, Q, R), whose ``gens`` name the first stratum
-that built it.  Each edge's wedge Lambda^p(edge annihilator / stratum span)
-reads only the frame's Q, so it is built once and cached per (frame, edge
-direction, p); F_p(sigma) is spanned by the cached rows of the edges of
-sigma, so it depends on sigma only through its set of normalised edge
-directions (found once per sigma) and is computed once per (p, frame,
-direction set).  A value depends only on its spans, not on the cell that
-carries it, so values are interned: one FreeQuotient per distinct module,
-one wedge per distinct frame projection R_x.Q_y, and one sparse matrix per
-distinct (source value, target value, projection) triple (``value_map``,
-which the mirror transfer reads as well).
+that built it.  A frame is built only where a nonzero value reads it: a
+zero value lives in Lambda^p of m - len(stratum) coordinates, which the
+stratum's length gives, since ``triangulate.validate`` (which every
+MirrorPair runs) admits only unimodular simplices and so only strata that
+are direct summands.  A cell without edges has the zero value for every p,
+so its stratum's frame is never built.  Each edge's wedge Lambda^p(edge
+annihilator / stratum span) reads only the frame's Q, so it is built once
+and cached per (frame, edge direction, p); F_p(sigma) is spanned by the
+cached rows of the edges of sigma, so it depends on sigma only through its
+set of normalised edge directions (each Newton edge's direction found
+once, each sigma's set once) and is computed once per (p, frame, direction
+set).  A value depends only on its spans, not on the cell that carries it,
+so values are interned: one FreeQuotient per distinct module, one wedge
+per distinct frame projection R_x.Q_y, and one sparse matrix per distinct
+(source value, target value, projection) triple (``value_map``, which the
+mirror transfer reads as well).
 
-The cells of a poset fall into classes whose values agree for every p:
-for the multitangent cosheaves a class is a (frame, edge-direction set),
-for the other tags the cell itself.  The classes are found once per poset
-and tag, and a chain complex looks one (value, frame) up per class.  A
-map reads only those two pairs, so the complex asks ``map_matrix`` once
-per (class of y, class of x) pair and gives that block, with each cover's
-own sign, to every cover of the pair.
+The cells of a poset fall into classes whose values agree for every p: for
+the multitangent cosheaves a class is a (frame, edge-direction set), or
+(stratum length, no directions) for the cells without edges, for the other
+tags the cell itself.  The classes are found once per poset and tag, and a
+chain complex looks one (value, frame) up per class, the frame None where
+the value is zero.  A map reads only those two pairs, so the complex asks
+``map_matrix`` once per (class of y, class of x) pair and gives that
+block, with each cover's own sign, to every cover of the pair.
 ``map_matrix`` reads both cells' pairs from a dict keyed by the cell
 objects while the complex is assembled, so a call costs two
 identity-hashed reads, one wedge lookup keyed by the two interned frames,
@@ -94,6 +101,7 @@ class CosheafEvaluator:
         self._gens = {}  # tau -> its stratum, interned by content
         self._strata = {ZERO_STRATUM: ZERO_STRATUM}
         self._classes = {}  # (poset, tag) -> (class per cell, representatives)
+        self._edge_dirs = {}  # (a, b) -> normalised direction of the edge
         self._directions = {}  # sigma -> frozenset of its edge directions
         self._direction_sets = {}  # direction set -> the one interned copy
         self._edge_basis = {}  # (frame, edge direction, p) -> rows
@@ -130,7 +138,7 @@ class CosheafEvaluator:
     def edge_annihilator_basis(self, stratum, a, b, p):
         """Lambda^p of the HNF basis of (edge direction)-perp / (stratum span),
         in frame coords: the basis itself at p = 1, its p x p minors above."""
-        return self._edge_rows(self.frame(stratum), _direction(a, b), p)
+        return self._edge_rows(self.frame(stratum), self._edge_direction(a, b), p)
 
     def _edge_rows(self, fr, d, p):
         """The rows of ``edge_annihilator_basis``, which read only the
@@ -165,30 +173,41 @@ class CosheafEvaluator:
     def _zero(self, ambient_dim):
         return self._module(max(ambient_dim, 1), ())
 
+    def _edge_direction(self, a, b):
+        """``_direction(a, b)``, found once per edge: many cells share an
+        edge of the Newton triangulation."""
+        d = self._edge_dirs.get((a, b))
+        if d is None:
+            d = self._edge_dirs[a, b] = _direction(a, b)
+        return d
+
     def _edge_directions(self, sigma):
         """The set of edge directions of sigma, found once per sigma and
         interned."""
         dirs = self._directions.get(sigma)
         if dirs is None:
-            dirs = frozenset(_direction(a, b) for a, b in combinations(sigma, 2))
+            dirs = frozenset(self._edge_direction(a, b) for a, b in combinations(sigma, 2))
             dirs = self._direction_sets.setdefault(dirs, dirs)
             self._directions[sigma] = dirs
         return dirs
 
     def multitangent_value(self, p, stratum, sigma):
-        """F_p on a cell with this stratum and sigma.  It reads the stratum
-        only through its frame's k and Q, and sigma only through the set of
-        its edge directions, so it is computed once per (p, frame,
-        direction set)."""
-        fr = self.frame(stratum)
+        """F_p on a cell with this stratum and sigma.  It reads sigma only
+        through the set of its edge directions and the stratum only through
+        its frame's k and Q, so it is computed once per (p, frame, direction
+        set).  A zero value (no edges, or p above the quotient rank) builds
+        no frame: it lives in Lambda^p of the m - k quotient coordinates,
+        and k is the stratum's length, as every stratum is a direct summand
+        (``Frame`` checks it where one is built)."""
         dirs = self._edge_directions(sigma)
+        amb = dim_wedge(self.m - len(stratum), p)
+        if not dirs or amb == 0:
+            return self._zero(amb)
+        fr = self.frame(stratum)
         key = ("F", p, fr, dirs)
         value = self._values.get(key)
         if value is None:
-            amb = dim_wedge(self.m - fr.k, p)
-            if not dirs or amb == 0:
-                value = self._zero(amb)
-            elif p == 0:
+            if p == 0:
                 value = self._module(1, [(1,)])
             else:
                 rows = [r for d in dirs for r in self._edge_rows(fr, d, p)]
@@ -254,8 +273,12 @@ class CosheafEvaluator:
 
     def cell_value(self, tag, p, cell):
         """The (value, frame of the value stratum) pair that maps start and
-        end at."""
-        return self.value(tag, p, cell), self.frame(self.value_stratum(tag, cell))
+        end at.  A zero value carries no frame (None): ``value_map`` reads
+        a frame only between two nonzero values."""
+        value = self.value(tag, p, cell)
+        if not value.rank:
+            return value, None
+        return value, self.frame(self.value_stratum(tag, cell))
 
     def value_stratum(self, tag, cell):
         """The stratum whose frame's wedge coordinates carry the value on
@@ -321,14 +344,18 @@ class CosheafEvaluator:
         the cells of a poset under one tag, found once per (poset, tag).
         Cells of one class carry the same (value, frame) for every p: a
         multitangent class is a (frame of the value stratum, edge-direction
-        set), and under the other tags each cell is its own class."""
+        set), or (stratum length, no directions) for a cell without edges,
+        whose value is zero and reads no frame; under the other tags each
+        cell is its own class."""
         key = (poset, tag)
         if key not in self._classes:
             cells = poset.cells
             if tag == "multitangent":
                 index, classes, reps = {}, [], []
                 for c in cells:
-                    k = (self.frame(self.value_stratum(tag, c)), self._edge_directions(c.sigma))
+                    dirs = self._edge_directions(c.sigma)
+                    stratum = self.value_stratum(tag, c)
+                    k = (self.frame(stratum) if dirs else len(stratum), dirs)
                     i = index.get(k)
                     if i is None:
                         i = index[k] = len(reps)

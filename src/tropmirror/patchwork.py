@@ -28,25 +28,25 @@ PhaseCell per (cell, edge phases): the phase point set and the filtration
 levels with their generators and the F2 spaces they span, filled on first
 use, so classes that agree on a cell share them all.  A level concatenates
 per-edge generator lists, which depend on the signs only through the
-edge's phase: the frame keeps each list once per (value stratum, p = 1
-edge basis, cell value, p, edge phase), the first three keyed by identity,
-as the evaluator interns them, and one level per tuple of lists, keyed by
-their identities.  A record's edge phases fix those of every cell above
-it, so the frame checks the transport when it builds the record (each
-cover carries the phase points above into the record's phase set), once
-for every class that reads it.  That makes each sign complex a subcomplex
-of the frame's, with no assembly or square check of its own: its rows are
-gathered from the frame's point rows.  A sign distribution keeps only its
-edge phases and resolves a cell's record on first read, so ``delta1``
-resolves only the cells it lifts and those its boundary touches, found by
-bisecting over the frame's offsets.  The whole sign route has one
-numbering, the frame's: a point s of cell ci sits at ``offset[ci] + s`` in
-the phase sets, the sign complex's rows and their cleared ranks, and a
-filtration indicator has bit s for point s, so ``delta1`` lifts and reads
-back by shifts.  Both Betti routes cross-check each other: the sign
-complex's ranks come from the gathered rows, and the real complex numbers
-its cells on its own and packs its boundary rows in one pass over the
-frame's covers.
+edge's phase: the frame keeps each list once per (frame of the value
+stratum, p = 1 edge basis, cell value, p, edge phase), the first three
+keyed by identity, as the evaluator interns them, and one level per tuple
+of lists, keyed by their identities.  A record's edge phases fix those of
+every cell above it, so the frame checks the transport when it builds the
+record (each cover carries the phase points above into the record's phase
+set), once for every class that reads it.  That makes each sign complex a
+subcomplex of the frame's, with no assembly or square check of its own:
+its rows are gathered from the frame's point rows.  A sign distribution
+keeps only its edge phases and resolves a cell's record on first read, so
+``delta1`` resolves only the cells it lifts and those its boundary
+touches, found by bisecting over the frame's offsets.  The whole sign
+route has one numbering, the frame's: a point s of cell ci sits at
+``offset[ci] + s`` in the phase sets, the sign complex's rows and their
+cleared ranks, and a filtration indicator has bit s for point s, so
+``delta1`` lifts and reads back by shifts.  Both Betti routes cross-check
+each other: the sign complex's ranks come from the gathered rows, and the
+real complex numbers its cells on its own and packs its boundary rows in
+one pass over the frame's covers.
 """
 
 import random
@@ -230,13 +230,15 @@ def sample_divisor_classes(side, count, seed):
 class PhaseFrame:
     """Sign-independent phase geometry of one poset, built once per side.
 
-    ``cells[ci]`` is (stratum, qd, edges): the frame of the cell's values,
-    its quotient rank, and per edge of sigma (sorted endpoints, the parity
-    mask ``rdm`` of its direction in frame coordinates, the packed set of
-    points s with s.rdm odd).  ``covers`` lists (y, x, images) for each
-    cover y below x where both cells have edges: ``images[s]`` is the point
-    s of the frame of x carried into the frame of y, one list shared by
-    every cover between the same two frames (``point_images``).
+    ``cells[ci]`` is (stratum, qd, edges): the value stratum, whose frame
+    carries the cell's values, its quotient rank m - len(stratum), and per
+    edge of sigma (sorted endpoints, the parity mask ``rdm`` of its
+    direction in frame coordinates, the packed set of points s with s.rdm
+    odd).  Only a cell with edges reads its frame.  ``covers`` lists (y, x,
+    images) for each cover y below x where both cells have edges:
+    ``images[s]`` is the point s of the frame of x carried into the frame
+    of y, one list shared by every cover between the same two interned
+    frames (``point_images``).
 
     The frame numbers every point s of every cell with edges, 2^qd points
     per cell starting at ``offset[ci]`` within its degree.  ``point_rows``
@@ -259,23 +261,24 @@ class PhaseFrame:
     def __init__(self, evaluator, poset):
         self.evaluator = evaluator
         self.poset = poset
-        self._proj = {}
+        self._proj = {}  # (frame x, frame y) -> point images
         self._points = {}  # (qd, packed point set) -> (points, index)
         self._phase_cells = {}  # (ci, tes) -> PhaseCell
-        self._edge_gens = {}  # ids of (stratum, edge basis, value), p, te -> generators
+        self._edge_gens = {}  # (frame, ids of edge basis and value), p, te -> generators
         self.cells = []
         self.offset = []
         self._width = {}  # dim -> frame points of the cells of that dim
         for cell in poset.cells:
             stratum = evaluator.value_stratum("multitangent", cell)
-            fr = evaluator.frame(stratum)
-            qd = evaluator.m - fr.k
+            qd = evaluator.m - len(stratum)
             edges = []
-            for a, b in combinations(cell.sigma, 2):
-                d = tuple(x - y for x, y in zip(b, a))
-                rdm = f2_pack([dot(r, d) for r in fr.R])
-                odd = f2_pack([bin(s & rdm).count("1") for s in range(1 << qd)])
-                edges.append(((min(a, b), max(a, b)), rdm, odd))
+            if len(cell.sigma) > 1:  # only a cell with edges reads its frame
+                fr = evaluator.frame(stratum)
+                for a, b in combinations(cell.sigma, 2):
+                    d = tuple(x - y for x, y in zip(b, a))
+                    rdm = f2_pack([dot(r, d) for r in fr.R])
+                    odd = f2_pack([bin(s & rdm).count("1") for s in range(1 << qd)])
+                    edges.append(((min(a, b), max(a, b)), rdm, odd))
             self.cells.append((stratum, qd, edges))
             off = self._width.get(cell.dim, 0)
             self.offset.append(off)
@@ -317,13 +320,16 @@ class PhaseFrame:
         return rows
 
     def point_images(self, sx, sy):
-        """The image in frame sy of every point of frame sx, computed once
-        per (sx, sy).  Shared; callers must not mutate it."""
-        if (sx, sy) not in self._proj:
-            ev = self.evaluator
-            masks = [f2_pack(row) for row in ev.projection(ev.frame(sx), ev.frame(sy))]
-            self._proj[sx, sy] = [f2_combine(s, masks) for s in range(1 << len(masks))]
-        return self._proj[sx, sy]
+        """The image in the frame of stratum sy of every point of the frame
+        of stratum sx.  It reads only the two frames, which the evaluator
+        interns, so it is computed once per frame pair.  Shared; callers
+        must not mutate it."""
+        ev = self.evaluator
+        key = (ev.frame(sx), ev.frame(sy))
+        if key not in self._proj:
+            masks = [f2_pack(row) for row in ev.projection(*key)]
+            self._proj[key] = [f2_combine(s, masks) for s in range(1 << len(masks))]
+        return self._proj[key]
 
     def cell_phase(self, ci, tes):
         """The PhaseCell of cell ci under edge phases tes, built once per
@@ -410,14 +416,14 @@ class PhaseFrame:
         """The level-p generators that the edge (a, b), of parity mask rdm
         in the frame of ``stratum`` and phase te, gives a cell of this
         multitangent value, as (indicator, coordinates) pairs.  They depend
-        on the signs only through te, so they are computed once per
-        (stratum, p = 1 edge basis, value, p, te), the first three keyed by
-        identity: the evaluator interns them for its life, and the edge
-        basis fixes the edge direction, so rdm with it.  Shared; callers
-        must not mutate it."""
+        on the signs only through te, and on the stratum only through its
+        frame, so they are computed once per (frame, p = 1 edge basis,
+        value, p, te), the first three keyed by identity: the evaluator
+        interns them for its life, and the edge basis fixes the edge
+        direction, so rdm with it.  Shared; callers must not mutate it."""
         ev = self.evaluator
         B = ev.edge_annihilator_basis(stratum, a, b, 1)
-        key = (id(stratum), id(B), id(value), p, te)
+        key = (ev.frame(stratum), id(B), id(value), p, te)
         gens = self._edge_gens.get(key)
         if gens is not None:
             return gens

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from tropmirror.chains import ChainComplex, F2Subcomplex, check_f2_square_zero, dense_block
 from tropmirror.cosheaves import CosheafEvaluator
-from tropmirror.errors import BoundarySquareNonzero, FreenessError, InternalCheckError
+from conftest import CUBIC_DUAL_VERTS, CUBIC_VERTS
+from tropmirror.errors import BoundarySquareNonzero, FreenessError, InputError, InternalCheckError
 from tropmirror.exterior import dim_wedge, wedge_matrix
 from tropmirror.intlinalg import (
     det,
@@ -19,8 +20,11 @@ from tropmirror.intlinalg import (
     sparse_elementary_divisors,
     vec_mat,
 )
+from tropmirror.lattice import LatticePolytope
 from tropmirror.modules import Frame, FreeQuotient
+from tropmirror.pairs import MirrorPair
 from tropmirror.posets import gauge_twist
+from tropmirror.triangulate import CentralTriangulation, generate_central, validate
 
 # every tag CosheafEvaluator.value accepts
 TAGS = ("multitangent", "kernel", "mirror", "mirror_ext", "quotient")
@@ -692,9 +696,6 @@ def test_quartic_pair_transfer_and_verdicts(quartic_pair):
 def test_pyramid_pair_with_two_sided_facet_interiors():
     # a K3 pair where BOTH polytopes have facet-interior lattice points, so
     # facet-interior divisor rays blow down on either side
-    from tropmirror.lattice import LatticePolytope
-    from tropmirror.pairs import MirrorPair
-    from tropmirror.triangulate import generate_central
     from tropmirror.mirror import divisor_restriction
     from tropmirror.patchwork import (
         PhaseData,
@@ -939,17 +940,23 @@ def test_k3_multitangent_values_keyed_by_edge_directions(k3_pair, monkeypatch):
     assert 0 < asked < covers, (asked, covers)
 
 
+def _class_key(ev, stratum, sigma):
+    """A multitangent cell class: (frame of the value stratum, edge-direction
+    set), or (stratum length, no directions) for a cell without edges."""
+    dirs = _direction_set(sigma)
+    return (ev.frame(stratum) if dirs else len(stratum), dirs)
+
+
 def test_multitangent_values_looked_up_once_per_cell_class(cubic_pair, k3_pair, monkeypatch):
-    # a cell class is a (frame of the value stratum, edge-direction set):
-    # one chain_complex call asks for one multitangent value per class,
-    # whatever the cell count
+    # one chain_complex call asks for one multitangent value per cell
+    # class, whatever the cell count
     calls = []
     value = CosheafEvaluator.multitangent_value
     monkeypatch.setattr(
         CosheafEvaluator,
         "multitangent_value",
         lambda self, p, stratum, sigma: calls.append(
-            (p, self.frame(stratum), _direction_set(sigma))
+            (p, *_class_key(self, stratum, sigma))
         ) or value(self, p, stratum, sigma),
     )
     for pair in (cubic_pair, k3_pair):
@@ -958,7 +965,7 @@ def test_multitangent_values_looked_up_once_per_cell_class(cubic_pair, k3_pair, 
             for kind in ("base", "refined"):
                 poset = side.poset(kind)
                 classes = {
-                    (ev.frame(ev.value_stratum("multitangent", c)), _direction_set(c.sigma))
+                    _class_key(ev, ev.value_stratum("multitangent", c), c.sigma)
                     for c in poset.cells
                 }
                 assert len(classes) < len(poset.cells)
@@ -1031,3 +1038,59 @@ def test_shared_blocks_match_fresh_cover_maps(k3_pair, cy3_pair):
                 ]
             expected = ChainComplex(poset, [v.rank for v in values], blocks, poset.sign)
             assert ev.chain_complex(poset, "multitangent", p).D == expected.D, p
+
+
+# -- frames only where a nonzero value reads them ---------------------------------
+
+def test_cy3_frames_built_only_for_cells_with_edges(cy3_pair):
+    # after the four base multitangent complexes of CY3 side a, the
+    # evaluator holds the frames of the value strata of cells with edges
+    # and no others: a cell without edges has the zero value for every p
+    side = cy3_pair.side_a
+    poset = side.base_poset
+    ev = CosheafEvaluator(side.ambient, side.newton)
+    for p in range(side.n + 1):
+        ev.chain_complex(poset, "multitangent", p)
+    read = {ev.value_stratum("multitangent", c) for c in poset.cells if len(c.sigma) > 1}
+    strata = {ev.value_stratum("multitangent", c) for c in poset.cells}
+    assert set(ev._frames) == read
+    assert (len(read), len(strata)) == (521, 1697)
+    # every class with a nonzero value carries the frame of its stratum, as
+    # a fresh Frame builds it; a zero value carries none
+    _, reps = ev._cell_classes(poset, "multitangent")
+    nonzero = 0
+    for p in range(side.n + 1):
+        for c in reps:
+            value, fr = ev.cell_value("multitangent", p, c)
+            stratum = ev.value_stratum("multitangent", c)
+            if not value.rank:
+                assert fr is None, (p, c.key)
+                continue
+            nonzero += 1
+            fresh = Frame(stratum, ev.m)
+            assert fr is ev.frame(stratum)
+            assert (fr.k, fr.Q, fr.R) == (fresh.k, fresh.Q, fresh.R), (p, c.key)
+    assert nonzero
+
+
+def test_non_summand_strata_are_refused(k3_pair):
+    # a zero value reads no frame, so a stratum that is not a direct
+    # summand would pass unseen there: ev.frame still refuses one where it
+    # is read, and validate, which every MirrorPair runs, refuses the
+    # non-unimodular simplex that would carry it
+    side = k3_pair.side_a
+    ev = CosheafEvaluator(side.ambient, side.newton)
+    for gens in (((2, 0, 0),), ((1, 1, 0), (1, -1, 0))):
+        with pytest.raises(FreenessError):
+            ev.frame(gens)
+        assert gens not in ev._frames
+    P = LatticePolytope(CUBIC_VERTS)
+    # merge the two segments at (-1, 0): (-1, -1), (-1, 1) spans index 2
+    bad = [s for s in generate_central(P).boundary_simplices if (-1, 0) not in s]
+    bad.append(((-1, -1), (-1, 1)))
+    T = CentralTriangulation(P, bad)
+    with pytest.raises(FreenessError):
+        Frame(((-1, -1), (-1, 1)), 2)
+    assert "NotUnimodular" in validate(T).codes()
+    with pytest.raises(InputError, match="NotUnimodular"):
+        MirrorPair(T, generate_central(LatticePolytope(CUBIC_DUAL_VERTS)))

@@ -109,15 +109,21 @@ def test_normal_forms_frozen():
 
 
 def test_k3_frames_and_values_frozen(k3_pair):
-    """Every stratum's frame (Q, R) and every (tag, p, cell)'s value content
-    for the K3 pair's base multitangent and refined mirror_ext complexes;
-    the latter reach the Frame of a nonzero quotient span."""
+    """Every value stratum's frame (Q, R) and every (tag, p, cell)'s value
+    content for the K3 pair's base multitangent and refined mirror_ext
+    complexes; the latter reach the Frame of a nonzero quotient span.  The
+    complexes build frames only where a nonzero value reads them, so every
+    cell's frame is asked for here."""
     rows = []
     for side in (k3_pair.side_a, k3_pair.side_b):
         ev = CosheafEvaluator(side.ambient, side.newton)
         for p in range(side.n + 1):
             ev.chain_complex(side.base_poset, "multitangent", p)
             ev.chain_complex(side.refined_poset, "mirror_ext", p)
+        for tag, poset in (("multitangent", side.base_poset),
+                           ("mirror_ext", side.refined_poset)):
+            for c in poset.cells:
+                ev.frame(ev.value_stratum(tag, c))
         rows.append(sorted((gens, f.Q, f.R) for gens, f in ev._frames.items()))
         rows.append([
             (tag, p, c.key, repr(ev.value(tag, p, c).content()))

@@ -283,13 +283,14 @@ def test_cover_images_shared_per_frame_pair(cubic_pair, k3_pair):
     cubic, k3 = cubic_pair.side_a, k3_pair.side_a
     for side, kind in ((cubic, "base"), (cubic, "refined"), (k3, "base")):
         frame = side.phase_frame(kind)
-        lists = {}  # (sx, sy) -> ids of the image lists of its covers
+        lists = {}  # (frame x, frame y) -> ids of the image lists of its covers
         for yi, xi, images in frame.covers:
             (sx, qx, _), (sy, _, _) = frame.cells[xi], frame.cells[yi]
             ev = side.evaluator
-            masks = [f2_pack(row) for row in ev.projection(ev.frame(sx), ev.frame(sy))]
+            fx, fy = ev.frame(sx), ev.frame(sy)
+            masks = [f2_pack(row) for row in ev.projection(fx, fy)]
             assert images == [f2_combine(s, masks) for s in range(1 << qx)]
-            lists.setdefault((sx, sy), set()).add(id(images))
+            lists.setdefault((fx, fy), set()).add(id(images))
         assert all(len(ids) == 1 for ids in lists.values()), kind
         assert len(set().union(*lists.values())) == len(lists), kind
         assert len(lists) < len(frame.covers), kind
@@ -1120,6 +1121,67 @@ def test_every_k3_splitting_class_has_two_components(k3_pair):
     for row in sweep_rows(side, classes):
         assert row["verdict"] == "two_components", row["divisor"]
         assert row["betti"] == [2, 20, 2], row["divisor"]
+
+
+def _splitting_sweep_masks(side, kernel, seed):
+    """(8 fixed sums of kernel basis vectors, 8 fixed classes outside the
+    kernel), as normal forms drawn from ``random.Random(seed)``."""
+    rng = random.Random(seed)
+    span = _span(kernel)
+    sums = []
+    while len(sums) < 8:
+        mask = 0
+        for k in rng.sample(kernel, rng.randint(2, len(kernel))):
+            mask ^= k
+        if mask not in sums:
+            sums.append(mask)
+    rays, space = patchwork._pairing_space(side)
+    outside = []
+    while len(outside) < 8:
+        mask = patchwork._normal_form(space, rng.getrandbits(len(rays)))
+        if mask not in span and mask not in outside:
+            outside.append(mask)
+    return sums, outside
+
+
+@pytest.mark.parametrize("name, dim", [("prism", 8), ("quartic", 12)])
+def test_splitting_kernel_splits_and_its_complement_connects(name, dim, quartic_pair):
+    # the paper's second theorem on a whole subspace: the kernel basis and
+    # fixed sums of it split RX, fixed classes outside the kernel connect
+    if name == "prism":
+        P = LatticePolytope(PRISM_VERTS)
+        side = MirrorPair(generate_central(P), generate_central(P.dual())).side_a
+    else:
+        side = quartic_pair.side_a
+    kernel = _splitting_kernel(side)
+    assert len(kernel) == dim
+    sums, outside = _splitting_sweep_masks(side, kernel, seed=0)
+    for row in sweep_rows(side, kernel + sums):
+        assert row["verdict"] == "two_components", row["divisor"]
+    for row in sweep_rows(side, outside):
+        assert row["verdict"] == "connected", row["divisor"]
+
+
+def test_sweep_rows_obey_duality_euler_and_hodge_bound(cubic_pair, k3_pair):
+    # RX is a closed n-manifold filtered with the multitangent cosheaves mod
+    # 2, so on every row b_q = b_(n-q), chi(RX) is the alternating sum of
+    # the side's F2 Hodge table h[p][q] = dim H_q(F_p), and b_q <= sum_p
+    # h[p][q] (Renaudineau-Shaw); all 128 cubic classes, 20 K3 classes
+    cubic, k3 = cubic_pair.side_a, k3_pair.side_a
+    for side, masks in (
+        (cubic, divisor_class_representatives(cubic)),
+        (k3, sample_divisor_classes(k3, 20, seed=3)),
+    ):
+        table = side.hodge_table("f2")["ranks"]
+        chi = sum((-1) ** q * h for row in table for q, h in enumerate(row))
+        bound = [sum(row[q] for row in table) for q in range(side.n + 1)]
+        rows = sweep_rows(side, masks)
+        assert len(rows) == len(masks)
+        for row in rows:
+            b = row["betti"]
+            assert b == b[::-1], row["divisor"]
+            assert sum((-1) ** q * x for q, x in enumerate(b)) == chi, row["divisor"]
+            assert all(x <= y for x, y in zip(b, bound)), (b, bound)
 
 
 def test_equivalent_divisors_same_betti(cubic_pair):
