@@ -39,6 +39,7 @@ numbering, top degree down, skipping the rows that the degree above pairs
 from collections import defaultdict
 from heapq import heapify, heappop, heappush
 from math import gcd
+from operator import mul
 
 from .errors import DimensionMismatch
 
@@ -86,7 +87,7 @@ def vec_mat(v, A):
 
 
 def dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def primitive(v):

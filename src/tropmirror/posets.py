@@ -24,17 +24,22 @@ vertex list) and sigma-covers pick up the Koszul factor
 (-1)^(rank - dim tau).  It satisfies the diamond condition on every length-2
 interval.
 
-Every build re-verifies the poset from one map of its length-2 intervals
-(the diamonds), read off the covers below each cell: each diamond has
-exactly two interior cells (thinness); each pair comparable by containment
-is joined by a chain of covers (bitmasks of the cells reached through covers,
-in grade order, against the AND of per-vertex containment masks); and the
-default signature multiplies to -1 around each diamond.  balanced_signature
-solves the diamond system afresh over F2 when an independent solution is
-wanted.
+Cells are found per face of the Newton polytope, from the simplices the
+triangulation finds inside that face, and come out in (dim, tau, sigma)
+order by integer simplex ids, without a sort.  Every build re-verifies the
+poset in one pass over each cell's two-step down paths: every length-2
+interval (a diamond) is reached by exactly one chain of sign +1 and one of
+sign -1 under the default signature, which is thinness and the diamond
+condition at once; and each pair comparable by containment is joined by a
+chain of covers (bitmasks of the cells reached through covers, in grade
+order, against the AND of per-vertex containment masks).  The map of all
+diamonds is built only to word a failure, and by the signature solver:
+balanced_signature solves the diamond system afresh over F2 when an
+independent solution is wanted.
 """
 
-from functools import cached_property
+from collections import defaultdict
+from functools import cached_property, partial
 
 from .errors import NotDualPair, NotInJ, PosetInvalid, Unsolvable
 from .intlinalg import F2Space, dot
@@ -72,8 +77,7 @@ class CellPoset:
         self.n = self.rank - 1
         self._origin_a = ambient_tri.origin
         self._origin_n = newton_tri.origin
-        self._build_cells()
-        self._build_covers()
+        self._build_covers(self._build_cells())
         self._verify()
 
     # -- membership ----------------------------------------------------------
@@ -81,81 +85,96 @@ class CellPoset:
         """One pass over the ambient simplices by the pairing rule above.
 
         The level set {x : <u, x> = 1 for the nonzero u in tau} is the face
-        of the Newton polytope normal to the cone over tau, so the Newton
-        simplices inside it are found once per face.
+        of the Newton polytope normal to the cone over tau; the Newton
+        simplices inside it come from ``face_simplices``, which the
+        triangulation caches per face.  Taus are taken in id order and the
+        sigmas of each in id order, and ids compare as the simplices do, so
+        appending each cell to its grade gives the (dim, tau, sigma) order
+        without a sort.  Grades run from 0 to rank: the k nonzero vertices
+        of tau are linearly independent, so their face has dimension at
+        most rank - k, and so has sigma without the origin.  Returns the
+        integer keys, tau id * (number of Newton simplices) + sigma id, in
+        cell order.
         """
         o_a, o_n = self._origin_a, self._origin_n
         base = self.kind == "base"
+        rank = self.rank
+        sigmas, n_ids, _ = self.newton.simplex_ids
+        width = len(sigmas)
+        zero = n_ids[(o_n,)]
         points = frozenset(self.newton.polytope.lattice_points)
         level_of = {
             u: frozenset(x for x in points if dot(u, x) == 1)
             for u in self.ambient.vertices
             if u != o_a
         }
-        nonzero = [(frozenset(s) - {o_n}, s) for s in self.newton.simplices]
-        inside = {}  # level set -> Newton simplices with nonzero vertices in it
-        cells = []
-        for tau in self.ambient.simplices:
+        grades = [([], []) for _ in range(rank + 1)]  # cells and keys per dim
+        for t, tau in enumerate(self.ambient.simplex_ids[0]):
             if (o_a not in tau) if base else tau == (o_a,):
                 continue
             level = points.intersection(*(level_of[u] for u in tau if u != o_a))
             if base and not level:
                 raise PosetInvalid("ambient cone escapes the coarse fan")
-            if level not in inside:
-                inside[level] = [s for nz, s in nonzero if nz <= level]
-            for sigma in inside[level]:
-                if o_n in sigma and (
-                    tau != (o_a,) if base else o_a in tau or len(sigma) == 1
-                ):
-                    continue
-                cells.append(Cell(tau, sigma, self.rank))
-        cells.sort(key=lambda c: (c.dim, c.tau, c.sigma))
+            inside, plain = self.newton.face_simplices(level)
+            # base: 0 in sigma only over tau = {0}; refined: not over a tau
+            # through 0, and sigma = {0} never
+            if base:
+                ids, skip = (inside if tau == (o_a,) else plain), None
+            else:
+                ids, skip = (plain, None) if o_a in tau else (inside, zero)
+            top = rank - len(tau) + 2  # dim = top - len(sigma)
+            for s in ids:
+                if s != skip:
+                    sigma = sigmas[s]
+                    grade_cells, grade_keys = grades[top - len(sigma)]
+                    grade_cells.append(Cell(tau, sigma, rank))
+                    grade_keys.append(t * width + s)
+        cells, keys = [], []
+        for grade_cells, grade_keys in grades:
+            cells += grade_cells
+            keys += grade_keys
         for i, c in enumerate(cells):
             c.index = i
         self.cells = cells
         self.cell_index = {c.key: c.index for c in cells}
-        self.max_dim = max((c.dim for c in cells), default=-1)
+        self.max_dim = cells[-1].dim if cells else -1
         self.cells_by_dim = {q: [] for q in range(self.max_dim + 1)}
         for c in cells:
             self.cells_by_dim[c.dim].append(c.index)
+        return keys
 
-    def _build_covers(self):
+    def _build_covers(self, keys):
         """Covers (y below x) by single-vertex growth, with default signs.
 
-        A cell is keyed by the integer tau id * (number of Newton
-        simplices) + sigma id.  Per cell, the tau-cofaces and then the
-        sigma-cofaces of its simplices are tried, each in ``cofaces``
-        order; a cover's sign is (-1)^(position of the added vertex), times
-        (-1)^(rank - dim tau) when sigma grows.
+        A cell is keyed by its integer key from ``_build_cells``.  Per cell,
+        the tau-cofaces and then the sigma-cofaces of its simplices are
+        tried, each in ``cofaces`` order; a cover's sign is
+        (-1)^(position of the added vertex), times (-1)^(rank - dim tau)
+        when sigma grows.
         """
-        a_ids, a_up = self.ambient.simplex_ids
-        n_ids, n_up = self.newton.simplex_ids
-        width = len(n_ids)
-        index = {
-            a_ids[c.tau] * width + n_ids[c.sigma]: c.index for c in self.cells
-        }
-        covers = []
+        a_up = self.ambient.simplex_ids[2]
+        n_up = self.newton.simplex_ids[2]
+        width = len(n_up)
+        get = {key: i for i, key in enumerate(keys)}.get
         sign = {}
         below = {}
-        for x in self.cells:
-            xi, t, s = x.index, a_ids[x.tau], n_ids[x.sigma]
+        for x, key in zip(self.cells, keys):
+            xi = x.index
+            t, s = divmod(key, width)
             lows = below[xi] = []
             for t2, pos in a_up[t]:
-                yi = index.get(t2 * width + s)
+                yi = get(t2 * width + s)
                 if yi is not None:
-                    cover = (yi, xi)
-                    covers.append(cover)
-                    sign[cover] = -1 if pos & 1 else 1
+                    sign[yi, xi] = -1 if pos & 1 else 1
                     lows.append(yi)
             codim_tau = self.rank - (len(x.tau) - 1)
             for s2, pos in n_up[s]:
-                yi = index.get(t * width + s2)
+                yi = get(t * width + s2)
                 if yi is not None:
-                    cover = (yi, xi)
-                    covers.append(cover)
-                    sign[cover] = -1 if (pos + codim_tau) & 1 else 1
+                    sign[yi, xi] = -1 if (pos + codim_tau) & 1 else 1
                     lows.append(yi)
-        self.covers = covers
+        # the signs are keyed by the covers, in the order they were found
+        self.covers = list(sign)
         self.sign = sign
         self.below = below
 
@@ -213,8 +232,12 @@ class CellPoset:
 
     # -- structural checks -----------------------------------------------------
     def _verify(self):
-        diamonds = _diamonds(self)
-        for (yi, xi), mids in diamonds.items():
+        """Thinness, chains between comparable cells, and the balance of the
+        default signature.  Thinness and balance are one count over the
+        two-step down paths; the diamond map is built only to word a
+        failure of that count."""
+        diamonds = None if self._thin_and_balanced() else _diamonds(self)
+        for (yi, xi), mids in (diamonds or {}).items():
             if len(mids) != 2:
                 raise PosetInvalid(
                     f"interval [{self.cells[yi]}, {self.cells[xi]}] "
@@ -222,20 +245,25 @@ class CellPoset:
                 )
         # every comparable pair must be joined by a chain of covers: the
         # containment down-set of x is the AND of per-vertex cell masks, and
-        # in grade order reach[x] collects everything below x through covers
-        tau_mask, sigma_mask = {}, {}
+        # in grade order reach[x] collects x and everything below it through
+        # covers; the masks are packed once, one byte array per vertex
+        packed = partial(bytearray, len(self.cells) // 8 + 1)
+        tau_bytes, sigma_bytes = defaultdict(packed), defaultdict(packed)
         for c in self.cells:
+            byte, bit = c.index >> 3, 1 << (c.index & 7)
             for v in c.tau:
-                tau_mask[v] = tau_mask.get(v, 0) | 1 << c.index
+                tau_bytes[v][byte] |= bit
             for v in c.sigma:
-                sigma_mask[v] = sigma_mask.get(v, 0) | 1 << c.index
-        reach = {}
+                sigma_bytes[v][byte] |= bit
+        tau_mask = {v: int.from_bytes(b, "little") for v, b in tau_bytes.items()}
+        sigma_mask = {v: int.from_bytes(b, "little") for v, b in sigma_bytes.items()}
+        reach = []
         for x in self.cells:
-            r = 0
+            r = 1 << x.index
             for zi in self.below[x.index]:
-                r |= reach[zi] | 1 << zi
-            reach[x.index] = r
-            down = ~(1 << x.index)
+                r |= reach[zi]
+            reach.append(r)
+            down = -1
             for v in x.tau:
                 down &= tau_mask[v]
             for v in x.sigma:
@@ -245,12 +273,49 @@ class CellPoset:
                 y = self.cells[missing.bit_length() - 1]
                 raise PosetInvalid(f"no chain between {y} and {x}")
         # the default signature must satisfy the diamond condition
-        bad = _unbalanced(diamonds, self.sign)
+        bad = None if diamonds is None else _unbalanced(diamonds, self.sign)
         if bad is not None:
             yi, xi = bad
             raise PosetInvalid(
                 f"default signature unbalanced on [{self.cells[yi]}, {self.cells[xi]}]"
             )
+
+    def _thin_and_balanced(self):
+        """Whether every length-2 interval [y, x] is reached by exactly two
+        chains y < z < x, one of sign +1 and one of sign -1.
+
+        Each cover's sign is read once, to file its lower cell under the
+        top cell's plus or minus list.  Per x, the chains of sign +1 end in
+        ``pos`` and those of sign -1 in ``neg``; the count holds when
+        neither repeats a cell and both reach the same cells.  A sign other
+        than +-1 fails it.
+        """
+        sign = self.sign
+        plus = [[] for _ in self.cells]
+        minus = [[] for _ in self.cells]
+        for x, lows in self.below.items():
+            for y in lows:
+                s = sign[y, x]
+                if s == 1:
+                    plus[x].append(y)
+                elif s == -1:
+                    minus[x].append(y)
+                else:
+                    return False
+        for x_plus, x_minus in zip(plus, minus):
+            if not (x_plus or x_minus):
+                continue
+            pos, neg = [], []
+            for z in x_plus:
+                pos += plus[z]
+                neg += minus[z]
+            for z in x_minus:
+                pos += minus[z]
+                neg += plus[z]
+            once = set(pos)
+            if len(once) != len(pos) or len(neg) != len(pos) or once != set(neg):
+                return False
+        return True
 
     def to_debug_dict(self):
         """Cells with flags and covers, for the independent test oracles."""

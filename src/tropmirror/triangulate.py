@@ -90,6 +90,7 @@ class CentralTriangulation:
         self.rank = polytope.rank
         self.origin = (0,) * self.rank
         self.boundary_simplices = sorted(simplex(s) for s in boundary_simplices)
+        self._face_simplices = {}
         self._build()
 
     def _build(self):
@@ -114,13 +115,43 @@ class CentralTriangulation:
 
     @cached_property
     def simplex_ids(self):
-        """(ids, up): a dense integer id per simplex, and per id the
-        (coface id, position of the added vertex in the coface) of each of
-        its cofaces, in the iteration order of ``cofaces``; built on first
-        read."""
-        ids = {s: i for i, s in enumerate(self.simplices)}
-        up = [[(ids[c], _added_position(s, c)) for c in self.cofaces[s]] for s in ids]
-        return ids, up
+        """(order, ids, up): all simplices sorted, each one's id (its
+        position in ``order``, so comparing ids compares simplices), and per
+        id the (coface id, position of the added vertex in the coface) of
+        each of its cofaces, in the iteration order of ``cofaces``; built on
+        first read."""
+        order = sorted(self.simplices)
+        ids = {s: i for i, s in enumerate(order)}
+        up = [[(ids[c], _added_position(s, c)) for c in self.cofaces[s]] for s in order]
+        return order, ids, up
+
+    def face_simplices(self, face):
+        """(inside, plain): the ids, ascending, of the simplices whose
+        vertices other than the origin all lie in ``face`` (a frozenset of
+        lattice points), and of those among them that miss the origin.
+
+        The plain ones grow from the face's vertices along the cofaces that
+        add a face vertex; every other one is the origin's or the cone over a
+        plain one.  Cached per face, so the posets over one triangulation
+        share the search.
+        """
+        found = self._face_simplices.get(face)
+        if found is None:
+            order, ids, up = self.simplex_ids
+            o = self.origin
+            plain = {ids[(v,)] for v in face if v != o and (v,) in ids}
+            coned = {ids[(o,)]}
+            stack = list(plain)
+            while stack:
+                for c, pos in up[stack.pop()]:
+                    v = order[c][pos]
+                    if v == o:
+                        coned.add(c)
+                    elif c not in plain and v in face:
+                        plain.add(c)
+                        stack.append(c)
+            found = self._face_simplices[face] = (sorted(plain | coned), sorted(plain))
+        return found
 
     # -- simplex calculus ----------------------------------------------------
     def sigma_hat(self, s):

@@ -3,7 +3,7 @@ from itertools import permutations, product
 import pytest
 
 from tropmirror.chains import ChainComplex
-from tropmirror.intlinalg import f2_pack, f2_rank
+from tropmirror.intlinalg import det, f2_pack, f2_rank
 from tropmirror.lattice import LatticePolytope
 from tropmirror.triangulate import CentralTriangulation, generate_central
 from tropmirror.pairs import MirrorPair
@@ -104,6 +104,48 @@ def cy3_triangulations():
 def cy3_pair():
     """The 16-cell / 4-cube CY3 pair, the 16-cell as side a's Newton side."""
     return MirrorPair(*cy3_triangulations())
+
+
+def lattice_map(M):
+    """The map x -> M x of lattice points (as column vectors)."""
+    return lambda x: tuple(sum(m * a for m, a in zip(row, x)) for row in M)
+
+
+def inverse_transpose(G):
+    """G^{-T} of an integer matrix with det +-1, by cofactors."""
+    d = det(G)
+    assert d in (1, -1), d
+    n = len(G)
+    return [
+        [
+            (-1) ** (i + j)
+            * d
+            * det([r[:j] + r[j + 1 :] for k, r in enumerate(G) if k != i])
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+def move_triangulation(tri, M):
+    """tri moved by x -> M x: its polytope's vertices and each boundary
+    simplex's points are mapped; nothing is regenerated, since
+    generate_central breaks ties in lexicographic order, which M does not
+    keep."""
+    move = lattice_map(M)
+    polytope = LatticePolytope([move(v) for v in tri.polytope.vertices], tri.rank)
+    return CentralTriangulation(
+        polytope, [[move(p) for p in s] for s in tri.boundary_simplices]
+    )
+
+
+def moved_pair(pair, G):
+    """The pair moved by G on side a's Newton side and by G^{-T} on its
+    dual, so that every pairing <u, x> between the two sides is kept."""
+    return MirrorPair(
+        move_triangulation(pair.side_a.newton, G),
+        move_triangulation(pair.side_a.ambient, inverse_transpose(G)),
+    )
 
 
 def integer_lift(pd):

@@ -9,6 +9,7 @@ from tropmirror.lattice import LatticePolytope
 from tropmirror.posets import (
     Cell,
     CellPoset,
+    _diamonds,
     balanced_signature,
     build_base_poset,
     build_refined_poset,
@@ -422,3 +423,110 @@ def test_verify_rejects_interval_with_one_interior_cell():
     bad = hand_built(cells, [(0, 1), (1, 2)], {(0, 1): -1, (1, 2): 1})
     with pytest.raises(PosetInvalid, match="has 1 interior elements"):
         bad._verify()
+
+
+O2, E1, E2 = (0, 0), (1, 0), (0, 1)
+
+
+def fan_interval(chain_signs):
+    """[y, x] in rank 2 with one interior cell per entry of chain_signs,
+    the sign of the chain through it, carried by its lower cover."""
+    mids = [
+        Cell((O2,), (O2, E1), 2),
+        Cell((O2,), (O2, E2), 2),
+        Cell((O2, E1), (O2,), 2),
+        Cell((O2, E2), (O2,), 2),
+    ][: len(chain_signs)]
+    cells = [Cell((O2,), (O2, E1, E2), 2), *mids, Cell((O2,), (O2,), 2)]
+    top = len(cells) - 1
+    covers, sign = [], {}
+    for z, s in enumerate(chain_signs, start=1):
+        covers += [(0, z), (z, top)]
+        sign[0, z], sign[z, top] = s, 1
+    return hand_built(cells, covers, sign)
+
+
+@pytest.mark.parametrize(
+    "chain_signs, message",
+    [
+        ((1, -1, -1), "has 3 interior elements"),
+        ((1, -1, 1, -1), "has 4 interior elements"),
+    ],
+)
+def test_verify_rejects_interval_with_extra_interior_cells(chain_signs, message):
+    # the one-pass count sees three chains, one of sign +1 and two of -1,
+    # or two of each sign, and the diamond map words it
+    bad = fan_interval(chain_signs)
+    assert not bad._thin_and_balanced()
+    with pytest.raises(PosetInvalid, match=message):
+        bad._verify()
+
+
+def test_verify_rejects_two_one_chain_intervals_of_opposite_signs():
+    # [y1, x] and [y2, x] each hold one cell, the first reached by a chain
+    # of sign +1 and the second by one of -1, and both covers into x carry
+    # -1: one chain of each sign below x, but into different intervals
+    cells = [
+        Cell((O2, E2), (O2, E1), 2),
+        Cell((O2, E1), (O2, E2), 2),
+        Cell((O2,), (O2, E1), 2),
+        Cell((O2,), (O2, E2), 2),
+        Cell((O2,), (O2,), 2),
+    ]
+    sign = {(0, 2): -1, (1, 3): 1, (2, 4): -1, (3, 4): -1}
+    bad = hand_built(cells, list(sign), sign)
+    assert not bad._thin_and_balanced()
+    with pytest.raises(PosetInvalid, match="has 1 interior elements"):
+        bad._verify()
+
+
+def test_verify_rejects_sign_outside_plus_minus_one(cubic_pair):
+    # a 0 put where a -1 was must not be counted as a -1
+    bad = corruptible(cubic_pair.side_a.base_poset)
+    cover = next(
+        (zi, xi)
+        for xi, lows in bad.below.items()
+        for zi in lows
+        if bad.below[zi] and bad.sign[zi, xi] == -1
+    )
+    bad.sign[cover] = 0
+    assert not bad._thin_and_balanced()
+    with pytest.raises(PosetInvalid, match="unbalanced"):
+        bad._verify()
+
+
+def test_verify_rejects_flipped_sign_on_cy3(cy3_pair):
+    # one flipped cover sign among side b's 6,705 base cells
+    bad = corruptible(cy3_pair.side_b.base_poset)
+    assert bad._thin_and_balanced()
+    cover = diamond_cover(bad)
+    bad.sign[cover] = -bad.sign[cover]
+    assert not bad._thin_and_balanced()
+    with pytest.raises(PosetInvalid, match="unbalanced"):
+        bad._verify()
+
+
+def test_verify_rejects_cover_listed_twice(cubic_pair):
+    bad = corruptible(cubic_pair.side_a.base_poset)
+    zi, xi = diamond_cover(bad)
+    bad.below[xi].append(zi)
+    assert not bad._thin_and_balanced()
+    with pytest.raises(PosetInvalid, match="interior elements"):
+        bad._verify()
+
+
+def test_diamond_map_oracle_and_cell_order(cubic_pair, k3_pair, cy3_pair):
+    # the diamond map as an oracle for the one-pass count: two interior
+    # cells in every length-2 interval and a balanced default signature;
+    # and the cells, placed without a sort, are in (dim, tau, sigma) order
+    for pair in (cubic_pair, k3_pair, cy3_pair):
+        for side in pair.sides:
+            for kind in ("base", "refined"):
+                poset = side.poset(kind)
+                diamonds = _diamonds(poset)
+                assert diamonds, kind
+                assert all(len(mids) == 2 for mids in diamonds.values()), kind
+                assert is_balanced(poset, poset.sign), kind
+                order = sorted(poset.cells, key=lambda c: (c.dim, c.tau, c.sigma))
+                assert poset.cells == order, kind
+                assert [c.index for c in poset.cells] == list(range(len(order)))
