@@ -45,8 +45,9 @@ route has one numbering, the frame's: a point s of cell ci sits at
 cleared ranks, and a filtration indicator has bit s for point s, so
 ``delta1`` lifts and reads back by shifts.  Both Betti routes cross-check
 each other: the sign complex's ranks come from the gathered rows, and the
-real complex numbers its cells on its own and packs its boundary rows in
-one pass over the frame's covers.
+real complex numbers its cells on its own and, in one pass over the
+frame's covers, ranks its edge and facet boundaries as graphs by
+union-find and packs only the middle degrees' boundary rows.
 """
 
 import random
@@ -554,69 +555,96 @@ class RealComplex:
     Numbered per degree on its own: the degree-q cells are the phase points
     of the poset's q-cells, cell by cell in poset order and point by point
     in increasing order, so ``offset[ci]`` (from this class's point counts)
-    is where the points of cell ci start.  ``rows[q][i]`` packs the
-    boundary of real cell i of degree q over the degree q-1 cells, built in
-    one pass over the frame's covers; with ``top_only`` only the degree-n
-    rows, which is all ``component_count`` reads.
+    is where the points of cell ci start.  The realization is a closed PL
+    manifold, so every real edge has two ends and every real facet lies in
+    two top cells: D_1 and D_n are the incidence matrices of two graphs,
+    the primal one on the real vertices joined along the real edges and the
+    dual one on the top cells joined across the real facets, and over F2
+    each has rank its vertex count minus its component count.  One pass
+    over the frame's covers lists both graphs' incidences, which union-find
+    counts into ``ranks``, and packs ``rows[q]``, the boundary rows of the
+    middle degrees 2..n-1 (rank 4 only), which ``betti`` ranks by
+    elimination.  A real edge or facet with other than two ends raises
+    InternalCheckError.  With ``top_only`` only the dual graph is built,
+    which is all ``component_count`` reads.
     """
 
     def __init__(self, phase_data, top_only=False):
         pd = phase_data
-        self.n = pd.side.n
+        n = self.n = pd.side.n
         poset = pd.poset
         cells = [pd.phase_cell(ci) for ci in range(len(poset.cells))]
-        self.dims = {}
-        offset = []
-        for c, pc in zip(poset.cells, cells):
-            off = self.dims.get(c.dim, 0)
+        dims = self.dims = dict.fromkeys(range(n + 1), 0)
+        offset, dim = [], [c.dim for c in poset.cells]
+        for q, pc in zip(dim, cells):
+            off = dims.get(q, 0)
             offset.append(off)
-            self.dims[c.dim] = off + len(pc.points)
-        self.rows = {
-            q: [0] * d for q, d in self.dims.items() if q == self.n or not top_only
-        }
+            dims[q] = off + len(pc.points)
+        # per degree q in {1, n}: the ids of the real q-cells and of their
+        # faces, one pair per incidence
+        graphs = {q: ([], []) for q in ({n} if top_only else {1, n})}
+        self.rows = None if top_only else {q: [0] * dims[q] for q in range(2, n)}
+        rows = self.rows or {}
         for yi, xi, images in pd.frame.covers:
-            rows = self.rows.get(poset.cells[xi].dim)
-            if rows is None:
-                continue
-            ox, oy, index_y = offset[xi], offset[yi], cells[yi].index
-            for i, s in enumerate(cells[xi].points):
-                rows[ox + i] |= 1 << (oy + index_y[images[s]])
+            graph, block = graphs.get(dim[xi]), rows.get(dim[xi])
+            if graph or block:
+                points, ox, oy, index_y = cells[xi].points, offset[xi], offset[yi], cells[yi].index
+                faces = [oy + index_y[images[s]] for s in points]
+                if graph:
+                    graph[0].extend(range(ox, ox + len(points)))
+                    graph[1].extend(faces)
+                else:
+                    for i, f in enumerate(faces, ox):
+                        block[i] |= 1 << f
+        tops, facets = graphs.pop(n)
+        self._count = _components(dims[n], dims[n - 1], facets, tops)
+        self.ranks = {n: dims[n] - self._count}
+        for edges, ends in graphs.values():  # the primal graph, when 1 < n
+            self.ranks[1] = dims[0] - _components(dims[0], dims[1], edges, ends)
 
     def component_count(self):
-        """Connected components of the top cells, adjacent along a facet."""
-        tops = self.rows.get(self.n, [])
-        parent = list(range(len(tops)))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        count = len(tops)
-        first = {}  # facet -> the first top cell seen on it
-        for i, r in enumerate(tops):
-            while r:
-                j = r.bit_length() - 1
-                r ^= 1 << j
-                a = first.setdefault(j, i)
-                if a != i:
-                    ra, rb = find(a), find(i)
-                    if ra != rb:
-                        parent[rb] = ra
-                        count -= 1
-        return count
+        """Connected components of the top cells, adjacent along a facet:
+        those of the dual graph."""
+        return self._count
 
     def betti(self):
         """F2 Betti numbers of the realization, via the cellular complex."""
-        if self.rows.keys() != self.dims.keys():
-            raise InternalCheckError("betti needs the boundary rows of every degree")
+        if self.rows is None:
+            raise InternalCheckError("betti needs the boundary ranks of every degree")
+        ranks = {**self.ranks, **{q: f2_rank(r) for q, r in self.rows.items()}}
         top = max((q for q, d in self.dims.items() if d), default=-1)
-        ranks = {q: f2_rank(self.rows[q]) for q in self.rows if q > 0}
         return [
             self.dims.get(q, 0) - ranks.get(q, 0) - ranks.get(q + 1, 0)
             for q in range(top + 1)
         ]
+
+
+def _components(size, count, edges, ends):
+    """Components of the graph on the vertices 0..size-1 whose edges
+    0..count-1 have the ends ``zip(edges, ends)``, one pair per incidence,
+    by union-find.  An edge with other than two ends raises
+    InternalCheckError: the real complex is then no closed pseudomanifold."""
+    first = [-1] * count  # edge -> its first end, -2 once it has two
+    parent = list(range(size))
+    components = size
+    for e, v in zip(edges, ends):
+        u = first[e]
+        if u == -1:
+            first[e] = v
+            continue
+        if u == -2:
+            raise InternalCheckError("a real edge or facet has more than two ends")
+        first[e] = -2
+        while u != parent[u]:
+            parent[u] = u = parent[parent[u]]
+        while v != parent[v]:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            parent[u] = v
+            components -= 1
+    if first.count(-2) != count:
+        raise InternalCheckError("a real edge or facet has fewer than two ends")
+    return components
 
 
 # ---------------------------------------------------------------------------
@@ -624,8 +652,9 @@ class RealComplex:
 
 def real_betti(side, eps):
     """F2 Betti numbers of the patchworked hypersurface, computed both from
-    the sign-cosheaf complex and from the real CW complex; the b0 values and
-    full vectors must agree and are returned once."""
+    the sign-cosheaf complex and from the real CW complex; the full vectors
+    must agree and are returned once.  The real complex's b0 must equal its
+    component count, which is its b_n, as Poincare duality mod 2 asks."""
     pd = PhaseData(side, side.base_poset, eps)
     cx = pd.sign_complex()
     h = cx.homology("f2")

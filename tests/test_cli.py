@@ -343,6 +343,39 @@ def test_flipped_verdict_is_an_internal_error(cubic_pair, cubic_files, capsys, m
         assert "b0" in json.loads(err)["error"], argv
 
 
+def test_doctored_betti_row_is_an_internal_error(cubic_pair, cubic_files, capsys, monkeypatch, tmp_path):
+    # the real complex's Betti vector with b_1 one too high, and separately
+    # its component count one above its b0: real_betti compares both with
+    # the other route and raises, and the CLI reports an internal error
+    import tropmirror.patchwork as patchwork
+    from tropmirror.errors import InternalCheckError
+
+    betti = patchwork.RealComplex.betti
+
+    def one_more_b1(rc):
+        b = betti(rc)
+        return [b[0], b[1] + 1, *b[2:]]
+
+    side = cubic_pair.side_a
+    eps = patchwork.signs_from_divisor(side, [])
+    _, _, tri, tri_dual = cubic_files
+    div = tmp_path / "d.json"
+    div.write_text(json.dumps({"rays": []}))
+    for name, doctored, message in (
+        ("betti", one_more_b1, "sign-cosheaf betti"),
+        ("component_count", lambda rc: betti(rc)[0] + 1, "component count"),
+    ):
+        with monkeypatch.context() as mp:
+            mp.setattr(patchwork.RealComplex, name, doctored)
+            with pytest.raises(InternalCheckError, match=message):
+                patchwork.real_betti(side, eps)
+            assert main(["patchwork", str(tri), str(tri_dual), "--divisor", str(div)]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert json.loads(err)["kind"] == "internal"
+            assert message in json.loads(err)["error"]
+
+
 def test_raw_sweep_on_diamond_pair(tmp_path, capsys):
     from conftest import DIAMOND_VERTS, SQUARE_VERTS
 

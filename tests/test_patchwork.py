@@ -661,14 +661,17 @@ class PerPointRealComplex:
         ]
 
 
-def test_real_complex_matches_per_point_reference(cubic_pair, k3_pair):
-    # the compact numbering and the union-find on packed top rows against
-    # the per-point construction, on every cubic class and 10 K3 classes;
-    # a top-only complex packs the same top rows and nothing else
-    cubic, k3 = cubic_pair.side_a, k3_pair.side_a
+def test_real_complex_matches_per_point_reference(cubic_pair, k3_pair, cy3_pair):
+    # the compact numbering and the graph ranks of D_1 and D_n against the
+    # per-point construction, which eliminates every degree: on every cubic
+    # class, 10 K3 classes and 4 fixed classes of CY3 side a, whose degree 2
+    # is the one middle degree the real complex still eliminates.  A
+    # top-only complex counts the same components and has no Betti numbers
+    cubic, k3, cy3 = cubic_pair.side_a, k3_pair.side_a, cy3_pair.side_a
     runs = [
         (cubic, divisor_class_representatives(cubic)),
         (k3, sample_divisor_classes(k3, 10, seed=5)),
+        (cy3, [0, 5, 10, 15]),
     ]
     components = set()
     for side, masks in runs:
@@ -679,7 +682,6 @@ def test_real_complex_matches_per_point_reference(cubic_pair, k3_pair):
             assert rc.betti() == ref.betti(), mask
             assert rc.component_count() == ref.component_count(), mask
             top = RealComplex(pd, top_only=True)
-            assert top.rows == {side.n: rc.rows[side.n]}, mask
             assert top.component_count() == ref.component_count(), mask
             components.add(rc.component_count())
     assert components == {1, 2}
@@ -722,6 +724,46 @@ def test_escaping_transport_raises(monkeypatch):
     assert "point_rows" not in frame.__dict__
     with pytest.raises(InternalCheckError, match="phase transport escaped the target phase set"):
         real_betti(side, eps)
+
+
+@pytest.mark.parametrize("name", ["cubic", "k3"])
+def test_real_complex_needs_two_ends_per_edge_and_facet(name, monkeypatch):
+    # D_1 and D_n are ranked as graphs, which holds only if every real edge
+    # has two ends and every real facet lies in two top cells.  On a scratch
+    # pair whose frame covers are a doctored copy, with one cover below a
+    # 1-cell dropped or one cover above an (n-1)-cell listed twice, the
+    # real complex raises, full and top-only, and so does real_betti: no
+    # Betti vector comes back.  On K3 the dropped cover is below a real edge,
+    # which only the full complex's primal graph reads.  The sign route's
+    # point rows are built from the intact covers first
+    verts = {"cubic": (CUBIC_VERTS, CUBIC_DUAL_VERTS), "k3": (CUBE_VERTS, OCTA_VERTS)}[name]
+    side = MirrorPair(*(generate_central(LatticePolytope(v)) for v in verts)).side_a
+    eps = signs_from_divisor(side, [])
+    frame = side.phase_frame("base")
+    frame.point_rows
+    covers, cells = frame.covers, side.base_poset.cells
+    pd = PhaseData(side, side.base_poset, eps)
+    assert real_betti(side, eps) == RealComplex(pd).betti()
+
+    def first_cover(dim_x):
+        return next(
+            i for i, (_, xi, _) in enumerate(covers)
+            if cells[xi].dim == dim_x and pd.phase_cell(xi).points
+        )
+
+    drop, twice = first_cover(1), first_cover(side.n)
+    doctored = [
+        (covers[:drop] + covers[drop + 1:], side.n == 1),
+        (covers[:twice + 1] + covers[twice:], True),
+    ]
+    for broken, top_reads_it in doctored:
+        monkeypatch.setattr(frame, "covers", broken)
+        builds = [lambda: RealComplex(pd), lambda: real_betti(side, eps)]
+        if top_reads_it:
+            builds.append(lambda: RealComplex(pd, top_only=True))
+        for build in builds:
+            with pytest.raises(InternalCheckError, match="two ends"):
+                build()
 
 
 def test_cubic_connected_example(cubic_pair):
