@@ -13,9 +13,16 @@ boundary is verified to vanish over Z at construction (hence over every
 ring).  That check is what lets the F2 ranks of all degrees come from one
 top-down pass that clears the rows the degree above already pairs
 (``f2_cleared_ranks``); the odd elementary divisors cross-check them.  The
-Q rank is compared with the divisor count too, but both count the diagonal
-of one deterministic elimination of the same rows, so that comparison
-cannot fail: the F2 comparison is the independent one.
+divisor count gives the Q rank where none is cached; it is not compared
+with ``sparse_rank``, which counts the diagonal of the same deterministic
+elimination.
+
+Every packed F2 vector here and in ``patchwork`` has one layout, a
+CellLayout: per degree, each cell is a block of bits of its own width
+(a value rank, or a count of phase points), the blocks laid end to end in
+the order of ``cells_by_dim``.  It gives each cell's offset and each
+degree's size in one pass, and splits a packed vector into the blocks
+that hold a set bit, visiting no other cell.
 
 A complex keeps only what is read again.  The rank pass packs each row mod
 2 as it reads it and keeps none of them; ``f2_rows`` caches packed rows
@@ -41,6 +48,7 @@ from .intlinalg import (
     F2Space,
     f2_cleared_ranks,
     f2_combine,
+    f2_pack,
     sparse_elementary_divisors,
     sparse_rank,
 )
@@ -134,11 +142,48 @@ class _Graded:
         return sum((-1) ** q * self.dim(q) for q in self.degrees)
 
 
+class CellLayout:
+    """Cells as blocks of bits, ``widths[ci]`` bits for cell ci, laid end to
+    end per degree in the order of ``cells_by_dim``: the block of ci starts
+    at ``offset[ci]`` within its degree, and degree q holds ``size[q]``
+    bits.  The offsets come from one pass per degree; ``walk`` lists a
+    degree's cells of nonzero width on its first read of that degree."""
+
+    def __init__(self, cells_by_dim, widths):
+        self.cells_by_dim, self.widths = cells_by_dim, widths
+        self.offset = offset = [0] * len(widths)
+        self.size = {}
+        for q, cells in cells_by_dim.items():
+            off = 0
+            for ci in cells:
+                offset[ci] = off
+                off += widths[ci]
+            self.size[q] = off
+        self._starts = {}  # q -> (q-cells of nonzero width, their offsets)
+
+    def walk(self, vec, q):
+        """(cell, bits) for each q-cell whose block of the packed vector vec
+        holds a set bit, in offset order; bits at or above size[q] are
+        ignored.  The lowest set bit is bisected among the starts of the
+        nonzero blocks, and that block's bits are cleared."""
+        if q not in self._starts:
+            cells = [ci for ci in self.cells_by_dim.get(q, ()) if self.widths[ci]]
+            self._starts[q] = (cells, [self.offset[ci] for ci in cells])
+        cells, starts = self._starts[q]
+        offset, widths = self.offset, self.widths
+        vec &= (1 << self.size.get(q, 0)) - 1
+        while vec:
+            ci = cells[bisect_right(starts, (vec & -vec).bit_length() - 1) - 1]
+            yield ci, (vec >> offset[ci]) & ((1 << widths[ci]) - 1)
+            vec &= -1 << (offset[ci] + widths[ci])
+
+
 class ChainComplex(_Graded):
     """Boundary matrices of a cosheaf on a poset, with homology caches.
 
-    ``ranks``: value rank per cell index; the coordinates of a cell start at
-    ``offset[ci]`` within its degree, in the order of ``poset.cells_by_dim``.
+    ``ranks``: value rank per cell index, the widths of the complex's
+    CellLayout ``layout``: the coordinates of a cell start at ``offset[ci]``
+    within its degree, and degree q has ``dim_q[q]`` of them.
     ``sign`` is the signature on the covers, and ``blocks`` maps each cover
     (y below x) to the integer matrix taking x-coordinates to y-coordinates,
     as sparse rows: per x-coordinate, a sequence of (y-coordinate, entry)
@@ -155,16 +200,10 @@ class ChainComplex(_Graded):
         self.ranks = ranks = list(ranks)
         self.degrees = list(range(0, poset.max_dim + 1))
         self._boundary_degrees = range(1, poset.max_dim + 1)
-        self.offset = offset = [0] * len(ranks)
-        self.dim_q = {}
         self.cells_q = poset.cells_by_dim
-        for q in self.degrees:
-            off = 0
-            for ci in self.cells_q[q]:
-                offset[ci] = off
-                off += ranks[ci]
-            self.dim_q[q] = off
-        self._nonzero_q = {}  # degree -> its cells of nonzero rank, in offset order
+        self.layout = CellLayout(self.cells_q, ranks)
+        self.offset = offset = self.layout.offset
+        self.dim_q = self.layout.size
         self._rank_cache = {}
         self._f2_cache = {}
         self._f2_space_cache = {}
@@ -226,23 +265,22 @@ class ChainComplex(_Graded):
     def _elementary_divisors(self, q):
         """Nonzero elementary divisors of D_q, from one elimination.
 
-        Stores the Q rank they give (their count) and checks the ranks
-        already cached against them: rank over F2 = number of odd divisors,
-        an independent check, and rank over Q = number of divisors, which
-        cannot fail, since ``sparse_rank`` counts the same diagonal.
+        Stores the Q rank they give (their count) unless one is cached, and
+        checks a cached F2 rank against them: rank over F2 = number of odd
+        divisors.  The Q rank is not compared: ``sparse_rank`` counts the
+        diagonal of the same elimination, so the two cannot differ.
         """
         key = (q, "z")
         if key not in self._rank_cache:
             divisors = sparse_elementary_divisors(self.D[q])
             self._rank_cache.setdefault((q, "q"), len(divisors))
             odd = sum(d & 1 for d in divisors)
-            for ring, rank in (("q", len(divisors)), ("f2", odd)):
-                cached = self._rank_cache.get((q, ring), rank)
-                if cached != rank:
-                    raise InternalCheckError(
-                        f"rank of D_{q} over {ring} is {cached}, "
-                        f"but its elementary divisors give {rank}"
-                    )
+            cached = self._rank_cache.get((q, "f2"), odd)
+            if cached != odd:
+                raise InternalCheckError(
+                    f"rank of D_{q} over f2 is {cached}, "
+                    f"but its elementary divisors give {odd}"
+                )
             self._rank_cache[key] = divisors
         return self._rank_cache[key]
 
@@ -319,28 +357,18 @@ class ChainComplex(_Graded):
                     f"chain coefficient of {key} has {len(coords)} entries, "
                     f"not its value rank {self.ranks[ci]}"
                 )
-            off = self.offset[ci]
-            for j, c in enumerate(coords):
-                if c & 1:
-                    vec |= 1 << (off + j)
+            vec |= f2_pack(coords) << self.offset[ci]
         return vec
 
     def packed_to_chain(self, vec, q):
         """Packed vector in degree q -> {cell key: 0/1 coordinate tuple}, in
         offset order; bits at or above dim(q) are ignored.  Only the cells
-        holding a set bit are visited: the lowest set bit is bisected among
-        the starts of the nonzero cells, and that cell's bits are cleared."""
-        if q not in self._nonzero_q:
-            self._nonzero_q[q] = [ci for ci in self.cells_q[q] if self.ranks[ci]]
-        offset, cells, out = self.offset, self._nonzero_q[q], {}
-        vec &= (1 << self.dim(q)) - 1
-        while vec:
-            low = (vec & -vec).bit_length() - 1
-            ci = cells[bisect_right(cells, low, key=offset.__getitem__) - 1]
-            end = offset[ci] + self.ranks[ci]
-            out[self.poset.cells[ci].key] = tuple((vec >> j) & 1 for j in range(offset[ci], end))
-            vec &= -1 << end
-        return out
+        holding a set bit are visited (``CellLayout.walk``)."""
+        cells, ranks = self.poset.cells, self.ranks
+        return {
+            cells[ci].key: tuple((bits >> j) & 1 for j in range(ranks[ci]))
+            for ci, bits in self.layout.walk(vec, q)
+        }
 
     def __repr__(self):
         dims = ", ".join(f"C_{q}={self.dim(q)}" for q in self.degrees)

@@ -111,10 +111,17 @@ def _write_json(path, payload):
             raise InputError(f"cannot write output file {path}: {e}") from None
 
 
-def report(args, result, inputs):
+# the arguments that name input files, whichever a subcommand defines
+_INPUT_ARGS = ("polytope", "triangulation", "dual_triangulation", "divisor", "signs")
+
+
+def report(args, result):
+    """Print the report of a command: its result, with a digest of every
+    input file the arguments name."""
+    inputs = [getattr(args, a, None) for a in _INPUT_ARGS]
     env = {
         "command": args.command,
-        "inputs": {p: _sha(p) for p in inputs},
+        "inputs": {p: _sha(p) for p in inputs if p},
         "signature": SIGNATURE_ID,
         "bases": BASES_ID,
         "seed": getattr(args, "seed", None) or 0,
@@ -172,7 +179,7 @@ def cmd_dual(args):
     D = P.dual()
     payload = {"rank": D.rank, "vertices": [list(v) for v in D.vertices]}
     _write_json(args.output, payload)
-    return report(args, payload, [args.polytope])
+    return report(args, payload)
 
 
 def cmd_triangulate(args):
@@ -183,22 +190,20 @@ def cmd_triangulate(args):
         "maximal_boundary_simplices": len(T.boundary_simplices),
         "vertices": len(T.vertices),
     }
-    return report(args, summary, [args.polytope])
+    return report(args, summary)
 
 
 def cmd_validate(args):
     T = load_triangulation(args.triangulation)
     rep = validate(T)
-    code = report(args, rep.to_dict(), [args.triangulation])
+    code = report(args, rep.to_dict())
     return code if rep.ok else 1
 
 
 def cmd_hodge(args):
     pair = load_pair(args)
     table = pair.side_a.hodge_table(args.ring)
-    return report(
-        args, table, [args.triangulation, args.dual_triangulation]
-    )
+    return report(args, table)
 
 
 def cmd_mirror_check(args):
@@ -229,7 +234,7 @@ def cmd_mirror_check(args):
     }
     ok = ok and nonzero and involutive
     result["verdict"] = "mirror symmetry holds" if ok else "MISMATCH"
-    code = report(args, result, [args.triangulation, args.dual_triangulation])
+    code = report(args, result)
     return code if ok else 2
 
 
@@ -243,25 +248,18 @@ def cmd_divisor_class(args):
         "cycle": cycle_dump(chain),
         "class_nonzero": not null,
     }
-    return report(
-        args,
-        result,
-        [args.triangulation, args.dual_triangulation, args.divisor],
-    )
+    return report(args, result)
 
 
 def cmd_patchwork(args):
     pair = load_pair(args)
     side = pair.side_a
-    inputs = [args.triangulation, args.dual_triangulation]
     if args.divisor:
         rays = load_divisor(args.divisor)
         eps = signs_from_divisor(side, rays)
-        inputs.append(args.divisor)
     else:
         eps = load_signs(args.signs)
         rays = divisor_from_signs(side, eps)  # refuses signs other than 0 and 1
-        inputs.append(args.signs)
     betti = real_betti(side, eps)
     verdict = connectedness_verdict(side, rays)
     check_verdict(verdict, betti[0])
@@ -271,7 +269,7 @@ def cmd_patchwork(args):
         "components": betti[0],
         "verdict": verdict,
     }
-    return report(args, result, inputs)
+    return report(args, result)
 
 
 def cmd_sweep(args):
@@ -317,8 +315,7 @@ def cmd_sweep(args):
             "rows": rows,
             "agreement": f"{len(rows)}/{len(rows)}",
         }
-    code = report(args, result, [args.triangulation, args.dual_triangulation])
-    return code
+    return report(args, result)
 
 
 # -- argument plumbing ---------------------------------------------------------------

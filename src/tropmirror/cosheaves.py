@@ -98,12 +98,13 @@ class CosheafEvaluator:
         self.origin = (0,) * self.m
         self._frames = {}  # stratum -> its Frame, interned by content
         self._frame_contents = {}  # (k, Q, R) -> the one interned Frame
-        self._gens = {}  # tau -> its stratum, interned by content
-        self._strata = {ZERO_STRATUM: ZERO_STRATUM}
+        self._gens = {}  # tau -> its stratum
         self._classes = {}  # (poset, tag) -> (class per cell, representatives)
         self._edge_dirs = {}  # (a, b) -> normalised direction of the edge
         self._directions = {}  # sigma -> frozenset of its edge directions
-        self._direction_sets = {}  # direction set -> the one interned copy
+        # direction set -> its one shared copy: sigmas repeat sets (on the
+        # CY3 4-cube side 3,393 sigmas have 673), and copies cost memory
+        self._direction_sets = {}
         self._edge_basis = {}  # (frame, edge direction, p) -> rows
         self._projection_wedges = {}  # (frame x, frame y, p) -> interned wedge
         self._wedges = {}  # wedge content -> the one interned copy
@@ -127,12 +128,11 @@ class CosheafEvaluator:
         return fr
 
     def stratum_gens(self, tau):
-        """Generators of the cone span: nonzero vertices of tau, one object
-        per distinct stratum."""
+        """Generators of the cone span: nonzero vertices of tau, found once
+        per tau."""
         gens = self._gens.get(tau)
         if gens is None:
-            gens = tuple(p for p in tau if p != self.origin)
-            gens = self._gens[tau] = self._strata.setdefault(gens, gens)
+            gens = self._gens[tau] = tuple(p for p in tau if p != self.origin)
         return gens
 
     def edge_annihilator_basis(self, stratum, a, b, p):
@@ -182,8 +182,8 @@ class CosheafEvaluator:
         return d
 
     def _edge_directions(self, sigma):
-        """The set of edge directions of sigma, found once per sigma and
-        interned."""
+        """The set of edge directions of sigma, found once per sigma; sigmas
+        with equal sets share one copy."""
         dirs = self._directions.get(sigma)
         if dirs is None:
             dirs = frozenset(self._edge_direction(a, b) for a, b in combinations(sigma, 2))

@@ -39,23 +39,25 @@ subcomplex of the frame's, with no assembly or square check of its own:
 its rows are gathered from the frame's point rows.  A sign distribution
 keeps only its edge phases and resolves a cell's record on first read, so
 ``delta1`` resolves only the cells it lifts and those its boundary
-touches, found by bisecting over the frame's offsets.  The whole sign
-route has one numbering, the frame's: a point s of cell ci sits at
-``offset[ci] + s`` in the phase sets, the sign complex's rows and their
-cleared ranks, and a filtration indicator has bit s for point s, so
-``delta1`` lifts and reads back by shifts.  Both Betti routes cross-check
-each other: the sign complex's ranks come from the gathered rows, and the
-real complex numbers its cells on its own and, in one pass over the
-frame's covers, ranks its edge and facet boundaries as graphs by
-union-find and packs only the middle degrees' boundary rows.
+touches.  The whole sign route has one numbering, the frame's
+``chains.CellLayout`` of 2^qd points per cell with edges: a point s of
+cell ci sits at ``offset[ci] + s`` in the phase sets, the sign complex's
+rows and their cleared ranks, and a filtration indicator has bit s for
+point s.  ``delta1`` walks the chain's cells in its complex's layout,
+lifts by shifts into the frame's, and walks the boundary's cells in the
+frame's layout back into the next level's complex.  Both Betti routes
+cross-check each other: the sign complex's ranks come from the gathered
+rows, and the real complex numbers its cells on its own, a CellLayout of
+the class's point counts, and, in one pass over the frame's covers, ranks
+its edge and facet boundaries as graphs by union-find and packs only the
+middle degrees' boundary rows.
 """
 
 import random
-from bisect import bisect_right
 from functools import cache, cached_property
 from itertools import combinations
 
-from .chains import F2Subcomplex, check_f2_square_zero
+from .chains import CellLayout, F2Subcomplex, check_f2_square_zero
 from .errors import (
     HypothesisFails,
     InputError,
@@ -241,14 +243,14 @@ class PhaseFrame:
     of y, one list shared by every cover between the same two interned
     frames (``point_images``).
 
-    The frame numbers every point s of every cell with edges, 2^qd points
-    per cell starting at ``offset[ci]`` within its degree.  ``point_rows``
-    holds the sign cosheaf's F2 complex over all of them as packed boundary
-    rows per degree: per cover, point s of x has the single bit of its
-    image in y.  They are built on first read, once per side and poset
-    kind, and their square is checked mod 2 then; a sign distribution's
-    complex is their restriction to the phase points.  The real complex
-    reads its boundary off ``covers`` on its own.
+    The frame numbers every point s of every cell with edges, its
+    ``layout``: 2^qd points per cell, starting at ``offset[ci]`` within its
+    degree.  ``point_rows`` holds the sign cosheaf's F2 complex over all of
+    them as packed boundary rows per degree: per cover, point s of x has
+    the single bit of its image in y.  They are built on first read, once
+    per side and poset kind, and their square is checked mod 2 then; a sign
+    distribution's complex is their restriction to the phase points.  The
+    real complex reads its boundary off ``covers`` on its own.
 
     What depends only on a cell's edge phases ``tes`` (one 0/1 per edge,
     in ``cells[ci]`` edge order) is one PhaseCell per (ci, tes), from
@@ -267,8 +269,6 @@ class PhaseFrame:
         self._phase_cells = {}  # (ci, tes) -> PhaseCell
         self._edge_gens = {}  # (frame, ids of edge basis and value), p, te -> generators
         self.cells = []
-        self.offset = []
-        self._width = {}  # dim -> frame points of the cells of that dim
         for cell in poset.cells:
             stratum = evaluator.value_stratum("multitangent", cell)
             qd = evaluator.m - len(stratum)
@@ -281,9 +281,10 @@ class PhaseFrame:
                     odd = f2_pack([bin(s & rdm).count("1") for s in range(1 << qd)])
                     edges.append(((min(a, b), max(a, b)), rdm, odd))
             self.cells.append((stratum, qd, edges))
-            off = self._width.get(cell.dim, 0)
-            self.offset.append(off)
-            self._width[cell.dim] = off + (1 << qd if edges else 0)
+        self.layout = CellLayout(
+            poset.cells_by_dim, [1 << qd if edges else 0 for _, qd, edges in self.cells]
+        )
+        self.offset = self.layout.offset
         self.covers = []
         self._above = [[] for _ in poset.cells]  # yi -> per cover above, carried parity sets
         carried = {}  # (id(images), packed point set) -> its packed image
@@ -302,7 +303,6 @@ class PhaseFrame:
                     for e, _, odd in ex
                 ])
         self._levels = {}  # ids of the per-edge generator lists -> level
-        self._point_cells = {}  # q -> (q-cells with edges, their offsets)
 
     @cached_property
     def point_rows(self):
@@ -310,9 +310,7 @@ class PhaseFrame:
         complex over every frame point, in the frame's numbering, built in
         one pass over the covers and square-checked mod 2."""
         cells, offset = self.poset.cells, self.offset
-        rows = {
-            q: [0] * self._width.get(q, 0) for q in range(1, self.poset.max_dim + 1)
-        }
+        rows = {q: [0] * self.layout.size[q] for q in range(1, self.poset.max_dim + 1)}
         for yi, xi, images in self.covers:
             block, oy = rows[cells[xi].dim], offset[yi]
             for i, t in enumerate(images, offset[xi]):
@@ -375,15 +373,6 @@ class PhaseFrame:
         for (_, _, odd), te in zip(edges, tes):
             bits |= odd if te else full ^ odd
         return bits
-
-    def point_cells(self, q):
-        """(cells, starts): the q-cells with edges, whose points tile the
-        frame's degree-q numbering, in offset order, and their offsets.
-        Built once per q.  Shared; callers must not mutate it."""
-        if q not in self._point_cells:
-            cells = [ci for ci in self.poset.cells_by_dim.get(q, ()) if self.cells[ci][2]]
-            self._point_cells[q] = (cells, [self.offset[ci] for ci in cells])
-        return self._point_cells[q]
 
     def level(self, pc, p):
         """Filtration level p on the PhaseCell pc, as (generators, indicator
@@ -554,13 +543,13 @@ class RealComplex:
 
     Numbered per degree on its own: the degree-q cells are the phase points
     of the poset's q-cells, cell by cell in poset order and point by point
-    in increasing order, so ``offset[ci]`` (from this class's point counts)
-    is where the points of cell ci start.  The realization is a closed PL
-    manifold, so every real edge has two ends and every real facet lies in
-    two top cells: D_1 and D_n are the incidence matrices of two graphs,
-    the primal one on the real vertices joined along the real edges and the
-    dual one on the top cells joined across the real facets, and over F2
-    each has rank its vertex count minus its component count.  One pass
+    in increasing order, a CellLayout of this class's point counts, so
+    ``offset[ci]`` is where the points of cell ci start.  The realization
+    is a closed PL manifold, so every real edge has two ends and every real
+    facet lies in two top cells: D_1 and D_n are the incidence matrices of
+    two graphs, the primal one on the real vertices joined along the real
+    edges and the dual one on the top cells joined across the real facets,
+    and over F2 each has rank its vertex count minus its component count.  One pass
     over the frame's covers lists both graphs' incidences, which union-find
     counts into ``ranks``, and packs ``rows[q]``, the boundary rows of the
     middle degrees 2..n-1 (rank 4 only), which ``betti`` ranks by
@@ -574,12 +563,9 @@ class RealComplex:
         n = self.n = pd.side.n
         poset = pd.poset
         cells = [pd.phase_cell(ci) for ci in range(len(poset.cells))]
-        dims = self.dims = dict.fromkeys(range(n + 1), 0)
-        offset, dim = [], [c.dim for c in poset.cells]
-        for q, pc in zip(dim, cells):
-            off = dims.get(q, 0)
-            offset.append(off)
-            dims[q] = off + len(pc.points)
+        layout = CellLayout(poset.cells_by_dim, [len(pc.points) for pc in cells])
+        dims = self.dims = layout.size
+        offset, dim = layout.offset, [c.dim for c in poset.cells]
         # per degree q in {1, n}: the ids of the real q-cells and of their
         # faces, one pair per incidence
         graphs = {q: ([], []) for q in ({n} if top_only else {1, n})}
@@ -684,7 +670,9 @@ def delta1(side, eps, chain, p, kind="refined"):
     boundary there, and read the result in level p+1 through the graded
     identification.  The output class is independent of the lift.  Lift and
     boundary live in the frame's numbering, where a cell's indicators sit
-    at its offset and the boundary comes from the frame's point rows.
+    at its offset and the boundary comes from the frame's point rows; the
+    read-back is one packed vector of the level-(p+1) complex, cycle-checked
+    there.
     """
     poset = side.poset(kind)
     pd = PhaseData(side, poset, eps)
@@ -692,16 +680,16 @@ def delta1(side, eps, chain, p, kind="refined"):
     q = chain_degree(poset, chain)
     if q is None:
         return {}
-    if not CF.f2_is_cycle(CF.chain_to_packed(chain, q), q):
+    vec = CF.chain_to_packed(chain, q)
+    if not CF.f2_is_cycle(vec, q):
         raise NotAClosedChain("filtration differential input is not closed")
     if q == 0:
         return {}  # the boundary of a degree-0 lift is 0
     frame, offset = pd.frame, pd.frame.offset
     lvec = 0
-    for key, fcoords in chain.items():
-        ci = poset.cell_index[key]
+    for ci, fcoords in CF.layout.walk(vec, q):
         gens, _, coord_space = frame.level(pd.phase_cell(ci), p)
-        mask = coord_space.solve(f2_pack(fcoords))
+        mask = coord_space.solve(fcoords)
         if mask is None:
             raise InternalCheckError(
                 "chain coefficient is not in the filtration image"
@@ -710,14 +698,9 @@ def delta1(side, eps, chain, p, kind="refined"):
     rows = frame.point_rows.get(q)
     bvec = f2_combine(lvec, rows) if rows else 0
     CF1 = side.complex(kind, "multitangent", p + 1)
-    cells, starts = frame.point_cells(q - 1)
-    out = {}
-    while bvec:
-        # the cell holding the lowest set bit, and its bits, cleared
-        ci = cells[bisect_right(starts, (bvec & -bvec).bit_length() - 1) - 1]
+    out = 0
+    for ci, ind in frame.layout.walk(bvec, q - 1):
         pc = pd.phase_cell(ci)
-        ind = (bvec >> offset[ci]) & ((1 << (1 << pc.qd)) - 1)
-        bvec &= -1 << (offset[ci] + (1 << pc.qd))
         if ind & ~pc.bits:
             raise InternalCheckError("boundary of the lift escaped the phase sets")
         gens, ind_space, _ = frame.level(pc, p + 1)
@@ -726,14 +709,10 @@ def delta1(side, eps, chain, p, kind="refined"):
             raise InternalCheckError(
                 "boundary of the lift escaped the next filtration level"
             )
-        fvec = f2_combine(mask, [fc for _, fc in gens])
-        if fvec:
-            out[poset.cells[ci].key] = tuple((fvec >> i) & 1 for i in range(CF1.ranks[ci]))
-    if out:
-        vec = CF1.chain_to_packed(out, q - 1)
-        if not CF1.f2_is_cycle(vec, q - 1):
-            raise InternalCheckError("filtration differential output not closed")
-    return out
+        out |= f2_combine(mask, [fc for _, fc in gens]) << CF1.offset[ci]
+    if out and not CF1.f2_is_cycle(out, q - 1):
+        raise InternalCheckError("filtration differential output not closed")
+    return CF1.packed_to_chain(out, q - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropmirror.chains import ChainComplex, F2Subcomplex, check_f2_square_zero, dense_block
+from tropmirror.chains import (
+    CellLayout,
+    ChainComplex,
+    F2Subcomplex,
+    check_f2_square_zero,
+    dense_block,
+)
 from tropmirror.cosheaves import CosheafEvaluator
 from conftest import CUBIC_DUAL_VERTS, CUBIC_VERTS
 from tropmirror.errors import BoundarySquareNonzero, FreenessError, InputError, InternalCheckError
@@ -344,26 +350,63 @@ def _packed_to_chain_by_shifts(cx, vec, q):
     return out
 
 
+def _random_vectors(rng, d):
+    """0, all ones, dense vectors with bits above d, and sparse ones."""
+    vecs = [0, (1 << d) - 1] + [rng.getrandbits(d + 4) for _ in range(4)]
+    if d:
+        vecs += [
+            sum(1 << rng.randrange(d) for _ in range(rng.randint(1, 3)))
+            for _ in range(4)
+        ]
+    return vecs
+
+
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 3), max_size=6), min_size=1, max_size=4), st.data())
+def test_cell_layout_offsets_and_walk(widths_by_dim, data):
+    # cells numbered in a drawn order, with zero widths among them: offsets
+    # are running sums per degree, and the walk returns the nonzero
+    # per-cell slices of a vector (bits above the degree's size included)
+    # in offset order
+    ids = data.draw(st.permutations(range(sum(map(len, widths_by_dim)))))
+    cells_by_dim, widths, it = {}, [0] * len(ids), iter(ids)
+    for q, ws in enumerate(widths_by_dim):
+        cells_by_dim[q] = [next(it) for _ in ws]
+        for ci, w in zip(cells_by_dim[q], ws):
+            widths[ci] = w
+    layout = CellLayout(cells_by_dim, widths)
+    for q, cells in cells_by_dim.items():
+        starts = [sum(widths[c] for c in cells[:i]) for i in range(len(cells))]
+        assert [layout.offset[ci] for ci in cells] == starts
+        assert layout.size[q] == sum(widths[ci] for ci in cells)
+        vec = data.draw(st.integers(0, (1 << (layout.size[q] + 3)) - 1))
+        slices = [(ci, (vec >> off) & ((1 << widths[ci]) - 1)) for ci, off in zip(cells, starts)]
+        assert list(layout.walk(vec, q)) == [(ci, bits) for ci, bits in slices if bits]
+
+
 def test_packed_to_chain_matches_shift_loop(k3_pair):
     # the bit walk visits only the cells holding a set bit; dense vectors
-    # carry bits above dim(q) as well, which are ignored
+    # carry bits above dim(q) as well, which are ignored.  The phase frame's
+    # numbering, 2^qd points per cell with edges, splits the same way
     rng = random.Random(23)
     for side in (k3_pair.side_a, k3_pair.side_b):
         for tag in ("multitangent", "mirror_ext", "mirror"):
             for p in range(side.n + 1):
                 cx = side.complex("refined", tag, p)
                 for q in cx.degrees:
-                    d = cx.dim(q)
-                    vecs = [0, (1 << d) - 1] + [rng.getrandbits(d + 4) for _ in range(4)]
-                    if d:
-                        vecs += [
-                            sum(1 << rng.randrange(d) for _ in range(rng.randint(1, 3)))
-                            for _ in range(4)
-                        ]
-                    for vec in vecs:
+                    for vec in _random_vectors(rng, cx.dim(q)):
                         got = cx.packed_to_chain(vec, q)
                         want = _packed_to_chain_by_shifts(cx, vec, q)
                         assert list(got.items()) == list(want.items()), (tag, p, q)
+    for side in (k3_pair.side_a, k3_pair.side_b):
+        frame = side.phase_frame("refined")
+        for q, cells in frame.poset.cells_by_dim.items():
+            widths = {ci: 1 << frame.cells[ci][1] if frame.cells[ci][2] else 0 for ci in cells}
+            for vec in _random_vectors(rng, frame.layout.size[q]):
+                slices = [
+                    (ci, (vec >> frame.offset[ci]) & ((1 << w) - 1)) for ci, w in widths.items()
+                ]
+                assert list(frame.layout.walk(vec, q)) == [s for s in slices if s[1]], q
 
 
 # -- multitangent values ---------------------------------------------------------
