@@ -47,13 +47,23 @@ point s.  ``delta1`` walks the chain's cells in its complex's layout,
 lifts by shifts into the frame's, and walks the boundary's cells in the
 frame's layout back into the next level's complex.  Both Betti routes
 cross-check each other: the sign complex's ranks come from the gathered
-rows, and the real complex numbers its cells on its own, a CellLayout of
-the class's point counts, and, in one pass over the frame's covers, ranks
-its edge and facet boundaries as graphs by union-find and packs only the
-middle degrees' boundary rows.
+rows, and the real complex has a numbering of its own, apart from the
+layout: point s of cell ci is ``real_start[ci] + s``, the cells of a
+degree at the stride of its widest frame.  A record's edge phases fix
+those of the cells above it, so its real cells' incidences are the same
+for every class that reads it: its incidence list (``real_pairs``, one
+flat int array of the two ends of each real edge of a 1-cell, or of each
+real facet of an (n-1)-cell, in turn, over the covers the frame groups
+once per cell) is built on first read and kept in the record, and the
+check that each has exactly two ends runs then, once per record, like
+the transport check.  Per class the real complex concatenates its
+records' lists and ranks its edge and facet boundaries as graphs by one
+union-find over the pairs each; only the middle degrees take packed
+boundary rows, packed per class (``real_rows``).
 """
 
 import random
+from array import array
 from functools import cache, cached_property
 from itertools import combinations
 
@@ -250,7 +260,10 @@ class PhaseFrame:
     the single bit of its image in y.  They are built on first read, once
     per side and poset kind, and their square is checked mod 2 then; a sign
     distribution's complex is their restriction to the phase points.  The
-    real complex reads its boundary off ``covers`` on its own.
+    real complex has its own numbering, ``real_start``, and reads the
+    covers as the frame groups them per cell, ``_below`` and ``_above``:
+    through each record's incidence list (``real_pairs``) and, in the
+    middle degrees, the rows ``real_rows`` packs per class.
 
     What depends only on a cell's edge phases ``tes`` (one 0/1 per edge,
     in ``cells[ci]`` edge order) is one PhaseCell per (ci, tes), from
@@ -285,23 +298,39 @@ class PhaseFrame:
             poset.cells_by_dim, [1 << qd if edges else 0 for _, qd, edges in self.cells]
         )
         self.offset = self.layout.offset
+        # the real complex's numbering, apart from the layout: point s of
+        # cell ci is real_start[ci] + s, the cells of a degree at the stride
+        # of its widest frame, real_size[q] ids in degree q
+        self.real_start, self.real_size = array("q", [0]) * len(poset.cells), {}
+        for q, indices in poset.cells_by_dim.items():
+            stride = max(1 << self.cells[ci][1] for ci in indices)
+            for i, ci in enumerate(indices):
+                self.real_start[ci] = i * stride
+            self.real_size[q] = len(indices) * stride
         self.covers = []
-        self._above = [[] for _ in poset.cells]  # yi -> per cover above, carried parity sets
+        # the covers grouped per cell, in tuples: below xi, its covers; above
+        # yi, (xi, images, parities), with one parities tuple per distinct
+        # value, as most covers repeat one (CY3 side a: 299 in 2,784)
+        below, above = [[] for _ in poset.cells], [[] for _ in poset.cells]
         carried = {}  # (id(images), packed point set) -> its packed image
+        interned = {}
         for (yi, xi) in poset.covers:
             (sx, _, ex), (sy, _, ey) = self.cells[xi], self.cells[yi]
             if ex and ey:
                 images = self.point_images(sx, sy)
                 self.covers.append((yi, xi, images))
+                below[xi].append(self.covers[-1])
                 # x's sigma is a face of y's, so its edges are some of y's:
                 # per x edge, its position among y's and the images in y's
                 # frame of the points of each parity on it
                 at = {e: j for j, (e, _, _) in enumerate(ey)}
                 full = (1 << len(images)) - 1
-                self._above[yi].append([
+                parities = tuple([
                     (at[e], _carry(carried, images, odd), _carry(carried, images, full ^ odd))
                     for e, _, odd in ex
                 ])
+                above[yi].append((xi, images, interned.setdefault(parities, parities)))
+        self._below, self._above = list(map(tuple, below)), list(map(tuple, above))
         self._levels = {}  # ids of the per-edge generator lists -> level
 
     @cached_property
@@ -346,7 +375,7 @@ class PhaseFrame:
         if pc is None:
             stratum, qd, _ = self.cells[ci]
             bits = self._phase_bits(ci, tes)
-            for parities in self._above[ci]:
+            for _, _, parities in self._above[ci]:
                 # x's phase set is a union of parity sets, so its image is
                 # the union of theirs
                 image = 0
@@ -360,7 +389,7 @@ class PhaseFrame:
             pc = PhaseCell()
             pc.ci, pc.stratum, pc.qd, pc.tes, pc.bits = ci, stratum, qd, tes, bits
             pc.points, pc.index = self._points[qd, bits]
-            pc.levels = None
+            pc.levels = pc.up = pc.down = None
             self._phase_cells[key] = pc
         return pc
 
@@ -373,6 +402,61 @@ class PhaseFrame:
         for (_, _, odd), te in zip(edges, tes):
             bits |= odd if te else full ^ odd
         return bits
+
+    def real_pairs(self, pc, up):
+        """The two ends of each real cell (pc.ci, s), s in ``pc.points``, in
+        turn in one flat int array, in the real numbering (``real_start``):
+        with ``up``, the top points (x, s') with ``images[s'] == s`` over
+        the covers above an (n-1)-cell, the two top cells a real facet lies
+        in; else the points (y, ``images[s]``) over the covers below a
+        1-cell, the two ends of a real edge.  The record's edge phases fix those of
+        every x above it, so the array holds for every class that reads the
+        record: it is built on first read and kept in the record, and the
+        check that each real cell has exactly two ends runs then.  Shared;
+        callers must not mutate it."""
+        slot = "up" if up else "down"
+        pairs = getattr(pc, slot)
+        if pairs is None:
+            start = self.real_start
+            if up:
+                ends = {s: [] for s in pc.points}
+                for xi, images, parities in self._above[pc.ci]:
+                    top = self.cell_phase(xi, tuple([pc.tes[j] for j, _, _ in parities]))
+                    for s in top.points:
+                        ends[images[s]].append(start[xi] + s)
+                ends = list(ends.values())
+            else:
+                below = self._below[pc.ci]
+                ends = [[start[yi] + images[s] for yi, _, images in below] for s in pc.points]
+            for e in ends:
+                if len(e) != 2:
+                    more = "more" if len(e) > 2 else "fewer"
+                    raise InternalCheckError(f"a real edge or facet has {more} than two ends")
+            pairs = array("q", [i for e in ends for i in e])
+            setattr(pc, slot, pairs)
+        return pairs
+
+    def real_rows(self, faces, cells):
+        """The packed boundary rows of the real cells of the records
+        ``cells``, point by point in record order, over the real cells of
+        ``faces``, all of one class's records one degree below, numbered
+        point by point in record order.  That numbering follows the class's
+        point counts, which keeps the rows as narrow as the class's real
+        cells, so the rows are built per class; only the middle degrees
+        2..n-1 read them."""
+        column, o = {}, 0
+        for pc in faces:
+            column[pc.ci] = o, pc.index
+            o += len(pc.points)
+        rows = []
+        for pc in cells:
+            below = [(column[yi], images) for yi, _, images in self._below[pc.ci]]
+            for s in pc.points:
+                row = 0
+                for (o, index), images in below:
+                    row |= 1 << (o + index[images[s]])
+                rows.append(row)
+        return rows
 
     def level(self, pc, p):
         """Filtration level p on the PhaseCell pc, as (generators, indicator
@@ -459,10 +543,15 @@ class PhaseCell:
     the one record per (cell, edge phases): the cell index ``ci``, the
     packed phase set ``bits``, its ``points`` in increasing order and their
     ``index``, and ``levels``, the filtration levels by p that
-    ``PhaseFrame.level`` has computed (None before the first).  The frame
-    checks the transport from the cells above it when it builds one."""
+    ``PhaseFrame.level`` has computed (None before the first).  ``up`` and
+    ``down`` hold the incidence lists of its real cells, their ends above
+    and below, which ``PhaseFrame.real_pairs`` builds on first read (None
+    before).  The frame checks the transport from the cells above it when
+    it builds one."""
 
-    __slots__ = ("ci", "stratum", "qd", "tes", "bits", "points", "index", "levels")
+    __slots__ = (
+        "ci", "stratum", "qd", "tes", "bits", "points", "index", "levels", "up", "down"
+    )
 
 
 class PhaseData:
@@ -474,7 +563,7 @@ class PhaseData:
     transport when it built it, so the span of the phase points is closed
     under the boundary of the frame's point rows.  The sign complex is that
     span, an F2Subcomplex of the point rows, built on first read.  The real
-    complex reads the transport from the frame's covers.
+    complex reads the incidence lists of the records it resolves.
     """
 
     def __init__(self, side, poset, eps):
@@ -541,52 +630,38 @@ def _subspaces(w, p):
 class RealComplex:
     """Cells (poset cell, phase point) with constant F2 coefficients.
 
-    Numbered per degree on its own: the degree-q cells are the phase points
-    of the poset's q-cells, cell by cell in poset order and point by point
-    in increasing order, a CellLayout of this class's point counts, so
-    ``offset[ci]`` is where the points of cell ci start.  The realization
-    is a closed PL manifold, so every real edge has two ends and every real
-    facet lies in two top cells: D_1 and D_n are the incidence matrices of
-    two graphs, the primal one on the real vertices joined along the real
-    edges and the dual one on the top cells joined across the real facets,
-    and over F2 each has rank its vertex count minus its component count.  One pass
-    over the frame's covers lists both graphs' incidences, which union-find
-    counts into ``ranks``, and packs ``rows[q]``, the boundary rows of the
-    middle degrees 2..n-1 (rank 4 only), which ``betti`` ranks by
-    elimination.  A real edge or facet with other than two ends raises
-    InternalCheckError.  With ``top_only`` only the dual graph is built,
-    which is all ``component_count`` reads.
+    Numbered per degree in the frame's real numbering, not its layout: point
+    s of cell ci is ``real_start[ci] + s``; ``dims[q]`` counts the real
+    q-cells.  The realization is a closed PL manifold, so every real edge
+    has two ends and every real facet lies in two top cells: D_1 and D_n are
+    the incidence matrices of two graphs, the primal one on the real
+    vertices joined along the real edges and the dual one on the top cells
+    joined across the real facets, and over F2 each has rank the number of
+    joins a union-find makes.  The edges of both come per record from
+    ``PhaseFrame.real_pairs``, which checks the two ends when it builds a
+    record's list; each graph is one union-find over the concatenated lists
+    of its records, its rank kept in ``ranks``.  ``rows[q]`` holds the
+    boundary rows of the middle degrees 2..n-1 (rank 4 only), which
+    ``PhaseFrame.real_rows`` packs per class and ``betti`` ranks by
+    elimination.  With ``top_only`` only degrees n-1 and n are resolved and
+    only the dual graph is built, which is all ``component_count`` reads.
     """
 
     def __init__(self, phase_data, top_only=False):
-        pd = phase_data
+        pd, frame = phase_data, phase_data.frame
         n = self.n = pd.side.n
-        poset = pd.poset
-        cells = [pd.phase_cell(ci) for ci in range(len(poset.cells))]
-        layout = CellLayout(poset.cells_by_dim, [len(pc.points) for pc in cells])
-        dims = self.dims = layout.size
-        offset, dim = layout.offset, [c.dim for c in poset.cells]
-        # per degree q in {1, n}: the ids of the real q-cells and of their
-        # faces, one pair per incidence
-        graphs = {q: ([], []) for q in ({n} if top_only else {1, n})}
-        self.rows = None if top_only else {q: [0] * dims[q] for q in range(2, n)}
-        rows = self.rows or {}
-        for yi, xi, images in pd.frame.covers:
-            graph, block = graphs.get(dim[xi]), rows.get(dim[xi])
-            if graph or block:
-                points, ox, oy, index_y = cells[xi].points, offset[xi], offset[yi], cells[yi].index
-                faces = [oy + index_y[images[s]] for s in points]
-                if graph:
-                    graph[0].extend(range(ox, ox + len(points)))
-                    graph[1].extend(faces)
-                else:
-                    for i, f in enumerate(faces, ox):
-                        block[i] |= 1 << f
-        tops, facets = graphs.pop(n)
-        self._count = _components(dims[n], dims[n - 1], facets, tops)
-        self.ranks = {n: dims[n] - self._count}
-        for edges, ends in graphs.values():  # the primal graph, when 1 < n
-            self.ranks[1] = dims[0] - _components(dims[0], dims[1], edges, ends)
+        records = {
+            q: [pd.phase_cell(ci) for ci in pd.poset.cells_by_dim.get(q, ())]
+            for q in (range(n - 1, n + 1) if top_only else range(n + 1))
+        }
+        self.dims = {q: sum(len(pc.points) for pc in pcs) for q, pcs in records.items()}
+        self.ranks = {n: _graph_rank(frame, frame.real_size[n], records[n - 1], True)}
+        self._count = self.dims[n] - self.ranks[n]
+        self.rows = None
+        if not top_only:
+            if n > 1:
+                self.ranks[1] = _graph_rank(frame, frame.real_size[0], records[1], False)
+            self.rows = {q: frame.real_rows(records[q - 1], records[q]) for q in range(2, n)}
 
     def component_count(self):
         """Connected components of the top cells, adjacent along a facet:
@@ -605,32 +680,27 @@ class RealComplex:
         ]
 
 
-def _components(size, count, edges, ends):
-    """Components of the graph on the vertices 0..size-1 whose edges
-    0..count-1 have the ends ``zip(edges, ends)``, one pair per incidence,
-    by union-find.  An edge with other than two ends raises
-    InternalCheckError: the real complex is then no closed pseudomanifold."""
-    first = [-1] * count  # edge -> its first end, -2 once it has two
+def _graph_rank(frame, size, records, up):
+    """F2 rank of the incidence matrix of the graph on the ids 0..size-1
+    whose edges are the real cells of ``records``, with the ends their
+    ``frame.real_pairs(pc, up)`` lists: the joins that one union-find over
+    the concatenated lists makes, the edges of a spanning forest."""
+    ends = array("q")
+    for pc in records:
+        if pc.points:
+            ends += frame.real_pairs(pc, up)
+    ends = iter(ends)
     parent = list(range(size))
-    components = size
-    for e, v in zip(edges, ends):
-        u = first[e]
-        if u == -1:
-            first[e] = v
-            continue
-        if u == -2:
-            raise InternalCheckError("a real edge or facet has more than two ends")
-        first[e] = -2
+    rank = 0
+    for u, v in zip(ends, ends):
         while u != parent[u]:
             parent[u] = u = parent[parent[u]]
         while v != parent[v]:
             parent[v] = v = parent[parent[v]]
         if u != v:
             parent[u] = v
-            components -= 1
-    if first.count(-2) != count:
-        raise InternalCheckError("a real edge or facet has fewer than two ends")
-    return components
+            rank += 1
+    return rank
 
 
 # ---------------------------------------------------------------------------

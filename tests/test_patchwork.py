@@ -726,44 +726,130 @@ def test_escaping_transport_raises(monkeypatch):
         real_betti(side, eps)
 
 
-@pytest.mark.parametrize("name", ["cubic", "k3"])
-def test_real_complex_needs_two_ends_per_edge_and_facet(name, monkeypatch):
-    # D_1 and D_n are ranked as graphs, which holds only if every real edge
-    # has two ends and every real facet lies in two top cells.  On a scratch
-    # pair whose frame covers are a doctored copy, with one cover below a
-    # 1-cell dropped or one cover above an (n-1)-cell listed twice, the
-    # real complex raises, full and top-only, and so does real_betti: no
-    # Betti vector comes back.  On K3 the dropped cover is below a real edge,
-    # which only the full complex's primal graph reads.  The sign route's
-    # point rows are built from the intact covers first
+def _scratch_side(name):
+    """Side a of a freshly built cubic or K3 pair, whose frame no test has
+    read yet."""
     verts = {"cubic": (CUBIC_VERTS, CUBIC_DUAL_VERTS), "k3": (CUBE_VERTS, OCTA_VERTS)}[name]
-    side = MirrorPair(*(generate_central(LatticePolytope(v)) for v in verts)).side_a
-    eps = signs_from_divisor(side, [])
-    frame = side.phase_frame("base")
-    frame.point_rows
-    covers, cells = frame.covers, side.base_poset.cells
-    pd = PhaseData(side, side.base_poset, eps)
-    assert real_betti(side, eps) == RealComplex(pd).betti()
+    return MirrorPair(*(generate_central(LatticePolytope(v)) for v in verts)).side_a
 
-    def first_cover(dim_x):
-        return next(
-            i for i, (_, xi, _) in enumerate(covers)
-            if cells[xi].dim == dim_x and pd.phase_cell(xi).points
+
+@pytest.mark.parametrize("name", ["cubic", "k3"])
+def test_real_complex_needs_two_ends_per_edge_and_facet(name):
+    # D_1 and D_n are ranked as graphs, which holds only if every real edge
+    # has two ends and every real facet lies in two top cells; the frame
+    # checks it once per record, when it builds the record's incidence
+    # lists.  On a fresh pair per mutation, before any list is built, one
+    # cover below a 1-cell is dropped from the frame's grouped covers (below
+    # the 1-cell and above its face), or one cover above an (n-1)-cell is
+    # listed twice (in both groups): the real complex raises, full and
+    # top-only, and so does real_betti, whose sign route reads the point
+    # rows built from the intact covers first.  On K3 the dropped cover is
+    # below a real edge, which only the full complex's primal graph reads
+    eps = signs_from_divisor(_scratch_side(name), [])
+    intact = _scratch_side(name)
+    assert real_betti(intact, eps) == RealComplex(PhaseData(intact, intact.base_poset, eps)).betti()
+    for dim_x, twice in ((1, False), (intact.n, True)):
+        side = _scratch_side(name)
+        frame, cells = side.phase_frame("base"), side.base_poset.cells
+        frame.point_rows
+        pd = PhaseData(side, side.base_poset, eps)
+        yi, xi, _ = next(
+            c for c in frame.covers if cells[c[1]].dim == dim_x and pd.phase_cell(c[1]).points
         )
-
-    drop, twice = first_cover(1), first_cover(side.n)
-    doctored = [
-        (covers[:drop] + covers[drop + 1:], side.n == 1),
-        (covers[:twice + 1] + covers[twice:], True),
-    ]
-    for broken, top_reads_it in doctored:
-        monkeypatch.setattr(frame, "covers", broken)
+        below, above = list(frame._below[xi]), list(frame._above[yi])
+        i = next(i for i, (y, _, _) in enumerate(below) if y == yi)
+        j = next(j for j, (x, _, _) in enumerate(above) if x == xi)
+        if twice:
+            below.insert(i, below[i])
+            above.insert(j, above[j])
+        else:
+            del below[i], above[j]
+        frame._below[xi], frame._above[yi] = tuple(below), tuple(above)
         builds = [lambda: RealComplex(pd), lambda: real_betti(side, eps)]
-        if top_reads_it:
+        if twice or side.n == 1:
             builds.append(lambda: RealComplex(pd, top_only=True))
         for build in builds:
             with pytest.raises(InternalCheckError, match="two ends"):
                 build()
+        assert all(pc.up is None for pc in frame._phase_cells.values() if pc.ci == yi)
+
+
+@pytest.mark.parametrize("name", ["cubic", "k3"])
+@pytest.mark.parametrize("top", [True, False])
+def test_dropped_phase_point_raises(name, top, monkeypatch):
+    # one phase point dropped from one record of a fresh pair, as the
+    # record is built: on a top cell, the real facet its image lies on has
+    # one top left, and the facet's incidence check fires ("fewer than two
+    # ends"); on an (n-1)-cell below a top cell, whose points are all
+    # images of top points, the transport check fires ("phase transport
+    # escaped").  real_betti and the top-only complex both raise
+    # InternalCheckError, which the CLI reports with exit code 2
+    side = _scratch_side(name)
+    eps = signs_from_divisor(side, [])
+    frame, cells = side.phase_frame("base"), side.base_poset.cells
+    pd = PhaseData(side, side.base_poset, eps)
+    yi, xi, images = next(
+        c for c in frame.covers if cells[c[1]].dim == side.n and pd.phase_cell(c[1]).points
+    )
+    s = pd.phase_cell(xi).points[0]
+    ci, point = (xi, s) if top else (yi, images[s])
+    frame._phase_cells.clear()
+    phase_bits = frame._phase_bits
+
+    def doctored(cj, tes):
+        bits = phase_bits(cj, tes)
+        return bits & ~(1 << point) if cj == ci else bits
+
+    monkeypatch.setattr(frame, "_phase_bits", doctored)
+    message = "fewer than two ends" if top else "phase transport escaped"
+    for build in (
+        lambda: real_betti(side, eps),
+        lambda: RealComplex(PhaseData(side, side.base_poset, eps), top_only=True),
+    ):
+        with pytest.raises(InternalCheckError, match=message):
+            build()
+
+
+def test_incidence_lists_are_shared_per_record(k3_pair, monkeypatch):
+    # the real complex reads each record's incidence lists from the frame:
+    # sweeping the same K3 classes a second time builds none, and the lists
+    # are the same objects.  A top-only complex resolves no record below
+    # degree n - 1.  The real complex does not read the frame's numbering
+    # of the sign route: with offset and layout gone and no point rows
+    # built, it gives the same Betti numbers
+    side = _scratch_side("k3")
+    masks = sample_divisor_classes(k3_pair.side_a, 12, seed=9)
+    frame = side.phase_frame("base")
+    for name in ("offset", "layout"):
+        monkeypatch.delattr(frame, name)
+    first = [RealComplex(PhaseData(side, side.base_poset, signs_from_divisor(
+        side, mask_to_rays(side, m)))).betti() for m in masks]
+    assert "point_rows" not in frame.__dict__
+    monkeypatch.undo()
+    rows = sweep_rows(side, masks)
+    assert [row["betti"] for row in rows] == first
+    records = list(frame._phase_cells.values())
+    built = [(pc.up, pc.down) for pc in records]
+    assert any(pc.up is not None for pc in records)
+    assert any(pc.down is not None for pc in records)
+    calls = []
+    real_pairs = frame.real_pairs
+
+    def counted(pc, up):
+        calls.append((pc.up if up else pc.down) is None)
+        return real_pairs(pc, up)
+
+    monkeypatch.setattr(frame, "real_pairs", counted)
+    assert sweep_rows(side, masks) == rows
+    assert calls and not any(calls)
+    assert list(frame._phase_cells.values()) == records
+    assert all(pc.up is up and pc.down is down for pc, (up, down) in zip(records, built))
+    cells = side.base_poset.cells
+    for m in masks:
+        pd = PhaseData(side, side.base_poset, signs_from_divisor(side, mask_to_rays(side, m)))
+        RealComplex(pd, top_only=True)
+        resolved = [ci for ci, pc in enumerate(pd._cells) if pc is not None]
+        assert resolved and all(cells[ci].dim >= side.n - 1 for ci in resolved)
 
 
 def test_cubic_connected_example(cubic_pair):
