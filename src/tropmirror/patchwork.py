@@ -33,7 +33,8 @@ stratum, p = 1 edge basis, cell value, p, edge phase), the first three
 keyed by identity, as the evaluator interns them, and one level per tuple
 of lists, keyed by their identities.  A record's edge phases fix those of
 every cell above it, so the frame checks the transport when it builds the
-record (each cover carries the phase points above into the record's phase
+record (each cover carries the phase points above, the phase bits of the
+cell above under the phases the record fixes, into the record's phase
 set), once for every class that reads it.  That makes each sign complex a
 subcomplex of the frame's, with no assembly or square check of its own:
 its rows are gathered from the frame's point rows.  A sign distribution
@@ -59,7 +60,9 @@ check that each has exactly two ends runs then, once per record, like
 the transport check.  Per class the real complex concatenates its
 records' lists and ranks its edge and facet boundaries as graphs by one
 union-find over the pairs each; only the middle degrees take packed
-boundary rows, packed per class (``real_rows``).
+boundary rows, packed per class (``real_rows``).  Every sweep row runs
+both routes through ``real_betti`` and reads its b0 off the Betti vector;
+``with_betti`` only decides whether the row shows that vector.
 """
 
 import random
@@ -263,15 +266,17 @@ class PhaseFrame:
     real complex has its own numbering, ``real_start``, and reads the
     covers as the frame groups them per cell, ``_below`` and ``_above``:
     through each record's incidence list (``real_pairs``) and, in the
-    middle degrees, the rows ``real_rows`` packs per class.
+    middle degrees, the rows ``real_rows`` packs per class.  Above yi a
+    cover is (xi, images, at), ``at[k]`` the position of x's edge k among
+    y's, so y's edge phases give x's.
 
     What depends only on a cell's edge phases ``tes`` (one 0/1 per edge,
     in ``cells[ci]`` edge order) is one PhaseCell per (ci, tes), from
-    ``cell_phase``, which checks the transport from the cells above ci
-    when it builds one; ``level`` fills its filtration levels on first
-    use, one level object per tuple of per-edge generator lists.  Cells
-    with the same packed point set in the same quotient rank share one
-    point list and index dict.
+    ``cell_phase``, which checks the transport from the cells above ci,
+    read off their phase bits, when it builds one; ``level`` fills its
+    filtration levels on first use, one level object per tuple of per-edge
+    generator lists.  Cells with the same packed point set in the same
+    quotient rank share one point list and index dict.
     """
 
     def __init__(self, evaluator, poset):
@@ -309,27 +314,18 @@ class PhaseFrame:
             self.real_size[q] = len(indices) * stride
         self.covers = []
         # the covers grouped per cell, in tuples: below xi, its covers; above
-        # yi, (xi, images, parities), with one parities tuple per distinct
-        # value, as most covers repeat one (CY3 side a: 299 in 2,784)
+        # yi, (xi, images, at), where x's sigma is a face of y's, so its
+        # edges are some of y's, and at[k] is the position of x's edge k
+        # among y's
         below, above = [[] for _ in poset.cells], [[] for _ in poset.cells]
-        carried = {}  # (id(images), packed point set) -> its packed image
-        interned = {}
         for (yi, xi) in poset.covers:
             (sx, _, ex), (sy, _, ey) = self.cells[xi], self.cells[yi]
             if ex and ey:
                 images = self.point_images(sx, sy)
                 self.covers.append((yi, xi, images))
                 below[xi].append(self.covers[-1])
-                # x's sigma is a face of y's, so its edges are some of y's:
-                # per x edge, its position among y's and the images in y's
-                # frame of the points of each parity on it
-                at = {e: j for j, (e, _, _) in enumerate(ey)}
-                full = (1 << len(images)) - 1
-                parities = tuple([
-                    (at[e], _carry(carried, images, odd), _carry(carried, images, full ^ odd))
-                    for e, _, odd in ex
-                ])
-                above[yi].append((xi, images, interned.setdefault(parities, parities)))
+                pos = {e: j for j, (e, _, _) in enumerate(ey)}
+                above[yi].append((xi, images, tuple([pos[e] for e, _, _ in ex])))
         self._below, self._above = list(map(tuple, below)), list(map(tuple, above))
         self._levels = {}  # ids of the per-edge generator lists -> level
 
@@ -368,21 +364,19 @@ class PhaseFrame:
         The edge phases of ci fix those of every cell x above it, whose
         edges are some of ci's, so the transport is checked here, once per
         record: each cover carries the phase points of x under those phases
-        into the phase set of ci.  Every class that reads this record reads
-        x under the same phases, so no class checks it again."""
+        (x's phase bits, with no record of x resolved) into the phase set
+        of ci.  Every class that reads this record reads x under the same
+        phases, so no class checks it again."""
         key = (ci, tes)
         pc = self._phase_cells.get(key)
         if pc is None:
             stratum, qd, _ = self.cells[ci]
             bits = self._phase_bits(ci, tes)
-            for _, _, parities in self._above[ci]:
-                # x's phase set is a union of parity sets, so its image is
-                # the union of theirs
-                image = 0
-                for j, odd, even in parities:
-                    image |= odd if tes[j] else even
-                if image & ~bits:
-                    raise InternalCheckError("phase transport escaped the target phase set")
+            for xi, images, at in self._above[ci]:
+                top = self._phase_bits(xi, tuple([tes[j] for j in at]))
+                for s, t in enumerate(images):
+                    if top >> s & 1 and not bits >> t & 1:
+                        raise InternalCheckError("phase transport escaped the target phase set")
             if (qd, bits) not in self._points:
                 points = [s for s in range(1 << qd) if (bits >> s) & 1]
                 self._points[qd, bits] = (points, {s: i for i, s in enumerate(points)})
@@ -420,8 +414,8 @@ class PhaseFrame:
             start = self.real_start
             if up:
                 ends = {s: [] for s in pc.points}
-                for xi, images, parities in self._above[pc.ci]:
-                    top = self.cell_phase(xi, tuple([pc.tes[j] for j, _, _ in parities]))
+                for xi, images, at in self._above[pc.ci]:
+                    top = self.cell_phase(xi, tuple([pc.tes[j] for j in at]))
                     for s in top.points:
                         ends[images[s]].append(start[xi] + s)
                 ends = list(ends.values())
@@ -525,19 +519,6 @@ class PhaseFrame:
         return gens
 
 
-def _carry(carried, images, points):
-    """The packed image of the packed point set ``points`` under the point
-    map ``images``, computed once per (images, points) in ``carried``."""
-    key = (id(images), points)
-    if key not in carried:
-        out = 0
-        for s, t in enumerate(images):
-            if points >> s & 1:
-                out |= 1 << t
-        carried[key] = out
-    return carried[key]
-
-
 class PhaseCell:
     """One cell's phase data under one choice of its edge phases ``tes``,
     the one record per (cell, edge phases): the cell index ``ci``, the
@@ -546,8 +527,8 @@ class PhaseCell:
     ``PhaseFrame.level`` has computed (None before the first).  ``up`` and
     ``down`` hold the incidence lists of its real cells, their ends above
     and below, which ``PhaseFrame.real_pairs`` builds on first read (None
-    before).  The frame checks the transport from the cells above it when
-    it builds one."""
+    before).  The frame checks the transport from the cells above it, read
+    off their phase bits, when it builds one."""
 
     __slots__ = (
         "ci", "stratum", "qd", "tes", "bits", "points", "index", "levels", "up", "down"
@@ -640,44 +621,35 @@ class RealComplex:
     joins a union-find makes.  The edges of both come per record from
     ``PhaseFrame.real_pairs``, which checks the two ends when it builds a
     record's list; each graph is one union-find over the concatenated lists
-    of its records, its rank kept in ``ranks``.  ``rows[q]`` holds the
-    boundary rows of the middle degrees 2..n-1 (rank 4 only), which
-    ``PhaseFrame.real_rows`` packs per class and ``betti`` ranks by
-    elimination.  With ``top_only`` only degrees n-1 and n are resolved and
-    only the dual graph is built, which is all ``component_count`` reads.
+    of its records.  The middle degrees 2..n-1 (rank 4 only) take the
+    boundary rows ``PhaseFrame.real_rows`` packs per class, ranked by
+    elimination.  Every degree is resolved and ranked when the complex is
+    built, ``ranks[q]`` the rank of D_q.
     """
 
-    def __init__(self, phase_data, top_only=False):
+    def __init__(self, phase_data):
         pd, frame = phase_data, phase_data.frame
         n = self.n = pd.side.n
-        records = {
-            q: [pd.phase_cell(ci) for ci in pd.poset.cells_by_dim.get(q, ())]
-            for q in (range(n - 1, n + 1) if top_only else range(n + 1))
-        }
-        self.dims = {q: sum(len(pc.points) for pc in pcs) for q, pcs in records.items()}
+        records = [
+            [pd.phase_cell(ci) for ci in pd.poset.cells_by_dim.get(q, ())] for q in range(n + 1)
+        ]
+        self.dims = [sum(len(pc.points) for pc in pcs) for pcs in records]
         self.ranks = {n: _graph_rank(frame, frame.real_size[n], records[n - 1], True)}
-        self._count = self.dims[n] - self.ranks[n]
-        self.rows = None
-        if not top_only:
-            if n > 1:
-                self.ranks[1] = _graph_rank(frame, frame.real_size[0], records[1], False)
-            self.rows = {q: frame.real_rows(records[q - 1], records[q]) for q in range(2, n)}
+        if n > 1:
+            self.ranks[1] = _graph_rank(frame, frame.real_size[0], records[1], False)
+        for q in range(2, n):
+            self.ranks[q] = f2_rank(frame.real_rows(records[q - 1], records[q]))
 
     def component_count(self):
         """Connected components of the top cells, adjacent along a facet:
         those of the dual graph."""
-        return self._count
+        return self.dims[self.n] - self.ranks[self.n]
 
     def betti(self):
-        """F2 Betti numbers of the realization, via the cellular complex."""
-        if self.rows is None:
-            raise InternalCheckError("betti needs the boundary ranks of every degree")
-        ranks = {**self.ranks, **{q: f2_rank(r) for q, r in self.rows.items()}}
-        top = max((q for q, d in self.dims.items() if d), default=-1)
-        return [
-            self.dims.get(q, 0) - ranks.get(q, 0) - ranks.get(q + 1, 0)
-            for q in range(top + 1)
-        ]
+        """F2 Betti numbers b_0..b_n of the realization, via the cellular
+        complex."""
+        r = self.ranks
+        return [d - r.get(q, 0) - r.get(q + 1, 0) for q, d in enumerate(self.dims)]
 
 
 def _graph_rank(frame, size, records, up):
@@ -716,8 +688,7 @@ def real_betti(side, eps):
     h = cx.homology("f2")
     betti_cosheaf = [h.rank(q) for q in range(side.n + 1)]
     rc = RealComplex(pd)
-    betti_real = rc.betti()[: side.n + 1]
-    betti_real += [0] * (side.n + 1 - len(betti_real))
+    betti_real = rc.betti()
     if betti_cosheaf != betti_real:
         raise InternalCheckError(
             f"sign-cosheaf betti {betti_cosheaf} != real-complex betti {betti_real}"
@@ -818,8 +789,10 @@ def check_verdict(verdict, b0):
 
 
 def sweep_rows(side, masks, with_betti=True):
-    """Sweep divisor classes: verdict, component count and optional betti,
-    each row's verdict checked against its b0."""
+    """Sweep divisor classes: verdict, b0 and, with ``with_betti``, the
+    Betti vector.  Every row is evaluated once, by ``real_betti`` (both
+    routes and b0 = b_n), and its verdict checked against its b0;
+    ``with_betti`` only shapes the row."""
     rows = []
     for mask in masks:
         rays = mask_to_rays(side, mask)
@@ -830,13 +803,11 @@ def sweep_rows(side, masks, with_betti=True):
             "class_nonzero": verdict == "connected",
             "verdict": verdict,
         }
+        # real_betti checks the component count against b0
+        betti = real_betti(side, eps)
         if with_betti:
-            # real_betti checks the component count against b0
-            row["betti"] = real_betti(side, eps)
-            row["b0"] = row["betti"][0]
-        else:
-            pd = PhaseData(side, side.base_poset, eps)
-            row["b0"] = RealComplex(pd, top_only=True).component_count()
+            row["betti"] = betti
+        row["b0"] = betti[0]
         check_verdict(verdict, row["b0"])
         rows.append(row)
     return rows

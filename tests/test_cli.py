@@ -346,7 +346,8 @@ def test_flipped_verdict_is_an_internal_error(cubic_pair, cubic_files, capsys, m
 def test_doctored_betti_row_is_an_internal_error(cubic_pair, cubic_files, capsys, monkeypatch, tmp_path):
     # the real complex's Betti vector with b_1 one too high, and separately
     # its component count one above its b0: real_betti compares both with
-    # the other route and raises, and the CLI reports an internal error
+    # the other route and raises, and the CLI reports an internal error,
+    # also for a sweep without Betti numbers, whose rows run both routes
     import tropmirror.patchwork as patchwork
     from tropmirror.errors import InternalCheckError
 
@@ -369,11 +370,15 @@ def test_doctored_betti_row_is_an_internal_error(cubic_pair, cubic_files, capsys
             mp.setattr(patchwork.RealComplex, name, doctored)
             with pytest.raises(InternalCheckError, match=message):
                 patchwork.real_betti(side, eps)
-            assert main(["patchwork", str(tri), str(tri_dual), "--divisor", str(div)]) == 2
-            out, err = capsys.readouterr()
-            assert out == ""
-            assert json.loads(err)["kind"] == "internal"
-            assert message in json.loads(err)["error"]
+            for argv in (
+                ["patchwork", str(tri), str(tri_dual), "--divisor", str(div)],
+                ["sweep", str(tri), str(tri_dual), "--samples", "2", "--no-betti"],
+            ):
+                assert main(argv) == 2, argv
+                out, err = capsys.readouterr()
+                assert out == ""
+                assert json.loads(err)["kind"] == "internal"
+                assert message in json.loads(err)["error"]
 
 
 def test_raw_sweep_on_diamond_pair(tmp_path, capsys):

@@ -665,8 +665,7 @@ def test_real_complex_matches_per_point_reference(cubic_pair, k3_pair, cy3_pair)
     # the compact numbering and the graph ranks of D_1 and D_n against the
     # per-point construction, which eliminates every degree: on every cubic
     # class, 10 K3 classes and 4 fixed classes of CY3 side a, whose degree 2
-    # is the one middle degree the real complex still eliminates.  A
-    # top-only complex counts the same components and has no Betti numbers
+    # is the one middle degree the real complex still eliminates
     cubic, k3, cy3 = cubic_pair.side_a, k3_pair.side_a, cy3_pair.side_a
     runs = [
         (cubic, divisor_class_representatives(cubic)),
@@ -681,12 +680,8 @@ def test_real_complex_matches_per_point_reference(cubic_pair, k3_pair, cy3_pair)
             rc, ref = RealComplex(pd), PerPointRealComplex(pd)
             assert rc.betti() == ref.betti(), mask
             assert rc.component_count() == ref.component_count(), mask
-            top = RealComplex(pd, top_only=True)
-            assert top.component_count() == ref.component_count(), mask
             components.add(rc.component_count())
     assert components == {1, 2}
-    with pytest.raises(InternalCheckError):
-        top.betti()
 
 
 def test_escaping_transport_raises(monkeypatch):
@@ -741,10 +736,10 @@ def test_real_complex_needs_two_ends_per_edge_and_facet(name):
     # lists.  On a fresh pair per mutation, before any list is built, one
     # cover below a 1-cell is dropped from the frame's grouped covers (below
     # the 1-cell and above its face), or one cover above an (n-1)-cell is
-    # listed twice (in both groups): the real complex raises, full and
-    # top-only, and so does real_betti, whose sign route reads the point
-    # rows built from the intact covers first.  On K3 the dropped cover is
-    # below a real edge, which only the full complex's primal graph reads
+    # listed twice (in both groups): the real complex raises, and so does
+    # real_betti, whose sign route reads the point rows built from the
+    # intact covers first.  On K3 the dropped cover is below a real edge,
+    # which the primal graph reads
     eps = signs_from_divisor(_scratch_side(name), [])
     intact = _scratch_side(name)
     assert real_betti(intact, eps) == RealComplex(PhaseData(intact, intact.base_poset, eps)).betti()
@@ -765,10 +760,7 @@ def test_real_complex_needs_two_ends_per_edge_and_facet(name):
         else:
             del below[i], above[j]
         frame._below[xi], frame._above[yi] = tuple(below), tuple(above)
-        builds = [lambda: RealComplex(pd), lambda: real_betti(side, eps)]
-        if twice or side.n == 1:
-            builds.append(lambda: RealComplex(pd, top_only=True))
-        for build in builds:
+        for build in (lambda: RealComplex(pd), lambda: real_betti(side, eps)):
             with pytest.raises(InternalCheckError, match="two ends"):
                 build()
         assert all(pc.up is None for pc in frame._phase_cells.values() if pc.ci == yi)
@@ -782,7 +774,7 @@ def test_dropped_phase_point_raises(name, top, monkeypatch):
     # one top left, and the facet's incidence check fires ("fewer than two
     # ends"); on an (n-1)-cell below a top cell, whose points are all
     # images of top points, the transport check fires ("phase transport
-    # escaped").  real_betti and the top-only complex both raise
+    # escaped").  real_betti and the real complex both raise
     # InternalCheckError, which the CLI reports with exit code 2
     side = _scratch_side(name)
     eps = signs_from_divisor(side, [])
@@ -804,7 +796,7 @@ def test_dropped_phase_point_raises(name, top, monkeypatch):
     message = "fewer than two ends" if top else "phase transport escaped"
     for build in (
         lambda: real_betti(side, eps),
-        lambda: RealComplex(PhaseData(side, side.base_poset, eps), top_only=True),
+        lambda: RealComplex(PhaseData(side, side.base_poset, eps)),
     ):
         with pytest.raises(InternalCheckError, match=message):
             build()
@@ -813,10 +805,9 @@ def test_dropped_phase_point_raises(name, top, monkeypatch):
 def test_incidence_lists_are_shared_per_record(k3_pair, monkeypatch):
     # the real complex reads each record's incidence lists from the frame:
     # sweeping the same K3 classes a second time builds none, and the lists
-    # are the same objects.  A top-only complex resolves no record below
-    # degree n - 1.  The real complex does not read the frame's numbering
-    # of the sign route: with offset and layout gone and no point rows
-    # built, it gives the same Betti numbers
+    # are the same objects.  The real complex does not read the frame's
+    # numbering of the sign route: with offset and layout gone and no point
+    # rows built, it gives the same Betti numbers
     side = _scratch_side("k3")
     masks = sample_divisor_classes(k3_pair.side_a, 12, seed=9)
     frame = side.phase_frame("base")
@@ -844,12 +835,6 @@ def test_incidence_lists_are_shared_per_record(k3_pair, monkeypatch):
     assert calls and not any(calls)
     assert list(frame._phase_cells.values()) == records
     assert all(pc.up is up and pc.down is down for pc, (up, down) in zip(records, built))
-    cells = side.base_poset.cells
-    for m in masks:
-        pd = PhaseData(side, side.base_poset, signs_from_divisor(side, mask_to_rays(side, m)))
-        RealComplex(pd, top_only=True)
-        resolved = [ci for ci, pc in enumerate(pd._cells) if pc is not None]
-        assert resolved and all(cells[ci].dim >= side.n - 1 for ci in resolved)
 
 
 def test_cubic_connected_example(cubic_pair):
@@ -1187,6 +1172,10 @@ def test_cubic_sweep_exhaustive(cubic_pair):
         expected = "connected" if row["b0"] == 1 else "two_components"
         assert row["verdict"] == expected
         assert row["class_nonzero"] == (row["b0"] == 1)
+    # --no-betti only shapes the report: each row is the Betti row without
+    # its Betti vector
+    full = sweep_rows(side, masks, with_betti=True)
+    assert rows == [{k: v for k, v in row.items() if k != "betti"} for row in full]
 
 
 def _splitting_kernel(side):
