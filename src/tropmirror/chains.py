@@ -33,12 +33,11 @@ share one int object per column.
 An F2 complex with no signature, such as the sign cosheaf's over every
 point of a phase frame, is kept by its owner as packed boundary rows per
 degree (-1 = 1 over F2), whose square ``check_f2_square_zero`` verifies mod
-2.  An F2Subcomplex is the span of some basis vectors of such rows, closed
-under their boundary, such as the sign complex of one sign distribution:
-each kept vector is named by its position in the parent's numbering and
-keeps the parent's row, so it is neither renumbered, assembled nor
-square-checked again, and its ranks come from those rows, cleared the same
-way.
+2.  The sign complex of one sign distribution is the span of some basis
+vectors of such rows, closed under their boundary: its owner gathers their
+rows, keyed by their positions in its numbering, and ranks them with
+``f2_cleared_ranks``, so nothing is renumbered, assembled or square-checked
+again.
 """
 
 from bisect import bisect_right
@@ -132,16 +131,6 @@ class HomologySummary:
         return f"HomologySummary({self.ring}: " + ", ".join(parts) + ")"
 
 
-class _Graded:
-    """Dimensions per degree, read from ``dim_q``."""
-
-    def dim(self, q):
-        return self.dim_q.get(q, 0)
-
-    def euler_characteristic(self):
-        return sum((-1) ** q * self.dim(q) for q in self.degrees)
-
-
 class CellLayout:
     """Cells as blocks of bits, ``widths[ci]`` bits for cell ci, laid end to
     end per degree in the order of ``cells_by_dim``: the block of ci starts
@@ -178,7 +167,7 @@ class CellLayout:
             vec &= -1 << (offset[ci] + widths[ci])
 
 
-class ChainComplex(_Graded):
+class ChainComplex:
     """Boundary matrices of a cosheaf on a poset, with homology caches.
 
     ``ranks``: value rank per cell index, the widths of the complex's
@@ -243,6 +232,12 @@ class ChainComplex(_Graded):
                         acc[j] = acc.get(j, 0) + v * w
                 if any(acc.values()):
                     _square_nonzero(q, i)
+
+    def dim(self, q):
+        return self.dim_q.get(q, 0)
+
+    def euler_characteristic(self):
+        return sum((-1) ** q * self.dim(q) for q in self.degrees)
 
     # -- ranks and homology ------------------------------------------------------
     def rank_boundary(self, q, ring):
@@ -373,35 +368,3 @@ class ChainComplex(_Graded):
     def __repr__(self):
         dims = ", ".join(f"C_{q}={self.dim(q)}" for q in self.degrees)
         return f"ChainComplex({dims})"
-
-
-class F2Subcomplex(_Graded):
-    """The span of some basis vectors of an F2 complex, closed under its
-    boundary.
-
-    ``rows[q]`` maps the position of each kept degree-q basis vector in the
-    parent's numbering, in increasing order, to the parent's packed
-    boundary row of it (0 in degree 0).  The parent's owner has checked the
-    square (``check_f2_square_zero``) and the caller that the span is
-    closed (each row of degree q lies inside the positions kept in degree
-    q - 1); the square then vanishes here too, so nothing is assembled or
-    checked again.  Answers over F2 only.
-    """
-
-    def __init__(self, rows):
-        self.rows = rows
-        self.degrees = sorted(rows)
-        self.dim_q = {q: len(r) for q, r in rows.items()}
-        self._homology = None
-
-    def homology(self, ring):
-        _check_ring(ring)
-        if ring != "f2":
-            raise InternalCheckError(f"an F2 complex has no homology over {ring}")
-        if self._homology is None:
-            ranks = f2_cleared_ranks({q: r.items() for q, r in self.rows.items()})
-            self._homology = HomologySummary({
-                q: (self.dim(q) - ranks[q] - ranks.get(q + 1, 0), ())
-                for q in self.degrees
-            }, ring)
-        return self._homology

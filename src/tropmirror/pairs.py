@@ -44,7 +44,12 @@ class Side:
         return side
 
     def poset(self, kind):
+        """The base or the refined cell poset, built on first read; any
+        other kind is refused, as ``CellPoset`` refuses it, before any
+        build."""
         if kind not in self._posets:
+            if kind not in ("base", "refined"):
+                raise ValueError(kind)
             builder = build_base_poset if kind == "base" else build_refined_poset
             self._posets[kind] = builder(self.ambient, self.newton)
         return self._posets[kind]

@@ -24,21 +24,23 @@ cosheaf's F2 complex over every frame point, built on first read and
 square-checked mod 2 there) is a PhaseFrame, built once per side and poset
 kind.  A sign distribution only picks the points each cell keeps, and what
 depends only on a cell's edge phases is one record in the frame, a
-PhaseCell per (cell, edge phases): the phase point set and the filtration
-levels with their generators and the F2 spaces they span, filled on first
-use, so classes that agree on a cell share them all.  A level concatenates
-per-edge generator lists, which depend on the signs only through the
-edge's phase: the frame keeps each list once per (frame of the value
-stratum, p = 1 edge basis, cell value, p, edge phase), the first three
-keyed by identity, as the evaluator interns them, and one level per tuple
-of lists, keyed by their identities.  A record's edge phases fix those of
-every cell above it, so the frame checks the transport when it builds the
-record (each cover carries the phase points above, the phase bits of the
-cell above under the phases the record fixes, into the record's phase
-set), once for every class that reads it.  That makes each sign complex a
-subcomplex of the frame's, with no assembly or square check of its own:
-its rows are gathered from the frame's point rows.  A sign distribution
-keeps only its edge phases and resolves a cell's record on first read, so
+PhaseCell per (cell, edge phases): the packed phase set, the list of its
+points read off those bits, and the filtration levels with their
+generators and the F2 spaces they span, built once per record and p on
+first use, so classes that agree on a cell share them all.  A level
+concatenates per-edge generator lists, which depend on the signs only
+through the edge's phase: the frame keeps each list once per (frame of the
+value stratum, p = 1 edge basis, cell value, p, edge phase), the first
+three keyed by identity, as the evaluator interns them.  A record's edge
+phases fix those of every cell above it, so the frame checks the transport
+when it builds the record (each cover carries the phase points above, the
+phase bits of the cell above under the phases the record fixes, into the
+record's phase set), once for every class that reads it.  That makes each
+sign complex a subcomplex of the frame's, with no assembly or square check
+of its own: ``PhaseData.sign_complex`` gathers its rows from the frame's
+point rows, keyed by frame position, and ``real_betti`` ranks them with
+one cleared pass (``f2_cleared_ranks``).  A sign distribution keeps only
+its edge phases and resolves a cell's record on first read, so
 ``delta1`` resolves only the cells it lifts and those its boundary
 touches.  The whole sign route has one numbering, the frame's
 ``chains.CellLayout`` of 2^qd points per cell with edges: a point s of
@@ -60,9 +62,10 @@ check that each has exactly two ends runs then, once per record, like
 the transport check.  Per class the real complex concatenates its
 records' lists and ranks its edge and facet boundaries as graphs by one
 union-find over the pairs each; only the middle degrees take packed
-boundary rows, packed per class (``real_rows``).  Every sweep row runs
-both routes through ``real_betti`` and reads its b0 off the Betti vector;
-``with_betti`` only decides whether the row shows that vector.
+boundary rows, packed per class (``real_rows``), where a face's point t
+is numbered by the count of its phase points below t.  Every sweep row
+runs both routes through ``real_betti`` and reads its b0 off the Betti
+vector; ``with_betti`` only decides whether the row shows that vector.
 """
 
 import random
@@ -70,7 +73,7 @@ from array import array
 from functools import cache, cached_property
 from itertools import combinations
 
-from .chains import CellLayout, F2Subcomplex, check_f2_square_zero
+from .chains import CellLayout, check_f2_square_zero
 from .errors import (
     HypothesisFails,
     InputError,
@@ -79,7 +82,7 @@ from .errors import (
     NotAClosedChain,
     VerdictMismatch,
 )
-from .intlinalg import F2Space, dot, f2_combine, f2_pack, f2_rank
+from .intlinalg import F2Space, dot, f2_cleared_ranks, f2_combine, f2_pack, f2_rank
 from .exterior import wedge_matrix
 from .mirror import chain_degree, divisor_restriction, divisor_support, is_null_class
 
@@ -130,12 +133,21 @@ def phase_from_signs(side, eps):
 
 
 def validate_phase(side, t):
-    """The two-dimensional simplex rule: 0 or 2 edges with zero class."""
+    """A phase structure gives every edge of the triangulation, and nothing
+    else, the phase 0 or 1, an int, and follows the two-dimensional simplex
+    rule: 0 or 2 edges with zero class.  Otherwise InvalidPhaseStructure."""
+    edges = side.newton.by_dim.get(1, set())
+    bad = [e for e, b in t.items() if type(b) is not int or b not in (0, 1)]
+    for what, wrong in (
+        ("miss edges", edges - t.keys()),
+        ("name non-edges", t.keys() - edges),
+        ("other than the integer 0 or 1 at", bad),
+    ):
+        if wrong:
+            raise InvalidPhaseStructure(f"phases {what} {sorted(wrong, key=repr)}")
     for tri in side.newton.by_dim.get(2, ()):
-        zero = 0
-        for e in combinations(tri, 2):
-            if t[tuple(sorted(e))] == 0:
-                zero += 1
+        # a sorted simplex's pairs are its sorted edges
+        zero = sum(t[e] == 0 for e in combinations(tri, 2))
         if zero not in (0, 2):
             raise InvalidPhaseStructure(
                 f"simplex {tri} has {zero} edges with zero phase class"
@@ -274,16 +286,14 @@ class PhaseFrame:
     in ``cells[ci]`` edge order) is one PhaseCell per (ci, tes), from
     ``cell_phase``, which checks the transport from the cells above ci,
     read off their phase bits, when it builds one; ``level`` fills its
-    filtration levels on first use, one level object per tuple of per-edge
-    generator lists.  Cells with the same packed point set in the same
-    quotient rank share one point list and index dict.
+    filtration levels on first use, one per record and p.  Each record
+    holds its own point list, read off its phase bits.
     """
 
     def __init__(self, evaluator, poset):
         self.evaluator = evaluator
         self.poset = poset
         self._proj = {}  # (frame x, frame y) -> point images
-        self._points = {}  # (qd, packed point set) -> (points, index)
         self._phase_cells = {}  # (ci, tes) -> PhaseCell
         self._edge_gens = {}  # (frame, ids of edge basis and value), p, te -> generators
         self.cells = []
@@ -327,7 +337,6 @@ class PhaseFrame:
                 pos = {e: j for j, (e, _, _) in enumerate(ey)}
                 above[yi].append((xi, images, tuple([pos[e] for e, _, _ in ex])))
         self._below, self._above = list(map(tuple, below)), list(map(tuple, above))
-        self._levels = {}  # ids of the per-edge generator lists -> level
 
     @cached_property
     def point_rows(self):
@@ -357,8 +366,7 @@ class PhaseFrame:
 
     def cell_phase(self, ci, tes):
         """The PhaseCell of cell ci under edge phases tes, built once per
-        (ci, tes); cells with the same packed point set in the same
-        quotient rank share one point list and index dict.  Shared; callers
+        (ci, tes), its points read off its phase bits.  Shared; callers
         must not mutate it.
 
         The edge phases of ci fix those of every cell x above it, whose
@@ -377,12 +385,9 @@ class PhaseFrame:
                 for s, t in enumerate(images):
                     if top >> s & 1 and not bits >> t & 1:
                         raise InternalCheckError("phase transport escaped the target phase set")
-            if (qd, bits) not in self._points:
-                points = [s for s in range(1 << qd) if (bits >> s) & 1]
-                self._points[qd, bits] = (points, {s: i for i, s in enumerate(points)})
             pc = PhaseCell()
             pc.ci, pc.stratum, pc.qd, pc.tes, pc.bits = ci, stratum, qd, tes, bits
-            pc.points, pc.index = self._points[qd, bits]
+            pc.points = [s for s in range(1 << qd) if (bits >> s) & 1]
             pc.levels = pc.up = pc.down = None
             self._phase_cells[key] = pc
         return pc
@@ -434,21 +439,23 @@ class PhaseFrame:
         """The packed boundary rows of the real cells of the records
         ``cells``, point by point in record order, over the real cells of
         ``faces``, all of one class's records one degree below, numbered
-        point by point in record order.  That numbering follows the class's
+        point by point in record order: point t of face record f is
+        ``o + popcount(f.bits & ((1 << t) - 1))``, o the points of the
+        faces before f.  That numbering follows the class's
         point counts, which keeps the rows as narrow as the class's real
         cells, so the rows are built per class; only the middle degrees
         2..n-1 read them."""
         column, o = {}, 0
         for pc in faces:
-            column[pc.ci] = o, pc.index
+            column[pc.ci] = o, pc.bits
             o += len(pc.points)
         rows = []
         for pc in cells:
             below = [(column[yi], images) for yi, _, images in self._below[pc.ci]]
             for s in pc.points:
                 row = 0
-                for (o, index), images in below:
-                    row |= 1 << (o + index[images[s]])
+                for (o, bits), images in below:
+                    row |= 1 << (o + (bits & ((1 << images[s]) - 1)).bit_count())
                 rows.append(row)
         return rows
 
@@ -458,26 +465,20 @@ class PhaseFrame:
         (indicator, multitangent coordinates), both packed: bit s of an
         indicator is the point s of the cell's frame.  The spaces are the
         F2 spans of the indicators and of the coordinates, rows in generator
-        order.  Records whose per-edge generator lists are the same objects
-        share one level, keyed by the lists' identities.  Shared; callers
-        may solve in the spaces but must not add rows."""
+        order.  Each is built once per record and p.  Shared; callers may
+        solve in the spaces but must not add rows."""
         if pc.levels is None:
             pc.levels = {}
-        if p in pc.levels:
-            return pc.levels[p]
-        lists = []
-        if pc.bits:
-            value = self.evaluator.value("multitangent", p, self.poset.cells[pc.ci])
-            for ((a, b), rdm, _), te in zip(self.cells[pc.ci][2], pc.tes):
-                lists.append(self._edge_generators(pc.stratum, a, b, rdm, value, p, te))
-        key = tuple(map(id, lists))
-        out = self._levels.get(key)
+        out = pc.levels.get(p)
         if out is None:
-            gens = [g for gl in lists for g in gl]
-            out = self._levels[key] = (
+            gens = []
+            if pc.bits:
+                value = self.evaluator.value("multitangent", p, self.poset.cells[pc.ci])
+                for ((a, b), rdm, _), te in zip(self.cells[pc.ci][2], pc.tes):
+                    gens += self._edge_generators(pc.stratum, a, b, rdm, value, p, te)
+            out = pc.levels[p] = (
                 gens, F2Space(ind for ind, _ in gens), F2Space(fc for _, fc in gens)
             )
-        pc.levels[p] = out
         return out
 
     def _edge_generators(self, stratum, a, b, rdm, value, p, te):
@@ -522,17 +523,15 @@ class PhaseFrame:
 class PhaseCell:
     """One cell's phase data under one choice of its edge phases ``tes``,
     the one record per (cell, edge phases): the cell index ``ci``, the
-    packed phase set ``bits``, its ``points`` in increasing order and their
-    ``index``, and ``levels``, the filtration levels by p that
-    ``PhaseFrame.level`` has computed (None before the first).  ``up`` and
-    ``down`` hold the incidence lists of its real cells, their ends above
-    and below, which ``PhaseFrame.real_pairs`` builds on first read (None
-    before).  The frame checks the transport from the cells above it, read
+    packed phase set ``bits``, its own list of ``points`` in increasing
+    order, read off ``bits``, and ``levels``, the filtration levels by p
+    that ``PhaseFrame.level`` has computed (None before the first).  ``up``
+    and ``down`` hold the incidence lists of its real cells, their ends
+    above and below, which ``PhaseFrame.real_pairs`` builds on first read
+    (None before).  The frame checks the transport from the cells above it, read
     off their phase bits, when it builds one."""
 
-    __slots__ = (
-        "ci", "stratum", "qd", "tes", "bits", "points", "index", "levels", "up", "down"
-    )
+    __slots__ = ("ci", "stratum", "qd", "tes", "bits", "points", "levels", "up", "down")
 
 
 class PhaseData:
@@ -543,8 +542,9 @@ class PhaseData:
     edges, the first time it is read.  The frame checked each record's
     transport when it built it, so the span of the phase points is closed
     under the boundary of the frame's point rows.  The sign complex is that
-    span, an F2Subcomplex of the point rows, built on first read.  The real
-    complex reads the incidence lists of the records it resolves.
+    span, returned by ``sign_complex`` as the point rows it keeps, built on
+    each call (``real_betti`` reads it once per class).  The real complex
+    reads the incidence lists of the records it resolves.
     """
 
     def __init__(self, side, poset, eps):
@@ -553,7 +553,6 @@ class PhaseData:
         self.poset = self.frame.poset
         self._t = phase_from_signs(side, eps)
         self._cells = [None] * len(self.frame.cells)
-        self._complex = None
 
     def phase_cell(self, ci):
         pc = self._cells[ci]
@@ -564,20 +563,17 @@ class PhaseData:
         return pc
 
     def sign_complex(self):
-        """The sign cosheaf's F2 complex: the frame's point rows restricted
-        to the phase points, gathered cell by cell and keyed by frame
-        position (degree 0 has no rows, so its points map to 0)."""
-        if self._complex is None:
-            prows, offset = self.frame.point_rows, self.frame.offset
-            rows = {}
-            for q, indices in self.poset.cells_by_dim.items():
-                points = [
-                    offset[ci] + s for ci in indices for s in self.phase_cell(ci).points
-                ]
-                frows = prows.get(q)
-                rows[q] = {i: frows[i] for i in points} if frows else dict.fromkeys(points, 0)
-            self._complex = F2Subcomplex(rows)
-        return self._complex
+        """The sign cosheaf's F2 complex as its rows: per degree q, {frame
+        position: the frame's point row} over the phase points, gathered
+        cell by cell in increasing position (degree 0 has no rows, so its
+        points map to 0).  Built on each call."""
+        prows, offset = self.frame.point_rows, self.frame.offset
+        rows = {}
+        for q, indices in self.poset.cells_by_dim.items():
+            points = [offset[ci] + s for ci in indices for s in self.phase_cell(ci).points]
+            frows = prows.get(q)
+            rows[q] = {i: frows[i] for i in points} if frows else dict.fromkeys(points, 0)
+        return rows
 
 
 def _span(vectors):
@@ -684,9 +680,9 @@ def real_betti(side, eps):
     must agree and are returned once.  The real complex's b0 must equal its
     component count, which is its b_n, as Poincare duality mod 2 asks."""
     pd = PhaseData(side, side.base_poset, eps)
-    cx = pd.sign_complex()
-    h = cx.homology("f2")
-    betti_cosheaf = [h.rank(q) for q in range(side.n + 1)]
+    rows = pd.sign_complex()
+    r = f2_cleared_ranks({q: rq.items() for q, rq in rows.items()})
+    betti_cosheaf = [len(rows[q]) - r[q] - r.get(q + 1, 0) for q in range(side.n + 1)]
     rc = RealComplex(pd)
     betti_real = rc.betti()
     if betti_cosheaf != betti_real:

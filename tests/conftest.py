@@ -3,7 +3,7 @@ from itertools import permutations, product
 import pytest
 
 from tropmirror.chains import ChainComplex
-from tropmirror.intlinalg import det, f2_pack, f2_rank
+from tropmirror.intlinalg import det, f2_cleared_ranks, f2_pack, f2_rank
 from tropmirror.lattice import LatticePolytope
 from tropmirror.triangulate import CentralTriangulation, generate_central
 from tropmirror.pairs import MirrorPair
@@ -154,12 +154,26 @@ def integer_lift(pd):
     frame cover with the poset's signature, and its own square check over
     Z."""
     cells = [pd.phase_cell(ci) for ci in range(len(pd.poset.cells))]
+    index = [{s: i for i, s in enumerate(pc.points)} for pc in cells]
     blocks = {
-        (yi, xi): [((cells[yi].index[images[s]], 1),) for s in cells[xi].points]
+        (yi, xi): [((index[yi][images[s]], 1),) for s in cells[xi].points]
         for yi, xi, images in pd.frame.covers
     }
     ranks = [len(pc.points) for pc in cells]
     return ChainComplex(pd.poset, ranks, blocks, pd.poset.sign)
+
+
+def rows_betti(rows):
+    """F2 Betti numbers, degree by degree, of a complex given as its rows
+    {q: {position: packed row}}, such as ``PhaseData.sign_complex()``
+    returns: the dimension less the cleared ranks of the two boundaries."""
+    r = f2_cleared_ranks({q: rq.items() for q, rq in rows.items()})
+    return [len(rows[q]) - r[q] - r.get(q + 1, 0) for q in sorted(rows)]
+
+
+def rows_euler(rows):
+    """The Euler characteristic of a complex given as its rows."""
+    return sum((-1) ** q * len(rq) for q, rq in rows.items())
 
 
 def phase_masks(pd):

@@ -344,30 +344,39 @@ def test_flipped_verdict_is_an_internal_error(cubic_pair, cubic_files, capsys, m
 
 
 def test_doctored_betti_row_is_an_internal_error(cubic_pair, cubic_files, capsys, monkeypatch, tmp_path):
-    # the real complex's Betti vector with b_1 one too high, and separately
-    # its component count one above its b0: real_betti compares both with
-    # the other route and raises, and the CLI reports an internal error,
-    # also for a sweep without Betti numbers, whose rows run both routes
+    # the real complex's Betti vector with b_1 one too high, separately its
+    # component count one above its b0, and separately a sign complex with
+    # its last top-degree row dropped: real_betti compares each with the
+    # other route and raises, and the CLI reports an internal error, also
+    # for a sweep without Betti numbers, whose rows run both routes
     import tropmirror.patchwork as patchwork
     from tropmirror.errors import InternalCheckError
 
     betti = patchwork.RealComplex.betti
+    sign_complex = patchwork.PhaseData.sign_complex
 
     def one_more_b1(rc):
         b = betti(rc)
         return [b[0], b[1] + 1, *b[2:]]
+
+    def one_row_fewer(pd):
+        rows = sign_complex(pd)
+        top = rows[pd.side.n]
+        del top[max(top)]
+        return rows
 
     side = cubic_pair.side_a
     eps = patchwork.signs_from_divisor(side, [])
     _, _, tri, tri_dual = cubic_files
     div = tmp_path / "d.json"
     div.write_text(json.dumps({"rays": []}))
-    for name, doctored, message in (
-        ("betti", one_more_b1, "sign-cosheaf betti"),
-        ("component_count", lambda rc: betti(rc)[0] + 1, "component count"),
+    for cls, name, doctored, message in (
+        (patchwork.RealComplex, "betti", one_more_b1, "sign-cosheaf betti"),
+        (patchwork.RealComplex, "component_count", lambda rc: betti(rc)[0] + 1, "component count"),
+        (patchwork.PhaseData, "sign_complex", one_row_fewer, "sign-cosheaf betti"),
     ):
         with monkeypatch.context() as mp:
-            mp.setattr(patchwork.RealComplex, name, doctored)
+            mp.setattr(cls, name, doctored)
             with pytest.raises(InternalCheckError, match=message):
                 patchwork.real_betti(side, eps)
             for argv in (

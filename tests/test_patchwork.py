@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -15,6 +16,8 @@ from conftest import (
     divisor_class_count,
     integer_lift,
     phase_masks,
+    rows_betti,
+    rows_euler,
 )
 from tropmirror import patchwork
 from tropmirror.errors import (
@@ -149,6 +152,29 @@ def test_invalid_phase_structure_rejected(cubic_pair):
     bad[first] ^= 1
     with pytest.raises(InvalidPhaseStructure):
         signs_from_phase(side, bad)
+
+
+def test_phase_structure_must_give_each_edge_0_or_1(cubic_pair):
+    # a phase structure names every edge and nothing else, each with the
+    # int 0 or 1: a missing edge, an extra key, True and 2 are refused by
+    # name, before the simplex rule or the sign propagation reads them
+    side = cubic_pair.side_a
+    t = phase_from_signs(side, signs_from_divisor(side, [D7]))
+    edge, extra = min(t), ((0, 0), (5, 5))
+    cases = [
+        ({e: v for e, v in t.items() if e != edge}, "miss edges", edge),
+        ({**t, extra: 1}, "name non-edges", extra),
+        ({**t, "edge": 0}, "name non-edges", "edge"),
+        ({**t, edge: True}, "other than the integer 0 or 1 at", edge),
+        ({**t, edge: 2}, "other than the integer 0 or 1 at", edge),
+        ({**t, edge: 1.0}, "other than the integer 0 or 1 at", edge),
+    ]
+    for bad, what, named in cases:
+        message = re.escape(f"phases {what} [{named!r}]")
+        for check in (validate_phase, signs_from_phase):
+            with pytest.raises(InvalidPhaseStructure, match=message):
+                check(side, bad)
+    assert signs_from_phase(side, t) == signs_from_divisor(side, [D7])
 
 
 def test_linear_shift_gives_equivalent_divisors(cubic_pair):
@@ -401,10 +427,9 @@ def _class_results(side, poset, eps, fresh_results, first_levels):
         points[ci] = list(pc.points)
         assert pc.points == built.points
         assert pc.points == _phase_points_directly(frame, ci, eps)
-        assert pc.index == {s: i for i, s in enumerate(pc.points)}
     cx = pd.sign_complex()
     reference = _packed_mod2(_sign_boundary_assembled_per_point(pd))
-    rows = {q: list(cx.rows[q].values()) for q in reference}
+    rows = {q: list(cx[q].values()) for q in reference}
     assert rows == reference
     return gens, points, rows
 
@@ -473,35 +498,35 @@ def test_sign_complex_matches_integer_lift(cubic_pair, k3_pair):
             for c in poset.cells:
                 position[c.dim] += [offset[c.index] + s for s in pd.phase_cell(c.index).points]
             masks = phase_masks(pd)
-            for q in cx.degrees:
-                assert cx.dim(q) == lift.dim(q) == len(position[q]), (kind, mask, q)
-                assert list(cx.rows[q]) == _bits(masks[q]) == position[q], (kind, mask, q)
+            assert sorted(cx) == lift.degrees, (kind, mask)
+            for q in lift.degrees:
+                assert len(cx[q]) == lift.dim(q) == len(position[q]), (kind, mask, q)
+                assert list(cx[q]) == _bits(masks[q]) == position[q], (kind, mask, q)
                 mapped = [
                     sum(1 << position[q - 1][j] for j in _bits(r)) for r in lift.f2_rows(q)
                 ] if q else [0] * lift.dim(0)
-                assert list(cx.rows[q].values()) == mapped, (kind, mask, q)
-            assert cx.euler_characteristic() == lift.euler_characteristic()
+                assert list(cx[q].values()) == mapped, (kind, mask, q)
+            assert rows_euler(cx) == lift.euler_characteristic()
+            h = lift.homology("f2")
+            assert rows_betti(cx) == [h.rank(q) for q in lift.degrees], (kind, mask)
 
 
-def test_sign_complex_refuses_integer_rings(cubic_pair):
-    # a sign complex answers over F2 only: asking it for Q or Z homology is
-    # an internal error (exit code 2).  It keeps the frame's numbering: each
-    # phase point's row is the frame's point row at its position
+def test_sign_complex_keeps_the_frame_rows(cubic_pair):
+    # the sign complex keeps the frame's numbering: each phase point's row
+    # is the frame's point row at its position (0 in degree 0), and its
+    # Betti numbers through degree n are real_betti's (the poset's degree
+    # n + 1 keeps no phase points)
     side = cubic_pair.side_a
     eps = signs_from_divisor(side, [D7])
     pd = PhaseData(side, side.base_poset, eps)
     cx = pd.sign_complex()
-    for ring in ("q", "z"):
-        with pytest.raises(InternalCheckError, match="F2 complex"):
-            cx.homology(ring)
-    with pytest.raises(ValueError):
-        cx.homology("r")
-    h = cx.homology("f2")
-    assert [h.rank(q) for q in range(side.n + 1)] == real_betti(side, eps)
+    assert sorted(cx) == list(pd.poset.cells_by_dim)
+    assert rows_betti(cx)[: side.n + 1] == real_betti(side, eps)
     prows, masks = pd.frame.point_rows, phase_masks(pd)
-    for q in cx.degrees[1:]:
-        assert cx.rows[q] == {j: prows[q][j] for j in _bits(masks[q])}
-    assert any(len(cx.rows[q]) < len(prows[q]) for q in cx.degrees[1:])
+    assert cx[0] == dict.fromkeys(_bits(masks[0]), 0)
+    for q in sorted(cx)[1:]:
+        assert cx[q] == {j: prows[q][j] for j in _bits(masks[q])}
+    assert any(len(cx[q]) < len(prows[q]) for q in sorted(cx)[1:])
 
 
 def test_redirected_sign_row_breaks_square(k3_pair):
@@ -645,7 +670,9 @@ class PerPointRealComplex:
                     parent[rb] = ra
         return len({find(i) for i in tops})
 
-    def betti(self):
+    def rows(self):
+        """Packed boundary rows per degree, the real q-cells numbered in
+        poset cell order."""
         dims = {}
         offs = []
         for (_, _, d) in self.cells:
@@ -654,10 +681,14 @@ class PerPointRealComplex:
         rows = {q: [0] * dims[q] for q in dims}
         for (yi, xi) in self.covers:
             rows[self.cells[xi][2]][offs[xi]] ^= 1 << offs[yi]
+        return rows
+
+    def betti(self):
+        rows = self.rows()
         ranks = {q: f2_rank(rows[q]) for q in rows if q > 0}
         return [
-            dims.get(q, 0) - ranks.get(q, 0) - ranks.get(q + 1, 0)
-            for q in range(max(dims, default=-1) + 1)
+            len(rows.get(q, ())) - ranks.get(q, 0) - ranks.get(q + 1, 0)
+            for q in range(max(rows, default=-1) + 1)
         ]
 
 
@@ -665,7 +696,9 @@ def test_real_complex_matches_per_point_reference(cubic_pair, k3_pair, cy3_pair)
     # the compact numbering and the graph ranks of D_1 and D_n against the
     # per-point construction, which eliminates every degree: on every cubic
     # class, 10 K3 classes and 4 fixed classes of CY3 side a, whose degree 2
-    # is the one middle degree the real complex still eliminates
+    # is the one middle degree the real complex still eliminates; its rows
+    # from real_rows are the reference's bit for bit, so each face point is
+    # numbered by the phase points below it, not merely up to a shift
     cubic, k3, cy3 = cubic_pair.side_a, k3_pair.side_a, cy3_pair.side_a
     runs = [
         (cubic, divisor_class_representatives(cubic)),
@@ -679,6 +712,13 @@ def test_real_complex_matches_per_point_reference(cubic_pair, k3_pair, cy3_pair)
             pd = PhaseData(side, side.base_poset, eps)
             rc, ref = RealComplex(pd), PerPointRealComplex(pd)
             assert rc.betti() == ref.betti(), mask
+            records = [
+                [pd.phase_cell(ci) for ci in pd.poset.cells_by_dim[q]] for q in range(side.n)
+            ]
+            ref_rows = ref.rows()
+            for q in range(2, side.n):
+                rows = pd.frame.real_rows(records[q - 1], records[q])
+                assert rows == ref_rows.get(q, []), (mask, q)
             assert rc.component_count() == ref.component_count(), mask
             components.add(rc.component_count())
     assert components == {1, 2}
@@ -1138,30 +1178,6 @@ def test_delta1_resolves_only_the_cells_it_reads(name, cubic_pair, k3_pair, monk
             assert 0 < len(read) < len(poset.cells), (mask, p)
 
 
-def test_records_with_the_same_edge_lists_share_one_level(k3_pair):
-    # a level is one object per tuple of per-edge generator lists, keyed by
-    # their identities: records of different cells whose lists are the same
-    # objects get the same level, and records whose lists differ do not
-    side = k3_pair.side_a
-    frame = side.phase_frame("refined")
-    S = sphere_cycle(side)
-    for mask in sample_divisor_classes(side, 2, 2):
-        delta1(side, signs_from_divisor(side, mask_to_rays(side, mask)), S, 0)
-    ev, groups = side.evaluator, {}
-    for pc in list(frame._phase_cells.values()):
-        for p in range(side.n + 1):
-            lists = []
-            if pc.bits:
-                value = ev.value("multitangent", p, frame.poset.cells[pc.ci])
-                for ((a, b), rdm, _), te in zip(frame.cells[pc.ci][2], pc.tes):
-                    lists.append(frame._edge_generators(pc.stratum, a, b, rdm, value, p, te))
-            groups.setdefault(tuple(map(id, lists)), []).append((pc, p))
-    levels = {key: {id(frame.level(pc, p)) for pc, p in g} for key, g in groups.items()}
-    assert all(len(ids) == 1 for ids in levels.values())
-    assert len(set().union(*levels.values())) == len(groups)
-    assert any(len({pc.ci for pc, _ in g}) > 1 for g in groups.values())
-
-
 def test_cubic_sweep_exhaustive(cubic_pair):
     side = cubic_pair.side_a
     masks = divisor_class_representatives(side)
@@ -1327,6 +1343,6 @@ def test_arbitrary_sign_distributions(cubic_pair, bits):
     betti = real_betti(side, eps)  # both routes and the component count agree
     pd = PhaseData(side, side.base_poset, eps)
     euler = sum((-1) ** q * b for q, b in enumerate(betti))
-    assert euler == pd.sign_complex().euler_characteristic()
+    assert euler == rows_euler(pd.sign_complex())
     for ci in range(len(side.base_poset.cells)):
         assert pd.phase_cell(ci).points == _phase_points_directly(pd.frame, ci, eps)

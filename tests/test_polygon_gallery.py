@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import divisor_class_count, integer_lift, phase_masks
+from conftest import divisor_class_count, integer_lift, phase_masks, rows_betti, rows_euler
 from tropmirror.intlinalg import sparse_elementary_divisors
 from tropmirror.lattice import LatticePolytope
 from tropmirror.pairs import MirrorPair
@@ -188,7 +188,7 @@ def test_arbitrary_signs_on_gallery_curves(gallery_sides, data):
     eps = dict(zip(points, bits))
     b0, b1 = real_betti(side, eps)  # both routes and the component count agree
     assert b0 == b1 and b0 in (1, 2), (b0, b1)
-    assert PhaseData(side, side.base_poset, eps).sign_complex().euler_characteristic() == 0
+    assert rows_euler(PhaseData(side, side.base_poset, eps).sign_complex()) == 0
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
@@ -234,8 +234,9 @@ def test_restricted_sign_complex_matches_per_class_assembly(cubic_pair, gallery_
     poset = side.poset(kind)
     pd = PhaseData(side, poset, eps)
     cx, oracle = pd.sign_complex(), integer_lift(pd)
-    assert cx.homology("f2") == oracle.homology("f2")
-    assert cx.euler_characteristic() == oracle.euler_characteristic()
+    h = oracle.homology("f2")
+    assert rows_betti(cx) == [h.rank(q) for q in oracle.degrees]
+    assert rows_euler(cx) == oracle.euler_characteristic()
     fresh = PhaseFrame(side.evaluator, poset)
     t = phase_from_signs(side, eps)
     prows, offset, masks = pd.frame.point_rows, pd.frame.offset, phase_masks(pd)

@@ -257,6 +257,31 @@ def test_pair_rejects_invalid_triangulation():
         MirrorPair(broken, Tdual)
 
 
+def test_side_refuses_an_unknown_poset_kind(monkeypatch):
+    # a kind other than "base" or "refined" is refused as CellPoset refuses
+    # it, before a poset is built or cached; the two kinds still build once
+    from tropmirror import pairs
+    from tropmirror.mirror import sphere_cycle
+
+    side = pairs.MirrorPair(
+        generate_central(LatticePolytope(CUBIC_VERTS)),
+        generate_central(LatticePolytope(CUBIC_DUAL_VERTS)),
+    ).side_a
+    built = []
+    for name in ("build_base_poset", "build_refined_poset"):
+        real = getattr(pairs, name)
+        monkeypatch.setattr(pairs, name, lambda *a, real=real: built.append(real) or real(*a))
+    for kind in ("refind", "Base", None):
+        with pytest.raises(ValueError, match=str(kind)):
+            side.poset(kind)
+    with pytest.raises(ValueError, match="bogus"):
+        sphere_cycle(side, kind="bogus")
+    assert built == [] and side._posets == {}
+    assert side.poset("refined") is side.refined_poset
+    assert side.poset("base") is side.base_poset
+    assert built == [build_refined_poset, build_base_poset]
+
+
 def test_pairing_identity_on_sphere_cells(cubic_pair, k3_pair):
     # on first-kind cells every stratum generator pairs to 1 with the
     # boundary part of sigma
