@@ -22,27 +22,33 @@ What does not depend on the signs (each cell's frame and edge parities,
 each cover's map between frames, and the packed boundary rows of the sign
 cosheaf's F2 complex over every frame point, built on first read and
 square-checked mod 2 there) is a PhaseFrame, built once per side and poset
-kind.  A sign distribution only picks the points each cell keeps, and what
+kind.  It numbers the edges of its cells once, so a cell's edge phases
+are one int mask, over that numbering, with no bit off the cell's edges.
+A sign distribution only picks the points each cell keeps, and what
 depends only on a cell's edge phases is one record in the frame, a
-PhaseCell per (cell, edge phases): the packed phase set, the list of its
-points read off those bits, and the filtration levels with their
+PhaseCell per (cell, edge-phase mask): the packed phase set, the list of
+its points read off those bits, and the filtration levels with their
 generators and the F2 spaces they span, built once per record and p on
 first use, so classes that agree on a cell share them all.  A level
 concatenates per-edge generator lists, which depend on the signs only
 through the edge's phase: the frame keeps each list once per (frame of the
 value stratum, p = 1 edge basis, cell value, p, edge phase), the first
 three keyed by identity, as the evaluator interns them.  A record's edge
-phases fix those of every cell above it, so the frame checks the transport
-when it builds the record (each cover carries the phase points above, the
-phase bits of the cell above under the phases the record fixes, into the
+phases fix those of every cell above it, whose edges are some of its own
+(its mask, masked to their edges, is theirs), so the frame checks the
+transport when it builds the record (each cover carries the phase points
+above, the phase bits of the cell above under that mask, into the
 record's phase set), once for every class that reads it.  That makes each
 sign complex a subcomplex of the frame's, with no assembly or square check
 of its own: ``PhaseData.sign_complex`` gathers its rows from the frame's
 point rows, keyed by frame position, and ``real_betti`` ranks them with
 one cleared pass (``f2_cleared_ranks``).  A sign distribution keeps only
-its edge phases and resolves a cell's record on first read, so
-``delta1`` resolves only the cells it lifts and those its boundary
-touches.  The whole sign route has one numbering, the frame's
+its edge phases, as one mask over every edge, computed once from the
+signs; a cell's record is keyed by that mask masked to the cell's edges.
+The Betti routes resolve every cell once per class, one list of records
+per degree (``PhaseData.degree_records``), which the sign complex and the
+real complex both read; ``delta1`` resolves only the cells it lifts and
+those its boundary touches.  The whole sign route has one numbering, the frame's
 ``chains.CellLayout`` of 2^qd points per cell with edges: a point s of
 cell ci sits at ``offset[ci] + s`` in the phase sets, the sign complex's
 rows and their cleared ranks, and a filtration indicator has bit s for
@@ -262,7 +268,10 @@ class PhaseFrame:
     carries the cell's values, its quotient rank m - len(stratum), and per
     edge of sigma (sorted endpoints, the parity mask ``rdm`` of its
     direction in frame coordinates, the packed set of points s with s.rdm
-    odd).  Only a cell with edges reads its frame.  ``covers`` lists (y, x,
+    odd).  Only a cell with edges reads its frame.  The frame numbers the
+    edges of all its cells once: edge j has the endpoints ``edge_ends[j]``,
+    ``edge_bits[ci]`` holds 1 << j for each edge of cell ci in its edge
+    order, and ``edge_mask[ci]`` is their sum.  ``covers`` lists (y, x,
     images) for each cover y below x where both cells have edges:
     ``images[s]`` is the point s of the frame of x carried into the frame
     of y, one list shared by every cover between the same two interned
@@ -276,27 +285,32 @@ class PhaseFrame:
     per side and poset kind, and their square is checked mod 2 then; a sign
     distribution's complex is their restriction to the phase points.  The
     real complex has its own numbering, ``real_start``, and reads the
-    covers as the frame groups them per cell, ``_below`` and ``_above``:
-    through each record's incidence list (``real_pairs``) and, in the
-    middle degrees, the rows ``real_rows`` packs per class.  Above yi a
-    cover is (xi, images, at), ``at[k]`` the position of x's edge k among
-    y's, so y's edge phases give x's.
+    covers as the frame groups them per cell, ``_below`` and ``_above``
+    (above yi, the pairs (xi, images)): through each record's incidence
+    list (``real_pairs``) and, in the middle degrees, the rows
+    ``real_rows`` packs per class.
 
-    What depends only on a cell's edge phases ``tes`` (one 0/1 per edge,
-    in ``cells[ci]`` edge order) is one PhaseCell per (ci, tes), from
-    ``cell_phase``, which checks the transport from the cells above ci,
-    read off their phase bits, when it builds one; ``level`` fills its
-    filtration levels on first use, one per record and p.  Each record
-    holds its own point list, read off its phase bits.
+    What depends only on a cell's edge phases is one PhaseCell per (ci,
+    mask), ``mask`` the phases as a mask over the edge numbering with no
+    bit off ci's edges, from ``cell_phase``, which checks the transport
+    from the cells above ci, read off their phase bits, when it builds one.
+    x's edges are some of y's when y is below x, so y's mask masked by
+    ``edge_mask[x]`` is x's, and a cover above y needs no more.  ``level``
+    fills a record's filtration levels on first use, one per record and p.
+    Each record holds its own point list, read off its phase bits.
     """
 
     def __init__(self, evaluator, poset):
         self.evaluator = evaluator
         self.poset = poset
         self._proj = {}  # (frame x, frame y) -> point images
-        self._phase_cells = {}  # (ci, tes) -> PhaseCell
+        self._phase_cells = {}  # (ci, its edge-phase mask) -> PhaseCell
         self._edge_gens = {}  # (frame, ids of edge basis and value), p, te -> generators
         self.cells = []
+        # one numbering of the edges of every cell (number: edge -> 1 << j,
+        # one int per edge): edge j is edge_ends[j]; edge_bits[ci] is 1 << j
+        # per edge of cells[ci], in its edge order, and edge_mask[ci] their sum
+        number, self.edge_bits, self.edge_mask = {}, [], []
         for cell in poset.cells:
             stratum = evaluator.value_stratum("multitangent", cell)
             qd = evaluator.m - len(stratum)
@@ -308,7 +322,11 @@ class PhaseFrame:
                     rdm = f2_pack([dot(r, d) for r in fr.R])
                     odd = f2_pack([bin(s & rdm).count("1") for s in range(1 << qd)])
                     edges.append(((min(a, b), max(a, b)), rdm, odd))
+            bits = tuple([number.setdefault(e, 1 << len(number)) for e, _, _ in edges])
             self.cells.append((stratum, qd, edges))
+            self.edge_bits.append(bits)
+            self.edge_mask.append(sum(bits))
+        self.edge_ends = list(number)
         self.layout = CellLayout(
             poset.cells_by_dim, [1 << qd if edges else 0 for _, qd, edges in self.cells]
         )
@@ -324,9 +342,8 @@ class PhaseFrame:
             self.real_size[q] = len(indices) * stride
         self.covers = []
         # the covers grouped per cell, in tuples: below xi, its covers; above
-        # yi, (xi, images, at), where x's sigma is a face of y's, so its
-        # edges are some of y's, and at[k] is the position of x's edge k
-        # among y's
+        # yi, (xi, images), where x's sigma is a face of y's, so its edges
+        # are some of y's and y's edge-phase mask, masked to x's edges, is x's
         below, above = [[] for _ in poset.cells], [[] for _ in poset.cells]
         for (yi, xi) in poset.covers:
             (sx, _, ex), (sy, _, ey) = self.cells[xi], self.cells[yi]
@@ -334,8 +351,7 @@ class PhaseFrame:
                 images = self.point_images(sx, sy)
                 self.covers.append((yi, xi, images))
                 below[xi].append(self.covers[-1])
-                pos = {e: j for j, (e, _, _) in enumerate(ey)}
-                above[yi].append((xi, images, tuple([pos[e] for e, _, _ in ex])))
+                above[yi].append((xi, images))
         self._below, self._above = list(map(tuple, below)), list(map(tuple, above))
 
     @cached_property
@@ -364,42 +380,44 @@ class PhaseFrame:
             self._proj[key] = [f2_combine(s, masks) for s in range(1 << len(masks))]
         return self._proj[key]
 
-    def cell_phase(self, ci, tes):
-        """The PhaseCell of cell ci under edge phases tes, built once per
-        (ci, tes), its points read off its phase bits.  Shared; callers
-        must not mutate it.
+    def cell_phase(self, ci, mask):
+        """The PhaseCell of cell ci under the edge phases ``mask``, a mask
+        over the frame's edge numbering with no bit off ci's edges
+        (``edge_mask[ci]``), built once per (ci, mask), its points read off
+        its phase bits.  Shared; callers must not mutate it.
 
         The edge phases of ci fix those of every cell x above it, whose
         edges are some of ci's, so the transport is checked here, once per
-        record: each cover carries the phase points of x under those phases
-        (x's phase bits, with no record of x resolved) into the phase set
-        of ci.  Every class that reads this record reads x under the same
-        phases, so no class checks it again."""
-        key = (ci, tes)
-        pc = self._phase_cells.get(key)
+        record: each cover carries the phase points of x under
+        ``mask & edge_mask[x]`` (x's phase bits, with no record of x
+        resolved) into the phase set of ci.  Every class that reads this
+        record reads x under the same phases, so no class checks it
+        again."""
+        pc = self._phase_cells.get((ci, mask))
         if pc is None:
             stratum, qd, _ = self.cells[ci]
-            bits = self._phase_bits(ci, tes)
-            for xi, images, at in self._above[ci]:
-                top = self._phase_bits(xi, tuple([tes[j] for j in at]))
+            bits = self._phase_bits(ci, mask)
+            for xi, images in self._above[ci]:
+                top = self._phase_bits(xi, mask & self.edge_mask[xi])
                 for s, t in enumerate(images):
                     if top >> s & 1 and not bits >> t & 1:
                         raise InternalCheckError("phase transport escaped the target phase set")
             pc = PhaseCell()
-            pc.ci, pc.stratum, pc.qd, pc.tes, pc.bits = ci, stratum, qd, tes, bits
+            pc.ci, pc.stratum, pc.qd, pc.mask, pc.bits = ci, stratum, qd, mask, bits
+            pc.tes = tuple([1 if mask & e else 0 for e in self.edge_bits[ci]])
             pc.points = [s for s in range(1 << qd) if (bits >> s) & 1]
             pc.levels = pc.up = pc.down = None
-            self._phase_cells[key] = pc
+            self._phase_cells[ci, mask] = pc
         return pc
 
-    def _phase_bits(self, ci, tes):
-        """The packed phase set of cell ci under edge phases tes: the points
-        whose parity on some edge matches the edge's phase."""
+    def _phase_bits(self, ci, mask):
+        """The packed phase set of cell ci under the edge phases ``mask``:
+        the points whose parity on some edge matches the edge's phase."""
         _, qd, edges = self.cells[ci]
         full = (1 << (1 << qd)) - 1
         bits = 0
-        for (_, _, odd), te in zip(edges, tes):
-            bits |= odd if te else full ^ odd
+        for (_, _, odd), e in zip(edges, self.edge_bits[ci]):
+            bits |= odd if mask & e else full ^ odd
         return bits
 
     def real_pairs(self, pc, up):
@@ -419,8 +437,8 @@ class PhaseFrame:
             start = self.real_start
             if up:
                 ends = {s: [] for s in pc.points}
-                for xi, images, at in self._above[pc.ci]:
-                    top = self.cell_phase(xi, tuple([pc.tes[j] for j in at]))
+                for xi, images in self._above[pc.ci]:
+                    top = self.cell_phase(xi, pc.mask & self.edge_mask[xi])
                     for s in top.points:
                         ends[images[s]].append(start[xi] + s)
                 ends = list(ends.values())
@@ -521,46 +539,60 @@ class PhaseFrame:
 
 
 class PhaseCell:
-    """One cell's phase data under one choice of its edge phases ``tes``,
-    the one record per (cell, edge phases): the cell index ``ci``, the
+    """One cell's phase data under one choice of its edge phases, the one
+    record per (cell, edge phases): the cell index ``ci``, the edge phases
+    as ``mask``, over the frame's edge numbering and masked to the cell's
+    edges, which keys the record, and as ``tes``, one 0/1 per edge in
+    ``PhaseFrame.cells[ci]`` edge order, decoded once for ``level``; the
     packed phase set ``bits``, its own list of ``points`` in increasing
     order, read off ``bits``, and ``levels``, the filtration levels by p
     that ``PhaseFrame.level`` has computed (None before the first).  ``up``
     and ``down`` hold the incidence lists of its real cells, their ends
     above and below, which ``PhaseFrame.real_pairs`` builds on first read
-    (None before).  The frame checks the transport from the cells above it, read
-    off their phase bits, when it builds one."""
+    (None before).  The frame checks the transport from the cells above it,
+    read off their phase bits, when it builds one."""
 
-    __slots__ = ("ci", "stratum", "qd", "tes", "bits", "points", "levels", "up", "down")
+    __slots__ = ("ci", "stratum", "qd", "mask", "tes", "bits", "points", "levels", "up", "down")
 
 
 class PhaseData:
-    """Phase points of one sign distribution, resolved cell by cell.
+    """Phase points of one sign distribution on one of its side's posets.
 
-    It keeps only the distribution's edge phases; ``phase_cell(ci)`` asks
-    the frame for the cell's PhaseCell, keyed by those phases on the cell's
-    edges, the first time it is read.  The frame checked each record's
-    transport when it built it, so the span of the phase points is closed
-    under the boundary of the frame's point rows.  The sign complex is that
-    span, returned by ``sign_complex`` as the point rows it keeps, built on
-    each call (``real_betti`` reads it once per class).  The real complex
-    reads the incidence lists of the records it resolves.
+    It keeps only the distribution's edge phases, as one mask ``mask`` over
+    the frame's edge numbering (bit j set when the ends of edge j have the
+    same sign), computed once from the checked signs.  Cell ci's record is
+    the frame's PhaseCell keyed by ``mask & edge_mask[ci]``: ``phase_cell``
+    resolves one cell, ``degree_records`` every cell, once per class, as one
+    list per degree, which the sign complex and the real complex both read.
+    The frame checked each record's transport when it built it, so the span
+    of the phase points is closed under the boundary of the frame's point
+    rows.  The sign complex is that span, returned by ``sign_complex`` as
+    the point rows it keeps, built on each call (``real_betti`` reads it
+    once per class).
     """
 
     def __init__(self, side, poset, eps):
-        self.side = side
+        if poset is not side.poset(poset.kind):
+            raise ValueError(f"the {poset.kind} poset is not this side's")
+        self.side, self.poset = side, poset
         self.frame = side.phase_frame(poset.kind)
-        self.poset = self.frame.poset
-        self._t = phase_from_signs(side, eps)
-        self._cells = [None] * len(self.frame.cells)
+        _check_signs(side, eps)
+        ends = enumerate(self.frame.edge_ends)
+        self.mask = sum(1 << j for j, (a, b) in ends if eps[a] == eps[b])
 
     def phase_cell(self, ci):
-        pc = self._cells[ci]
-        if pc is None:
-            t = self._t
-            tes = tuple([t[e] for e, _, _ in self.frame.cells[ci][2]])
-            pc = self._cells[ci] = self.frame.cell_phase(ci, tes)
-        return pc
+        return self.frame.cell_phase(ci, self.mask & self.frame.edge_mask[ci])
+
+    @cached_property
+    def degree_records(self):
+        """Per degree q, the records of the q-cells in poset order, each
+        read from the frame's record index, built there only if missing."""
+        frame, mask, out = self.frame, self.mask, []
+        get, emask = frame._phase_cells.get, frame.edge_mask
+        for indices in self.poset.cells_by_dim.values():
+            keys = [(ci, mask & emask[ci]) for ci in indices]
+            out.append([get(key) or frame.cell_phase(*key) for key in keys])
+        return out
 
     def sign_complex(self):
         """The sign cosheaf's F2 complex as its rows: per degree q, {frame
@@ -569,8 +601,8 @@ class PhaseData:
         points map to 0).  Built on each call."""
         prows, offset = self.frame.point_rows, self.frame.offset
         rows = {}
-        for q, indices in self.poset.cells_by_dim.items():
-            points = [offset[ci] + s for ci in indices for s in self.phase_cell(ci).points]
+        for q, pcs in enumerate(self.degree_records):
+            points = [offset[pc.ci] + s for pc in pcs for s in pc.points]
             frows = prows.get(q)
             rows[q] = {i: frows[i] for i in points} if frows else dict.fromkeys(points, 0)
         return rows
@@ -626,9 +658,7 @@ class RealComplex:
     def __init__(self, phase_data):
         pd, frame = phase_data, phase_data.frame
         n = self.n = pd.side.n
-        records = [
-            [pd.phase_cell(ci) for ci in pd.poset.cells_by_dim.get(q, ())] for q in range(n + 1)
-        ]
+        records = pd.degree_records[: n + 1]
         self.dims = [sum(len(pc.points) for pc in pcs) for pcs in records]
         self.ranks = {n: _graph_rank(frame, frame.real_size[n], records[n - 1], True)}
         if n > 1:

@@ -43,6 +43,8 @@ ORACLES = {
         "acceptance criterion 8: the transfer of delta1(S) is the divisor class",
     "patchwork.divisors_equivalent":
         "test_patchwork: a linear shift of the signs gives an equivalent divisor",
+    "patchwork.phase_from_signs":
+        "test_patchwork: the sign/phase round trip; phase data keeps its phases as one mask",
     "patchwork.signs_from_phase":
         "test_patchwork: the sign/phase round trip and invalid phase rejection",
     "posets.CellPoset.phi":

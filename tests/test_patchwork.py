@@ -327,6 +327,13 @@ def _edge_phases(frame, ci, eps):
     return tuple(1 ^ eps[a] ^ eps[b] for (a, b), _, _ in frame.cells[ci][2])
 
 
+def _edge_phase_mask(frame, ci, eps):
+    """The same-sign edges of cell ci as a mask over the frame's edge
+    numbering, read straight from the signs."""
+    edges = frame.cells[ci][2]
+    return sum(bit for ((a, b), _, _), bit in zip(edges, frame.edge_bits[ci]) if eps[a] == eps[b])
+
+
 def _phase_points_directly(frame, ci, eps):
     _, qd, edges = frame.cells[ci]
     full = (1 << (1 << qd)) - 1
@@ -404,7 +411,8 @@ def _class_results(side, poset, eps, fresh_results, first_levels):
         tes = _edge_phases(frame, ci, eps)
         pc = pd.phase_cell(ci)
         assert (pc.ci, pc.tes) == (ci, tes)
-        built = fresh.cell_phase(ci, tes)
+        assert pc.mask == _edge_phase_mask(frame, ci, eps)
+        built = fresh.cell_phase(ci, _edge_phase_mask(fresh, ci, eps))
         assert built.levels is None
         for p in reversed(levels):
             key = (ci, p, tes)
@@ -467,6 +475,54 @@ def test_frame_memo_matches_fresh_frames(k3_pair):
             # a PhaseCell is shared by every class with the same phases on
             # the cell's own edges
             assert 3 * len(phase_cells) < len(masks) * len(poset.cells), len(phase_cells)
+
+
+def test_records_keyed_by_edge_phase_mask(cubic_pair, k3_pair):
+    # a class's records, resolved once per degree, are keyed by its
+    # edge-phase mask, on every cubic class and 20 sampled K3 classes: each
+    # record's edge phases are those read straight from the signs, two
+    # classes share a cell's record exactly when they agree on the cell's
+    # edges, and over each cover y below x, y's mask masked to x's edges
+    # resolves x's own record
+    cubic, k3 = cubic_pair.side_a, k3_pair.side_a
+    runs = [
+        (cubic, divisor_class_representatives(cubic)),
+        (k3, sample_divisor_classes(k3, 20, seed=3)),
+    ]
+    for side, masks in runs:
+        poset, frame = side.base_poset, side.phase_frame("base")
+        seen = {}  # (ci, edge phases read from the signs) -> record
+        for mask in masks:
+            eps = signs_from_divisor(side, mask_to_rays(side, mask))
+            pd = PhaseData(side, poset, eps)
+            records = [pc for pcs in pd.degree_records for pc in pcs]
+            assert [pc.ci for pc in records] == [
+                ci for q in sorted(poset.cells_by_dim) for ci in poset.cells_by_dim[q]
+            ]
+            for pc in records:
+                tes = _edge_phases(frame, pc.ci, eps)
+                assert pc.tes == tes, (mask, pc.ci)
+                assert pc.mask == _edge_phase_mask(frame, pc.ci, eps), (mask, pc.ci)
+                assert pd.phase_cell(pc.ci) is pc
+                assert seen.setdefault((pc.ci, tes), pc) is pc, (mask, pc.ci)
+            for yi, xi, _ in frame.covers:
+                key = pd.phase_cell(yi).mask & frame.edge_mask[xi]
+                own = seen[xi, _edge_phases(frame, xi, eps)]
+                assert frame.cell_phase(xi, key) is own, (mask, yi, xi)
+        # classes that differ on one of a cell's edges have two records
+        assert len({id(pc) for pc in seen.values()}) == len(seen)
+        assert len(seen) > len({ci for ci, _ in seen}), "no cell met two phase choices"
+
+
+def test_phase_data_refuses_a_foreign_poset(cubic_pair):
+    # phase data reads the frame of its side's own poset of the kind asked,
+    # so a poset of another side, even an equal one, is refused
+    side, other = cubic_pair.side_a, _scratch_side("cubic")
+    eps = signs_from_divisor(side, [D7])
+    for kind in ("base", "refined"):
+        with pytest.raises(ValueError, match="not this side's"):
+            PhaseData(side, other.poset(kind), eps)
+        assert PhaseData(side, side.poset(kind), eps).poset is side.poset(kind)
 
 
 def _bits(r):
@@ -747,8 +803,8 @@ def test_escaping_transport_raises(monkeypatch):
     assert s2 in _phase_points_directly(frame, yi, eps)
     phase_bits = frame._phase_bits
 
-    def doctored(ci, tes):
-        bits = phase_bits(ci, tes)
+    def doctored(ci, mask):
+        bits = phase_bits(ci, mask)
         return bits & ~(1 << s2) if ci == yi else bits
 
     monkeypatch.setattr(frame, "_phase_bits", doctored)
@@ -793,7 +849,7 @@ def test_real_complex_needs_two_ends_per_edge_and_facet(name):
         )
         below, above = list(frame._below[xi]), list(frame._above[yi])
         i = next(i for i, (y, _, _) in enumerate(below) if y == yi)
-        j = next(j for j, (x, _, _) in enumerate(above) if x == xi)
+        j = next(j for j, (x, _) in enumerate(above) if x == xi)
         if twice:
             below.insert(i, below[i])
             above.insert(j, above[j])
@@ -828,8 +884,8 @@ def test_dropped_phase_point_raises(name, top, monkeypatch):
     frame._phase_cells.clear()
     phase_bits = frame._phase_bits
 
-    def doctored(cj, tes):
-        bits = phase_bits(cj, tes)
+    def doctored(cj, mask):
+        bits = phase_bits(cj, mask)
         return bits & ~(1 << point) if cj == ci else bits
 
     monkeypatch.setattr(frame, "_phase_bits", doctored)
@@ -1152,28 +1208,27 @@ def test_delta1_resolves_only_the_cells_it_reads(name, cubic_pair, k3_pair, monk
     cx = side.complex("refined", "multitangent", 1)
     inputs = [(sphere_cycle(side), 0)]
     inputs += [(cx.packed_to_chain(g, 1), 1) for g in cx.f2_homology_generators(1)[:2]]
-    made, init = [], PhaseData.__init__
+    read, init, phase_cell = set(), PhaseData.__init__, PhaseData.phase_cell
 
-    def recorded(pd, *args):
-        init(pd, *args)
-        made.append(pd)
+    def recorded(pd, ci):
+        read.add(ci)
+        return phase_cell(pd, ci)
 
     def eager(pd, *args):
         init(pd, *args)
-        for ci in range(len(pd.poset.cells)):
-            pd.phase_cell(ci)
+        pd.degree_records
 
     for mask in sample_divisor_classes(side, 3, 1):
         eps = signs_from_divisor(side, mask_to_rays(side, mask))
         for chain, p in inputs:
             with monkeypatch.context() as mp:
-                mp.setattr(PhaseData, "__init__", recorded)
+                mp.setattr(PhaseData, "phase_cell", recorded)
+                read.clear()
                 lazy = delta1(side, eps, chain, p)
             with monkeypatch.context() as mp:
                 mp.setattr(PhaseData, "__init__", eager)
                 assert delta1(side, eps, chain, p) == lazy, (mask, p)
             q = chain_degree(poset, chain)
-            read = [ci for ci, pc in enumerate(made.pop()._cells) if pc is not None]
             assert {poset.cells[ci].dim for ci in read} <= {q, q - 1}, (mask, p)
             assert 0 < len(read) < len(poset.cells), (mask, p)
 

@@ -242,7 +242,8 @@ def test_restricted_sign_complex_matches_per_class_assembly(cubic_pair, gallery_
     prows, offset, masks = pd.frame.point_rows, pd.frame.offset, phase_masks(pd)
     for c, (_, _, edges) in zip(poset.cells, fresh.cells):
         memo = pd.phase_cell(c.index)
-        built = fresh.cell_phase(c.index, tuple(t[e] for e, _, _ in edges))
+        bits = [bit for (e, _, _), bit in zip(edges, fresh.edge_bits[c.index]) if t[e]]
+        built = fresh.cell_phase(c.index, sum(bits))
         # levels and the real complex's incidences are filled on use, so
         # earlier examples may have filled the memoized record's
         slots = [a for a in PhaseCell.__slots__ if a not in ("levels", "up", "down")]
