@@ -65,6 +65,8 @@ def _load(path, what, build):
 
 def _distinct(points, what):
     """The lattice points of a list that names each of them once."""
+    if type(points) is not list:
+        raise TypeError(f"the {what} are not a list")
     points = [_as_point(p) for p in points]
     repeated = sorted({p for p in points if points.count(p) > 1})
     if repeated:

@@ -40,25 +40,30 @@ transport when it builds the record (each cover carries the phase points
 above, the phase bits of the cell above under that mask, into the
 record's phase set), once for every class that reads it.  That makes each
 sign complex a subcomplex of the frame's, with no assembly or square check
-of its own: ``PhaseData.sign_complex`` gathers its rows from the frame's
-point rows, keyed by frame position, and ``real_betti`` ranks them with
-one cleared pass (``f2_cleared_ranks``).  A sign distribution keeps only
-its edge phases, as one mask over every edge, computed once from the
-signs; a cell's record is keyed by that mask masked to the cell's edges.
-The Betti routes resolve every cell once per class, one list of records
-per degree (``PhaseData.degree_records``), which the sign complex and the
-real complex both read; ``delta1`` resolves only the cells it lifts and
-those its boundary touches.  The whole sign route has one numbering, the frame's
-``chains.CellLayout`` of 2^qd points per cell with edges: a point s of
-cell ci sits at ``offset[ci] + s`` in the phase sets, the sign complex's
-rows and their cleared ranks, and a filtration indicator has bit s for
-point s.  ``delta1`` walks the chain's cells in its complex's layout,
-lifts by shifts into the frame's, and walks the boundary's cells in the
-frame's layout back into the next level's complex.  Both Betti routes
-cross-check each other: the sign complex's ranks come from the gathered
-rows, and the real complex has a numbering of its own, apart from the
-layout: point s of cell ci is ``real_start[ci] + s``, the cells of a
-degree at the stride of its widest frame.  A record's edge phases fix
+of its own.  A record keeps its points' frame positions too, built on the
+first gather that reads it, so ``PhaseData.sign_complex`` is one list per
+degree, the concatenated positions of its records, and ``real_betti``
+ranks the frame's point rows at those positions with one cleared pass
+(``f2_cleared_ranks``), from degree 1 up: degree 0 has no rows and only
+counts its points.  A sign distribution keeps only its edge phases, as one
+mask over every edge, computed once from the signs; a cell's record is
+keyed by that mask masked to the cell's edges.  A cell with no edges has
+no phase points under any signs, so the Betti routes resolve only the
+cells with edges, which the frame lists once per degree: one list of
+records per degree (``PhaseData.degree_records``), which the sign complex
+and the real complex both read; ``delta1`` resolves only the cells it
+lifts and those its boundary touches, and never gathers.  The whole sign
+route has one numbering, the frame's ``chains.CellLayout`` of 2^qd points
+per cell with edges: a point s of cell ci sits at ``offset[ci] + s`` in
+the phase sets, the sign complex's positions and their cleared ranks, and
+a filtration indicator has bit s for point s.  ``delta1`` walks the
+chain's cells in its complex's layout, lifts by shifts into the frame's,
+and walks the boundary's cells in the frame's layout back into the next
+level's complex.  Both Betti routes cross-check each other: the sign
+complex's ranks come from the frame's rows at the gathered positions, and
+the real complex has a numbering of its own, apart from the layout: point
+s of cell ci is ``real_start[ci] + s``, the cells of a degree at the
+stride of its widest frame.  A record's edge phases fix
 those of the cells above it, so its real cells' incidences are the same
 for every class that reads it: its incidence list (``real_pairs``, one
 flat int array of the two ends of each real edge of a 1-cell, or of each
@@ -283,12 +288,13 @@ class PhaseFrame:
     them as packed boundary rows per degree: per cover, point s of x has
     the single bit of its image in y.  They are built on first read, once
     per side and poset kind, and their square is checked mod 2 then; a sign
-    distribution's complex is their restriction to the phase points.  The
-    real complex has its own numbering, ``real_start``, and reads the
-    covers as the frame groups them per cell, ``_below`` and ``_above``
-    (above yi, the pairs (xi, images)): through each record's incidence
-    list (``real_pairs``) and, in the middle degrees, the rows
-    ``real_rows`` packs per class.
+    distribution's complex is their restriction to the phase points.
+    ``edged[q]`` lists the q-cells with edges in poset order, the only
+    cells with phase points.  The real complex has its own numbering,
+    ``real_start``, and reads the covers as the frame groups them per
+    cell, ``_below`` and ``_above`` (above yi, the pairs (xi, images)):
+    through each record's incidence list (``real_pairs``) and, in the
+    middle degrees, the rows ``real_rows`` packs per class.
 
     What depends only on a cell's edge phases is one PhaseCell per (ci,
     mask), ``mask`` the phases as a mask over the edge numbering with no
@@ -297,7 +303,8 @@ class PhaseFrame:
     x's edges are some of y's when y is below x, so y's mask masked by
     ``edge_mask[x]`` is x's, and a cover above y needs no more.  ``level``
     fills a record's filtration levels on first use, one per record and p.
-    Each record holds its own point list, read off its phase bits.
+    Each record holds its own point list, read off its phase bits, and the
+    sign complex's gather fills in their frame positions.
     """
 
     def __init__(self, evaluator, poset):
@@ -331,6 +338,8 @@ class PhaseFrame:
             poset.cells_by_dim, [1 << qd if edges else 0 for _, qd, edges in self.cells]
         )
         self.offset = self.layout.offset
+        # per degree, the cells with edges, the only ones with phase points
+        self.edged = [[c for c in cs if self.edge_mask[c]] for cs in poset.cells_by_dim.values()]
         # the real complex's numbering, apart from the layout: point s of
         # cell ci is real_start[ci] + s, the cells of a degree at the stride
         # of its widest frame, real_size[q] ids in degree q
@@ -406,7 +415,7 @@ class PhaseFrame:
             pc.ci, pc.stratum, pc.qd, pc.mask, pc.bits = ci, stratum, qd, mask, bits
             pc.tes = tuple([1 if mask & e else 0 for e in self.edge_bits[ci]])
             pc.points = [s for s in range(1 << qd) if (bits >> s) & 1]
-            pc.levels = pc.up = pc.down = None
+            pc.levels = pc.up = pc.down = pc.positions = None
             self._phase_cells[ci, mask] = pc
         return pc
 
@@ -545,14 +554,17 @@ class PhaseCell:
     edges, which keys the record, and as ``tes``, one 0/1 per edge in
     ``PhaseFrame.cells[ci]`` edge order, decoded once for ``level``; the
     packed phase set ``bits``, its own list of ``points`` in increasing
-    order, read off ``bits``, and ``levels``, the filtration levels by p
-    that ``PhaseFrame.level`` has computed (None before the first).  ``up``
-    and ``down`` hold the incidence lists of its real cells, their ends
-    above and below, which ``PhaseFrame.real_pairs`` builds on first read
-    (None before).  The frame checks the transport from the cells above it,
+    order, read off ``bits``, their frame positions ``offset[ci] + s`` as
+    ``positions``, one int list that the first ``PhaseData.sign_complex``
+    to read the record builds (None before), and ``levels``, the
+    filtration levels by p that ``PhaseFrame.level`` has computed (None
+    before the first).  ``up`` and ``down`` hold the incidence lists of its
+    real cells, their ends above and below, which ``PhaseFrame.real_pairs``
+    builds on first read (None before).  The frame checks the transport from the cells above it,
     read off their phase bits, when it builds one."""
 
-    __slots__ = ("ci", "stratum", "qd", "mask", "tes", "bits", "points", "levels", "up", "down")
+    __slots__ = ("ci", "stratum", "qd", "mask", "tes", "bits", "points", "positions", "levels",
+                 "up", "down")
 
 
 class PhaseData:
@@ -562,13 +574,15 @@ class PhaseData:
     the frame's edge numbering (bit j set when the ends of edge j have the
     same sign), computed once from the checked signs.  Cell ci's record is
     the frame's PhaseCell keyed by ``mask & edge_mask[ci]``: ``phase_cell``
-    resolves one cell, ``degree_records`` every cell, once per class, as one
-    list per degree, which the sign complex and the real complex both read.
-    The frame checked each record's transport when it built it, so the span
-    of the phase points is closed under the boundary of the frame's point
-    rows.  The sign complex is that span, returned by ``sign_complex`` as
-    the point rows it keeps, built on each call (``real_betti`` reads it
-    once per class).
+    resolves one cell, ``degree_records`` every cell with edges (the
+    frame's ``edged``; a cell without edges has no phase points), once per
+    class, as one list per degree, which the sign complex and the real
+    complex both read.  The frame checked each record's transport when it
+    built it, so the span of the phase points is closed under the boundary
+    of the frame's point rows.  The sign complex is that span, returned by
+    ``sign_complex`` as the frame positions it keeps, the records' own
+    ``positions`` concatenated per degree, built on each call
+    (``real_betti`` reads it once per class).
     """
 
     def __init__(self, side, poset, eps):
@@ -585,27 +599,30 @@ class PhaseData:
 
     @cached_property
     def degree_records(self):
-        """Per degree q, the records of the q-cells in poset order, each
-        read from the frame's record index, built there only if missing."""
-        frame, mask, out = self.frame, self.mask, []
-        get, emask = frame._phase_cells.get, frame.edge_mask
-        for indices in self.poset.cells_by_dim.values():
-            keys = [(ci, mask & emask[ci]) for ci in indices]
-            out.append([get(key) or frame.cell_phase(*key) for key in keys])
-        return out
+        """Per degree q, the records of the q-cells with edges
+        (``frame.edged[q]``) in poset order, each read from the frame's
+        record index, built there only if missing."""
+        frame, mask, get = self.frame, self.mask, self.frame._phase_cells.get
+        emask = frame.edge_mask
+        keys = [[(ci, mask & emask[ci]) for ci in cis] for cis in frame.edged]
+        return [[get(key) or frame.cell_phase(*key) for key in ks] for ks in keys]
 
     def sign_complex(self):
-        """The sign cosheaf's F2 complex as its rows: per degree q, {frame
-        position: the frame's point row} over the phase points, gathered
-        cell by cell in increasing position (degree 0 has no rows, so its
-        points map to 0).  Built on each call."""
-        prows, offset = self.frame.point_rows, self.frame.offset
-        rows = {}
-        for q, pcs in enumerate(self.degree_records):
-            points = [offset[pc.ci] + s for pc in pcs for s in pc.points]
-            frows = prows.get(q)
-            rows[q] = {i: frows[i] for i in points} if frows else dict.fromkeys(points, 0)
-        return rows
+        """The sign cosheaf's F2 complex as the frame positions of its
+        basis: per degree q, one increasing list, the ``positions`` of the
+        q-records concatenated in poset order, each record's built on the
+        first gather that reads it and kept.  Its rows are the frame's
+        point rows at those positions; degree 0 has none.  The list is
+        built on each call, so a caller may mutate it."""
+        offset, out = self.frame.offset, []
+        for pcs in self.degree_records:
+            positions = []
+            for pc in pcs:
+                if pc.positions is None:
+                    pc.positions = [offset[pc.ci] + s for s in pc.points]
+                positions += pc.positions
+            out.append(positions)
+        return out
 
 
 def _span(vectors):
@@ -710,9 +727,11 @@ def real_betti(side, eps):
     must agree and are returned once.  The real complex's b0 must equal its
     component count, which is its b_n, as Poincare duality mod 2 asks."""
     pd = PhaseData(side, side.base_poset, eps)
-    rows = pd.sign_complex()
-    r = f2_cleared_ranks({q: rq.items() for q, rq in rows.items()})
-    betti_cosheaf = [len(rows[q]) - r[q] - r.get(q + 1, 0) for q in range(side.n + 1)]
+    # the frame's point rows at the positions, from degree 1 up: degree 0
+    # has no rows and only counts its points
+    pos, rows = pd.sign_complex(), pd.frame.point_rows
+    r = f2_cleared_ranks({q: zip(pos[q], map(rows[q].__getitem__, pos[q])) for q in rows})
+    betti_cosheaf = [len(pos[q]) - r.get(q, 0) - r.get(q + 1, 0) for q in range(side.n + 1)]
     rc = RealComplex(pd)
     betti_real = rc.betti()
     if betti_cosheaf != betti_real:
@@ -721,9 +740,7 @@ def real_betti(side, eps):
         )
     b0 = rc.component_count()
     if b0 != betti_real[0]:
-        raise InternalCheckError(
-            f"component count {b0} != b0 {betti_real[0]}"
-        )
+        raise InternalCheckError(f"component count {b0} != b0 {betti_real[0]}")
     return betti_cosheaf
 
 

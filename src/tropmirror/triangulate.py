@@ -185,9 +185,11 @@ class CentralTriangulation:
     @classmethod
     def from_dict(cls, data):
         poly = LatticePolytope(data["polytope"]["vertices"], data["polytope"]["rank"])
-        return cls(
-            poly, [[_as_point(p) for p in s] for s in data["boundary_simplices"]]
-        )
+        simplices = [[_as_point(p) for p in s] for s in data["boundary_simplices"]]
+        wrong = sorted({p for s in simplices for p in s if len(p) != poly.rank})
+        if wrong:
+            raise ValueError(f"boundary points {wrong} do not have {poly.rank} coordinates")
+        return cls(poly, simplices)
 
     def __repr__(self):
         return (

@@ -163,17 +163,23 @@ def integer_lift(pd):
     return ChainComplex(pd.poset, ranks, blocks, pd.poset.sign)
 
 
-def rows_betti(rows):
-    """F2 Betti numbers, degree by degree, of a complex given as its rows
-    {q: {position: packed row}}, such as ``PhaseData.sign_complex()``
-    returns: the dimension less the cleared ranks of the two boundaries."""
-    r = f2_cleared_ranks({q: rq.items() for q, rq in rows.items()})
-    return [len(rows[q]) - r[q] - r.get(q + 1, 0) for q in sorted(rows)]
+def rows_betti(rows, positions):
+    """F2 Betti numbers, degree by degree, of the subcomplex kept at
+    ``positions`` (per degree q, its increasing positions, such as
+    ``PhaseData.sign_complex()`` returns) of a complex whose D_q has the
+    packed row ``rows[q][i]`` at position i, for each degree q >= 1 in
+    ``rows`` (degree 0 has no rows): the dimension less the cleared ranks
+    of the two boundaries."""
+    r = f2_cleared_ranks(
+        {q: zip(positions[q], map(rows[q].__getitem__, positions[q])) for q in rows}
+    )
+    return [len(p) - r.get(q, 0) - r.get(q + 1, 0) for q, p in enumerate(positions)]
 
 
-def rows_euler(rows):
-    """The Euler characteristic of a complex given as its rows."""
-    return sum((-1) ** q * len(rq) for q, rq in rows.items())
+def rows_euler(positions):
+    """The Euler characteristic of a complex given as its positions per
+    degree."""
+    return sum((-1) ** q * len(p) for q, p in enumerate(positions))
 
 
 def phase_masks(pd):

@@ -378,7 +378,8 @@ def test_criterion_10_structural_properties(cubic_pair, k3_pair):
                         out ^= 1 << images[low.bit_length() - 1]
                         v ^= low
                     ok = ok and target.contains(out)
-        euler_sign = sum((-1) ** q * b for q, b in enumerate(rows_betti(pd.sign_complex())))
+        betti_sign = rows_betti(pd.frame.point_rows, pd.sign_complex())
+        euler_sign = sum((-1) ** q * b for q, b in enumerate(betti_sign))
         euler_graded = 0
         for p in range(side.n + 1):
             hp = side.homology("base", "multitangent", p, "f2")

@@ -211,6 +211,46 @@ def test_divisor_file_repeating_a_ray_is_input_error(cubic_files, capsys, tmp_pa
         assert "repeats" in error, command
 
 
+def test_divisor_rays_must_be_a_list(cubic_files, capsys, tmp_path):
+    # the rays of a divisor file are a list: an empty object is not read as
+    # the zero divisor, and neither a list of non-points nor a top-level
+    # list is a divisor file
+    _, _, tri, tri_dual = cubic_files
+    div = tmp_path / "d.json"
+    for data in ({"rays": {}}, {"rays": {"-1": 2}}, {"rays": [1]}, []):
+        div.write_text(json.dumps(data))
+        for command in ("patchwork", "divisor-class"):
+            error = _assert_input_error(
+                capsys, [command, str(tri), str(tri_dual), "--divisor", str(div)]
+            )
+            assert str(div) in error, (data, command)
+    div.write_text(json.dumps({"rays": []}))
+    code, env = run_json(capsys, ["patchwork", str(tri), str(tri_dual), "--divisor", str(div)])
+    assert code == 0 and env["result"]["divisor"] == []
+
+
+def test_triangulation_point_of_the_wrong_length_is_input_error(cubic_files, capsys, tmp_path):
+    # a boundary point has as many coordinates as the polytope's rank: a
+    # short one in the rank-3 cube's triangulation, or a long one in the
+    # cubic's, is refused when the file is read, naming the file, not met
+    # later as an index out of range
+    _, _, tri, _ = cubic_files
+    cube = tmp_path / "cube.json"
+    cube.write_text(json.dumps({"rank": 3, "vertices": CUBE_VERTS}))
+    tri_cube = tmp_path / "tri_cube.json"
+    assert main(["triangulate", str(cube), "-o", str(tri_cube)]) == 0
+    capsys.readouterr()
+    for path, point in ((tri_cube, [0, -1]), (tri, [0, -1, 0])):
+        data = json.loads(path.read_text())
+        data["boundary_simplices"][0][0] = point
+        bad = tmp_path / f"bad_{path.name}"
+        bad.write_text(json.dumps(data))
+        error = _assert_input_error(capsys, ["validate", str(bad)])
+        assert str(bad) in error and str(tuple(point)) in error, error
+        assert main(["validate", str(path)]) == 0
+        capsys.readouterr()
+
+
 def test_malformed_signs_files_are_input_errors(cubic_files, capsys, tmp_path):
     # signs are 0 or 1, exactly one per lattice point of the Newton polytope
     _, _, tri, tri_dual = cubic_files
@@ -346,7 +386,7 @@ def test_flipped_verdict_is_an_internal_error(cubic_pair, cubic_files, capsys, m
 def test_doctored_betti_row_is_an_internal_error(cubic_pair, cubic_files, capsys, monkeypatch, tmp_path):
     # the real complex's Betti vector with b_1 one too high, separately its
     # component count one above its b0, and separately a sign complex with
-    # its last top-degree row dropped: real_betti compares each with the
+    # its last top-degree position dropped: real_betti compares each with the
     # other route and raises, and the CLI reports an internal error, also
     # for a sweep without Betti numbers, whose rows run both routes
     import tropmirror.patchwork as patchwork
@@ -360,10 +400,9 @@ def test_doctored_betti_row_is_an_internal_error(cubic_pair, cubic_files, capsys
         return [b[0], b[1] + 1, *b[2:]]
 
     def one_row_fewer(pd):
-        rows = sign_complex(pd)
-        top = rows[pd.side.n]
-        del top[max(top)]
-        return rows
+        positions = sign_complex(pd)
+        positions[pd.side.n].pop()
+        return positions
 
     side = cubic_pair.side_a
     eps = patchwork.signs_from_divisor(side, [])

@@ -435,9 +435,9 @@ def _class_results(side, poset, eps, fresh_results, first_levels):
         points[ci] = list(pc.points)
         assert pc.points == built.points
         assert pc.points == _phase_points_directly(frame, ci, eps)
-    cx = pd.sign_complex()
+    cx, prows = pd.sign_complex(), frame.point_rows
     reference = _packed_mod2(_sign_boundary_assembled_per_point(pd))
-    rows = {q: list(cx[q].values()) for q in reference}
+    rows = {q: [prows[q][i] for i in cx[q]] for q in reference}
     assert rows == reference
     return gens, points, rows
 
@@ -478,12 +478,13 @@ def test_frame_memo_matches_fresh_frames(k3_pair):
 
 
 def test_records_keyed_by_edge_phase_mask(cubic_pair, k3_pair):
-    # a class's records, resolved once per degree, are keyed by its
-    # edge-phase mask, on every cubic class and 20 sampled K3 classes: each
-    # record's edge phases are those read straight from the signs, two
-    # classes share a cell's record exactly when they agree on the cell's
-    # edges, and over each cover y below x, y's mask masked to x's edges
-    # resolves x's own record
+    # a class's records, resolved once per degree for exactly the cells
+    # with edges (a simplex of two or more points) in poset order, are
+    # keyed by its edge-phase mask, on every cubic class and 20 sampled
+    # K3 classes: each record's edge phases are those read straight from
+    # the signs, two classes share a cell's record exactly when they agree
+    # on the cell's edges, and over each cover y below x, y's mask masked
+    # to x's edges resolves x's own record
     cubic, k3 = cubic_pair.side_a, k3_pair.side_a
     runs = [
         (cubic, divisor_class_representatives(cubic)),
@@ -496,8 +497,12 @@ def test_records_keyed_by_edge_phase_mask(cubic_pair, k3_pair):
             eps = signs_from_divisor(side, mask_to_rays(side, mask))
             pd = PhaseData(side, poset, eps)
             records = [pc for pcs in pd.degree_records for pc in pcs]
+            assert len(pd.degree_records) == len(poset.cells_by_dim)
             assert [pc.ci for pc in records] == [
-                ci for q in sorted(poset.cells_by_dim) for ci in poset.cells_by_dim[q]
+                ci
+                for q in sorted(poset.cells_by_dim)
+                for ci in poset.cells_by_dim[q]
+                if len(poset.cells[ci].sigma) > 1
             ]
             for pc in records:
                 tes = _edge_phases(frame, pc.ci, eps)
@@ -532,10 +537,11 @@ def _bits(r):
 def test_sign_complex_matches_integer_lift(cubic_pair, k3_pair):
     # the restriction of the frame's point rows against the signed
     # integer lift, on every cubic class (both posets) and 10 sampled K3
-    # classes: the restricted rows are keyed by the frame positions offset +
-    # point of the phase points, the lift passes its Z square check, and its
-    # rows reduced mod 2, with each coordinate (cell, point) mapped to its
-    # frame position, are the restricted rows bit for bit (0 in degree 0)
+    # classes: the sign complex is the frame positions offset + point of
+    # the phase points, the lift passes its Z square check, and its rows
+    # reduced mod 2, with each coordinate (cell, point) mapped to its frame
+    # position, are the frame's point rows at those positions bit for bit
+    # (degree 0 has no rows)
     cubic, k3 = cubic_pair.side_a, k3_pair.side_a
     runs = [
         (cubic, "base", divisor_class_representatives(cubic)),
@@ -546,6 +552,7 @@ def test_sign_complex_matches_integer_lift(cubic_pair, k3_pair):
         poset = side.poset(kind)
         offset = _frame_offsets(side.phase_frame(kind))
         assert side.phase_frame(kind).offset == offset
+        prows = side.phase_frame(kind).point_rows
         for mask in masks:
             eps = signs_from_divisor(side, mask_to_rays(side, mask))
             pd = PhaseData(side, poset, eps)
@@ -554,35 +561,82 @@ def test_sign_complex_matches_integer_lift(cubic_pair, k3_pair):
             for c in poset.cells:
                 position[c.dim] += [offset[c.index] + s for s in pd.phase_cell(c.index).points]
             masks = phase_masks(pd)
-            assert sorted(cx) == lift.degrees, (kind, mask)
+            assert list(range(len(cx))) == lift.degrees, (kind, mask)
             for q in lift.degrees:
                 assert len(cx[q]) == lift.dim(q) == len(position[q]), (kind, mask, q)
-                assert list(cx[q]) == _bits(masks[q]) == position[q], (kind, mask, q)
-                mapped = [
-                    sum(1 << position[q - 1][j] for j in _bits(r)) for r in lift.f2_rows(q)
-                ] if q else [0] * lift.dim(0)
-                assert list(cx[q].values()) == mapped, (kind, mask, q)
+                assert cx[q] == _bits(masks[q]) == position[q], (kind, mask, q)
+                if q:
+                    mapped = [
+                        sum(1 << position[q - 1][j] for j in _bits(r)) for r in lift.f2_rows(q)
+                    ]
+                    assert [prows[q][i] for i in cx[q]] == mapped, (kind, mask, q)
             assert rows_euler(cx) == lift.euler_characteristic()
             h = lift.homology("f2")
-            assert rows_betti(cx) == [h.rank(q) for q in lift.degrees], (kind, mask)
+            assert rows_betti(prows, cx) == [h.rank(q) for q in lift.degrees], (kind, mask)
 
 
 def test_sign_complex_keeps_the_frame_rows(cubic_pair):
-    # the sign complex keeps the frame's numbering: each phase point's row
-    # is the frame's point row at its position (0 in degree 0), and its
-    # Betti numbers through degree n are real_betti's (the poset's degree
-    # n + 1 keeps no phase points)
+    # the sign complex keeps the frame's numbering: its positions in each
+    # degree are the phase points' frame positions, at which the frame's
+    # point rows are its rows (degree 0 has none), and its Betti numbers
+    # through degree n are real_betti's (the poset's degree n + 1 keeps no
+    # phase points)
     side = cubic_pair.side_a
     eps = signs_from_divisor(side, [D7])
     pd = PhaseData(side, side.base_poset, eps)
     cx = pd.sign_complex()
-    assert sorted(cx) == list(pd.poset.cells_by_dim)
-    assert rows_betti(cx)[: side.n + 1] == real_betti(side, eps)
+    assert list(range(len(cx))) == list(pd.poset.cells_by_dim)
     prows, masks = pd.frame.point_rows, phase_masks(pd)
-    assert cx[0] == dict.fromkeys(_bits(masks[0]), 0)
-    for q in sorted(cx)[1:]:
-        assert cx[q] == {j: prows[q][j] for j in _bits(masks[q])}
-    assert any(len(cx[q]) < len(prows[q]) for q in sorted(cx)[1:])
+    assert sorted(prows) == list(range(1, len(cx)))
+    assert rows_betti(prows, cx)[: side.n + 1] == real_betti(side, eps)
+    for q in range(len(cx)):
+        assert cx[q] == _bits(masks[q])
+    assert any(len(cx[q]) < len(prows[q]) for q in prows)
+
+
+def test_gathered_records_keep_their_frame_positions(cy3_pair):
+    # on every cubic class, 20 sampled K3 classes and 2 sampled CY3 side-a
+    # classes: every record a class gathers keeps the frame positions
+    # offset + point of its points, a cell with no edges has no phase
+    # points, so no record to gather, and real_betti's Betti numbers are
+    # those of the frame's point rows restricted to a {position: row} dict
+    # built point by point.  The cubic and K3 pairs are fresh, and delta1
+    # runs first on their base posets over every class: it builds records
+    # but never gathers, so it leaves every record's positions unbuilt, and
+    # the gather builds them on its first read
+    cubic, k3, cy3 = _scratch_side("cubic"), _scratch_side("k3"), cy3_pair.side_a
+    runs = [
+        (cubic, divisor_class_representatives(cubic)),
+        (k3, sample_divisor_classes(k3, 20, seed=3)),
+        (cy3, sample_divisor_classes(cy3, 2, seed=1)),
+    ]
+    for side, masks in runs:
+        poset, frame = side.base_poset, side.phase_frame("base")
+        signs = [signs_from_divisor(side, mask_to_rays(side, mask)) for mask in masks]
+        if side is not cy3:
+            for eps in signs:
+                delta1(side, eps, sphere_cycle(side, "base"), 0, kind="base")
+            assert frame._phase_cells, "delta1 built no record"
+            assert all(pc.positions is None for pc in frame._phase_cells.values())
+        prows, offset = frame.point_rows, frame.offset
+        edgeless = [ci for ci, c in enumerate(poset.cells) if len(c.sigma) < 2]
+        assert edgeless, "no cell without edges"
+        for mask, eps in zip(masks, signs):
+            pd = PhaseData(side, poset, eps)
+            betti = real_betti(side, eps)
+            assert all(pd.phase_cell(ci).points == [] for ci in edgeless), mask
+            for pcs in pd.degree_records:
+                for pc in pcs:
+                    assert pc.positions == [offset[pc.ci] + s for s in pc.points], (mask, pc.ci)
+            kept = {q: {} for q in poset.cells_by_dim}
+            for q, cells in poset.cells_by_dim.items():
+                for ci in cells:
+                    for s in pd.phase_cell(ci).points:
+                        i = offset[ci] + s
+                        kept[q][i] = prows[q][i] if q else 0
+            rows = {q: kept[q] for q in prows}
+            positions = [list(kept[q]) for q in sorted(kept)]
+            assert rows_betti(rows, positions)[: side.n + 1] == betti, mask
 
 
 def test_redirected_sign_row_breaks_square(k3_pair):

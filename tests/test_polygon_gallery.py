@@ -235,19 +235,24 @@ def test_restricted_sign_complex_matches_per_class_assembly(cubic_pair, gallery_
     pd = PhaseData(side, poset, eps)
     cx, oracle = pd.sign_complex(), integer_lift(pd)
     h = oracle.homology("f2")
-    assert rows_betti(cx) == [h.rank(q) for q in oracle.degrees]
+    prows, offset, masks = pd.frame.point_rows, pd.frame.offset, phase_masks(pd)
+    assert rows_betti(prows, cx) == [h.rank(q) for q in oracle.degrees]
     assert rows_euler(cx) == oracle.euler_characteristic()
     fresh = PhaseFrame(side.evaluator, poset)
     t = phase_from_signs(side, eps)
-    prows, offset, masks = pd.frame.point_rows, pd.frame.offset, phase_masks(pd)
     for c, (_, _, edges) in zip(poset.cells, fresh.cells):
         memo = pd.phase_cell(c.index)
         bits = [bit for (e, _, _), bit in zip(edges, fresh.edge_bits[c.index]) if t[e]]
         built = fresh.cell_phase(c.index, sum(bits))
-        # levels and the real complex's incidences are filled on use, so
-        # earlier examples may have filled the memoized record's
-        slots = [a for a in PhaseCell.__slots__ if a not in ("levels", "up", "down")]
+        # levels, frame positions and the real complex's incidences are
+        # filled on use, so earlier examples may have filled the memoized
+        # record's; the gather above filled the positions of each record
+        # with edges, and of no other
+        filled = ("levels", "up", "down", "positions")
+        slots = [a for a in PhaseCell.__slots__ if a not in filled]
         assert [getattr(memo, a) for a in slots] == [getattr(built, a) for a in slots], c.index
+        gathered = [offset[c.index] + s for s in memo.points] if edges else None
+        assert memo.positions == gathered, c.index
         rows = prows.get(c.dim)
         for s in memo.points if rows else ():  # 0-cells have no rows
             assert rows[offset[c.index] + s] & ~masks[c.dim - 1] == 0, (c.index, s)
