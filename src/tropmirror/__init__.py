@@ -25,10 +25,8 @@ from .mirror import (
 from .patchwork import (
     connectedness_verdict,
     delta1,
-    divisors_equivalent,
     real_betti,
     signs_from_divisor,
-    signs_from_phase,
 )
 
 __all__ = [
@@ -44,8 +42,6 @@ __all__ = [
     "transfer_class",
     "connectedness_verdict",
     "delta1",
-    "divisors_equivalent",
     "real_betti",
     "signs_from_divisor",
-    "signs_from_phase",
 ]

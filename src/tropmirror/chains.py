@@ -34,10 +34,10 @@ An F2 complex with no signature, such as the sign cosheaf's over every
 point of a phase frame, is kept by its owner as packed boundary rows per
 degree (-1 = 1 over F2), whose square ``check_f2_square_zero`` verifies mod
 2.  The sign complex of one sign distribution is the span of some basis
-vectors of such rows, closed under their boundary: its owner gathers their
-rows, keyed by their positions in its numbering, and ranks them with
-``f2_cleared_ranks``, so nothing is renumbered, assembled or square-checked
-again.
+vectors of such rows, closed under their boundary: its owner lists the
+positions of those basis vectors in its numbering, and ranks the rows at
+those positions with ``f2_cleared_ranks``, so nothing is renumbered,
+assembled or square-checked again.
 """
 
 from bisect import bisect_right

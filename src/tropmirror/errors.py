@@ -1,8 +1,8 @@
 """Exception hierarchy.
 
-Input-validation failures (bad polytopes, triangulations, phase structures,
-divisors, cells outside their domain) derive from InputError; failures of
-internal mathematical invariants (a boundary that does not square to zero, a
+Input-validation failures (bad polytopes, triangulations, divisors, signs,
+cells outside their domain) derive from InputError; failures of internal
+mathematical invariants (a boundary that does not square to zero, a
 quotient that is not free) derive from InternalCheckError.  The CLI maps the
 former to exit code 1 and the latter to exit code 2.
 """
@@ -87,10 +87,6 @@ class RayNotInFan(InputError):
 
 
 # patchworking
-class InvalidPhaseStructure(InputError):
-    pass
-
-
 class VerdictMismatch(InternalCheckError):
     """A connectedness verdict disagrees with the component count b0."""
 

@@ -1,19 +1,19 @@
 """Combinatorial patchworking: signs, phases, the real complex and the
 connectedness criterion.
 
-A sign distribution on the lattice points of the Newton polytope, an F2
-toric divisor on its fan, and a real phase structure on the edges of its
-triangulation are three encodings of the same datum (up to one global sign
-flip, pinned by giving the origin sign 1).  The sign cosheaf assigns to a
-cell the free F2 module on its phase set; its homology computes the F2
-homology of the patchworked real hypersurface, and is filtered with
-multitangent graded pieces.  The first differential of that filtration,
-applied to the fundamental class of the sphere, is mirror to the divisor
-restriction class, which decides connectedness.  F2 divisor classes are
-cosets of the pairing space (``_pairing_space``: row i is coordinate i of
-every ray mod 2), each keyed by its normal form (``_normal_form``), and a
-divisor's mask reads its support from
-``mirror.divisor_support``, like its signs and its restriction.
+A sign distribution on the lattice points of the Newton polytope and an F2
+toric divisor on its fan encode the same datum (up to one global sign flip,
+pinned by giving the origin sign 1); its real phase structure, the edges of
+the triangulation whose ends have the same sign, is read off the signs as
+one mask (``PhaseData.mask``).  The sign cosheaf assigns to a cell the free
+F2 module on its phase set; its homology computes the F2 homology of the
+patchworked real hypersurface, and is filtered with multitangent graded
+pieces.  The first differential of that filtration, applied to the
+fundamental class of the sphere, is mirror to the divisor restriction
+class, which decides connectedness.  F2 divisor classes are cosets of the
+pairing space (``_pairing_space``: row i is coordinate i of every ray mod
+2), each keyed by its normal form (``_normal_form``), and a divisor's signs
+read its support from ``mirror.divisor_support``, like its restriction.
 
 Phase sets live in quotient coordinates mod 2 of the same frames the
 cosheaf evaluator uses, packed into small ints; cells off infinity pull
@@ -89,7 +89,6 @@ from .errors import (
     HypothesisFails,
     InputError,
     InternalCheckError,
-    InvalidPhaseStructure,
     NotAClosedChain,
     VerdictMismatch,
 )
@@ -99,7 +98,7 @@ from .mirror import chain_degree, divisor_restriction, divisor_support, is_null_
 
 
 # ---------------------------------------------------------------------------
-# signs <-> phases <-> divisors
+# signs <-> divisors
 
 def signs_from_divisor(side, rays):
     """Sign distribution with origin sign 1 and boundary signs = the F2
@@ -133,67 +132,6 @@ def divisor_from_signs(side, eps):
     return sorted(v for v in side.newton.rays() if eps[v] == eps[o])
 
 
-def phase_from_signs(side, eps):
-    """Same-sign indicator per edge: 1 iff the endpoints agree."""
-    _check_signs(side, eps)
-    t = {}
-    for s in side.newton.by_dim.get(1, ()):
-        a, b = s
-        t[s] = 1 ^ (eps[a] ^ eps[b])
-    return t
-
-
-def validate_phase(side, t):
-    """A phase structure gives every edge of the triangulation, and nothing
-    else, the phase 0 or 1, an int, and follows the two-dimensional simplex
-    rule: 0 or 2 edges with zero class.  Otherwise InvalidPhaseStructure."""
-    edges = side.newton.by_dim.get(1, set())
-    bad = [e for e, b in t.items() if type(b) is not int or b not in (0, 1)]
-    for what, wrong in (
-        ("miss edges", edges - t.keys()),
-        ("name non-edges", t.keys() - edges),
-        ("other than the integer 0 or 1 at", bad),
-    ):
-        if wrong:
-            raise InvalidPhaseStructure(f"phases {what} {sorted(wrong, key=repr)}")
-    for tri in side.newton.by_dim.get(2, ()):
-        # a sorted simplex's pairs are its sorted edges
-        zero = sum(t[e] == 0 for e in combinations(tri, 2))
-        if zero not in (0, 2):
-            raise InvalidPhaseStructure(
-                f"simplex {tri} has {zero} edges with zero phase class"
-            )
-
-
-def signs_from_phase(side, t):
-    """Propagate signs from the origin (sign 1) along edges."""
-    validate_phase(side, t)
-    o = side.newton.origin
-    eps = {o: 1}
-    queue = [o]
-    adjacency = {}
-    for s in side.newton.by_dim.get(1, ()):
-        a, b = s
-        adjacency.setdefault(a, []).append((b, t[s]))
-        adjacency.setdefault(b, []).append((a, t[s]))
-    while queue:
-        a = queue.pop()
-        for b, te in adjacency.get(a, ()):
-            val = eps[a] ^ 1 ^ te
-            if b in eps:
-                if eps[b] != val:
-                    raise InvalidPhaseStructure(
-                        f"inconsistent phase structure at {b}"
-                    )
-            else:
-                eps[b] = val
-                queue.append(b)
-    missing = set(side.newton.polytope.lattice_points) - set(eps)
-    if missing:
-        raise InvalidPhaseStructure(f"edge graph does not reach {sorted(missing)}")
-    return eps
-
-
 # ---------------------------------------------------------------------------
 # divisor classes
 
@@ -213,21 +151,9 @@ def _pairing_space(side):
     return rays, F2Space(f2_pack([v[i] for v in rays]) for i in range(side.rank))
 
 
-def divisor_mask(side, rays_subset):
-    """The divisor's F2 support as a mask over ``side.newton.rays()``."""
-    pos = {v: i for i, v in enumerate(side.newton.rays())}
-    return sum(1 << pos[v] for v in divisor_support(side, rays_subset))
-
-
 def mask_to_rays(side, mask):
     rays = side.newton.rays()
     return [rays[i] for i in range(len(rays)) if (mask >> i) & 1]
-
-
-def divisors_equivalent(side, d1, d2):
-    """Linear equivalence over F2: difference in the image of the pairing."""
-    _, space = _pairing_space(side)
-    return space.contains(divisor_mask(side, d1) ^ divisor_mask(side, d2))
 
 
 def _normal_form(space, mask):

@@ -197,10 +197,6 @@ class CellPoset:
         )
 
     # -- flags ---------------------------------------------------------------
-    def in_support(self, cell):
-        """dim sigma >= 1: the support of the multitangent cosheaves."""
-        return len(cell.sigma) >= 2
-
     def at_infinity(self, cell):
         if self.kind == "base":
             return cell.tau != (self._origin_a,)
@@ -215,20 +211,6 @@ class CellPoset:
                 and len(cell.sigma) >= 2
             )
         return self._origin_n in cell.sigma and len(cell.sigma) >= 2
-
-    def first_kind(self, cell):
-        """Refined poset: sphere-part cells (0 in sigma)."""
-        return self._origin_n in cell.sigma
-
-    def in_j0ub(self, cell):
-        return self._origin_n not in cell.sigma and self._origin_a not in cell.tau
-
-    def phi(self, cell_key):
-        """Collapse to the base poset: (tau, sigma) -> (0, sigma) off infinity."""
-        tau, sigma = cell_key
-        if self._origin_a in tau:
-            return cell_key
-        return ((self._origin_a,), sigma)
 
     # -- structural checks -----------------------------------------------------
     def _verify(self):
@@ -317,32 +299,6 @@ class CellPoset:
                 return False
         return True
 
-    def to_debug_dict(self):
-        """Cells with flags and covers, for the independent test oracles."""
-        cells = []
-        for c in self.cells:
-            flags = {
-                "support": self.in_support(c),
-                "infinity": self.at_infinity(c),
-                "sphere": self.on_sphere(c),
-            }
-            if self.kind == "refined":
-                flags["first_kind"] = self.first_kind(c)
-                flags["finite_unbounded"] = self.in_j0ub(c)
-            cells.append(
-                {
-                    "tau": [list(p) for p in c.tau],
-                    "sigma": [list(p) for p in c.sigma],
-                    "dim": c.dim,
-                    "flags": flags,
-                }
-            )
-        return {
-            "kind": self.kind,
-            "cells": cells,
-            "covers": [[yi, xi] for (yi, xi) in sorted(self.covers)],
-        }
-
     def __repr__(self):
         return (
             f"CellPoset(kind={self.kind}, {len(self.cells)} cells, "
@@ -416,10 +372,6 @@ def _unbalanced(diamonds, sig):
         if prod != -1:
             return (yi, xi)
     return None
-
-
-def is_balanced(poset, sig):
-    return _unbalanced(_diamonds(poset), sig) is None
 
 
 def balanced_signature(poset, variable_order=None):

@@ -197,3 +197,25 @@ def divisor_class_count(side):
     rays = side.newton.rays()
     rank = f2_rank([f2_pack([v[i] for v in rays]) for i in range(side.rank)])
     return 1 << (len(rays) - rank)
+
+
+def ray_mask(side, rays):
+    """The mask over ``side.newton.rays()`` of a list of distinct rays."""
+    return sum(1 << side.newton.rays().index(v) for v in rays)
+
+
+# the cell flags and the collapse map that only tests read, on the refined
+# poset; a sphere-part cell has the Newton origin in sigma
+def first_kind(poset, cell):
+    return poset.newton.origin in cell.sigma
+
+
+def in_j0ub(poset, cell):
+    """A finite unbounded cell: no origin in tau or in sigma."""
+    return poset.newton.origin not in cell.sigma and poset.ambient.origin not in cell.tau
+
+
+def phi(poset, key):
+    """The collapse to the base poset: (tau, sigma) -> (0, sigma) off infinity."""
+    tau, sigma = key
+    return key if poset.ambient.origin in tau else ((poset.ambient.origin,), sigma)

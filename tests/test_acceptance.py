@@ -21,6 +21,8 @@ from tropmirror.mirror import (
 from tropmirror.patchwork import (
     PhaseData,
     RealComplex,
+    _normal_form,
+    _pairing_space,
     check_vanishing_hypothesis,
     connectedness_verdict,
     delta1,
@@ -34,7 +36,7 @@ from tropmirror.patchwork import (
 )
 from tropmirror.posets import balanced_signature, gauge_twist
 
-from conftest import cy3_triangulations, rows_betti
+from conftest import cy3_triangulations, ray_mask, rows_betti
 
 D7 = (-1, 2)
 D8 = (-1, 1)
@@ -278,13 +280,12 @@ def test_criterion_9_raw_sign_sweep(cubic_pair):
     side = cubic_pair.side_a
     pts = list(side.newton.polytope.lattice_points)
     by_class = {}
-    from tropmirror.patchwork import _pairing_space, divisor_mask
-
+    # each class keyed by its normal form, the package's class key
     _, space = _pairing_space(side)
     for mask in range(1 << len(pts)):
         eps = {p: (mask >> i) & 1 for i, p in enumerate(pts)}
         d = divisor_from_signs(side, eps)
-        canon = space.reduce(divisor_mask(side, d))
+        canon = _normal_form(space, ray_mask(side, d))
         betti = tuple(real_betti(side, eps))
         by_class.setdefault(canon, set()).add(betti)
     ok = all(len(bettis) == 1 for bettis in by_class.values())

@@ -12,7 +12,7 @@ from tropmirror.chains import (
     dense_block,
 )
 from tropmirror.cosheaves import CosheafEvaluator
-from conftest import CUBIC_DUAL_VERTS, CUBIC_VERTS, rows_betti
+from conftest import CUBIC_DUAL_VERTS, CUBIC_VERTS, in_j0ub, phi, rows_betti
 from tropmirror.errors import BoundarySquareNonzero, FreenessError, InputError, InternalCheckError
 from tropmirror.exterior import dim_wedge, wedge_matrix
 from tropmirror.intlinalg import (
@@ -578,7 +578,7 @@ def test_kernel_value_unchanged_by_radial_closure(cubic_pair):
     ev = side.evaluator
     o = side.newton.origin
     for c in poset.cells:
-        if not poset.in_j0ub(c):
+        if not in_j0ub(poset, c):
             continue
         hat = poset.cell_index.get((c.tau, side.newton.sigma_hat(c.sigma)))
         if hat is None:
@@ -594,7 +594,7 @@ def test_unbounded_part_bijection(cubic_pair):
     # adjoining the origin to tau
     side = cubic_pair.side_a
     poset = side.refined_poset
-    j0ub = {c.key for c in poset.cells if poset.in_j0ub(c)}
+    j0ub = {c.key for c in poset.cells if in_j0ub(poset, c)}
     jinf = {c.key for c in poset.cells if poset.at_infinity(c)}
     image = {(side.ambient.sigma_hat(tau), sigma) for (tau, sigma) in j0ub}
     assert image == jinf
@@ -645,8 +645,8 @@ def test_collapse_map_order_preserving(cubic_pair, k3_pair):
         refined = pair.side_a.refined_poset
         base = pair.side_a.base_poset
         for (yi, xi) in refined.covers:
-            fy = refined.phi(refined.cells[yi].key)
-            fx = refined.phi(refined.cells[xi].key)
+            fy = phi(refined, refined.cells[yi].key)
+            fx = phi(refined, refined.cells[xi].key)
             assert fy in base.cell_index and fx in base.cell_index
             assert set(fx[0]) <= set(fy[0]) and set(fx[1]) <= set(fy[1])
 

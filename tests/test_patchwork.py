@@ -1,7 +1,7 @@
 import copy
 import hashlib
 import random
-import re
+from functools import partial
 from itertools import combinations
 
 import pytest
@@ -16,6 +16,7 @@ from conftest import (
     divisor_class_count,
     integer_lift,
     phase_masks,
+    ray_mask,
     rows_betti,
     rows_euler,
 )
@@ -24,7 +25,6 @@ from tropmirror.errors import (
     BoundarySquareNonzero,
     InputError,
     InternalCheckError,
-    InvalidPhaseStructure,
     RayNotInFan,
 )
 from tropmirror.exterior import wedge_matrix
@@ -47,16 +47,11 @@ from tropmirror.patchwork import (
     delta1,
     divisor_class_representatives,
     divisor_from_signs,
-    divisor_mask,
-    divisors_equivalent,
     mask_to_rays,
-    phase_from_signs,
     real_betti,
     sample_divisor_classes,
     signs_from_divisor,
-    signs_from_phase,
     sweep_rows,
-    validate_phase,
 )
 from tropmirror.triangulate import generate_central
 
@@ -92,7 +87,6 @@ def test_sign_distributions_are_checked(cubic_pair):
         for run in (
             lambda: real_betti(side, eps),
             lambda: divisor_from_signs(side, eps),
-            lambda: phase_from_signs(side, eps),
             lambda: delta1(side, eps, sphere_cycle(side), 0),
         ):
             with pytest.raises(InputError, match=message):
@@ -100,15 +94,46 @@ def test_sign_distributions_are_checked(cubic_pair):
     assert real_betti(side, good) == [1, 1]
 
 
+def signs_from_phases(side, edge_ends, mask):
+    """Signs propagated from the origin (sign 1) along the edges
+    ``edge_ends``, edge j joining two ends of the same sign when bit j of
+    ``mask`` is set, as ``PhaseData.mask`` reads them; None when two paths
+    disagree."""
+    adjacency = {}
+    for j, (a, b) in enumerate(edge_ends):
+        same = mask >> j & 1
+        adjacency.setdefault(a, []).append((b, same))
+        adjacency.setdefault(b, []).append((a, same))
+    eps = {side.newton.origin: 1}
+    queue = [side.newton.origin]
+    while queue:
+        a = queue.pop()
+        for b, same in adjacency[a]:
+            sign = eps[a] ^ 1 ^ same
+            if b not in eps:
+                eps[b] = sign
+                queue.append(b)
+            elif eps[b] != sign:
+                return None
+    return eps
+
+
 def test_sign_phase_roundtrip(cubic_pair):
+    # the edge phases PhaseData keeps, one bit per edge of the Newton
+    # triangulation, obey the simplex rule (0 or 2 edges of phase 0 in each
+    # 2-simplex) and propagate back to the signs, up to the global flip
     side = cubic_pair.side_a
     rng = random.Random(5)
     pts = side.newton.polytope.lattice_points
     for _ in range(10):
         eps = {p: rng.randint(0, 1) for p in pts}
-        t = phase_from_signs(side, eps)
-        validate_phase(side, t)
-        back = signs_from_phase(side, t)
+        pd = PhaseData(side, side.base_poset, eps)
+        ends = pd.frame.edge_ends
+        assert set(ends) == side.newton.by_dim[1]
+        phase = {e: pd.mask >> j & 1 for j, e in enumerate(ends)}
+        for tri in side.newton.by_dim[2]:
+            assert sum(phase[e] == 0 for e in combinations(tri, 2)) in (0, 2), tri
+        back = signs_from_phases(side, ends, pd.mask)
         flip = 1 ^ eps[side.newton.origin]
         assert all(back[p] == eps[p] ^ flip for p in pts)
 
@@ -127,58 +152,35 @@ def test_repeated_ray_cancels_everywhere(cubic_pair):
     side = cubic_pair.side_a
     for rays, support in (([D7, D7], []), ([D7, D8, D7], [D8]), ([D7, D8, D8], [D7])):
         assert divisor_support(side, rays) == set(support)
-        assert divisor_mask(side, rays) == divisor_mask(side, support)
         eps = signs_from_divisor(side, rays)
         assert eps == signs_from_divisor(side, support)
         assert divisor_restriction(side, rays) == divisor_restriction(side, support)
         verdict = connectedness_verdict(side, rays)
         assert verdict == connectedness_verdict(side, support)
         assert (verdict == "connected") == (real_betti(side, eps)[0] == 1), rays
-    assert divisor_mask(side, [D7, D7]) == 0
     for bad in ([(5, 5)], [D7, (0, 0)]):
         with pytest.raises(RayNotInFan):
             signs_from_divisor(side, bad)
         with pytest.raises(RayNotInFan):
-            divisors_equivalent(side, bad, [])
+            divisor_restriction(side, bad)
 
 
 def test_invalid_phase_structure_rejected(cubic_pair):
+    # flipping any one edge's phase makes some triangle carry an odd number
+    # of zero edges, and the propagation meets a contradiction
     side = cubic_pair.side_a
     eps = {p: 0 for p in side.newton.polytope.lattice_points}
-    t = phase_from_signs(side, eps)
-    # breaking one edge makes some triangle carry exactly one zero edge
-    bad = dict(t)
-    first = next(iter(bad))
-    bad[first] ^= 1
-    with pytest.raises(InvalidPhaseStructure):
-        signs_from_phase(side, bad)
-
-
-def test_phase_structure_must_give_each_edge_0_or_1(cubic_pair):
-    # a phase structure names every edge and nothing else, each with the
-    # int 0 or 1: a missing edge, an extra key, True and 2 are refused by
-    # name, before the simplex rule or the sign propagation reads them
-    side = cubic_pair.side_a
-    t = phase_from_signs(side, signs_from_divisor(side, [D7]))
-    edge, extra = min(t), ((0, 0), (5, 5))
-    cases = [
-        ({e: v for e, v in t.items() if e != edge}, "miss edges", edge),
-        ({**t, extra: 1}, "name non-edges", extra),
-        ({**t, "edge": 0}, "name non-edges", "edge"),
-        ({**t, edge: True}, "other than the integer 0 or 1 at", edge),
-        ({**t, edge: 2}, "other than the integer 0 or 1 at", edge),
-        ({**t, edge: 1.0}, "other than the integer 0 or 1 at", edge),
-    ]
-    for bad, what, named in cases:
-        message = re.escape(f"phases {what} [{named!r}]")
-        for check in (validate_phase, signs_from_phase):
-            with pytest.raises(InvalidPhaseStructure, match=message):
-                check(side, bad)
-    assert signs_from_phase(side, t) == signs_from_divisor(side, [D7])
+    pd = PhaseData(side, side.base_poset, eps)
+    ends = pd.frame.edge_ends
+    assert signs_from_phases(side, ends, pd.mask) is not None
+    for j in range(len(ends)):
+        assert signs_from_phases(side, ends, pd.mask ^ 1 << j) is None, ends[j]
 
 
 def test_linear_shift_gives_equivalent_divisors(cubic_pair):
     side = cubic_pair.side_a
+    _, space = patchwork._pairing_space(side)
+    key = partial(patchwork._normal_form, space)
     rng = random.Random(11)
     pts = side.newton.polytope.lattice_points
     for _ in range(10):
@@ -189,7 +191,7 @@ def test_linear_shift_gives_equivalent_divisors(cubic_pair):
         }
         d1 = divisor_from_signs(side, eps)
         d2 = divisor_from_signs(side, shifted)
-        assert divisors_equivalent(side, d1, d2)
+        assert key(ray_mask(side, d1)) == key(ray_mask(side, d2))
 
 
 def test_cubic_has_128_divisor_classes(cubic_pair):
@@ -214,9 +216,9 @@ def test_divisor_classes_are_distinct_classes(cubic_pair, k3_pair):
     side = MirrorPair(generate_central(prism.dual()), generate_central(prism)).side_a
     reps = divisor_class_representatives(side)
     assert len(reps) == divisor_class_count(side) == 4
-    rays = [mask_to_rays(side, mask) for mask in reps]
-    for i, j in combinations(range(len(rays)), 2):
-        assert not divisors_equivalent(side, rays[i], rays[j]), (rays[i], rays[j])
+    _, space = patchwork._pairing_space(side)
+    for a, b in combinations(reps, 2):
+        assert not space.contains(a ^ b), (mask_to_rays(side, a), mask_to_rays(side, b))
     assert len(sample_divisor_classes(side, 10, 0)) == 4
     for side in (*cubic_pair.sides, k3_pair.side_b):
         assert len(divisor_class_representatives(side)) == divisor_class_count(side)

@@ -27,7 +27,6 @@ from tropmirror.patchwork import (
     connectedness_verdict,
     divisor_class_representatives,
     mask_to_rays,
-    phase_from_signs,
     real_betti,
     sample_divisor_classes,
     signs_from_divisor,
@@ -239,10 +238,11 @@ def test_restricted_sign_complex_matches_per_class_assembly(cubic_pair, gallery_
     assert rows_betti(prows, cx) == [h.rank(q) for q in oracle.degrees]
     assert rows_euler(cx) == oracle.euler_characteristic()
     fresh = PhaseFrame(side.evaluator, poset)
-    t = phase_from_signs(side, eps)
     for c, (_, _, edges) in zip(poset.cells, fresh.cells):
         memo = pd.phase_cell(c.index)
-        bits = [bit for (e, _, _), bit in zip(edges, fresh.edge_bits[c.index]) if t[e]]
+        # the same-sign edges, read off the signs
+        bits = [bit for ((a, b), _, _), bit in zip(edges, fresh.edge_bits[c.index])
+                if eps[a] == eps[b]]
         built = fresh.cell_phase(c.index, sum(bits))
         # levels, frame positions and the real complex's incidences are
         # filled on use, so earlier examples may have filled the memoized

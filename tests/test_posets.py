@@ -14,12 +14,11 @@ from tropmirror.posets import (
     build_base_poset,
     build_refined_poset,
     gauge_twist,
-    is_balanced,
     mirror_cell_refined,
 )
 from tropmirror.triangulate import CentralTriangulation, generate_central
 
-from conftest import CUBIC_DUAL_VERTS, CUBIC_VERTS
+from conftest import CUBIC_DUAL_VERTS, CUBIC_VERTS, first_kind, in_j0ub
 
 
 def counts_by_dim(poset):
@@ -77,7 +76,7 @@ def test_cubic_refined_poset_counts(cubic_pair):
     assert counts_by_dim(poset) == {2: 12, 1: 36, 0: 24}
     js = [c for c in poset.cells if poset.on_sphere(c)]
     jinf = [c for c in poset.cells if poset.at_infinity(c)]
-    j0ub = [c for c in poset.cells if poset.in_j0ub(c)]
+    j0ub = [c for c in poset.cells if in_j0ub(poset, c)]
     assert len(js) == 24 and len(jinf) == 24 and len(j0ub) == 24
     # the refinement splits radial edges at the three corners, so the cells
     # with a 1-simplex second coordinate number 15, not 9
@@ -87,7 +86,7 @@ def test_cubic_refined_poset_counts(cubic_pair):
 
 
 def test_membership_against_brute_force_oracle(cubic_pair, diamond_pair, k3_pair):
-    # consume the debug dump and re-derive membership from scratch
+    # re-derive membership from scratch and compare the cells and covers
     for pair in (cubic_pair, diamond_pair, k3_pair):
         for side in pair.sides:
             check_base_membership(side)
@@ -95,14 +94,6 @@ def test_membership_against_brute_force_oracle(cubic_pair, diamond_pair, k3_pair
 
 def check_base_membership(side):
     poset = side.base_poset
-    dump = poset.to_debug_dict()
-    dumped = {
-        (
-            tuple(tuple(p) for p in c["tau"]),
-            tuple(tuple(p) for p in c["sigma"]),
-        )
-        for c in dump["cells"]
-    }
     delta = side.newton.polytope
     origin = side.newton.origin
     expected = set()
@@ -116,14 +107,12 @@ def check_base_membership(side):
         for sigma in side.newton.simplices:
             if set(sigma) <= set(face.lattice_points):
                 expected.add((tau, sigma))
-    assert expected == dumped == set(poset.cell_index)
-    # dumped dims and covers are consistent
-    for c in dump["cells"]:
-        tau = tuple(tuple(p) for p in c["tau"])
-        sigma = tuple(tuple(p) for p in c["sigma"])
-        assert c["dim"] == (side.rank - (len(tau) - 1)) - (len(sigma) - 1)
-    for yi, xi in dump["covers"]:
-        assert dump["cells"][xi]["dim"] - dump["cells"][yi]["dim"] == 1
+    assert expected == {c.key for c in poset.cells} == set(poset.cell_index)
+    # the cells' dims and the covers are consistent
+    for c in poset.cells:
+        assert c.dim == (side.rank - (len(c.tau) - 1)) - (len(c.sigma) - 1)
+    for yi, xi in poset.covers:
+        assert poset.cells[xi].dim - poset.cells[yi].dim == 1
 
 
 def test_refined_membership_against_oracle(cubic_pair, diamond_pair, k3_pair):
@@ -290,7 +279,7 @@ def test_pairing_identity_on_sphere_cells(cubic_pair, k3_pair):
             poset = side.refined_poset
             o = side.newton.origin
             for c in poset.cells:
-                if not poset.first_kind(c):
+                if not first_kind(poset, c):
                     continue
                 for u in c.tau:
                     for x in c.sigma:
@@ -344,7 +333,7 @@ def test_refined_mirror_map(cubic_pair, k3_pair):
             assert ja.at_infinity(c) == jb.at_infinity(target)
         # the boundary x boundary case is the swap
         for c in ja.cells:
-            if ja.in_j0ub(c):
+            if in_j0ub(ja, c):
                 assert mirror_cell_refined(ja, c.key) == (c.sigma, c.tau)
     # cells outside the refined poset are rejected
     from tropmirror.errors import NotInJ
@@ -354,17 +343,31 @@ def test_refined_mirror_map(cubic_pair, k3_pair):
         mirror_cell_refined(ja, (((0, 0),), ((0, 0),)))
 
 
+def diamonds_balanced(poset, sig):
+    """Whether the four cover signs of every length-2 interval multiply to
+    -1 under ``sig``: each interval [y, x] found by walking ``poset.below``
+    two steps down from x, apart from the package's diamond map."""
+    for xi, lows in poset.below.items():
+        product = {}
+        for zi in lows:
+            for yi in poset.below[zi]:
+                product[yi] = product.get(yi, 1) * sig[yi, zi] * sig[zi, xi]
+        if any(p != -1 for p in product.values()):
+            return False
+    return True
+
+
 def test_default_signature_balanced_and_solver_agrees(cubic_pair):
     for kind in ("base", "refined"):
         poset = cubic_pair.side_a.poset(kind)
-        assert is_balanced(poset, poset.sign)
+        assert diamonds_balanced(poset, poset.sign)
         solved = balanced_signature(poset)
-        assert is_balanced(poset, solved)
+        assert diamonds_balanced(poset, solved)
         rng = random.Random(17)
         order = list(range(len(poset.covers)))
         rng.shuffle(order)
         solved2 = balanced_signature(poset, variable_order=order)
-        assert is_balanced(poset, solved2)
+        assert diamonds_balanced(poset, solved2)
 
 
 def test_gauge_twist_stays_balanced(cubic_pair):
@@ -372,7 +375,10 @@ def test_gauge_twist_stays_balanced(cubic_pair):
     rng = random.Random(23)
     gauge = {c.index: rng.choice((1, -1)) for c in poset.cells}
     twisted = gauge_twist(poset, poset.sign, gauge)
-    assert is_balanced(poset, twisted)
+    assert diamonds_balanced(poset, twisted)
+    # the check can fail: one flipped cover sign unbalances a diamond
+    cover = diamond_cover(poset)
+    assert not diamonds_balanced(poset, {**twisted, cover: -twisted[cover]})
 
 
 # -- structural verification rejects broken posets ------------------------------
@@ -551,7 +557,7 @@ def test_diamond_map_oracle_and_cell_order(cubic_pair, k3_pair, cy3_pair):
                 diamonds = _diamonds(poset)
                 assert diamonds, kind
                 assert all(len(mids) == 2 for mids in diamonds.values()), kind
-                assert is_balanced(poset, poset.sign), kind
+                assert diamonds_balanced(poset, poset.sign), kind
                 order = sorted(poset.cells, key=lambda c: (c.dim, c.tau, c.sigma))
                 assert poset.cells == order, kind
                 assert [c.index for c in poset.cells] == list(range(len(order)))
