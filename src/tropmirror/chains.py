@@ -17,12 +17,15 @@ divisor count gives the Q rank where none is cached; it is not compared
 with ``sparse_rank``, which counts the diagonal of the same deterministic
 elimination.
 
-Every packed F2 vector here and in ``patchwork`` has one layout, a
-CellLayout: per degree, each cell is a block of bits of its own width
+Every packed F2 vector here, in ``mirror`` and in ``patchwork`` has one
+layout, a CellLayout: per degree, each cell is a block of bits of its own width
 (a value rank, or a count of phase points), the blocks laid end to end in
 the order of ``cells_by_dim``.  It gives each cell's offset and each
 degree's size in one pass, and splits a packed vector into the blocks
-that hold a set bit, visiting no other cell.
+that hold a set bit, visiting no other cell.  A chain crosses between a
+{cell key: coordinate tuple} dict and a packed vector in one pass each
+way: ``pack_chain`` reads its degree, checks each key and coefficient and
+packs it; ``packed_to_chain`` reads each tuple from a table per width.
 
 A complex keeps only what is read again.  The rank pass packs each row mod
 2 as it reads it and keeps none of them; ``f2_rows`` caches packed rows
@@ -40,9 +43,15 @@ those positions with ``f2_cleared_ranks``, so nothing is renumbered,
 assembled or square-checked again.
 """
 
-from bisect import bisect_right
+from functools import cache
 
-from .errors import BoundarySquareNonzero, InputError, InternalCheckError, NotAClosedChain
+from .errors import (
+    BoundarySquareNonzero,
+    InputError,
+    InternalCheckError,
+    NotAClosedChain,
+    SupportViolation,
+)
 from .intlinalg import (
     F2Space,
     f2_cleared_ranks,
@@ -62,6 +71,14 @@ def dense_block(block, width):
         for j, a in entries:
             row[j] = a
     return out
+
+
+@cache
+def _coordinate_tuples(width):
+    """The 0/1 coordinate tuple of every packed value of ``width`` bits,
+    indexed by the value; built once per width.  Shared; callers must not
+    mutate it."""
+    return [tuple((v >> j) & 1 for j in range(width)) for v in range(1 << width)]
 
 
 def _square_nonzero(q, i):
@@ -135,8 +152,8 @@ class CellLayout:
     """Cells as blocks of bits, ``widths[ci]`` bits for cell ci, laid end to
     end per degree in the order of ``cells_by_dim``: the block of ci starts
     at ``offset[ci]`` within its degree, and degree q holds ``size[q]``
-    bits.  The offsets come from one pass per degree; ``walk`` lists a
-    degree's cells of nonzero width on its first read of that degree."""
+    bits.  The offsets come from one pass per degree; ``walk`` lists the
+    owning cell of each bit of a degree on its first read of that degree."""
 
     def __init__(self, cells_by_dim, widths):
         self.cells_by_dim, self.widths = cells_by_dim, widths
@@ -148,23 +165,28 @@ class CellLayout:
                 offset[ci] = off
                 off += widths[ci]
             self.size[q] = off
-        self._starts = {}  # q -> (q-cells of nonzero width, their offsets)
+        self._owner = {}  # q -> the cell of each bit of degree q
 
     def walk(self, vec, q):
         """(cell, bits) for each q-cell whose block of the packed vector vec
-        holds a set bit, in offset order; bits at or above size[q] are
-        ignored.  The lowest set bit is bisected among the starts of the
-        nonzero blocks, and that block's bits are cleared."""
-        if q not in self._starts:
-            cells = [ci for ci in self.cells_by_dim.get(q, ()) if self.widths[ci]]
-            self._starts[q] = (cells, [self.offset[ci] for ci in cells])
-        cells, starts = self._starts[q]
-        offset, widths = self.offset, self.widths
-        vec &= (1 << self.size.get(q, 0)) - 1
+        holds a set bit, as a list in offset order; bits at or above
+        size[q] are ignored.  The top set bit names its cell in the
+        degree's table of bit owners, and that block is cleared: the blocks
+        come top down and are listed reversed."""
+        owner = self._owner.get(q)
+        if owner is None:
+            owner = self._owner[q] = []
+            for ci in self.cells_by_dim.get(q, ()):
+                owner += [ci] * self.widths[ci]
+        offset, out = self.offset, []
+        vec &= (1 << len(owner)) - 1
         while vec:
-            ci = cells[bisect_right(starts, (vec & -vec).bit_length() - 1) - 1]
-            yield ci, (vec >> offset[ci]) & ((1 << widths[ci]) - 1)
-            vec &= -1 << (offset[ci] + widths[ci])
+            ci = owner[vec.bit_length() - 1]
+            bits = vec >> offset[ci]
+            out.append((ci, bits))
+            vec ^= bits << offset[ci]
+        out.reverse()
+        return out
 
 
 class ChainComplex:
@@ -339,29 +361,42 @@ class ChainComplex:
         return [v for v in cycles if space.add(v)]
 
     # -- chain <-> cell-dict conversion ---------------------------------------------
-    def chain_to_packed(self, chain, q):
-        """{cell key: 0/1 coordinate tuple} -> packed vector in degree q; a
-        tuple must have one entry per coordinate of its cell."""
+    def pack_chain(self, chain, q=None):
+        """(q, packed vector) of {cell key: 0/1 coordinate tuple}, in one
+        pass: every cell must have the degree q, the first cell's unless q
+        is given, and a tuple one entry per coordinate of its cell.  The
+        empty chain is (q, 0)."""
+        poset, ranks, offset = self.poset, self.ranks, self.offset
+        index, cells = poset.cell_index, poset.cells
         vec = 0
         for key, coords in chain.items():
-            ci = self.poset.cell_index[key]
-            if self.poset.cells[ci].dim != q:
+            ci = index.get(key)
+            if ci is None:
+                raise SupportViolation(f"{key} is not a {poset.kind}-poset cell")
+            if q is None:
+                q = cells[ci].dim
+            elif cells[ci].dim != q:
                 raise NotAClosedChain(f"chain mixes degrees: {key} is not in {q}")
-            if len(coords) != self.ranks[ci]:
+            if len(coords) != ranks[ci]:
                 raise InputError(
                     f"chain coefficient of {key} has {len(coords)} entries, "
-                    f"not its value rank {self.ranks[ci]}"
+                    f"not its value rank {ranks[ci]}"
                 )
-            vec |= f2_pack(coords) << self.offset[ci]
-        return vec
+            vec |= f2_pack(coords) << offset[ci]
+        return q, vec
+
+    def chain_to_packed(self, chain, q):
+        """{cell key: 0/1 coordinate tuple} -> packed vector in degree q."""
+        return self.pack_chain(chain, q)[1]
 
     def packed_to_chain(self, vec, q):
         """Packed vector in degree q -> {cell key: 0/1 coordinate tuple}, in
         offset order; bits at or above dim(q) are ignored.  Only the cells
-        holding a set bit are visited (``CellLayout.walk``)."""
+        holding a set bit are visited (``CellLayout.walk``), and each tuple
+        is read from the table of its width (``_coordinate_tuples``)."""
         cells, ranks = self.poset.cells, self.ranks
         return {
-            cells[ci].key: tuple((bits >> j) & 1 for j in range(ranks[ci]))
+            cells[ci].key: _coordinate_tuples(ranks[ci])[bits]
             for ci, bits in self.layout.walk(vec, q)
         }
 

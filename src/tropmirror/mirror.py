@@ -1,15 +1,19 @@
 """Explicit chain-level mirror transfer and divisor restriction classes.
 
-All chain surgery here is over F2 (the ring every acceptance check uses);
-chains are dicts {cell key: coordinate tuple} in the canonical bases of the
-cosheaf values.  Every per-cell step is one ``_cellwise`` pass: each
-coefficient goes through one integer matrix of its cell mod 2, applied or
-solved for, and lands on one output cell.  A step's matrix depends on the
-cell and never on the chain, so its F2 form (packed rows to apply, one
-F2Space to solve in) is read once and kept in a memo on the side, keyed by
-(step, p) and then by input cell key; the sphere cycle's cell keys are kept
-on the poset.  The pipeline realizing the mirror isomorphism on a closed
-multitangent chain is:
+All chain surgery here is over F2 (the ring every acceptance check uses).
+Chains are dicts {cell key: coordinate tuple} in the canonical bases of the
+cosheaf values only at the boundary: ``transfer_class`` packs its input
+once and unpacks its output once, and every step in between is a packed
+vector in the ``chains.CellLayout`` of one complex.  Every per-cell step is
+one ``_cellwise`` pass: it walks the cells of a packed vector in one
+layout, each cell's bits go through one integer matrix of the cell mod 2,
+applied or solved for, and the result lands at its output cell's offset in
+another layout.  A step's matrix depends on the cell and never on the
+chain, so its F2 form (packed rows to apply, one F2Space to solve in) is
+read once and kept with the output offset in a memo on the side, keyed by
+(step, p) and then by input cell index; the sphere cycle's cell keys are
+kept on the poset.  The pipeline realizing the mirror isomorphism on a
+closed multitangent chain is:
 
 1. one pass applying the surjection onto the extended mirror cosheaf;
 2. kill the unbounded part: one solving pass through the block-triangular
@@ -18,9 +22,10 @@ multitangent chain is:
 3. one pass applying the contraction against the volume form, moving each
    cell along the mirror cell bijection;
 4. lift back through the kernel sequence on the mirror side: one solving
-   pass through the surjection, one solving pass that writes the lift's
-   boundary defect in kernel coordinates, the correction operator for the
-   kernel cosheaf, and one pass applying the kernel inclusion.
+   pass through the surjection, then one pass over the lift's boundary
+   defect that writes it in kernel coordinates, corrects it through the
+   kernel cosheaf's correction operator and includes it back, the three
+   composed into one memo entry per defect cell.
 
 The output is a closed multitangent chain of complementary wedge degree on
 the mirror side whose class is independent of every choice made (tested).
@@ -41,60 +46,66 @@ from .exterior import star, wedge_vector
 from .intlinalg import F2Space, f2_combine, f2_pack
 from .posets import mirror_cell_refined
 
+NOT_INVERTIBLE = "cellwise transition map is not invertible mod 2"
+
 
 def contraction_sign(n):
     """The sign of the double contraction round trip, (-1)^(n(n+5)/2)."""
     return -1 if (n * (n + 5) // 2) % 2 else 1
 
 
-def _cell(poset, key):
-    ci = poset.cell_index.get(key)
-    if ci is None:
-        raise SupportViolation(f"{key} is not a {poset.kind}-poset cell")
-    return poset.cells[ci]
-
-
-def chain_degree(poset, chain):
-    degs = {_cell(poset, k).dim for k in chain}
-    if len(degs) > 1:
-        raise NotAClosedChain(f"chain mixes degrees {sorted(degs)}")
-    return degs.pop() if degs else None
-
-
-def _cellwise(side, step, p, chain, matrix, solve=None):
-    """Push an F2 chain on the refined poset of ``side`` through one
-    integer matrix per cell.
+def _cellwise(side, step, p, vec, q, src, dst, matrix, solve=None, then=None, sphere=None):
+    """Push a packed degree-q F2 chain on the refined poset of ``side``,
+    in the layout of the complex ``src``, through one integer matrix per
+    cell into the layout of the complex ``dst``.
 
     ``matrix(cell)`` gives the cell's rows and the key of the output cell.
-    Each coefficient c becomes c . rows, or, when ``solve`` (an error
-    message) is given, the x with x . rows = c; a coefficient with no such
-    x raises InternalCheckError(solve).  Zero results are dropped.  The
-    rows are read once per cell into ``side.cell_maps(step, p)``, in their
-    F2 form: packed rows to apply, or their F2Space to solve in.
+    A cell's bits c become c . rows, or, when ``solve`` (an error message)
+    is given, the x with x . rows = c; bits with no such x raise
+    InternalCheckError(solve).  ``then(cell, width)``, if given, composes
+    one more F2 map of ``width`` input bits: it gives the map's packed
+    rows, the key of its output cell in place of the matrix's, and their
+    width.  The result lands at the output cell's offset in ``dst``.  With
+    ``sphere`` (an error message), every walked cell must lie on the sphere
+    part, or InternalCheckError(sphere) is raised.  The rows are read once
+    per input cell index into ``side.cell_maps(step, p)``, in their F2 form
+    (packed rows to apply, or their F2Space to solve in), with the composed
+    rows and the output offset; the row count, and the output width
+    against ``dst``, are checked then (DimensionMismatch).
     """
     poset, memo = side.refined_poset, side.cell_maps(step, p)
-    out = {}
-    for key, coords in chain.items():
-        entry = memo.get(key)
+    cells, out = poset.cells, 0
+    for ci, bits in src.layout.walk(vec, q):
+        if sphere is not None and not poset.on_sphere(cells[ci]):
+            raise InternalCheckError(sphere)
+        entry = memo.get(ci)
         if entry is None:
-            rows, okey = matrix(_cell(poset, key))
+            cell = cells[ci]
+            rows, okey = matrix(cell)
             packed = [f2_pack(r) for r in rows]
             if solve is None:
-                entry = (packed, len(rows[0]) if rows else 0, okey)
+                if len(rows) != src.ranks[ci]:
+                    raise DimensionMismatch(f"{src.ranks[ci]} vs {len(rows)}")
+                form, width = packed, len(rows[0])
             else:
-                entry = (F2Space(packed), len(rows), okey)
-            memo[key] = entry
-        form, width, okey = entry
+                form, width = F2Space(packed), len(rows)
+            composed = None
+            if then is not None:
+                composed, okey, width = then(cell, width)
+            oci = dst.poset.cell_index[okey]
+            if width != dst.ranks[oci]:
+                raise DimensionMismatch(f"{width} vs {dst.ranks[oci]} at {okey}")
+            entry = memo[ci] = (form, composed, dst.offset[oci])
+        form, composed, off = entry
         if solve is None:
-            if len(coords) != len(form):
-                raise DimensionMismatch(f"{len(coords)} vs {len(form)}")
-            x = f2_combine(f2_pack(coords), form)
+            x = f2_combine(bits, form)
         else:
-            x = form.solve(f2_pack(coords))
+            x = form.solve(bits)
             if x is None:
                 raise InternalCheckError(solve)
-        if x:
-            out[okey] = tuple((x >> i) & 1 for i in range(width))
+        if composed is not None:
+            x = f2_combine(x, composed)
+        out ^= x << off
     return out
 
 
@@ -111,11 +122,6 @@ def _value_map(side, src, dst, p):
     return matrix
 
 
-def _require_sphere(poset, chain, message):
-    if not all(poset.on_sphere(_cell(poset, k)) for k in chain):
-        raise InternalCheckError(message)
-
-
 # ---------------------------------------------------------------------------
 # sphere cycles
 
@@ -128,14 +134,16 @@ def sphere_cycle(side, kind="refined"):
 # ---------------------------------------------------------------------------
 # the block-triangular correction operator
 
-def correction_operator(side, chain, p, tag="quotient"):
-    """Cellwise inverse of (project . boundary) on the unbounded complexes.
+def _correction(side, tag, p):
+    """The matrix function of the cellwise inverse of (project . boundary)
+    on the unbounded complexes, for the cosheaf ``tag``.
 
     For the quotient cosheaf the input lives at infinity and the output on
     the finite unbounded part, matched through (tau, sigma) -> (tau minus 0,
     sigma).  For the kernel cosheaf the input lives on the sphere part and
     is matched through (tau, sigma) -> (tau, sigma minus 0).  Each
-    coefficient is pulled back through the invertible cellwise cosheaf map.
+    coefficient is pulled back through the invertible cellwise cosheaf map,
+    whose rows this gives.
     """
     poset = side.refined_poset
     ev = side.evaluator
@@ -145,19 +153,55 @@ def correction_operator(side, chain, p, tag="quotient"):
             if not poset.at_infinity(zcell):
                 raise SupportViolation(f"{zcell.key} is not at infinity")
             xkey = (side.ambient.sigma_infty(zcell.tau), zcell.sigma)
-        elif tag == "kernel":
+        else:
             if not poset.on_sphere(zcell):
                 raise SupportViolation(f"{zcell.key} is not on the sphere part")
             xkey = (zcell.tau, side.newton.sigma_infty(zcell.sigma))
-        else:
-            raise UnsupportedCell(tag)
         xcell = poset.cells[poset.cell_index[xkey]]
         width = ev.value(tag, p, zcell).rank
         return dense_block(ev.map_matrix(tag, p, zcell, xcell), width), xkey
 
+    return matrix
+
+
+def correction_operator(side, vec, q, p):
+    """The quotient correction of a packed degree-q chain at infinity, in
+    the layout of the refined ``mirror_ext`` complex of ``side`` in wedge
+    degree p, as a packed degree-(q+1) chain in the same layout: on each
+    cell, the x with x . M = c, M the cellwise quotient map (``_correction``)."""
+    CMD = side.complex("refined", "mirror_ext", p)
     return _cellwise(
-        side, tag, p, chain, matrix, solve="cellwise transition map is not invertible mod 2"
+        side, "quotient", p, vec, q, CMD, CMD, _correction(side, "quotient", p),
+        solve=NOT_INVERTIBLE,
     )
+
+
+def _kernel_correction(side, p):
+    """The ``then`` of the lift defect's pass (see ``_cellwise``): the
+    kernel correction of a defect cell's kernel coordinates, composed with
+    the kernel inclusion at the corrected cell.  The correction's solve is
+    composed basis vector by basis vector (F2Space.solve is linear), so a
+    map that is not invertible mod 2 raises when the entry is built."""
+    correct = _correction(side, "kernel", p)
+    include = _value_map(side, "kernel", "multitangent", p)
+    poset = side.refined_poset
+
+    def then(zcell, width):
+        rows, xkey = correct(zcell)
+        xcell = poset.cells[poset.cell_index[xkey]]
+        inc, _ = include(xcell)
+        if len(inc) != len(rows):
+            raise DimensionMismatch(f"{len(rows)} vs {len(inc)}")
+        space, inc = F2Space(f2_pack(r) for r in rows), [f2_pack(r) for r in inc]
+        composed = []
+        for i in range(width):
+            x = space.solve(1 << i)
+            if x is None:
+                raise InternalCheckError(NOT_INVERTIBLE)
+            composed.append(f2_combine(x, inc))
+        return composed, xkey, side.evaluator.value("multitangent", p, xcell).rank
+
+    return then
 
 
 # ---------------------------------------------------------------------------
@@ -231,11 +275,9 @@ def divisor_restriction(side, rays):
 def is_null_class(side, chain, p, kind="base"):
     """True iff the closed F2 chain bounds in the multitangent complex of
     the given poset kind; the empty chain does."""
-    if not chain:
-        return True
-    q = chain_degree(side.poset(kind), chain)
     cx = side.complex(kind, "multitangent", p)
-    return cx.f2_is_boundary(cx.chain_to_packed(chain, q), q)
+    q, vec = cx.pack_chain(chain)
+    return q is None or cx.f2_is_boundary(vec, q)
 
 
 # ---------------------------------------------------------------------------
@@ -247,59 +289,58 @@ def transfer_class(side, chain, p):
     Input: degree-q cycle with degree-p multitangent coefficients on the
     refined poset of ``side``.  Output: degree-q cycle with degree-(n-p)
     multitangent coefficients on the refined poset of the mirror side,
-    representing the mirror class.
+    representing the mirror class.  The input is packed once and the output
+    unpacked once; each step between is a packed vector.
     """
     poset = side.refined_poset
     n = side.n
     CF = side.complex("refined", "multitangent", p)
-    q = chain_degree(poset, chain)
+    q, vec = CF.pack_chain(chain)
     if q is None:
         return {}
-    if not CF.f2_is_cycle(CF.chain_to_packed(chain, q), q):
+    if not CF.f2_is_cycle(vec, q):
         raise NotAClosedChain("transfer input is not closed")
     CMD = side.complex("refined", "mirror_ext", p)
 
     # 1. push into the extended mirror cosheaf
     push = _value_map(side, "multitangent", "mirror_ext", p)
-    md = _cellwise(side, "push", p, chain, push)
+    md = _cellwise(side, "push", p, vec, q, CF, CMD, push)
 
     # 2. cancel the unbounded part through the correction operator
-    inf_part = {k: v for k, v in md.items() if poset.at_infinity(_cell(poset, k))}
-    if inf_part:
-        beta = correction_operator(side, inf_part, p, tag="quotient")
-        bvec = CMD.chain_to_packed(beta, q + 1)
-        corrected_vec = CMD.chain_to_packed(md, q) ^ CMD.f2_boundary(bvec, q + 1)
-        md = CMD.packed_to_chain(corrected_vec, q)
-    _require_sphere(poset, md, "correction left unbounded coefficients")
+    cells, inf = poset.cells, 0
+    for ci, bits in CMD.layout.walk(md, q):
+        if poset.at_infinity(cells[ci]):
+            inf |= bits << CMD.offset[ci]
+    if inf:
+        md ^= CMD.f2_boundary(correction_operator(side, inf, q, p), q + 1)
 
     # 3. contract cellwise along the mirror bijection
     mirror = side.mirror
-    out = _cellwise(side, "contract", p, md, partial(contraction_matrix, side, p))
     CMm = mirror.complex("refined", "mirror", n - p)
-    if not CMm.f2_is_cycle(CMm.chain_to_packed(out, q), q):
+    out = _cellwise(
+        side, "contract", p, md, q, CMD, CMm, partial(contraction_matrix, side, p),
+        sphere="correction left unbounded coefficients",
+    )
+    if not CMm.f2_is_cycle(out, q):
         raise InternalCheckError("mirrored chain is not closed")
 
     # 4. lift back through the kernel sequence on the mirror side
-    mposet = mirror.refined_poset
-    lift = _cellwise(
-        mirror, "lift", n - p, out,
+    CFm = mirror.complex("refined", "multitangent", n - p)
+    uvec = _cellwise(
+        mirror, "lift", n - p, out, q, CMm, CFm,
         _value_map(mirror, "multitangent", "mirror_ext", n - p),
         solve="surjection onto the mirror cosheaf failed to lift",
     )
-    CFm = mirror.complex("refined", "multitangent", n - p)
-    uvec = CFm.chain_to_packed(lift, q)
     cvec = CFm.f2_boundary(uvec, q)
     if cvec:
-        c_chain = CFm.packed_to_chain(cvec, q - 1)
-        _require_sphere(mposet, c_chain, "lift defect escapes the sphere part")
-        # express the defect in kernel-cosheaf coordinates (it lives there)
-        inclusion = _value_map(mirror, "kernel", "multitangent", n - p)
-        c_kernel = _cellwise(
-            mirror, "defect", n - p, c_chain, inclusion,
-            solve="lift defect is not a kernel chain",
+        # write the defect in kernel-cosheaf coordinates (it lives there),
+        # correct it and include it back
+        uvec ^= _cellwise(
+            mirror, "defect", n - p, cvec, q - 1, CFm, CFm,
+            _value_map(mirror, "kernel", "multitangent", n - p),
+            solve="lift defect is not a kernel chain", then=_kernel_correction(mirror, n - p),
+            sphere="lift defect escapes the sphere part",
         )
-        r = correction_operator(mirror, c_kernel, n - p, tag="kernel")
-        uvec ^= CFm.chain_to_packed(_cellwise(mirror, "include", n - p, r, inclusion), q)
     if not CFm.f2_is_cycle(uvec, q):
         raise NotAClosedChain("transfer output failed to close")
     return CFm.packed_to_chain(uvec, q)

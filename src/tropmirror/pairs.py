@@ -72,9 +72,11 @@ class Side:
 
     def cell_maps(self, step, p):
         """The mirror transfer's memo for one per-cell step in wedge degree
-        p: input cell key -> the F2 form of the cell's matrix.  A step's
-        matrices depend on the cell, never on the chain, so each is read
-        once per (side, step, p)."""
+        p: input cell index -> the F2 form of the cell's matrix, any map
+        composed after it, and the output cell's offset in the step's
+        output layout.  A step's matrices depend on the cell, never on the
+        chain, so each is read once per (side, step, p), and its row count
+        checked then."""
         return self._cell_maps.setdefault((step, p), {})
 
     def phase_frame(self, kind):

@@ -56,10 +56,15 @@ lifts and those its boundary touches, and never gathers.  The whole sign
 route has one numbering, the frame's ``chains.CellLayout`` of 2^qd points
 per cell with edges: a point s of cell ci sits at ``offset[ci] + s`` in
 the phase sets, the sign complex's positions and their cleared ranks, and
-a filtration indicator has bit s for point s.  ``delta1`` walks the
-chain's cells in its complex's layout, lifts by shifts into the frame's,
-and walks the boundary's cells in the frame's layout back into the next
-level's complex.  Both Betti routes cross-check each other: the sign
+a filtration indicator has bit s for point s.  ``delta1`` packs its
+chain once, walks its cells in its complex's layout, lifts by shifts into
+the frame's, and walks the boundary's cells in the frame's layout back into
+the next level's complex, unpacking once.  A record's lifts and read-backs
+depend only on the record, so it keeps each in its ``lifts`` memo, solved
+on the first read and checked then, under (p, coefficient bits) for a lift
+into level p and (-1 - p, indicator bits) for a read-back from level p;
+the check that a read-back stays in the phase set runs on every read.
+Both Betti routes cross-check each other: the sign
 complex's ranks come from the frame's rows at the gathered positions, and
 the real complex has a numbering of its own, apart from the layout: point
 s of cell ci is ``real_start[ci] + s``, the cells of a degree at the
@@ -94,7 +99,7 @@ from .errors import (
 )
 from .intlinalg import F2Space, dot, f2_cleared_ranks, f2_combine, f2_pack, f2_rank
 from .exterior import wedge_matrix
-from .mirror import chain_degree, divisor_restriction, divisor_support, is_null_class
+from .mirror import divisor_restriction, divisor_support, is_null_class
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +347,7 @@ class PhaseFrame:
             pc.tes = tuple([1 if mask & e else 0 for e in self.edge_bits[ci]])
             pc.points = [s for s in range(1 << qd) if (bits >> s) & 1]
             pc.levels = pc.up = pc.down = pc.positions = None
+            pc.lifts = {}
             self._phase_cells[ci, mask] = pc
         return pc
 
@@ -434,6 +440,26 @@ class PhaseFrame:
             )
         return out
 
+    def level_solve(self, pc, p, bits, lift):
+        """One cell's solve at filtration level p of the PhaseCell pc, from
+        its memo ``pc.lifts``: with ``lift``, the sum of the indicators of
+        the level-p generators whose coordinates sum to ``bits``, keyed (p,
+        bits); else the sum of the coordinates of those whose indicators
+        sum to ``bits``, keyed (-1 - p, bits).  Built on first use; a solve
+        that fails raises and stores nothing."""
+        key = (p, bits) if lift else (-1 - p, bits)
+        out = pc.lifts.get(key)
+        if out is None:
+            gens, ind_space, coord_space = self.level(pc, p)
+            mask = (coord_space if lift else ind_space).solve(bits)
+            if mask is None:
+                raise InternalCheckError(
+                    "chain coefficient is not in the filtration image" if lift
+                    else "boundary of the lift escaped the next filtration level"
+                )
+            out = pc.lifts[key] = f2_combine(mask, [g[0 if lift else 1] for g in gens])
+        return out
+
     def _edge_generators(self, stratum, a, b, rdm, value, p, te):
         """The level-p generators that the edge (a, b), of parity mask rdm
         in the frame of ``stratum`` and phase te, gives a cell of this
@@ -484,13 +510,17 @@ class PhaseCell:
     ``positions``, one int list that the first ``PhaseData.sign_complex``
     to read the record builds (None before), and ``levels``, the
     filtration levels by p that ``PhaseFrame.level`` has computed (None
-    before the first).  ``up`` and ``down`` hold the incidence lists of its
-    real cells, their ends above and below, which ``PhaseFrame.real_pairs``
-    builds on first read (None before).  The frame checks the transport from the cells above it,
-    read off their phase bits, when it builds one."""
+    before the first), and ``lifts``, the solves ``PhaseFrame.level_solve``
+    has made in them, keyed (p, coefficient bits) for a lift into level p
+    and (-1 - p, indicator bits) for a read-back from level p (a failed
+    solve is never stored).  ``up`` and ``down`` hold the incidence lists
+    of its real cells, their ends above and below, which
+    ``PhaseFrame.real_pairs`` builds on first read (None before).  The
+    frame checks the transport from the cells above it, read off their
+    phase bits, when it builds one."""
 
     __slots__ = ("ci", "stratum", "qd", "mask", "tes", "bits", "points", "positions", "levels",
-                 "up", "down")
+                 "lifts", "up", "down")
 
 
 class PhaseData:
@@ -682,15 +712,15 @@ def delta1(side, eps, chain, p, kind="refined"):
     boundary live in the frame's numbering, where a cell's indicators sit
     at its offset and the boundary comes from the frame's point rows; the
     read-back is one packed vector of the level-(p+1) complex, cycle-checked
-    there.
+    there.  Each cell's lift and read-back come from its record's memo
+    (``PhaseFrame.level_solve``); the phase-set check runs on every read.
     """
     poset = side.poset(kind)
     pd = PhaseData(side, poset, eps)
     CF = side.complex(kind, "multitangent", p)
-    q = chain_degree(poset, chain)
+    q, vec = CF.pack_chain(chain)
     if q is None:
         return {}
-    vec = CF.chain_to_packed(chain, q)
     if not CF.f2_is_cycle(vec, q):
         raise NotAClosedChain("filtration differential input is not closed")
     if q == 0:
@@ -698,13 +728,7 @@ def delta1(side, eps, chain, p, kind="refined"):
     frame, offset = pd.frame, pd.frame.offset
     lvec = 0
     for ci, fcoords in CF.layout.walk(vec, q):
-        gens, _, coord_space = frame.level(pd.phase_cell(ci), p)
-        mask = coord_space.solve(fcoords)
-        if mask is None:
-            raise InternalCheckError(
-                "chain coefficient is not in the filtration image"
-            )
-        lvec |= f2_combine(mask, [ind for ind, _ in gens]) << offset[ci]
+        lvec |= frame.level_solve(pd.phase_cell(ci), p, fcoords, True) << offset[ci]
     rows = frame.point_rows.get(q)
     bvec = f2_combine(lvec, rows) if rows else 0
     CF1 = side.complex(kind, "multitangent", p + 1)
@@ -713,13 +737,7 @@ def delta1(side, eps, chain, p, kind="refined"):
         pc = pd.phase_cell(ci)
         if ind & ~pc.bits:
             raise InternalCheckError("boundary of the lift escaped the phase sets")
-        gens, ind_space, _ = frame.level(pc, p + 1)
-        mask = ind_space.solve(ind)
-        if mask is None:
-            raise InternalCheckError(
-                "boundary of the lift escaped the next filtration level"
-            )
-        out |= f2_combine(mask, [fc for _, fc in gens]) << CF1.offset[ci]
+        out |= frame.level_solve(pc, p + 1, ind, False) << CF1.offset[ci]
     if out and not CF1.f2_is_cycle(out, q - 1):
         raise InternalCheckError("filtration differential output not closed")
     return CF1.packed_to_chain(out, q - 1)

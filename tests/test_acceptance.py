@@ -15,6 +15,7 @@ from tropmirror.mirror import (
     contraction_matrix,
     contraction_sign,
     divisor_restriction,
+    is_null_class,
     sphere_cycle,
     transfer_class,
 )
@@ -273,6 +274,35 @@ def test_criterion_8_mirror_of_delta1(cubic_pair, k3_pair):
         ok = ok and kcxm.f2_is_boundary(v1 ^ v2, kn - 1)
     _verdict(
         8, ok, "transfer of delta1(S) equals the divisor class: 128 cubic + 50 K3"
+    )
+
+
+def test_criterion_8_at_rank_4(cy3_pair):
+    # the same identity on the CY3 16-cell side, n = 3: the zero class has
+    # delta1(S) = 0 and a null restriction class; the class of one ray has a
+    # nonzero one, the transfer of its delta1(S), and one component
+    start = time.time()
+    side = cy3_pair.side_a
+    n = side.n
+    cxm = side.mirror.complex("refined", "multitangent", n - 1)
+    S = sphere_cycle(side)
+    zero = delta1(side, signs_from_divisor(side, []), S, 0)
+    ok = zero == {} and is_null_class(side.mirror, divisor_restriction(side, []), n - 1)
+    rays = [(-1, 0, 0, 0)]
+    eps = signs_from_divisor(side, rays)
+    moved = transfer_class(side, delta1(side, eps, S, 0), 1)
+    dx = divisor_restriction(side, rays)
+    ok = ok and bool(moved) and bool(dx)
+    ok = ok and cxm.f2_is_boundary(
+        cxm.chain_to_packed(moved, n - 1) ^ cxm.chain_to_packed(dx, n - 1), n - 1
+    )
+    ok = ok and not is_null_class(side.mirror, dx, n - 1)
+    verdict = connectedness_verdict(side, rays)
+    ok = ok and verdict == "connected" and real_betti(side, eps)[0] == 1
+    _verdict(
+        8, ok, f"at rank 4 on the CY3 16-cell side: the zero class null, the class "
+        f"of {rays[0]} the transfer of delta1(S), nonzero and connected, "
+        f"{time.time() - start:.1f}s"
     )
 
 

@@ -1,15 +1,17 @@
 import gc
+import hashlib
 import random
 import weakref
 
 import pytest
 
-from conftest import CUBIC_DUAL_VERTS, CUBIC_VERTS
+from conftest import CUBE_VERTS, CUBIC_DUAL_VERTS, CUBIC_VERTS, OCTA_VERTS
 from tropmirror.chains import dense_block
 from tropmirror.errors import (
     InputError,
     InternalCheckError,
     MirrorSideFreed,
+    NotAClosedChain,
     RayNotInFan,
     SupportViolation,
 )
@@ -17,7 +19,6 @@ from tropmirror.intlinalg import mat_mul
 from tropmirror import mirror
 from tropmirror.lattice import LatticePolytope
 from tropmirror.mirror import (
-    chain_degree,
     contraction_matrix,
     contraction_sign,
     correction_operator,
@@ -27,7 +28,14 @@ from tropmirror.mirror import (
     transfer_class,
 )
 from tropmirror.pairs import MirrorPair
-from tropmirror.patchwork import connectedness_verdict, delta1, signs_from_divisor
+from tropmirror.patchwork import (
+    connectedness_verdict,
+    delta1,
+    divisor_class_representatives,
+    mask_to_rays,
+    sample_divisor_classes,
+    signs_from_divisor,
+)
 from tropmirror.triangulate import generate_central
 
 RNG = random.Random(2024)
@@ -55,18 +63,22 @@ def test_contraction_sign_values():
 
 
 def test_correction_operator_is_section(cubic_pair):
-    # project(boundary(correction(gamma))) = gamma for random infinity chains
+    # project(boundary(correction(gamma))) = gamma for random infinity
+    # chains; the operator reads and writes the mirror_ext complex's layout,
+    # and mirror_ext agrees with the quotient cosheaf on every cell it reads
+    # or writes
     side = cubic_pair.side_a
     poset = side.refined_poset
     for p in (0, 1):
         CQ = side.complex("refined", "quotient", p)
+        CM = side.complex("refined", "mirror_ext", p)
         for trial in range(20):
             q = RNG.choice([d for d in range(poset.max_dim)])
             gamma = random_infinity_chain(side, p, q, RNG)
             if not gamma:
                 continue
-            beta = correction_operator(side, gamma, p, tag="quotient")
-            bvec = CQ.chain_to_packed(beta, q + 1)
+            beta = correction_operator(side, CM.chain_to_packed(gamma, q), q, p)
+            bvec = CQ.chain_to_packed(CM.packed_to_chain(beta, q + 1), q + 1)
             d = CQ.packed_to_chain(CQ.f2_boundary(bvec, q + 1), q)
             dinf = {
                 k: v
@@ -78,12 +90,12 @@ def test_correction_operator_is_section(cubic_pair):
 
 def test_correction_operator_zero_and_support(cubic_pair):
     side = cubic_pair.side_a
-    assert correction_operator(side, {}, 1) == {}
+    assert correction_operator(side, 0, 0, 1) == 0
     poset = side.refined_poset
-    sphere_cell = next(c for c in poset.cells if poset.on_sphere(c))
+    CM = side.complex("refined", "mirror_ext", 0)
+    sphere_cell = next(c for c in poset.cells if poset.on_sphere(c) and CM.ranks[c.index])
     with pytest.raises(SupportViolation):
-        correction_operator(side, {sphere_cell.key: (1,)}, 0, tag="quotient")
-
+        correction_operator(side, 1 << CM.offset[sphere_cell.index], sphere_cell.dim, 0)
 
 
 def test_non_cell_key_is_a_support_violation(cubic_pair):
@@ -92,23 +104,24 @@ def test_non_cell_key_is_a_support_violation(cubic_pair):
     side = cubic_pair.side_a
     bogus = {(((5, 5),), ((7, 7),)): (1,)}
     eps = signs_from_divisor(side, [(-1, 2)])
+    CM = side.complex("refined", "mirror_ext", 0)
     for call in (
         lambda: transfer_class(side, bogus, 0),
         lambda: is_null_class(side.mirror, bogus, 0),
         lambda: delta1(side, eps, bogus, 0),
-        lambda: correction_operator(side, bogus, 0),
+        # the correction operator reads packed chains: the conversion into them
+        lambda: CM.chain_to_packed(bogus, 0),
     ):
         with pytest.raises(SupportViolation, match="is not a"):
             call()
 
 
-def _fresh_cubic_side():
-    """Side a of a cubic pair of its own.  A side keeps the transfer's cell
-    maps once read, so a doctored map on the shared pair would hide behind
-    maps cached by earlier tests, or stay cached for later ones."""
-    T = generate_central(LatticePolytope(CUBIC_VERTS))
-    Tdual = generate_central(LatticePolytope(CUBIC_DUAL_VERTS))
-    return MirrorPair(T, Tdual).side_a
+def _fresh_side(verts=(CUBIC_VERTS, CUBIC_DUAL_VERTS)):
+    """Side a of a cubic pair of its own, or of the pair of ``verts``.  A
+    side keeps the transfer's cell maps once read, so a doctored map on the
+    shared pair would hide behind maps cached by earlier tests, or stay
+    cached for later ones."""
+    return MirrorPair(*(generate_central(LatticePolytope(v)) for v in verts)).side_a
 
 
 def _singular_value_map(monkeypatch, target, src):
@@ -130,21 +143,22 @@ def _singular_value_map(monkeypatch, target, src):
 
 
 def test_singular_transition_map_is_an_internal_error(monkeypatch):
-    side = _fresh_cubic_side()
+    side = _fresh_side()
     gamma = {}
     while not gamma:
         gamma = random_infinity_chain(side, 0, 0, RNG)
+    vec = side.complex("refined", "mirror_ext", 0).chain_to_packed(gamma, 0)
     monkeypatch.setattr(
         mirror, "dense_block", lambda block, width: [[0] * width for _ in block]
     )
     with pytest.raises(
         InternalCheckError, match="cellwise transition map is not invertible mod 2"
     ):
-        correction_operator(side, gamma, 0, tag="quotient")
+        correction_operator(side, vec, 0, 0)
 
 
 def test_singular_surjection_fails_to_lift(monkeypatch):
-    side = _fresh_cubic_side()
+    side = _fresh_side()
     _singular_value_map(monkeypatch, side.mirror, "multitangent")
     with pytest.raises(
         InternalCheckError, match="surjection onto the mirror cosheaf failed to lift"
@@ -154,10 +168,72 @@ def test_singular_surjection_fails_to_lift(monkeypatch):
 
 def test_singular_kernel_inclusion_rejects_the_lift_defect(monkeypatch):
     # the fundamental class of the cubic leaves a lift defect to correct
-    side = _fresh_cubic_side()
+    side = _fresh_side()
     _singular_value_map(monkeypatch, side.mirror, "kernel")
     with pytest.raises(InternalCheckError, match="lift defect is not a kernel chain"):
         transfer_class(side, sphere_cycle(side), 0)
+
+
+def _singular_correction(monkeypatch, tag):
+    """Make the cellwise correction map of the cosheaf ``tag`` zero mod 2."""
+    real = mirror._correction
+
+    def correction(side, t, p):
+        matrix = real(side, t, p)
+        if t != tag:
+            return matrix
+
+        def doubled(cell):
+            rows, key = matrix(cell)
+            return [[2 * a for a in row] for row in rows], key
+
+        return doubled
+
+    monkeypatch.setattr(mirror, "_correction", correction)
+
+
+@pytest.mark.parametrize(
+    "verts", [(CUBIC_VERTS, CUBIC_DUAL_VERTS), (CUBE_VERTS, OCTA_VERTS)], ids=["cubic", "k3"]
+)
+def test_transfer_internal_checks_each_fire(verts, monkeypatch):
+    # each consistency check inside the transfer raises when the one datum
+    # it guards is broken: the kernel correction map, the sphere support
+    # after the quotient correction and of the lift defect, and the
+    # closedness of the mirrored chain and of the output.  The side keeps
+    # its cell maps once read, so each break runs on a fresh side; after
+    # the raise, the transfer on that same side, undoctored, gives what a
+    # fresh pair gives: a failed entry is not kept.  On the cubic pair the
+    # first defect cell and its correction share their offset, so only the
+    # K3 pair shows a kept entry that skipped the correction
+    want = transfer_class(_fresh_side(verts), sphere_cycle(_fresh_side(verts)), 0)
+    assert want
+
+    breaks = (
+        ("cellwise transition map is not invertible mod 2",
+         lambda side, mp: _singular_correction(mp, "kernel")),
+        ("correction left unbounded coefficients",
+         lambda side, mp: mp.setattr(side.refined_poset, "on_sphere", lambda cell: False)),
+        ("lift defect escapes the sphere part",
+         lambda side, mp: mp.setattr(side.mirror.refined_poset, "on_sphere", lambda cell: False)),
+        ("mirrored chain is not closed",
+         lambda side, mp: mp.setattr(
+             side.mirror.complex("refined", "mirror", side.n), "f2_is_cycle", lambda vec, q: False
+         )),
+        ("transfer output failed to close",
+         lambda side, mp: mp.setattr(
+             side.mirror.complex("refined", "multitangent", side.n), "f2_is_cycle",
+             lambda vec, q: False,
+         )),
+    )
+    for message, doctor in breaks:
+        side = _fresh_side(verts)
+        S = sphere_cycle(side)
+        with monkeypatch.context() as mp:
+            doctor(side, mp)
+            # an output that fails to close raises NotAClosedChain
+            with pytest.raises((InternalCheckError, NotAClosedChain), match=message):
+                transfer_class(side, S, 0)
+        assert transfer_class(side, S, 0) == want, message
 
 
 def test_boundary_of_correction_hits_sphere(cubic_pair):
@@ -185,8 +261,7 @@ def test_boundary_of_correction_hits_sphere(cubic_pair):
             if not ginf or not CQq.f2_is_cycle(CQq.chain_to_packed(ginf, q), q):
                 continue
             found += 1
-            beta = correction_operator(side, ginf, p, tag="quotient")
-            bvec = CQ.chain_to_packed(beta, q + 1)
+            bvec = correction_operator(side, CQ.chain_to_packed(ginf, q), q, p)
             d = CQ.packed_to_chain(CQ.f2_boundary(bvec, q + 1), q)
             for k, v in d.items():
                 cell = poset.cells[poset.cell_index[k]]
@@ -287,8 +362,38 @@ def test_transfer_fundamental_class_nonzero(cubic_pair, k3_pair):
         S = sphere_cycle(side)
         out = transfer_class(side, S, 0)
         n = side.n
-        assert chain_degree(side.mirror.refined_poset, out) == n
+        assert side.mirror.complex("refined", "multitangent", n).pack_chain(out)[0] == n
         assert not is_null_class(side.mirror, out, n, kind="refined")
+
+
+def test_transfer_chains_frozen(cubic_pair, k3_pair):
+    # the chains transfer_class returns, not only their classes, are fixed
+    # bit for bit: the cubic and K3 sphere classes out and back at p = 0,
+    # the p = 1 transfer of delta1 of the sphere class under the first 16
+    # cubic classes and 8 sampled K3 classes, and two generators of each
+    # (p, q) on the cubic pair (one each); 32 outputs
+    outs = []
+    cubic, k3 = cubic_pair.side_a, k3_pair.side_a
+    for side in (cubic, k3):
+        out = transfer_class(side, sphere_cycle(side), 0)
+        outs += [out, transfer_class(side.mirror, out, side.n)]
+    for side, masks in (
+        (cubic, divisor_class_representatives(cubic)[:16]),
+        (k3, sample_divisor_classes(k3, 8, 0)),
+    ):
+        for mask in masks:
+            eps = signs_from_divisor(side, mask_to_rays(side, mask))
+            outs.append(transfer_class(side, delta1(side, eps, sphere_cycle(side), 0), 1))
+    for p in range(cubic.n + 1):
+        cx = cubic.complex("refined", "multitangent", p)
+        for q in range(cubic.n + 1):
+            for rep in cx.f2_homology_generators(q)[:2]:
+                outs.append(transfer_class(cubic, cx.packed_to_chain(rep, q), p))
+    digest = hashlib.sha256(repr([sorted(o.items()) for o in outs]).encode())
+    assert len(outs) == 32
+    assert digest.hexdigest() == (
+        "2fd5644236cad03186af285d36b5f13396b7708555b70b88f5fb0ad97c1ffdd8"
+    )
 
 
 def test_chain_coefficients_must_match_the_value_rank(cubic_pair):
@@ -426,9 +531,9 @@ def test_divisor_restriction_closed_and_parity_oracle(cubic_pair):
     for _ in range(20):
         sub = [v for v in rays if rng.random() < 0.5]
         chain = divisor_restriction(side, sub)
-        q = chain_degree(side.mirror.base_poset, chain)
+        q, vec = cxm.pack_chain(chain)
         if chain:
-            assert cxm.f2_is_cycle(cxm.chain_to_packed(chain, q), q)
+            assert cxm.f2_is_cycle(vec, q)
         parity = len(chain) % 2
         null = is_null_class(side.mirror, chain, 0)
         assert null == (parity == 0)

@@ -31,7 +31,6 @@ from tropmirror.exterior import wedge_matrix
 from tropmirror.intlinalg import F2Space, f2_combine, f2_pack, f2_rank, mat_mul
 from tropmirror.lattice import LatticePolytope
 from tropmirror.mirror import (
-    chain_degree,
     divisor_restriction,
     divisor_support,
     is_null_class,
@@ -1097,41 +1096,55 @@ def test_delta1_of_degree_zero_chain_is_zero(cubic_pair):
         assert delta1(side, eps, chain, p) == {}
 
 
-def test_delta1_internal_checks_each_fire(cubic_pair, monkeypatch):
+def test_delta1_internal_checks_each_fire(monkeypatch):
     # each consistency check of delta1 raises when the one datum it guards
     # is broken: the level-p coordinate space, the phase sets of the cells
     # it reads back, the level-p+1 indicator space, and the closedness of
-    # the output
-    side = cubic_pair.side_a
-    eps = signs_from_divisor(side, [D7])
-    S = sphere_cycle(side)
-    assert delta1(side, eps, S, 0)  # the lift has a nonzero boundary
-    frame = side.phase_frame("refined")
-    level = frame.level
+    # the output.  A record keeps its lifts and read-backs once solved, so
+    # each break runs on a fresh side whose records no delta1 has solved;
+    # after the raise, delta1 on that same side, undoctored, gives what a
+    # fresh pair gives: a failed solve is not kept
+    eps = signs_from_divisor(_scratch_side("cubic"), [D7])
+    S = sphere_cycle(_scratch_side("cubic"))
+    want = delta1(_scratch_side("cubic"), eps, S, 0)
+    assert want  # the lift has a nonzero boundary
+
     phase_cell = PhaseData.phase_cell
 
     def no_phase_set_below(pd, ci):
         pc = phase_cell(pd, ci)
-        if pd.poset.cells[ci].dim == side.n - 1:
+        if pd.poset.cells[ci].dim == pd.side.n - 1:
             pc = copy.copy(pc)
             pc.bits = 0
         return pc
 
+    def broken_level(broken):
+        def doctor(side, mp):
+            frame = side.phase_frame("refined")
+            level = frame.level
+            mp.setattr(frame, "level", lambda pc, p: broken(*level(pc, p)))
+
+        return doctor
+
     breaks = (
-        ("chain coefficient is not in the filtration image", frame, "level",
-         lambda pc, p: (*level(pc, p)[:2], F2Space())),
-        ("boundary of the lift escaped the phase sets", PhaseData, "phase_cell",
-         no_phase_set_below),
-        ("boundary of the lift escaped the next filtration level", frame, "level",
-         lambda pc, p: (level(pc, p)[0], F2Space(), level(pc, p)[2])),
+        ("chain coefficient is not in the filtration image",
+         broken_level(lambda gens, inds, coords: (gens, inds, F2Space()))),
+        ("boundary of the lift escaped the phase sets",
+         lambda side, mp: mp.setattr(PhaseData, "phase_cell", no_phase_set_below)),
+        ("boundary of the lift escaped the next filtration level",
+         broken_level(lambda gens, inds, coords: (gens, F2Space(), coords))),
         ("filtration differential output not closed",
-         side.complex("refined", "multitangent", 1), "f2_is_cycle", lambda vec, q: False),
+         lambda side, mp: mp.setattr(
+             side.complex("refined", "multitangent", 1), "f2_is_cycle", lambda vec, q: False
+         )),
     )
-    for message, owner, name, broken in breaks:
+    for message, doctor in breaks:
+        side = _scratch_side("cubic")
         with monkeypatch.context() as mp:
-            mp.setattr(owner, name, broken)
+            doctor(side, mp)
             with pytest.raises(InternalCheckError, match=message):
                 delta1(side, eps, S, 0)
+        assert delta1(side, eps, S, 0) == want, message
 
 
 def test_delta1_middle_degree_k3(k3_pair):
@@ -1284,7 +1297,7 @@ def test_delta1_resolves_only_the_cells_it_reads(name, cubic_pair, k3_pair, monk
             with monkeypatch.context() as mp:
                 mp.setattr(PhaseData, "__init__", eager)
                 assert delta1(side, eps, chain, p) == lazy, (mask, p)
-            q = chain_degree(poset, chain)
+            q = side.complex("refined", "multitangent", p).pack_chain(chain)[0]
             assert {poset.cells[ci].dim for ci in read} <= {q, q - 1}, (mask, p)
             assert 0 < len(read) < len(poset.cells), (mask, p)
 
@@ -1324,8 +1337,8 @@ def _splitting_kernel(side):
     kernel = []
     for j, i in enumerate(free):
         chain = divisor_restriction(side, [rays[i]])
-        assert chain_degree(mirror.base_poset, chain) in (q, None)  # None: empty
-        vec = cx.chain_to_packed(chain, q)
+        degree, vec = cx.pack_chain(chain)
+        assert degree in (q, None)  # None: empty
         comb = space.solve(vec)
         if comb is not None:
             earlier = comb >> len(boundaries)

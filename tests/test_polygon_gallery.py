@@ -244,11 +244,11 @@ def test_restricted_sign_complex_matches_per_class_assembly(cubic_pair, gallery_
         bits = [bit for ((a, b), _, _), bit in zip(edges, fresh.edge_bits[c.index])
                 if eps[a] == eps[b]]
         built = fresh.cell_phase(c.index, sum(bits))
-        # levels, frame positions and the real complex's incidences are
-        # filled on use, so earlier examples may have filled the memoized
-        # record's; the gather above filled the positions of each record
-        # with edges, and of no other
-        filled = ("levels", "up", "down", "positions")
+        # levels, lifts, frame positions and the real complex's incidences
+        # are filled on use, so earlier examples may have filled the
+        # memoized record's; the gather above filled the positions of each
+        # record with edges, and of no other
+        filled = ("levels", "lifts", "up", "down", "positions")
         slots = [a for a in PhaseCell.__slots__ if a not in filled]
         assert [getattr(memo, a) for a in slots] == [getattr(built, a) for a in slots], c.index
         gathered = [offset[c.index] + s for s in memo.points] if edges else None
