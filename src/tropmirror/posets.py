@@ -16,8 +16,9 @@ inclusion in both coordinates and the grading is
     dim(tau, sigma) = (rank - dim tau) - dim sigma.
 
 Cover relations grow exactly one coordinate by one vertex; they are found
-on the integer simplex ids of the two triangulations, with the position of
-the added vertex read off their coface lists.  The default signature on the
+on the integer simplex ids of the two triangulations, tau-cofaces and then
+sigma-cofaces, each in increasing coface id, with the position of the added
+vertex read off their coface lists.  The default signature on the
 covers is deterministic and orientation-coherent: each coordinate carries
 simplicial coboundary signs (position of the new vertex in the sorted
 vertex list) and sigma-covers pick up the Koszul factor
@@ -148,7 +149,7 @@ class CellPoset:
 
         A cell is keyed by its integer key from ``_build_cells``.  Per cell,
         the tau-cofaces and then the sigma-cofaces of its simplices are
-        tried, each in ``cofaces`` order; a cover's sign is
+        tried, each in increasing coface id; a cover's sign is
         (-1)^(position of the added vertex), times (-1)^(rank - dim tau)
         when sigma grows.
         """

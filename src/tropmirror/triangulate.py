@@ -17,6 +17,7 @@ Simplices are sorted tuples of lattice points.
 """
 
 from functools import cached_property
+from itertools import combinations
 
 from .errors import (
     InternalCheckError,
@@ -30,23 +31,6 @@ from .lattice import LatticePolytope, _affine_rank, _as_point
 
 def simplex(points):
     return tuple(sorted(tuple(p) for p in points))
-
-
-def simplex_faces(s):
-    """All nonempty faces (subsets) of a simplex, each in the order of s."""
-    out = []
-    n = len(s)
-    for mask in range(1, 1 << n):
-        out.append(tuple(s[i] for i in range(n) if mask >> i & 1))
-    return out
-
-
-def _added_position(s, c):
-    """The position in the sorted coface c of the one vertex s lacks."""
-    pos = 0
-    while pos < len(s) and c[pos] == s[pos]:
-        pos += 1
-    return pos
 
 
 class ValidationReport:
@@ -81,8 +65,9 @@ class CentralTriangulation:
 
     ``boundary_simplices`` are the maximal simplices of the induced
     triangulation of the boundary sphere; the maximal simplices of T itself
-    are their cones to the origin.  The full simplex poset (all faces,
-    including those through 0) is derived once and cached.
+    are their cones to the origin.  ``simplices`` holds every face of those
+    cones (including the faces through 0) and ``vertices`` their points,
+    sorted; the simplex ids and their coface lists are built on first read.
     """
 
     def __init__(self, polytope, boundary_simplices):
@@ -94,35 +79,31 @@ class CentralTriangulation:
         self._build()
 
     def _build(self):
-        """All faces of the cones over the boundary simplices, each built once.
-
-        The faces of a sorted simplex come out of ``simplex_faces`` sorted,
-        so they go into ``simplices`` as they are; ``by_dim`` and the
-        facet-to-coface map ``cofaces`` are read off in one pass over them.
-        """
-        self.simplices = set()
+        """All faces of the cones over the boundary simplices: the k-subsets
+        of a sorted cone, taken in order, are sorted faces."""
+        simplices, points = set(), set()
         for beta in self.boundary_simplices:
-            self.simplices.update(simplex_faces(simplex(beta + (self.origin,))))
-        self.by_dim = {}
-        self.cofaces = {s: set() for s in self.simplices}
-        for s in self.simplices:
-            self.by_dim.setdefault(len(s) - 1, set()).add(s)
-            if len(s) >= 2:
-                for i in range(len(s)):
-                    f = s[:i] + s[i + 1 :]
-                    self.cofaces[f].add(s)
-        self.vertices = sorted(s[0] for s in self.by_dim.get(0, ()))
+            cone = simplex(beta + (self.origin,))
+            points.update(cone)
+            for k in range(1, len(cone) + 1):
+                simplices.update(combinations(cone, k))
+        self.simplices = simplices
+        self.vertices = sorted(points)
 
     @cached_property
     def simplex_ids(self):
         """(order, ids, up): all simplices sorted, each one's id (its
         position in ``order``, so comparing ids compares simplices), and per
-        id the (coface id, position of the added vertex in the coface) of
-        each of its cofaces, in the iteration order of ``cofaces``; built on
-        first read."""
+        id the (coface id, position in the coface of the vertex it adds) of
+        each of its cofaces, in increasing coface id; built on first read.
+        Coface c lists itself under c less its i-th vertex, for each i."""
         order = sorted(self.simplices)
         ids = {s: i for i, s in enumerate(order)}
-        up = [[(ids[c], _added_position(s, c)) for c in self.cofaces[s]] for s in order]
+        up = [[] for _ in order]
+        for c, s in enumerate(order):
+            if len(s) > 1:
+                for i in range(len(s)):
+                    up[ids[s[:i] + s[i + 1 :]]].append((c, i))
         return order, ids, up
 
     def face_simplices(self, face):

@@ -106,6 +106,21 @@ def cy3_pair():
     return MirrorPair(*cy3_triangulations())
 
 
+def face_closure(simplices):
+    """(by_dim, cofaces) of a set of simplices closed under faces, such as a
+    triangulation's ``simplices``, which the package does not keep: the
+    simplices by dimension, and per simplex the set of those it is a facet
+    of."""
+    by_dim = {}
+    cofaces = {s: set() for s in simplices}
+    for s in simplices:
+        by_dim.setdefault(len(s) - 1, set()).add(s)
+        if len(s) >= 2:
+            for i in range(len(s)):
+                cofaces[s[:i] + s[i + 1 :]].add(s)
+    return by_dim, cofaces
+
+
 def lattice_map(M):
     """The map x -> M x of lattice points (as column vectors)."""
     return lambda x: tuple(sum(m * a for m, a in zip(row, x)) for row in M)

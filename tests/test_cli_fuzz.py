@@ -1,10 +1,11 @@
 """The CLI's input boundary under mutated files.
 
-The cubic pair's two triangulation files, a divisor file and a signs file
-are edited one to three times each, a coordinate, a list entry or a value
-at a time, and every command that reads an edited file runs in process.
-Whatever the edit, a run ends with exit 0, 1 (input error) or 3 (failed
-hypothesis), never with an internal error (exit 2) or a traceback.
+The cubic pair's two triangulation files, a divisor file and a signs file,
+and the K3 cube/octahedron pair's two triangulation files, are edited one
+to three times each, a coordinate, a list entry or a value at a time, and
+every command that reads an edited file runs in process.  Whatever the
+edit, a run ends with exit 0, 1 (input error) or 3 (failed hypothesis),
+never with an internal error (exit 2) or a traceback.
 """
 
 import contextlib
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import CUBIC_VERTS
+from conftest import CUBE_VERTS, CUBIC_VERTS, OCTA_VERTS
 from tropmirror.cli import main
 from tropmirror.lattice import LatticePolytope
 from tropmirror.pairs import MirrorPair
@@ -23,7 +24,7 @@ from tropmirror.patchwork import signs_from_divisor
 from tropmirror.triangulate import generate_central
 
 # each command with the files it reads
-COMMANDS = [
+CUBIC_COMMANDS = [
     (["validate", "tri"], {"tri"}),
     (["validate", "tri_dual"], {"tri_dual"}),
     (["hodge", "tri", "tri_dual", "--ring", "z"], {"tri", "tri_dual"}),
@@ -55,7 +56,19 @@ def cubic_documents():
     }
 
 
-DOCUMENTS = cubic_documents()
+CUBIC_DOCUMENTS = cubic_documents()
+
+# the K3 pair's files: every loaded triangulation is closed under faces,
+# whatever its boundary simplices, before validation refuses it
+K3_COMMANDS = [
+    (["validate", "tri"], {"tri"}),
+    (["validate", "tri_dual"], {"tri_dual"}),
+    (["mirror-check", "tri", "tri_dual"], {"tri", "tri_dual"}),
+]
+K3_DOCUMENTS = {
+    "tri": generate_central(LatticePolytope(CUBE_VERTS)).to_dict(),
+    "tri_dual": generate_central(LatticePolytope(OCTA_VERTS)).to_dict(),
+}
 
 
 def positions(doc, path=()):
@@ -111,20 +124,19 @@ def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(data=st.data())
-def test_mutated_inputs_never_fail_internally(fuzz_dir, data):
-    names = data.draw(st.lists(st.sampled_from(sorted(DOCUMENTS)), min_size=1, unique=True),
+def run_mutated(fuzz_dir, data, documents, commands):
+    """Edit some of ``documents``, write all of them to ``fuzz_dir`` and run
+    each command that reads an edited one."""
+    names = data.draw(st.lists(st.sampled_from(sorted(documents)), min_size=1, unique=True),
                       label="files")
     paths = {}
-    for name, doc in DOCUMENTS.items():
+    for name, doc in documents.items():
         if name in names:
             for _ in range(data.draw(st.integers(1, 3), label=f"{name} edits")):
                 doc = edit(data, doc)
         paths[name] = fuzz_dir / f"{name}.json"
         paths[name].write_text(json.dumps(doc))
-    for argv, reads in COMMANDS:
+    for argv, reads in commands:
         if not reads & set(names):
             continue
         argv = [str(paths.get(a, a)) for a in argv]
@@ -133,3 +145,17 @@ def test_mutated_inputs_never_fail_internally(fuzz_dir, data):
             code = main(argv)
         assert code in (0, 1, 3), (argv[0], code, err.getvalue(), out.getvalue()[:500])
         assert '"kind": "internal"' not in err.getvalue(), (argv[0], err.getvalue())
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_inputs_never_fail_internally(fuzz_dir, data):
+    run_mutated(fuzz_dir, data, CUBIC_DOCUMENTS, CUBIC_COMMANDS)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_k3_triangulations_never_fail_internally(fuzz_dir, data):
+    run_mutated(fuzz_dir, data, K3_DOCUMENTS, K3_COMMANDS)

@@ -14,6 +14,7 @@ from conftest import (
     CUBIC_VERTS,
     OCTA_VERTS,
     divisor_class_count,
+    face_closure,
     integer_lift,
     phase_masks,
     ray_mask,
@@ -128,9 +129,10 @@ def test_sign_phase_roundtrip(cubic_pair):
         eps = {p: rng.randint(0, 1) for p in pts}
         pd = PhaseData(side, side.base_poset, eps)
         ends = pd.frame.edge_ends
-        assert set(ends) == side.newton.by_dim[1]
+        by_dim = face_closure(side.newton.simplices)[0]
+        assert set(ends) == by_dim[1]
         phase = {e: pd.mask >> j & 1 for j, e in enumerate(ends)}
-        for tri in side.newton.by_dim[2]:
+        for tri in by_dim[2]:
             assert sum(phase[e] == 0 for e in combinations(tri, 2)) in (0, 2), tri
         back = signs_from_phases(side, ends, pd.mask)
         flip = 1 ^ eps[side.newton.origin]

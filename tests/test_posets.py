@@ -6,6 +6,7 @@ import pytest
 from tropmirror.errors import NotDualPair, PosetInvalid
 from tropmirror.intlinalg import dot
 from tropmirror.lattice import LatticePolytope
+from tropmirror.pairs import MirrorPair
 from tropmirror.posets import (
     Cell,
     CellPoset,
@@ -18,7 +19,7 @@ from tropmirror.posets import (
 )
 from tropmirror.triangulate import CentralTriangulation, generate_central
 
-from conftest import CUBIC_DUAL_VERTS, CUBIC_VERTS, first_kind, in_j0ub
+from conftest import CUBIC_DUAL_VERTS, CUBIC_VERTS, face_closure, first_kind, in_j0ub
 
 
 def counts_by_dim(poset):
@@ -161,13 +162,15 @@ def test_covers_change_dim_by_one(cubic_pair, k3_pair):
 def test_cover_consistency(cubic_pair):
     # covers of a cell are exactly the admissible one-vertex growths
     poset = cubic_pair.side_a.base_poset
+    a_cofaces = face_closure(poset.ambient.simplices)[1]
+    n_cofaces = face_closure(poset.newton.simplices)[1]
     for x in poset.cells:
         got = {poset.cells[yi].key for yi in poset.below[x.index]}
         expected = set()
-        for tau2 in poset.ambient.cofaces.get(x.tau, ()):
+        for tau2 in a_cofaces[x.tau]:
             if (tau2, x.sigma) in poset.cell_index:
                 expected.add((tau2, x.sigma))
-        for sigma2 in poset.newton.cofaces.get(x.sigma, ()):
+        for sigma2 in n_cofaces[x.sigma]:
             if (x.tau, sigma2) in poset.cell_index:
                 expected.add((x.tau, sigma2))
         assert got == expected
@@ -176,14 +179,17 @@ def test_cover_consistency(cubic_pair):
 def _set_difference_covers(poset):
     """The covers and default signs recomputed from coface sets and set
     differences: per cell, its tau-cofaces and then its sigma-cofaces, each
-    in ``cofaces`` order; the sign is (-1)^(position of the added vertex in
-    the grown simplex), times (-1)^(rank - dim tau) when sigma grows."""
+    in sorted order (which is increasing simplex id); the sign is
+    (-1)^(position of the added vertex in the grown simplex), times
+    (-1)^(rank - dim tau) when sigma grows."""
+    a_cofaces = face_closure(poset.ambient.simplices)[1]
+    n_cofaces = face_closure(poset.newton.simplices)[1]
     covers, sign = [], {}
     for x in poset.cells:
-        for tau2 in poset.ambient.cofaces[x.tau]:
+        for tau2 in sorted(a_cofaces[x.tau]):
             if (tau2, x.sigma) in poset.cell_index:
                 covers.append((poset.cell_index[tau2, x.sigma], x.index))
-        for sigma2 in poset.newton.cofaces[x.sigma]:
+        for sigma2 in sorted(n_cofaces[x.sigma]):
             if (x.tau, sigma2) in poset.cell_index:
                 covers.append((poset.cell_index[x.tau, sigma2], x.index))
     for yi, xi in covers:
@@ -215,6 +221,36 @@ def test_covers_and_signs_match_set_difference_oracle(cubic_pair, k3_pair, cy3_p
                 for yi, xi in covers:
                     below[xi].append(yi)
                 assert poset.below == below, kind
+
+
+def _rearranged(tri, arrange, rng):
+    """tri built again from its boundary simplices in the order ``arrange``
+    gives them, each simplex's points permuted."""
+    simplices = [rng.sample(s, len(s)) for s in arrange(tri.boundary_simplices)]
+    return CentralTriangulation(tri.polytope, simplices)
+
+
+def test_input_order_does_not_change_simplices_or_posets(k3_pair, cy3_pair):
+    # the face closure, the simplex ids and the base posets (cells, covers
+    # in order, signs in order, the lists below each cell) do not depend on
+    # the order of the boundary simplices or of their points
+    rng = random.Random(44)
+    shuffled = lambda seq: rng.sample(seq, len(seq))
+    for pair in (k3_pair, cy3_pair):
+        newton, ambient = pair.side_a.newton, pair.side_a.ambient
+        for arrange in (reversed, shuffled):
+            again = MirrorPair(_rearranged(newton, arrange, rng), _rearranged(ambient, arrange, rng))
+            for side, side2 in zip(pair.sides, again.sides):
+                tri, tri2 = side.newton, side2.newton
+                assert tri2.boundary_simplices == tri.boundary_simplices
+                assert tri2.simplices == tri.simplices
+                assert tri2.vertices == tri.vertices
+                assert tri2.simplex_ids == tri.simplex_ids
+                poset, poset2 = side.base_poset, side2.base_poset
+                assert [c.key for c in poset2.cells] == [c.key for c in poset.cells]
+                assert poset2.covers == poset.covers
+                assert list(poset2.sign.items()) == list(poset.sign.items())
+                assert list(poset2.below.items()) == list(poset.below.items())
 
 
 def test_not_dual_pair_rejected():

@@ -12,7 +12,7 @@ from tropmirror.triangulate import (
     validate,
 )
 
-from conftest import CUBE_VERTS, CUBIC_VERTS, OCTA_VERTS, cy3_triangulations
+from conftest import CUBE_VERTS, CUBIC_VERTS, OCTA_VERTS, cy3_triangulations, face_closure
 
 
 @pytest.fixture(scope="module")
@@ -188,29 +188,30 @@ def test_json_roundtrip(cubic_tri):
 
 def _reference_closure(tri):
     """The face closure with every face re-sorted on its own: each subset of
-    each top simplex, in unsorted input order, is sorted again, then grouped
-    by dimension and linked to its cofaces by dropping one vertex."""
+    each top simplex, in unsorted input order, sorted again."""
     simplices = set()
     for beta in tri.boundary_simplices:
         top = (tri.origin,) + beta[::-1]
         for k in range(1, len(top) + 1):
             for face in combinations(top, k):
                 simplices.add(tuple(sorted(tuple(p) for p in face)))
-    by_dim = {}
-    for s in simplices:
-        by_dim.setdefault(len(s) - 1, set()).add(s)
-    cofaces = {s: set() for s in simplices}
-    for s in simplices:
-        if len(s) >= 2:
-            for i in range(len(s)):
-                cofaces[s[:i] + s[i + 1 :]].add(s)
-    return simplices, by_dim, cofaces
+    return simplices
 
 
 def test_face_closure_matches_reference(cube_tri, octa_tri):
+    # the simplex ids list each coface once, in increasing id, with the
+    # position in it of the vertex it adds
     for tri in (cube_tri, octa_tri, *cy3_triangulations()):
-        simplices, by_dim, cofaces = _reference_closure(tri)
+        simplices = _reference_closure(tri)
+        by_dim, cofaces = face_closure(simplices)
         assert tri.simplices == simplices
-        assert tri.by_dim == by_dim
-        assert tri.cofaces == cofaces
         assert tri.vertices == sorted(s[0] for s in by_dim[0])
+        order, ids, up = tri.simplex_ids
+        assert order == sorted(simplices)
+        assert ids == {s: i for i, s in enumerate(order)}
+        for s, i in ids.items():
+            assert [order[c] for c, _ in up[i]] == sorted(cofaces[s])
+            for c, pos in up[i]:
+                (added,) = set(order[c]) - set(s)
+                assert order[c][:pos] + order[c][pos + 1 :] == s
+                assert order[c][pos] == added
